@@ -1,501 +1,107 @@
 // Point-query BFS: the serving-layer fast path for reachability queries
-// (source, target) → hop distance. Unlike the batch App, which rebuilds a
-// program per run, a PointBFS engine is built once against a resident
-// graph and then serves an unbounded stream of micro-batches: each of its
-// Slots is one in-flight query, every slot's state (visited marks,
-// frontier, result words) lives in preallocated DRAM — never in lane
-// scratch — so reduces declare ReduceAnyLane and the coalescing shuffle
-// runs tuples on the destination node's distributor lane without a
-// forward hop. Each slot is confined to a contiguous lane slice
-// (Lanes.Count/Slots lanes): its map master, its expansion workers and
-// its reduce owners all land there, which keeps a point query's tiny task
-// graph local while separate queries fan across disjoint slices.
+// (source, target) → hop distance, as a kernel of the pointq frame. The
+// frame owns slots, rounds and frontier streaming; this file is the BFS
+// vertex task (stream the vertex's out-list, carrying the next level and
+// the target) and the discovered-vertex reduce chain.
 //
-// A batch runs round-synchronous levels exactly like the batch App, so a
-// query's result is independent of what shares its batch: level k is
-// fully reduced before level k+1 expands, and first-touch marking via
-// DRAM fetch-add is order-independent within a level. That is what makes
-// batched results bit-equal to solo runs.
+// Level k is fully reduced before level k+1 expands, and first-touch
+// marking via DRAM fetch-add is order-independent within a level, which is
+// what makes batched results bit-equal to solo runs.
 package bfs
 
 import (
-	"fmt"
-
 	"updown"
-	"updown/internal/gasmem"
+	"updown/internal/apps/pointq"
 	"updown/internal/graph"
-	"updown/internal/kvmsr"
-	"updown/internal/prng"
 	"updown/internal/udweave"
 )
 
-// pointWindow bounds in-flight per-vertex expansion tasks per slot.
-const pointWindow = 16
-
 // PointConfig sizes a point-query engine.
-type PointConfig struct {
-	// Lanes is the engine's lane set (default: whole machine).
-	Lanes kvmsr.LaneSet
-	// Slots is the micro-batch capacity — concurrent queries per batch
-	// (default: one per accelerator, floor one per lane slice).
-	Slots int
-}
+type PointConfig = pointq.Config
 
-// Per-slot state layout, in words, at the slot's region base:
-//
-//	hdr[0] result     dist+1 of the target when found, 0 otherwise
-//	hdr[1] done       completion cycle (0 until the query resolves)
-//	hdr[2] fcount[0]  even-parity frontier length
-//	hdr[3] fcount[1]  odd-parity frontier length
-//	hdr[4] touched    length of the touched-vertex list (cleanup)
-//	hdr[5] target     base member ID of the query target
-//	mark[N]           first-touch visited marks, fetch-add gated
-//	touched[N]        every vertex whose mark was set (host Recycle)
-//	front[2][N+fSlack] parity frontiers of split-vertex IDs
-const (
-	hdrWords = 8
-	fSlack   = 8
-
-	hResult = 0
-	hDone   = 1
-	hFront  = 2
-	hTouch  = 4
-	hTarget = 5
-)
-
-// PointBFS is a resident reachability-query engine.
+// PointBFS is a resident reachability-query engine. Its one state plane
+// is the visited mark; the result word is dist+1 of the target, 0 while
+// (or if never) unreached.
 type PointBFS struct {
-	m   *updown.Machine
-	dg  *graph.DeviceGraph
-	cfg PointConfig
+	*pointq.Engine
+	dg *graph.DeviceGraph
 
-	inv       *kvmsr.Invocation
-	sliceSize int
-	fcap      uint64
-	slotVA    []gasmem.VA
-
-	lDriver  udweave.Label
-	lHdr     udweave.Label
-	lIdleAck udweave.Label
-	lClrAck  udweave.Label
-	lChunk   udweave.Label
-	lVert    udweave.Label
-	lVRec    udweave.Label
-	lVChunk  udweave.Label
-	lVDone   udweave.Label
-	lMark    udweave.Label
-	lTIdx    udweave.Label
-	lTAck    udweave.Label
-	lSubs    udweave.Label
-	lFIdx    udweave.Label
-	lFAck    udweave.Label
-
-	// BatchStart/batchDone bracket the most recent posted batch; the
-	// driver runs on a single lane, so the host reads them race-free at
-	// any quiesced point after the batch completes.
-	BatchStart updown.Cycles
-	batchDone  updown.Cycles
-	// Rounds counts launches of the most recent batch.
-	Rounds int
+	lMark, lTIdx, lTAck, lSubs, lFIdx, lFAck udweave.Label
 }
 
 // NewPoint builds a resident point-query engine over a loaded graph.
-// Build it before checkpointing the warm machine: the engine's slot
-// memory is part of the snapshot, and an identical rebuild against the
-// restored machine reattaches at the same VAs and labels.
 func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*PointBFS, error) {
-	if cfg.Lanes.Count == 0 {
-		cfg.Lanes = kvmsr.AllLanes(m.Arch)
-	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = cfg.Lanes.Count / m.Arch.LanesPerAccel
-		if cfg.Slots < 1 {
-			cfg.Slots = 1
-		}
-	}
-	if cfg.Slots > cfg.Lanes.Count {
-		return nil, fmt.Errorf("bfs: %d slots over %d lanes (need a lane slice each)", cfg.Slots, cfg.Lanes.Count)
-	}
-	e := &PointBFS{m: m, dg: dg, cfg: cfg, batchDone: -1}
-	e.sliceSize = cfg.Lanes.Count / cfg.Slots
-	n := uint64(dg.G.N)
-	e.fcap = n + fSlack
-
-	// One region per slot, resident on the slot's home node, so a query's
-	// marks, frontier and result words are all local to its lane slice.
-	perSlot := (hdrWords + 2*n + 2*e.fcap) * gasmem.WordBytes
-	lpn := m.Arch.LanesPerNode()
-	e.slotVA = make([]gasmem.VA, cfg.Slots)
-	for s := 0; s < cfg.Slots; s++ {
-		home := int(e.sliceFirst(s)) / lpn
-		va, err := m.GAS.DRAMmalloc(perSlot, home, 1, 4096)
-		if err != nil {
-			return nil, fmt.Errorf("bfs: point slot %d: %w", s, err)
-		}
-		e.slotVA[s] = va
-	}
-
-	p := m.Prog
-	kvMap := p.Define("pbfs.kv_map", e.kvMap)
-	e.lDriver = p.Define("pbfs.driver", e.driver)
-	e.lHdr = p.Define("pbfs.hdr", e.hdr)
-	e.lIdleAck = p.Define("pbfs.idle_ack", e.idleAck)
-	e.lClrAck = p.Define("pbfs.clr_ack", e.clrAck)
-	e.lChunk = p.Define("pbfs.chunk", e.chunk)
-	e.lVert = p.Define("pbfs.vert", e.vert)
-	e.lVRec = p.Define("pbfs.v_rec", e.vRec)
-	e.lVChunk = p.Define("pbfs.v_chunk", e.vChunk)
-	e.lVDone = p.Define("pbfs.v_done", e.vDone)
-	kvReduce := p.Define("pbfs.kv_reduce", e.kvReduce)
-	e.lMark = p.Define("pbfs.mark", e.mark)
-	e.lTIdx = p.Define("pbfs.t_idx", e.tIdx)
-	e.lTAck = p.Define("pbfs.t_ack", e.tAck)
-	e.lSubs = p.Define("pbfs.subs", e.subs)
-	e.lFIdx = p.Define("pbfs.f_idx", e.fIdx)
-	e.lFAck = p.Define("pbfs.f_ack", e.fAck)
-
+	e := &PointBFS{dg: dg}
 	var err error
-	e.inv, err = kvmsr.New(p, kvmsr.Spec{
-		Name:        "pbfs.round",
-		NumKeys:     uint64(cfg.Slots),
-		MapEvent:    kvMap,
-		ReduceEvent: kvReduce,
-		MapBinding:  kvmsr.Stride{Step: e.sliceSize},
-		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, ls kvmsr.LaneSet) updown.NetworkID {
-			s := key >> 32
-			v := key & 0xffffffff
-			return ls.First + updown.NetworkID(s)*updown.NetworkID(e.sliceSize) +
-				updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
-		}),
-		Lanes:      cfg.Lanes,
-		Resilience: m.Resilience,
-		Coalesce:   m.Coalesce,
-		// All reduce state is per-slot DRAM behind fetch-add gates, so any
-		// lane may run any tuple — the distributor executes packed tuples
-		// in place, the core of the small-task fast path.
-		ReduceAnyLane: true,
+	e.Engine, err = pointq.New(m, dg, cfg, pointq.Kernel{
+		Name: "pbfs", Stream: [3]string{"vert", "v_rec", "v_chunk"}, Planes: 1,
+		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
 	})
 	if err != nil {
 		return nil, err
 	}
+	p := m.Prog
+	e.lMark = p.Define("pbfs.mark", e.mark)
+	e.lTIdx = p.Define("pbfs.t_idx", e.tIdx)
+	e.lTAck = p.Define("pbfs.t_ack", e.ack)
+	e.lSubs = p.Define("pbfs.subs", e.subs)
+	e.lFIdx = p.Define("pbfs.f_idx", e.fIdx)
+	e.lFAck = p.Define("pbfs.f_ack", e.ack)
 	return e, nil
 }
 
-// Slots returns the engine's micro-batch capacity.
-func (e *PointBFS) Slots() int { return e.cfg.Slots }
-
-func (e *PointBFS) sliceFirst(s int) updown.NetworkID {
-	return e.cfg.Lanes.First + updown.NetworkID(s*e.sliceSize)
-}
-
-func (e *PointBFS) hdrVA(s uint64) gasmem.VA { return e.slotVA[s] }
-func (e *PointBFS) markVA(s, v uint64) gasmem.VA {
-	return e.slotVA[s] + (hdrWords+v)*gasmem.WordBytes
-}
-func (e *PointBFS) touchVA(s, i uint64) gasmem.VA {
-	return e.slotVA[s] + (hdrWords+uint64(e.dg.G.N)+i)*gasmem.WordBytes
-}
-func (e *PointBFS) frontVA(s uint64, parity uint64) gasmem.VA {
-	return e.slotVA[s] + (hdrWords+2*uint64(e.dg.G.N)+parity*e.fcap)*gasmem.WordBytes
-}
-
-// Seed installs query (src, tgt) into a recycled slot (host-side, at a
-// quiesced boundary, before Post).
-func (e *PointBFS) Seed(slot int, src, tgt uint32) {
-	gas := e.m.GAS
-	s := uint64(slot)
-	sb := uint64(e.dg.G.NewID[src])
-	tb := uint64(e.dg.G.NewID[tgt])
-	members := e.dg.G.Members(src)
-	for i, v := range members {
-		gas.WriteU64(e.frontVA(s, 0)+uint64(i)*gasmem.WordBytes, uint64(v))
-	}
-	var result uint64
-	if sb == tb {
-		result = 1 // distance 0: the first round resolves immediately
-	}
-	// Install the whole header: a slot idled through a partial batch has a
-	// stale done stamp that must not outlive reseeding.
-	gas.WriteU64(e.hdrVA(s)+hResult*gasmem.WordBytes, result)
-	gas.WriteU64(e.hdrVA(s)+hDone*gasmem.WordBytes, 0)
-	gas.WriteU64(e.hdrVA(s)+hFront*gasmem.WordBytes, uint64(len(members)))
-	gas.WriteU64(e.hdrVA(s)+(hFront+1)*gasmem.WordBytes, 0)
-	gas.WriteU64(e.hdrVA(s)+hTarget*gasmem.WordBytes, tb)
-	gas.WriteU64(e.hdrVA(s)+hTouch*gasmem.WordBytes, 1)
-	gas.WriteU64(e.markVA(s, sb), 1)
-	gas.WriteU64(e.touchVA(s, 0), sb)
-}
-
-// Recycle clears a completed slot for reuse (host-side). Cost is
-// proportional to the vertices the query actually touched, so footprint
-// and recycle work both stay flat across an unbounded query stream.
-func (e *PointBFS) Recycle(slot int) {
-	gas := e.m.GAS
-	s := uint64(slot)
-	n := gas.ReadU64(e.hdrVA(s) + hTouch*gasmem.WordBytes)
-	for i := uint64(0); i < n; i++ {
-		gas.WriteU64(e.markVA(s, gas.ReadU64(e.touchVA(s, i))), 0)
-	}
-	for w := uint64(0); w < hdrWords; w++ {
-		gas.WriteU64(e.hdrVA(s)+w*gasmem.WordBytes, 0)
-	}
-}
-
-// Result returns the answer of a completed slot: (dist, true) when the
+// Dist returns the answer of a completed slot: (dist, true) when the
 // target is reachable, (0, false) otherwise.
-func (e *PointBFS) Result(slot int) (dist uint64, reached bool) {
-	r := e.m.GAS.ReadU64(e.hdrVA(uint64(slot)) + hResult*gasmem.WordBytes)
-	if r == 0 {
-		return 0, false
+func (e *PointBFS) Dist(slot int) (dist uint64, reached bool) {
+	if r := e.Result(slot); r != 0 {
+		return r - 1, true
 	}
-	return r - 1, true
+	return 0, false
 }
 
-// DoneCycle returns the in-simulation cycle the slot's query resolved at
-// — written by a single in-sim writer, so it is shard-invariant.
-func (e *PointBFS) DoneCycle(slot int) updown.Cycles {
-	return updown.Cycles(e.m.GAS.ReadU64(e.hdrVA(uint64(slot)) + hDone*gasmem.WordBytes))
-}
-
-// Post queues the batch driver at cycle t (host-side). One batch may be
-// in flight per engine; BatchDone reports its completion.
-func (e *PointBFS) Post(at updown.Cycles) {
-	e.BatchStart = at
-	e.batchDone = -1
-	e.Rounds = 0
-	e.m.StartAt(at, updown.EvwNew(e.cfg.Lanes.First, e.lDriver))
-}
-
-// BatchDone reports the completion cycle of the last posted batch.
-func (e *PointBFS) BatchDone() (updown.Cycles, bool) {
-	return e.batchDone, e.batchDone >= 0
-}
-
-type pDriverState struct {
-	round uint64
-	final bool
-}
-
-// driver chains rounds until a round emits nothing, then runs one more:
-// a round can consume the last frontier without emitting (only
-// zero-degree vertices left), and only the following empty round stamps
-// those slots' done cycles.
-func (e *PointBFS) driver(c *updown.Ctx) {
-	if c.State() == nil {
-		c.SetState(&pDriverState{})
-		e.inv.LaunchWithArg(c, uint64(e.cfg.Slots), 0, c.ContinueTo(e.lDriver))
-		return
+// seed: level 0 is every split member of the source; src == tgt is
+// distance 0, which the first round resolves immediately.
+func (e *PointBFS) seed(_, sb, tb uint64) (nfront, result uint64) {
+	if sb == tb {
+		result = 1
 	}
-	st := c.State().(*pDriverState)
-	e.Rounds++
-	if c.Op(0) == 0 {
-		if st.final {
-			e.batchDone = c.Now()
-			c.YieldTerminate()
-			return
-		}
-		st.final = true
-	} else {
-		st.final = false
-	}
-	st.round++
-	e.inv.LaunchWithArg(c, uint64(e.cfg.Slots), st.round, c.ContinueTo(e.lDriver))
+	return 1 + uint64(e.dg.G.SubCount[sb]), result
 }
 
-// pMapState is one slot's map task: read the slot header, then stream the
-// frontier through expansion workers on the slot's lane slice.
-type pMapState struct {
-	mapCont      uint64
-	slot         uint64
-	round        uint64
-	target       uint64
-	segVA        gasmem.VA
-	next, hi     uint64
-	outstanding  int
-	chunkPending bool
-	clears       int
-	emits        uint64
+// resolve stamps the completion cycle and retires both frontier counters;
+// the result word already holds the answer (0 if the frontier ran dry).
+func (e *PointBFS) resolve(c *udweave.Ctx, t *pointq.Task) {
+	e.Retire(c, t, pointq.HDone, uint64(c.Now()), 0, 0)
 }
 
-func (e *PointBFS) kvMap(c *updown.Ctx) {
-	st := &pMapState{mapCont: c.Cont(), slot: c.Op(0), round: c.Op(1)}
-	c.SetState(st)
-	c.Cycles(4)
-	c.DRAMRead(e.hdrVA(st.slot), 6, c.ContinueTo(e.lHdr))
+// visit streams v's neighbors into the shuffle as (next level, target).
+func (e *PointBFS) visit(c *udweave.Ctx, t *pointq.Task, v, cont uint64) {
+	e.Stream(c, cont, t.Slot, v, t.Round+1, t.Target)
 }
 
-func (e *PointBFS) hdr(c *updown.Ctx) {
-	st := c.State().(*pMapState)
-	result, done := c.Op(hResult), c.Op(hDone)
-	cnt := c.Op(hFront + int(st.round&1))
-	st.target = c.Op(hTarget)
-	c.Cycles(4)
-	switch {
-	case done != 0:
-		// Already resolved in an earlier round (or slot idle): nothing to
-		// expand, nothing to record.
-		e.inv.Return(c, st.mapCont)
-		c.YieldTerminate()
-	case result != 0 || cnt == 0:
-		// The query resolved during the previous round's reduces (target
-		// found) or ran dry (unreached): stamp the completion cycle and
-		// retire the frontier counters.
-		c.DRAMWrite(e.hdrVA(st.slot)+hDone*gasmem.WordBytes, c.ContinueTo(e.lIdleAck),
-			uint64(c.Now()), 0, 0)
-	default:
-		st.segVA = e.frontVA(st.slot, st.round&1)
-		st.hi = cnt
-		// Retire the consumed parity's count now (acked, before Return) so
-		// the next round of this parity starts from zero; this round's
-		// reduces only touch the opposite parity's counter.
-		st.clears++
-		c.DRAMWrite(e.hdrVA(st.slot)+(hFront+(st.round&1))*gasmem.WordBytes,
-			c.ContinueTo(e.lClrAck), 0)
-		e.pump(c, st)
-	}
-}
-
-func (e *PointBFS) clrAck(c *udweave.Ctx) {
-	st := c.State().(*pMapState)
-	st.clears--
-	c.Cycles(1)
-	e.pump(c, st)
-}
-
-func (e *PointBFS) idleAck(c *udweave.Ctx) {
-	st := c.State().(*pMapState)
-	e.inv.Return(c, st.mapCont)
-	c.YieldTerminate()
-}
-
-// pump keeps up to pointWindow expansion tasks in flight over the slot's
-// frontier section.
-func (e *PointBFS) pump(c *updown.Ctx, st *pMapState) {
-	if !st.chunkPending && st.next < st.hi && st.outstanding < pointWindow {
-		n := st.hi - st.next
-		if n > 8 {
-			n = 8
-		}
-		st.chunkPending = true
-		c.Cycles(2)
-		c.DRAMRead(st.segVA+st.next*gasmem.WordBytes, int(n), c.ContinueTo(e.lChunk))
-	}
-	if st.outstanding == 0 && !st.chunkPending && st.clears == 0 && st.next >= st.hi {
-		e.inv.EmitFrom(c, st.emits)
-		e.inv.Return(c, st.mapCont)
-		c.YieldTerminate()
-	}
-}
-
-// chunk fans one frontier chunk out to expansion workers, spread over the
-// slot's lane slice by vertex hash — the same lanes its reduces land on.
-func (e *PointBFS) chunk(c *updown.Ctx) {
-	st := c.State().(*pMapState)
-	st.chunkPending = false
-	n := c.NOps()
-	first := e.sliceFirst(int(st.slot))
-	cont := c.ContinueTo(e.lVDone)
-	for i := 0; i < n; i++ {
-		v := c.Op(i)
-		lane := first + updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, e.lVert), cont, v, st.round, st.target, st.slot)
-		st.outstanding++
-	}
-	st.next += uint64(n)
-	e.pump(c, st)
-}
-
-func (e *PointBFS) vDone(c *udweave.Ctx) {
-	st := c.State().(*pMapState)
-	st.emits += c.Op(0)
-	st.outstanding--
-	c.Cycles(2)
-	e.pump(c, st)
-}
-
-// pVertState streams one frontier vertex's neighbors into the shuffle.
-type pVertState struct {
-	cont    uint64
-	v       uint64
-	round   uint64
-	target  uint64
-	slot    uint64
-	degree  uint64
-	neighVA gasmem.VA
-	loaded  uint64
-	sent    uint64
-}
-
-func (e *PointBFS) vert(c *updown.Ctx) {
-	st := &pVertState{cont: c.Cont(), v: c.Op(0), round: c.Op(1), target: c.Op(2), slot: c.Op(3)}
-	c.SetState(st)
-	c.Cycles(4)
-	c.DRAMRead(e.dg.FieldVA(uint32(st.v), graph.VDegree), 2, c.ContinueTo(e.lVRec))
-}
-
-func (e *PointBFS) vRec(c *updown.Ctx) {
-	st := c.State().(*pVertState)
-	st.degree = c.Op(0)
-	st.neighVA = c.Op(1)
-	if st.degree == 0 {
-		c.Reply(st.cont, 0)
-		c.YieldTerminate()
-		return
-	}
-	c.Cycles(4)
-	ret := c.ContinueTo(e.lVChunk)
-	for off := uint64(0); off < st.degree; off += 8 {
-		n := st.degree - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-	}
-}
-
-func (e *PointBFS) vChunk(c *updown.Ctx) {
-	st := c.State().(*pVertState)
-	n := c.NOps()
-	for i := 0; i < n; i++ {
-		st.sent += e.inv.SendReduce(c, st.slot<<32|c.Op(i), st.round+1, st.target)
-	}
-	st.loaded += uint64(n)
-	if st.loaded == st.degree {
-		c.Reply(st.cont, st.sent)
-		c.YieldTerminate()
-	}
-}
-
-// pRedState is one discovered-vertex reduce, a strictly sequential chain
-// of split-phase DRAM steps; all its state is thread-local and all shared
-// state is behind fetch-add gates, which is what licenses ReduceAnyLane.
+// pRedState is one discovered-vertex reduce, a chain of split-phase DRAM
+// steps; all its state is thread-local and all shared state is behind
+// fetch-add gates, which is what licenses ReduceAnyLane.
 type pRedState struct {
-	slot, v  uint64
-	dist     uint64
-	target   uint64
-	subStart uint64
-	subCount uint64
-	fIdx     uint64
-	written  uint64
-	acks     int
+	slot, v, dist, target uint64
+	subStart, subCount    uint64
+	acks                  int
+	fronted               bool
 }
 
-func (e *PointBFS) kvReduce(c *updown.Ctx) {
-	key := c.Op(0)
-	st := &pRedState{slot: key >> 32, v: key & 0xffffffff, dist: c.Op(1), target: c.Op(2)}
+func (e *PointBFS) kvReduce(c *udweave.Ctx) {
+	st := &pRedState{dist: c.Op(1), target: c.Op(2)}
+	st.slot, st.v = pointq.SplitKey(c.Op(0))
 	c.SetState(st)
 	c.Cycles(4)
-	c.DRAMFetchAdd(e.markVA(st.slot, st.v), 1, c.ContinueTo(e.lMark))
+	c.DRAMFetchAdd(e.PlaneVA(st.slot, 0, st.v), 1, c.ContinueTo(e.lMark))
 }
 
 func (e *PointBFS) mark(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
 	if c.Op(0) != 0 {
 		// Already visited: first touch won.
-		e.inv.ReduceDone(c)
-		c.YieldTerminate()
+		e.ReduceDone(c)
 		return
 	}
 	c.Cycles(2)
@@ -504,69 +110,36 @@ func (e *PointBFS) mark(c *udweave.Ctx) {
 		// header words, one acked write), then fall through to the
 		// bookkeeping chain — later rounds see result != 0 and idle out.
 		st.acks++
-		c.DRAMWrite(e.hdrVA(st.slot)+hResult*gasmem.WordBytes, c.ContinueTo(e.lTAck),
-			st.dist+1, uint64(c.Now()))
+		c.DRAMWrite(e.HdrVA(st.slot, pointq.HResult), c.ContinueTo(e.lTAck), st.dist+1, uint64(c.Now()))
 	}
-	c.DRAMFetchAdd(e.hdrVA(st.slot)+hTouch*gasmem.WordBytes, 1, c.ContinueTo(e.lTIdx))
+	c.DRAMFetchAdd(e.HdrVA(st.slot, pointq.HTouch), 1, c.ContinueTo(e.lTIdx))
 }
 
 func (e *PointBFS) tIdx(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
 	st.acks++
 	c.Cycles(2)
-	c.DRAMWrite(e.touchVA(st.slot, c.Op(0)), c.ContinueTo(e.lTAck), st.v)
+	c.DRAMWrite(e.TouchVA(st.slot, c.Op(0)), c.ContinueTo(e.lTAck), st.v)
 	c.DRAMRead(e.dg.FieldVA(uint32(st.v), graph.VSubStart), 2, c.ContinueTo(e.lSubs))
 }
 
-func (e *PointBFS) tAck(c *udweave.Ctx) {
-	st := c.State().(*pRedState)
-	st.acks--
-	c.Cycles(1)
-	e.maybeDone(c, st)
-}
-
+// subs reserves a contiguous next-frontier range for the vertex and its
+// split sub-vertices with one fetch-add.
 func (e *PointBFS) subs(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
-	st.subStart = c.Op(0)
-	st.subCount = c.Op(1)
+	st.subStart, st.subCount = c.Op(0), c.Op(1)
 	c.Cycles(2)
-	// Reserve a contiguous frontier range for the vertex and its split
-	// sub-vertices with one fetch-add, then write it in word chunks.
-	c.DRAMFetchAdd(e.hdrVA(st.slot)+(hFront+(st.dist&1))*gasmem.WordBytes,
-		1+st.subCount, c.ContinueTo(e.lFIdx))
+	c.DRAMFetchAdd(e.HdrVA(st.slot, pointq.HFront+(st.dist&1)), 1+st.subCount, c.ContinueTo(e.lFIdx))
 }
 
 func (e *PointBFS) fIdx(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
-	st.fIdx = c.Op(0)
-	e.writeFront(c, st)
-}
-
-func (e *PointBFS) writeFront(c *udweave.Ctx, st *pRedState) {
-	total := 1 + st.subCount
-	base := e.frontVA(st.slot, st.dist&1)
-	for st.written < total {
-		n := total - st.written
-		if n > 7 {
-			n = 7
-		}
-		vals := make([]uint64, n)
-		for i := range vals {
-			if st.written == 0 && i == 0 {
-				vals[i] = st.v
-			} else {
-				vals[i] = st.subStart + st.written + uint64(i) - 1
-			}
-		}
-		st.acks++
-		c.Cycles(2)
-		c.DRAMWrite(base+(st.fIdx+st.written)*gasmem.WordBytes, c.ContinueTo(e.lFAck), vals...)
-		st.written += n
-	}
+	st.acks += e.WriteFront(c, st.slot, st.dist&1, c.Op(0), st.v, st.subStart, st.subCount, c.ContinueTo(e.lFAck))
+	st.fronted = true
 	e.maybeDone(c, st)
 }
 
-func (e *PointBFS) fAck(c *udweave.Ctx) {
+func (e *PointBFS) ack(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
 	st.acks--
 	c.Cycles(1)
@@ -574,8 +147,7 @@ func (e *PointBFS) fAck(c *udweave.Ctx) {
 }
 
 func (e *PointBFS) maybeDone(c *udweave.Ctx, st *pRedState) {
-	if st.acks == 0 && st.written == 1+st.subCount {
-		e.inv.ReduceDone(c)
-		c.YieldTerminate()
+	if st.acks == 0 && st.fronted {
+		e.ReduceDone(c)
 	}
 }

@@ -5,31 +5,10 @@ import (
 
 	"updown"
 	"updown/internal/apps/bfs"
+	"updown/internal/apps/pointq/pointqtest"
 	"updown/internal/baseline"
-	"updown/internal/kvmsr"
 	"updown/internal/graph"
 )
-
-// pointMachine builds a resident machine with a loaded graph and a point
-// engine, coalescing on (the serving configuration).
-func pointMachine(t *testing.T, g *graph.Graph, nodes, shards, slots int) (*updown.Machine, *bfs.PointBFS) {
-	t.Helper()
-	m, err := updown.New(updown.Config{Nodes: nodes, Shards: shards, MaxTime: 1 << 42,
-		Coalesce: &kvmsr.Coalesce{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := graph.Split(g, 16)
-	dg, err := graph.LoadToGAS(m.GAS, s, graph.DefaultPlacement(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: slots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, e
-}
 
 // A full batch of point queries must answer bit-identically to the solo
 // batch-run reference (baseline host BFS distances) — including unreached
@@ -37,7 +16,11 @@ func pointMachine(t *testing.T, g *graph.Graph, nodes, shards, slots int) (*updo
 func TestPointBFSMatchesBaseline(t *testing.T) {
 	g := graph.FromEdges(256, graph.DefaultRMAT(8, 15), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	m, e := pointMachine(t, g, 2, 1, 4)
+	m, dg := pointqtest.Machine(t, g, 2, 1)
+	e, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type q struct{ src, tgt uint32 }
 	batches := [][]q{
@@ -61,7 +44,7 @@ func TestPointBFSMatchesBaseline(t *testing.T) {
 		frontier = done
 		for s, qq := range batch {
 			want := baseline.BFS(g, qq.src)[qq.tgt]
-			dist, reached := e.Result(s)
+			dist, reached := e.Dist(s)
 			if want == baseline.Unreached {
 				if reached {
 					t.Fatalf("batch %d slot %d (%d->%d): got dist %d, want unreached", bi, s, qq.src, qq.tgt, dist)
@@ -73,37 +56,6 @@ func TestPointBFSMatchesBaseline(t *testing.T) {
 				t.Fatalf("batch %d slot %d: done cycle %d", bi, s, dc)
 			}
 			e.Recycle(s)
-		}
-	}
-}
-
-// Batching must not change any answer: every query of a shared batch is
-// pinned to the same result a solo single-slot run produces on an
-// identically built machine.
-func TestPointBFSBatchEqualsSolo(t *testing.T) {
-	g := graph.FromEdges(256, graph.DefaultRMAT(8, 12), graph.BuildOptions{
-		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	queries := []struct{ src, tgt uint32 }{{28, 0}, {3, 150}, {77, 12}, {0, 255}}
-
-	m, e := pointMachine(t, g, 2, 1, len(queries))
-	for s, q := range queries {
-		e.Seed(s, q.src, q.tgt)
-	}
-	e.Post(1)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for s, q := range queries {
-		sm, se := pointMachine(t, g, 2, 1, len(queries))
-		se.Seed(0, q.src, q.tgt)
-		se.Post(1)
-		if _, err := sm.Run(); err != nil {
-			t.Fatal(err)
-		}
-		bd, br := e.Result(s)
-		sd, sr := se.Result(0)
-		if bd != sd || br != sr {
-			t.Fatalf("query %d->%d: batched (%d,%v) != solo (%d,%v)", q.src, q.tgt, bd, br, sd, sr)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 // Point-query personalized PageRank: the serving-layer fast path for
-// (source, target) → PPR score queries. Like bfs.PointBFS, a PointPPR
-// engine is built once against a resident graph and serves micro-batches
-// of queries through preallocated per-slot DRAM regions; every reduce
-// declares ReduceAnyLane because all shared state sits behind DRAM
-// fetch-add gates, and each slot is confined to a contiguous lane slice.
+// (source, target) → PPR score queries, as a kernel of the pointq frame.
+// The frame owns slots, rounds and frontier streaming; this file is the
+// push arithmetic, the hub pusher (the per-frontier-vertex task) and the
+// residual-contribution reduce chain.
 //
 // The algorithm is round-synchronous forward push with fixed-point
 // integer masses, which is what makes it servable: integer fetch-add
@@ -16,13 +15,11 @@
 package pagerank
 
 import (
-	"fmt"
-
 	"updown"
+	"updown/internal/apps/pointq"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
-	"updown/internal/prng"
 	"updown/internal/udweave"
 )
 
@@ -85,9 +82,6 @@ func RefScores(g *graph.Graph, src uint32, eps uint64) []uint64 {
 	return p
 }
 
-// pushWindow bounds in-flight member streamers per hub pusher.
-const pushWindow = 16
-
 // PointConfig sizes a point-PPR engine.
 type PointConfig struct {
 	// Lanes is the engine's lane set (default: whole machine).
@@ -98,413 +92,103 @@ type PointConfig struct {
 	Eps uint64
 }
 
-// Per-slot state layout, in words, at the slot's region base. Frontiers
-// hold base members only (the engine requires the default split without
-// SpreadInEdges, so every adjacency destination is a base member); a base
-// pusher streams its sub-vertices' out-lists itself.
-//
-//	hdr[8]            result, done, fcount[2], touched, target, spare×2
-//	tmark[N]          first-ever-touch marks (recycle bookkeeping)
-//	touched[N]        every vertex whose tmark was set
-//	p[N]              settled mass, fetch-add accumulated
-//	r[2][N]           parity residuals, fetch-add accumulated
-//	front[2][N+fSlack] parity frontiers of base-member IDs
+// Per-slot state planes. Frontiers hold base members only (the engine
+// requires the default split without SpreadInEdges, so every adjacency
+// destination is a base member); a base pusher streams its sub-vertices'
+// out-lists itself.
 const (
-	pHdrWords = 8
-	pFSlack   = 8
-
-	phResult = 0
-	phDone   = 1
-	phFront  = 2
-	phTouch  = 4
-	phTarget = 5
+	plMark = 0 // first-ever-touch marks (recycle bookkeeping)
+	plP    = 1 // settled mass, fetch-add accumulated
+	plR    = 2 // parity residuals (plR, plR+1), fetch-add accumulated
 )
 
-// PointPPR is a resident personalized-PageRank query engine.
+// PointPPR is a resident personalized-PageRank query engine. The result
+// word is the target's fixed-point score, an exact fraction with
+// denominator FixOne.
 type PointPPR struct {
-	m   *updown.Machine
+	*pointq.Engine
+	gas *gasmem.GAS
 	dg  *graph.DeviceGraph
-	cfg PointConfig
+	eps uint64
 
-	inv       *kvmsr.Invocation
-	sliceSize int
-	fcap      uint64
-	slotVA    []gasmem.VA
-
-	lDriver  udweave.Label
-	lHdr     udweave.Label
-	lPRead   udweave.Label
-	lIdleAck udweave.Label
-	lClrAck  udweave.Label
-	lChunk   udweave.Label
-	lVert    udweave.Label
-	lRRead   udweave.Label
-	lVRec    udweave.Label
-	lVChunk  udweave.Label
-	lVAck    udweave.Label
-	lStream  udweave.Label
-	lSRec    udweave.Label
-	lSChunk  udweave.Label
-	lSDone   udweave.Label
-	lVDone   udweave.Label
-	lRAcc    udweave.Label
-	lFIdx    udweave.Label
-	lTMark   udweave.Label
-	lTIdx    udweave.Label
-	lAck     udweave.Label
-
-	// BatchStart/batchDone bracket the most recent posted batch.
-	BatchStart updown.Cycles
-	batchDone  updown.Cycles
-	// Rounds counts launches of the most recent batch.
-	Rounds int
+	lPRead, lVert, lRRead, lVRec, lVChunk, lVAck, lSDone udweave.Label
+	lRAcc, lFIdx, lTMark, lTIdx, lAck                    udweave.Label
 }
 
-// NewPoint builds a resident point-PPR engine over a loaded graph. Build
-// it before checkpointing the warm machine, like bfs.NewPoint.
+// NewPoint builds a resident point-PPR engine over a loaded graph.
 func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*PointPPR, error) {
-	if cfg.Lanes.Count == 0 {
-		cfg.Lanes = kvmsr.AllLanes(m.Arch)
-	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = cfg.Lanes.Count / m.Arch.LanesPerAccel
-		if cfg.Slots < 1 {
-			cfg.Slots = 1
-		}
-	}
-	if cfg.Slots > cfg.Lanes.Count {
-		return nil, fmt.Errorf("pagerank: %d slots over %d lanes (need a lane slice each)", cfg.Slots, cfg.Lanes.Count)
-	}
 	if cfg.Eps == 0 {
 		cfg.Eps = DefaultEps
 	}
-	e := &PointPPR{m: m, dg: dg, cfg: cfg, batchDone: -1}
-	e.sliceSize = cfg.Lanes.Count / cfg.Slots
-	n := uint64(dg.G.N)
-	e.fcap = n + pFSlack
-
-	perSlot := (pHdrWords + 5*n + 2*e.fcap) * gasmem.WordBytes
-	lpn := m.Arch.LanesPerNode()
-	e.slotVA = make([]gasmem.VA, cfg.Slots)
-	for s := 0; s < cfg.Slots; s++ {
-		home := int(e.sliceFirst(s)) / lpn
-		va, err := m.GAS.DRAMmalloc(perSlot, home, 1, 4096)
-		if err != nil {
-			return nil, fmt.Errorf("pagerank: point slot %d: %w", s, err)
-		}
-		e.slotVA[s] = va
+	e := &PointPPR{gas: m.GAS, dg: dg, eps: cfg.Eps}
+	var err error
+	e.Engine, err = pointq.New(m, dg, pointq.Config{Lanes: cfg.Lanes, Slots: cfg.Slots}, pointq.Kernel{
+		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4,
+		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	p := m.Prog
-	kvMap := p.Define("pppr.kv_map", e.kvMap)
-	e.lDriver = p.Define("pppr.driver", e.driver)
-	e.lHdr = p.Define("pppr.hdr", e.hdr)
 	e.lPRead = p.Define("pppr.p_read", e.pRead)
-	e.lIdleAck = p.Define("pppr.idle_ack", e.idleAck)
-	e.lClrAck = p.Define("pppr.clr_ack", e.clrAck)
-	e.lChunk = p.Define("pppr.chunk", e.chunk)
 	e.lVert = p.Define("pppr.vert", e.vert)
 	e.lRRead = p.Define("pppr.r_read", e.rRead)
 	e.lVRec = p.Define("pppr.v_rec", e.vRec)
 	e.lVChunk = p.Define("pppr.v_chunk", e.vChunk)
 	e.lVAck = p.Define("pppr.v_ack", e.vAck)
-	e.lStream = p.Define("pppr.stream", e.stream)
-	e.lSRec = p.Define("pppr.s_rec", e.sRec)
-	e.lSChunk = p.Define("pppr.s_chunk", e.sChunk)
 	e.lSDone = p.Define("pppr.s_done", e.sDone)
-	e.lVDone = p.Define("pppr.v_done", e.vDone)
-	kvReduce := p.Define("pppr.kv_reduce", e.kvReduce)
 	e.lRAcc = p.Define("pppr.r_acc", e.rAcc)
 	e.lFIdx = p.Define("pppr.f_idx", e.fIdx)
 	e.lTMark = p.Define("pppr.t_mark", e.tMark)
 	e.lTIdx = p.Define("pppr.t_idx", e.tIdx)
 	e.lAck = p.Define("pppr.ack", e.ack)
-
-	var err error
-	e.inv, err = kvmsr.New(p, kvmsr.Spec{
-		Name:        "pppr.round",
-		NumKeys:     uint64(cfg.Slots),
-		MapEvent:    kvMap,
-		ReduceEvent: kvReduce,
-		MapBinding:  kvmsr.Stride{Step: e.sliceSize},
-		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, ls kvmsr.LaneSet) updown.NetworkID {
-			s := key >> 32
-			v := key & 0xffffffff
-			return ls.First + updown.NetworkID(s)*updown.NetworkID(e.sliceSize) +
-				updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
-		}),
-		Lanes:         cfg.Lanes,
-		Resilience:    m.Resilience,
-		Coalesce:      m.Coalesce,
-		ReduceAnyLane: true,
-	})
-	if err != nil {
-		return nil, err
-	}
 	return e, nil
 }
 
-// Slots returns the engine's micro-batch capacity.
-func (e *PointPPR) Slots() int { return e.cfg.Slots }
+// Score returns a completed slot's result as a float for reporting.
+func (e *PointPPR) Score(slot int) float64 { return float64(e.Result(slot)) / float64(FixOne) }
 
-func (e *PointPPR) sliceFirst(s int) updown.NetworkID {
-	return e.cfg.Lanes.First + updown.NetworkID(s*e.sliceSize)
-}
-
-func (e *PointPPR) hdrVA(s uint64) gasmem.VA { return e.slotVA[s] }
-func (e *PointPPR) tmarkVA(s, v uint64) gasmem.VA {
-	return e.slotVA[s] + (pHdrWords+v)*gasmem.WordBytes
-}
-func (e *PointPPR) touchVA(s, i uint64) gasmem.VA {
-	return e.slotVA[s] + (pHdrWords+uint64(e.dg.G.N)+i)*gasmem.WordBytes
-}
-func (e *PointPPR) pVA(s, v uint64) gasmem.VA {
-	return e.slotVA[s] + (pHdrWords+2*uint64(e.dg.G.N)+v)*gasmem.WordBytes
-}
-func (e *PointPPR) rVA(s, parity, v uint64) gasmem.VA {
-	return e.slotVA[s] + (pHdrWords+(3+parity)*uint64(e.dg.G.N)+v)*gasmem.WordBytes
-}
-func (e *PointPPR) frontVA(s, parity uint64) gasmem.VA {
-	return e.slotVA[s] + (pHdrWords+5*uint64(e.dg.G.N)+parity*e.fcap)*gasmem.WordBytes
+// seed: the full unit of mass starts as the source base member's residual.
+func (e *PointPPR) seed(slot, sb, _ uint64) (nfront, result uint64) {
+	e.gas.WriteU64(e.PlaneVA(slot, plR, sb), FixOne)
+	return 1, 0
 }
 
-// Seed installs query (src, tgt) into a recycled slot (host-side, at a
-// quiesced boundary, before Post). The full unit of mass starts as the
-// source base member's residual.
-func (e *PointPPR) Seed(slot int, src, tgt uint32) {
-	gas := e.m.GAS
-	s := uint64(slot)
-	sb := uint64(e.dg.G.NewID[src])
-	tb := uint64(e.dg.G.NewID[tgt])
-	gas.WriteU64(e.hdrVA(s)+phResult*gasmem.WordBytes, 0)
-	gas.WriteU64(e.hdrVA(s)+phDone*gasmem.WordBytes, 0)
-	gas.WriteU64(e.hdrVA(s)+phFront*gasmem.WordBytes, 1)
-	gas.WriteU64(e.hdrVA(s)+(phFront+1)*gasmem.WordBytes, 0)
-	gas.WriteU64(e.hdrVA(s)+phTarget*gasmem.WordBytes, tb)
-	gas.WriteU64(e.hdrVA(s)+phTouch*gasmem.WordBytes, 1)
-	gas.WriteU64(e.rVA(s, 0, sb), FixOne)
-	gas.WriteU64(e.frontVA(s, 0), sb)
-	gas.WriteU64(e.tmarkVA(s, sb), 1)
-	gas.WriteU64(e.touchVA(s, 0), sb)
-}
-
-// Recycle clears a completed slot for reuse (host-side); cost is
-// proportional to the vertices the query touched.
-func (e *PointPPR) Recycle(slot int) {
-	gas := e.m.GAS
-	s := uint64(slot)
-	n := gas.ReadU64(e.hdrVA(s) + phTouch*gasmem.WordBytes)
-	for i := uint64(0); i < n; i++ {
-		v := gas.ReadU64(e.touchVA(s, i))
-		gas.WriteU64(e.tmarkVA(s, v), 0)
-		gas.WriteU64(e.pVA(s, v), 0)
-		gas.WriteU64(e.rVA(s, 0, v), 0)
-		gas.WriteU64(e.rVA(s, 1, v), 0)
-	}
-	for w := uint64(0); w < pHdrWords; w++ {
-		gas.WriteU64(e.hdrVA(s)+w*gasmem.WordBytes, 0)
-	}
-}
-
-// Result returns the completed slot's fixed-point PPR score of the target
-// (an exact fraction with denominator FixOne).
-func (e *PointPPR) Result(slot int) uint64 {
-	return e.m.GAS.ReadU64(e.hdrVA(uint64(slot)) + phResult*gasmem.WordBytes)
-}
-
-// Score returns Result as a float for reporting.
-func (e *PointPPR) Score(slot int) float64 {
-	return float64(e.Result(slot)) / float64(FixOne)
-}
-
-// DoneCycle returns the in-simulation cycle the slot's query resolved at.
-func (e *PointPPR) DoneCycle(slot int) updown.Cycles {
-	return updown.Cycles(e.m.GAS.ReadU64(e.hdrVA(uint64(slot)) + phDone*gasmem.WordBytes))
-}
-
-// Post queues the batch driver at cycle t (host-side).
-func (e *PointPPR) Post(at updown.Cycles) {
-	e.BatchStart = at
-	e.batchDone = -1
-	e.Rounds = 0
-	e.m.StartAt(at, updown.EvwNew(e.cfg.Lanes.First, e.lDriver))
-}
-
-// BatchDone reports the completion cycle of the last posted batch.
-func (e *PointPPR) BatchDone() (updown.Cycles, bool) {
-	return e.batchDone, e.batchDone >= 0
-}
-
-type ppDriverState struct {
-	round uint64
-	final bool
-}
-
-// driver chains rounds until a round emits nothing, then runs one more:
-// a round may consume the last frontier without emitting (all residuals
-// settled), and only the following empty round stamps those slots done.
-func (e *PointPPR) driver(c *updown.Ctx) {
-	if c.State() == nil {
-		c.SetState(&ppDriverState{})
-		e.inv.LaunchWithArg(c, uint64(e.cfg.Slots), 0, c.ContinueTo(e.lDriver))
-		return
-	}
-	st := c.State().(*ppDriverState)
-	e.Rounds++
-	if c.Op(0) == 0 {
-		if st.final {
-			e.batchDone = c.Now()
-			c.YieldTerminate()
-			return
-		}
-		st.final = true
-	} else {
-		st.final = false
-	}
-	st.round++
-	e.inv.LaunchWithArg(c, uint64(e.cfg.Slots), st.round, c.ContinueTo(e.lDriver))
-}
-
-// ppMapState is one slot's map task for one round.
-type ppMapState struct {
-	mapCont      uint64
-	slot         uint64
-	round        uint64
-	target       uint64
-	segVA        gasmem.VA
-	next, hi     uint64
-	outstanding  int
-	chunkPending bool
-	clears       int
-	emits        uint64
-}
-
-func (e *PointPPR) kvMap(c *updown.Ctx) {
-	st := &ppMapState{mapCont: c.Cont(), slot: c.Op(0), round: c.Op(1)}
-	c.SetState(st)
-	c.Cycles(4)
-	c.DRAMRead(e.hdrVA(st.slot), 6, c.ContinueTo(e.lHdr))
-}
-
-func (e *PointPPR) hdr(c *updown.Ctx) {
-	st := c.State().(*ppMapState)
-	done := c.Op(phDone)
-	cnt := c.Op(phFront + int(st.round&1))
-	st.target = c.Op(phTarget)
-	c.Cycles(4)
-	switch {
-	case done != 0:
-		e.inv.Return(c, st.mapCont)
-		c.YieldTerminate()
-	case cnt == 0:
-		// Frontier ran dry: the score is final. Copy p[target] into the
-		// result word, stamp the completion cycle and retire the counters.
-		c.DRAMRead(e.pVA(st.slot, st.target), 1, c.ContinueTo(e.lPRead))
-	default:
-		st.segVA = e.frontVA(st.slot, st.round&1)
-		st.hi = cnt
-		// Retire the consumed parity's count now (acked, before Return) so
-		// the next round of this parity starts from zero; this round's
-		// reduces only touch the opposite parity's counter.
-		st.clears++
-		c.DRAMWrite(e.hdrVA(st.slot)+(phFront+(st.round&1))*gasmem.WordBytes,
-			c.ContinueTo(e.lClrAck), 0)
-		e.pump(c, st)
-	}
+// resolve: the frontier ran dry, so the score is final. Copy p[target]
+// into the result word, stamp the completion cycle and retire the counters.
+func (e *PointPPR) resolve(c *udweave.Ctx, t *pointq.Task) {
+	c.DRAMRead(e.PlaneVA(t.Slot, plP, t.Target), 1, c.ContinueTo(e.lPRead))
 }
 
 func (e *PointPPR) pRead(c *udweave.Ctx) {
-	st := c.State().(*ppMapState)
 	c.Cycles(2)
-	c.DRAMWrite(e.hdrVA(st.slot), c.ContinueTo(e.lIdleAck),
-		c.Op(0), uint64(c.Now()), 0, 0)
+	e.Retire(c, c.State().(*pointq.Task), pointq.HResult, c.Op(0), uint64(c.Now()), 0, 0)
 }
 
-func (e *PointPPR) idleAck(c *udweave.Ctx) {
-	st := c.State().(*ppMapState)
-	e.inv.Return(c, st.mapCont)
-	c.YieldTerminate()
-}
-
-func (e *PointPPR) clrAck(c *udweave.Ctx) {
-	st := c.State().(*ppMapState)
-	st.clears--
-	c.Cycles(1)
-	e.pump(c, st)
-}
-
-// pump keeps up to pushWindow hub pushers in flight over the slot's
-// frontier section.
-func (e *PointPPR) pump(c *updown.Ctx, st *ppMapState) {
-	if !st.chunkPending && st.next < st.hi && st.outstanding < pushWindow {
-		n := st.hi - st.next
-		if n > 8 {
-			n = 8
-		}
-		st.chunkPending = true
-		c.Cycles(2)
-		c.DRAMRead(st.segVA+st.next*gasmem.WordBytes, int(n), c.ContinueTo(e.lChunk))
-	}
-	if st.outstanding == 0 && !st.chunkPending && st.clears == 0 && st.next >= st.hi {
-		e.inv.EmitFrom(c, st.emits)
-		e.inv.Return(c, st.mapCont)
-		c.YieldTerminate()
-	}
-}
-
-func (e *PointPPR) chunk(c *updown.Ctx) {
-	st := c.State().(*ppMapState)
-	st.chunkPending = false
-	n := c.NOps()
-	first := e.sliceFirst(int(st.slot))
-	cont := c.ContinueTo(e.lVDone)
-	for i := 0; i < n; i++ {
-		v := c.Op(i)
-		lane := first + updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, e.lVert), cont, v, st.round, st.slot)
-		st.outstanding++
-	}
-	st.next += uint64(n)
-	e.pump(c, st)
-}
-
-func (e *PointPPR) vDone(c *udweave.Ctx) {
-	st := c.State().(*ppMapState)
-	st.emits += c.Op(0)
-	st.outstanding--
-	c.Cycles(2)
-	e.pump(c, st)
+func (e *PointPPR) visit(c *udweave.Ctx, t *pointq.Task, v, cont uint64) {
+	c.SendEvent(udweave.EvwNew(e.Lane(t.Slot, v), e.lVert), cont, v, t.Round, t.Slot)
 }
 
 // ppVertState is one hub pusher: consume the base member's residual,
 // settle the truncation remainder into p, and stream the hub's full
 // out-list — its own plus each sub-vertex's — into the shuffle.
 type ppVertState struct {
-	cont  uint64
-	v     uint64
-	round uint64
-	slot  uint64
+	cont, v, round, slot uint64
 
-	r        uint64
-	share    uint64
-	recWait  bool
-	degree   uint64
-	neighVA  gasmem.VA
-	loaded   uint64
-	subStart uint64
-	subCount uint64
-	nextSub  uint64
-	subsOut  int
-	acks     int
-	sent     uint64
+	r, share           uint64
+	recWait            bool
+	degree, loaded     uint64
+	subStart, subCount uint64
+	nextSub            uint64
+	subsOut, acks      int
+	sent               uint64
 }
 
-func (e *PointPPR) vert(c *updown.Ctx) {
+func (e *PointPPR) vert(c *udweave.Ctx) {
 	st := &ppVertState{cont: c.Cont(), v: c.Op(0), round: c.Op(1), slot: c.Op(2)}
 	c.SetState(st)
 	c.Cycles(4)
-	c.DRAMRead(e.rVA(st.slot, st.round&1, st.v), 1, c.ContinueTo(e.lRRead))
+	c.DRAMRead(e.PlaneVA(st.slot, plR+(st.round&1), st.v), 1, c.ContinueTo(e.lRRead))
 }
 
 func (e *PointPPR) rRead(c *udweave.Ctx) {
@@ -515,51 +199,31 @@ func (e *PointPPR) rRead(c *udweave.Ctx) {
 	// accumulates from scratch, then load the full vertex record.
 	st.acks++
 	st.recWait = true
-	c.DRAMWrite(e.rVA(st.slot, st.round&1, st.v), c.ContinueTo(e.lVAck), 0)
+	c.DRAMWrite(e.PlaneVA(st.slot, plR+(st.round&1), st.v), c.ContinueTo(e.lVAck), 0)
 	c.DRAMRead(e.dg.RecordVA(uint32(st.v)), 8, c.ContinueTo(e.lVRec))
 }
 
 func (e *PointPPR) vRec(c *udweave.Ctx) {
 	st := c.State().(*ppVertState)
 	st.recWait = false
-	st.degree = c.Op(graph.VDegree)
-	st.neighVA = c.Op(graph.VNeighVA)
-	st.subStart = c.Op(graph.VSubStart)
-	st.subCount = c.Op(graph.VSubCount)
-	totalDeg := c.Op(graph.VTotalDeg)
 	var settle uint64
-	settle, st.share = pushSplit(st.r, totalDeg, e.cfg.Eps)
+	settle, st.share = pushSplit(st.r, c.Op(graph.VTotalDeg), e.eps)
 	c.Cycles(8)
 	st.acks++
-	c.DRAMFetchAdd(e.pVA(st.slot, st.v), settle, c.ContinueTo(e.lVAck))
-	if st.share == 0 {
-		st.degree, st.subCount = 0, 0
-		e.vertMaybeDone(c, st)
-		return
-	}
-	// Stream the base member's own out-list.
-	if st.degree > 0 {
-		ret := c.ContinueTo(e.lVChunk)
-		for off := uint64(0); off < st.degree; off += 8 {
-			n := st.degree - off
-			if n > 8 {
-				n = 8
-			}
-			c.Cycles(2)
-			c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-		}
+	c.DRAMFetchAdd(e.PlaneVA(st.slot, plP, st.v), settle, c.ContinueTo(e.lVAck))
+	if st.share != 0 {
+		// Stream the base member's own out-list, then its sub-vertices'.
+		st.degree = c.Op(graph.VDegree)
+		st.subStart, st.subCount = c.Op(graph.VSubStart), c.Op(graph.VSubCount)
+		pointq.ReadAdj(c, c.Op(graph.VNeighVA), st.degree, c.ContinueTo(e.lVChunk))
 	}
 	e.subPump(c, st)
 }
 
 func (e *PointPPR) vChunk(c *udweave.Ctx) {
 	st := c.State().(*ppVertState)
-	n := c.NOps()
-	parity := (st.round + 1) & 1
-	for i := 0; i < n; i++ {
-		st.sent += e.inv.SendReduce(c, st.slot<<32|c.Op(i), st.share, parity)
-	}
-	st.loaded += uint64(n)
+	st.sent += e.EmitChunk(c, st.slot, st.share, (st.round+1)&1)
+	st.loaded += uint64(c.NOps())
 	e.vertMaybeDone(c, st)
 }
 
@@ -572,13 +236,9 @@ func (e *PointPPR) vAck(c *udweave.Ctx) {
 
 // subPump keeps sub-vertex streamers in flight, windowed.
 func (e *PointPPR) subPump(c *udweave.Ctx, st *ppVertState) {
-	first := e.sliceFirst(int(st.slot))
-	for st.subsOut < pushWindow && st.nextSub < st.subCount {
-		m := st.subStart + st.nextSub
-		lane := first + updown.NetworkID(prng.Mix64(m)%uint64(e.sliceSize))
+	for st.subsOut < pointq.Window && st.nextSub < st.subCount {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, e.lStream), c.ContinueTo(e.lSDone),
-			m, st.share, (st.round+1)&1, st.slot)
+		e.Stream(c, c.ContinueTo(e.lSDone), st.slot, st.subStart+st.nextSub, st.share, (st.round+1)&1)
 		st.nextSub++
 		st.subsOut++
 	}
@@ -600,100 +260,40 @@ func (e *PointPPR) vertMaybeDone(c *udweave.Ctx, st *ppVertState) {
 	}
 }
 
-// ppStreamState streams one sub-vertex's out-list on behalf of its base.
-type ppStreamState struct {
-	cont    uint64
-	share   uint64
-	parity  uint64
-	slot    uint64
-	degree  uint64
-	neighVA gasmem.VA
-	loaded  uint64
-	sent    uint64
-}
-
-func (e *PointPPR) stream(c *updown.Ctx) {
-	st := &ppStreamState{cont: c.Cont(), share: c.Op(1), parity: c.Op(2), slot: c.Op(3)}
-	c.SetState(st)
-	c.Cycles(4)
-	c.DRAMRead(e.dg.FieldVA(uint32(c.Op(0)), graph.VDegree), 2, c.ContinueTo(e.lSRec))
-}
-
-func (e *PointPPR) sRec(c *udweave.Ctx) {
-	st := c.State().(*ppStreamState)
-	st.degree = c.Op(0)
-	st.neighVA = c.Op(1)
-	if st.degree == 0 {
-		c.Reply(st.cont, 0)
-		c.YieldTerminate()
-		return
-	}
-	c.Cycles(4)
-	ret := c.ContinueTo(e.lSChunk)
-	for off := uint64(0); off < st.degree; off += 8 {
-		n := st.degree - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-	}
-}
-
-func (e *PointPPR) sChunk(c *udweave.Ctx) {
-	st := c.State().(*ppStreamState)
-	n := c.NOps()
-	for i := 0; i < n; i++ {
-		st.sent += e.inv.SendReduce(c, st.slot<<32|c.Op(i), st.share, st.parity)
-	}
-	st.loaded += uint64(n)
-	if st.loaded == st.degree {
-		c.Reply(st.cont, st.sent)
-		c.YieldTerminate()
-	}
-}
-
 // ppRedState is one residual-contribution reduce: accumulate the share
 // into the parity residual and, on the round's first contribution to this
 // vertex, append it to the next frontier (and to the touched list on the
 // slot's first-ever contribution).
 type ppRedState struct {
-	slot, v uint64
-	parity  uint64
-	chains  int
-	acks    int
+	slot, v, parity uint64
+	chains, acks    int
 }
 
-func (e *PointPPR) kvReduce(c *updown.Ctx) {
-	key := c.Op(0)
-	st := &ppRedState{slot: key >> 32, v: key & 0xffffffff, parity: c.Op(2)}
+func (e *PointPPR) kvReduce(c *udweave.Ctx) {
+	st := &ppRedState{parity: c.Op(2)}
+	st.slot, st.v = pointq.SplitKey(c.Op(0))
 	c.SetState(st)
 	c.Cycles(4)
-	c.DRAMFetchAdd(e.rVA(st.slot, st.parity, st.v), c.Op(1), c.ContinueTo(e.lRAcc))
+	c.DRAMFetchAdd(e.PlaneVA(st.slot, plR+st.parity, st.v), c.Op(1), c.ContinueTo(e.lRAcc))
 }
 
 func (e *PointPPR) rAcc(c *udweave.Ctx) {
 	st := c.State().(*ppRedState)
 	if c.Op(0) != 0 {
 		// Not the first contribution this round: already in the frontier.
-		e.inv.ReduceDone(c)
-		c.YieldTerminate()
+		e.ReduceDone(c)
 		return
 	}
 	c.Cycles(2)
 	st.chains = 2
-	c.DRAMFetchAdd(e.hdrVA(st.slot)+(phFront+st.parity)*gasmem.WordBytes, 1,
-		c.ContinueTo(e.lFIdx))
-	c.DRAMFetchAdd(e.tmarkVA(st.slot, st.v), 1, c.ContinueTo(e.lTMark))
+	c.DRAMFetchAdd(e.HdrVA(st.slot, pointq.HFront+st.parity), 1, c.ContinueTo(e.lFIdx))
+	c.DRAMFetchAdd(e.PlaneVA(st.slot, plMark, st.v), 1, c.ContinueTo(e.lTMark))
 }
 
 func (e *PointPPR) fIdx(c *udweave.Ctx) {
 	st := c.State().(*ppRedState)
 	st.chains--
-	st.acks++
-	c.Cycles(2)
-	c.DRAMWrite(e.frontVA(st.slot, st.parity)+c.Op(0)*gasmem.WordBytes,
-		c.ContinueTo(e.lAck), st.v)
+	st.acks += e.WriteFront(c, st.slot, st.parity, c.Op(0), st.v, 0, 0, c.ContinueTo(e.lAck))
 }
 
 func (e *PointPPR) tMark(c *udweave.Ctx) {
@@ -702,7 +302,7 @@ func (e *PointPPR) tMark(c *udweave.Ctx) {
 	c.Cycles(2)
 	if c.Op(0) == 0 {
 		st.chains++
-		c.DRAMFetchAdd(e.hdrVA(st.slot)+phTouch*gasmem.WordBytes, 1, c.ContinueTo(e.lTIdx))
+		c.DRAMFetchAdd(e.HdrVA(st.slot, pointq.HTouch), 1, c.ContinueTo(e.lTIdx))
 		return
 	}
 	e.redMaybeDone(c, st)
@@ -713,7 +313,7 @@ func (e *PointPPR) tIdx(c *udweave.Ctx) {
 	st.chains--
 	st.acks++
 	c.Cycles(2)
-	c.DRAMWrite(e.touchVA(st.slot, c.Op(0)), c.ContinueTo(e.lAck), st.v)
+	c.DRAMWrite(e.TouchVA(st.slot, c.Op(0)), c.ContinueTo(e.lAck), st.v)
 }
 
 func (e *PointPPR) ack(c *udweave.Ctx) {
@@ -725,7 +325,6 @@ func (e *PointPPR) ack(c *udweave.Ctx) {
 
 func (e *PointPPR) redMaybeDone(c *udweave.Ctx, st *ppRedState) {
 	if st.chains == 0 && st.acks == 0 {
-		e.inv.ReduceDone(c)
-		c.YieldTerminate()
+		e.ReduceDone(c)
 	}
 }

@@ -5,28 +5,9 @@ import (
 
 	"updown"
 	"updown/internal/apps/pagerank"
+	"updown/internal/apps/pointq/pointqtest"
 	"updown/internal/graph"
-	"updown/internal/kvmsr"
 )
-
-func pointMachine(t *testing.T, g *graph.Graph, nodes, shards, slots int) (*updown.Machine, *pagerank.PointPPR) {
-	t.Helper()
-	m, err := updown.New(updown.Config{Nodes: nodes, Shards: shards, MaxTime: 1 << 42,
-		Coalesce: &kvmsr.Coalesce{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := graph.Split(g, 16)
-	dg, err := graph.LoadToGAS(m.GAS, s, graph.DefaultPlacement(nodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: slots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, e
-}
 
 // Every point score must be bit-equal to the host fixed-point forward
 // push — the integer arithmetic makes the device sum exact, so this is
@@ -35,7 +16,11 @@ func pointMachine(t *testing.T, g *graph.Graph, nodes, shards, slots int) (*updo
 func TestPointPPRMatchesHostRef(t *testing.T) {
 	g := graph.FromEdges(256, graph.DefaultRMAT(8, 15), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	m, e := pointMachine(t, g, 2, 1, 4)
+	m, dg := pointqtest.Machine(t, g, 2, 1)
+	e, err := pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type q struct{ src, tgt uint32 }
 	batches := [][]q{
@@ -77,33 +62,5 @@ func TestPointPPRMatchesHostRef(t *testing.T) {
 	// settled remainder of the initial unit.
 	if sc := pagerank.RefScores(g, 5, 0)[5]; sc == 0 {
 		t.Fatal("self PPR score is zero")
-	}
-}
-
-// Batching must not change any score: each query of a shared batch is
-// pinned to the solo single-slot result on an identically built machine.
-func TestPointPPRBatchEqualsSolo(t *testing.T) {
-	g := graph.FromEdges(256, graph.DefaultRMAT(8, 12), graph.BuildOptions{
-		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	queries := []struct{ src, tgt uint32 }{{28, 0}, {3, 150}, {77, 12}, {0, 255}}
-
-	m, e := pointMachine(t, g, 2, 1, len(queries))
-	for s, q := range queries {
-		e.Seed(s, q.src, q.tgt)
-	}
-	e.Post(1)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for s, q := range queries {
-		sm, se := pointMachine(t, g, 2, 1, len(queries))
-		se.Seed(0, q.src, q.tgt)
-		se.Post(1)
-		if _, err := sm.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if b, solo := e.Result(s), se.Result(0); b != solo {
-			t.Fatalf("query %d->%d: batched %#x != solo %#x", q.src, q.tgt, b, solo)
-		}
 	}
 }

@@ -1,0 +1,477 @@
+// Package pointq is the point-query frame shared by the serving engines
+// (bfs.PointBFS, pagerank.PointPPR): everything about serving (source,
+// target) queries from a resident graph except the algorithm. An Engine is
+// built once against a loaded graph and then serves an unbounded stream of
+// micro-batches. Each of its Slots is one in-flight query whose whole
+// state lives in a preallocated DRAM arena — never in lane scratch — so
+// reduces run with ReduceAnyLane and the coalescing shuffle executes
+// tuples on the destination node's distributor lane without a forward
+// hop. A slot is confined to a contiguous lane slice (Lanes.Count/Slots
+// lanes): its map master, its per-vertex tasks and its reduce owners all
+// land there, which keeps a query's tiny task graph local while separate
+// queries fan across disjoint slices.
+//
+// A batch runs round-synchronous levels: round k is fully reduced before
+// round k+1 expands, and every shared word sits behind a DRAM fetch-add
+// gate, so a query's answer and done cycle are independent of what shares
+// its batch and of the shard count.
+//
+// A Kernel supplies only what differs between algorithms: extra seed
+// words, what a dry slot writes, the per-frontier-vertex task and the
+// reduce chain.
+package pointq
+
+import (
+	"fmt"
+
+	"updown"
+	"updown/internal/gasmem"
+	"updown/internal/graph"
+	"updown/internal/kvmsr"
+	"updown/internal/prng"
+	"updown/internal/udweave"
+)
+
+// Window bounds a slot's in-flight per-vertex tasks (and a task's
+// in-flight sub-vertex streamers).
+const Window = 16
+
+// Config sizes a point-query engine.
+type Config struct {
+	// Lanes is the engine's lane set (default: whole machine).
+	Lanes kvmsr.LaneSet
+	// Slots is the micro-batch capacity — concurrent queries per batch
+	// (default: one per accelerator, floor one).
+	Slots int
+}
+
+// Per-slot arena, in words from the slot's base (N split vertices, P
+// kernel planes):
+//
+//	hdr[8]             HResult, HDone, HFront+parity ×2, HTouch, HTarget, spare ×2
+//	touched[N]         every vertex whose plane-0 mark was set (Recycle's work list)
+//	plane[P][N]        kernel state; plane 0 is the first-touch mark
+//	front[2][N+fSlack] parity frontiers of split-vertex IDs
+const (
+	hdrWords = 8
+	fSlack   = 8
+
+	HResult = 0 // the answer; 0 until (and unless) the kernel writes one
+	HDone   = 1 // completion cycle, 0 until the query resolves
+	HFront  = 2 // frontier length of parity 0, then parity 1
+	HTouch  = 4 // length of the touched list
+	HTarget = 5 // base member ID of the query target
+)
+
+// Kernel is the algorithm plugged into the frame.
+type Kernel struct {
+	// Name prefixes every event label ("pbfs"); Stream names the
+	// adjacency streamer's three events under it.
+	Name   string
+	Stream [3]string
+	// Planes is the number of N-word state planes per slot (≥ 1).
+	Planes int
+	// Seed (host-side) installs the kernel's own seed words for a query
+	// from base member sb to tb and returns the seed frontier's length —
+	// sb and its first nfront-1 sub-vertices — and the initial result.
+	Seed func(slot, sb, tb uint64) (nfront, result uint64)
+	// Resolve runs on the map thread of a slot that found its answer or
+	// ran dry; it must end in Engine.Retire.
+	Resolve func(c *udweave.Ctx, t *Task)
+	// Visit starts the task of frontier vertex v (normally on
+	// Engine.Lane(t.Slot, v)); the task replies the credits of the reduces
+	// it sent to cont.
+	Visit func(c *udweave.Ctx, t *Task, v, cont uint64)
+	// Reduce is the kv_reduce event: operands are the Key and the two
+	// value words; every path must end in Engine.ReduceDone.
+	Reduce udweave.Handler
+}
+
+// Engine is a resident point-query engine.
+type Engine struct {
+	m  *updown.Machine
+	dg *graph.DeviceGraph
+	k  Kernel
+
+	lanes     kvmsr.LaneSet
+	sliceSize int
+	n, fcap   uint64
+	slotVA    []gasmem.VA
+	inv       *kvmsr.Invocation
+
+	lDriver, lHdr, lIdleAck, lClrAck, lChunk, lVDone udweave.Label
+	lStream, lSRec, lSChunk                          udweave.Label
+
+	// batchDone is written by the driver, which runs on a single lane, so
+	// the host reads it race-free at any quiesced point.
+	batchDone updown.Cycles
+	// Rounds counts launches of the most recent batch.
+	Rounds int
+}
+
+// New builds a resident engine over a loaded graph. Build it before
+// checkpointing the warm machine: the slot arenas are part of the
+// snapshot, and an identical rebuild against the restored machine
+// reattaches at the same VAs and labels.
+func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engine, error) {
+	if cfg.Lanes.Count == 0 {
+		cfg.Lanes = kvmsr.AllLanes(m.Arch)
+	}
+	if cfg.Slots <= 0 {
+		cfg.Slots = max(1, cfg.Lanes.Count/m.Arch.LanesPerAccel)
+	}
+	if cfg.Slots > cfg.Lanes.Count {
+		return nil, fmt.Errorf("pointq: %s: %d slots over %d lanes (need a lane slice each)", k.Name, cfg.Slots, cfg.Lanes.Count)
+	}
+	e := &Engine{m: m, dg: dg, k: k, lanes: cfg.Lanes, sliceSize: cfg.Lanes.Count / cfg.Slots,
+		n: uint64(dg.G.N), batchDone: -1}
+	e.fcap = e.n + fSlack
+
+	// One region per slot, resident on the slot's home node, so a query's
+	// marks, frontier and result words are all local to its lane slice.
+	perSlot := (hdrWords + (1+uint64(k.Planes))*e.n + 2*e.fcap) * gasmem.WordBytes
+	e.slotVA = make([]gasmem.VA, cfg.Slots)
+	for s := range e.slotVA {
+		home := (int(cfg.Lanes.First) + s*e.sliceSize) / m.Arch.LanesPerNode()
+		va, err := m.GAS.DRAMmalloc(perSlot, home, 1, 4096)
+		if err != nil {
+			return nil, fmt.Errorf("pointq: %s slot %d: %w", k.Name, s, err)
+		}
+		e.slotVA[s] = va
+	}
+
+	def := func(name string, h udweave.Handler) udweave.Label { return m.Prog.Define(k.Name+"."+name, h) }
+	kvMap := def("kv_map", e.kvMap)
+	e.lDriver = def("driver", e.driver)
+	e.lHdr = def("hdr", e.hdr)
+	e.lIdleAck = def("idle_ack", e.idleAck)
+	e.lClrAck = def("clr_ack", e.clrAck)
+	e.lChunk = def("chunk", e.chunk)
+	e.lStream = def(k.Stream[0], e.stream)
+	e.lSRec = def(k.Stream[1], e.sRec)
+	e.lSChunk = def(k.Stream[2], e.sChunk)
+	e.lVDone = def("v_done", e.vDone)
+
+	var err error
+	e.inv, err = kvmsr.New(m.Prog, kvmsr.Spec{
+		Name:        k.Name + ".round",
+		NumKeys:     uint64(cfg.Slots),
+		MapEvent:    kvMap,
+		ReduceEvent: def("kv_reduce", k.Reduce),
+		MapBinding:  kvmsr.Stride{Step: e.sliceSize},
+		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, _ kvmsr.LaneSet) updown.NetworkID {
+			return e.Lane(SplitKey(key))
+		}),
+		Lanes:      cfg.Lanes,
+		Resilience: m.Resilience,
+		Coalesce:   m.Coalesce,
+		// All reduce state is per-slot DRAM behind fetch-add gates, so any
+		// lane may run any tuple — the distributor executes packed tuples
+		// in place, the core of the small-task fast path.
+		ReduceAnyLane: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// SplitKey unpacks a reduce key, slot<<32 | vertex.
+func SplitKey(key uint64) (slot, v uint64) { return key >> 32, key & 0xffffffff }
+
+// Lane hashes vertex v into slot's lane slice: where v's task runs and
+// where reduces keyed by v land.
+func (e *Engine) Lane(slot, v uint64) updown.NetworkID {
+	return e.lanes.First + updown.NetworkID(int(slot)*e.sliceSize) +
+		updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
+}
+
+// HdrVA addresses header word w of a slot.
+func (e *Engine) HdrVA(slot, w uint64) gasmem.VA { return e.slotVA[slot] + w*gasmem.WordBytes }
+
+// TouchVA addresses entry i of a slot's touched list.
+func (e *Engine) TouchVA(slot, i uint64) gasmem.VA { return e.HdrVA(slot, hdrWords+i) }
+
+// PlaneVA addresses vertex v's word in one of a slot's state planes.
+func (e *Engine) PlaneVA(slot, plane, v uint64) gasmem.VA {
+	return e.HdrVA(slot, hdrWords+(1+plane)*e.n+v)
+}
+
+// FrontVA addresses the start of a slot's parity frontier.
+func (e *Engine) FrontVA(slot, parity uint64) gasmem.VA {
+	return e.HdrVA(slot, hdrWords+(1+uint64(e.k.Planes))*e.n+parity*e.fcap)
+}
+
+// ---- host API: call at quiesced points only ---------------------------
+
+// Slots returns the micro-batch capacity.
+func (e *Engine) Slots() int { return len(e.slotVA) }
+
+// Vertices returns the number of input vertices Seed accepts.
+func (e *Engine) Vertices() int { return e.dg.G.OrigN }
+
+// Seed installs query (src, tgt) into a recycled slot, before Post. The
+// whole header is rewritten: a slot idled through a partial batch has a
+// stale done stamp that must not outlive reseeding.
+func (e *Engine) Seed(slot int, src, tgt uint32) {
+	gas, s := e.m.GAS, uint64(slot)
+	sb, tb := uint64(e.dg.G.NewID[src]), uint64(e.dg.G.NewID[tgt])
+	nfront, result := e.k.Seed(s, sb, tb)
+	for i := uint64(0); i < nfront; i++ {
+		gas.WriteU64(e.FrontVA(s, 0)+i*gasmem.WordBytes, sb+i)
+	}
+	hdr := [hdrWords]uint64{HResult: result, HFront: nfront, HTouch: 1, HTarget: tb}
+	gas.WriteWords(e.HdrVA(s, 0), hdr[:])
+	gas.WriteU64(e.PlaneVA(s, 0, sb), 1)
+	gas.WriteU64(e.TouchVA(s, 0), sb)
+}
+
+// Recycle clears a completed slot for reuse. Cost is proportional to the
+// vertices the query touched, so footprint and recycle work both stay
+// flat across an unbounded query stream.
+func (e *Engine) Recycle(slot int) {
+	gas, s := e.m.GAS, uint64(slot)
+	for i, n := uint64(0), gas.ReadU64(e.HdrVA(s, HTouch)); i < n; i++ {
+		v := gas.ReadU64(e.TouchVA(s, i))
+		for p := 0; p < e.k.Planes; p++ {
+			gas.WriteU64(e.PlaneVA(s, uint64(p), v), 0)
+		}
+	}
+	gas.WriteWords(e.HdrVA(s, 0), make([]uint64, hdrWords))
+}
+
+// Result returns a completed slot's raw result word.
+func (e *Engine) Result(slot int) uint64 { return e.m.GAS.ReadU64(e.HdrVA(uint64(slot), HResult)) }
+
+// DoneCycle returns the in-simulation cycle the slot's query resolved at
+// — written by a single in-sim writer, so it is shard-invariant.
+func (e *Engine) DoneCycle(slot int) updown.Cycles {
+	return updown.Cycles(e.m.GAS.ReadU64(e.HdrVA(uint64(slot), HDone)))
+}
+
+// Post queues the batch driver at cycle at. One batch may be in flight
+// per engine; BatchDone reports its completion.
+func (e *Engine) Post(at updown.Cycles) {
+	e.batchDone, e.Rounds = -1, 0
+	e.m.StartAt(at, updown.EvwNew(e.lanes.First, e.lDriver))
+}
+
+// BatchDone reports the completion cycle of the last posted batch.
+func (e *Engine) BatchDone() (updown.Cycles, bool) { return e.batchDone, e.batchDone >= 0 }
+
+// ---- round driver and per-slot map task --------------------------------
+
+type driverState struct {
+	round uint64
+	final bool
+}
+
+// driver chains rounds until a round emits nothing, then runs one more: a
+// round can consume the last frontier without emitting, and only the
+// following empty round stamps those slots' done cycles.
+func (e *Engine) driver(c *udweave.Ctx) {
+	st, _ := c.State().(*driverState)
+	if st == nil {
+		st = &driverState{}
+		c.SetState(st)
+	} else {
+		e.Rounds++
+		dry := c.Op(0) == 0
+		if dry && st.final {
+			e.batchDone = c.Now()
+			c.YieldTerminate()
+			return
+		}
+		st.final = dry
+		st.round++
+	}
+	e.inv.LaunchWithArg(c, uint64(len(e.slotVA)), st.round, c.ContinueTo(e.lDriver))
+}
+
+// Task is one slot's map task for one round: read the slot header, then
+// stream the frontier through Kernel.Visit tasks on the slot's lane slice.
+type Task struct {
+	Slot, Round, Target uint64
+
+	mapCont      uint64
+	segVA        gasmem.VA
+	next, hi     uint64
+	outstanding  int
+	chunkPending bool
+	clears       int
+	emits        uint64
+}
+
+func (e *Engine) kvMap(c *udweave.Ctx) {
+	t := &Task{mapCont: c.Cont(), Slot: c.Op(0), Round: c.Op(1)}
+	c.SetState(t)
+	c.Cycles(4)
+	c.DRAMRead(e.HdrVA(t.Slot, 0), 6, c.ContinueTo(e.lHdr))
+}
+
+func (e *Engine) hdr(c *udweave.Ctx) {
+	t := c.State().(*Task)
+	parity := t.Round & 1
+	cnt := c.Op(HFront + int(parity))
+	t.Target = c.Op(HTarget)
+	c.Cycles(4)
+	switch {
+	case c.Op(HDone) != 0:
+		// Resolved in an earlier round (or slot idle): nothing to do.
+		e.idleAck(c)
+	case c.Op(HResult) != 0 || cnt == 0:
+		// Answer found during the previous round's reduces, or frontier
+		// dry: the kernel finalizes the header and stamps the done cycle.
+		e.k.Resolve(c, t)
+	default:
+		t.segVA, t.hi = e.FrontVA(t.Slot, parity), cnt
+		// Retire the consumed parity's count now (acked, before Return) so
+		// the next round of this parity starts from zero; this round's
+		// reduces only touch the opposite parity's counter.
+		t.clears++
+		c.DRAMWrite(e.HdrVA(t.Slot, HFront+parity), c.ContinueTo(e.lClrAck), 0)
+		e.pump(c, t)
+	}
+}
+
+// Retire closes a resolved slot from its map thread: words are written at
+// header word w and the acknowledgment returns the map task.
+func (e *Engine) Retire(c *udweave.Ctx, t *Task, w uint64, words ...uint64) {
+	c.DRAMWrite(e.HdrVA(t.Slot, w), c.ContinueTo(e.lIdleAck), words...)
+}
+
+func (e *Engine) idleAck(c *udweave.Ctx) {
+	e.inv.Return(c, c.State().(*Task).mapCont)
+	c.YieldTerminate()
+}
+
+func (e *Engine) clrAck(c *udweave.Ctx) {
+	t := c.State().(*Task)
+	t.clears--
+	c.Cycles(1)
+	e.pump(c, t)
+}
+
+// pump keeps up to Window vertex tasks in flight over the slot's frontier.
+func (e *Engine) pump(c *udweave.Ctx, t *Task) {
+	if !t.chunkPending && t.next < t.hi && t.outstanding < Window {
+		t.chunkPending = true
+		c.Cycles(2)
+		c.DRAMRead(t.segVA+t.next*gasmem.WordBytes, int(min(t.hi-t.next, 8)), c.ContinueTo(e.lChunk))
+	}
+	if t.outstanding == 0 && !t.chunkPending && t.clears == 0 && t.next >= t.hi {
+		e.inv.EmitFrom(c, t.emits)
+		e.idleAck(c)
+	}
+}
+
+// chunk fans one frontier chunk out to the kernel's vertex tasks.
+func (e *Engine) chunk(c *udweave.Ctx) {
+	t := c.State().(*Task)
+	t.chunkPending = false
+	cont := c.ContinueTo(e.lVDone)
+	for _, v := range c.Ops() {
+		c.Cycles(2)
+		e.k.Visit(c, t, v, cont)
+		t.outstanding++
+	}
+	t.next += uint64(c.NOps())
+	e.pump(c, t)
+}
+
+func (e *Engine) vDone(c *udweave.Ctx) {
+	t := c.State().(*Task)
+	t.emits += c.Op(0)
+	t.outstanding--
+	c.Cycles(2)
+	e.pump(c, t)
+}
+
+// ---- adjacency streamer -------------------------------------------------
+
+// streamState streams one split vertex's out-list into the shuffle.
+type streamState struct {
+	cont, slot, a, b     uint64
+	degree, loaded, sent uint64
+}
+
+// Stream starts a streamer for split vertex v on its slice lane: every
+// out-neighbor nb becomes the reduce tuple (slot<<32|nb, a, b), and cont
+// receives the credits sent.
+func (e *Engine) Stream(c *udweave.Ctx, cont, slot, v, a, b uint64) {
+	c.SendEvent(udweave.EvwNew(e.Lane(slot, v), e.lStream), cont, v, a, b, slot)
+}
+
+func (e *Engine) stream(c *udweave.Ctx) {
+	c.SetState(&streamState{cont: c.Cont(), a: c.Op(1), b: c.Op(2), slot: c.Op(3)})
+	c.Cycles(4)
+	c.DRAMRead(e.dg.FieldVA(uint32(c.Op(0)), graph.VDegree), 2, c.ContinueTo(e.lSRec))
+}
+
+func (e *Engine) sRec(c *udweave.Ctx) {
+	st := c.State().(*streamState)
+	if st.degree = c.Op(0); st.degree == 0 {
+		c.Reply(st.cont, 0)
+		c.YieldTerminate()
+		return
+	}
+	c.Cycles(4)
+	ReadAdj(c, c.Op(1), st.degree, c.ContinueTo(e.lSChunk))
+}
+
+func (e *Engine) sChunk(c *udweave.Ctx) {
+	st := c.State().(*streamState)
+	st.sent += e.EmitChunk(c, st.slot, st.a, st.b)
+	if st.loaded += uint64(c.NOps()); st.loaded == st.degree {
+		c.Reply(st.cont, st.sent)
+		c.YieldTerminate()
+	}
+}
+
+// ReadAdj issues the chunked reads of a degree-long adjacency list at
+// neighVA; ret receives up to 8 neighbors per event.
+func ReadAdj(c *udweave.Ctx, neighVA gasmem.VA, degree, ret uint64) {
+	for off := uint64(0); off < degree; off += 8 {
+		c.Cycles(2)
+		c.DRAMRead(neighVA+off*gasmem.WordBytes, int(min(degree-off, 8)), ret)
+	}
+}
+
+// EmitChunk sends one reduce tuple (slot<<32|nb, a, b) per neighbor in the
+// current event's operands and returns the credits to report upstream.
+func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) (sent uint64) {
+	for _, nb := range c.Ops() {
+		sent += e.inv.SendReduce(c, slot<<32|nb, a, b)
+	}
+	return sent
+}
+
+// ---- reduce-side helpers -------------------------------------------------
+
+// WriteFront writes vertex v and its subCount split sub-vertices (IDs from
+// subStart) into slot's parity frontier at index idx — reserved by a
+// fetch-add of 1+subCount on HFront+parity — in ≤7-word writes acked to
+// ack. It returns the number of acks to expect.
+func (e *Engine) WriteFront(c *udweave.Ctx, slot, parity, idx, v, subStart, subCount, ack uint64) (writes int) {
+	var vals [7]uint64
+	base := e.FrontVA(slot, parity) + idx*gasmem.WordBytes
+	for w, total := uint64(0), 1+subCount; w < total; writes++ {
+		n := min(total-w, 7)
+		for i := range vals[:n] {
+			vals[i] = subStart + w + uint64(i) - 1
+		}
+		if w == 0 {
+			vals[0] = v
+		}
+		c.Cycles(2)
+		c.DRAMWrite(base+w*gasmem.WordBytes, ack, vals[:n]...)
+		w += n
+	}
+	return writes
+}
+
+// ReduceDone ends a kv_reduce task.
+func (e *Engine) ReduceDone(c *udweave.Ctx) {
+	e.inv.ReduceDone(c)
+	c.YieldTerminate()
+}

@@ -20,12 +20,14 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
+	"updown/internal/apps/pointq"
 	"updown/internal/sched"
 	"updown/internal/sim"
 	"updown/internal/telemetry"
@@ -91,31 +93,10 @@ type Query struct {
 // Latency returns the sojourn time of a resolved query.
 func (q *Query) Latency() updown.Cycles { return q.Done - q.Arrive }
 
-// pointEngine is the slice of a resident point engine the server drives.
-// bfs.PointBFS and pagerank.PointPPR both satisfy it via thin adapters.
-type pointEngine interface {
-	Slots() int
-	Seed(slot int, src, tgt uint32)
-	Post(at updown.Cycles)
-	BatchDone() (updown.Cycles, bool)
-	DoneCycle(slot int) updown.Cycles
-	Recycle(slot int)
-	Result(slot int) (uint64, bool)
-}
-
-type bfsEngine struct{ *bfs.PointBFS }
-
-func (e bfsEngine) Result(slot int) (uint64, bool) {
-	d, ok := e.PointBFS.Result(slot)
-	if !ok {
-		return 0, false
-	}
-	return d + 1, true
-}
-
-type pprEngine struct{ *pagerank.PointPPR }
-
-func (e pprEngine) Result(slot int) (uint64, bool) { return e.PointPPR.Result(slot), true }
+// ErrBadQuery is returned (wrapped, naming the query index) by Run for a
+// schedule entry no engine can serve: an unknown or unconfigured kind, or
+// a source/target outside the resident graph.
+var ErrBadQuery = errors.New("serve: bad query")
 
 // Config wires a server to its engines and sets the serving policy.
 type Config struct {
@@ -141,10 +122,10 @@ type Config struct {
 
 // Stats is the aggregate serving outcome of one Run.
 type Stats struct {
-	Served   [2]int
-	ShedN    [2]int
-	Batches  [2]int
-	Sim      sim.Stats
+	Served  [2]int
+	ShedN   [2]int
+	Batches [2]int
+	Sim     sim.Stats
 	// First/Last bracket the stream: first arrival to last resolution.
 	First, Last updown.Cycles
 }
@@ -154,7 +135,7 @@ type Server struct {
 	m    *updown.Machine
 	cfg  Config
 	pace *sched.Pacer
-	eng  [numKinds]pointEngine
+	eng  [numKinds]*pointq.Engine
 
 	queries  []Query
 	next     int
@@ -176,10 +157,10 @@ func New(m *updown.Machine, cfg Config) (*Server, error) {
 	}
 	s := &Server{m: m, cfg: cfg, pace: sched.NewPacer(cfg.Quantum)}
 	if cfg.BFS != nil {
-		s.eng[KindBFS] = bfsEngine{cfg.BFS}
+		s.eng[KindBFS] = cfg.BFS.Engine
 	}
 	if cfg.PPR != nil {
-		s.eng[KindPPR] = pprEngine{cfg.PPR}
+		s.eng[KindPPR] = cfg.PPR.Engine
 	}
 	for k := range s.eng {
 		if s.eng[k] == nil {
@@ -226,16 +207,20 @@ func (a accumEngine) RunUntil(t updown.Cycles) (sim.Stats, error) {
 // Run serves the whole schedule (ascending Arrive, caller-owned; answers
 // are written into it in place) and returns when every query is resolved
 // or shed. Run may be called again with a new schedule; simulated time
-// keeps advancing.
+// keeps advancing. The whole schedule is validated before any query is
+// admitted: an unservable entry fails the call with ErrBadQuery and
+// leaves the schedule and the machine untouched.
 func (s *Server) Run(queries []Query) error {
-	for i := 1; i < len(queries); i++ {
-		if queries[i].Arrive < queries[i-1].Arrive {
+	for i := range queries {
+		q := &queries[i]
+		if i > 0 && q.Arrive < queries[i-1].Arrive {
 			return fmt.Errorf("serve: schedule not sorted by arrival at %d", i)
 		}
-	}
-	for i := range queries {
-		if s.eng[queries[i].Kind] == nil {
-			return fmt.Errorf("serve: query %d uses kind %v with no engine", i, queries[i].Kind)
+		if q.Kind >= numKinds || s.eng[q.Kind] == nil {
+			return fmt.Errorf("%w %d: kind %d has no engine", ErrBadQuery, i, q.Kind)
+		}
+		if n := uint32(s.eng[q.Kind].Vertices()); q.Src >= n || q.Tgt >= n {
+			return fmt.Errorf("%w %d: %d->%d outside the %d-vertex graph", ErrBadQuery, i, q.Src, q.Tgt, n)
 		}
 	}
 	s.queries = queries
@@ -309,7 +294,8 @@ func (s *Server) harvest() {
 		}
 		for _, qi := range s.inflight[k] {
 			q := &s.queries[qi]
-			q.Result, q.Reached = s.eng[k].Result(q.Slot)
+			q.Result = s.eng[k].Result(q.Slot)
+			q.Reached = q.Kind == KindPPR || q.Result != 0
 			q.Done = s.eng[k].DoneCycle(q.Slot)
 			if q.Done == 0 || q.Done > bd {
 				q.Done = bd

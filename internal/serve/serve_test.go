@@ -1,16 +1,19 @@
 package serve_test
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
+	"updown/internal/apps/pointq/pointqtest"
 	"updown/internal/baseline"
 	"updown/internal/graph"
-	"updown/internal/kvmsr"
 	"updown/internal/prng"
 	"updown/internal/serve"
 )
@@ -22,16 +25,8 @@ func testGraph() *graph.Graph {
 
 func warmServer(t *testing.T, g *graph.Graph, shards int, cfg serve.Config) (*updown.Machine, *serve.Server) {
 	t.Helper()
-	m, err := updown.New(updown.Config{Nodes: 2, Shards: shards, MaxTime: 1 << 44,
-		Coalesce: &kvmsr.Coalesce{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := graph.Split(g, 16)
-	dg, err := graph.LoadToGAS(m.GAS, s, graph.DefaultPlacement(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, dg := pointqtest.Machine(t, g, 2, shards)
+	var err error
 	if cfg.BFS, err = bfs.NewPoint(m, dg, bfs.PointConfig{Slots: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +189,49 @@ func TestServeFusionFactor(t *testing.T) {
 	}
 	if got := unfused.Stats().Batches[serve.KindBFS]; got != 8 {
 		t.Fatalf("unfused burst of 8 took %d batches, want 8", got)
+	}
+}
+
+// Outside input must not panic: a schedule with an unknown or unconfigured
+// kind, or a vertex outside the graph, is refused up front with
+// ErrBadQuery naming the entry — before any query is admitted, so the
+// schedule is untouched and the server stays usable.
+func TestRunRejectsBadQueries(t *testing.T) {
+	m, dg := pointqtest.Machine(t, testGraph(), 2, 1)
+	pb, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(m, serve.Config{BFS: pb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := serve.Query{Kind: serve.KindBFS, Src: 28, Tgt: 0, Arrive: 1}
+	for _, c := range []struct {
+		name string
+		bad  serve.Query
+	}{
+		{"unknown kind", serve.Query{Kind: 5, Src: 1, Tgt: 2}},
+		{"first kind past the table", serve.Query{Kind: 2, Src: 1, Tgt: 2}},
+		{"kind without an engine", serve.Query{Kind: serve.KindPPR, Src: 1, Tgt: 2}},
+		{"source out of range", serve.Query{Kind: serve.KindBFS, Src: 100000, Tgt: 2}},
+		{"target one past the end", serve.Query{Kind: serve.KindBFS, Src: 1, Tgt: 256}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.bad.Arrive = 2
+			qs := []serve.Query{good, c.bad}
+			want := append([]serve.Query(nil), qs...)
+			err := srv.Run(qs)
+			if !errors.Is(err, serve.ErrBadQuery) || !strings.Contains(err.Error(), "query 1:") {
+				t.Fatalf("Run = %v, want ErrBadQuery naming query 1", err)
+			}
+			if !reflect.DeepEqual(qs, want) {
+				t.Fatalf("rejected schedule was mutated:\n got %+v\nwant %+v", qs, want)
+			}
+		})
+	}
+	qs := []serve.Query{good}
+	if err := srv.Run(qs); err != nil || qs[0].State != serve.Resolved {
+		t.Fatalf("server unusable after rejections: err %v, state %v", err, qs[0].State)
 	}
 }

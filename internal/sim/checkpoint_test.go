@@ -3,8 +3,8 @@ package sim
 // Checkpoint/restore correctness: a run paused with RunUntil, serialized
 // with Checkpoint and rebuilt with Restore into a fresh engine must
 // continue bit-identically to a run that was never interrupted — across
-// shard counts, host drivers (pool and multiplexer), and the
-// fixed-lookahead engine. Restore must also reject snapshots from a
+// shard counts and host drivers (pool and multiplexer). Restore must
+// also reject snapshots from a
 // different format version, machine or actor space with a typed error,
 // without corrupting the target engine.
 
@@ -20,12 +20,11 @@ import (
 // fuzzEngine builds an engine running the determinism-fuzz workload.
 // When post is false the workload is omitted: the engine is a blank
 // restore target.
-func fuzzEngine(t *testing.T, seed uint64, shards int, fixed bool, host hostMode, post bool) *Engine {
+func fuzzEngine(t *testing.T, seed uint64, shards int, host hostMode, post bool) *Engine {
 	t.Helper()
 	m := arch.DefaultMachine(7)
 	e, err := NewEngine(m, Options{
-		Shards:         shards,
-		FixedLookahead: fixed,
+		Shards: shards,
 		LaneFactory: func(id arch.NetworkID) Actor {
 			return &fuzzActor{m: &m, seed: seed}
 		},
@@ -57,7 +56,7 @@ func engineState(e *Engine) ([]arch.Cycles, []uint64) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	const seed = 0xfeedface
-	ref := fuzzEngine(t, seed, 1, false, hostAuto, true)
+	ref := fuzzEngine(t, seed, 1, hostAuto, true)
 	refStats, err := ref.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -70,18 +69,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
 		shards int
-		fixed  bool
 		host   hostMode
 	}{
-		{"sequential", 1, false, hostAuto},
-		{"pool-adaptive", 3, false, hostPool},
-		{"mux-adaptive", 3, false, hostMux},
-		{"pool-fixed", 3, true, hostPool},
+		{"sequential", 1, hostAuto},
+		{"pool-adaptive", 3, hostPool},
+		{"mux-adaptive", 3, hostMux},
 	}
 	for _, c := range cases {
 		for _, pause := range []arch.Cycles{0, 900, 2600, 7000} {
 			t.Run(fmt.Sprintf("%s/pause=%d", c.name, pause), func(t *testing.T) {
-				e := fuzzEngine(t, seed, c.shards, c.fixed, c.host, true)
+				e := fuzzEngine(t, seed, c.shards, c.host, true)
 				if _, err := e.RunUntil(pause); err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +89,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				// Restore into a fresh engine with a different shard count
 				// than the one that checkpointed: the format is
 				// host-shape-independent.
-				f := fuzzEngine(t, seed, 2, c.fixed, c.host, false)
+				f := fuzzEngine(t, seed, 2, c.host, false)
 				if err := f.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatal(err)
 				}
@@ -118,9 +115,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointCanonicalBytes: checkpoints of the same simulation state
 // are byte-identical regardless of the shard count and host driver that
-// produced them. (Adaptive drivers only: they all pause at exactly the
-// requested cycle, while the fixed engine's global window may overrun
-// it.)
+// produced them: every driver pauses at exactly the requested cycle.
 func TestCheckpointCanonicalBytes(t *testing.T) {
 	const seed = 0xabad1dea
 	for _, pause := range []arch.Cycles{1200, 5200} {
@@ -137,7 +132,7 @@ func TestCheckpointCanonicalBytes(t *testing.T) {
 				{"mux-3", 3, hostMux},
 			}
 			for _, c := range cfgs {
-				e := fuzzEngine(t, seed, c.shards, false, c.host, true)
+				e := fuzzEngine(t, seed, c.shards, c.host, true)
 				if _, err := e.RunUntil(pause); err != nil {
 					t.Fatal(err)
 				}

@@ -132,12 +132,11 @@ func (a *phaseActor) OnMessage(env *Env, msg *Message) {
 
 // phaseRun executes the phase-alternating workload under one host
 // configuration and returns stats plus per-actor final state.
-func phaseRun(t *testing.T, seed uint64, shards int, fixed bool, host hostMode) (Stats, []arch.Cycles, []uint64) {
+func phaseRun(t *testing.T, seed uint64, shards int, host hostMode) (Stats, []arch.Cycles, []uint64) {
 	t.Helper()
 	m := arch.DefaultMachine(7)
 	e, err := NewEngine(m, Options{
-		Shards:         shards,
-		FixedLookahead: fixed,
+		Shards: shards,
 		LaneFactory: func(id arch.NetworkID) Actor {
 			return &phaseActor{m: &m, seed: seed}
 		},
@@ -166,29 +165,27 @@ func phaseRun(t *testing.T, seed uint64, shards int, fixed bool, host hostMode) 
 }
 
 // TestDeterminismPhases: a workload alternating intra-node-only and
-// cross-node phases is bit-identical across shard counts, with the
-// adaptive scheduler (under both the worker pool and the cooperative
-// multiplexer) and with the legacy fixed lookahead.
+// cross-node phases is bit-identical across shard counts under both the
+// worker pool and the cooperative multiplexer; the shards=1 sequential
+// driver is the oracle.
 func TestDeterminismPhases(t *testing.T) {
 	shardCounts := []int{2, 3, 7, runtime.GOMAXPROCS(0)}
 	for _, seed := range []uint64{3, 0xc0ffee} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			refStats, refFree, refSeq := phaseRun(t, seed, 1, false, hostAuto)
+			refStats, refFree, refSeq := phaseRun(t, seed, 1, hostAuto)
 			if refStats.Events == 0 {
 				t.Fatal("phase workload executed no events")
 			}
 			cfgs := []struct {
-				name  string
-				fixed bool
-				host  hostMode
+				name string
+				host hostMode
 			}{
-				{"adaptive-pool", false, hostPool},
-				{"adaptive-mux", false, hostMux},
-				{"fixed", true, hostPool},
+				{"pool", hostPool},
+				{"mux", hostMux},
 			}
 			for _, cfg := range cfgs {
 				for _, shards := range shardCounts {
-					stats, freeAt, seq := phaseRun(t, seed, shards, cfg.fixed, cfg.host)
+					stats, freeAt, seq := phaseRun(t, seed, shards, cfg.host)
 					if stats != refStats {
 						t.Errorf("%s shards=%d: stats diverge: got %+v want %+v",
 							cfg.name, shards, stats, refStats)

@@ -112,15 +112,6 @@ type Options struct {
 	// ErrInterrupted). Nil disables the plane at one nil-check per
 	// window — telemetry hooks never sit on the per-event path.
 	Telemetry *telemetry.Publisher
-	// FixedLookahead selects the legacy conservative window engine: one
-	// global window of MinCrossNodeLatency cycles per barrier, identical
-	// to the PR-1 execution schedule. The default (false) enables the
-	// adaptive topology-aware scheduler: per-shard horizons from the
-	// shard-pair latency-bound matrix, lock-free window extension while
-	// traffic stays intra-shard, and a cooperative single-goroutine
-	// multiplexer when the host has one CPU. Both modes produce
-	// bit-identical results; the flag exists for A/B measurement.
-	FixedLookahead bool
 }
 
 // Stats aggregates measurements across a Run.
@@ -220,16 +211,14 @@ type Engine struct {
 	lookahead arch.Cycles
 	maxTime   arch.Cycles
 	factory   func(id arch.NetworkID) Actor
-	// adaptive enables topology-aware per-shard horizons and the
-	// lock-free window-extension protocol (see lookahead.go / pool.go /
-	// mux.go). laMat[a][b] is the lower bound on the delivery time of any
-	// message a shard-a actor can send to a shard-b actor; laRow[a] is
-	// min over b != a of laMat[a][b]. Both are derived from the node
-	// partition at construction and never change.
-	adaptive bool
-	laMat    [][]arch.Cycles
-	laRow    []arch.Cycles
-	// host selects the parallel driver for adaptive multi-shard runs:
+	// laMat[a][b] is the lower bound on the delivery time of any message
+	// a shard-a actor can send to a shard-b actor; laRow[a] is min over
+	// b != a of laMat[a][b] (see lookahead.go / pool.go / mux.go). Both
+	// are derived from the node partition at construction and never
+	// change.
+	laMat [][]arch.Cycles
+	laRow []arch.Cycles
+	// host selects the parallel driver for multi-shard runs:
 	// hostAuto picks the cooperative multiplexer when the process has one
 	// CPU and the worker pool otherwise; tests pin a mode to cover both.
 	host hostMode
@@ -342,7 +331,6 @@ func NewEngine(m arch.Machine, opts Options) (*Engine, error) {
 		injBusy64: make([]int64, m.Nodes),
 		nshards:   n,
 		lookahead: m.MinCrossNodeLatency(),
-		adaptive:  !opts.FixedLookahead,
 		maxTime:   maxTime,
 		factory:   opts.LaneFactory,
 		nodeShard: make([]int32, m.Nodes),
@@ -643,16 +631,15 @@ func (e *Engine) runSequential() bool {
 // horizon, in deterministic order.
 //
 // abortOnStage ends the slice right after the first event that stages a
-// cross-shard message. The adaptive scheduler requires it: its horizons
+// cross-shard message. The parallel drivers require it: their horizons
 // are lower bounds on what peers could still send given their *current*
 // state, so they remain valid only while this shard's outbound frontier
 // stays closed. A cross-shard send opens it — the recipient may respond
 // (or forward) as early as the send's event time plus a round trip,
 // which a widened horizon might already have passed. Stopping at the
 // send keeps the processed frontier at or below the event time, and the
-// next horizon computation folds the staged message in. The fixed
-// engine's global window never exceeds one latency bound, so it passes
-// false and processes the whole window as before.
+// next horizon computation folds the staged message in. The sequential
+// driver owns every actor, stages nothing, and passes false.
 func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 	e := s.e
 	env := Env{e: e, shard: s}

@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -161,7 +160,7 @@ func BenchmarkEngineSparseLane(b *testing.B) {
 			var events int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
-				n, d := sparseLaneRun(b, shards, false)
+				n, d := sparseLaneRun(b, shards)
 				events += n
 				elapsed += d
 			}
@@ -171,15 +170,14 @@ func BenchmarkEngineSparseLane(b *testing.B) {
 }
 
 // sparseLaneRun executes the SparseLane workload once and returns the
-// wall-clock time it took; shared by the fixed-lookahead benchmark
-// variant and the adaptive-speedup smoke test.
-func sparseLaneRun(tb testing.TB, shards int, fixed bool) (int64, time.Duration) {
+// wall-clock time it took.
+func sparseLaneRun(tb testing.TB, shards int) (int64, time.Duration) {
 	const (
 		nodes  = 16
 		rounds = 5000
 	)
 	m := arch.DefaultMachine(nodes)
-	e, err := NewEngine(m, Options{Shards: shards, FixedLookahead: fixed})
+	e, err := NewEngine(m, Options{Shards: shards})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -194,55 +192,6 @@ func sparseLaneRun(tb testing.TB, shards int, fixed bool) (int64, time.Duration)
 		tb.Fatal(err)
 	}
 	return stats.Events, time.Since(start)
-}
-
-// BenchmarkEngineSparseLaneFixed is the A/B twin of
-// BenchmarkEngineSparseLane with the legacy fixed lookahead, so the
-// adaptive scheduler's effect on the lookahead-bound workload can be
-// measured from the bench grid alone.
-func BenchmarkEngineSparseLaneFixed(b *testing.B) {
-	for _, shards := range benchShards(16) {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var events int64
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				n, d := sparseLaneRun(b, shards, true)
-				events += n
-				elapsed += d
-			}
-			reportMevS(b, events, elapsed)
-		})
-	}
-}
-
-// TestAdaptiveLookaheadSpeedup is the CI bench smoke (satellite of the
-// adaptive-lookahead change): on the lookahead-bound SparseLane workload
-// the adaptive scheduler must not be slower than the fixed window it
-// replaced. Gated behind UPDOWN_BENCH_SMOKE because it measures
-// wall-clock time, which is meaningless under -race or a loaded host.
-func TestAdaptiveLookaheadSpeedup(t *testing.T) {
-	if os.Getenv("UPDOWN_BENCH_SMOKE") == "" {
-		t.Skip("set UPDOWN_BENCH_SMOKE=1 to run the wall-clock bench smoke")
-	}
-	const shards = 4
-	best := func(fixed bool) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if _, d := sparseLaneRun(t, shards, fixed); d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	// Warm up both paths once, then take best-of-3 each.
-	sparseLaneRun(t, shards, false)
-	sparseLaneRun(t, shards, true)
-	adaptive, fixed := best(false), best(true)
-	t.Logf("SparseLane shards=%d: adaptive %v, fixed %v (%.2fx)",
-		shards, adaptive, fixed, float64(fixed)/float64(adaptive))
-	if adaptive > fixed {
-		t.Errorf("adaptive lookahead slower than fixed on SparseLane: %v > %v", adaptive, fixed)
-	}
 }
 
 // stormActor forwards every message to a lane on the next node, so all

@@ -1,13 +1,13 @@
-// Adaptive topology-aware lookahead for the window-parallel engine.
+// Topology-aware lookahead for the window-parallel engine.
 //
-// The legacy engine advances every shard by one global conservative
-// window of MinCrossNodeLatency cycles per barrier. That bound is the
-// right one for traffic between shards — shards partition actors by
-// node, so any message crossing a shard boundary crosses a node boundary
-// and pays the system network — but it throttles workloads whose traffic
-// is provably local. The adaptive scheduler replaces the scalar with a
-// shard-pair matrix of delivery-time lower bounds and computes each
-// shard's horizon from the peers it can actually receive from:
+// One global conservative window of MinCrossNodeLatency cycles per
+// barrier is the right bound for traffic between shards — shards
+// partition actors by node, so any message crossing a shard boundary
+// crosses a node boundary and pays the system network — but it throttles
+// workloads whose traffic is provably local (the retired fixed-window
+// engine; its A/B is on record in BENCH_sim.json). The scheduler instead
+// keeps a shard-pair matrix of delivery-time lower bounds and computes
+// each shard's horizon from the peers it can actually receive from:
 //
 //	next[A]    = earliest message shard A could still execute
 //	             (its heap top, plus staged outbox messages bound for it)
@@ -20,12 +20,12 @@
 // everything below horizon[B] without violating causality. Because the
 // horizon partitioning never changes which messages exist or the
 // per-actor (Deliver, Src, Seq) execution order — only how the timeline
-// is sliced — results are bit-identical to the fixed-lookahead engine at
-// every shard count.
+// is sliced — results are bit-identical to the sequential driver at every
+// shard count.
 //
 // With the node-contiguous partition the matrix is LatCrossNode for
 // every distinct pair (shards never share a node), so horizon[B] is
-// never tighter than the legacy window; the win comes from next[A]
+// never tighter than that global window; the win comes from next[A]
 // jumping ahead when peers are idle or far in the future, and from the
 // lock-free extension protocol layered on top (pool.go, mux.go) that
 // re-widens horizons mid-window while no cross-shard traffic is staged.

@@ -1,12 +1,12 @@
-// Cooperative single-goroutine multiplexer for adaptive multi-shard runs
-// on single-CPU hosts.
+// Cooperative single-goroutine multiplexer for multi-shard runs on
+// single-CPU hosts.
 //
 // The worker pool's barrier costs a goroutine-scheduling round trip per
 // window, which is pure overhead when GOMAXPROCS == 1: the shards can
 // never actually run concurrently, so the same schedule can be executed
 // by one goroutine visiting the shards round-robin. Each round computes
 // the per-shard frontiers next[A] (heap top plus staged inbound
-// messages), then gives every shard the adaptive horizon from
+// messages), then gives every shard the horizon from
 // lookahead.go, collects its staged inbound traffic, and processes its
 // window. Because everything runs on one goroutine the "extension
 // protocol" is implicit: frontiers are re-read every round with no
@@ -26,7 +26,7 @@ import (
 	"updown/internal/arch"
 )
 
-// hostMode selects the parallel driver for adaptive multi-shard runs.
+// hostMode selects the parallel driver for multi-shard runs.
 type hostMode uint8
 
 const (
@@ -48,7 +48,7 @@ func (e *Engine) useMux() bool {
 	case hostMux:
 		return true
 	}
-	return e.adaptive && runtime.GOMAXPROCS(0) == 1
+	return runtime.GOMAXPROCS(0) == 1
 }
 
 // runMux executes Run on a single goroutine, multiplexing the shards

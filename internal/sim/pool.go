@@ -21,10 +21,9 @@
 // still send it (see lookahead.go): next[A] is the earliest message
 // shard A could still execute — its heap top plus staged outbox
 // messages bound for it — and horizon[B] is the min over A != B of
-// next[A] + laMat[A][B]. With a fixed lookahead every horizon collapses
-// to windowStart + MinCrossNodeLatency, the legacy schedule.
+// next[A] + laMat[A][B].
 //
-// Between barriers the adaptive mode adds a lock-free extension phase:
+// Between barriers a lock-free extension phase runs:
 // after draining its window, a shard that staged no cross-shard traffic
 // publishes the earliest cycle anything it does next could become
 // visible elsewhere (heap top + laRow, monotone non-decreasing until
@@ -188,13 +187,6 @@ func (p *pool) reduce() {
 			return
 		}
 	}
-	if !e.adaptive {
-		h := min + e.lookahead
-		for i := range p.horizon {
-			p.horizon[i] = h
-		}
-		return
-	}
 	for b := range p.horizon {
 		h := arch.Cycles(math.MaxInt64)
 		for a := range next {
@@ -239,15 +231,7 @@ func (p *pool) worker(s *shard) {
 		s.collect(parity ^ 1)
 		s.resetOut()
 		s.parity = parity
-		if !e.adaptive {
-			h := p.horizon[s.idx]
-			if s.heap.len() > 0 && s.heap.topDeliver() < h {
-				s.processWindow(h, false)
-				s.heap.compact()
-			}
-		} else {
-			p.extend(s, p.horizon[s.idx], maxH)
-		}
+		p.extend(s, p.horizon[s.idx], maxH)
 		parity ^= 1
 	}
 	// Drain any uncollected inbound messages (possible when MaxTime was

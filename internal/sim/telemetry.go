@@ -19,8 +19,8 @@
 // published immutable values, so scrapes and dumps can neither race with
 // the simulation nor change its schedule: window slicing is the only
 // thing telemetry perturbs, and the engine's execution order is provably
-// independent of slicing (the same property that makes the adaptive and
-// fixed schedulers bit-identical).
+// independent of slicing (the same property that makes every driver and
+// shard count bit-identical).
 package sim
 
 import (

@@ -24,11 +24,6 @@ go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/t
 # same number of logical tuples.
 go test -run XX -bench BenchmarkKVMSRShuffle -benchtime=5x .
 
-# Adaptive-lookahead bench smoke: on the lookahead-bound SparseLane
-# workload the adaptive scheduler must not be slower than the legacy
-# fixed window it replaced (best-of-3 wall clock each).
-UPDOWN_BENCH_SMOKE=1 go test -run TestAdaptiveLookaheadSpeedup -count=1 ./internal/sim/
-
 # Benchmark-history sanity: benchdiff must parse BENCH_sim.json and find
 # no regression between the recorded entries (they are historical, so
 # this only breaks when the file or the tool is broken).

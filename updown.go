@@ -116,11 +116,6 @@ type Config struct {
 	// output and no data loss as long as fewer than k replicas of any
 	// block fail. 0 or 1 keeps classic single-copy placement.
 	Replication int
-	// FixedLookahead selects the legacy conservative window engine (one
-	// global window of MinCrossNodeLatency cycles per barrier) instead of
-	// the default adaptive topology-aware scheduler. Results are
-	// bit-identical either way; the flag exists for A/B measurement.
-	FixedLookahead bool
 	// Telemetry, when non-nil, attaches the live observation plane: the
 	// engine publishes immutable in-run snapshots (progress, throughput,
 	// per-node busy/backlog, fault and replication counters) through the
@@ -234,15 +229,14 @@ func New(cfg Config) (*Machine, error) {
 		tr = metrics.NewTrace(*cfg.Trace)
 	}
 	eng, err := sim.NewEngine(a, sim.Options{
-		Shards:         cfg.Shards,
-		MaxTime:        cfg.MaxTime,
-		LaneFactory:    prog.NewLane,
-		Metrics:        rec,
-		Trace:          tr,
-		Telemetry:      cfg.Telemetry,
-		Fault:          cfg.Fault,
-		DRAMFailover:   failover,
-		FixedLookahead: cfg.FixedLookahead,
+		Shards:       cfg.Shards,
+		MaxTime:      cfg.MaxTime,
+		LaneFactory:  prog.NewLane,
+		Metrics:      rec,
+		Trace:        tr,
+		Telemetry:    cfg.Telemetry,
+		Fault:        cfg.Fault,
+		DRAMFailover: failover,
 	})
 	if err != nil {
 		return nil, err
