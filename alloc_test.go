@@ -1,0 +1,117 @@
+package updown_test
+
+import (
+	"runtime"
+	"testing"
+
+	"updown"
+)
+
+// The engine and the udweave lane keep the executing Message, Env and Ctx
+// in long-lived storage (shard, lane) because all three reach handlers
+// through interface or func values and would otherwise be heap-allocated
+// per event. These guards fail if either escape comes back.
+
+const (
+	stormNodes = 8
+	stormLanes = 8 // per node, on accelerator 0
+	stormHops  = 1600
+)
+
+// runStorm posts one chain per lane and returns the machine's cumulative
+// event count and the heap allocations made inside this Machine.Run.
+func runStorm(t *testing.T, m *updown.Machine, hop updown.Label) (events int64, mallocs uint64) {
+	t.Helper()
+	for n := 0; n < stormNodes; n++ {
+		for l := 0; l < stormLanes; l++ {
+			id := m.Arch.LaneID(n, 0, l)
+			m.StartAt(updown.Cycles(int(id)%13), updown.EvwNew(id, hop), stormHops)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := m.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats.Events, after.Mallocs - before.Mallocs
+}
+
+// checkAllocFree runs the storm twice on one machine — the first pass
+// grows the arena, thread pools and nested frames to their steady size —
+// and requires the second pass to allocate nothing per event. The bound
+// leaves room for the handful of per-Run allocations (and the runtime's
+// own), not for one allocation every thousand events.
+func checkAllocFree(t *testing.T, m *updown.Machine, hop updown.Label) {
+	t.Helper()
+	warm, _ := runStorm(t, m, hop)
+	events, mallocs := runStorm(t, m, hop)
+	events -= warm
+	if want := int64(stormNodes * stormLanes * (stormHops + 1)); events != want || events < 100000 {
+		t.Fatalf("%d events in the measured pass, want %d", events, want)
+	}
+	if mallocs*1000 > uint64(events) {
+		t.Fatalf("%d allocations over %d events (%.3f per event), want 0 per event",
+			mallocs, events, float64(mallocs)/float64(events))
+	}
+}
+
+func nextLane(m *updown.Machine, self updown.NetworkID) updown.NetworkID {
+	return m.Arch.LaneID((m.Arch.NodeOf(self)+1)%stormNodes, 0, (m.Arch.LaneOf(self)+3)%stormLanes)
+}
+
+func TestDispatchAllocFreeSendEvent(t *testing.T) {
+	m, err := updown.New(updown.Config{Nodes: stormNodes, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hop updown.Label
+	hop = m.Prog.Define("hop", func(c *updown.Ctx) {
+		if n := c.Op(0); n > 0 {
+			c.SendEvent(updown.EvwNew(nextLane(m, c.NetworkID()), hop), updown.IGNRCONT, n-1)
+		}
+		c.YieldTerminate()
+	})
+	checkAllocFree(t, m, hop)
+}
+
+func TestDispatchAllocFreeInvokeLocal(t *testing.T) {
+	m, err := updown.New(updown.Config{Nodes: stormNodes, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves, sum uint64
+	leaf := m.Prog.Define("leaf", func(c *updown.Ctx) {
+		leaves++
+		sum += c.Op(0) + c.Op(1)
+		c.YieldTerminate()
+	})
+	// mid dispatches again from inside a local dispatch: the second nesting
+	// level of the lane's frame stack.
+	mid := m.Prog.Define("mid", func(c *updown.Ctx) {
+		c.InvokeLocal(c.Src(), leaf, c.Op(0), 1)
+		c.InvokeLocal(c.Src(), leaf, c.Op(0), 2)
+		if c.Op(0) != 7 { // the nested frames must not have clobbered this one
+			t.Errorf("mid operand %d after nested dispatch, want 7", c.Op(0))
+		}
+		c.YieldTerminate()
+	})
+	var hop updown.Label
+	hop = m.Prog.Define("hop", func(c *updown.Ctx) {
+		n := c.Op(0)
+		c.InvokeLocal(c.Src(), mid, 7)
+		c.InvokeLocal(c.NetworkID(), leaf, n, 3)
+		if n > 0 {
+			c.SendEvent(updown.EvwNew(nextLane(m, c.NetworkID()), hop), updown.IGNRCONT, n-1)
+		}
+		c.YieldTerminate()
+	})
+	checkAllocFree(t, m, hop)
+	if want := uint64(2 * 3 * stormNodes * stormLanes * (stormHops + 1)); leaves != want {
+		t.Fatalf("%d local dispatches, want %d", leaves, want)
+	}
+	if sum == 0 {
+		t.Fatal("local dispatches saw no operands")
+	}
+}

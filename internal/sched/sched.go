@@ -346,20 +346,25 @@ func (s *Scheduler) completions() {
 		kept = append(kept, j)
 	}
 	s.active = kept
-	// A quiescent engine with unfinished active jobs means those
-	// workloads stalled: nothing in the simulation can ever wake them
+	// A quiescent engine can execute nothing further. An active job that
+	// recorded its finish cycle is then complete even though that cycle
+	// lies past the frontier — its last event started inside the quantum
+	// and its charged cycles end a little beyond the boundary — and no
+	// later quantum is guaranteed to come and harvest it, so it is
+	// harvested here, at the cycle it recorded. Running jobs without a
+	// finish cycle stalled: nothing in the simulation can ever wake them
 	// (jobs are partition-disjoint, and future arrivals only post events
 	// to their own partitions). Fail them so the loop terminates instead
 	// of spinning on empty quanta.
 	if len(s.active) > 0 && s.now > 0 && s.m.Engine.Pending() == 0 {
-		for _, j := range s.active {
-			if j.State == Running {
-				s.fail(j, fmt.Errorf("sched: job %d (%s) went quiescent at cycle %d without completing", j.ID, j.Spec.Name, s.now))
-			}
-		}
 		kept := s.active[:0]
 		for _, j := range s.active {
-			if j.State != Failed {
+			switch done, ok := j.Work.Finished(); {
+			case ok:
+				s.finish(j, done)
+			case j.State == Running:
+				s.fail(j, fmt.Errorf("sched: job %d (%s) went quiescent at cycle %d without completing", j.ID, j.Spec.Name, s.now))
+			default:
 				kept = append(kept, j)
 			}
 		}

@@ -137,6 +137,50 @@ func (w *tinyWork) Post(at updown.Cycles) {
 func (w *tinyWork) Finished() (updown.Cycles, bool) { return w.done, w.done > 0 }
 func (w *tinyWork) Output() []uint64                { return w.out }
 
+// A job whose last event starts inside a quantum and ends one cycle past
+// the boundary, with nothing else left in the engine, used to be failed
+// as "went quiescent without completing": the frontier stood at the
+// boundary, the recorded finish cycle one past it, and the engine was
+// empty. It must be harvested at the cycle it recorded.
+func TestCompletionJustPastQuantumBoundary(t *testing.T) {
+	const quantum = 1024
+	m := testMachine(t, 2, 1, false)
+	s := sched.New(m, sched.Config{Quantum: quantum})
+	var started updown.Cycles
+	j, err := s.Submit(sched.JobSpec{Name: "edge", Tenant: "t", Lanes: m.Arch.LanesPerNode(),
+		Build: func(m *updown.Machine, part sched.Partition) (sched.Workload, error) {
+			w := &tinyWork{m: m, lanes: part.Lanes, out: []uint64{7}}
+			w.label = m.Prog.Define("edge.run", func(c *updown.Ctx) {
+				started = c.Now()
+				c.Cycles(int(quantum + 1 - c.Now())) // ends at boundary+1
+				w.done = c.Now()
+				c.YieldTerminate()
+			})
+			return w, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if started >= quantum {
+		t.Fatalf("event started at %d, not inside the first quantum", started)
+	}
+	if j.State != sched.Done {
+		t.Fatalf("job state %v: %v", j.State, j.Err)
+	}
+	if j.DoneAt != quantum+1 {
+		t.Fatalf("DoneAt = %d, want %d (the cycle the job recorded)", j.DoneAt, quantum+1)
+	}
+	if out := j.Output(); len(out) != 1 || out[0] != 7 {
+		t.Fatalf("output %v", out)
+	}
+	if m.Engine.Pending() != 0 {
+		t.Fatalf("%d messages pending after the last job", m.Engine.Pending())
+	}
+}
+
 // --- admission error family ---
 
 func TestAdmissionErrors(t *testing.T) {

@@ -32,7 +32,9 @@ type Actor interface {
 	// OnMessage processes one inbound message. Execution is atomic in
 	// simulated time: it begins at env.Start() and occupies the actor
 	// for the cycles accumulated through env.Charge and the send
-	// intrinsics.
+	// intrinsics. env and m belong to the executing shard and are reused
+	// for its next event: an actor must not retain either pointer (or a
+	// slice of m.Ops) past the call.
 	OnMessage(env *Env, m *Message)
 }
 
@@ -276,6 +278,12 @@ type shard struct {
 	// synchronization argument. Slices keep their capacity across
 	// windows.
 	outbox [2][][]Message
+	// env and cur are the execution environment and the message of the
+	// event being executed. They live here, not on processWindow's stack,
+	// because both are handed to Actor.OnMessage through an interface and
+	// would otherwise be heap-allocated once per event.
+	env Env
+	cur Message
 	// parity selects the outbox side written during the current window.
 	parity int
 	// outMin is the earliest Deliver among messages this shard wrote to
@@ -417,7 +425,7 @@ func (e *Engine) AddActor(a Actor) arch.NetworkID {
 // Actor returns the installed actor for id, instantiating lanes on demand.
 func (e *Engine) Actor(id arch.NetworkID) Actor {
 	a := e.actors[id]
-	if a == nil && e.M.IsLane(id) && e.factory != nil {
+	if a == nil && int(id) < e.totalLanes && e.factory != nil {
 		a = e.factory(id)
 		e.actors[id] = a
 	}
@@ -460,7 +468,7 @@ func (e *Engine) Post(t arch.Cycles, dst arch.NetworkID, kind uint8, event, cont
 			Kind: kind, SendAt: t, Deliver: t,
 		})
 	}
-	e.shards[e.shardOf(dst)].heap.push(m)
+	e.shards[e.shardOf(dst)].heap.push(&m)
 }
 
 // Run simulates until no messages remain, returning aggregate statistics.
@@ -500,8 +508,8 @@ func (e *Engine) Run() (Stats, error) {
 			total.FinalTime = s.stats.FinalTime
 		}
 	}
-	for i := range e.state {
-		if e.state[i].used && e.M.IsLane(arch.NetworkID(i)) {
+	for i := range e.state[:e.totalLanes] {
+		if e.state[i].used {
 			total.LanesTouched++
 		}
 	}
@@ -642,7 +650,8 @@ func (e *Engine) runSequential() bool {
 // driver owns every actor, stages nothing, and passes false.
 func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 	e := s.e
-	env := Env{e: e, shard: s}
+	env := &s.env
+	*env = Env{e: e, shard: s}
 	h := &s.heap
 	for h.len() > 0 && h.topDeliver() < horizon {
 		if abortOnStage && s.outMin != math.MaxInt64 {
@@ -750,8 +759,10 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 		}
 		for {
 			// Copy out before executing: sends during OnMessage may grow
-			// (and reallocate) the arena backing pm.
-			m := *pm
+			// (and reallocate) the arena backing pm, and the freed slot is
+			// the first one they reuse.
+			m := &s.cur
+			*m = *pm
 			h.release(mi)
 			a := e.Actor(m.Dst)
 			if a == nil {
@@ -765,7 +776,7 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 				// during OnMessage.
 				env.psrc, env.pseq = m.Src, m.Seq
 			}
-			a.OnMessage(&env, &m)
+			a.OnMessage(env, m)
 			st.freeAt = m.Deliver + env.charged
 			st.busy += int64(env.charged)
 			st.used = true
@@ -847,7 +858,7 @@ func (s *shard) collect(parity int) {
 			continue
 		}
 		for i := range box {
-			s.heap.push(box[i])
+			s.heap.push(&box[i])
 		}
 		other.outbox[parity][s.idx] = box[:0]
 	}
@@ -1034,7 +1045,7 @@ func dramKind(k uint8) bool {
 // or this shard's outbox.
 func (s *shard) route(m *Message, dstShard int) {
 	if dstShard == s.idx {
-		s.heap.push(*m)
+		s.heap.push(m)
 	} else {
 		s.outbox[s.parity][dstShard] = append(s.outbox[s.parity][dstShard], *m)
 		if m.Deliver < s.outMin {

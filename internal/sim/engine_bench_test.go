@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"updown/internal/arch"
+	"updown/internal/prng"
 )
 
 // benchShards returns the shard counts to sweep for a machine with the
@@ -244,6 +245,59 @@ func BenchmarkEngineCrossNodeStorm(b *testing.B) {
 				events += stats.Events
 			}
 			reportMevS(b, events, elapsed)
+		})
+	}
+}
+
+// BenchmarkQueue measures the shard event queue alone in the classic hold
+// model: a preloaded queue, then one pop and one push per operation, the
+// push landing a workload-specific distance after the popped cycle.
+//
+//   - dense: thousands of entries per cycle from 64 senders, short hops —
+//     the within-cycle (Src, Seq) heap does the work (PageRank's shape).
+//   - sparse: a few entries thousands of cycles apart — the occupancy
+//     bitmap scan and single-entry loads (serving's shape).
+//   - far-timers: one push in five is a timer far beyond the ring span —
+//     the far heap and its migration as the cursor advances.
+//
+// ns/op is one pop+push pair; allocs/op must read 0 once the arena is warm.
+func BenchmarkQueue(b *testing.B) {
+	near := []arch.Cycles{2, 2, 10, 10, 30}
+	for _, bc := range []struct {
+		name    string
+		preload int
+		delay   func(rng *prng.Stream) arch.Cycles
+	}{
+		{"dense", 1 << 15, func(rng *prng.Stream) arch.Cycles { return near[rng.Intn(len(near))] }},
+		{"sparse", 16, func(rng *prng.Stream) arch.Cycles { return 1000 + arch.Cycles(rng.Intn(2000)) }},
+		{"far-timers", 1 << 10, func(rng *prng.Stream) arch.Cycles {
+			if rng.Intn(5) == 0 {
+				return 5*wheelSpan + arch.Cycles(rng.Intn(20*wheelSpan))
+			}
+			return near[rng.Intn(len(near))] + 200*arch.Cycles(rng.Intn(2))
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := prng.NewStream(1)
+			var h msgHeap
+			var seq [64]uint64
+			push := func(now arch.Cycles) {
+				src := rng.Intn(len(seq))
+				m := Message{Deliver: now + bc.delay(rng), Src: arch.NetworkID(src), Seq: seq[src]}
+				seq[src]++
+				h.push(&m)
+			}
+			for i := 0; i < bc.preload; i++ {
+				push(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mi := h.popIdx()
+				now := h.arena[mi].Deliver
+				h.release(mi)
+				push(now)
+			}
 		})
 	}
 }

@@ -304,29 +304,6 @@ func TestRunTwicePhases(t *testing.T) {
 	}
 }
 
-func TestHeapOrderProperty(t *testing.T) {
-	// Push messages in adversarial order; pops must be sorted.
-	var h msgHeap
-	n := 0
-	for time := 50; time >= 0; time-- {
-		for src := 3; src >= 0; src-- {
-			h.push(Message{Deliver: arch.Cycles(time * 7 % 31), Src: arch.NetworkID(src), Seq: uint64(time)})
-			n++
-		}
-	}
-	var prev Message
-	for i := 0; i < n; i++ {
-		m := h.pop()
-		if i > 0 && m.before(&prev) {
-			t.Fatalf("heap order violated at pop %d", i)
-		}
-		prev = m
-	}
-	if h.len() != 0 {
-		t.Fatal("heap not empty")
-	}
-}
-
 func TestStatsUtilization(t *testing.T) {
 	var s Stats
 	if s.Utilization() != 0 {

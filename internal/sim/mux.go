@@ -190,7 +190,7 @@ func (s *shard) muxCollect() {
 				continue
 			}
 			for i := range box {
-				s.heap.push(box[i])
+				s.heap.push(&box[i])
 			}
 			other.staged -= len(box)
 			other.outbox[p][s.idx] = box[:0]

@@ -386,9 +386,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	// parked wait-queue entries), in the global total order.
 	var msgs []Message
 	for _, s := range e.shards {
-		for _, ent := range s.heap.idx {
-			msgs = append(msgs, s.heap.arena[ent.i])
-		}
+		msgs = s.heap.appendQueued(msgs)
 	}
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].before(&msgs[j]) })
 	sw.U64(uint64(len(msgs)))
@@ -630,7 +628,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		if len(a.waitq) > 0 {
 			h := &e.shards[e.shardOf(arch.NetworkID(a.id))].heap
 			for i := range a.waitq {
-				st.waitqPush(h.alloc(a.waitq[i]))
+				st.waitqPush(h.alloc(&a.waitq[i]))
 			}
 		}
 	}
@@ -642,7 +640,7 @@ func (e *Engine) Restore(r io.Reader) error {
 		if int(m.Dst) >= len(e.actors) {
 			return restoreErrf(RestoreCorrupt, "heap message for out-of-range actor %d", m.Dst)
 		}
-		e.shards[e.shardOf(m.Dst)].heap.push(*m)
+		e.shards[e.shardOf(m.Dst)].heap.push(m)
 		if m.retry {
 			e.state[m.Dst].floating++
 		}

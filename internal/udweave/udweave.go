@@ -27,11 +27,15 @@ type Handler func(c *Ctx)
 
 // Program is a registry of event handlers shared by all lanes of a machine.
 type Program struct {
-	M        arch.Machine
-	GAS      *gasmem.GAS
-	handlers []Handler
-	names    []string
-	numSlots int
+	M   arch.Machine
+	GAS *gasmem.GAS
+	// totalLanes caches M.TotalLanes(): the send intrinsics test and build
+	// NetworkIDs once per event, and arch.Machine's value-receiver methods
+	// copy the whole struct per call.
+	totalLanes int
+	handlers   []Handler
+	names      []string
+	numSlots   int
 	// lTimeout is the reserved label carried by Ctx.ArmTimeout timer
 	// messages; the lane intercepts it and dispatches the thread's armed
 	// recovery label instead (stale timers are swallowed).
@@ -53,7 +57,7 @@ type Program struct {
 // NewProgram creates an empty program for the given machine.
 func NewProgram(m arch.Machine, gas *gasmem.GAS) *Program {
 	// Label 0 is reserved so that a zero event word is always invalid.
-	p := &Program{M: m, GAS: gas, handlers: []Handler{nil}, names: []string{"<invalid>"}}
+	p := &Program{M: m, GAS: gas, totalLanes: m.TotalLanes(), handlers: []Handler{nil}, names: []string{"<invalid>"}}
 	// The timeout label has no handler of its own: Lane.OnMessage remaps
 	// it to the receiving thread's armed label.
 	p.lTimeout = Label(len(p.handlers))
@@ -115,6 +119,11 @@ func (p *Program) Name(l Label) string {
 	return fmt.Sprintf("<label %d>", l)
 }
 
+// isLane and memCtrl are arch.Machine.IsLane and MemCtrlID off the cached
+// lane count.
+func (p *Program) isLane(id arch.NetworkID) bool   { return id >= 0 && int(id) < p.totalLanes }
+func (p *Program) memCtrl(node int) arch.NetworkID { return arch.NetworkID(p.totalLanes + node) }
+
 // NewLane builds the lane actor for a network ID; it is the sim.Engine
 // LaneFactory for this program.
 func (p *Program) NewLane(id arch.NetworkID) sim.Actor {
@@ -163,6 +172,23 @@ type Lane struct {
 	// timerGen is the lane-wide monotonic timer generation; each
 	// ArmTimeout takes the next value, making elder timers stale.
 	timerGen uint64
+	// ctx is the context of the event OnMessage is executing, and
+	// nested[:depth] the frames of the InvokeLocal dispatches running
+	// inside it. A lane executes one event at a time, so the storage is
+	// reused from event to event instead of being allocated per dispatch
+	// (handlers receive *Ctx through a func value, which would force
+	// every Ctx to the heap). Frames are allocated on a lane's first
+	// dispatch at each nesting depth and never move.
+	ctx    Ctx
+	nested []*localFrame
+	depth  int
+}
+
+// localFrame is the synthetic message and context of one InvokeLocal
+// dispatch.
+type localFrame struct {
+	msg sim.Message
+	ctx Ctx
 }
 
 // OnMessage implements sim.Actor.
@@ -218,8 +244,8 @@ func (l *Lane) OnMessage(env *sim.Env, m *sim.Message) {
 		th = l.threads[tid]
 	}
 	env.Charge(l.p.M.CostEventDispatch)
-	c := Ctx{env: env, lane: l, th: th, msg: m, label: label}
-	l.p.handlers[label](&c)
+	l.ctx = Ctx{env: env, lane: l, th: th, msg: m, label: label}
+	l.p.handlers[label](&l.ctx)
 	if th.terminated {
 		env.Charge(l.p.M.CostThreadDealloc)
 		if tv != nil {
@@ -298,6 +324,12 @@ func (l *Lane) SlotPeek(slot int) any {
 }
 
 // Ctx is the execution context of one event.
+//
+// A Ctx, the message behind Op/Ops/Cont/Src and the slice Ops returns are
+// valid only until the handler returns: the lane and the engine reuse
+// their storage for the next event. Handlers must copy what they keep
+// (operands into thread state, the continuation word by value) and never
+// retain the *Ctx itself.
 type Ctx struct {
 	env   *sim.Env
 	lane  *Lane
@@ -398,16 +430,19 @@ func (c *Ctx) InvokeLocal(src arch.NetworkID, label Label, ops ...uint64) {
 	if tv != nil {
 		tv.AsyncBegin(l.pid, l.tid, l.threadSpanID(th), "thread", begin)
 	}
-	var m sim.Message
-	m.Src = src
-	m.Dst = l.id
-	m.Kind = c.msg.Kind
-	m.Event = EvwExisting(l.id, th.TID, label)
-	m.Cont = IGNRCONT
-	m.NOps = uint8(copy(m.Ops[:], ops))
+	if l.depth == len(l.nested) {
+		l.nested = append(l.nested, new(localFrame))
+	}
+	f := l.nested[l.depth]
+	l.depth++
+	// ops may alias the enclosing message; f.msg is a different frame's.
+	f.msg = sim.Message{Src: src, Dst: l.id, Kind: c.msg.Kind,
+		Event: EvwExisting(l.id, th.TID, label), Cont: IGNRCONT}
+	f.msg.NOps = uint8(copy(f.msg.Ops[:], ops))
 	c.env.Charge(p.M.CostEventDispatch)
-	sc := Ctx{env: c.env, lane: l, th: th, msg: &m, label: label}
-	p.handlers[label](&sc)
+	f.ctx = Ctx{env: c.env, lane: l, th: th, msg: &f.msg, label: label}
+	p.handlers[label](&f.ctx)
+	l.depth--
 	if th.terminated {
 		c.env.Charge(p.M.CostThreadDealloc)
 		if tv != nil {
@@ -466,7 +501,7 @@ func (c *Ctx) SendEvent(evw uint64, cont uint64, ops ...uint64) {
 		return
 	}
 	dst := EvwNetworkID(evw)
-	if !c.lane.p.M.IsLane(dst) {
+	if !c.lane.p.isLane(dst) {
 		panic(fmt.Sprintf("udweave: send_event to non-lane networkID %d (event %q)", dst, c.lane.p.Name(EvwLabel(evw))))
 	}
 	c.env.Send(dst, arch.KindEvent, evw, cont, ops...)
@@ -487,7 +522,7 @@ func (c *Ctx) SendEventU(evw uint64, cont uint64, ops ...uint64) {
 		return
 	}
 	dst := EvwNetworkID(evw)
-	if !c.lane.p.M.IsLane(dst) {
+	if !c.lane.p.isLane(dst) {
 		panic(fmt.Sprintf("udweave: send_event to non-lane networkID %d (event %q)", dst, c.lane.p.Name(EvwLabel(evw))))
 	}
 	c.env.Send(dst, arch.KindEventU, evw, cont, ops...)
@@ -523,7 +558,7 @@ func (c *Ctx) SendEventAfter(delay arch.Cycles, evw uint64, cont uint64, ops ...
 		return
 	}
 	dst := EvwNetworkID(evw)
-	if !c.lane.p.M.IsLane(dst) {
+	if !c.lane.p.isLane(dst) {
 		panic(fmt.Sprintf("udweave: send_event to non-lane networkID %d", dst))
 	}
 	c.env.SendAfter(delay, dst, arch.KindEvent, evw, cont, ops...)
@@ -548,7 +583,7 @@ func (c *Ctx) DRAMRead(va gasmem.VA, nWords int, retEvw uint64) {
 	} else {
 		node = g.NodeOf(va)
 	}
-	c.env.Send(c.lane.p.M.MemCtrlID(node), arch.KindDRAMRead, 0, retEvw, va, uint64(nWords))
+	c.env.Send(c.lane.p.memCtrl(node), arch.KindDRAMRead, 0, retEvw, va, uint64(nWords))
 }
 
 // dramFanout sends one message per replica of va: the coordinator (first
@@ -559,14 +594,13 @@ func (c *Ctx) DRAMRead(va gasmem.VA, nWords int, retEvw uint64) {
 // Each leg charges the DRAM send cost: replication's latency tax on the
 // issuing lane.
 func (c *Ctx) dramFanout(va gasmem.VA, kind uint8, hintKind uint8, cont uint64, vals ...uint64) {
-	g := c.lane.p.GAS
-	m := &c.lane.p.M
+	p := c.lane.p
 	var tg [gasmem.MaxRep]gasmem.WriteTarget
-	n := g.WriteTargets(va, int64(c.env.Now()), &tg)
-	ops := make([]uint64, 1+len(vals))
-	copy(ops[1:], vals)
+	n := p.GAS.WriteTargets(va, int64(c.env.Now()), &tg)
+	var buf [sim.MaxOperands]uint64
+	ops := buf[:1+copy(buf[1:], vals)]
 	for i := 0; i < n; i++ {
-		c.env.Charge(m.CostSendDRAM)
+		c.env.Charge(p.M.CostSendDRAM)
 		k, legCont := kind, IGNRCONT
 		if tg[i].Hint {
 			k = hintKind
@@ -575,7 +609,7 @@ func (c *Ctx) dramFanout(va gasmem.VA, kind uint8, hintKind uint8, cont uint64, 
 			legCont = cont
 		}
 		ops[0] = tg[i].Op0
-		c.env.Send(m.MemCtrlID(tg[i].Node), k, 0, legCont, ops...)
+		c.env.Send(p.memCtrl(tg[i].Node), k, 0, legCont, ops...)
 	}
 }
 
@@ -599,9 +633,10 @@ func (c *Ctx) DRAMWrite(va gasmem.VA, ackEvw uint64, vals ...uint64) {
 		return
 	}
 	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	ctrl := c.lane.p.M.MemCtrlID(g.NodeOf(va))
-	ops := append([]uint64{va}, vals...)
-	c.env.Send(ctrl, arch.KindDRAMWrite, 0, ackEvw, ops...)
+	var buf [sim.MaxOperands]uint64
+	buf[0] = va
+	ops := buf[:1+copy(buf[1:], vals)]
+	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMWrite, 0, ackEvw, ops...)
 }
 
 // DRAMFetchAdd atomically adds delta to the word at va; retEvw receives the
@@ -616,8 +651,7 @@ func (c *Ctx) DRAMFetchAdd(va gasmem.VA, delta uint64, retEvw uint64) {
 		return
 	}
 	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	ctrl := c.lane.p.M.MemCtrlID(g.NodeOf(va))
-	c.env.Send(ctrl, arch.KindDRAMFetchAdd, 0, retEvw, va, delta)
+	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMFetchAdd, 0, retEvw, va, delta)
 }
 
 // DRAMFetchAddF is DRAMFetchAdd over float64 bit patterns (ablation
@@ -629,8 +663,7 @@ func (c *Ctx) DRAMFetchAddF(va gasmem.VA, delta float64, retEvw uint64) {
 		return
 	}
 	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	ctrl := c.lane.p.M.MemCtrlID(g.NodeOf(va))
-	c.env.Send(ctrl, arch.KindDRAMFetchAddF, 0, retEvw, va, FloatBits(delta))
+	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMFetchAddF, 0, retEvw, va, FloatBits(delta))
 }
 
 // LaneLocal returns named lane-private storage (the scratchpad), creating

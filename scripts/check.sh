@@ -50,3 +50,10 @@ go run ./cmd/figserve -queries 12 -gaps 8000,3000 \
 # reconcile loop over the sharded engine.
 go test -race -count=1 ./internal/sched/
 go run ./cmd/figsched -nodes 4 -scale 8 -jobs 8 -loads 8000,3000 -verify
+
+# Benchmark module: bench/ is its own module outside ./..., so the steps
+# above never compile it. Vet and test it, then run the repository
+# benchmark at smoke sizes: all four workloads, both passes, outputs
+# validated and simulated fingerprints cross-checked.
+(cd bench && go vet ./... && go test ./...)
+bash bench/run.sh -quick
