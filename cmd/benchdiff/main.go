@@ -25,7 +25,7 @@
 // the single-document acceptance files (BENCH_kvmsr.json,
 // BENCH_sched.json): a top-level object with "what"/"date" keys becomes
 // a one-entry file whose every numeric leaf — including leaves inside
-// JSON arrays such as figsched's "rows" — is a comparable
+// JSON arrays such as `fig sched`'s "rows" — is a comparable
 // configuration. Use -old-file to diff one file against another.
 //
 // Exit status: 0 when no benchmark regressed beyond -max-regress, 1 when
@@ -251,8 +251,8 @@ func flatten(raw json.RawMessage) map[string]float64 {
 
 // preferred extracts the comparable rate from a variant map: "after"
 // (before/after entries), then "adaptive", then "jobs_per_sec" (a
-// figsched row collapses to its completion throughput), then
-// "queries_per_sec" (a figserve row collapses to its serving
+// `fig sched` row collapses to its completion throughput), then
+// "queries_per_sec" (a `fig serve` row collapses to its serving
 // throughput), then the sole numeric field. Multi-variant maps without
 // a preferred key are not leaves.
 func preferred(m map[string]any) (float64, bool) {

@@ -136,7 +136,7 @@ ok  	updown/internal/sim	4.2s
 // Acceptance-file shapes: BENCH_kvmsr.json and BENCH_sched.json are
 // single top-level documents with "what"/"date" keys, not {"entries":
 // [...]} histories. readBenchFile synthesizes a one-entry file from
-// them, and flatten must walk the figsched "rows" array.
+// them, and flatten must walk the `fig sched` "rows" array.
 
 const kvmsrShapeDoc = `{
   "what": "Shuffle aggregation in KVMSR: before/after",
@@ -260,7 +260,7 @@ func TestDiffAcrossAdHocFiles(t *testing.T) {
 }
 
 func TestFlattenCollapsesServeRows(t *testing.T) {
-	// A figserve row carries queries_per_sec plus latency fields: the
+	// A `fig serve` row carries queries_per_sec plus latency fields: the
 	// row collapses to its serving throughput, while the comparison
 	// block's plain latency leaves stay individually comparable.
 	raw := json.RawMessage(`{

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"updown"
@@ -36,41 +35,14 @@ type ChaosOptions struct {
 	// Seed drives the graph generator, FaultSeed the fault verdicts.
 	Seed      uint64
 	FaultSeed uint64
-	// Shards is the simulator host parallelism (0 = auto).
-	Shards int
 	// FailStop adds a spare node and kills it mid-run on faulted rows.
 	FailStop bool
-	// CritPath enables causal tracing and fills the crit% column.
+	// Shards, CritPath, MaxTime and Progress are the shared sweep options
+	// (see sweep).
+	Shards   int
 	CritPath bool
-	// MaxTime bounds simulated cycles per row.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// row's run.
+	MaxTime  arch.Cycles
 	Progress io.Writer
-}
-
-func (o *ChaosOptions) defaults() {
-	if o.Scale == 0 {
-		o.Scale = 12
-	}
-	if o.Nodes == 0 {
-		o.Nodes = 2
-	}
-	if len(o.DropRates) == 0 {
-		o.DropRates = []float64{0.01, 0.02, 0.05, 0.10}
-	}
-	if o.DupProb == 0 {
-		o.DupProb = 0.02
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.FaultSeed == 0 {
-		o.FaultSeed = 1
-	}
-	if o.MaxTime == 0 {
-		o.MaxTime = 1 << 44
-	}
 }
 
 // ChaosRow is one fault rate's measurement.
@@ -103,71 +75,29 @@ type ChaosTable struct {
 	Notes    []string
 }
 
-// Format renders the table as aligned text.
-func (t *ChaosTable) Format() string {
-	crit := false
-	for _, r := range t.Rows {
-		if r.CritPct != 0 {
-			crit = true
-		}
+func (t *ChaosTable) render(markdown bool) string {
+	cols := []column[ChaosRow]{
+		{"drop", "", -10, ".3f", func(r *ChaosRow) any { return r.DropRate }},
+		{"cycles", "", 14, "d", func(r *ChaosRow) any { return r.Cycles }},
+		{"goodput-GTEPS", "goodput GTEPS", 14, ".4f", func(r *ChaosRow) any { return r.Goodput }},
+		{"recovery", "", 12, "d", func(r *ChaosRow) any { return r.Recovery }},
+		{"dropped", "", 10, "d", func(r *ChaosRow) any { return r.Dropped }},
+		{"dupped", "", 10, "d", func(r *ChaosRow) any { return r.Dupped }},
+		{"retries", "", 10, "d", func(r *ChaosRow) any { return r.Retries }},
+		{"dup-drops", "", 10, "d", func(r *ChaosRow) any { return r.DupDrops }},
+		{"rekicks", "", 10, "d", func(r *ChaosRow) any { return r.Rekicks }},
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos sweep: resilient BFS under message faults — %s\n", t.Workload)
-	fmt.Fprintf(&b, "%-10s %14s %14s %12s %10s %10s %10s %10s %10s", "drop", "cycles",
-		"goodput-GTEPS", "recovery", "dropped", "dupped", "retries", "dup-drops", "rekicks")
-	if crit {
-		fmt.Fprintf(&b, " %8s", "crit%")
+	if anyRow(t.Rows, func(r *ChaosRow) bool { return r.CritPct != 0 }) {
+		cols = append(cols, critColumn(func(r *ChaosRow) float64 { return r.CritPct }))
 	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-10.3f %14d %14.4f %12d %10d %10d %10d %10d %10d",
-			r.DropRate, r.Cycles, r.Goodput, r.Recovery, r.Dropped, r.Dupped,
-			r.Retries, r.DupDrops, r.Rekicks)
-		if crit {
-			fmt.Fprintf(&b, " %8.2f", 100*r.CritPct)
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
+	return render(markdown, "Chaos sweep: resilient BFS under message faults — "+t.Workload, t.Rows, cols, t.Notes)
 }
 
+// Format renders the table as aligned text.
+func (t *ChaosTable) Format() string { return t.render(false) }
+
 // Markdown renders the table as a GitHub table (EXPERIMENTS.md).
-func (t *ChaosTable) Markdown() string {
-	crit := false
-	for _, r := range t.Rows {
-		if r.CritPct != 0 {
-			crit = true
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "**Chaos sweep: resilient BFS under message faults — %s**\n\n", t.Workload)
-	b.WriteString("| drop | cycles | goodput GTEPS | recovery | dropped | dupped | retries | dup-drops | rekicks |")
-	if crit {
-		b.WriteString(" crit% |")
-	}
-	b.WriteByte('\n')
-	b.WriteString("|---|---|---|---|---|---|---|---|---|")
-	if crit {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %.3f | %d | %.4f | %d | %d | %d | %d | %d | %d |",
-			r.DropRate, r.Cycles, r.Goodput, r.Recovery, r.Dropped, r.Dupped,
-			r.Retries, r.DupDrops, r.Rekicks)
-		if crit {
-			fmt.Fprintf(&b, " %.2f |", 100*r.CritPct)
-		}
-		b.WriteByte('\n')
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*note: %s*\n", n)
-	}
-	return b.String()
-}
+func (t *ChaosTable) Markdown() string { return t.render(true) }
 
 // ChaosBFS runs the chaos sweep: BFS with the resilient shuffle at every
 // requested drop rate (plus a mandatory fault-free row), asserting that
@@ -175,16 +105,22 @@ func (t *ChaosTable) Markdown() string {
 // fault-free run at every rate, and reporting goodput, recovery latency
 // and protocol-counter columns.
 func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
-	opt.defaults()
-	p, err := graph.PresetByName("rmat")
+	orDefault(&opt.Scale, 12)
+	orDefault(&opt.Nodes, 2)
+	orDefaultList(&opt.DropRates, 0.01, 0.02, 0.05, 0.10)
+	orDefault(&opt.DupProb, 0.02)
+	orDefault(&opt.Seed, 42)
+	orDefault(&opt.FaultSeed, 1)
+	const root = paperRoot
+	if err := validate(opt.Scale, root, positive("nodes", opt.Nodes)); err != nil {
+		return nil, err
+	}
+	s := sweep{Shards: opt.Shards, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}
+	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	g := graph.FromEdges(1<<opt.Scale, p.Build(opt.Scale, opt.Seed), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true,
-	})
-	split := graph.Split(g, 256)
-	const root = 28
+	split := bfsApp.split(g)
 
 	machNodes := opt.Nodes
 	if opt.FailStop {
@@ -198,12 +134,8 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 			opt.Scale, g.N, g.NumEdges(), root, opt.Nodes, opt.DupProb),
 	}
 
-	type result struct {
-		dist      []uint64
-		rounds    int
-		traversed uint64
-	}
-	var golden *result
+	var golden *appOutput // the fault-free row's distances and traversed edges
+	var rounds int
 
 	rates := append([]float64{0}, opt.DropRates...)
 	for _, rate := range rates {
@@ -220,11 +152,7 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 				plan.FailStops = []fault.FailStop{{Node: machNodes - 1, At: tb.Rows[0].Cycles / 2}}
 			}
 		}
-		m, err := updown.New(updown.Config{
-			Arch: &ar, Shards: opt.Shards, MaxTime: opt.MaxTime,
-			Fault: plan, Resilience: &kvmsr.Resilience{},
-			Trace: traceConfig(opt.CritPath),
-		})
+		m, err := updown.New(s.config(updown.Config{Arch: &ar, Fault: plan, Resilience: &kvmsr.Resilience{}}))
 		if err != nil {
 			return nil, err
 		}
@@ -237,27 +165,21 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 			return nil, err
 		}
 		app.InitValues()
-		progressf(opt.Progress, "chaos-bfs drop=%.3g: running", rate)
+		progressf(s.Progress, "chaos-bfs drop=%.3g: running", rate)
 		wall := time.Now()
 		stats, err := app.Run()
 		if err != nil {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g: %w", rate, err)
 		}
-		progressf(opt.Progress, "chaos-bfs drop=%.3g: done in %.1fs", rate, time.Since(wall).Seconds())
-		res := &result{dist: app.Distances(), rounds: app.Rounds, traversed: app.Traversed}
+		progressf(s.Progress, "chaos-bfs drop=%.3g: done in %.1fs", rate, time.Since(wall).Seconds())
+		res := appOutput{dist: app.Distances(), work: float64(app.Traversed)}
 		if golden == nil {
-			golden = res
-		} else {
-			if res.rounds != golden.rounds || res.traversed != golden.traversed {
-				return nil, fmt.Errorf("chaos bfs drop=%.3g: rounds/traversed %d/%d, fault-free %d/%d",
-					rate, res.rounds, res.traversed, golden.rounds, golden.traversed)
-			}
-			for v := range golden.dist {
-				if res.dist[v] != golden.dist[v] {
-					return nil, fmt.Errorf("chaos bfs drop=%.3g: distance[%d] = %d, fault-free %d",
-						rate, v, res.dist[v], golden.dist[v])
-				}
-			}
+			golden, rounds = &res, app.Rounds
+		} else if app.Rounds != rounds || res.work != golden.work {
+			return nil, fmt.Errorf("chaos bfs drop=%.3g: rounds/traversed %d/%.0f, fault-free %d/%.0f",
+				rate, app.Rounds, res.work, rounds, golden.work)
+		} else if err := golden.diff(res); err != nil {
+			return nil, fmt.Errorf("chaos bfs drop=%.3g vs fault-free: %w", rate, err)
 		}
 		if out := app.Outstanding(); out != 0 {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g: %d emits unacked after quiescence", rate, out)
@@ -273,12 +195,10 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 			Retries:     rt.Retries,
 			DupDrops:    rt.DupDrops,
 			Rekicks:     rt.Rekicks,
+			CritPct:     critPct(m),
 		}
 		if len(tb.Rows) > 0 {
 			row.Recovery = row.Cycles - tb.Rows[0].Cycles
-		}
-		if m.Trace != nil && m.Trace.CausalOn() {
-			row.CritPct = m.Trace.CriticalPath().CritPct()
 		}
 		tb.Rows = append(tb.Rows, row)
 	}

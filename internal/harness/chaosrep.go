@@ -4,17 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"updown"
-	"updown/internal/apps/bfs"
-	"updown/internal/apps/pagerank"
-	"updown/internal/apps/tc"
 	"updown/internal/arch"
 	"updown/internal/fault"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
-	"updown/internal/metrics"
 )
 
 // ChaosRepOptions configures the replicated-memory chaos run: each
@@ -34,8 +29,6 @@ type ChaosRepOptions struct {
 	Scale int
 	// Rep is the replication factor k (>= 2).
 	Rep int
-	// Shards is the simulator host parallelism (0 = auto).
-	Shards int
 	// Seed drives the graph generator.
 	Seed uint64
 	// Spare backfills the victim's data onto the spare node instead of
@@ -43,29 +36,12 @@ type ChaosRepOptions struct {
 	Spare bool
 	// Apps selects workloads from bfs, pagerank, tc (default all three).
 	Apps []string
-	// MaxTime bounds simulated cycles per run.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// run (each workload runs twice: clean, then faulted).
+	// Shards, MaxTime and Progress are the shared sweep options (see
+	// sweep); each workload runs, and reports progress, twice: clean,
+	// then faulted.
+	Shards   int
+	MaxTime  arch.Cycles
 	Progress io.Writer
-}
-
-func (o *ChaosRepOptions) defaults() {
-	if o.Scale == 0 {
-		o.Scale = 10
-	}
-	if o.Rep == 0 {
-		o.Rep = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if len(o.Apps) == 0 {
-		o.Apps = []string{"bfs", "pagerank", "tc"}
-	}
-	if o.MaxTime == 0 {
-		o.MaxTime = 1 << 44
-	}
 }
 
 // Fixed topology of the replicated chaos run (see ChaosRepOptions).
@@ -114,56 +90,42 @@ type ChaosRepTable struct {
 	Notes    []string
 }
 
-// Format renders the table as aligned text.
-func (t *ChaosRepTable) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Replicated-memory chaos: mid-run fail-stop of a data node — %s\n", t.Workload)
-	fmt.Fprintf(&b, "%-10s %12s %12s %8s %12s %9s %10s %8s %7s %10s %9s %-22s %s\n",
-		"app", "clean-cyc", "fault-cyc", "tax%", "failstop@", "failover",
-		"fallback", "deadltr", "hints", "hint-words", "repaired", "repl", "match")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-10s %12d %12d %8.2f %12d %9d %10d %8d %7d %10d %9d %-22s %s\n",
-			r.App, r.CleanCycles, r.FaultCycles, r.TaxPct, r.FailStopAt,
-			r.Failovers, r.FallbackReads, r.DeadLetters, r.Hints, r.HintWords,
-			r.RepairedWords, r.Repl, r.Match)
+func (t *ChaosRepTable) render(markdown bool) string {
+	cols := []column[ChaosRepRow]{
+		{"app", "", -10, "s", func(r *ChaosRepRow) any { return r.App }},
+		{"clean-cyc", "clean cyc", 12, "d", func(r *ChaosRepRow) any { return r.CleanCycles }},
+		{"fault-cyc", "fault cyc", 12, "d", func(r *ChaosRepRow) any { return r.FaultCycles }},
+		{"tax%", "", 8, ".2f", func(r *ChaosRepRow) any { return r.TaxPct }},
+		{"failstop@", "", 12, "d", func(r *ChaosRepRow) any { return r.FailStopAt }},
+		{"failover", "failovers", 9, "d", func(r *ChaosRepRow) any { return r.Failovers }},
+		{"fallback", "fallback reads", 10, "d", func(r *ChaosRepRow) any { return r.FallbackReads }},
+		{"deadltr", "dead letters", 8, "d", func(r *ChaosRepRow) any { return r.DeadLetters }},
+		{"hints", "", 7, "d", func(r *ChaosRepRow) any { return r.Hints }},
+		{"hint-words", "hint words", 10, "d", func(r *ChaosRepRow) any { return r.HintWords }},
+		{"repaired", "", 9, "d", func(r *ChaosRepRow) any { return r.RepairedWords }},
+		{"repl", "", -22, "s", func(r *ChaosRepRow) any { return r.Repl }},
+		{"match", "", 0, "s", func(r *ChaosRepRow) any { return r.Match }},
 	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
+	return render(markdown, "Replicated-memory chaos: mid-run fail-stop of a data node — "+t.Workload, t.Rows, cols, t.Notes)
 }
 
+// Format renders the table as aligned text.
+func (t *ChaosRepTable) Format() string { return t.render(false) }
+
 // Markdown renders the table as a GitHub table (EXPERIMENTS.md).
-func (t *ChaosRepTable) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**Replicated-memory chaos: mid-run fail-stop of a data node — %s**\n\n", t.Workload)
-	b.WriteString("| app | clean cyc | fault cyc | tax% | failstop@ | failovers | fallback reads | dead letters | hints | hint words | repaired | repl | match |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %d | %d | %d | %d | %d | %d | %d | %s | %s |\n",
-			r.App, r.CleanCycles, r.FaultCycles, r.TaxPct, r.FailStopAt,
-			r.Failovers, r.FallbackReads, r.DeadLetters, r.Hints, r.HintWords,
-			r.RepairedWords, r.Repl, r.Match)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "\n*note: %s*\n", n)
-	}
-	return b.String()
-}
+func (t *ChaosRepTable) Markdown() string { return t.render(true) }
 
 // chaosRepOutcome is what one run of one workload produced.
 type chaosRepOutcome struct {
-	m       *updown.Machine
-	cycles  arch.Cycles
-	stats   updown.Stats
-	distU64 []uint64  // bfs distances
-	ranks   []float64 // pagerank values
-	total   uint64    // tc wedge-closure total
+	m      *updown.Machine
+	cycles arch.Cycles
+	stats  updown.Stats
+	out    appOutput
 }
 
 // chaosRepRun builds a machine and runs one workload on the fixed
 // replicated chaos topology. failAt == 0 means a fault-free run.
-func chaosRepRun(opt ChaosRepOptions, app string, failAt arch.Cycles) (*chaosRepOutcome, error) {
+func chaosRepRun(opt ChaosRepOptions, w *workload, failAt arch.Cycles) (*chaosRepOutcome, error) {
 	ar := arch.DefaultMachine(chaosRepMachNodes)
 	var plan *fault.Plan
 	if failAt > 0 {
@@ -172,72 +134,22 @@ func chaosRepRun(opt ChaosRepOptions, app string, failAt arch.Cycles) (*chaosRep
 	// The metrics recorder rides along so the run's profile carries the
 	// replication counters (repl: line / Summary fields) the table's repl
 	// column is read from.
-	m, err := updown.New(updown.Config{
-		Arch: &ar, Shards: opt.Shards, MaxTime: opt.MaxTime,
-		Fault: plan, Replication: opt.Rep, Resilience: &kvmsr.Resilience{},
-		Metrics: &metrics.Options{},
-	})
+	s := sweep{Shards: opt.Shards, MaxTime: opt.MaxTime, Profile: true}
+	m, err := updown.New(s.config(updown.Config{Arch: &ar, Fault: plan, Replication: opt.Rep, Resilience: &kvmsr.Resilience{}}))
 	if err != nil {
 		return nil, err
 	}
-	appLanes := kvmsr.LaneSet{First: 0, Count: chaosRepAppNodes * ar.LanesPerNode()}
 	// 4 KiB blocks (not the 32 KiB default) so chaos-scale graphs still
 	// stripe across all four data nodes — the victim must carry data.
-	pl := graph.Placement{FirstNode: 0, NRNodes: chaosRepDataNodes, BlockBytes: 4 << 10}
-	p, err := graph.PresetByName("rmat")
+	r, err := w.start(m, graph.Placement{FirstNode: 0, NRNodes: chaosRepDataNodes, BlockBytes: 4 << 10})
 	if err != nil {
 		return nil, err
 	}
-	g := graph.FromEdges(1<<opt.Scale, p.Build(opt.Scale, opt.Seed), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true,
-	})
-	out := &chaosRepOutcome{m: m}
-	switch app {
-	case "bfs":
-		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 256), pl)
-		if err != nil {
-			return nil, err
-		}
-		a, err := bfs.New(m, dg, bfs.Config{Root: 28, Lanes: appLanes})
-		if err != nil {
-			return nil, err
-		}
-		a.InitValues()
-		if out.stats, err = a.Run(); err != nil {
-			return nil, err
-		}
-		out.distU64, out.cycles = a.Distances(), a.Elapsed()
-	case "pagerank":
-		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 256), pl)
-		if err != nil {
-			return nil, err
-		}
-		a, err := pagerank.New(m, dg, pagerank.Config{Iterations: 1, Lanes: appLanes})
-		if err != nil {
-			return nil, err
-		}
-		a.InitValues()
-		if out.stats, err = a.Run(); err != nil {
-			return nil, err
-		}
-		out.ranks, out.cycles = a.Values(), a.Elapsed()
-	case "tc":
-		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 0), pl)
-		if err != nil {
-			return nil, err
-		}
-		a, err := tc.New(m, dg, tc.Config{Lanes: appLanes})
-		if err != nil {
-			return nil, err
-		}
-		if out.stats, err = a.Run(); err != nil {
-			return nil, err
-		}
-		out.total, out.cycles = a.Total(), a.Elapsed()
-	default:
-		return nil, fmt.Errorf("chaosrep: unknown app %q", app)
+	stats, err := r.run()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &chaosRepOutcome{m: m, cycles: r.elapsed(), stats: stats, out: r.output()}, nil
 }
 
 // chaosRepMatch compares a faulted run's output against the fault-free
@@ -247,38 +159,26 @@ func chaosRepRun(opt ChaosRepOptions, app string, failAt arch.Cycles) (*chaosRep
 // sums depend on arrival order, which the failover's extra hop shifts,
 // so ranks are compared to a tight relative epsilon and reported
 // bit-exact when they happen to agree.
-func chaosRepMatch(app string, clean, faulted *chaosRepOutcome) (string, error) {
-	switch app {
-	case "bfs":
-		for v := range clean.distU64 {
-			if faulted.distU64[v] != clean.distU64[v] {
-				return "", fmt.Errorf("bfs: distance[%d] = %d, fault-free %d", v, faulted.distU64[v], clean.distU64[v])
-			}
+func chaosRepMatch(clean, faulted appOutput) (string, error) {
+	for v, c := range clean.dist {
+		if faulted.dist[v] != c {
+			return "", fmt.Errorf("bfs: distance[%d] = %d, fault-free %d", v, faulted.dist[v], c)
 		}
-		return "bit-exact", nil
-	case "tc":
-		if faulted.total != clean.total {
-			return "", fmt.Errorf("tc: total = %d, fault-free %d", faulted.total, clean.total)
-		}
-		return "bit-exact", nil
-	case "pagerank":
-		const eps = 1e-9
-		exact := true
-		for v := range clean.ranks {
-			c, f := clean.ranks[v], faulted.ranks[v]
-			if c != f {
-				exact = false
-				if d := math.Abs(c - f); d > eps*math.Max(math.Abs(c), 1) {
-					return "", fmt.Errorf("pagerank: rank[%d] = %g, fault-free %g (rel %g)", v, f, c, d/math.Max(math.Abs(c), 1))
-				}
-			}
-		}
-		if exact {
-			return "bit-exact", nil
-		}
-		return fmt.Sprintf("rel<=%.0e", eps), nil
 	}
-	return "", fmt.Errorf("chaosrep: unknown app %q", app)
+	if faulted.total != clean.total {
+		return "", fmt.Errorf("tc: total = %d, fault-free %d", faulted.total, clean.total)
+	}
+	const eps = 1e-9
+	verdict := "bit-exact"
+	for v, c := range clean.ranks {
+		if f := faulted.ranks[v]; c != f {
+			verdict = fmt.Sprintf("rel<=%.0e", eps)
+			if d := math.Abs(c - f); d > eps*math.Max(math.Abs(c), 1) {
+				return "", fmt.Errorf("pagerank: rank[%d] = %g, fault-free %g (rel %g)", v, f, c, d/math.Max(math.Abs(c), 1))
+			}
+		}
+	}
+	return verdict, nil
 }
 
 // ChaosReplicated runs each selected workload fault-free and with the
@@ -286,31 +186,56 @@ func chaosRepMatch(app string, clean, faulted *chaosRepOutcome) (string, error) 
 // zero data loss, then backfills the victim (in place, or onto the spare
 // node) and verifies the replicas converge.
 func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
-	opt.defaults()
+	orDefault(&opt.Scale, 10)
+	orDefault(&opt.Rep, 2)
+	orDefault(&opt.Seed, 42)
+	orDefaultList(&opt.Apps, "bfs", "pagerank", "tc")
 	if opt.Rep < 2 {
 		return nil, fmt.Errorf("chaosrep: replication factor %d, need >= 2 to survive a fail-stop", opt.Rep)
 	}
-	heal := "in place"
+	if err := validate(opt.Scale, paperRoot); err != nil {
+		return nil, err
+	}
+	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
+	if err != nil {
+		return nil, err
+	}
+	lanes := chaosRepAppNodes * arch.DefaultMachine(chaosRepMachNodes).LanesPerNode()
+	cfg := appConfig{lanes: kvmsr.LaneSet{First: 0, Count: lanes}, root: paperRoot, iters: 1}
+	// spare is Backfill's destination (-1 = heal the victim in place);
+	// target is whichever node then holds the victim's stripes.
+	heal, spare, target := "in place", -1, chaosRepVictim
 	if opt.Spare {
-		heal = fmt.Sprintf("onto spare node %d", chaosRepSpare)
+		heal, spare, target = fmt.Sprintf("onto spare node %d", chaosRepSpare), chaosRepSpare, chaosRepSpare
 	}
 	tb := &ChaosRepTable{
 		Workload: fmt.Sprintf("rmat s%d, k=%d, %d data nodes, lanes on %d, victim node %d, healed %s",
 			opt.Scale, opt.Rep, chaosRepDataNodes, chaosRepAppNodes, chaosRepVictim, heal),
 	}
 	for _, app := range opt.Apps {
+		a := graphApps[app]
+		if a == nil {
+			return nil, fmt.Errorf("chaosrep: unknown app %q", app)
+		}
+		split := a.split
+		if a == prApp {
+			// This run keeps PageRank on the plain 256 cap rather than the
+			// Fig. 9 spread split; its recorded cycle counts depend on it.
+			split = bfsApp.split
+		}
+		w := &workload{app: a, g: g, split: split(g), cfg: cfg}
 		progressf(opt.Progress, "chaosrep %s: clean run", app)
-		clean, err := chaosRepRun(opt, app, 0)
+		clean, err := chaosRepRun(opt, w, 0)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s clean: %w", app, err)
 		}
 		failAt := clean.cycles / 2
 		progressf(opt.Progress, "chaosrep %s: faulted run (fail-stop node %d at cycle %d)", app, chaosRepVictim, failAt)
-		faulted, err := chaosRepRun(opt, app, failAt)
+		faulted, err := chaosRepRun(opt, w, failAt)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s failstop@%d: %w", app, failAt, err)
 		}
-		match, err := chaosRepMatch(app, clean, faulted)
+		match, err := chaosRepMatch(clean.out, faulted.out)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s failstop@%d: %w", app, failAt, err)
 		}
@@ -329,28 +254,20 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 			return nil, fmt.Errorf("chaosrep %s: profile fallback-reads %d != controller sum %d", app, ps.FallbackReads, fallback)
 		}
 		repl := fmt.Sprintf("fo=%d fb=%d hq=%d", ps.Failovers, ps.FallbackReads, ps.HintsQueued)
-		spare := -1
-		if opt.Spare {
-			spare = chaosRepSpare
-		}
 		bf, err := faulted.m.Backfill(chaosRepVictim, spare)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s backfill: %w", app, err)
 		}
 		// Whichever node now holds the victim's stripes, a second
 		// anti-entropy pass must find nothing left to fix.
-		target := chaosRepVictim
-		if opt.Spare {
-			target = chaosRepSpare
-		}
 		if w := faulted.m.GAS.Repair(target); w != 0 {
 			return nil, fmt.Errorf("chaosrep %s: %d words still divergent after backfill", app, w)
 		}
 		row := ChaosRepRow{
 			App: app, CleanCycles: clean.cycles, FaultCycles: faulted.cycles,
-			TaxPct:     100 * (float64(faulted.cycles)/float64(clean.cycles) - 1),
-			FailStopAt: failAt,
-			Failovers:  faulted.stats.Faults.Failovers,
+			TaxPct:      100 * (float64(faulted.cycles)/float64(clean.cycles) - 1),
+			FailStopAt:  failAt,
+			Failovers:   faulted.stats.Faults.Failovers,
 			DeadLetters: faulted.stats.Faults.DeadLetters, FallbackReads: fallback,
 			Hints: bf.Hints, HintWords: bf.HintWords, RepairedWords: bf.RepairedWords,
 			Repl:  repl,

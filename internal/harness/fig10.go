@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
+	"strconv"
 
 	"updown"
 	"updown/internal/apps/ingest"
@@ -23,50 +23,36 @@ type Fig10Options struct {
 	Nodes []int
 	// BlockBytes is the parallel-file block size.
 	BlockBytes int
-	// Seed drives the CSV generator; Shards the host parallelism.
-	Seed   uint64
-	Shards int
-	// Profile enables the metrics recorder and the utilization columns.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// Coalesce opts the run into the coalescing shuffle. Both ingestion
-	// phases are map-only, so this is a pass-through that leaves the run
+	// Seed drives the CSV generator.
+	Seed uint64
+	// Shards, Profile, CritPath, Coalesce, MaxTime and Progress are the
+	// shared sweep options (see sweep). Both ingestion phases are
+	// map-only, so Coalesce is a pass-through that leaves the run
 	// unchanged; it exists so a fig10 sweep can assert exactly that.
-	Coalesce bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
+	Shards                      int
+	Profile, CritPath, Coalesce bool
+	MaxTime                     arch.Cycles
+	Progress                    io.Writer
 }
 
 // Fig10Ingestion regenerates Figure 10 / Table 11: TFORM+KVMSR ingestion
 // throughput scaling. The metric is mega-records per second of parse plus
 // graph insertion.
 func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
-	if opt.BaseRecords == 0 {
-		opt.BaseRecords = 10000
+	orDefault(&opt.BaseRecords, 10000)
+	orDefaultList(&opt.Multipliers, 0.1, 1, 2)
+	orDefaultList(&opt.Nodes, 1, 2, 4, 8)
+	orDefault(&opt.BlockBytes, 512)
+	orDefault(&opt.Seed, 7)
+	if err := validate(0, 0, positive("records", opt.BaseRecords), positive("mults", opt.Multipliers...),
+		positive("nodes", opt.Nodes...), positive("block", opt.BlockBytes)); err != nil {
+		return nil, err
 	}
-	if len(opt.Multipliers) == 0 {
-		opt.Multipliers = []float64{0.1, 1, 2}
-	}
-	if len(opt.Nodes) == 0 {
-		opt.Nodes = []int{1, 2, 4, 8}
-	}
-	if opt.BlockBytes == 0 {
-		opt.BlockBytes = 512
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 7
-	}
+	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, Coalesce: opt.Coalesce,
+		MaxTime: opt.MaxTime, Progress: opt.Progress, shuffle: true}
 	var tables []*Table
 	for _, mult := range opt.Multipliers {
-		n := int(float64(opt.BaseRecords) * mult)
-		if n < 1 {
-			n = 1
-		}
+		n := max(int(float64(opt.BaseRecords)*mult), 1)
 		data, _ := tform.GenCSV(n, 1<<24, 8, opt.Seed)
 		tb := &Table{
 			Title:      "Figure 10 / Table 11: Ingestion (TFORM + graph insert)",
@@ -74,48 +60,22 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 			MetricName: "MRec/s",
 		}
 		for _, nodes := range opt.Nodes {
-			maxTime := opt.MaxTime
-			if maxTime == 0 {
-				maxTime = 1 << 44
-			}
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
+			_, err := s.runPoint(tb, fmt.Sprintf("fig10 data=%gx", mult), fmt.Sprintf("nodes=%d", nodes), updown.Config{Nodes: nodes},
+				func(m *updown.Machine) (func() (updown.Stats, error), func() (Row, error), error) {
+					app, err := ingest.New(m, data, ingest.Config{BlockBytes: opt.BlockBytes})
+					if err != nil {
+						return nil, nil, err
+					}
+					return app.Run, func() (Row, error) {
+						if app.Records != uint64(n) {
+							return Row{}, fmt.Errorf("parsed %d records, want %d", app.Records, n)
+						}
+						return rateRow(m, strconv.Itoa(nodes), app.Elapsed(), float64(n), 1e6), nil
+					}, nil
+				})
 			if err != nil {
 				return nil, err
 			}
-			app, err := ingest.New(m, data, ingest.Config{BlockBytes: opt.BlockBytes})
-			if err != nil {
-				return nil, err
-			}
-			progressf(opt.Progress, "fig10 data=%gx nodes=%d: running", mult, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig10 data=%gx nodes=%d: timed out, skipped", mult, nodes)
-					continue
-				}
-				return nil, fmt.Errorf("fig10 %gx nodes=%d: %w", mult, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig10 data=%gx nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				mult, nodes, time.Since(wall).Seconds(), hostRate)
-			if app.Records != uint64(n) {
-				return nil, fmt.Errorf("fig10 %gx nodes=%d: parsed %d records, want %d", mult, nodes, app.Records, n)
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(n) / sec / 1e6,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
 		}
 		tb.FillSpeedups()
 		tb.Notes = append(tb.Notes, "record counts validated at every configuration")
@@ -134,17 +94,12 @@ type Fig11Options struct {
 	// 1 and 4 nodes correspond to 256, 1024, 2048 and 8192 lanes.
 	LaneCounts []int
 	Seed       uint64
-	Shards     int
-	// Profile enables the metrics recorder and the utilization columns.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
+	// Shards, Profile, CritPath, MaxTime (default 1<<46) and Progress are
+	// the shared sweep options (see sweep).
+	Shards            int
+	Profile, CritPath bool
+	MaxTime           arch.Cycles
+	Progress          io.Writer
 }
 
 // Fig11PartialMatch regenerates Figure 11 / Table 12: streaming query
@@ -152,28 +107,24 @@ type Fig11Options struct {
 // arrival-to-decision latency in microseconds; speedup is the latency
 // reduction relative to the smallest configuration.
 func Fig11PartialMatch(opt Fig11Options) (*Table, error) {
-	if opt.Records == 0 {
-		opt.Records = 1500
+	orDefault(&opt.Records, 1500)
+	orDefault(&opt.Interarrival, 8)
+	// The paper's 1/8-to-4-node sweep relies on the stream
+	// saturating the small configurations; at reduced record
+	// counts that regime lives below one node.
+	orDefaultList(&opt.LaneCounts, 32, 128, 512, 2048)
+	orDefault(&opt.Seed, 11)
+	orDefault(&opt.MaxTime, 1<<46)
+	if err := validate(0, 0, positive("records", opt.Records), positive("lanes", opt.LaneCounts...)); err != nil {
+		return nil, err
 	}
-	if opt.Interarrival == 0 {
-		opt.Interarrival = 8
-	}
-	if len(opt.LaneCounts) == 0 {
-		// The paper's 1/8-to-4-node sweep relies on the stream
-		// saturating the small configurations; at reduced record
-		// counts that regime lives below one node.
-		opt.LaneCounts = []int{32, 128, 512, 2048}
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 11
-	}
+	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}
 	_, records := tform.GenCSV(opt.Records, 4096, 4, opt.Seed)
 	patterns := []match.Pattern{
 		{Types: []uint64{0, 1}},
 		{Types: []uint64{1, 2, 3}},
 		{Types: []uint64{2, 2}},
 	}
-	want := match.Oracle(records, patterns)
 	tb := &Table{
 		Title:      "Figure 11 / Table 12: Partial match latency",
 		Workload:   fmt.Sprintf("%d streamed records, 3 patterns, interarrival %d cycles", opt.Records, opt.Interarrival),
@@ -181,58 +132,36 @@ func Fig11PartialMatch(opt Fig11Options) (*Table, error) {
 	}
 	var baseLat float64
 	for _, lanes := range opt.LaneCounts {
-		nodes := (lanes + 2047) / 2048
-		maxTime := opt.MaxTime
-		if maxTime == 0 {
-			maxTime = 1 << 46
-		}
-		m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-			MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-			Trace: traceConfig(opt.CritPath)})
+		_, err := s.runPoint(tb, "fig11", fmt.Sprintf("lanes=%d", lanes), updown.Config{Nodes: (lanes + 2047) / 2048},
+			func(m *updown.Machine) (func() (updown.Stats, error), func() (Row, error), error) {
+				app, err := match.New(m, records, patterns, match.Config{
+					Lanes:        kvmsr.LaneSet{First: 0, Count: lanes},
+					Interarrival: opt.Interarrival,
+				})
+				if err != nil {
+					return nil, nil, err
+				}
+				return app.Run, func() (Row, error) {
+					if app.Processed() != uint64(opt.Records) {
+						return Row{}, fmt.Errorf("processed %d of %d", app.Processed(), opt.Records)
+					}
+					// The mean latency is a fractional cycle count, so it is
+					// converted at the machine clock directly rather than
+					// through Machine.Seconds' whole cycles.
+					lat := app.AvgLatency()
+					sec := lat / m.Arch.ClockHz
+					if baseLat == 0 {
+						baseLat = lat
+					}
+					return Row{Label: fmt.Sprintf("%d lanes", lanes), Cycles: arch.Cycles(lat),
+						Seconds: sec, Speedup: baseLat / lat, Metric: sec * 1e6}, nil
+				}, nil
+			})
 		if err != nil {
 			return nil, err
 		}
-		app, err := match.New(m, records, patterns, match.Config{
-			Lanes:        kvmsr.LaneSet{First: 0, Count: lanes},
-			Interarrival: opt.Interarrival,
-		})
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig11 lanes=%d: running", lanes)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(tb, fmt.Sprintf("lanes=%d", lanes), err) {
-				progressf(opt.Progress, "fig11 lanes=%d: timed out, skipped", lanes)
-				continue
-			}
-			return nil, fmt.Errorf("fig11 lanes=%d: %w", lanes, err)
-		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig11 lanes=%d: done in %.1fs (%.2f host-Mev/s)",
-			lanes, time.Since(wall).Seconds(), hostRate)
-		if app.Processed() != uint64(opt.Records) {
-			return nil, fmt.Errorf("fig11 lanes=%d: processed %d of %d", lanes, app.Processed(), opt.Records)
-		}
-		lat := app.AvgLatency()
-		if baseLat == 0 {
-			baseLat = lat
-		}
-		row := Row{
-			Label:    fmt.Sprintf("%d lanes", lanes),
-			Cycles:   arch.Cycles(lat),
-			Seconds:  lat / 2e9,
-			Speedup:  baseLat / lat,
-			Metric:   lat / 2e9 * 1e6,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		tb.Rows = append(tb.Rows, row)
-		_ = want
 	}
-	tb.Notes = append(tb.Notes,
-		fmt.Sprintf("sequential oracle expects %d matches; racing streams may detect fewer (incremental semantics)", want))
+	tb.Notes = append(tb.Notes, fmt.Sprintf("sequential oracle expects %d matches; racing streams may detect fewer (incremental semantics)",
+		match.Oracle(records, patterns)))
 	return tb, nil
 }

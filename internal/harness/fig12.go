@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"updown"
-	"updown/internal/apps/bfs"
-	"updown/internal/apps/pagerank"
 	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
@@ -27,16 +24,6 @@ type Fig12Options struct {
 	// 4700 with a large Scale for the true parameter.
 	DRAMBytesPerCycle int
 	Seed              uint64
-	Shards            int
-	// Profile enables the metrics recorder and the utilization columns —
-	// on this sweep the DRAM% column is the direct readout of the
-	// bandwidth knee the figure is about.
-	Profile bool
-	// CritPath enables causal tracing and the crit% column.
-	CritPath bool
-	// MaxTime bounds simulated cycles per configuration (0 = default);
-	// timed-out configurations become table notes, not sweep failures.
-	MaxTime arch.Cycles
 	// Reps, when non-empty, appends the replication extension: with the
 	// memory-node count fixed at the largest swept value, every DRAMmalloc
 	// is repeated at each listed replication factor and the tables gain
@@ -44,9 +31,13 @@ type Fig12Options struct {
 	// multiple over k=1) columns — the price of the self-healing placement
 	// when nothing fails. A leading 1 is implied; it is the baseline row.
 	Reps []int
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run.
-	Progress io.Writer
+	// Shards, Profile, CritPath, MaxTime and Progress are the shared sweep
+	// options (see sweep) — on this sweep the dram% column Profile adds is
+	// the direct readout of the bandwidth knee the figure is about.
+	Shards            int
+	Profile, CritPath bool
+	MaxTime           arch.Cycles
+	Progress          io.Writer
 }
 
 // Fig12Placement regenerates Figure 12: the performance impact of the
@@ -55,150 +46,58 @@ type Fig12Options struct {
 // changes between rows — "only a single number was changed in a
 // DRAMmalloc() call".
 func Fig12Placement(opt Fig12Options) ([]*Table, error) {
-	if opt.ComputeNodes == 0 {
-		opt.ComputeNodes = 16
+	orDefault(&opt.ComputeNodes, 16)
+	orDefaultList(&opt.MemNodes, 1, 2, 4, 8, 16)
+	orDefault(&opt.Scale, 14)
+	orDefault(&opt.DRAMBytesPerCycle, 100)
+	orDefault(&opt.Seed, 42)
+	if err := validate(opt.Scale, paperRoot, positive("compute", opt.ComputeNodes), positive("mem", opt.MemNodes...),
+		positive("dram-bw", opt.DRAMBytesPerCycle), positive("reps", opt.Reps...)); err != nil {
+		return nil, err
 	}
-	if len(opt.MemNodes) == 0 {
-		opt.MemNodes = []int{1, 2, 4, 8, 16}
-	}
-	if opt.Scale == 0 {
-		opt.Scale = 14
-	}
-	if opt.DRAMBytesPerCycle == 0 {
-		opt.DRAMBytesPerCycle = 100
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 42
-	}
+	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}
 	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	prSplit := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 64, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
-	bfsSplit := graph.Split(g, 256)
-
-	maxTime := opt.MaxTime
-	if maxTime == 0 {
-		maxTime = 1 << 44
+	ar := arch.DefaultMachine(opt.ComputeNodes)
+	ar.DRAMBytesPerCycle = opt.DRAMBytesPerCycle
+	place := func(mem int) graph.Placement {
+		return graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10}
 	}
-	machine := func() (*updown.Machine, error) {
-		a := arch.DefaultMachine(opt.ComputeNodes)
-		a.DRAMBytesPerCycle = opt.DRAMBytesPerCycle
-		return updown.New(updown.Config{Arch: &a, Shards: opt.Shards,
-			MaxTime: maxTime, Metrics: metricsConfig(opt.Profile),
-			Trace: traceConfig(opt.CritPath)})
+	workloads := []*workload{
+		prApp.workload(g, appConfig{iters: 1}, false),
+		bfsApp.workload(g, appConfig{root: paperRoot}, false),
 	}
 
-	prT := &Table{
-		Title:      "Figure 12: DRAMmalloc NRnodes sweep (PageRank, graph placement)",
-		Workload:   fmt.Sprintf("rmat s%d, %d compute nodes, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, opt.DRAMBytesPerCycle),
-		MetricName: "GUPS",
-	}
-	for _, mem := range opt.MemNodes {
-		m, err := machine()
-		if err != nil {
-			return nil, err
+	var tables []*Table
+	for _, w := range workloads {
+		tb := &Table{
+			Title:      fmt.Sprintf("Figure 12: DRAMmalloc NRnodes sweep (%s, graph placement)", w.app.long),
+			Workload:   fmt.Sprintf("rmat s%d, %d compute nodes, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, opt.DRAMBytesPerCycle),
+			MetricName: w.app.metric,
 		}
-		dg, err := graph.LoadToGAS(m.GAS, prSplit, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-		if err != nil {
-			return nil, err
-		}
-		app, err := pagerankNew(m, dg)
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig12-pr mem=%d: running", mem)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(prT, fmt.Sprintf("mem=%d", mem), err) {
-				progressf(opt.Progress, "fig12-pr mem=%d: timed out, skipped", mem)
-				continue
+		for _, mem := range opt.MemNodes {
+			point := fmt.Sprintf("mem=%d", mem)
+			if _, err := s.graphPoint(tb, w, "fig12-"+w.app.name, point, point, updown.Config{Arch: &ar}, place(mem)); err != nil {
+				return nil, err
 			}
-			return nil, fmt.Errorf("fig12 pr mem=%d: %w", mem, err)
 		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig12-pr mem=%d: done in %.1fs (%.2f host-Mev/s)",
-			mem, time.Since(wall).Seconds(), hostRate)
-		sec := m.Seconds(app.Elapsed())
-		row := Row{
-			Label:    fmt.Sprintf("mem=%d", mem),
-			Cycles:   app.Elapsed(),
-			Seconds:  sec,
-			Metric:   float64(g.NumEdges()) / sec / 1e9,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		prT.Rows = append(prT.Rows, row)
+		tb.FillSpeedups()
+		tb.Notes = append(tb.Notes,
+			"per-node bandwidth reduced to keep the reduced-scale graph memory-bound, matching the paper's s28 operating point")
+		tables = append(tables, tb)
 	}
-	prT.FillSpeedups()
+	if len(opt.Reps) == 0 {
+		return tables, nil
+	}
 
-	bfsT := &Table{
-		Title:      "Figure 12: DRAMmalloc NRnodes sweep (BFS, graph placement)",
-		Workload:   prT.Workload,
-		MetricName: "GTEPS",
-	}
-	for _, mem := range opt.MemNodes {
-		m, err := machine()
-		if err != nil {
-			return nil, err
-		}
-		dg, err := graph.LoadToGAS(m.GAS, bfsSplit, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-		if err != nil {
-			return nil, err
-		}
-		app, err := bfsNew(m, dg)
-		if err != nil {
-			return nil, err
-		}
-		progressf(opt.Progress, "fig12-bfs mem=%d: running", mem)
-		wall := time.Now()
-		stats, err := app.Run()
-		if err != nil {
-			if noteTimeout(bfsT, fmt.Sprintf("mem=%d", mem), err) {
-				progressf(opt.Progress, "fig12-bfs mem=%d: timed out, skipped", mem)
-				continue
-			}
-			return nil, fmt.Errorf("fig12 bfs mem=%d: %w", mem, err)
-		}
-		hostRate := hostMevS(stats.Events, time.Since(wall))
-		progressf(opt.Progress, "fig12-bfs mem=%d: done in %.1fs (%.2f host-Mev/s)",
-			mem, time.Since(wall).Seconds(), hostRate)
-		sec := m.Seconds(app.Elapsed())
-		row := Row{
-			Label:    fmt.Sprintf("mem=%d", mem),
-			Cycles:   app.Elapsed(),
-			Seconds:  sec,
-			Metric:   float64(app.Traversed) / sec / 1e9,
-			HostMevS: hostRate,
-		}
-		fillUtilization(&row, m)
-		fillCritPct(&row, m)
-		bfsT.Rows = append(bfsT.Rows, row)
-	}
-	bfsT.FillSpeedups()
-	note := "per-node bandwidth reduced to keep the reduced-scale graph memory-bound, matching the paper's s28 operating point"
-	prT.Notes = append(prT.Notes, note)
-	bfsT.Notes = append(bfsT.Notes, note)
-	tables := []*Table{prT, bfsT}
-	if len(opt.Reps) > 0 {
-		rt, err := fig12ReplicationTax(opt, g, prSplit, bfsSplit, maxTime)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, rt...)
-	}
-	return tables, nil
-}
-
-// fig12ReplicationTax runs the replication extension of the placement
-// sweep: the memory-node count is pinned at the largest swept value and
-// only the machine's replication factor changes between rows, so the
-// cycle and DRAM-byte deltas are the pure cost of fanning every global
-// write out to k replicas. Metrics are forced on — the dramx column is
-// the point of the table.
-func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *graph.SplitGraph, maxTime arch.Cycles) ([]*Table, error) {
+	// The replication extension: the memory-node count is pinned at the
+	// largest swept value and only the machine's replication factor changes
+	// between rows, so the cycle and DRAM-byte deltas are the pure cost of
+	// fanning every global write out to k replicas. Metrics are forced on —
+	// the dramx column is the point of the table.
+	s.Profile = true
 	mem := opt.MemNodes[len(opt.MemNodes)-1]
 	reps := []int{1}
 	for _, k := range opt.Reps {
@@ -209,84 +108,34 @@ func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *gr
 	if mx := gasmem.FloorPow2(mem); reps[len(reps)-1] > mx {
 		return nil, fmt.Errorf("fig12: replication factor %d exceeds the %d-node placement", reps[len(reps)-1], mx)
 	}
-	machine := func(k int) (*updown.Machine, error) {
-		a := arch.DefaultMachine(opt.ComputeNodes)
-		a.DRAMBytesPerCycle = opt.DRAMBytesPerCycle
-		return updown.New(updown.Config{Arch: &a, Shards: opt.Shards,
-			MaxTime: maxTime, Replication: k, Metrics: metricsConfig(true),
-			Trace: traceConfig(opt.CritPath)})
-	}
-	workload := fmt.Sprintf("rmat s%d, %d compute nodes, mem=%d, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, mem, opt.DRAMBytesPerCycle)
-	var tables []*Table
-	for _, app := range []string{"pr", "bfs"} {
-		tb := &Table{MetricName: "GUPS"}
-		split := prSplit
-		if app == "bfs" {
-			tb.MetricName = "GTEPS"
-			split = bfsSplit
+	for _, w := range workloads {
+		tb := &Table{
+			Title:      fmt.Sprintf("Figure 12 extension: replication tax (%s, k-way replicated placement)", w.app.long),
+			Workload:   fmt.Sprintf("rmat s%d, %d compute nodes, mem=%d, DRAM %dB/cycle/node", opt.Scale, opt.ComputeNodes, mem, opt.DRAMBytesPerCycle),
+			MetricName: w.app.metric,
 		}
-		tb.Title = fmt.Sprintf("Figure 12 extension: replication tax (%s, k-way replicated placement)", map[string]string{"pr": "PageRank", "bfs": "BFS"}[app])
-		tb.Workload = workload
-		var dramBytes []int64
+		var dramBytes []float64
 		for _, k := range reps {
-			m, err := machine(k)
+			point := fmt.Sprintf("k=%d", k)
+			m, err := s.graphPoint(tb, w, "fig12-rep "+w.app.name, point, point, updown.Config{Arch: &ar, Replication: k}, place(mem))
 			if err != nil {
 				return nil, err
 			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10})
-			if err != nil {
-				return nil, err
+			if m == nil { // every row is relative to k=1, so a skipped one voids the table
+				return nil, fmt.Errorf("fig12-rep %s %s: %s", w.app.name, point, tb.Notes[len(tb.Notes)-1])
 			}
-			progressf(opt.Progress, "fig12-rep %s k=%d: running", app, k)
-			wall := time.Now()
-			var elapsed arch.Cycles
-			var metric float64
-			var stats updown.Stats
-			if app == "pr" {
-				a, err := pagerankNew(m, dg)
-				if err != nil {
-					return nil, err
-				}
-				if stats, err = a.Run(); err != nil {
-					return nil, fmt.Errorf("fig12 replication %s k=%d: %w", app, k, err)
-				}
-				elapsed = a.Elapsed()
-				metric = float64(g.NumEdges()) / m.Seconds(elapsed) / 1e9
-			} else {
-				a, err := bfsNew(m, dg)
-				if err != nil {
-					return nil, err
-				}
-				if stats, err = a.Run(); err != nil {
-					return nil, fmt.Errorf("fig12 replication %s k=%d: %w", app, k, err)
-				}
-				elapsed = a.Elapsed()
-				metric = float64(a.Traversed) / m.Seconds(elapsed) / 1e9
-			}
-			progressf(opt.Progress, "fig12-rep %s k=%d: done in %.1fs", app, k, time.Since(wall).Seconds())
 			var bytes int64
 			prof := m.Metrics.Profile()
 			for n := range prof.Nodes {
 				bytes += prof.Nodes[n].Totals().DRAMBytes
 			}
-			dramBytes = append(dramBytes, bytes)
-			row := Row{
-				Label:    fmt.Sprintf("k=%d", k),
-				Cycles:   elapsed,
-				Seconds:  m.Seconds(elapsed),
-				Metric:   metric,
-				HostMevS: hostMevS(stats.Events, time.Since(wall)),
-			}
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
+			dramBytes = append(dramBytes, float64(bytes))
 		}
 		tb.FillSpeedups()
-		base := tb.Rows[0]
 		for i := range tb.Rows {
-			tb.Rows[i].TaxPct = 100 * (float64(tb.Rows[i].Cycles)/float64(base.Cycles) - 1)
+			tb.Rows[i].TaxPct = 100 * (float64(tb.Rows[i].Cycles)/float64(tb.Rows[0].Cycles) - 1)
 			if dramBytes[0] > 0 {
-				tb.Rows[i].DRAMx = float64(dramBytes[i]) / float64(dramBytes[0])
+				tb.Rows[i].DRAMx = dramBytes[i] / dramBytes[0]
 			}
 		}
 		tb.Notes = append(tb.Notes,
@@ -294,22 +143,4 @@ func fig12ReplicationTax(opt Fig12Options, g *graph.Graph, prSplit, bfsSplit *gr
 		tables = append(tables, tb)
 	}
 	return tables, nil
-}
-
-func pagerankNew(m *updown.Machine, dg *graph.DeviceGraph) (*pagerank.App, error) {
-	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: 1})
-	if err != nil {
-		return nil, err
-	}
-	app.InitValues()
-	return app, nil
-}
-
-func bfsNew(m *updown.Machine, dg *graph.DeviceGraph) (*bfs.App, error) {
-	app, err := bfs.New(m, dg, bfs.Config{Root: 28})
-	if err != nil {
-		return nil, err
-	}
-	app.InitValues()
-	return app, nil
 }

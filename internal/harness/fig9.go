@@ -3,15 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
-	"time"
+	"strconv"
 
 	"updown"
-	"updown/internal/apps/bfs"
-	"updown/internal/apps/pagerank"
-	"updown/internal/apps/tc"
 	"updown/internal/arch"
-	"updown/internal/baseline"
 	"updown/internal/graph"
 )
 
@@ -26,328 +21,83 @@ type Fig9Options struct {
 	Presets []string
 	// Seed drives the generators.
 	Seed uint64
-	// Shards is the simulator host parallelism (0 = auto).
-	Shards int
 	// Iterations for PageRank.
 	Iterations int
 	// Validate cross-checks every run against the host baseline.
 	Validate bool
-	// Profile enables the metrics recorder and fills the utilization
-	// columns (imbalance, DRAM%, inj%) of every row.
-	Profile bool
-	// CritPath enables causal tracing and fills the crit% column of every
-	// row (critical-path length over makespan).
-	CritPath bool
-	// Coalesce opts every row into the coalescing shuffle (multi-tuple
-	// packed messages); the msgs and tup/msg columns show the traffic.
-	Coalesce bool
 	// Combine additionally installs the application's combiner (PageRank:
 	// float add; TC: keep-first). Requires Coalesce; BFS ignores it.
 	Combine bool
-	// MaxTime bounds simulated cycles per configuration (0 = the runner
-	// default). Configurations that exceed it are recorded as a table
-	// note and skipped instead of aborting the sweep.
-	MaxTime arch.Cycles
-	// Progress, when non-nil, receives one line before and after every
-	// configuration run (typically os.Stderr via the -progress flag), so
-	// long sweeps are observable before their tables print.
-	Progress io.Writer
-}
-
-func (o *Fig9Options) maxTime() arch.Cycles {
-	if o.MaxTime != 0 {
-		return o.MaxTime
-	}
-	return 1 << 44
-}
-
-func (o *Fig9Options) defaults(scale int, presets []string) {
-	if o.Scale == 0 {
-		o.Scale = scale
-	}
-	if len(o.Nodes) == 0 {
-		o.Nodes = []int{1, 2, 4, 8, 16}
-	}
-	if len(o.Presets) == 0 {
-		o.Presets = presets
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Iterations == 0 {
-		o.Iterations = 1
-	}
-}
-
-func buildPreset(name string, scale int, seed uint64, forceUndirected bool) (*graph.Graph, error) {
-	p, err := graph.PresetByName(name)
-	if err != nil {
-		return nil, err
-	}
-	edges := p.Build(scale, seed)
-	return graph.FromEdges(1<<scale, edges, graph.BuildOptions{
-		Undirected:    p.Undirected || forceUndirected,
-		Dedup:         true,
-		DropSelfLoops: true,
-		SortNeighbors: true,
-	}), nil
+	// Shards, Profile, CritPath, Coalesce, MaxTime and Progress are the
+	// shared sweep options (see sweep); Coalesce also shows in the msgs
+	// and tup/msg columns.
+	Shards                      int
+	Profile, CritPath, Coalesce bool
+	MaxTime                     arch.Cycles
+	Progress                    io.Writer
 }
 
 // Fig9PageRank regenerates Figure 9 (left) / Table 8: PageRank strong
 // scaling. The metric is simulated giga-updates per second (one update
 // per edge per iteration).
 func Fig9PageRank(opt Fig9Options) ([]*Table, error) {
-	opt.defaults(16, []string{"rmat", "erdos-renyi", "forest-fire", "twitter"})
-	var tables []*Table
-	for _, name := range opt.Presets {
-		// The paper's preprocessing symmetrizes inputs unless -d is
-		// passed; PR uses that default, so the degree cap bounds
-		// in-degree too and the split spreads both directions.
-		g, err := buildPreset(name, opt.Scale, opt.Seed, true)
-		if err != nil {
-			return nil, err
-		}
-		// The paper splits PR inputs to max degree 512 at scale 28,
-		// where a hub's member run spans several lanes' Block ranges;
-		// the scale-matched cap here keeps that property (cap ~= max
-		// degree x lanes / vertices).
-		split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 64, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
-		var want []float64
-		if opt.Validate {
-			want = baseline.PageRank(g, opt.Iterations)
-		}
-		tb := &Table{
-			Title:      "Figure 9 (left) / Table 8: PageRank strong scaling",
-			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges, split to 64)", name, opt.Scale, g.N, g.NumEdges()),
-			MetricName: "GUPS",
-		}
-		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := pagerank.New(m, dg, pagerank.Config{Iterations: opt.Iterations, Combine: opt.Combine})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			progressf(opt.Progress, "fig9-pr %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-pr %s nodes=%d: timed out, skipped", name, nodes)
-					continue
-				}
-				return nil, fmt.Errorf("fig9 pr %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-pr %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate {
-				if err := comparePR(app.Values(), want); err != nil {
-					return nil, fmt.Errorf("fig9 pr %s nodes=%d: %w", name, nodes, err)
-				}
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(g.NumEdges()) * float64(opt.Iterations) / sec / 1e9,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
-		}
-		tb.FillSpeedups()
-		if opt.Validate {
-			tb.Notes = append(tb.Notes, "values validated against host baseline at every configuration")
-		}
-		tables = append(tables, tb)
-	}
-	return tables, nil
-}
-
-func comparePR(got, want []float64) error {
-	for v := range want {
-		if math.Abs(got[v]-want[v]) > 1e-9*math.Abs(want[v])+1e-13 {
-			return fmt.Errorf("pagerank mismatch at vertex %d: %v vs %v", v, got[v], want[v])
-		}
-	}
-	return nil
+	return fig9(opt, prApp, "Figure 9 (left) / Table 8", 16, []string{"rmat", "erdos-renyi", "forest-fire", "twitter"})
 }
 
 // Fig9BFS regenerates Figure 9 (center) / Table 9: BFS strong scaling.
 // The metric is simulated giga-traversed-edges per second.
 func Fig9BFS(opt Fig9Options) ([]*Table, error) {
-	opt.defaults(16, []string{"rmat", "com-orkut", "soc-livej"})
-	var tables []*Table
-	for _, name := range opt.Presets {
-		g, err := buildPreset(name, opt.Scale, opt.Seed, false)
-		if err != nil {
-			return nil, err
-		}
-		// Scale-matched from the paper's 4096-at-s28 BFS cap: a hub
-		// frontier entry must not serialize one lane for a whole round.
-		split := graph.Split(g, 256)
-		root := uint32(28) // the paper's RMAT root
-		if name == "erdos-renyi" {
-			root = 0
-		}
-		var want []uint32
-		if opt.Validate {
-			want = baseline.BFS(g, root)
-		}
-		tb := &Table{
-			Title:      "Figure 9 (center) / Table 9: BFS strong scaling",
-			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges, root %d)", name, opt.Scale, g.N, g.NumEdges(), root),
-			MetricName: "GTEPS",
-		}
-		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
-				return nil, err
-			}
-			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := bfs.New(m, dg, bfs.Config{Root: root})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			progressf(opt.Progress, "fig9-bfs %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-bfs %s nodes=%d: timed out, skipped", name, nodes)
-					continue
-				}
-				return nil, fmt.Errorf("fig9 bfs %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-bfs %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate {
-				if err := compareBFS(app.Distances(), want); err != nil {
-					return nil, fmt.Errorf("fig9 bfs %s nodes=%d: %w", name, nodes, err)
-				}
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(app.Traversed) / sec / 1e9,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
-		}
-		tb.FillSpeedups()
-		if opt.Validate {
-			tb.Notes = append(tb.Notes, "distances validated against host baseline at every configuration")
-		}
-		tables = append(tables, tb)
-	}
-	return tables, nil
-}
-
-func compareBFS(got []uint64, want []uint32) error {
-	for v := range want {
-		w := uint64(want[v])
-		if want[v] == baseline.Unreached {
-			w = bfs.Unvisited
-		}
-		if got[v] != w {
-			return fmt.Errorf("bfs mismatch at vertex %d: %d vs %d", v, got[v], w)
-		}
-	}
-	return nil
+	return fig9(opt, bfsApp, "Figure 9 (center) / Table 9", 16, []string{"rmat", "com-orkut", "soc-livej"})
 }
 
 // Fig9TC regenerates Figure 9 (right) / Table 10: triangle counting strong
 // scaling. The metric is mega-intersection-operations per second.
 func Fig9TC(opt Fig9Options) ([]*Table, error) {
-	opt.defaults(11, []string{"friendster", "com-orkut", "soc-livej", "rmat"})
+	return fig9(opt, tcApp, "Figure 9 (right) / Table 10", 11, []string{"friendster", "com-orkut", "soc-livej", "rmat"})
+}
+
+// fig9 sweeps the machine size for app a, one table per preset graph.
+func fig9(opt Fig9Options, a *graphApp, figure string, scale int, presets []string) ([]*Table, error) {
+	orDefault(&opt.Scale, scale)
+	orDefaultList(&opt.Nodes, 1, 2, 4, 8, 16)
+	orDefaultList(&opt.Presets, presets...)
+	orDefault(&opt.Seed, 42)
+	orDefault(&opt.Iterations, 1)
+	cfg := func(preset string) appConfig {
+		c := appConfig{iters: opt.Iterations, combine: opt.Combine}
+		if a == bfsApp && preset != "erdos-renyi" { // the paper roots ER graphs at 0
+			c.root = paperRoot
+		}
+		return c
+	}
+	for _, name := range opt.Presets {
+		if err := validate(opt.Scale, cfg(name).root, positive("nodes", opt.Nodes...), positive("iters", opt.Iterations)); err != nil {
+			return nil, err
+		}
+	}
+	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, Coalesce: opt.Coalesce,
+		MaxTime: opt.MaxTime, Progress: opt.Progress, shuffle: true}
 	var tables []*Table
 	for _, name := range opt.Presets {
-		g, err := buildPreset(name, opt.Scale, opt.Seed, true)
+		g, err := buildPreset(name, opt.Scale, opt.Seed, a.symmetrize)
 		if err != nil {
 			return nil, err
 		}
-		var want uint64
-		if opt.Validate {
-			want = baseline.TriangleCount(g)
-		}
+		w := a.workload(g, cfg(name), opt.Validate)
 		tb := &Table{
-			Title:      "Figure 9 (right) / Table 10: TC strong scaling",
-			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges)", name, opt.Scale, g.N, g.NumEdges()),
-			MetricName: "Mops/s",
+			Title:      fmt.Sprintf("%s: %s strong scaling", figure, a.long),
+			Workload:   fmt.Sprintf("%s s%d (%d vertices, %d edges%s)", name, opt.Scale, g.N, g.NumEdges(), a.detail(w.cfg)),
+			MetricName: a.metric,
 		}
 		for _, nodes := range opt.Nodes {
-			m, err := updown.New(updown.Config{Nodes: nodes, Shards: opt.Shards,
-				MaxTime: opt.maxTime(), Metrics: metricsConfig(opt.Profile),
-				Trace: traceConfig(opt.CritPath), Coalesce: coalesceConfig(opt.Coalesce)})
-			if err != nil {
+			if _, err := s.graphPoint(tb, w, "fig9-"+a.name+" "+name, fmt.Sprintf("nodes=%d", nodes), strconv.Itoa(nodes),
+				updown.Config{Nodes: nodes}, graph.DefaultPlacement(nodes)); err != nil {
 				return nil, err
 			}
-			dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 0), graph.DefaultPlacement(nodes))
-			if err != nil {
-				return nil, err
-			}
-			app, err := tc.New(m, dg, tc.Config{Combine: opt.Combine})
-			if err != nil {
-				return nil, err
-			}
-			progressf(opt.Progress, "fig9-tc %s nodes=%d: running", name, nodes)
-			wall := time.Now()
-			stats, err := app.Run()
-			if err != nil {
-				if noteTimeout(tb, fmt.Sprintf("nodes=%d", nodes), err) {
-					progressf(opt.Progress, "fig9-tc %s nodes=%d: timed out, skipped", name, nodes)
-					continue
-				}
-				return nil, fmt.Errorf("fig9 tc %s nodes=%d: %w", name, nodes, err)
-			}
-			hostRate := hostMevS(stats.Events, time.Since(wall))
-			progressf(opt.Progress, "fig9-tc %s nodes=%d: done in %.1fs (%.2f host-Mev/s)",
-				name, nodes, time.Since(wall).Seconds(), hostRate)
-			if opt.Validate && app.Total() != want {
-				return nil, fmt.Errorf("fig9 tc %s nodes=%d: total %d, baseline %d", name, nodes, app.Total(), want)
-			}
-			sec := m.Seconds(app.Elapsed())
-			row := Row{
-				Label:    fmt.Sprintf("%d", nodes),
-				Cycles:   app.Elapsed(),
-				Seconds:  sec,
-				Metric:   float64(app.Total()) / sec / 1e6,
-				HostMevS: hostRate,
-			}
-			fillShuffle(&row, stats)
-			fillUtilization(&row, m)
-			fillCritPct(&row, m)
-			tb.Rows = append(tb.Rows, row)
 		}
 		tb.FillSpeedups()
 		if opt.Validate {
-			tb.Notes = append(tb.Notes,
-				fmt.Sprintf("triangle totals validated against host baseline (%d triangles)", want/3))
+			tb.Notes = append(tb.Notes, a.validated(*w.want))
 		}
 		tables = append(tables, tb)
 	}

@@ -12,7 +12,6 @@ import (
 	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
-	"updown/internal/metrics"
 	"updown/internal/prng"
 	"updown/internal/sched"
 )
@@ -37,10 +36,6 @@ type FigSchedOptions struct {
 	Loads []int64
 	// Seed drives arrivals and the job mix.
 	Seed uint64
-	// Shards is the simulator host parallelism (0 = auto). Every
-	// reported number is simulated-time only, so results are
-	// byte-identical at any shard count.
-	Shards int
 	// Quantum is the scheduler reconcile interval (default 4096 cycles).
 	Quantum arch.Cycles
 	// MaxQueue bounds the admission queue (default 64).
@@ -50,38 +45,12 @@ type FigSchedOptions struct {
 	// unless outputs, completion cycles and attributed counters are
 	// bit-identical to the concurrent run.
 	Verify bool
-	// Progress, when non-nil, receives one line per load point.
+	// Shards and Progress are the shared sweep options (see sweep).
+	// Every reported number is simulated-time only, so results are
+	// byte-identical at any shard count; progress is one line per load
+	// point.
+	Shards   int
 	Progress io.Writer
-}
-
-func (o *FigSchedOptions) defaults() {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.AccelsPerNode == 0 {
-		o.AccelsPerNode = 4
-	}
-	if o.LanesPerAccel == 0 {
-		o.LanesPerAccel = 16
-	}
-	if o.Scale == 0 {
-		o.Scale = 9
-	}
-	if o.Jobs == 0 {
-		o.Jobs = 24
-	}
-	if len(o.Loads) == 0 {
-		o.Loads = []int64{24000, 12000, 6000, 3000}
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Quantum == 0 {
-		o.Quantum = 4096
-	}
-	if o.MaxQueue == 0 {
-		o.MaxQueue = 64
-	}
 }
 
 // SchedRow is one load point of the sweep. All values are pure functions
@@ -103,8 +72,10 @@ type SchedRow struct {
 	// LaneUtilPct integrates lanes-held over the makespan against the
 	// whole machine's lane-time.
 	LaneUtilPct float64 `json:"lane_util_pct"`
-	// MakespanCycles spans the first arrival to the last completion.
+	// MakespanCycles spans the first arrival to the last completion;
+	// makespanMs is the same span in simulated milliseconds.
 	MakespanCycles int64 `json:"makespan_cycles"`
+	makespanMs     float64
 	// MaxConcurrent is the peak number of jobs simultaneously placed.
 	MaxConcurrent int `json:"max_concurrent"`
 	// Tenants is the per-tenant accounting at this load point.
@@ -125,27 +96,36 @@ type FigSchedResult struct {
 	Verified int `json:"verified,omitempty"`
 }
 
-// schedWork adapts the two applications to sched.Workload.
-type schedBFSWork struct{ app *bfs.App }
-
-func (w schedBFSWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
-func (w schedBFSWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
-func (w schedBFSWork) Output() []uint64 {
-	return append(w.app.Distances(), w.app.Parents()...)
+// Format renders the sweep as the aligned text table cmd/fig prints.
+func (r *FigSchedResult) Format() string {
+	return render(false, fmt.Sprintf("figsched: %d nodes x %d lanes, %d jobs/load, scale %d, seed %d",
+		r.Nodes, r.LanesPerNode, r.Jobs, r.Scale, r.Seed), r.Rows, []column[SchedRow]{
+		{"gap(cyc)", "", 10, "d", func(r *SchedRow) any { return r.MeanGapCycles }},
+		{"offered/s", "", 10, ".1f", func(r *SchedRow) any { return r.OfferedJobsPerSec }},
+		{"jobs/s", "", 8, ".1f", func(r *SchedRow) any { return r.JobsPerSec }},
+		{"done", "", 5, "d", func(r *SchedRow) any { return r.DoneJobs }},
+		{"rej", "", 5, "d", func(r *SchedRow) any { return r.RejectedJobs }},
+		{"p50(ms)", "", 10, ".4f", func(r *SchedRow) any { return r.P50Ms }},
+		{"p99(ms)", "", 10, ".4f", func(r *SchedRow) any { return r.P99Ms }},
+		{"util%", "", 10, ".2f", func(r *SchedRow) any { return r.LaneUtilPct }},
+		{"maxconc", "", 7, "d", func(r *SchedRow) any { return r.MaxConcurrent }},
+		{"mkspan", "", 6, ".2fms", func(r *SchedRow) any { return r.makespanMs }},
+	}, nil)
 }
 
-type schedPRWork struct{ app *pagerank.App }
-
-func (w schedPRWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
-func (w schedPRWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
-func (w schedPRWork) Output() []uint64 {
-	vals := w.app.Values()
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = math.Float64bits(v)
-	}
-	return out
+// schedWork adapts an application to sched.Workload.
+type schedWork struct {
+	post   func(at updown.Cycles)
+	done   func() updown.Cycles
+	output func() []uint64
 }
+
+func (w schedWork) Post(at updown.Cycles) { w.post(at) }
+func (w schedWork) Finished() (updown.Cycles, bool) {
+	done := w.done()
+	return done, done > 0
+}
+func (w schedWork) Output() []uint64 { return w.output() }
 
 // schedProto is one generated submission, reusable across load points
 // and solo replays (the Build closure is derived from it per machine).
@@ -158,32 +138,56 @@ type schedProto struct {
 
 func (p *schedProto) build(splits []*graph.SplitGraph) func(*updown.Machine, sched.Partition) (sched.Workload, error) {
 	split := splits[p.graph]
-	if p.app == 0 {
-		root := p.root % uint32(split.OrigN)
-		return func(m *updown.Machine, part sched.Partition) (sched.Workload, error) {
-			dg, err := graph.LoadToGAS(m.GAS, split, schedPlacement(part))
-			if err != nil {
-				return nil, err
-			}
-			app, err := bfs.New(m, dg, bfs.Config{Lanes: part.Lanes, Root: root})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			return schedBFSWork{app}, nil
-		}
-	}
 	return func(m *updown.Machine, part sched.Partition) (sched.Workload, error) {
 		dg, err := graph.LoadToGAS(m.GAS, split, schedPlacement(part))
 		if err != nil {
 			return nil, err
+		}
+		if p.app == 0 {
+			app, err := bfs.New(m, dg, bfs.Config{Lanes: part.Lanes, Root: p.root % uint32(split.OrigN)})
+			if err != nil {
+				return nil, err
+			}
+			app.InitValues()
+			return schedWork{app.PostAt, func() updown.Cycles { return app.Done },
+				func() []uint64 { return append(app.Distances(), app.Parents()...) }}, nil
 		}
 		app, err := pagerank.New(m, dg, pagerank.Config{Lanes: part.Lanes, Iterations: 1})
 		if err != nil {
 			return nil, err
 		}
 		app.InitValues()
-		return schedPRWork{app}, nil
+		return schedWork{app.PostAt, func() updown.Cycles { return app.Done }, func() []uint64 {
+			vals := app.Values()
+			out := make([]uint64, len(vals))
+			for i, v := range vals {
+				out[i] = math.Float64bits(v)
+			}
+			return out
+		}}, nil
+	}
+}
+
+// poissonGap draws one exponential interarrival with the given mean,
+// quantized to cycles: the open-loop arrival process of the scheduler and
+// serving sweeps.
+func poissonGap(rng *prng.Stream, mean int64) updown.Cycles {
+	u := rng.Float64()
+	if u <= 0 {
+		u = 1e-12
+	}
+	return updown.Cycles(-math.Log(u) * float64(mean))
+}
+
+// latencyMs sorts lat and returns its quantile picker: the num/den order
+// statistic in simulated milliseconds (0 when nothing completed).
+func latencyMs(m *updown.Machine, lat []updown.Cycles) func(num, den int) float64 {
+	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+	return func(num, den int) float64 {
+		if len(lat) == 0 {
+			return 0
+		}
+		return m.Seconds(lat[min(len(lat)*num/den, len(lat)-1)]) * 1e3
 	}
 }
 
@@ -197,7 +201,19 @@ func schedPlacement(part sched.Partition) graph.Placement {
 // machine executes the whole Poisson-arriving job mix concurrently under
 // the multi-tenant scheduler.
 func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
-	opt.defaults()
+	orDefault(&opt.Nodes, 8)
+	orDefault(&opt.AccelsPerNode, 4)
+	orDefault(&opt.LanesPerAccel, 16)
+	orDefault(&opt.Scale, 9)
+	orDefault(&opt.Jobs, 24)
+	orDefaultList(&opt.Loads, 24000, 12000, 6000, 3000)
+	orDefault(&opt.Seed, 42)
+	orDefault(&opt.Quantum, 4096)
+	orDefault(&opt.MaxQueue, 64)
+	if err := validate(opt.Scale, 0, positive("nodes", opt.Nodes), positive("accels", opt.AccelsPerNode),
+		positive("lanes", opt.LanesPerAccel), positive("jobs", opt.Jobs), positive("loads", opt.Loads...)); err != nil {
+		return nil, err
+	}
 	ar := arch.DefaultMachine(opt.Nodes)
 	ar.AccelsPerNode = opt.AccelsPerNode
 	ar.LanesPerAccel = opt.LanesPerAccel
@@ -215,15 +231,10 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 	res := &FigSchedResult{Nodes: opt.Nodes, LanesPerNode: lpn, Scale: opt.Scale,
 		Jobs: opt.Jobs, Seed: opt.Seed, QuantumCycles: int64(opt.Quantum)}
 	newMachine := func() (*updown.Machine, error) {
-		a := ar
-		return updown.New(updown.Config{Arch: &a, Shards: opt.Shards,
-			MaxTime: 1 << 44, Metrics: &metrics.Options{}})
+		return updown.New(sweep{Shards: opt.Shards, Profile: true}.config(updown.Config{Arch: &ar}))
 	}
 
-	maxJobNodes := opt.Nodes / 2
-	if maxJobNodes < 1 {
-		maxJobNodes = 1
-	}
+	maxJobNodes := max(opt.Nodes/2, 1)
 	for _, gap := range opt.Loads {
 		// The job mix is a deterministic function of (seed, gap): the
 		// arrival process changes with load, the per-job identity mix
@@ -241,13 +252,7 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 				Lanes:  (1 + rng.Intn(maxJobNodes)) * lpn,
 				Arrive: arrive,
 			}
-			// Poisson process: exponential interarrival with the given
-			// mean, quantized to cycles.
-			u := rng.Float64()
-			if u <= 0 {
-				u = 1e-12
-			}
-			arrive += updown.Cycles(-math.Log(u) * float64(gap))
+			arrive += poissonGap(rng, gap)
 			protos[i] = p
 		}
 
@@ -320,15 +325,13 @@ func buildSchedRow(m *updown.Machine, s *sched.Scheduler, gap int64) SchedRow {
 	if lastDone > firstArrive {
 		row.MakespanCycles = int64(lastDone - firstArrive)
 		sec := m.Seconds(lastDone - firstArrive)
+		row.makespanMs = sec * 1e3
 		row.JobsPerSec = float64(row.DoneJobs) / sec
 		row.LaneUtilPct = 100 * float64(laneCycles) /
 			(float64(row.MakespanCycles) * float64(m.Arch.TotalLanes()))
 	}
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	if n := len(latencies); n > 0 {
-		row.P50Ms = m.Seconds(latencies[n/2]) * 1e3
-		row.P99Ms = m.Seconds(latencies[(n*99)/100]) * 1e3
-	}
+	pick := latencyMs(m, latencies)
+	row.P50Ms, row.P99Ms = pick(50, 100), pick(99, 100)
 	sort.Slice(edges, func(a, b int) bool {
 		if edges[a].at != edges[b].at {
 			return edges[a].at < edges[b].at

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
 	"updown/internal/arch"
 	"updown/internal/graph"
-	"updown/internal/metrics"
 	"updown/internal/prng"
 	"updown/internal/serve"
 )
@@ -38,10 +35,6 @@ type FigServeOptions struct {
 	Gaps []int64
 	// Seed drives arrivals and the query mix.
 	Seed uint64
-	// Shards is the simulator host parallelism (0 = auto). Every number
-	// reported is simulated-time only, so the payload is byte-identical
-	// at any shard count.
-	Shards int
 	// Quantum is the serving reconcile grid (default sched quantum).
 	Quantum updown.Cycles
 	// FuseWindow is the micro-batching hold-off (default 2048 cycles).
@@ -51,41 +44,12 @@ type FigServeOptions struct {
 	Slots int
 	// QueueCap bounds each kind's waiting room (default 64).
 	QueueCap int
-	// Progress, when non-nil, receives one line per sweep point.
+	// Shards and Progress are the shared sweep options (see sweep).
+	// Every number reported is simulated-time only, so the payload is
+	// byte-identical at any shard count; progress is one line per sweep
+	// point.
+	Shards   int
 	Progress io.Writer
-}
-
-func (o *FigServeOptions) defaults() {
-	if o.Nodes == 0 {
-		o.Nodes = 2
-	}
-	if o.AccelsPerNode == 0 {
-		o.AccelsPerNode = 4
-	}
-	if o.LanesPerAccel == 0 {
-		o.LanesPerAccel = 16
-	}
-	if o.Scale == 0 {
-		o.Scale = 8
-	}
-	if o.Queries == 0 {
-		o.Queries = 48
-	}
-	if len(o.Gaps) == 0 {
-		o.Gaps = []int64{32000, 16000, 8000, 4000, 2000}
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Quantum == 0 {
-		o.Quantum = 4096
-	}
-	if o.FuseWindow == 0 {
-		o.FuseWindow = 2048
-	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 64
-	}
 }
 
 // ServeRow is one sweep point. The map key benchdiff compares a row by
@@ -145,6 +109,30 @@ type FigServeResult struct {
 	Comparison       ServeComparison `json:"comparison"`
 }
 
+// Format renders the sweep as the aligned text tables cmd/fig prints.
+func (r *FigServeResult) Format() string {
+	cols := []column[ServeRow]{
+		{"gap(cyc)", "", 10, "d", func(r *ServeRow) any { return r.MeanGapCycles }},
+		{"offered/s", "", 10, ".1f", func(r *ServeRow) any { return r.OfferedQPS }},
+		{"q/s", "", 8, ".1f", func(r *ServeRow) any { return r.QPS }},
+		{"done", "", 5, "d", func(r *ServeRow) any { return r.Served }},
+		{"shed", "", 5, "d", func(r *ServeRow) any { return r.Shed }},
+		{"p50(ms)", "", 10, ".4f", func(r *ServeRow) any { return r.P50Ms }},
+		{"p99(ms)", "", 10, ".4f", func(r *ServeRow) any { return r.P99Ms }},
+		{"p999(ms)", "", 10, ".4f", func(r *ServeRow) any { return r.P999Ms }},
+		{"util%", "", 7, ".2f", func(r *ServeRow) any { return r.LaneUtilPct }},
+		{"x/batch", "", 7, ".2f", func(r *ServeRow) any { return r.FusedPerBatch }},
+	}
+	c := r.Comparison
+	return fmt.Sprintf("figserve: %d nodes x %d lanes, %d queries/point, scale %d, %d slots, seed %d\n",
+		r.Nodes, r.LanesPerNode, r.Queries, r.Scale, r.Slots, r.Seed) +
+		render(false, "fused:", r.Fused.Rows, cols, nil) +
+		render(false, "unfused:", r.Unfused.Rows, cols, nil) +
+		fmt.Sprintf("saturation: fused %.1f q/s vs unfused %.1f q/s (%+.1f%%), p99 %.4f vs %.4f ms\n",
+			c.SaturationQPS["fused"], c.SaturationQPS["unfused"], c.QPSGainPct,
+			c.SaturationP99Ms["fused"], c.SaturationP99Ms["unfused"])
+}
+
 // serveSchedule generates the (seed, gap)-deterministic query stream:
 // the same mix is offered to both serving modes so they compare
 // apples-to-apples at each load point.
@@ -159,11 +147,7 @@ func serveSchedule(n int, gap int64, seed uint64, verts uint64) []serve.Query {
 			Tgt:    uint32(rng.Next() % verts),
 			Arrive: arrive,
 		}
-		u := rng.Float64()
-		if u <= 0 {
-			u = 1e-12
-		}
-		arrive += updown.Cycles(-math.Log(u) * float64(gap))
+		arrive += poissonGap(rng, gap)
 	}
 	return qs
 }
@@ -173,7 +157,20 @@ func serveSchedule(n int, gap int64, seed uint64, verts uint64) []serve.Query {
 // sweep point restores that snapshot — the per-point cost is serving,
 // never rebuild.
 func FigServe(opt FigServeOptions) (*FigServeResult, error) {
-	opt.defaults()
+	orDefault(&opt.Nodes, 2)
+	orDefault(&opt.AccelsPerNode, 4)
+	orDefault(&opt.LanesPerAccel, 16)
+	orDefault(&opt.Scale, 8)
+	orDefault(&opt.Queries, 48)
+	orDefaultList(&opt.Gaps, 32000, 16000, 8000, 4000, 2000)
+	orDefault(&opt.Seed, 42)
+	orDefault(&opt.Quantum, 4096)
+	orDefault(&opt.FuseWindow, 2048)
+	orDefault(&opt.QueueCap, 64)
+	if err := validate(opt.Scale, 0, positive("nodes", opt.Nodes), positive("accels", opt.AccelsPerNode),
+		positive("lanes", opt.LanesPerAccel), positive("queries", opt.Queries), positive("gaps", opt.Gaps...)); err != nil {
+		return nil, err
+	}
 	ar := arch.DefaultMachine(opt.Nodes)
 	ar.AccelsPerNode = opt.AccelsPerNode
 	ar.LanesPerAccel = opt.LanesPerAccel
@@ -181,8 +178,7 @@ func FigServe(opt FigServeOptions) (*FigServeResult, error) {
 	g := graph.FromEdges(1<<opt.Scale, graph.DefaultRMAT(opt.Scale, opt.Seed), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 
-	m, err := updown.New(updown.Config{Arch: &ar, Shards: opt.Shards,
-		MaxTime: 1 << 44, Metrics: &metrics.Options{}})
+	m, err := updown.New(sweep{Shards: opt.Shards, Profile: true}.config(updown.Config{Arch: &ar}))
 	if err != nil {
 		return nil, err
 	}
@@ -270,19 +266,8 @@ func buildServeRow(m *updown.Machine, srv *serve.Server, qs []serve.Query, gap i
 			lat = append(lat, qs[i].Latency())
 		}
 	}
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	pick := func(num, den int) float64 {
-		i := len(lat) * num / den
-		if i >= len(lat) {
-			i = len(lat) - 1
-		}
-		return m.Seconds(lat[i]) * 1e3
-	}
-	if len(lat) > 0 {
-		row.P50Ms = pick(50, 100)
-		row.P99Ms = pick(99, 100)
-		row.P999Ms = pick(999, 1000)
-	}
+	pick := latencyMs(m, lat)
+	row.P50Ms, row.P99Ms, row.P999Ms = pick(50, 100), pick(99, 100), pick(999, 1000)
 	if st.Last > st.First {
 		row.MakespanCycles = int64(st.Last - st.First)
 		sec := m.Seconds(st.Last - st.First)

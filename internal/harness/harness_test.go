@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,65 @@ func TestTableFormatting(t *testing.T) {
 	md := tb.Markdown()
 	if !strings.Contains(md, "| 1 | 100 |") {
 		t.Errorf("Markdown wrong:\n%s", md)
+	}
+
+	// Byte-exact goldens for every table type, with every optional column
+	// group on and off (see golden_test.go).
+	type renderer interface {
+		Format() string
+		Markdown() string
+	}
+	for name, r := range map[string]renderer{
+		"table": goldenTable(false), "table-full": goldenTable(true),
+		"chaos": goldenChaos(false), "chaos-crit": goldenChaos(true),
+		"chaosrep": goldenChaosRep(),
+	} {
+		if got, want := r.Format(), goldenRenders[name+".txt"]; got != want {
+			t.Errorf("%s Format:\n%s\nwant:\n%s", name, got, want)
+		}
+		if got, want := r.Markdown(), goldenRenders[name+".md"]; got != want {
+			t.Errorf("%s Markdown:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
+// TestBadOptions: every option value that used to reach a panic (negative
+// shift, root outside the graph, negative make length) or a nonsensical
+// sweep (non-positive arrival gaps: +Inf offered rate, unsorted schedule)
+// is rejected by the entry point with ErrBadOption before anything is
+// built.
+func TestBadOptions(t *testing.T) {
+	tables := func(_ []*Table, err error) error { return err }
+	for name, err := range map[string]error{
+		"fig9pr scale -1":   tables(Fig9PageRank(Fig9Options{Scale: -1})),
+		"fig9pr scale 31":   tables(Fig9PageRank(Fig9Options{Scale: 31})),
+		"fig9bfs root":      tables(Fig9BFS(Fig9Options{Scale: 3, Presets: []string{"rmat"}})),
+		"fig9tc nodes 0":    tables(Fig9TC(Fig9Options{Scale: 8, Nodes: []int{0}})),
+		"fig10 records -5":  tables(Fig10Ingestion(Fig10Options{BaseRecords: -5})),
+		"fig10 mult 0":      tables(Fig10Ingestion(Fig10Options{Multipliers: []float64{1, 0}})),
+		"fig12 root":        tables(Fig12Placement(Fig12Options{Scale: 4})),
+		"fig12 compute -1":  tables(Fig12Placement(Fig12Options{Scale: 8, ComputeNodes: -1})),
+		"fig11 records -1":  func() error { _, err := Fig11PartialMatch(Fig11Options{Records: -1}); return err }(),
+		"chaos root":        func() error { _, err := ChaosBFS(ChaosOptions{Scale: 3}); return err }(),
+		"chaos nodes -1":    func() error { _, err := ChaosBFS(ChaosOptions{Scale: 8, Nodes: -1}); return err }(),
+		"chaosrep root":     func() error { _, err := ChaosReplicated(ChaosRepOptions{Scale: 3}); return err }(),
+		"figserve queries":  func() error { _, err := FigServe(FigServeOptions{Queries: -1}); return err }(),
+		"figserve gap 0":    func() error { _, err := FigServe(FigServeOptions{Gaps: []int64{4000, 0}}); return err }(),
+		"figserve gap -5":   func() error { _, err := FigServe(FigServeOptions{Gaps: []int64{-5}}); return err }(),
+		"figsched jobs -2":  func() error { _, err := FigSched(FigSchedOptions{Jobs: -2}); return err }(),
+		"figsched load 0":   func() error { _, err := FigSched(FigSchedOptions{Loads: []int64{0}}); return err }(),
+		"figsched load -5":  func() error { _, err := FigSched(FigSchedOptions{Loads: []int64{-5}}); return err }(),
+		"figsched scale -1": func() error { _, err := FigSched(FigSchedOptions{Scale: -1}); return err }(),
+		"figserve scale -1": func() error { _, err := FigServe(FigServeOptions{Scale: -1}); return err }(),
+		"chaos scale -1":    func() error { _, err := ChaosBFS(ChaosOptions{Scale: -1}); return err }(),
+		"chaosrep scale -1": func() error { _, err := ChaosReplicated(ChaosRepOptions{Scale: -1}); return err }(),
+		"fig12 scale -1":    tables(Fig12Placement(Fig12Options{Scale: -1})),
+		"fig9bfs scale -1":  tables(Fig9BFS(Fig9Options{Scale: -1})),
+		"fig9tc scale -1":   tables(Fig9TC(Fig9Options{Scale: -1})),
+	} {
+		if !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: err = %v, want ErrBadOption", name, err)
+		}
 	}
 }
 

@@ -29,19 +29,23 @@ go test -run XX -bench BenchmarkKVMSRShuffle -benchtime=5x .
 # this only breaks when the file or the tool is broken).
 go run ./cmd/benchdiff -max-regress 100
 
-# Replication smoke: figchaos -rep fail-stops a data-carrying node at
+# The figure tool is built once and called as a binary by every smoke
+# below (go run would re-link it each time).
+go build -o fig ./cmd/fig
+
+# Replication smoke: fig chaos -rep fail-stops a data-carrying node at
 # k=2 mid-run and exits nonzero unless the faulted outputs match the
 # fault-free run with zero dead letters and an in-place bit-exact heal;
-# the fig12 -reps extension must measure a write fan-out (dramx > 1).
-go run ./cmd/figchaos -rep 2 -scale 8
-go run ./cmd/fig12 -scale 10 -mem 4 -compute 4 -reps 2 \
-    | awk '/^k=2/ { if ($8 <= 1.0) { print "fig12 k=2 dramx <= 1: no write fan-out measured"; exit 1 } found=1 } END { exit !found }'
+# the fig 12 -reps extension must measure a write fan-out (dramx > 1).
+./fig chaos -rep 2 -scale 8
+./fig 12 -scale 10 -mem 4 -compute 4 -reps 2 \
+    | awk '/^k=2/ { if ($8 <= 1.0) { print "fig 12 k=2 dramx <= 1: no write fan-out measured"; exit 1 } found=1 } END { exit !found }'
 
-# Serving smoke: a small figserve sweep must resolve every query, and
+# Serving smoke: a small fig serve sweep must resolve every query, and
 # fused micro-batching must beat the one-query-per-cycle baseline at
 # the saturating load point (higher queries/sec on the same stream).
-go run ./cmd/figserve -queries 12 -gaps 8000,3000 \
-    | awk '/^saturation:/ { if ($3+0 <= $7+0) { print "figserve: fused qps not above unfused"; exit 1 } found=1 } END { exit !found }'
+./fig serve -queries 12 -gaps 8000,3000 \
+    | awk '/^saturation:/ { if ($3+0 <= $7+0) { print "fig serve: fused qps not above unfused"; exit 1 } found=1 } END { exit !found }'
 
 # Scheduler smoke: a small multi-tenant sweep with -verify replays every
 # completed job solo, pinned to the same nodes, and exits nonzero unless
@@ -49,7 +53,7 @@ go run ./cmd/figserve -queries 12 -gaps 8000,3000 \
 # the concurrent run; the race detector covers the scheduler package's
 # reconcile loop over the sharded engine.
 go test -race -count=1 ./internal/sched/
-go run ./cmd/figsched -nodes 4 -scale 8 -jobs 8 -loads 8000,3000 -verify
+./fig sched -nodes 4 -scale 8 -jobs 8 -loads 8000,3000 -verify
 
 # Benchmark module: bench/ is its own module outside ./..., so the steps
 # above never compile it. Vet and test it, then run the repository
