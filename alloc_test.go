@@ -5,6 +5,11 @@ import (
 	"testing"
 
 	"updown"
+	"updown/internal/apps/bfs"
+	"updown/internal/apps/pagerank"
+	"updown/internal/apps/pointq/pointqtest"
+	"updown/internal/graph"
+	"updown/internal/serve"
 )
 
 // The engine and the udweave lane keep the executing Message, Env and Ctx
@@ -113,5 +118,74 @@ func TestDispatchAllocFreeInvokeLocal(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("local dispatches saw no operands")
+	}
+}
+
+// The serving loop's host pass — harvest, recycle, admit, re-seed, launch
+// — runs at every quantum boundary of a long-lived server, so once its
+// lists have grown it must not allocate per query. The simulation between
+// boundaries does (thread states), so the pass is measured alone.
+func TestServeSteadyStateAllocFree(t *testing.T) {
+	const (
+		queries = 96
+		warm    = 32 // served before measuring starts
+		quantum = 4096
+	)
+	g := graph.FromEdges(256, graph.DefaultRMAT(8, 15), graph.BuildOptions{
+		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	m, dg := pointqtest.Machine(t, g, 2, 1)
+	pb, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(m, serve.Config{BFS: pb, PPR: pp, Quantum: quantum, QueueCap: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One burst: every boundary after the first harvests whatever
+	// finished and reseeds the freed slots from the waiting room.
+	qs := make([]serve.Query, queries)
+	for i := range qs {
+		qs[i] = serve.Query{Kind: serve.Kind(i % 2), Src: uint32(5 * i % 256), Tgt: uint32(255 - i), Arrive: 1}
+	}
+	if err := srv.Begin(qs); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	measured, passes := 0, 0
+	for now := updown.Cycles(0); ; now += quantum {
+		served := srv.Stats().Served
+		runtime.ReadMemStats(&before)
+		_, done := srv.Step(now)
+		runtime.ReadMemStats(&after)
+		if served[0]+served[1] >= warm {
+			st := srv.Stats().Served
+			measured += st[0] + st[1] - served[0] - served[1]
+			mallocs += after.Mallocs - before.Mallocs
+			passes++
+		}
+		if done {
+			break
+		}
+		if _, err := m.RunUntil(now + quantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range qs {
+		if qs[i].State != serve.Resolved {
+			t.Fatalf("query %d in state %d", i, qs[i].State)
+		}
+	}
+	if measured < queries-warm-8 {
+		t.Fatalf("only %d queries harvested in the measured passes", measured)
+	}
+	if mallocs*10 > uint64(measured) {
+		t.Fatalf("%d allocations over %d passes serving %d queries (%.2f per query), want 0 per query",
+			mallocs, passes, measured, float64(mallocs)/float64(measured))
 	}
 }

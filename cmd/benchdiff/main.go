@@ -294,13 +294,15 @@ type diffRow struct {
 // lowerIsBetter reports whether a configuration key is a latency-style
 // metric (milliseconds, cycle counts): BENCH_serve.json carries p50_ms /
 // p99_ms leaves where an increase is the regression, not a gain.
+// The unit may sit on any path component: comparison/saturation_p99_ms is
+// a map whose leaves are named after the serving mode.
 func lowerIsBetter(name string) bool {
-	last := name
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		last = name[i+1:]
+	for _, part := range strings.Split(name, "/") {
+		if strings.HasSuffix(part, "_ms") || strings.HasSuffix(part, "_cycles") {
+			return true
+		}
 	}
-	return strings.HasSuffix(last, "_ms") || strings.HasSuffix(last, "_cycles") ||
-		strings.Contains(last, "p99_ms") || strings.Contains(last, "p50_ms")
+	return false
 }
 
 // diff lines up the configurations present on both sides and returns

@@ -296,15 +296,18 @@ func TestDiffLatencyPolarity(t *testing.T) {
 	// Latency keys invert: p99 dropping from 4 to 2 ms is a +100% gain,
 	// rising from 2 to 4 ms is a -50% regression; throughput keys keep
 	// higher-is-better polarity.
-	oldFlat := map[string]float64{"rows/0/p99_ms": 4, "rows/1/p99_ms": 2, "qps": 10}
-	newFlat := map[string]float64{"rows/0/p99_ms": 2, "rows/1/p99_ms": 4, "qps": 10}
+	oldFlat := map[string]float64{"rows/0/p99_ms": 4, "rows/1/p99_ms": 2, "qps": 10, "comparison/saturation_p99_ms/fused": 4}
+	newFlat := map[string]float64{"rows/0/p99_ms": 2, "rows/1/p99_ms": 4, "qps": 10, "comparison/saturation_p99_ms/fused": 2}
 	rows, worst := diff(oldFlat, newFlat)
-	if len(rows) != 3 {
-		t.Fatalf("diff rows = %d, want 3: %v", len(rows), rows)
+	if len(rows) != 4 {
+		t.Fatalf("diff rows = %d, want 4: %v", len(rows), rows)
 	}
 	byName := map[string]float64{}
 	for _, r := range rows {
 		byName[r.name] = r.pct
+	}
+	if !almost(byName["comparison/saturation_p99_ms/fused"], 100) {
+		t.Errorf("improved p99 under a unit-named map = %v, want +100", byName["comparison/saturation_p99_ms/fused"])
 	}
 	if !almost(byName["rows/0/p99_ms"], 100) {
 		t.Errorf("improved p99 pct = %v, want +100", byName["rows/0/p99_ms"])

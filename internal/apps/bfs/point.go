@@ -4,9 +4,10 @@
 // vertex task (stream the vertex's out-list, carrying the next level and
 // the target) and the discovered-vertex reduce chain.
 //
-// Level k is fully reduced before level k+1 expands, and first-touch
-// marking via DRAM fetch-add is order-independent within a level, which is
-// what makes batched results bit-equal to solo runs.
+// A query's level k is fully reduced before its level k+1 expands, and
+// first-touch marking via DRAM fetch-add is order-independent within a
+// level, which is what makes a result bit-equal to a solo run whatever
+// other queries are in flight.
 package bfs
 
 import (
@@ -34,7 +35,7 @@ func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*Point
 	e := &PointBFS{dg: dg}
 	var err error
 	e.Engine, err = pointq.New(m, dg, cfg, pointq.Kernel{
-		Name: "pbfs", Stream: [3]string{"vert", "v_rec", "v_chunk"}, Planes: 1,
+		Name: "pbfs", Stream: [3]string{"vert", "v_rec", "v_chunk"}, Planes: 1, Private: 6,
 		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
 	})
 	if err != nil {
@@ -101,7 +102,7 @@ func (e *PointBFS) mark(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
 	if c.Op(0) != 0 {
 		// Already visited: first touch won.
-		e.ReduceDone(c)
+		e.ReduceDone(c, st.slot)
 		return
 	}
 	c.Cycles(2)
@@ -148,6 +149,6 @@ func (e *PointBFS) ack(c *udweave.Ctx) {
 
 func (e *PointBFS) maybeDone(c *udweave.Ctx, st *pRedState) {
 	if st.acks == 0 && st.fronted {
-		e.ReduceDone(c)
+		e.ReduceDone(c, st.slot)
 	}
 }

@@ -4,10 +4,11 @@
 // push arithmetic, the hub pusher (the per-frontier-vertex task) and the
 // residual-contribution reduce chain.
 //
-// The algorithm is round-synchronous forward push with fixed-point
-// integer masses, which is what makes it servable: integer fetch-add
-// accumulation is order-independent, so a query's score is bit-equal
-// whatever shares its batch and whatever the shard count. Each round,
+// The algorithm is forward push in rounds (a query's round k is fully
+// reduced before its round k+1) with fixed-point integer masses, which is
+// what makes it servable: integer fetch-add accumulation is
+// order-independent, so a query's score is bit-equal whatever else is in
+// flight and whatever the shard count. Each round,
 // every frontier vertex v settles part of its residual into p[v] and
 // pushes share = trunc(trunc(r·d) / totalDeg) to each out-neighbor; the
 // truncation residue settles too, so mass is conserved exactly. Residuals
@@ -86,7 +87,8 @@ func RefScores(g *graph.Graph, src uint32, eps uint64) []uint64 {
 type PointConfig struct {
 	// Lanes is the engine's lane set (default: whole machine).
 	Lanes kvmsr.LaneSet
-	// Slots is the micro-batch capacity (default: one per accelerator).
+	// Slots is the number of concurrent queries (default: one per
+	// accelerator; see pointq.Config).
 	Slots int
 	// Eps is the fixed-point residual floor (default DefaultEps).
 	Eps uint64
@@ -123,7 +125,7 @@ func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*Point
 	e := &PointPPR{gas: m.GAS, dg: dg, eps: cfg.Eps}
 	var err error
 	e.Engine, err = pointq.New(m, dg, pointq.Config{Lanes: cfg.Lanes, Slots: cfg.Slots}, pointq.Kernel{
-		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4,
+		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4, Private: 12,
 		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
 	})
 	if err != nil {
@@ -281,7 +283,7 @@ func (e *PointPPR) rAcc(c *udweave.Ctx) {
 	st := c.State().(*ppRedState)
 	if c.Op(0) != 0 {
 		// Not the first contribution this round: already in the frontier.
-		e.ReduceDone(c)
+		e.ReduceDone(c, st.slot)
 		return
 	}
 	c.Cycles(2)
@@ -325,6 +327,6 @@ func (e *PointPPR) ack(c *udweave.Ctx) {
 
 func (e *PointPPR) redMaybeDone(c *udweave.Ctx, st *ppRedState) {
 	if st.chains == 0 && st.acks == 0 {
-		e.ReduceDone(c)
+		e.ReduceDone(c, st.slot)
 	}
 }

@@ -25,7 +25,7 @@ func TestPointPPRMatchesHostRef(t *testing.T) {
 	type q struct{ src, tgt uint32 }
 	batches := [][]q{
 		{{28, 0}, {0, 200}, {5, 5}, {100, 7}},
-		{{28, 255}, {17, 3}},        // partial batch: slots 2,3 idle
+		{{28, 255}, {17, 3}},        // partial batch: slots 2,3 run nothing
 		{{1, 250}, {2, 2}, {9, 40}}, // reuse after recycle
 	}
 	refs := map[uint32][]uint64{}
@@ -38,12 +38,12 @@ func TestPointPPRMatchesHostRef(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
-		done, ok := e.BatchDone()
-		if !ok {
-			t.Fatalf("batch %d did not complete", bi)
-		}
-		frontier = done
 		for s, qq := range batch {
+			done, ok := e.SlotDone(s)
+			if !ok {
+				t.Fatalf("batch %d slot %d did not complete", bi, s)
+			}
+			frontier = max(frontier, done)
 			ref, seen := refs[qq.src]
 			if !seen {
 				ref = pagerank.RefScores(g, qq.src, 0)

@@ -2,19 +2,23 @@
 // (bfs.PointBFS, pagerank.PointPPR): everything about serving (source,
 // target) queries from a resident graph except the algorithm. An Engine is
 // built once against a loaded graph and then serves an unbounded stream of
-// micro-batches. Each of its Slots is one in-flight query whose whole
-// state lives in a preallocated DRAM arena — never in lane scratch — so
-// reduces run with ReduceAnyLane and the coalescing shuffle executes
-// tuples on the destination node's distributor lane without a forward
-// hop. A slot is confined to a contiguous lane slice (Lanes.Count/Slots
-// lanes): its map master, its per-vertex tasks and its reduce owners all
-// land there, which keeps a query's tiny task graph local while separate
-// queries fan across disjoint slices.
+// queries. Each of its Slots holds one in-flight query whose whole state
+// lives in a preallocated DRAM arena — never in lane scratch — so reduces
+// run with ReduceAnyLane and the coalescing shuffle executes tuples on the
+// destination node's distributor lane without a forward hop.
 //
-// A batch runs round-synchronous levels: round k is fully reduced before
-// round k+1 expands, and every shared word sits behind a DRAM fetch-add
-// gate, so a query's answer and done cycle are independent of what shares
-// its batch and of the shard count.
+// A slot is the unit of execution. It owns a contiguous lane slice
+// (Lanes.Count/Slots lanes) and a KVMSR invocation over exactly that
+// slice, so its launch broadcast, its map master, its per-vertex tasks,
+// its reduce owners and its termination probes all stay there. A seeded
+// slot is driven by its own thread on the slice's first lane, which
+// chains the query's rounds — round k of a query is fully reduced before
+// its round k+1 expands — and records the cycle the chain ended. Nothing
+// synchronizes one slot with another: a short query finishes, is
+// harvested and its slot reseeded while a long one is still running, and
+// an unseeded slot runs nothing. Every shared word of a slot sits behind
+// a DRAM fetch-add gate, so a query's answer is independent of what else
+// is in flight and of the shard count.
 //
 // A Kernel supplies only what differs between algorithms: extra seed
 // words, what a dry slot writes, the per-frontier-vertex task and the
@@ -22,6 +26,7 @@
 package pointq
 
 import (
+	"errors"
 	"fmt"
 
 	"updown"
@@ -40,10 +45,19 @@ const Window = 16
 type Config struct {
 	// Lanes is the engine's lane set (default: whole machine).
 	Lanes kvmsr.LaneSet
-	// Slots is the micro-batch capacity — concurrent queries per batch
-	// (default: one per accelerator, floor one).
+	// Slots is the number of concurrent queries (default: one per
+	// accelerator, floor one). Each slot registers its own KVMSR
+	// invocation — 17 event labels, 19 under the coalescing shuffle, 4
+	// more under the resilient one — so the 12-bit label space caps it: a
+	// BFS and a PPR engine on one machine fit 119 slots each (106
+	// coalescing). Past that, or with fewer lanes than slots, New returns
+	// ErrTooManySlots.
 	Slots int
 }
+
+// ErrTooManySlots is returned (wrapped, with the counts) by New when
+// Config.Slots exceeds the lanes or the free event labels.
+var ErrTooManySlots = errors.New("pointq: too many slots")
 
 // Per-slot arena, in words from the slot's base (N split vertices, P
 // kernel planes):
@@ -69,6 +83,9 @@ type Kernel struct {
 	// adjacency streamer's three events under it.
 	Name   string
 	Stream [3]string
+	// Private is the number of events the kernel defines for itself after
+	// New returns; New's label-headroom check reserves them.
+	Private int
 	// Planes is the number of N-word state planes per slot (≥ 1).
 	Planes int
 	// Seed (host-side) installs the kernel's own seed words for a query
@@ -97,17 +114,23 @@ type Engine struct {
 	sliceSize int
 	n, fcap   uint64
 	slotVA    []gasmem.VA
-	inv       *kvmsr.Invocation
+	// inv[s] is slot s's round invocation, over the slot's lane slice.
+	inv []*kvmsr.Invocation
 
 	lDriver, lHdr, lIdleAck, lClrAck, lChunk, lVDone udweave.Label
 	lStream, lSRec, lSChunk                          udweave.Label
 
-	// batchDone is written by the driver, which runs on a single lane, so
+	// done[s] is the cycle slot s's round chain ended, -1 from Seed until
+	// then. Its only in-simulation writer is the slot's driver thread, so
 	// the host reads it race-free at any quiesced point.
-	batchDone updown.Cycles
-	// Rounds counts launches of the most recent batch.
-	Rounds int
+	done []updown.Cycles
+	// seeded lists the slots Seed has filled since the last Post.
+	seeded []int
 }
+
+// frameLabels is the number of events New defines besides the per-slot
+// invocations' own.
+const frameLabels = 11
 
 // New builds a resident engine over a loaded graph. Build it before
 // checkpointing the warm machine: the slot arenas are part of the
@@ -121,19 +144,27 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 		cfg.Slots = max(1, cfg.Lanes.Count/m.Arch.LanesPerAccel)
 	}
 	if cfg.Slots > cfg.Lanes.Count {
-		return nil, fmt.Errorf("pointq: %s: %d slots over %d lanes (need a lane slice each)", k.Name, cfg.Slots, cfg.Lanes.Count)
+		return nil, fmt.Errorf("%w: %s: %d slots over %d lanes (need a lane slice each)", ErrTooManySlots, k.Name, cfg.Slots, cfg.Lanes.Count)
 	}
 	e := &Engine{m: m, dg: dg, k: k, lanes: cfg.Lanes, sliceSize: cfg.Lanes.Count / cfg.Slots,
-		n: uint64(dg.G.N), batchDone: -1}
+		n: uint64(dg.G.N), done: make([]updown.Cycles, cfg.Slots), seeded: make([]int, 0, cfg.Slots)}
 	e.fcap = e.n + fSlack
+
+	// Label headroom first, so a refusal leaves nothing allocated or
+	// defined. An invocation's label count depends only on its shuffle
+	// mode and on having a reduce phase (any nonzero ReduceEvent).
+	labels := kvmsr.Spec{ReduceEvent: 1, Resilience: m.Resilience, Coalesce: m.Coalesce}.Labels()
+	if need, free := frameLabels+k.Private+cfg.Slots*labels, m.Prog.FreeLabels(); need > free {
+		return nil, fmt.Errorf("%w: %s: %d slots need %d event labels (%d per slot), %d free",
+			ErrTooManySlots, k.Name, cfg.Slots, need, labels, free)
+	}
 
 	// One region per slot, resident on the slot's home node, so a query's
 	// marks, frontier and result words are all local to its lane slice.
 	perSlot := (hdrWords + (1+uint64(k.Planes))*e.n + 2*e.fcap) * gasmem.WordBytes
 	e.slotVA = make([]gasmem.VA, cfg.Slots)
 	for s := range e.slotVA {
-		home := (int(cfg.Lanes.First) + s*e.sliceSize) / m.Arch.LanesPerNode()
-		va, err := m.GAS.DRAMmalloc(perSlot, home, 1, 4096)
+		va, err := m.GAS.DRAMmalloc(perSlot, m.Arch.NodeOf(e.slotLane(uint64(s))), 1, 4096)
 		if err != nil {
 			return nil, fmt.Errorf("pointq: %s slot %d: %w", k.Name, s, err)
 		}
@@ -141,7 +172,21 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	}
 
 	def := func(name string, h udweave.Handler) udweave.Label { return m.Prog.Define(k.Name+"."+name, h) }
-	kvMap := def("kv_map", e.kvMap)
+	// Every slot's invocation has this shape; only Name and Lanes differ.
+	spec := kvmsr.Spec{
+		NumKeys:     1, // the slot's one map task, on the slice's first lane
+		MapEvent:    def("kv_map", e.kvMap),
+		ReduceEvent: def("kv_reduce", k.Reduce),
+		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, _ kvmsr.LaneSet) updown.NetworkID {
+			return e.Lane(SplitKey(key))
+		}),
+		Resilience: m.Resilience,
+		Coalesce:   m.Coalesce,
+		// All reduce state is per-slot DRAM behind fetch-add gates, so any
+		// lane may run any tuple — the distributor executes packed tuples
+		// in place, the core of the small-task fast path.
+		ReduceAnyLane: true,
+	}
 	e.lDriver = def("driver", e.driver)
 	e.lHdr = def("hdr", e.hdr)
 	e.lIdleAck = def("idle_ack", e.idleAck)
@@ -152,26 +197,14 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	e.lSChunk = def(k.Stream[2], e.sChunk)
 	e.lVDone = def("v_done", e.vDone)
 
-	var err error
-	e.inv, err = kvmsr.New(m.Prog, kvmsr.Spec{
-		Name:        k.Name + ".round",
-		NumKeys:     uint64(cfg.Slots),
-		MapEvent:    kvMap,
-		ReduceEvent: def("kv_reduce", k.Reduce),
-		MapBinding:  kvmsr.Stride{Step: e.sliceSize},
-		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, _ kvmsr.LaneSet) updown.NetworkID {
-			return e.Lane(SplitKey(key))
-		}),
-		Lanes:      cfg.Lanes,
-		Resilience: m.Resilience,
-		Coalesce:   m.Coalesce,
-		// All reduce state is per-slot DRAM behind fetch-add gates, so any
-		// lane may run any tuple — the distributor executes packed tuples
-		// in place, the core of the small-task fast path.
-		ReduceAnyLane: true,
-	})
-	if err != nil {
-		return nil, err
+	e.inv = make([]*kvmsr.Invocation, cfg.Slots)
+	for s := range e.inv {
+		spec.Name = fmt.Sprintf("%s.round%d", k.Name, s)
+		spec.Lanes = kvmsr.LaneSet{First: e.slotLane(uint64(s)), Count: e.sliceSize}
+		var err error
+		if e.inv[s], err = kvmsr.New(m.Prog, spec); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -179,11 +212,21 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 // SplitKey unpacks a reduce key, slot<<32 | vertex.
 func SplitKey(key uint64) (slot, v uint64) { return key >> 32, key & 0xffffffff }
 
+// slotLane is the first lane of slot's slice: its driver, invocation
+// master and map task run there.
+func (e *Engine) slotLane(slot uint64) updown.NetworkID {
+	return e.lanes.First + updown.NetworkID(int(slot)*e.sliceSize)
+}
+
+// slotOf is the slot whose slice holds lane id.
+func (e *Engine) slotOf(id updown.NetworkID) uint64 {
+	return uint64(e.lanes.Index(id) / e.sliceSize)
+}
+
 // Lane hashes vertex v into slot's lane slice: where v's task runs and
 // where reduces keyed by v land.
 func (e *Engine) Lane(slot, v uint64) updown.NetworkID {
-	return e.lanes.First + updown.NetworkID(int(slot)*e.sliceSize) +
-		updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
+	return e.slotLane(slot) + updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
 }
 
 // HdrVA addresses header word w of a slot.
@@ -204,15 +247,14 @@ func (e *Engine) FrontVA(slot, parity uint64) gasmem.VA {
 
 // ---- host API: call at quiesced points only ---------------------------
 
-// Slots returns the micro-batch capacity.
+// Slots returns the number of concurrent queries the engine holds.
 func (e *Engine) Slots() int { return len(e.slotVA) }
 
 // Vertices returns the number of input vertices Seed accepts.
 func (e *Engine) Vertices() int { return e.dg.G.OrigN }
 
-// Seed installs query (src, tgt) into a recycled slot, before Post. The
-// whole header is rewritten: a slot idled through a partial batch has a
-// stale done stamp that must not outlive reseeding.
+// Seed installs query (src, tgt) into a recycled slot; the next Post
+// starts it.
 func (e *Engine) Seed(slot int, src, tgt uint32) {
 	gas, s := e.m.GAS, uint64(slot)
 	sb, tb := uint64(e.dg.G.NewID[src]), uint64(e.dg.G.NewID[tgt])
@@ -224,6 +266,8 @@ func (e *Engine) Seed(slot int, src, tgt uint32) {
 	gas.WriteWords(e.HdrVA(s, 0), hdr[:])
 	gas.WriteU64(e.PlaneVA(s, 0, sb), 1)
 	gas.WriteU64(e.TouchVA(s, 0), sb)
+	e.done[slot] = -1
+	e.seeded = append(e.seeded, slot)
 }
 
 // Recycle clears a completed slot for reuse. Cost is proportional to the
@@ -237,8 +281,10 @@ func (e *Engine) Recycle(slot int) {
 			gas.WriteU64(e.PlaneVA(s, uint64(p), v), 0)
 		}
 	}
-	gas.WriteWords(e.HdrVA(s, 0), make([]uint64, hdrWords))
+	gas.WriteWords(e.HdrVA(s, 0), zeroHdr[:])
 }
+
+var zeroHdr [hdrWords]uint64
 
 // Result returns a completed slot's raw result word.
 func (e *Engine) Result(slot int) uint64 { return e.m.GAS.ReadU64(e.HdrVA(uint64(slot), HResult)) }
@@ -249,43 +295,56 @@ func (e *Engine) DoneCycle(slot int) updown.Cycles {
 	return updown.Cycles(e.m.GAS.ReadU64(e.HdrVA(uint64(slot), HDone)))
 }
 
-// Post queues the batch driver at cycle at. One batch may be in flight
-// per engine; BatchDone reports its completion.
+// Post starts, at cycle at, the round chain of every slot seeded since
+// the last Post. Slots already running are not touched.
 func (e *Engine) Post(at updown.Cycles) {
-	e.batchDone, e.Rounds = -1, 0
-	e.m.StartAt(at, updown.EvwNew(e.lanes.First, e.lDriver))
+	for _, slot := range e.seeded {
+		e.m.StartAt(at, updown.EvwNew(e.slotLane(uint64(slot)), e.lDriver))
+	}
+	e.seeded = e.seeded[:0]
 }
 
-// BatchDone reports the completion cycle of the last posted batch.
-func (e *Engine) BatchDone() (updown.Cycles, bool) { return e.batchDone, e.batchDone >= 0 }
+// Busy counts the slots seeded and not yet finished.
+func (e *Engine) Busy() (n int) {
+	for _, d := range e.done {
+		if d < 0 {
+			n++
+		}
+	}
+	return n
+}
 
-// ---- round driver and per-slot map task --------------------------------
+// SlotDone reports the cycle a posted slot's round chain ended: from then
+// on nothing of the query is in flight and the slot may be read and
+// recycled.
+func (e *Engine) SlotDone(slot int) (updown.Cycles, bool) { return e.done[slot], e.done[slot] >= 0 }
+
+// ---- per-slot round driver and map task ---------------------------------
 
 type driverState struct {
-	round uint64
-	final bool
+	slot, round uint64
+	final       bool
 }
 
-// driver chains rounds until a round emits nothing, then runs one more: a
-// round can consume the last frontier without emitting, and only the
-// following empty round stamps those slots' done cycles.
+// driver chains one slot's rounds until a round emits nothing, then runs
+// one more: a round can consume the last frontier without emitting, and
+// only the following empty round stamps the slot's done cycle.
 func (e *Engine) driver(c *udweave.Ctx) {
 	st, _ := c.State().(*driverState)
 	if st == nil {
-		st = &driverState{}
+		st = &driverState{slot: e.slotOf(c.NetworkID())}
 		c.SetState(st)
 	} else {
-		e.Rounds++
 		dry := c.Op(0) == 0
 		if dry && st.final {
-			e.batchDone = c.Now()
+			e.done[st.slot] = c.Now()
 			c.YieldTerminate()
 			return
 		}
 		st.final = dry
 		st.round++
 	}
-	e.inv.LaunchWithArg(c, uint64(len(e.slotVA)), st.round, c.ContinueTo(e.lDriver))
+	e.inv[st.slot].LaunchWithArg(c, 1, st.round, c.ContinueTo(e.lDriver))
 }
 
 // Task is one slot's map task for one round: read the slot header, then
@@ -303,7 +362,7 @@ type Task struct {
 }
 
 func (e *Engine) kvMap(c *udweave.Ctx) {
-	t := &Task{mapCont: c.Cont(), Slot: c.Op(0), Round: c.Op(1)}
+	t := &Task{mapCont: c.Cont(), Slot: e.slotOf(c.NetworkID()), Round: c.Op(1)}
 	c.SetState(t)
 	c.Cycles(4)
 	c.DRAMRead(e.HdrVA(t.Slot, 0), 6, c.ContinueTo(e.lHdr))
@@ -317,7 +376,7 @@ func (e *Engine) hdr(c *udweave.Ctx) {
 	c.Cycles(4)
 	switch {
 	case c.Op(HDone) != 0:
-		// Resolved in an earlier round (or slot idle): nothing to do.
+		// Resolved in an earlier round: nothing to do.
 		e.idleAck(c)
 	case c.Op(HResult) != 0 || cnt == 0:
 		// Answer found during the previous round's reduces, or frontier
@@ -341,7 +400,8 @@ func (e *Engine) Retire(c *udweave.Ctx, t *Task, w uint64, words ...uint64) {
 }
 
 func (e *Engine) idleAck(c *udweave.Ctx) {
-	e.inv.Return(c, c.State().(*Task).mapCont)
+	t := c.State().(*Task)
+	e.inv[t.Slot].Return(c, t.mapCont)
 	c.YieldTerminate()
 }
 
@@ -360,7 +420,7 @@ func (e *Engine) pump(c *udweave.Ctx, t *Task) {
 		c.DRAMRead(t.segVA+t.next*gasmem.WordBytes, int(min(t.hi-t.next, 8)), c.ContinueTo(e.lChunk))
 	}
 	if t.outstanding == 0 && !t.chunkPending && t.clears == 0 && t.next >= t.hi {
-		e.inv.EmitFrom(c, t.emits)
+		e.inv[t.Slot].EmitFrom(c, t.emits)
 		e.idleAck(c)
 	}
 }
@@ -441,7 +501,7 @@ func ReadAdj(c *udweave.Ctx, neighVA gasmem.VA, degree, ret uint64) {
 // current event's operands and returns the credits to report upstream.
 func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) (sent uint64) {
 	for _, nb := range c.Ops() {
-		sent += e.inv.SendReduce(c, slot<<32|nb, a, b)
+		sent += e.inv[slot].SendReduce(c, slot<<32|nb, a, b)
 	}
 	return sent
 }
@@ -470,8 +530,8 @@ func (e *Engine) WriteFront(c *udweave.Ctx, slot, parity, idx, v, subStart, subC
 	return writes
 }
 
-// ReduceDone ends a kv_reduce task.
-func (e *Engine) ReduceDone(c *udweave.Ctx) {
-	e.inv.ReduceDone(c)
+// ReduceDone ends a kv_reduce task of slot.
+func (e *Engine) ReduceDone(c *udweave.Ctx, slot uint64) {
+	e.inv[slot].ReduceDone(c)
 	c.YieldTerminate()
 }

@@ -1,6 +1,7 @@
 package pointq_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -13,23 +14,24 @@ import (
 	"updown/internal/sim"
 )
 
-// slotGold is one slot's raw result word and done cycle.
+// slotGold is one slot's raw result word, the cycle it resolved at and
+// the cycle its round chain ended.
 type slotGold struct {
-	result uint64
-	done   updown.Cycles
+	result    uint64
+	done, end updown.Cycles
 }
 
-// kernels lists every point kernel with the golden outcome of the fixed
-// batch below (2 nodes, 4 slots, coalescing on), captured at the commit
-// before the frame was extracted: the refactor — and any later one — must
-// leave the simulated timeline of both kernels exactly in place.
+// kernels lists every point kernel with the golden outcome of the four
+// queries below posted together (2 nodes, 4 slots, coalescing on). The
+// result words are the ones captured before the frame was extracted and
+// have never moved; the cycles and counters were recaptured when slots
+// became independent round chains. Any later refactor must leave the
+// simulated timeline of both kernels exactly in place.
 var kernels = []struct {
-	name      string
-	build     func(m *updown.Machine, dg *graph.DeviceGraph, slots int) (*pointq.Engine, error)
-	slots     [4]slotGold
-	batchDone updown.Cycles
-	rounds    int
-	stats     sim.Stats
+	name  string
+	build func(m *updown.Machine, dg *graph.DeviceGraph, slots int) (*pointq.Engine, error)
+	slots [4]slotGold
+	stats sim.Stats
 }{
 	{
 		name: "bfs",
@@ -40,10 +42,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots:     [4]slotGold{{2, 2253}, {2, 2267}, {3, 21946}, {0, 156465}},
-		batchDone: 166935, rounds: 6,
-		stats: sim.Stats{Events: 130734, Sends: 130733, DRAMReads: 1724, DRAMWrites: 6679,
-			DRAMBytes: 161224, BusyCycles: 1261333, FinalTime: 166936},
+		slots: [4]slotGold{{2, 2186, 9360}, {2, 2231, 9375}, {3, 16822, 30469}, {0, 143878, 146928}},
+		stats: sim.Stats{Events: 122464, Sends: 122460, DRAMReads: 1716, DRAMWrites: 6679,
+			DRAMBytes: 160840, BusyCycles: 1125257, FinalTime: 146929},
 	},
 	{
 		name: "ppr",
@@ -54,10 +55,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots:     [4]slotGold{{29786887349, 1521074}, {4055503735, 1521043}, {7974059777, 1522074}, {0, 1522043}},
-		batchDone: 1526397, rounds: 23,
-		stats: sim.Stats{Events: 1751955, Sends: 1751954, DRAMReads: 97531, DRAMWrites: 401380,
-			DRAMBytes: 10280464, BusyCycles: 12887998, FinalTime: 1526398},
+		slots: [4]slotGold{{29786887349, 441700, 442858}, {4055503735, 446928, 448086}, {7974059777, 1362001, 1363159}, {0, 1423016, 1424174}},
+		stats: sim.Stats{Events: 1856430, Sends: 1856426, DRAMReads: 97531, DRAMWrites: 401380,
+			DRAMBytes: 10280464, BusyCycles: 13778679, FinalTime: 1424175},
 	},
 }
 
@@ -67,8 +67,8 @@ var (
 	testQueries = [4]struct{ src, tgt uint32 }{{28, 0}, {3, 150}, {77, 12}, {0, 255}}
 )
 
-// runBatch seeds queries[i] into slot i of a fresh 4-slot engine and runs
-// the batch to completion.
+// runBatch seeds queries[i] into slot i of a fresh 4-slot engine, posts
+// them together and runs until every chain has ended.
 func runBatch(t *testing.T, build func(*updown.Machine, *graph.DeviceGraph, int) (*pointq.Engine, error),
 	shards int, queries []struct{ src, tgt uint32 }) (*pointq.Engine, sim.Stats) {
 	t.Helper()
@@ -88,24 +88,19 @@ func runBatch(t *testing.T, build func(*updown.Machine, *graph.DeviceGraph, int)
 	return e, st
 }
 
-// The event stream of one fixed batch per kernel is pinned to the cycle:
-// results, per-slot done stamps, batch completion, round count and the
-// engine's aggregate counters, at shards 1 and 3.
+// The event stream of four co-posted queries per kernel is pinned to the
+// cycle: results, per-slot done stamps and chain ends, and the engine's
+// aggregate counters, at shards 1 and 3.
 func TestGoldenBatch(t *testing.T) {
 	for _, k := range kernels {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", k.name, shards), func(t *testing.T) {
 				e, st := runBatch(t, k.build, shards, testQueries[:])
 				for s, want := range k.slots {
-					if got := (slotGold{e.Result(s), e.DoneCycle(s)}); got != want {
+					end, _ := e.SlotDone(s)
+					if got := (slotGold{e.Result(s), e.DoneCycle(s), end}); got != want {
 						t.Errorf("slot %d: got %+v, want %+v", s, got, want)
 					}
-				}
-				if bd, ok := e.BatchDone(); !ok || bd != k.batchDone {
-					t.Errorf("BatchDone = (%d,%v), want %d", bd, ok, k.batchDone)
-				}
-				if e.Rounds != k.rounds {
-					t.Errorf("Rounds = %d, want %d", e.Rounds, k.rounds)
 				}
 				got := sim.Stats{Events: st.Events, Sends: st.Sends, DRAMReads: st.DRAMReads,
 					DRAMWrites: st.DRAMWrites, DRAMBytes: st.DRAMBytes, BusyCycles: st.BusyCycles,
@@ -132,5 +127,123 @@ func TestBatchEqualsSolo(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Slots are independent round chains: a short query co-posted with a long
+// one ends, is read and recycled, and its slot serves a second query to
+// the end, all while the long query is still running. (With one
+// round-synchronous batch over all slots the short query was stamped only
+// when the long one's last round drained.)
+func TestNoHeadOfLineBlocking(t *testing.T) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			m, dg := pointqtest.Machine(t, testGraph, 2, 1)
+			e, err := k.build(m, dg, len(testQueries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Slot 3's query is the longest of the golden four, slot 0's
+			// the shortest; pause halfway between their chain ends.
+			const short, long = 0, 3
+			e.Seed(short, testQueries[short].src, testQueries[short].tgt)
+			e.Seed(long, testQueries[long].src, testQueries[long].tgt)
+			e.Post(1)
+			pause := (k.slots[short].end + k.slots[long].end) / 2
+			if _, err := m.RunUntil(pause); err != nil {
+				t.Fatal(err)
+			}
+			if end, ok := e.SlotDone(short); !ok || end >= pause {
+				t.Fatalf("short query not done at %d: SlotDone = (%d,%v)", pause, end, ok)
+			}
+			if _, ok := e.SlotDone(long); ok {
+				t.Fatalf("long query already done at %d; the pause proves nothing", pause)
+			}
+			if got, want := e.Result(short), k.slots[short].result; got != want {
+				t.Fatalf("short query answered %#x, want %#x", got, want)
+			}
+			if e.Busy() != 1 {
+				t.Fatalf("%d slots busy at the pause, want 1", e.Busy())
+			}
+
+			e.Recycle(short)
+			e.Seed(short, testQueries[1].src, testQueries[1].tgt)
+			e.Post(pause + 1)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			reuseEnd, ok1 := e.SlotDone(short)
+			longEnd, ok2 := e.SlotDone(long)
+			if !ok1 || !ok2 || e.Busy() != 0 {
+				t.Fatalf("chains did not end: reuse (%d,%v), long (%d,%v)", reuseEnd, ok1, longEnd, ok2)
+			}
+			if got, want := e.Result(short), k.slots[1].result; got != want {
+				t.Errorf("reused slot answered %#x, want %#x", got, want)
+			}
+			if got, want := e.Result(long), k.slots[long].result; got != want {
+				t.Errorf("long query answered %#x, want %#x", got, want)
+			}
+			if k.name == "bfs" && reuseEnd >= longEnd {
+				t.Errorf("reused slot ended at %d, not before the long query's %d", reuseEnd, longEnd)
+			}
+		})
+	}
+}
+
+// Every slot registers its own KVMSR invocation, so a large Slots count
+// runs out of the 12-bit event-label space. New must refuse it with
+// ErrTooManySlots before defining or allocating anything — and accept
+// every count below the ceiling without reaching udweave's panic.
+func TestTooManySlots(t *testing.T) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			m, dg := pointqtest.Machine(t, testGraph, 2, 1)
+			free := m.Prog.FreeLabels()
+			// Two builds give the fixed and the per-slot label cost.
+			if _, err := k.build(m, dg, 1); err != nil {
+				t.Fatal(err)
+			}
+			one := free - m.Prog.FreeLabels()
+			if _, err := k.build(m, dg, 2); err != nil {
+				t.Fatal(err)
+			}
+			perSlot := free - one - m.Prog.FreeLabels() - one
+			fixed := one - perSlot
+			if perSlot <= 0 || fixed <= 0 {
+				t.Fatalf("label costs: fixed %d, per slot %d", fixed, perSlot)
+			}
+
+			m, dg = pointqtest.Machine(t, testGraph, 2, 1)
+			ceiling := (m.Prog.FreeLabels() - fixed) / perSlot
+			labels, mem := m.Prog.FreeLabels(), m.GAS.UsedBytes(0)+m.GAS.UsedBytes(1)
+			_, err := k.build(m, dg, ceiling+1)
+			if !errors.Is(err, pointq.ErrTooManySlots) {
+				t.Fatalf("%d slots: err = %v, want ErrTooManySlots", ceiling+1, err)
+			}
+			if now := m.GAS.UsedBytes(0) + m.GAS.UsedBytes(1); m.Prog.FreeLabels() != labels || now != mem {
+				t.Fatalf("refused build left labels %d -> %d, DRAM bytes %d -> %d", labels, m.Prog.FreeLabels(), mem, now)
+			}
+			e, err := k.build(m, dg, ceiling)
+			if err != nil {
+				t.Fatalf("%d slots (the ceiling): %v", ceiling, err)
+			}
+			if left := m.Prog.FreeLabels(); left < 0 || left >= perSlot {
+				t.Fatalf("%d labels left at the ceiling, want 0..%d", left, perSlot-1)
+			}
+			// The engine at the ceiling works: first and last slot.
+			e.Seed(0, testQueries[0].src, testQueries[0].tgt)
+			e.Seed(ceiling-1, testQueries[1].src, testQueries[1].tgt)
+			e.Post(1)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := e.Result(0), e.Result(ceiling-1); a != k.slots[0].result || b != k.slots[1].result {
+				t.Errorf("answers %#x, %#x at the ceiling, want %#x, %#x", a, b, k.slots[0].result, k.slots[1].result)
+			}
+		})
+	}
+	m, dg := pointqtest.Machine(t, testGraph, 2, 1)
+	if _, err := kernels[0].build(m, dg, m.Arch.TotalLanes()+1); !errors.Is(err, pointq.ErrTooManySlots) {
+		t.Fatalf("more slots than lanes: err = %v, want ErrTooManySlots", err)
 	}
 }

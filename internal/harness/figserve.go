@@ -2,12 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
+	"updown/internal/apps/pointq"
 	"updown/internal/arch"
 	"updown/internal/graph"
 	"updown/internal/prng"
@@ -17,8 +19,8 @@ import (
 // FigServeOptions configures the interactive serving sweep: an open-loop
 // Poisson stream of mixed point queries (BFS reachability, personalized
 // PageRank) against one warm resident machine, swept over arrival rate,
-// in both fused (micro-batched) and unfused (one query per map/drain
-// cycle) modes.
+// in both fused (every slot in use) and unfused (one query in flight per
+// kind) modes.
 type FigServeOptions struct {
 	// Nodes is the machine size (default 2).
 	Nodes int
@@ -37,10 +39,12 @@ type FigServeOptions struct {
 	Seed uint64
 	// Quantum is the serving reconcile grid (default sched quantum).
 	Quantum updown.Cycles
-	// FuseWindow is the micro-batching hold-off (default 2048 cycles).
+	// FuseWindow is the launch hold-off (default 2048 cycles).
 	FuseWindow updown.Cycles
-	// Slots is each point engine's micro-batch capacity (0 = engine
-	// default: one slot per accelerator's worth of lanes).
+	// Slots is each point engine's concurrent-query capacity (0 = engine
+	// default: one slot per accelerator's worth of lanes). More than the
+	// lanes or the event-label space allow (pointq.Config.Slots: 119 on
+	// the default machine) is ErrBadOption.
 	Slots int
 	// QueueCap bounds each kind's waiting room (default 64).
 	QueueCap int
@@ -73,8 +77,9 @@ type ServeRow struct {
 	// LaneUtilPct integrates lane-busy cycles over the makespan against
 	// the whole machine's lane-time.
 	LaneUtilPct float64 `json:"lane_util_pct"`
-	// Batches is the number of engine map/drain cycles the stream cost;
-	// FusedPerBatch = Served/Batches is the batch-fusion factor.
+	// Batches is the number of launch groups (boundaries at which a kind
+	// posted queries); FusedPerBatch = Served/Batches is the mean number
+	// of queries per group.
 	Batches        int     `json:"batches"`
 	FusedPerBatch  float64 `json:"fused_per_batch"`
 	MakespanCycles int64   `json:"makespan_cycles"`
@@ -85,9 +90,9 @@ type ServeMode struct {
 	Rows []ServeRow `json:"rows"`
 }
 
-// ServeComparison records the micro-batching win at the saturating
-// sweep point (smallest gap): the acceptance bar is higher fused qps at
-// equal or better p99.
+// ServeComparison records what admitting into every slot wins over one
+// query in flight per kind at the saturating sweep point (smallest gap):
+// the acceptance bar is higher fused qps at equal or better p99.
 type ServeComparison struct {
 	SaturationQPS   map[string]float64 `json:"saturation_qps"`
 	SaturationP99Ms map[string]float64 `json:"saturation_p99_ms"`
@@ -187,10 +192,13 @@ func FigServe(opt FigServeOptions) (*FigServeResult, error) {
 		return nil, err
 	}
 	pb, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: opt.Slots})
-	if err != nil {
-		return nil, err
+	var pp *pagerank.PointPPR
+	if err == nil {
+		pp, err = pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: opt.Slots})
 	}
-	pp, err := pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: opt.Slots})
+	if errors.Is(err, pointq.ErrTooManySlots) {
+		return nil, fmt.Errorf("%w: slots %d: %v", ErrBadOption, opt.Slots, err)
+	}
 	if err != nil {
 		return nil, err
 	}

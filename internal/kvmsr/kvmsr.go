@@ -291,6 +291,26 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	return v, nil
 }
 
+// Labels returns how many event labels New registers for this spec — what
+// a caller building many invocations checks against Program.FreeLabels
+// before defining any of them.
+func (s Spec) Labels() int {
+	n := 17
+	if s.ReduceEvent == 0 {
+		return n
+	}
+	if s.Resilience != nil {
+		n += 4
+	}
+	if s.Coalesce != nil {
+		n++ // flush_guard
+		if s.Resilience == nil {
+			n++ // pack_deliver
+		}
+	}
+	return n
+}
+
 // Resilient reports whether the invocation uses the resilient shuffle.
 func (v *Invocation) Resilient() bool { return v.res != nil }
 

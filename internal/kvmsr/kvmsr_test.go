@@ -450,6 +450,27 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// Spec.Labels must equal what New takes from the label table in every
+// shuffle mode: callers size many-invocation programs with it.
+func TestSpecLabelsMatchesNew(t *testing.T) {
+	m, _ := updown.New(updown.Config{Nodes: 1, Shards: 1})
+	ev := m.Prog.Define("e", func(c *updown.Ctx) {})
+	for _, s := range []kvmsr.Spec{
+		{Name: "doall", Resilience: &kvmsr.Resilience{}, Coalesce: &kvmsr.Coalesce{}},
+		{Name: "classic", ReduceEvent: ev},
+		{Name: "resilient", ReduceEvent: ev, Resilience: &kvmsr.Resilience{}},
+		{Name: "coalesced", ReduceEvent: ev, Coalesce: &kvmsr.Coalesce{}},
+		{Name: "both", ReduceEvent: ev, Resilience: &kvmsr.Resilience{}, Coalesce: &kvmsr.Coalesce{}},
+	} {
+		s.MapEvent, s.Lanes = ev, kvmsr.AllLanes(m.Arch)
+		before := m.Prog.FreeLabels()
+		kvmsr.MustNew(m.Prog, s)
+		if got := before - m.Prog.FreeLabels(); got != s.Labels() {
+			t.Errorf("%s: New defined %d labels, Labels() = %d", s.Name, got, s.Labels())
+		}
+	}
+}
+
 // Small subsets of lanes (down to a single lane, where one lane plays all
 // four tree roles) must work.
 func TestSmallLaneSets(t *testing.T) {

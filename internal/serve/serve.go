@@ -4,25 +4,29 @@
 // personalized PageRank) through it, measuring queries/sec and tail
 // latency instead of batch makespan.
 //
-// The serving loop runs on the scheduler's Pacer: host admission,
-// batching and harvest decisions all happen at fixed quantum boundaries
-// of simulated time, so the interleaving of arrivals and execution is a
-// pure function of the schedule and the quantum — results and latencies
-// are byte-identical at any shard count.
+// The serving loop runs on the scheduler's Pacer: host admission, launch
+// and harvest decisions all happen at fixed quantum boundaries of
+// simulated time and read only in-simulation done stamps, so the
+// interleaving of arrivals and execution is a pure function of the
+// schedule and the quantum — results and latencies are byte-identical at
+// any shard count.
 //
-// The fast path is shared-arrival micro-batching: queries that arrive
-// within a fuse window are seeded into one engine batch and ride a
-// single map/drain cycle of the resident KVMSR invocation, amortizing
-// the per-round launch/drain barrier that dominates point-query cost.
-// Query descriptors live in the caller's schedule slice and every
-// server-side list is preallocated at Run entry, so the steady-state
-// loop does not allocate per query.
+// Admission is continuous and per slot. A point engine runs each query as
+// an independent round chain on the query's own lane slice (see pointq),
+// so at every boundary the server resolves and recycles whichever
+// in-flight queries have finished and seeds queued ones into whatever
+// slots are free; no query waits for the others it was launched with, and
+// a kind's next queries do not wait for its previous ones. MaxBatch caps
+// the queries a kind has in flight and FuseWindow holds a partly filled
+// launch back for late joiners. Query descriptors live in the caller's
+// schedule slice and every server-side list is preallocated, so the
+// steady-state loop does not allocate per query.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"updown"
 	"updown/internal/apps/bfs"
@@ -58,7 +62,7 @@ const (
 	Waiting State = iota
 	// Queued: arrived, in the waiting room.
 	Queued
-	// Inflight: seeded into an engine slot, batch posted.
+	// Inflight: seeded into an engine slot and posted.
 	Inflight
 	// Resolved: answered; Result/Done are valid.
 	Resolved
@@ -75,12 +79,12 @@ type Query struct {
 	Tgt    uint32
 	Arrive updown.Cycles
 
-	// Start is the cycle the query's batch was posted; Done is the
+	// Start is the cycle the query's slot was posted; Done is the
 	// in-simulation cycle its slot resolved. Latency is Done-Arrive.
 	Start updown.Cycles
 	Done  updown.Cycles
-	// Slot is the engine slot the query ran in; Batch numbers the engine
-	// batch (per kind) it rode.
+	// Slot is the engine slot the query ran in; Batch numbers the launch
+	// group (per kind) it was seeded with.
 	Slot  int
 	Batch int
 	// Result is the raw answer: dist+1 (0 = unreached) for BFS, the
@@ -106,13 +110,13 @@ type Config struct {
 	PPR *pagerank.PointPPR
 	// Quantum is the pacer grid (default sched.DefaultQuantum).
 	Quantum updown.Cycles
-	// FuseWindow is the micro-batching hold-off: a batch launches once
-	// its oldest queued query has waited this long (or the batch is
-	// full). Zero launches at the first boundary after arrival.
+	// FuseWindow is the launch hold-off: queued queries that would not
+	// fill the free slots launch once the oldest has waited this long.
+	// Zero launches at the first boundary after arrival.
 	FuseWindow updown.Cycles
-	// MaxBatch caps queries fused into one engine batch; 0 means the
-	// engine's slot capacity. 1 is the unfused one-query-per-cycle
-	// baseline the benchmark compares against.
+	// MaxBatch caps a kind's queries in flight; 0 means the engine's slot
+	// count. 1 is the one-query-at-a-time baseline the benchmark compares
+	// against.
 	MaxBatch int
 	// QueueCap bounds the per-kind waiting room (default 256); arrivals
 	// that find it full are shed, which keeps tail latency bounded
@@ -122,8 +126,10 @@ type Config struct {
 
 // Stats is the aggregate serving outcome of one Run.
 type Stats struct {
-	Served  [2]int
-	ShedN   [2]int
+	Served [2]int
+	ShedN  [2]int
+	// Batches counts launch groups: boundaries at which a kind seeded and
+	// posted at least one query.
 	Batches [2]int
 	Sim     sim.Stats
 	// First/Last bracket the stream: first arrival to last resolution.
@@ -141,9 +147,12 @@ type Server struct {
 	next     int
 	queue    [numKinds][]int
 	inflight [numKinds][]int
-	batchAt  [numKinds]updown.Cycles
-	stats    Stats
-	lat      [numKinds][]updown.Cycles
+	// busy[k][slot] marks the slots of kind k holding an in-flight query.
+	busy  [numKinds][]bool
+	stats Stats
+	lat   [numKinds][]updown.Cycles
+	// sorted is the scratch a latency log is sorted in for percentiles.
+	sorted []updown.Cycles
 }
 
 // New builds a server over a warm machine. The engines must already be
@@ -166,15 +175,15 @@ func New(m *updown.Machine, cfg Config) (*Server, error) {
 		if s.eng[k] == nil {
 			continue
 		}
-		cap := s.eng[k].Slots()
-		s.inflight[k] = make([]int, 0, cap)
+		s.inflight[k] = make([]int, 0, s.eng[k].Slots())
+		s.busy[k] = make([]bool, s.eng[k].Slots())
 		s.queue[k] = make([]int, 0, s.cfg.QueueCap)
 	}
 	s.installTelemetry()
 	return s, nil
 }
 
-// maxBatch resolves the per-batch cap for a kind.
+// maxBatch resolves the in-flight cap for a kind.
 func (s *Server) maxBatch(k Kind) int {
 	n := s.eng[k].Slots()
 	if s.cfg.MaxBatch > 0 && s.cfg.MaxBatch < n {
@@ -207,10 +216,19 @@ func (a accumEngine) RunUntil(t updown.Cycles) (sim.Stats, error) {
 // Run serves the whole schedule (ascending Arrive, caller-owned; answers
 // are written into it in place) and returns when every query is resolved
 // or shed. Run may be called again with a new schedule; simulated time
-// keeps advancing. The whole schedule is validated before any query is
-// admitted: an unservable entry fails the call with ErrBadQuery and
-// leaves the schedule and the machine untouched.
+// keeps advancing. It is Begin, then Step at every quantum boundary with
+// the machine run to the next boundary in between.
 func (s *Server) Run(queries []Query) error {
+	if err := s.Begin(queries); err != nil {
+		return err
+	}
+	return s.pace.Drive(accumEngine{s.m.Engine, &s.stats.Sim}, s.Step)
+}
+
+// Begin installs a schedule for Step to serve. The whole schedule is
+// validated before any query is admitted: an unservable entry fails the
+// call with ErrBadQuery and leaves the schedule and the machine untouched.
+func (s *Server) Begin(queries []Query) error {
 	for i := range queries {
 		q := &queries[i]
 		if i > 0 && q.Arrive < queries[i-1].Arrive {
@@ -233,13 +251,15 @@ func (s *Server) Run(queries []Query) error {
 			s.lat[k] = make([]updown.Cycles, 0, len(queries))
 		}
 	}
-	return s.pace.Drive(accumEngine{s.m.Engine, &s.stats.Sim}, s.step)
+	return nil
 }
 
-// step is one host reconcile pass at a quantum boundary: harvest
-// completed batches, admit arrivals, launch fused batches, then report
-// how far the loop may fast-forward.
-func (s *Server) step(now updown.Cycles) (idleUntil updown.Cycles, done bool) {
+// Step is one host reconcile pass at quantum boundary now, the machine
+// quiesced there: harvest finished slots, admit arrivals, launch into
+// free slots, then report whether the schedule is finished and, if not,
+// how far the caller may fast-forward (0: run to the next boundary). Run
+// calls it; a caller pacing the machine itself calls it directly.
+func (s *Server) Step(now updown.Cycles) (idleUntil updown.Cycles, done bool) {
 	s.harvest()
 	s.admit(now)
 	s.launch(now)
@@ -281,34 +301,31 @@ func (s *Server) step(now updown.Cycles) (idleUntil updown.Cycles, done bool) {
 	return idleUntil, false
 }
 
-// harvest collects every completed batch: read results, stamp done
-// cycles, recycle the slots.
+// harvest resolves every in-flight query whose slot has finished — read
+// the result and the in-simulation done stamp — and recycles the slot;
+// the others stay in flight.
 func (s *Server) harvest() {
-	for k := range s.eng {
-		if len(s.inflight[k]) == 0 {
-			continue
-		}
-		bd, ok := s.eng[k].BatchDone()
-		if !ok {
-			continue
-		}
+	for k, e := range s.eng {
+		running := s.inflight[k][:0]
 		for _, qi := range s.inflight[k] {
 			q := &s.queries[qi]
-			q.Result = s.eng[k].Result(q.Slot)
-			q.Reached = q.Kind == KindPPR || q.Result != 0
-			q.Done = s.eng[k].DoneCycle(q.Slot)
-			if q.Done == 0 || q.Done > bd {
-				q.Done = bd
+			if _, ok := e.SlotDone(q.Slot); !ok {
+				running = append(running, qi)
+				continue
 			}
+			q.Result = e.Result(q.Slot)
+			q.Reached = q.Kind == KindPPR || q.Result != 0
+			q.Done = e.DoneCycle(q.Slot)
 			q.State = Resolved
-			s.eng[k].Recycle(q.Slot)
+			e.Recycle(q.Slot)
+			s.busy[k][q.Slot] = false
 			s.stats.Served[k]++
 			s.lat[k] = append(s.lat[k], q.Latency())
 			if q.Done > s.stats.Last {
 				s.stats.Last = q.Done
 			}
 		}
-		s.inflight[k] = s.inflight[k][:0]
+		s.inflight[k] = running
 	}
 }
 
@@ -329,27 +346,32 @@ func (s *Server) admit(now updown.Cycles) {
 	}
 }
 
-// launch seeds one fused batch per idle engine when the batching policy
-// fires: the batch is full, the fuse window expired, or the schedule has
-// drained (no later arrival can ever join).
+// launch seeds queued queries, oldest first, into a kind's free slots,
+// lowest first, when the policy fires: the queue fills every free slot,
+// the fuse window expired, or the schedule has drained (no later arrival
+// can ever join).
 func (s *Server) launch(now updown.Cycles) {
-	for k := range s.eng {
-		if s.eng[k] == nil || len(s.inflight[k]) > 0 || len(s.queue[k]) == 0 {
+	for k, e := range s.eng {
+		if e == nil || len(s.queue[k]) == 0 {
 			continue
 		}
-		limit := s.maxBatch(Kind(k))
+		free := s.maxBatch(Kind(k)) - len(s.inflight[k])
+		if free == 0 {
+			continue
+		}
 		oldest := s.queries[s.queue[k][0]].Arrive
-		if len(s.queue[k]) < limit && now < oldest+s.cfg.FuseWindow && s.next < len(s.queries) {
+		if len(s.queue[k]) < free && now < oldest+s.cfg.FuseWindow && s.next < len(s.queries) {
 			continue
 		}
-		n := len(s.queue[k])
-		if n > limit {
-			n = limit
-		}
-		at := now + 1
-		for slot := 0; slot < n; slot++ {
-			q := &s.queries[s.queue[k][slot]]
-			s.eng[k].Seed(slot, q.Src, q.Tgt)
+		n := min(len(s.queue[k]), free)
+		at, slot := now+1, 0
+		for _, qi := range s.queue[k][:n] {
+			for s.busy[k][slot] {
+				slot++
+			}
+			s.busy[k][slot] = true
+			q := &s.queries[qi]
+			e.Seed(slot, q.Src, q.Tgt)
 			q.Slot = slot
 			q.Start = at
 			q.Batch = s.stats.Batches[k]
@@ -357,8 +379,7 @@ func (s *Server) launch(now updown.Cycles) {
 		}
 		s.inflight[k] = append(s.inflight[k], s.queue[k][:n]...)
 		s.queue[k] = append(s.queue[k][:0], s.queue[k][n:]...)
-		s.eng[k].Post(at)
-		s.batchAt[k] = at
+		e.Post(at)
 		s.stats.Batches[k]++
 	}
 }
@@ -374,48 +395,32 @@ func (s *Server) installTelemetry() {
 		if prev != nil {
 			prev(snap)
 		}
-		for k := range s.eng {
-			if s.eng[k] == nil {
+		for k, e := range s.eng {
+			if e == nil {
 				continue
 			}
 			qs := telemetry.QueryStat{
-				Kind:     Kind(k).String(),
-				Served:   int64(s.stats.Served[k]),
-				Shed:     int64(s.stats.ShedN[k]),
-				Queued:   len(s.queue[k]),
-				Inflight: len(s.inflight[k]),
-				Batches:  int64(s.stats.Batches[k]),
+				Kind:      Kind(k).String(),
+				Served:    int64(s.stats.Served[k]),
+				Shed:      int64(s.stats.ShedN[k]),
+				Queued:    len(s.queue[k]),
+				Inflight:  len(s.inflight[k]),
+				SlotsBusy: e.Busy(),
+				Slots:     e.Slots(),
+				Batches:   int64(s.stats.Batches[k]),
 			}
 			if qs.Batches > 0 {
 				qs.FusedPerBatch = float64(qs.Served) / float64(qs.Batches)
 			}
 			if n := len(s.lat[k]); n > 0 {
-				qs.P50Ms = s.m.Seconds(percentile(s.lat[k], 50)) * 1e3
-				qs.P99Ms = s.m.Seconds(percentile(s.lat[k], 99)) * 1e3
+				// Sorted in the server's scratch: the serving loop itself
+				// never reorders the log.
+				s.sorted = append(s.sorted[:0], s.lat[k]...)
+				slices.Sort(s.sorted)
+				qs.P50Ms = s.m.Seconds(s.sorted[n*50/100]) * 1e3
+				qs.P99Ms = s.m.Seconds(s.sorted[n*99/100]) * 1e3
 			}
 			snap.Queries = append(snap.Queries, qs)
 		}
 	}
-}
-
-// percentile returns the p-th percentile of latencies (sorts a copy; the
-// serving loop itself never reorders the log).
-func percentile(lat []updown.Cycles, p int) updown.Cycles {
-	c := make([]updown.Cycles, len(lat))
-	copy(c, lat)
-	sort.Slice(c, func(a, b int) bool { return c[a] < c[b] })
-	i := len(c) * p / 100
-	if i >= len(c) {
-		i = len(c) - 1
-	}
-	return c[i]
-}
-
-// Percentile exposes the latency percentile of one kind's resolved
-// queries from the last Run (harness reporting).
-func (s *Server) Percentile(k Kind, p int) updown.Cycles {
-	if len(s.lat[k]) == 0 {
-		return 0
-	}
-	return percentile(s.lat[k], p)
 }

@@ -1,12 +1,14 @@
 package serve_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"updown"
 	"updown/internal/apps/bfs"
@@ -14,8 +16,10 @@ import (
 	"updown/internal/apps/pointq/pointqtest"
 	"updown/internal/baseline"
 	"updown/internal/graph"
+	"updown/internal/kvmsr"
 	"updown/internal/prng"
 	"updown/internal/serve"
+	"updown/internal/telemetry"
 )
 
 func testGraph() *graph.Graph {
@@ -23,7 +27,8 @@ func testGraph() *graph.Graph {
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 }
 
-func warmServer(t *testing.T, g *graph.Graph, shards int, cfg serve.Config) (*updown.Machine, *serve.Server) {
+// warmEngines builds the resident machine and fills cfg's two engines.
+func warmEngines(t *testing.T, g *graph.Graph, shards int, cfg serve.Config) (*updown.Machine, serve.Config) {
 	t.Helper()
 	m, dg := pointqtest.Machine(t, g, 2, shards)
 	var err error
@@ -33,6 +38,12 @@ func warmServer(t *testing.T, g *graph.Graph, shards int, cfg serve.Config) (*up
 	if cfg.PPR, err = pagerank.NewPoint(m, dg, pagerank.PointConfig{Slots: 4}); err != nil {
 		t.Fatal(err)
 	}
+	return m, cfg
+}
+
+func warmServer(t *testing.T, g *graph.Graph, shards int, cfg serve.Config) (*updown.Machine, *serve.Server) {
+	t.Helper()
+	m, cfg := warmEngines(t, g, shards, cfg)
 	srv, err := serve.New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +150,39 @@ func TestServeDeterministicAcrossShards(t *testing.T) {
 	}
 }
 
+// Restoring the warm checkpoint and serving the same stream again must
+// reproduce every query outcome and the aggregate stats: the engines'
+// host-side per-slot state carries nothing over from the first run.
+func TestServeSameAfterRestore(t *testing.T) {
+	m, cfg := warmEngines(t, testGraph(), 3, serve.Config{FuseWindow: 2048})
+	var snap bytes.Buffer
+	if err := m.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	serveOnce := func() ([]serve.Query, serve.Stats) {
+		srv, err := serve.New(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := poissonSchedule(24, 2000, 11)
+		if err := srv.Run(qs); err != nil {
+			t.Fatal(err)
+		}
+		return qs, srv.Stats()
+	}
+	first, firstStats := serveOnce()
+	if err := m.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	second, secondStats := serveOnce()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("timeline changed across restore:\n first %+v\nsecond %+v", first, second)
+	}
+	if firstStats != secondStats {
+		t.Fatalf("stats changed across restore:\n first %+v\nsecond %+v", firstStats, secondStats)
+	}
+}
+
 // A full waiting room sheds instead of queuing unboundedly, and the
 // server still terminates with every non-shed query resolved.
 func TestServeShedsOnOverload(t *testing.T) {
@@ -165,30 +209,150 @@ func TestServeShedsOnOverload(t *testing.T) {
 	}
 }
 
-// Micro-batching must fuse a simultaneous burst into full batches, and
-// the unfused baseline must pay one batch per query.
-func TestServeFusionFactor(t *testing.T) {
+// Admission is continuous: a burst of 8 over 4 slots fills the slots
+// once, and from then on every slot is reseeded on its own at the first
+// quantum boundary after its query's round chain ends — while queries it
+// was launched with are still running. MaxBatch 1 keeps the strict
+// one-at-a-time baseline. Either way every answer equals the host BFS and
+// the whole timeline is the same at any shard count.
+func TestServeContinuousAdmission(t *testing.T) {
 	g := testGraph()
-	burst := func(n int) []serve.Query {
-		qs := make([]serve.Query, n)
+	const quantum = 4096
+	burst := func() []serve.Query {
+		qs := make([]serve.Query, 8) // query 1 is unreachable (long), query 0 two hops (short)
 		for i := range qs {
 			qs[i] = serve.Query{Kind: serve.KindBFS, Src: uint32(3 * i), Tgt: uint32(200 - i), Arrive: 1}
 		}
 		return qs
 	}
-	_, fused := warmServer(t, g, 1, serve.Config{})
-	if err := fused.Run(burst(8)); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name               string
+		maxBatch, inflight int
+		// Launch groups: two would be batch-synchronous serving, eight is
+		// every query launched alone.
+		minGroups, maxGroups int
+	}{
+		{"all slots", 0, 4, 3, 8},
+		{"MaxBatch 1", 1, 1, 8, 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ref []serve.Query
+			for _, sh := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+				_, srv := warmServer(t, g, sh, serve.Config{Quantum: quantum, MaxBatch: c.maxBatch})
+				qs := burst()
+				if err := srv.Run(qs); err != nil {
+					t.Fatalf("shards=%d: %v", sh, err)
+				}
+				if ref != nil {
+					if !reflect.DeepEqual(qs, ref) {
+						t.Fatalf("shards=%d timeline diverged:\n got %+v\nwant %+v", sh, qs, ref)
+					}
+					continue
+				}
+				ref = qs
+				if got := srv.Stats().Batches[serve.KindBFS]; got < c.minGroups || got > c.maxGroups {
+					t.Errorf("%d launch groups, want %d..%d", got, c.minGroups, c.maxGroups)
+				}
+			}
+
+			lastInSlot := map[int]*serve.Query{}
+			var firstGroupEnd, earliestReseed updown.Cycles
+			for i := range ref {
+				q := &ref[i]
+				want := baseline.BFS(g, q.Src)[q.Tgt]
+				if q.State != serve.Resolved || q.Reached != (want != baseline.Unreached) ||
+					q.Reached && q.Result != uint64(want)+1 {
+					t.Errorf("query %d (%d->%d): got (%d,%v) state %d, want dist %d", i, q.Src, q.Tgt, q.Result, q.Reached, q.State, want)
+				}
+				if q.Slot < 0 || q.Slot >= c.inflight {
+					t.Errorf("query %d ran in slot %d with %d allowed in flight", i, q.Slot, c.inflight)
+				}
+				if q.Start%quantum != 1 {
+					t.Errorf("query %d posted at %d, not one past a quantum boundary", i, q.Start)
+				}
+				// One query per slot at a time: with c.inflight slots in
+				// use, never more than that many in flight.
+				if prev := lastInSlot[q.Slot]; prev != nil && q.Start <= prev.Done {
+					t.Errorf("query %d posted into slot %d at %d, before its previous query resolved at %d", i, q.Slot, q.Start, prev.Done)
+				}
+				lastInSlot[q.Slot] = q
+				if i < c.inflight {
+					if q.Batch != 0 {
+						t.Errorf("query %d rode launch group %d, want 0", i, q.Batch)
+					}
+					firstGroupEnd = max(firstGroupEnd, q.Done)
+				} else if earliestReseed == 0 || q.Start < earliestReseed {
+					earliestReseed = q.Start
+				}
+			}
+			if c.maxBatch == 0 && earliestReseed >= firstGroupEnd {
+				t.Errorf("first reseed at %d waited for the whole first group (last done %d)", earliestReseed, firstGroupEnd)
+			}
+		})
 	}
-	if got := fused.Stats().Batches[serve.KindBFS]; got != 2 {
-		t.Fatalf("fused burst of 8 over 4 slots took %d batches, want 2", got)
+}
+
+// The per-kind telemetry rows report slot occupancy read from the engines'
+// in-simulation chain-end stamps at quiesced points: never more slots busy
+// than queries in flight, never more in flight than slots — and observing
+// changes no query's outcome.
+func TestServeTelemetrySlots(t *testing.T) {
+	g := testGraph()
+	var rows []telemetry.QueryStat
+	run := func(pub *telemetry.Publisher) []serve.Query {
+		m, err := updown.New(updown.Config{Nodes: 2, Shards: 3, MaxTime: 1 << 42,
+			Coalesce: &kvmsr.Coalesce{}, Telemetry: pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 16), graph.DefaultPlacement(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := bfs.NewPoint(m, dg, bfs.PointConfig{Slots: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(m, serve.Config{BFS: pb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pub != nil {
+			fill := pub.Aux
+			pub.Aux = func(s *telemetry.Snapshot) {
+				fill(s)
+				rows = append(rows, s.Queries...)
+			}
+		}
+		qs := make([]serve.Query, 12)
+		for i := range qs {
+			qs[i] = serve.Query{Kind: serve.KindBFS, Src: uint32(3 * i), Tgt: uint32(200 - i), Arrive: 1}
+		}
+		if err := srv.Run(qs); err != nil {
+			t.Fatal(err)
+		}
+		return qs
 	}
-	_, unfused := warmServer(t, g, 1, serve.Config{MaxBatch: 1})
-	if err := unfused.Run(burst(8)); err != nil {
-		t.Fatal(err)
+
+	observed := run(&telemetry.Publisher{MinPeriod: time.Nanosecond})
+	if !reflect.DeepEqual(observed, run(nil)) {
+		t.Fatal("serving with telemetry on changed the timeline")
 	}
-	if got := unfused.Stats().Batches[serve.KindBFS]; got != 8 {
-		t.Fatalf("unfused burst of 8 took %d batches, want 8", got)
+	sawBusy := false
+	for _, r := range rows {
+		if r.Kind != "bfs" || r.Slots != 4 || r.SlotsBusy < 0 || r.SlotsBusy > r.Inflight || r.Inflight > r.Slots {
+			t.Fatalf("snapshot row %+v: want 0 <= slots_busy <= inflight <= slots = 4", r)
+		}
+		sawBusy = sawBusy || r.SlotsBusy > 0
+	}
+	if !sawBusy {
+		t.Fatalf("no snapshot of %d saw a busy slot", len(rows))
+	}
+	// The last snapshot is taken when the machine drains, before the final
+	// harvest: the last queries are finished (no slot busy) but still in
+	// flight.
+	if last := rows[len(rows)-1]; last.SlotsBusy != 0 || last.Inflight == 0 || last.Served+int64(last.Inflight) != 12 {
+		t.Fatalf("final snapshot %+v: want no slot busy and served + in flight = 12", last)
 	}
 }
 

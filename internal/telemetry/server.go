@@ -182,45 +182,28 @@ func WriteProm(b *strings.Builder, s *Snapshot) {
 		}
 	}
 	if len(s.Queries) > 0 {
-		fmt.Fprintf(b, "# HELP updown_query_served_total point queries resolved per kind\n# TYPE updown_query_served_total counter\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_served_total{kind=%q} %d\n", q.Kind, q.Served)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_shed_total point queries shed at admission per kind\n# TYPE updown_query_shed_total counter\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_shed_total{kind=%q} %d\n", q.Kind, q.Shed)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_batches_total engine micro-batches posted per kind\n# TYPE updown_query_batches_total counter\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_batches_total{kind=%q} %d\n", q.Kind, q.Batches)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_queued waiting-room depth per kind\n# TYPE updown_query_queued gauge\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_queued{kind=%q} %d\n", q.Kind, q.Queued)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_inflight queries currently seeded in engine slots per kind\n# TYPE updown_query_inflight gauge\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_inflight{kind=%q} %d\n", q.Kind, q.Inflight)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_fused_per_batch mean micro-batch occupancy per kind\n# TYPE updown_query_fused_per_batch gauge\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_fused_per_batch{kind=%q} %g\n", q.Kind, q.FusedPerBatch)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_p50_ms median query sojourn latency in simulated ms\n# TYPE updown_query_p50_ms gauge\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_p50_ms{kind=%q} %g\n", q.Kind, q.P50Ms)
-		}
-		fmt.Fprintf(b, "# HELP updown_query_p99_ms tail query sojourn latency in simulated ms\n# TYPE updown_query_p99_ms gauge\n")
-		for i := range s.Queries {
-			q := &s.Queries[i]
-			fmt.Fprintf(b, "updown_query_p99_ms{kind=%q} %g\n", q.Kind, q.P99Ms)
+		for _, f := range queryFamilies {
+			fmt.Fprintf(b, "# HELP updown_query_%s %s\n# TYPE updown_query_%s %s\n", f.name, f.help, f.name, f.typ)
+			for i := range s.Queries {
+				fmt.Fprintf(b, "updown_query_%s{kind=%q} %v\n", f.name, s.Queries[i].Kind, f.val(&s.Queries[i]))
+			}
 		}
 	}
+}
+
+// queryFamilies are the per-kind updown_query_* series of a QueryStat.
+var queryFamilies = []struct {
+	name, typ, help string
+	val             func(q *QueryStat) any
+}{
+	{"served_total", "counter", "point queries resolved per kind", func(q *QueryStat) any { return q.Served }},
+	{"shed_total", "counter", "point queries shed at admission per kind", func(q *QueryStat) any { return q.Shed }},
+	{"batches_total", "counter", "launch groups (boundaries at which queries were posted) per kind", func(q *QueryStat) any { return q.Batches }},
+	{"queued", "gauge", "waiting-room depth per kind", func(q *QueryStat) any { return q.Queued }},
+	{"inflight", "gauge", "queries seeded in engine slots and not yet harvested per kind", func(q *QueryStat) any { return q.Inflight }},
+	{"slots_busy", "gauge", "engine slots running a query per kind", func(q *QueryStat) any { return q.SlotsBusy }},
+	{"slots", "gauge", "engine slots per kind", func(q *QueryStat) any { return q.Slots }},
+	{"fused_per_batch", "gauge", "mean queries per launch group per kind", func(q *QueryStat) any { return q.FusedPerBatch }},
+	{"p50_ms", "gauge", "median query sojourn latency in simulated ms", func(q *QueryStat) any { return q.P50Ms }},
+	{"p99_ms", "gauge", "tail query sojourn latency in simulated ms", func(q *QueryStat) any { return q.P99Ms }},
 }

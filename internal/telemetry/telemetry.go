@@ -149,8 +149,13 @@ type QueryStat struct {
 	// in-engine query count.
 	Queued   int `json:"queued"`
 	Inflight int `json:"inflight"`
-	// Batches counts engine micro-batches posted; FusedPerBatch is the
-	// mean batch occupancy (the micro-batching win).
+	// SlotsBusy of the engine's Slots are running a query at this
+	// instant; Inflight above it are finished queries waiting for the next
+	// harvest boundary.
+	SlotsBusy int `json:"slots_busy"`
+	Slots     int `json:"slots"`
+	// Batches counts launch groups (boundaries at which the kind posted
+	// queries); FusedPerBatch is the mean number of queries per group.
 	Batches       int64   `json:"batches"`
 	FusedPerBatch float64 `json:"fused_per_batch"`
 	// P50Ms / P99Ms are sojourn-latency percentiles over all resolved

@@ -38,6 +38,11 @@ func sampleSnapshot() *Snapshot {
 				FirstLane: 64, Lanes: 64, SubmitCycle: 100, StartCycle: 200, DoneCycle: -1,
 				Busy: 3000, Events: 400, Sends: 300, DRAMBytes: 1024, AllocBytes: 32768},
 		},
+		Queries: []QueryStat{
+			{Kind: "bfs", Served: 1200000, Shed: 3, Queued: 5, Inflight: 7, SlotsBusy: 6, Slots: 8,
+				Batches: 400000, FusedPerBatch: 3, P50Ms: 0.0105, P99Ms: 0.25},
+			{Kind: "ppr", Served: 90, Inflight: 8, SlotsBusy: 8, Slots: 8, Batches: 60, FusedPerBatch: 1.5, P50Ms: 0.2, P99Ms: 0.5},
+		},
 	}
 }
 
@@ -171,6 +176,24 @@ func TestWritePromDecodes(t *testing.T) {
 	}
 	if got := series[`updown_job_dram_bytes_total{job="0",tenant="acme"}`]; got != 2048 {
 		t.Errorf("job 0 dram bytes = %v, want 2048", got)
+	}
+	for name, want := range map[string]float64{
+		`updown_query_served_total{kind="bfs"}`:    1200000,
+		`updown_query_batches_total{kind="bfs"}`:   400000,
+		`updown_query_inflight{kind="bfs"}`:        7,
+		`updown_query_slots_busy{kind="bfs"}`:      6,
+		`updown_query_slots_busy{kind="ppr"}`:      8,
+		`updown_query_slots{kind="ppr"}`:           8,
+		`updown_query_fused_per_batch{kind="ppr"}`: 1.5,
+		`updown_query_p50_ms{kind="bfs"}`:          0.0105,
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	// Counters are written as integers, never in exponent form.
+	if !strings.Contains(b.String(), `updown_query_served_total{kind="bfs"} 1200000`+"\n") {
+		t.Errorf("served counter not written as a plain integer:\n%s", b.String())
 	}
 }
 
@@ -337,6 +360,14 @@ func TestServerHandlers(t *testing.T) {
 	row := jobs[1].(map[string]any)
 	if row["tenant"] != "globex" || row["state"] != "running" || row["lanes"].(float64) != 64 {
 		t.Errorf("/status job row = %v, want globex/running/64 lanes", row)
+	}
+
+	queries, ok := st["queries"].([]any)
+	if !ok || len(queries) != 2 {
+		t.Fatalf("/status queries = %v, want 2 rows", st["queries"])
+	}
+	if row := queries[0].(map[string]any); row["kind"] != "bfs" || row["slots_busy"].(float64) != 6 || row["slots"].(float64) != 8 {
+		t.Errorf("/status query row = %v, want bfs with 6 of 8 slots busy", row)
 	}
 
 	if code, body, _ := get("/metrics"); code != 200 {

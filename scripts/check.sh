@@ -42,10 +42,13 @@ go build -o fig ./cmd/fig
     | awk '/^k=2/ { if ($8 <= 1.0) { print "fig 12 k=2 dramx <= 1: no write fan-out measured"; exit 1 } found=1 } END { exit !found }'
 
 # Serving smoke: a small fig serve sweep must resolve every query, and
-# fused micro-batching must beat the one-query-per-cycle baseline at
-# the saturating load point (higher queries/sec on the same stream).
+# admission into every slot must beat the one-in-flight baseline at the
+# saturating load point (higher queries/sec on the same stream). A slot
+# count past the event-label ceiling must exit 2, not panic.
 ./fig serve -queries 12 -gaps 8000,3000 \
     | awk '/^saturation:/ { if ($3+0 <= $7+0) { print "fig serve: fused qps not above unfused"; exit 1 } found=1 } END { exit !found }'
+code=0; ./fig serve -slots 128 -queries 4 2>/dev/null || code=$?
+[ "$code" -eq 2 ] || { echo "fig serve -slots 128: exit $code, want 2"; exit 1; }
 
 # Scheduler smoke: a small multi-tenant sweep with -verify replays every
 # completed job solo, pinned to the same nodes, and exits nonzero unless
