@@ -250,19 +250,5 @@ func (m Machine) Latency(src, dst NetworkID) Cycles {
 // delivered sooner than this.
 func (m Machine) MinCrossNodeLatency() Cycles { return m.LatCrossNode }
 
-// MinNodeLatency returns a lower bound on the delivery latency of any
-// message between an actor hosted on node a and an actor hosted on node b.
-// Distinct nodes always pay the system network (LatCrossNode, plus
-// injection-port serialization the bound may ignore); within one node the
-// cheapest possible hop is a lane sending to itself (LatSameLane). The
-// window-parallel engine builds its per-shard-pair lookahead matrix from
-// this bound, so the bound must never exceed the true minimum.
-func (m Machine) MinNodeLatency(a, b int) Cycles {
-	if a != b {
-		return m.LatCrossNode
-	}
-	return m.LatSameLane
-}
-
 // Seconds converts a cycle count to seconds at the configured clock.
 func (m Machine) Seconds(c Cycles) float64 { return float64(c) / m.ClockHz }

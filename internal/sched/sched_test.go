@@ -283,7 +283,7 @@ func TestAdmissionErrors(t *testing.T) {
 // bfsWork adapts a BFS app to the Workload interface.
 type bfsWork struct{ app *bfs.App }
 
-func (w bfsWork) Post(at updown.Cycles)          { w.app.PostAt(at) }
+func (w bfsWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
 func (w bfsWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
 func (w bfsWork) Output() []uint64 {
 	return append(w.app.Distances(), w.app.Parents()...)
@@ -292,7 +292,7 @@ func (w bfsWork) Output() []uint64 {
 // prWork adapts a PageRank app.
 type prWork struct{ app *pagerank.App }
 
-func (w prWork) Post(at updown.Cycles)          { w.app.PostAt(at) }
+func (w prWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
 func (w prWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
 func (w prWork) Output() []uint64 {
 	vals := w.app.Values()

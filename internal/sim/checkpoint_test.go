@@ -73,7 +73,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}{
 		{"sequential", 1, hostAuto},
 		{"pool-adaptive", 3, hostPool},
-		{"mux-adaptive", 3, hostMux},
+		{"mux-adaptive", 3, hostInline},
 	}
 	for _, c := range cases {
 		for _, pause := range []arch.Cycles{0, 900, 2600, 7000} {
@@ -129,7 +129,7 @@ func TestCheckpointCanonicalBytes(t *testing.T) {
 			}{
 				{"seq", 1, hostAuto},
 				{"pool-2", 2, hostPool},
-				{"mux-3", 3, hostMux},
+				{"mux-3", 3, hostInline},
 			}
 			for _, c := range cfgs {
 				e := fuzzEngine(t, seed, c.shards, c.host, true)

@@ -181,7 +181,7 @@ func TestDeterminismPhases(t *testing.T) {
 				host hostMode
 			}{
 				{"pool", hostPool},
-				{"mux", hostMux},
+				{"mux", hostInline},
 			}
 			for _, cfg := range cfgs {
 				for _, shards := range shardCounts {

@@ -5,14 +5,13 @@
 //
 // Actors (lanes, per-node memory controllers, auxiliary stream sources)
 // exchange Messages. Each actor consumes its inbound messages in the
-// deterministic (Deliver, Src, Seq) order. The engine runs either
-// sequentially or with conservative window-parallelism: actors are
-// partitioned by node across shards, and because every cross-node message
-// experiences at least arch.Machine.MinCrossNodeLatency cycles of network
-// latency, windows of that length can be simulated by all shards in
-// parallel without violating causality. Shards are driven by a persistent
-// worker pool with one barrier cycle per window (see pool.go). Both modes
-// produce bit-identical results.
+// deterministic (Deliver, Src, Seq) order. Actors are partitioned by node
+// across shards, and because every cross-node message experiences at least
+// arch.Machine.MinCrossNodeLatency cycles of network latency, each shard
+// can run ahead of its peers by that much without violating causality.
+// window.go holds that protocol; it is executed inline on the calling
+// goroutine or by a persistent worker pool (pool.go), with bit-identical
+// results at every shard count.
 package sim
 
 import (
@@ -70,8 +69,11 @@ func (t *TimeoutError) Unwrap() error { return ErrTimeout }
 
 // Options configures an Engine.
 type Options struct {
-	// Shards is the number of host worker goroutines. Zero selects
-	// min(GOMAXPROCS, nodes). One gives a purely sequential simulation.
+	// Shards is the number of node-contiguous partitions the actors are
+	// split into, capped at the node count; zero selects GOMAXPROCS. With
+	// more than one shard on more than one CPU each shard gets a worker
+	// goroutine; otherwise the calling goroutine steps every shard itself.
+	// Results do not depend on it.
 	Shards int
 	// LaneFactory builds the actor for a lane on first use. Lanes are
 	// instantiated lazily because large machines (2M lanes) frequently
@@ -213,16 +215,9 @@ type Engine struct {
 	lookahead arch.Cycles
 	maxTime   arch.Cycles
 	factory   func(id arch.NetworkID) Actor
-	// laMat[a][b] is the lower bound on the delivery time of any message
-	// a shard-a actor can send to a shard-b actor; laRow[a] is min over
-	// b != a of laMat[a][b] (see lookahead.go / pool.go / mux.go). Both
-	// are derived from the node partition at construction and never
-	// change.
-	laMat [][]arch.Cycles
-	laRow []arch.Cycles
-	// host selects the parallel driver for multi-shard runs:
-	// hostAuto picks the cooperative multiplexer when the process has one
-	// CPU and the worker pool otherwise; tests pin a mode to cover both.
+	// win is the window protocol's state and host the tests' executor pin
+	// (see window.go).
+	win  window
 	host hostMode
 	// nodeShard maps a node to the shard that owns it, precomputed so
 	// the per-send shard lookup is a table read instead of a
@@ -256,8 +251,7 @@ type Engine struct {
 	// tel is the installed telemetry publisher, nil when disabled.
 	tel *telemetry.Publisher
 	// interrupted/interruptedAt latch a telemetry stop request; they are
-	// only written from quiesced contexts (see telemetry.go), so the
-	// drivers read them race-free after each barrier or round.
+	// only written by the window reduction (see telemetry.go).
 	interrupted   bool
 	interruptedAt arch.Cycles
 
@@ -287,18 +281,11 @@ type shard struct {
 	// parity selects the outbox side written during the current window.
 	parity int
 	// outMin is the earliest Deliver among messages this shard wrote to
-	// its outboxes in the last processed window and that consumers have
-	// not collected yet; it feeds the cooperative window-start
-	// reduction at the barrier. outTo breaks the same minimum down by
-	// destination shard so the reduction can compute per-shard horizons;
-	// both follow the same publish/collect/reset lifecycle.
+	// its outboxes in its current window, which consumers collect in the
+	// next; outTo breaks the same minimum down by destination shard for
+	// the window reduction. resetOut clears both at the start of a window.
 	outMin arch.Cycles
 	outTo  []arch.Cycles
-	// staged counts this shard's uncollected outbox messages. route
-	// increments it (owner-only write); only the single-goroutine
-	// multiplexer decrements it on collection, where the count gates the
-	// O(shards^2) outbox scan per round. The pool ignores it.
-	staged int
 	stats  Stats
 	// rec is this shard's metrics view, nil when recording is disabled.
 	// Each shard writes only the nodes it owns, so views need no locks.
@@ -373,27 +360,21 @@ func NewEngine(m arch.Machine, opts Options) (*Engine, error) {
 	e.shards = make([]*shard, n)
 	for i := range e.shards {
 		s := &shard{e: e, idx: i, outMin: math.MaxInt64}
+		s.env = Env{e: e, shard: s}
 		if opts.Metrics != nil {
 			s.rec = opts.Metrics.Shard(i)
 		}
 		if opts.Trace != nil {
 			s.trace = opts.Trace.Shard(i)
 		}
-		if n > 1 {
-			for p := 0; p < 2; p++ {
-				s.outbox[p] = make([][]Message, n)
-				for j := range s.outbox[p] {
-					s.outbox[p][j] = make([]Message, 0, 16)
-				}
-			}
-			s.outTo = make([]arch.Cycles, n)
-			s.resetOut()
+		for p := 0; p < 2; p++ {
+			s.outbox[p] = make([][]Message, n)
 		}
+		s.outTo = make([]arch.Cycles, n)
+		s.resetOut()
 		e.shards[i] = s
 	}
-	if n > 1 {
-		e.laMat, e.laRow = shardLatencyBounds(m, e.nodeShard, n)
-	}
+	e.win = newWindow(e)
 	// The host "TOP core" is an auxiliary actor used as the source of
 	// initial messages; it never receives any.
 	e.hostID = arch.NetworkID(len(e.actors))
@@ -474,7 +455,29 @@ func (e *Engine) Post(t arch.Cycles, dst arch.NetworkID, kind uint8, event, cont
 // Run simulates until no messages remain, returning aggregate statistics.
 // It may be called repeatedly: later calls continue from the accumulated
 // actor clocks, so a host driver can post work in phases.
-func (e *Engine) Run() (Stats, error) {
+func (e *Engine) Run() (Stats, error) { return e.run(e.maxTime) }
+
+// RunUntil simulates until quiescence or until the next pending message
+// lies beyond cycle t, whichever comes first. Pausing at t is not an
+// error: the engine stops at a window boundary with every in-flight
+// message back in the shard heaps, which is exactly the state Checkpoint
+// serializes — so RunUntil + Checkpoint + (later) Restore + Run is
+// bit-equal to one uninterrupted Run. To telemetry a pause is one more
+// beat of a run still in progress. A timeout is still reported when t
+// meets or exceeds the configured MaxTime bound.
+func (e *Engine) RunUntil(t arch.Cycles) (Stats, error) {
+	if t >= e.maxTime {
+		return e.Run()
+	}
+	stats, err := e.run(t)
+	if errors.Is(err, ErrTimeout) {
+		err = nil
+	}
+	return stats, err
+}
+
+// run executes the window protocol up to and including cycle limit.
+func (e *Engine) run(limit arch.Cycles) (Stats, error) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
@@ -483,15 +486,13 @@ func (e *Engine) Run() (Stats, error) {
 	if e.tel != nil {
 		e.tel.BeginRun()
 	}
-	var timedOut bool
-	switch {
-	case e.nshards == 1:
-		timedOut = e.runSequential()
-	case e.useMux():
-		timedOut = e.runMux()
-	default:
-		timedOut = e.runParallel()
+	e.win.limit, e.win.timedOut = limit, false
+	if e.inline() {
+		e.runInline()
+	} else {
+		e.runPool()
 	}
+	timedOut := e.win.timedOut
 	e.running = false
 	var total Stats
 	for _, s := range e.shards {
@@ -522,19 +523,21 @@ func (e *Engine) Run() (Stats, error) {
 		e.tr.ObserveFinalTime(total.FinalTime)
 	}
 	if e.tel != nil {
-		// Final snapshot (Done=true), published unconditionally: a dump
-		// requested after the last window barrier is honored here, so a
-		// signal racing the end of the run still yields artifacts.
-		e.telemetryPublish(total.FinalTime, true)
+		if !timedOut || limit == e.maxTime {
+			// Final snapshot (Done=true) of a run that ended quiescent, on
+			// MaxTime or interrupted, published unconditionally: a dump
+			// requested after the last reduction is honored here, so a
+			// signal racing the end of the run still yields artifacts. A
+			// RunUntil pause is not an end; its reduction already beat.
+			e.telemetryPublish(total.FinalTime, true)
+		}
 		e.tel.FinishRun()
 	}
 	if timedOut {
-		terr := &TimeoutError{MaxTime: e.maxTime, NextEvent: math.MaxInt64}
+		terr := &TimeoutError{MaxTime: limit, NextEvent: math.MaxInt64}
 		for _, s := range e.shards {
 			terr.Pending += s.heap.live()
-			if s.heap.len() > 0 && s.heap.topDeliver() < terr.NextEvent {
-				terr.NextEvent = s.heap.topDeliver()
-			}
+			terr.NextEvent = min(terr.NextEvent, s.heap.frontier())
 		}
 		if terr.NextEvent == math.MaxInt64 {
 			terr.NextEvent = 0
@@ -551,27 +554,6 @@ func (e *Engine) Run() (Stats, error) {
 	return total, nil
 }
 
-// RunUntil simulates until quiescence or until the next pending message
-// lies beyond cycle t, whichever comes first. Pausing at t is not an
-// error: the engine stops at a window boundary with every in-flight
-// message back in the shard heaps, which is exactly the state Checkpoint
-// serializes — so RunUntil + Checkpoint + (later) Restore + Run is
-// bit-equal to one uninterrupted Run. A timeout is still reported when t
-// meets or exceeds the configured MaxTime bound.
-func (e *Engine) RunUntil(t arch.Cycles) (Stats, error) {
-	limit := e.maxTime
-	if t >= limit {
-		return e.Run()
-	}
-	e.maxTime = t
-	stats, err := e.Run()
-	e.maxTime = limit
-	if err != nil && errors.Is(err, ErrTimeout) {
-		err = nil
-	}
-	return stats, err
-}
-
 // Pending returns the number of messages queued in the engine, including
 // messages parked behind busy actors: the work a further Run would
 // process. Valid between runs.
@@ -583,78 +565,23 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// runSequential drives the single shard without windows or barriers: one
-// pass processes everything up to MaxTime. It reports whether simulated
-// time exceeded MaxTime.
-//
-// With telemetry installed the pass is sliced into bounded-horizon
-// chunks so the driver reaches a quiesced point periodically. Slicing
-// cannot change results: the heap pops messages in the same total
-// (Deliver, Src, Seq) order whatever the horizon, and the only
-// horizon-sensitive branch — batched dispatch — degrades to the classic
-// release, whose re-pushed retry is popped next either way.
-func (e *Engine) runSequential() bool {
-	s := e.shards[0]
-	if e.tel == nil {
-		for s.heap.len() > 0 {
-			if s.heap.topDeliver() > e.maxTime {
-				return true
-			}
-			s.processWindow(e.maxTime+1, false)
-			s.heap.compact()
-		}
-		return false
-	}
-	// 8 lookaheads per chunk keeps the beat overhead far off the event
-	// path while reaching quiesced points often enough that snapshots,
-	// dumps and stop requests land with sub-second latency even on
-	// event-dense workloads (a graph kernel runs tens of events per
-	// simulated cycle, so wall time per chunk scales with density, not
-	// cycles); empty gaps are jumped because each chunk starts at the
-	// current heap top.
-	chunk := e.lookahead << 3
-	if chunk>>3 != e.lookahead {
-		chunk = math.MaxInt64 >> 1 // absurd lookahead: one chunk covers everything
-	}
-	for s.heap.len() > 0 {
-		top := s.heap.topDeliver()
-		if top > e.maxTime {
-			return true
-		}
-		e.telemetryBeat(top)
-		if e.interrupted {
-			return false
-		}
-		h := satAdd(top, chunk)
-		if m := e.maxTime + 1; h > m {
-			h = m
-		}
-		s.processWindow(h, false)
-		s.heap.compact()
-	}
-	return false
-}
-
 // processWindow executes all messages with effective start time below the
-// horizon, in deterministic order.
-//
-// abortOnStage ends the slice right after the first event that stages a
-// cross-shard message. The parallel drivers require it: their horizons
-// are lower bounds on what peers could still send given their *current*
-// state, so they remain valid only while this shard's outbound frontier
-// stays closed. A cross-shard send opens it — the recipient may respond
-// (or forward) as early as the send's event time plus a round trip,
-// which a widened horizon might already have passed. Stopping at the
-// send keeps the processed frontier at or below the event time, and the
-// next horizon computation folds the staged message in. The sequential
-// driver owns every actor, stages nothing, and passes false.
-func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
+// horizon, in deterministic order, and ends right after the first event
+// that stages a cross-shard message. Horizons are lower bounds on what
+// peers could still send given their state at the reduction, so they
+// remain valid only while this shard's outbound frontier stays closed. A
+// cross-shard send opens it — the recipient may respond (or forward) as
+// early as the send's event time plus a round trip, which the horizon
+// might already have passed (the boomerang: s executes at t, the message
+// hops s→c→s and is back at t + 2·lookahead). Stopping at the send keeps
+// the processed frontier at or below the event time, and the next
+// reduction folds the staged message in. A lone shard never stages.
+func (s *shard) processWindow(horizon arch.Cycles) {
 	e := s.e
 	env := &s.env
-	*env = Env{e: e, shard: s}
 	h := &s.heap
 	for h.len() > 0 && h.topDeliver() < horizon {
-		if abortOnStage && s.outMin != math.MaxInt64 {
+		if s.outMin != math.MaxInt64 {
 			break
 		}
 		mi := h.popIdx()
@@ -687,16 +614,7 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 						st.seq++
 						nm.Dst = arch.NetworkID(e.totalLanes + node)
 						nm.Deliver = m.Deliver + e.M.LatCrossNode
-						if st.floating == 0 && st.waitqLen() > 0 {
-							ni := st.waitqPop()
-							wm := &h.arena[ni]
-							if wm.Deliver < st.freeAt {
-								wm.Deliver = st.freeAt
-							}
-							wm.retry = true
-							st.floating++
-							h.pushIdx(ni)
-						}
+						s.releaseParked(st)
 						if s.trace != nil {
 							// Root edge: the original edge's delivery died
 							// with the node; the bounce starts a new chain.
@@ -717,16 +635,7 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 				s.stats.Faults.DeadLetters++
 				s.faultInstant("fault.dead_letter", pm.Dst, pm.Deliver)
 				h.release(mi)
-				if st.floating == 0 && st.waitqLen() > 0 {
-					ni := st.waitqPop()
-					nm := &h.arena[ni]
-					if nm.Deliver < st.freeAt {
-						nm.Deliver = st.freeAt
-					}
-					nm.retry = true
-					st.floating++
-					h.pushIdx(ni)
-				}
+				s.releaseParked(st)
 				continue
 			}
 			if e.faultStall {
@@ -826,8 +735,7 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 			// dead-letter and stall handling replay identically, and a
 			// staged cross-shard send ends the batch like it ends the
 			// window.
-			if e.fault == nil && d < horizon &&
-				!(abortOnStage && s.outMin != math.MaxInt64) &&
+			if e.fault == nil && d < horizon && s.outMin == math.MaxInt64 &&
 				h.beats(d, nm.Src, nm.Seq) {
 				st.waitqPop()
 				nm.Deliver = d
@@ -835,18 +743,33 @@ func (s *shard) processWindow(horizon arch.Cycles, abortOnStage bool) {
 				pm = nm
 				continue
 			}
-			// Classic release: the next parked message becomes the
-			// actor's floating retry at its new free time.
+			// Classic release: the next parked message becomes the actor's
+			// floating retry at d, its bumped key computed above. This is
+			// releaseParked, spelled out because that does not inline.
 			st.waitqPop()
-			if nm.Deliver < st.freeAt {
-				nm.Deliver = st.freeAt
-			}
+			nm.Deliver = d
 			nm.retry = true
 			st.floating++
 			h.pushIdx(ni)
 			break
 		}
 	}
+}
+
+// releaseParked keeps an actor's wait queue draining after a message of
+// its was consumed without executing (dead letter, failover bounce): if
+// that was the floating retry, the next parked message becomes it, no
+// earlier than the actor's free time.
+func (s *shard) releaseParked(st *actorState) {
+	if st.floating > 0 || st.waitqLen() == 0 {
+		return
+	}
+	ni := st.waitqPop()
+	nm := &s.heap.arena[ni]
+	nm.Deliver = max(nm.Deliver, st.freeAt)
+	nm.retry = true
+	st.floating++
+	s.heap.pushIdx(ni)
 }
 
 // collect merges the cross-shard messages other shards produced for this
@@ -1054,7 +977,6 @@ func (s *shard) route(m *Message, dstShard int) {
 		if m.Deliver < s.outTo[dstShard] {
 			s.outTo[dstShard] = m.Deliver
 		}
-		s.staged++
 	}
 }
 

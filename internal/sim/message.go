@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 
 	"updown/internal/arch"
@@ -230,6 +231,14 @@ func (h *msgHeap) live() int { return len(h.arena) - len(h.free) }
 // topDeliver returns the delivery time of the minimum message without
 // touching the arena. It must not be called on an empty queue.
 func (h *msgHeap) topDeliver() arch.Cycles { return h.min }
+
+// frontier is topDeliver, or MaxInt64 for an empty queue.
+func (h *msgHeap) frontier() arch.Cycles {
+	if h.n == 0 {
+		return math.MaxInt64
+	}
+	return h.min
+}
 
 // beats reports whether the key (d, src, seq) precedes the queue's current
 // minimum in the deterministic total order (trivially true on an empty

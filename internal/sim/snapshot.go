@@ -50,7 +50,7 @@ type Snapshotter interface {
 }
 
 const (
-	snapMagic   = "UDSIMCKP"
+	snapMagic = "UDSIMCKP"
 	// Version 2 added the Failovers fault counter to the stats record.
 	snapVersion = uint32(2)
 	snapEnd     = uint64(0x55444b5045444e44) // "UDKPEND" sentinel
@@ -607,10 +607,7 @@ func (e *Engine) Restore(r io.Reader) error {
 				s.outbox[p][j] = s.outbox[p][j][:0]
 			}
 		}
-		if s.outTo != nil {
-			s.resetOut()
-		}
-		s.staged = 0
+		s.resetOut()
 		s.parity = 0
 		s.stats = Stats{}
 		if si == 0 {

@@ -3,14 +3,9 @@
 //
 // Every hook below runs in a *quiesced* context — a point where no shard
 // is executing events and the calling goroutine owns all simulation
-// state:
-//
-//   - worker pool: inside the barrier reduction, while every worker
-//     waits in the sense-reversing barrier (the atomic count/sense pair
-//     orders their preceding writes before the reduction);
-//   - cooperative multiplexer and sequential driver: between windows on
-//     the single driving goroutine;
-//   - Run itself, after the drivers return.
+// state: the window reduction (window.go; under the pool every worker
+// waits in the barrier, whose atomic count/sense pair orders their
+// preceding writes before it), and Run itself after the executor returns.
 //
 // At such a point the engine assembles an immutable Snapshot from shard
 // statistics, heaps, actor clocks and injection ports, publishes it
@@ -19,8 +14,8 @@
 // published immutable values, so scrapes and dumps can neither race with
 // the simulation nor change its schedule: window slicing is the only
 // thing telemetry perturbs, and the engine's execution order is provably
-// independent of slicing (the same property that makes every driver and
-// shard count bit-identical).
+// independent of slicing (the same property that makes every executor
+// and shard count bit-identical).
 package sim
 
 import (
@@ -60,7 +55,7 @@ func (i *InterruptedError) Unwrap() error { return ErrInterrupted }
 // telemetryBeat is the per-window heartbeat: it stamps the publisher's
 // clocks, publishes a snapshot when the throttle (or a pending dump
 // request) asks for one, and latches a requested stop into
-// e.interrupted. Quiesced contexts only; callers guard with e.tel != nil.
+// e.interrupted. The window reduction calls it, guarded by e.tel != nil.
 func (e *Engine) telemetryBeat(now arch.Cycles) {
 	if e.tel.Beat(int64(now)) {
 		e.telemetryPublish(now, false)

@@ -144,6 +144,39 @@ func TestTelemetryDeterminismUnderReaders(t *testing.T) {
 	}
 }
 
+// executorPins are the executors a multi-shard run can be pinned to; one
+// shard always runs inline.
+var executorPins = []struct {
+	name string
+	host hostMode
+}{{"inline", hostInline}, {"pool", hostPool}}
+
+// telemetryFanOut builds a 7-node engine under one executor pin with a
+// heavier fan-out tree than the determinism fuzz posted, so the run lasts
+// long enough to be stopped or paused mid-flight.
+func telemetryFanOut(t *testing.T, shards int, host hostMode, pub *telemetry.Publisher) *Engine {
+	t.Helper()
+	m := arch.DefaultMachine(7)
+	e, err := NewEngine(m, Options{
+		Shards:    shards,
+		MaxTime:   1 << 40,
+		Telemetry: pub,
+		LaneFactory: func(id arch.NetworkID) Actor {
+			return &fuzzActor{m: &m, seed: 99}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.host = host
+	for r := uint64(0); r < 8; r++ {
+		h := splitmix64(99 + r)
+		id := m.LaneID(int(h%uint64(m.Nodes)), 0, int(h>>8)%m.LanesPerAccel)
+		e.Post(arch.Cycles(h%2500), id, arch.KindEvent, h, 0, 12)
+	}
+	return e
+}
+
 // TestTelemetryInterrupt asks a running simulation to stop as soon as
 // the first snapshot appears and checks the run parks coherently: Run
 // returns an InterruptedError wrapping ErrInterrupted, and the final
@@ -151,46 +184,63 @@ func TestTelemetryDeterminismUnderReaders(t *testing.T) {
 func TestTelemetryInterrupt(t *testing.T) {
 	for _, shards := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			m := arch.DefaultMachine(7)
-			pub := &telemetry.Publisher{MinPeriod: time.Nanosecond}
-			e, err := NewEngine(m, Options{
-				Shards:    shards,
-				Telemetry: pub,
-				LaneFactory: func(id arch.NetworkID) Actor {
-					return &fuzzActor{m: &m, seed: 99}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A heavier fan-out tree than the determinism fuzz, so the
-			// run lasts long enough for the stop to land mid-flight.
-			for r := uint64(0); r < 8; r++ {
-				h := splitmix64(99 + r)
-				id := m.LaneID(int(h%uint64(m.Nodes)), 0, int(h>>8)%m.LanesPerAccel)
-				e.Post(arch.Cycles(h%2500), id, arch.KindEvent, h, 0, 12)
-			}
-			pub.RequestStop() // latched before the run: first barrier stops
+			for _, pin := range executorPins {
+				t.Run(pin.name, func(t *testing.T) {
+					pub := &telemetry.Publisher{MinPeriod: time.Nanosecond}
+					e := telemetryFanOut(t, shards, pin.host, pub)
+					pub.RequestStop() // latched before the run: first reduction stops
 
-			_, err = e.Run()
-			if !errors.Is(err, ErrInterrupted) {
-				t.Fatalf("Run error = %v, want ErrInterrupted", err)
-			}
-			var ie *InterruptedError
-			if !errors.As(err, &ie) {
-				t.Fatalf("Run error %T does not unwrap to *InterruptedError", err)
-			}
-			final := pub.Latest()
-			if final == nil || !final.Done {
-				t.Fatalf("no final snapshot after interrupt: %+v", final)
-			}
-			if final.Pending != ie.Pending {
-				t.Errorf("snapshot pending %d != error pending %d", final.Pending, ie.Pending)
-			}
-			if ie.Pending == 0 {
-				t.Error("interrupt parked no messages; stop request did not land mid-run")
+					_, err := e.Run()
+					if !errors.Is(err, ErrInterrupted) {
+						t.Fatalf("Run error = %v, want ErrInterrupted", err)
+					}
+					var ie *InterruptedError
+					if !errors.As(err, &ie) {
+						t.Fatalf("Run error %T does not unwrap to *InterruptedError", err)
+					}
+					final := pub.Latest()
+					if final == nil || !final.Done {
+						t.Fatalf("no final snapshot after interrupt: %+v", final)
+					}
+					if final.Pending != ie.Pending {
+						t.Errorf("snapshot pending %d != error pending %d", final.Pending, ie.Pending)
+					}
+					if ie.Pending == 0 {
+						t.Error("interrupt parked no messages; stop request did not land mid-run")
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestTelemetryRunUntilPause: a RunUntil pause with work pending is a beat
+// of a run still in progress — not Done, MaxTime the configured bound, not
+// the pause cycle — and the run's real end still publishes Done.
+func TestTelemetryRunUntilPause(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, pin := range executorPins {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, pin.name), func(t *testing.T) {
+				pub := &telemetry.Publisher{MinPeriod: time.Nanosecond}
+				e := telemetryFanOut(t, shards, pin.host, pub)
+				if _, err := e.RunUntil(3000); err != nil {
+					t.Fatal(err)
+				}
+				if e.Pending() == 0 {
+					t.Fatal("nothing pending at the pause")
+				}
+				snap := pub.Latest()
+				if snap == nil || snap.Done || snap.MaxTime != 1<<40 || snap.Pending == 0 {
+					t.Fatalf("snapshot at the pause = %+v, want !Done, MaxTime 1<<40, work pending", snap)
+				}
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if snap = pub.Latest(); !snap.Done || snap.Pending != 0 {
+					t.Fatalf("final snapshot = %+v, want Done with nothing pending", snap)
+				}
+			})
+		}
 	}
 }
 

@@ -7,12 +7,12 @@
 //
 // The consistency model is barrier-quiescence: the engine only touches
 // the Publisher's engine-side API (BeginRun, Beat, Publish, FinishRun)
-// from points where every shard is quiesced — the barrier reduction of
-// the worker pool, the round loop of the cooperative multiplexer, the
-// chunk boundary of the sequential driver, and the end of Run. At such a
-// point the engine owns all simulation state, so it can read shard
-// statistics, heaps and the metrics recorder race-free, assemble an
-// immutable Snapshot, and hand it over through a lock-free pointer swap.
+// from points where every shard is quiesced — the window reduction
+// (between rounds on one goroutine, inside the barrier under the worker
+// pool) and the end of Run. At such a point the engine owns all
+// simulation state, so it can read shard statistics, heaps and the
+// metrics recorder race-free, assemble an immutable Snapshot, and hand it
+// over through a lock-free pointer swap.
 // Readers (HTTP handlers, the watchdog, signal handlers) only ever load
 // that pointer — they never touch sim state, so a scrape or a dump
 // cannot change the simulated execution, and final outputs stay

@@ -13,10 +13,21 @@ if grep -rn --include='*.go' '"math/rand' . | grep -v '^\./internal/prng/'; then
     exit 1
 fi
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "error: gofmt -l is not clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/telemetry/
+# On a one-CPU process every shard count runs the inline executor; pin
+# that here so multi-core runners exercise hostAuto's other branch too
+# (-count=1: the test cache does not key on GOMAXPROCS).
+GOMAXPROCS=1 go test -count=1 ./internal/sim/
 
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into

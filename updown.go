@@ -69,8 +69,9 @@ type Config struct {
 	// Nodes is the UpDown node count (each node has 32 accelerators x 64
 	// lanes). Required.
 	Nodes int
-	// Shards is the host parallelism of the simulator; 0 = auto,
-	// 1 = sequential reference mode.
+	// Shards is the number of partitions the simulator splits the nodes
+	// into (see sim.Options.Shards); 0 = GOMAXPROCS, 1 = one shard, the
+	// reference every other count is tested against.
 	Shards int
 	// MaxTime bounds simulated cycles (0 = unbounded); runs exceeding it
 	// return sim.ErrTimeout.
