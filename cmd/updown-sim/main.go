@@ -13,7 +13,9 @@
 // cmd/preprocess.
 //
 // Observability: -profile prints the per-node utilization report and
-// per-kind breakdown after the run; -trace out.json exports a Chrome
+// per-kind breakdown after the run, and for the graph apps one
+// "termination:" line with the KVMSR termination protocol's counters
+// (launches, drain probes, pushed deltas); -trace out.json exports a Chrome
 // trace_event file loadable in Perfetto (ui.perfetto.dev), one process
 // per node with counter tracks for lane occupancy, DRAM traffic/backlog
 // and injection backlog. -spans adds named span tracks (event executions,
@@ -223,12 +225,14 @@ func main() {
 		defer wd.Stop()
 	}
 
-	// resTotals is filled by apps that ran a resilient shuffle; sum is the
+	// resTotals is filled by apps that ran a resilient shuffle and
+	// termTotals by every graph app (-profile prints it); sum is the
 	// -checksum application-result digest (bit-exact for the integer
 	// results; PageRank's float ranks are bit-exact only between runs with
 	// identical delivery schedules — the chaos harness epsilon-compares
 	// those instead).
 	var resTotals kvmsr.ResilienceTotals
+	var termTotals kvmsr.TerminationTotals
 	var sum uint64
 	haveSum := false
 
@@ -276,6 +280,7 @@ func main() {
 				fmt.Printf("updates: %d (%.4f GUPS)\n", edges*uint64(*iters),
 					float64(edges*uint64(*iters))/m.Seconds(a.Elapsed())/1e9)
 				resTotals = a.ResilienceTotals()
+				termTotals = a.TerminationTotals()
 				if *checksum {
 					vals := make([]uint64, 0, len(a.Values()))
 					for _, r := range a.Values() {
@@ -295,6 +300,7 @@ func main() {
 				fmt.Printf("rounds: %d, traversed edges: %d (%.4f GTEPS)\n",
 					a.Rounds, a.Traversed, float64(a.Traversed)/m.Seconds(a.Elapsed())/1e9)
 				resTotals = a.ResilienceTotals()
+				termTotals = a.TerminationTotals()
 				if *checksum {
 					sum = digest(append([]uint64{uint64(a.Rounds), a.Traversed}, a.Distances()...)...)
 					haveSum = true
@@ -309,6 +315,7 @@ func main() {
 			if !partial {
 				fmt.Printf("intersection total: %d (%d triangles)\n", a.Total(), a.Triangles())
 				resTotals = a.ResilienceTotals()
+				termTotals = a.TerminationTotals()
 				if *checksum {
 					sum, haveSum = digest(a.Total()), true
 				}
@@ -349,6 +356,11 @@ func main() {
 	if resTotals != (kvmsr.ResilienceTotals{}) {
 		fmt.Printf("resilience: emits=%d retries=%d dup-drops=%d acks=%d rekicks=%d\n",
 			resTotals.Emits, resTotals.Retries, resTotals.DupDrops, resTotals.Acks, resTotals.Rekicks)
+	}
+	if *profile && termTotals.Launches > 0 {
+		fmt.Printf("termination: launches=%d probes=%d zero-probe=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
+			termTotals.Launches, termTotals.Probes, termTotals.ZeroProbe,
+			termTotals.DeltaMsgs, termTotals.DeltaReduces, termTotals.Pushes)
 	}
 	if haveSum {
 		fmt.Printf("result-checksum: %016x\n", sum)

@@ -172,6 +172,12 @@ func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
 	return a.inv.ResilienceTotals(a.m.LanePeek())
 }
 
+// TerminationTotals reads the shuffle invocation's termination-protocol
+// counters (launches, drain probes, pushed deltas). Call after Run.
+func (a *App) TerminationTotals() kvmsr.TerminationTotals {
+	return a.inv.TerminationTotals(a.m.LanePeek())
+}
+
 // Outstanding reports unacked resilient emits left after a run (always
 // zero for a healthy run; leak detection for the chaos harness).
 func (a *App) Outstanding() int {
@@ -378,6 +384,10 @@ func (a *App) subPump(c *updown.Ctx, st *subState) {
 		c.DRAMRead(st.segVA+st.next*gasmem.WordBytes, int(n), c.ContinueTo(a.lFrontChnk))
 	}
 	if st.outstanding == 0 && !st.chunkPending && st.next >= st.hi {
+		// This lane sends nothing more this round, and its own map phase
+		// ended at lane_start: flush its partly filled pack buffers now
+		// rather than leave them to the max-linger guard.
+		a.inv.Flush(c)
 		c.Cycles(2)
 		c.Reply(st.cont, st.emitted)
 		c.YieldTerminate()

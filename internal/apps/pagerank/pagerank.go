@@ -199,6 +199,12 @@ func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
 	return a.mainInv.ResilienceTotals(a.m.LanePeek())
 }
 
+// TerminationTotals reads the shuffle invocation's termination-protocol
+// counters (launches, drain probes, pushed deltas). Call after Run.
+func (a *App) TerminationTotals() kvmsr.TerminationTotals {
+	return a.mainInv.TerminationTotals(a.m.LanePeek())
+}
+
 // InitValues writes the uniform starting vector (host-side setup).
 func (a *App) InitValues() {
 	init := udweave.FloatBits(1.0 / float64(a.dg.G.OrigN))

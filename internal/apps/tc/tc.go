@@ -177,6 +177,12 @@ func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
 	return a.mainInv.ResilienceTotals(a.m.LanePeek())
 }
 
+// TerminationTotals reads the shuffle invocation's termination-protocol
+// counters (launches, drain probes, pushed deltas). Call after Run.
+func (a *App) TerminationTotals() kvmsr.TerminationTotals {
+	return a.mainInv.TerminationTotals(a.m.LanePeek())
+}
+
 // Elapsed returns the simulated cycles of the measured region.
 func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
 

@@ -32,13 +32,17 @@
 //   - lane map-done: the lane's last map task returned (the doneSent
 //     transition in pump), so everything buffered goes out before the
 //     lane reports its emit count upward;
+//   - explicit: Invocation.Flush, for a lane that buffers outside its own
+//     map phase and knows it has sent its last tuple of the round (BFS
+//     sub-workers SendReduce on lanes whose own map phase finished
+//     immediately, and flush just before reporting their count);
 //   - max-linger: a lazily started guard thread (udweave.ArmTimeout, the
 //     resilience-guard pattern) flushes everything buffered at least every
-//     MaxLinger cycles, so tuples buffered outside the lane's own map
-//     phase — BFS sub-workers SendReduce on lanes whose own map phase
-//     finished immediately — still reach reducers and termination
-//     detection converges (the master's probe retry loop absorbs the
-//     linger).
+//     MaxLinger cycles, so a tuple buffered outside the lane's own map
+//     phase and never flushed explicitly still reaches its reducer.
+//     Termination detection does not wait for the linger on a timer of
+//     its own: the tuple's emit is already counted in E, so the launch
+//     stays open until the reduce it becomes is pushed to the master.
 //
 // A packed message targets a distributor lane on the destination node —
 // nodeBase + srcLane%lanesPerNode, so concurrent senders spread across
@@ -315,10 +319,10 @@ func (v *Invocation) unpackDispatch(c *udweave.Ctx, src arch.NetworkID, ops []ui
 			owner := v.s.ReduceBinding.Lane(ops[base], v.s.Lanes)
 			if owner != self {
 				c.Cycles(1)
-				c.SendEvent(udweave.EvwNew(owner, v.s.ReduceEvent), udweave.IGNRCONT, ops[base:base+width]...)
+				c.SendEvent(udweave.EvwNew(owner, v.lReduce), udweave.IGNRCONT, ops[base:base+width]...)
 				continue
 			}
 		}
-		c.InvokeLocal(src, v.s.ReduceEvent, ops[base:base+width]...)
+		c.InvokeLocal(src, v.lReduce, ops[base:base+width]...)
 	}
 }

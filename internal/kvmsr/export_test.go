@@ -1,5 +1,10 @@
 package kvmsr
 
+import (
+	"updown/internal/arch"
+	"updown/internal/udweave"
+)
+
 // Test-only accessors for the package-internal binding methods.
 
 // InitialRangeForTest exposes MapBinding.initialRange.
@@ -10,4 +15,18 @@ func InitialRangeForTest(b MapBinding, laneIdx, laneCount int, numKeys uint64) (
 // PoolStartForTest exposes MapBinding.poolStart.
 func PoolStartForTest(b MapBinding, laneCount int, numKeys uint64) uint64 {
 	return b.poolStart(laneCount, numKeys)
+}
+
+// ReportModeForTest reports whether the executing lane is in report mode.
+func (v *Invocation) ReportModeForTest(c *udweave.Ctx) bool { return v.st(c).reportMode }
+
+// PushesForTest returns how many delta messages one lane has pushed.
+func (v *Invocation) PushesForTest(peek func(arch.NetworkID) any, lane arch.NetworkID) uint64 {
+	var n uint64
+	eachLane(v, peek, v.slot, func(l arch.NetworkID, st *laneState) {
+		if l == lane {
+			n = st.pushes
+		}
+	})
+	return n
 }

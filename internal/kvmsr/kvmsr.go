@@ -15,6 +15,13 @@
 // termination detection — spends simulated cycles and network messages,
 // exactly the overheads the paper's strong-scaling curves include.
 //
+// Termination detection is event-driven, not polled: reduce counts reach
+// the master as deltas (with the map-completion tree, with at most one
+// drain broadcast per launch, and pushed by the lanes themselves once they
+// have answered that broadcast), and the launch completes on the message that
+// makes the master's sum equal the emit count. See "termination detection"
+// below and DESIGN.md "Termination".
+//
 // Contract for user events:
 //
 //   - kv_map receives its key as operand 0 and the map continuation as the
@@ -41,9 +48,21 @@ import (
 // match the hardware rather than flooding it (Section 4.1.3).
 const DefaultMaxOutstanding = 32
 
-// probeRetryDelay is the backoff before re-probing reduce counters during
-// termination detection.
+// probeRetryDelay is the period of the straggler detector's re-probe clock.
+// Only Spec.Resilience arms it: the classic and coalescing shuffles cannot
+// lose a tuple, so their termination detection needs no timer.
 const probeRetryDelay = 500
+
+// Tree levels. The probe, push and delta labels each serve every role of
+// the master -> node masters -> accelerator masters -> lanes tree; operand
+// 0 of their messages names the role addressed (one lane may hold all
+// four).
+const (
+	levelLane uint64 = iota
+	levelAccel
+	levelNode
+	levelMaster
+)
 
 // Spec describes one KVMSR invocation.
 type Spec struct {
@@ -101,10 +120,10 @@ type Spec struct {
 // (worker, accelerator master, node master, invocation master), whose
 // fields are kept disjoint.
 //
-// The emitted and reduced counters are cumulative across launches of the
-// same invocation: termination detection compares cumulative sums, which
-// is insensitive to reduce tasks racing ahead of a later round's
-// lane-start broadcast.
+// Every emit and reduce counter is cumulative across launches of the same
+// invocation: termination detection compares cumulative sums, which is
+// insensitive to reduce tasks racing ahead of a later round's lane-start
+// broadcast.
 type laneState struct {
 	// worker role
 	numKeys     uint64
@@ -113,10 +132,24 @@ type laneState struct {
 	endKey      uint64
 	outstanding int
 	emitted     uint64
-	reduced     uint64
 	awaiting    bool
 	exhausted   bool
 	doneSent    bool
+	// started and reduced count kv_reduce tasks entered (the reduce
+	// wrapper) and finished (ReduceDone) on this lane; reported is how
+	// much of reduced the lane has told its accelerator master.
+	// replyOwed is set while the drain probe has reached the lane but
+	// found reduces in progress: the counted reply goes out when the
+	// lane is next reduce-idle. In report mode (from that reply until
+	// the next lane_start) the lane pushes reduced-reported itself
+	// whenever it goes reduce-idle; pushes counts the delta messages it
+	// sent that way.
+	started    uint64
+	reduced    uint64
+	reported   uint64
+	replyOwed  bool
+	reportMode bool
+	pushes     uint64
 	// mapActive tracks the open map-window span (tracing only): the
 	// window from the lane's first in-flight map task to its lane-done
 	// report.
@@ -127,10 +160,20 @@ type laneState struct {
 	// operands into its message arena, so reuse is safe).
 	sendBuf [sim.MaxOperands]uint64
 
-	// accelerator-master role
+	// pend and armed drive the self-clocked push of reduce-count deltas,
+	// indexed by the role's tree level: pend[level] accumulates deltas
+	// pushed up by the role's children (a worker's own pending delta is
+	// reduced-reported, so pend[levelLane] stays zero) and armed[level]
+	// says a push event for that role is queued on this lane.
+	pend  [levelMaster]uint64
+	armed [levelMaster]bool
+
+	// accelerator-master role: map-completion sums (emits and the reduce
+	// deltas riding with them) and the counted drain-probe replies.
 	aExpect int
 	aDone   int
 	aEmit   uint64
+	aRed    uint64
 	apCnt   int
 	apSum   uint64
 
@@ -138,27 +181,34 @@ type laneState struct {
 	nExpect int
 	nDone   int
 	nEmit   uint64
+	nRed    uint64
 	npCnt   int
 	npSum   uint64
 
-	// invocation-master role
+	// invocation-master role: mEmit is E, the cumulative emit count
+	// (exact once every node has reported map-done); mRed is R, the sum
+	// of every reduce-count delta the master has been told. draining is
+	// set from map-done to completion; probeOut while a counted drain
+	// probe is in the tree.
 	cont     uint64
 	mDone    int
 	mEmit    uint64
 	prevEmit uint64
+	mRed     uint64
 	mpCnt    int
-	mpSum    uint64
 	poolNext uint64
 	poolEnd  uint64
-	probing  bool
-	// lastProbeSum/noProgress drive the straggler detector: consecutive
-	// termination probes that report the same (short) reduce sum mean
-	// outstanding shuffle work is stuck, so the master re-kicks lanes.
+	draining bool
+	probeOut bool
+	// lastProbeSum/noProgress drive the straggler detector (Resilience
+	// only): consecutive drain probes that return with the same short R
+	// mean outstanding shuffle work is stuck, so the master re-kicks lanes.
 	lastProbeSum uint64
 	noProgress   int
-	// launches numbers the invocation's launches; it pairs the per-launch
-	// phase spans (tracing only).
-	launches uint64
+	// term counts the protocol's work; term.Launches also numbers the
+	// launches, pairing the per-launch phase spans (tracing) and tagging
+	// the straggler clock.
+	term TerminationTotals
 }
 
 // Invocation is a registered KVMSR computation, launchable repeatedly.
@@ -177,15 +227,17 @@ type Invocation struct {
 	lLaneDone    udweave.Label
 	lAccelDone   udweave.Label
 	lNodeDone    udweave.Label
-	lProbeNode   udweave.Label
-	lProbeAccel  udweave.Label
-	lProbeLane   udweave.Label
+	lProbe       udweave.Label
 	lReplyAccel  udweave.Label
 	lReplyNode   udweave.Label
 	lReplyMaster udweave.Label
-	lRetryProbe  udweave.Label
 	lMoreWork    udweave.Label
 	lGrant       udweave.Label
+	// lReduce is the reduce entry point every shuffle path delivers to:
+	// it counts the task as started and runs Spec.ReduceEvent in place.
+	lReduce udweave.Label
+	lPush   udweave.Label
+	lDelta  udweave.Label
 
 	// Resilient-shuffle registration (nil res means the classic reliable
 	// shuffle; see resilience.go).
@@ -218,8 +270,6 @@ type Invocation struct {
 	nameFlush      string
 }
 
-var invSeq int
-
 // New validates the spec and registers the invocation's internal events
 // with the program. Call during program construction (single-threaded).
 func New(p *udweave.Program, s Spec) (*Invocation, error) {
@@ -241,7 +291,6 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.Combiner != nil && s.Coalesce == nil {
 		return nil, fmt.Errorf("kvmsr: %s: Combiner requires Coalesce", s.Name)
 	}
-	invSeq++
 	v := &Invocation{p: p, s: s, slot: p.AllocSlot(), lpn: p.M.LanesPerNode()}
 	n := s.Name
 	v.lMasterStart = p.Define(n+".master_start", v.masterStart)
@@ -252,15 +301,20 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	v.lLaneDone = p.Define(n+".lane_done", v.laneDone)
 	v.lAccelDone = p.Define(n+".accel_done", v.accelDone)
 	v.lNodeDone = p.Define(n+".node_done", v.nodeDone)
-	v.lProbeNode = p.Define(n+".probe_node", v.probeNode)
-	v.lProbeAccel = p.Define(n+".probe_accel", v.probeAccel)
-	v.lProbeLane = p.Define(n+".probe_lane", v.probeLane)
+	v.lProbe = p.Define(n+".probe", v.probe)
 	v.lReplyAccel = p.Define(n+".reply_accel", v.replyAccel)
 	v.lReplyNode = p.Define(n+".reply_node", v.replyNode)
 	v.lReplyMaster = p.Define(n+".reply_master", v.replyMaster)
-	v.lRetryProbe = p.Define(n+".retry_probe", v.retryProbe)
 	v.lMoreWork = p.Define(n+".more_work", v.moreWork)
 	v.lGrant = p.Define(n+".grant", v.grant)
+	v.lPush = p.Define(n+".push", v.push)
+	v.lDelta = p.Define(n+".delta", v.delta)
+	if s.ReduceEvent != 0 {
+		// The wrapper keeps the user's event name, so traces and
+		// diagnostics still show kv_reduce executions under the name the
+		// application registered.
+		v.lReduce = p.Define(p.Name(s.ReduceEvent), v.reduce)
+	}
 	v.nameEmit = n + ".emit"
 	v.nameMapWin = n + ".map_window"
 	v.namePhaseMap = n + ".map_phase"
@@ -295,10 +349,11 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 // a caller building many invocations checks against Program.FreeLabels
 // before defining any of them.
 func (s Spec) Labels() int {
-	n := 17
+	n := 16
 	if s.ReduceEvent == 0 {
 		return n
 	}
+	n++ // the reduce wrapper
 	if s.Resilience != nil {
 		n += 4
 	}
@@ -423,7 +478,7 @@ func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint6
 	buf[0] = key
 	n := copy(buf[1:], vals)
 	v.countMsg(c, target)
-	c.SendEvent(udweave.EvwNew(target, v.s.ReduceEvent), udweave.IGNRCONT, buf[:1+n]...)
+	c.SendEvent(udweave.EvwNew(target, v.lReduce), udweave.IGNRCONT, buf[:1+n]...)
 	return 1
 }
 
@@ -464,11 +519,39 @@ func (v *Invocation) Return(c *udweave.Ctx, mapCont uint64) {
 	c.SendEvent(mapCont, udweave.IGNRCONT)
 }
 
-// ReduceDone signals that one kv_reduce task has completed.
+// ReduceDone signals that one kv_reduce task has completed. On a lane the
+// drain probe has reached, the completion that leaves no reduce task in
+// progress arms the lane's push, so late reduces reach the master without
+// being asked for again: at most one message per reduce-idle transition,
+// and a backlogged lane batches — the push event queues behind the reduces
+// already waiting in the lane's FIFO and reports all of them at once.
 func (v *Invocation) ReduceDone(c *udweave.Ctx) {
 	st := v.st(c)
 	st.reduced++
 	c.ScratchAccess(1)
+	if (st.reportMode || st.replyOwed) && st.started == st.reduced {
+		v.armPush(c, st, levelLane)
+	}
+}
+
+// reduce is the reduce entry point: the classic send, the coalescing
+// distributor and the resilient delivery shim all deliver tuples here. It
+// counts the task as started and runs the user's kv_reduce in place — same
+// thread, same message, no cycles of its own.
+func (v *Invocation) reduce(c *udweave.Ctx) {
+	v.st(c).started++
+	c.Invoke(v.s.ReduceEvent)
+}
+
+// Flush sends whatever the executing lane holds in its pack buffers now
+// instead of leaving it to the max-linger guard. It is for lanes that
+// SendReduce outside their own map phase (BFS sub-workers) and know they
+// have sent their last tuple of the round; calling it per tuple would
+// unpack the shuffle. A no-op without Spec.Coalesce.
+func (v *Invocation) Flush(c *udweave.Ctx) {
+	if v.coal != nil {
+		v.flushAll(c)
+	}
 }
 
 // ---- broadcast: master -> node masters -> accel masters -> lanes ------
@@ -488,11 +571,10 @@ func (v *Invocation) masterStart(c *udweave.Ctx) {
 	st.mEmit = 0
 	st.poolNext = v.s.MapBinding.poolStart(v.s.Lanes.Count, numKeys)
 	st.poolEnd = numKeys
-	st.probing = false
 	st.lastProbeSum = 0
 	st.noProgress = 0
-	st.launches++
-	c.TaskBegin(v.namePhaseMap, st.launches)
+	st.term.Launches++
+	c.TaskBegin(v.namePhaseMap, st.term.Launches)
 	c.Cycles(10)
 	m := v.p.M
 	for node := v.s.Lanes.firstNode(m); node <= v.s.Lanes.lastNode(m); node++ {
@@ -510,6 +592,7 @@ func (v *Invocation) nodeStart(c *udweave.Ctx) {
 	st.nExpect = hi - lo
 	st.nDone = 0
 	st.nEmit = 0
+	st.nRed = 0
 	c.Cycles(6)
 	for a := lo; a < hi; a++ {
 		c.Cycles(2)
@@ -526,6 +609,7 @@ func (v *Invocation) accelStart(c *udweave.Ctx) {
 	st.aExpect = int(hi - lo)
 	st.aDone = 0
 	st.aEmit = 0
+	st.aRed = 0
 	c.Cycles(6)
 	for lane := lo; lane < hi; lane++ {
 		c.Cycles(2)
@@ -545,6 +629,7 @@ func (v *Invocation) laneStart(c *udweave.Ctx) {
 	st.awaiting = false
 	st.exhausted = !v.s.MapBinding.dynamic()
 	st.doneSent = false
+	st.reportMode = false
 	c.Cycles(8)
 	v.pump(c, st)
 	c.YieldTerminate()
@@ -584,7 +669,7 @@ func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 		}
 		c.Cycles(2)
 		c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentAccelMaster(v.p.M, self), v.lLaneDone),
-			udweave.IGNRCONT, st.emitted)
+			udweave.IGNRCONT, st.emitted, st.takeDelta())
 	}
 	// Tracing: bracket the lane's map window — first in-flight task to the
 	// lane-done report — as an async span (it overlaps the lane's event
@@ -640,15 +725,20 @@ func (v *Invocation) grant(c *udweave.Ctx) {
 }
 
 // ---- completion aggregation: lanes -> accel -> node -> master ---------
+//
+// Each done message carries the subtree's cumulative emit count and, next
+// to it, the reduce-count delta its lanes had not yet reported: one tree
+// traversal yields both sums at the master.
 
 func (v *Invocation) laneDone(c *udweave.Ctx) {
 	st := v.st(c)
 	st.aDone++
 	st.aEmit += c.Op(0)
+	st.aRed += c.Op(1)
 	c.Cycles(3)
 	if st.aDone == st.aExpect {
 		c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentNodeMaster(v.p.M, c.NetworkID()), v.lAccelDone),
-			udweave.IGNRCONT, st.aEmit)
+			udweave.IGNRCONT, st.aEmit, st.aRed)
 	}
 	c.YieldTerminate()
 }
@@ -657,9 +747,10 @@ func (v *Invocation) accelDone(c *udweave.Ctx) {
 	st := v.st(c)
 	st.nDone++
 	st.nEmit += c.Op(0)
+	st.nRed += c.Op(1)
 	c.Cycles(3)
 	if st.nDone == st.nExpect {
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lNodeDone), udweave.IGNRCONT, st.nEmit)
+		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lNodeDone), udweave.IGNRCONT, st.nEmit, st.nRed)
 	}
 	c.YieldTerminate()
 }
@@ -668,50 +759,109 @@ func (v *Invocation) nodeDone(c *udweave.Ctx) {
 	st := v.st(c)
 	st.mDone++
 	st.mEmit += c.Op(0)
+	st.mRed += c.Op(1)
 	c.Cycles(3)
 	if st.mDone == v.s.Lanes.NumNodes(v.p.M) {
 		// All map tasks have returned; mEmit is the cumulative emit
-		// count. With no reduce phase the invocation is complete;
-		// otherwise probe the reduce counters until they match.
-		c.TaskEnd(v.namePhaseMap, st.launches)
-		if v.s.ReduceEvent == 0 {
+		// count E. With no reduce phase, or when the reduce counts that
+		// rode up with the done messages already match it, the launch is
+		// complete without a probe; otherwise drain.
+		c.TaskEnd(v.namePhaseMap, st.term.Launches)
+		if v.s.ReduceEvent != 0 {
+			st.draining = true
+			c.TaskBegin(v.namePhaseDrain, st.term.Launches)
+		}
+		if v.drained(st) {
+			st.term.ZeroProbe++
 			v.complete(c, st)
 		} else {
-			st.probing = true
-			c.TaskBegin(v.namePhaseDrain, st.launches)
-			v.sendProbe(c)
+			v.sendProbe(c, st)
 		}
 	}
 	c.YieldTerminate()
 }
 
 func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
-	if st.probing {
-		c.TaskEnd(v.namePhaseDrain, st.launches)
+	if st.probeOut {
+		panic(fmt.Sprintf("kvmsr: %s: launch completed with a drain probe still in the tree", v.s.Name))
+	}
+	if st.draining {
+		c.TaskEnd(v.namePhaseDrain, st.term.Launches)
 	}
 	delta := st.mEmit - st.prevEmit
 	st.prevEmit = st.mEmit
-	st.probing = false
+	st.draining = false
 	c.Cycles(4)
 	c.Reply(st.cont, delta, st.mEmit)
 }
 
-// ---- termination detection: probe cumulative reduce counters ----------
+// ---- termination detection --------------------------------------------
+//
+// One invariant: the master's R (mRed) sums every reduce-count delta it
+// has been told, and R <= reduces actually finished <= E (mEmit), so once
+// map-done has made E exact, R == E means the launch is drained — in
+// whatever order the deltas arrived, within or across launches. Deltas
+// reach the master with the done messages above, as the counted replies of
+// the one drain probe a launch sends when R < E at map-done (a lane replies
+// when it is reduce-idle, so the reply covers everything queued at the lane
+// when the probe arrived), and, from lanes that have replied and are
+// thereby in report mode, as pushes: the lane reports its own late reduces
+// when it goes reduce-idle, and accelerator and node masters accumulate
+// arriving deltas and forward them with the same self-addressed event, so
+// bursts combine on the way up. The master completes on the message that
+// makes R == E, unless a counted probe is still in the tree: its replies
+// are aggregated by count, which two overlapping probes would corrupt.
 
-func (v *Invocation) sendProbe(c *udweave.Ctx) {
-	st := v.st(c)
+// drained reports R == E. Call it only between map-done and completion,
+// when E is exact. R can exceed E only through a bug in the user's events
+// (a kv_reduce that calls ReduceDone twice, SendReduce credits that never
+// reached EmitFrom), which would otherwise leave the launch open forever
+// with nothing left to run.
+func (v *Invocation) drained(st *laneState) bool {
+	if st.mRed > st.mEmit {
+		panic(fmt.Sprintf("kvmsr: %s: %d reduces reported done for %d emits", v.s.Name, st.mRed, st.mEmit))
+	}
+	return st.mRed == st.mEmit
+}
+
+// takeDelta returns the lane's reduces not yet reported upward and marks
+// them reported.
+func (st *laneState) takeDelta() uint64 {
+	d := st.reduced - st.reported
+	st.reported = st.reduced
+	return d
+}
+
+// sendProbe starts the counted drain broadcast.
+func (v *Invocation) sendProbe(c *udweave.Ctx, st *laneState) {
 	st.mpCnt = 0
-	st.mpSum = 0
+	st.probeOut = true
+	st.term.Probes++
 	m := v.p.M
 	c.Cycles(4)
 	for node := v.s.Lanes.firstNode(m); node <= v.s.Lanes.lastNode(m); node++ {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.NodeMaster(m, node), v.lProbeNode), udweave.IGNRCONT)
+		c.SendEvent(udweave.EvwNew(v.s.Lanes.NodeMaster(m, node), v.lProbe), udweave.IGNRCONT, levelNode)
 	}
 }
 
-func (v *Invocation) probeNode(c *udweave.Ctx) {
+// probe is the level-tagged drain-probe handler.
+func (v *Invocation) probe(c *udweave.Ctx) {
 	st := v.st(c)
+	switch c.Op(0) {
+	case levelMaster:
+		v.retryProbe(c, st)
+	case levelNode:
+		v.probeNode(c, st)
+	case levelAccel:
+		v.probeAccel(c, st)
+	default:
+		v.probeLane(c, st)
+	}
+	c.YieldTerminate()
+}
+
+func (v *Invocation) probeNode(c *udweave.Ctx, st *laneState) {
 	st.npCnt = 0
 	st.npSum = 0
 	m := v.p.M
@@ -720,13 +870,11 @@ func (v *Invocation) probeNode(c *udweave.Ctx) {
 	c.Cycles(4)
 	for a := lo; a < hi; a++ {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.AccelMaster(m, node, a), v.lProbeAccel), udweave.IGNRCONT)
+		c.SendEvent(udweave.EvwNew(v.s.Lanes.AccelMaster(m, node, a), v.lProbe), udweave.IGNRCONT, levelAccel)
 	}
-	c.YieldTerminate()
 }
 
-func (v *Invocation) probeAccel(c *udweave.Ctx) {
-	st := v.st(c)
+func (v *Invocation) probeAccel(c *udweave.Ctx, st *laneState) {
 	st.apCnt = 0
 	st.apSum = 0
 	m := v.p.M
@@ -735,17 +883,32 @@ func (v *Invocation) probeAccel(c *udweave.Ctx) {
 	c.Cycles(4)
 	for lane := lo; lane < hi; lane++ {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, v.lProbeLane), udweave.IGNRCONT)
+		c.SendEvent(udweave.EvwNew(lane, v.lProbe), udweave.IGNRCONT, levelLane)
 	}
-	c.YieldTerminate()
 }
 
-func (v *Invocation) probeLane(c *udweave.Ctx) {
-	st := v.st(c)
+// probeLane answers the drain probe. A reduce-idle lane replies at once; a
+// lane with reduce tasks in progress owes the reply until it is next idle,
+// so the counted aggregation — one message per accelerator and per node —
+// carries everything the lane had queued when the probe arrived, and only
+// tuples that arrive after the reply are left to pushes.
+func (v *Invocation) probeLane(c *udweave.Ctx, st *laneState) {
 	c.Cycles(2)
+	if st.started != st.reduced {
+		st.replyOwed = true
+		return
+	}
+	v.replyLane(c, st)
+}
+
+// replyLane sends the lane's counted probe reply with its unreported
+// reduces and flips the lane into report mode: whatever it finishes from
+// here on it pushes itself.
+func (v *Invocation) replyLane(c *udweave.Ctx, st *laneState) {
+	st.replyOwed = false
+	st.reportMode = true
 	c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentAccelMaster(v.p.M, c.NetworkID()), v.lReplyAccel),
-		udweave.IGNRCONT, st.reduced)
-	c.YieldTerminate()
+		udweave.IGNRCONT, st.takeDelta())
 }
 
 func (v *Invocation) replyAccel(c *udweave.Ctx) {
@@ -774,47 +937,211 @@ func (v *Invocation) replyNode(c *udweave.Ctx) {
 func (v *Invocation) replyMaster(c *udweave.Ctx) {
 	st := v.st(c)
 	st.mpCnt++
-	st.mpSum += c.Op(0)
+	st.mRed += c.Op(0)
 	c.Cycles(3)
 	if st.mpCnt == v.s.Lanes.NumNodes(v.p.M) {
-		if st.mpSum == st.mEmit {
-			st.noProgress = 0
+		st.probeOut = false
+		if v.drained(st) {
 			v.complete(c, st)
-		} else {
-			// Reduces still in flight: back off and re-probe. Under the
-			// resilient shuffle the master doubles as the straggler
-			// detector: a run of probes with no forward progress means
-			// shuffle work is stuck (lost retransmissions, a stalled
-			// lane), so re-kick every lane to resend its outstanding
-			// emits immediately.
-			if v.res != nil {
-				if st.mpSum == st.lastProbeSum {
-					st.noProgress++
-				} else {
-					st.noProgress = 0
-					st.lastProbeSum = st.mpSum
-				}
-				if st.noProgress >= v.res.StragglerProbes {
-					st.noProgress = 0
-					v.rst(c).totals.Rekicks++
-					c.Cycles(4)
-					for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
-						c.Cycles(1)
-						c.SendEvent(udweave.EvwNew(lane, v.lRekick), udweave.IGNRCONT)
-					}
-				}
-			}
-			c.SendEventAfter(probeRetryDelay,
-				udweave.EvwNew(v.s.Lanes.First, v.lRetryProbe), udweave.IGNRCONT)
+		} else if v.res != nil {
+			v.straggler(c, st)
+		}
+		// Otherwise every lane is now in report mode: the pushes bring
+		// the rest, and the one that makes R == E completes the launch.
+	}
+	c.YieldTerminate()
+}
+
+// straggler runs when a drain probe returns short under the resilient
+// shuffle, where the master doubles as the straggler detector: a run of
+// probes with no forward progress means shuffle work is stuck (lost
+// retransmissions, a stalled lane), so re-kick every lane to resend its
+// outstanding emits immediately. It then arms the detector's clock — the
+// next probe — tagged with the launch it belongs to.
+func (v *Invocation) straggler(c *udweave.Ctx, st *laneState) {
+	if st.mRed == st.lastProbeSum {
+		st.noProgress++
+	} else {
+		st.noProgress = 0
+		st.lastProbeSum = st.mRed
+	}
+	if st.noProgress >= v.res.StragglerProbes {
+		st.noProgress = 0
+		v.rst(c).totals.Rekicks++
+		c.Cycles(4)
+		for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
+			c.Cycles(1)
+			c.SendEvent(udweave.EvwNew(lane, v.lRekick), udweave.IGNRCONT)
+		}
+	}
+	c.SendEventAfter(probeRetryDelay,
+		udweave.EvwNew(v.s.Lanes.First, v.lProbe), udweave.IGNRCONT, levelMaster, st.term.Launches)
+}
+
+// retryProbe is the straggler clock firing at the master. A timer whose
+// launch completed meanwhile (a push made R == E) is stale: without the
+// launch tag it could start a probe in a later launch's drain while that
+// launch's own probe is in the tree.
+func (v *Invocation) retryProbe(c *udweave.Ctx, st *laneState) {
+	if st.draining && c.Op(1) == st.term.Launches {
+		v.sendProbe(c, st)
+	}
+}
+
+// parent returns the lane holding the next role up from level.
+func (v *Invocation) parent(level uint64, self arch.NetworkID) arch.NetworkID {
+	switch level {
+	case levelLane:
+		return v.s.Lanes.ParentAccelMaster(v.p.M, self)
+	case levelAccel:
+		return v.s.Lanes.ParentNodeMaster(v.p.M, self)
+	}
+	return v.s.Lanes.First
+}
+
+// armPush queues the role's push event on the executing lane unless one
+// is queued already.
+func (v *Invocation) armPush(c *udweave.Ctx, st *laneState, level uint64) {
+	if st.armed[level] {
+		return
+	}
+	st.armed[level] = true
+	c.Cycles(2)
+	c.SendEvent(udweave.EvwNew(c.NetworkID(), v.lPush), udweave.IGNRCONT, level)
+}
+
+// push forwards what the role has accumulated one level up: a worker its
+// own unreported reduces, a tree master the deltas its children pushed
+// since its last forward. Being self-addressed it runs after whatever was
+// queued on the lane when it was armed, which is what combines a burst
+// into one message.
+func (v *Invocation) push(c *udweave.Ctx) {
+	st := v.st(c)
+	level := c.Op(0)
+	st.armed[level] = false
+	c.Cycles(2)
+	c.YieldTerminate()
+	var d uint64
+	switch {
+	case level != levelLane:
+		d, st.pend[level] = st.pend[level], 0
+	case st.started != st.reduced:
+		// Reduces started while the push was queued: the idle transition
+		// that ends them arms the next one.
+		return
+	case st.replyOwed:
+		v.replyLane(c, st)
+		return
+	default:
+		if d = st.takeDelta(); d == 0 {
+			return
+		}
+		st.pushes++
+	}
+	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDelta), udweave.IGNRCONT, level+1, d)
+}
+
+// delta receives a pushed reduce-count delta at a tree master (accumulate
+// and forward) or at the invocation master (add to R and complete if that
+// drains the launch).
+func (v *Invocation) delta(c *udweave.Ctx) {
+	st := v.st(c)
+	level, d := c.Op(0), c.Op(1)
+	c.Cycles(3)
+	if level < levelMaster {
+		st.pend[level] += d
+		v.armPush(c, st, level)
+	} else {
+		st.mRed += d
+		st.term.DeltaMsgs++
+		st.term.DeltaReduces += d
+		if st.draining && !st.probeOut && v.drained(st) {
+			v.complete(c, st)
 		}
 	}
 	c.YieldTerminate()
 }
 
-func (v *Invocation) retryProbe(c *udweave.Ctx) {
-	st := v.st(c)
-	if st.probing {
-		v.sendProbe(c)
+// TerminationTotals counts the termination protocol's work over an
+// invocation's lifetime (see Invocation.TerminationTotals).
+type TerminationTotals struct {
+	// Launches counts launches started.
+	Launches uint64
+	// Probes counts drain broadcasts sent; without Spec.Resilience at
+	// most one per launch.
+	Probes uint64
+	// ZeroProbe counts launches that completed at map-done, the reduce
+	// counts riding the completion tree already matching the emits.
+	ZeroProbe uint64
+	// DeltaMsgs and DeltaReduces count the pushed delta messages the
+	// master received and the reduces they reported; Pushes the delta
+	// messages worker lanes sent (tree masters combine them on the way).
+	DeltaMsgs    uint64
+	DeltaReduces uint64
+	Pushes       uint64
+}
+
+// TerminationState is a host-side reading of the protocol's conservation
+// law (see Invocation.TerminationState): at quiescence Reduced == Reported
+// == R == E and nothing is Armed or Pending.
+type TerminationState struct {
+	// Reduced and Reported sum the lanes' finished and reported reduces.
+	Reduced, Reported uint64
+	// R and E are the master's delta sum and cumulative emit count.
+	R, E uint64
+	// Armed counts queued push events; Pending sums deltas parked at
+	// tree masters.
+	Armed   int
+	Pending uint64
+}
+
+// eachLane calls f with the *T that every lane of the invocation's set
+// keeps in lane-local slot (lanes the program never touched keep none).
+// peek resolves a lane to its actor: pass updown.Machine's lane peek or
+// sim.Engine.PeekActor, after a run or at a quiesced point.
+func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot int, f func(lane arch.NetworkID, st *T)) {
+	for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
+		a, _ := peek(lane).(interface{ SlotPeek(int) any })
+		if a == nil {
+			continue
+		}
+		if st, _ := a.SlotPeek(slot).(*T); st != nil {
+			f(lane, st)
+		}
 	}
-	c.YieldTerminate()
+}
+
+// TerminationTotals reads the termination counters after a run: the
+// master lane's, plus the worker lanes' push count.
+func (v *Invocation) TerminationTotals(peek func(arch.NetworkID) any) TerminationTotals {
+	var t TerminationTotals
+	var pushes uint64
+	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
+		if lane == v.s.Lanes.First {
+			t = st.term
+		}
+		pushes += st.pushes
+	})
+	t.Pushes = pushes
+	return t
+}
+
+// TerminationState reads the protocol's counters at a quiesced point
+// (testing and leak detection, like Outstanding).
+func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) TerminationState {
+	var s TerminationState
+	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
+		s.Reduced += st.reduced
+		s.Reported += st.reported
+		if lane == v.s.Lanes.First {
+			s.R, s.E = st.mRed, st.mEmit
+		}
+		for level := range st.armed {
+			if st.armed[level] {
+				s.Armed++
+			}
+			s.Pending += st.pend[level]
+		}
+	})
+	return s
 }

@@ -4,9 +4,10 @@
 // emits, explicit acks, a guard thread that retransmits overdue emits
 // with capped exponential backoff, and idempotent apply at the reducer
 // via a per-sender sliding dedup window. The invocation master doubles as
-// a straggler detector: when termination probes stop making progress it
-// re-kicks every lane, forcing an immediate retransmission of all
-// outstanding shuffle work.
+// a straggler detector: only under this shuffle does it re-probe on a timer
+// (every probeRetryDelay cycles while the launch drains), and when those
+// probes stop making progress it re-kicks every lane, forcing an immediate
+// retransmission of all outstanding shuffle work.
 //
 // The net contract: under any fault plan that eventually delivers some
 // retransmission (message drop/dup/delay at any rate below 1), a
@@ -267,7 +268,7 @@ func (v *Invocation) redDeliver(c *udweave.Ctx) {
 		return
 	}
 	c.TruncateOps(n - 1)
-	c.Invoke(v.s.ReduceEvent)
+	v.reduce(c)
 }
 
 // ResilienceTotals sums the protocol counters over the invocation's lane
@@ -277,38 +278,19 @@ func (v *Invocation) redDeliver(c *udweave.Ctx) {
 // non-resilient invocations.
 func (v *Invocation) ResilienceTotals(peek func(arch.NetworkID) any) ResilienceTotals {
 	var t ResilienceTotals
-	if v.res == nil {
-		return t
-	}
-	for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
-		a, _ := peek(lane).(interface{ SlotPeek(int) any })
-		if a == nil {
-			continue
-		}
-		rs, _ := a.SlotPeek(v.rslot).(*resilState)
-		if rs == nil {
-			continue
-		}
-		t.Add(rs.totals)
+	if v.res != nil {
+		eachLane(v, peek, v.rslot, func(_ arch.NetworkID, rs *resilState) { t.Add(rs.totals) })
 	}
 	return t
 }
 
-// Outstanding reports the number of unacked emits still pending on one
-// lane (testing and leak detection: a drained invocation leaves zero).
+// Outstanding reports the number of unacked emits still pending on the
+// invocation's lanes (testing and leak detection: a drained invocation
+// leaves zero).
 func (v *Invocation) Outstanding(peek func(arch.NetworkID) any) int {
-	if v.res == nil {
-		return 0
-	}
 	n := 0
-	for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
-		a, _ := peek(lane).(interface{ SlotPeek(int) any })
-		if a == nil {
-			continue
-		}
-		if rs, _ := a.SlotPeek(v.rslot).(*resilState); rs != nil {
-			n += len(rs.out)
-		}
+	if v.res != nil {
+		eachLane(v, peek, v.rslot, func(_ arch.NetworkID, rs *resilState) { n += len(rs.out) })
 	}
 	return n
 }

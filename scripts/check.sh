@@ -61,6 +61,16 @@ go build -o fig ./cmd/fig
 code=0; ./fig serve -slots 128 -queries 4 2>/dev/null || code=$?
 [ "$code" -eq 2 ] || { echo "fig serve -slots 128: exit $code, want 2"; exit 1; }
 
+# Termination smoke: coalesced BFS must send at most one drain probe per
+# launch (the classic and coalescing shuffles never poll) and print the
+# result checksum of the uncoalesced run.
+go build -o updown-sim ./cmd/updown-sim
+coal=$(./updown-sim -app bfs -nodes 2 -scale 10 -coalesce -profile -checksum)
+printf '%s\n' "$coal" | awk -F'[ =]' '/^termination:/ { if ($5+0 > $3+0) { print "termination smoke: more probes than launches: " $0; exit 1 } found=1 } END { exit !found }'
+plain=$(./updown-sim -app bfs -nodes 2 -scale 10 -checksum | awk '/^result-checksum:/{print $2}')
+coal=$(printf '%s\n' "$coal" | awk '/^result-checksum:/{print $2}')
+[ -n "$plain" ] && [ "$plain" = "$coal" ] || { echo "termination smoke: checksum '$coal' (coalesced) != '$plain'"; exit 1; }
+
 # Scheduler smoke: a small multi-tenant sweep with -verify replays every
 # completed job solo, pinned to the same nodes, and exits nonzero unless
 # outputs, completion cycles and attributed totals are bit-identical to
