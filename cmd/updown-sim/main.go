@@ -13,15 +13,17 @@
 // cmd/preprocess.
 //
 // Observability: -profile prints the per-node utilization report and
-// per-kind breakdown after the run, and for the graph apps one
-// "termination:" line with the KVMSR termination protocol's counters
-// (launches, drain probes, pushed deltas); -trace out.json exports a Chrome
-// trace_event file loadable in Perfetto (ui.perfetto.dev), one process
-// per node with counter tracks for lane occupancy, DRAM traffic/backlog
-// and injection backlog. -spans adds named span tracks (event executions,
-// thread lifetimes, KVMSR phases, application phases) to the trace file;
-// -critpath prints the causal critical-path report and latency histograms;
-// -flows prints the node-to-node message flow matrix:
+// per-kind breakdown (with each kind's cross-node share) after the run, for
+// the graph apps one "termination:" line with the KVMSR termination
+// protocol's counters (launches, drain probes, pushed deltas), and for pr
+// one "phases:" line per iteration (map+reduce, flush, apply cycles);
+// -trace out.json exports a Chrome trace_event file loadable in Perfetto
+// (ui.perfetto.dev), one process per node with counter tracks for lane
+// occupancy, DRAM traffic/backlog and injection backlog. -spans adds named
+// span tracks (event executions, thread lifetimes, KVMSR phases, application
+// phases) to the trace file; -critpath prints the causal critical-path
+// report and latency histograms; -flows prints the node-to-node message
+// flow matrix:
 //
 //	updown-sim -app pr -nodes 16 -profile -trace pr.json -spans -critpath -flows
 //
@@ -247,11 +249,10 @@ func main() {
 		} else {
 			g := loadGraph(*gvPath, *nlPath, *preset, *scale, *seed, *app == "tc")
 			edges = g.NumEdges()
-			mem := *memNodes
-			if mem == 0 {
-				mem = *nodes
+			pl := graph.DefaultPlacement(*nodes)
+			if *memNodes != 0 {
+				pl.NRNodes = *memNodes
 			}
-			pl := graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10}
 			var split *graph.SplitGraph
 			switch *app {
 			case "pr":
@@ -281,6 +282,11 @@ func main() {
 					float64(edges*uint64(*iters))/m.Seconds(a.Elapsed())/1e9)
 				resTotals = a.ResilienceTotals()
 				termTotals = a.TerminationTotals()
+				if *profile {
+					for i, d := range a.PhaseDurations() {
+						fmt.Printf("phases: iter %d map+reduce=%d flush=%d apply=%d cycles\n", i+1, d[0], d[1], d[2])
+					}
+				}
 				if *checksum {
 					vals := make([]uint64, 0, len(a.Values()))
 					for _, r := range a.Values() {

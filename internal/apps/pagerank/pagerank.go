@@ -7,9 +7,12 @@
 // phase complete each iteration.
 //
 // Parallelism is expressed per vertex (kv_map) and per edge (kv_reduce);
-// computation binding is the default Block for maps and Hash for reduces;
-// data placement is the DRAMmalloc striping chosen when loading the graph
-// — the three orthogonal dimensions of the paper's Figure 1.
+// data placement is the DRAMmalloc striping chosen when loading the graph;
+// computation binding follows the placement when it can — kvmsr.Owner runs
+// the kv_map, kv_reduce and apply task of vertex v on the node homing
+// record v whenever the vertex array's nodes are the lane set's — and is
+// otherwise the default Block for maps and Hash for reduces. The three are
+// the orthogonal dimensions of the paper's Figure 1.
 package pagerank
 
 import (
@@ -57,8 +60,9 @@ type App struct {
 	// auxVA is a contiguous per-split-vertex accumulator array: keeping
 	// the accumulators dense (rather than strided inside the vertex
 	// records) lets the apply phase stream a hub's member sums eight
-	// words per DRAM read.
-	auxVA gasmem.VA
+	// words per DRAM read. auxBlock is its distribution block in words.
+	auxVA    gasmem.VA
+	auxBlock uint32
 
 	cc       *collections.CombiningCache
 	mainInv  *kvmsr.Invocation
@@ -124,16 +128,30 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a := &App{m: m, dg: dg, cfg: cfg}
 	p := m.Prog
 	a.cc = collections.NewCombiningCache(p, "pr.fna", collections.AddF64)
+	// Where the vertex array's nodes are the lane set's, every per-vertex
+	// task is bound to the node homing its record, and the accumulator
+	// array is striped in blocks of as many vertices as the vertex array's
+	// so that aux[v] lives with record v.
+	var mapBinding kvmsr.MapBinding
+	var reduceBinding kvmsr.ReduceBinding
+	auxBS := uint64(32 << 10)
+	const recordBytes = graph.VertexStride * gasmem.WordBytes
+	if vr := m.GAS.RegionOf(dg.VertexVA); vr != nil && vr.Base == dg.VertexVA {
+		if own, ok := kvmsr.NewOwner(m.Arch, cfg.Lanes, vr, recordBytes); ok {
+			mapBinding, reduceBinding = own, own
+			auxBS = vr.BS / graph.VertexStride
+		}
+	}
 	// The accumulator array lives on the lane set's own nodes, so a job
-	// confined to a lane partition touches no other partition's memory
-	// (whole-machine runs stripe over all nodes exactly as before).
+	// confined to a lane partition touches no other partition's memory.
 	auxFirst := m.Arch.NodeOf(cfg.Lanes.First)
 	auxNodes := gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch))
 	var err error
-	a.auxVA, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, auxFirst, auxNodes, 32<<10)
+	a.auxVA, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, auxFirst, auxNodes, auxBS)
 	if err != nil {
 		return nil, err
 	}
+	a.auxBlock = uint32(auxBS / gasmem.WordBytes)
 
 	kvMap := p.Define("pr.kv_map", a.kvMap)
 	a.lRecord = p.Define("pr.record", a.record)
@@ -156,9 +174,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.mainInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce,
+		MapBinding: mapBinding, ReduceBinding: reduceBinding,
 		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
-		// NOT ReduceAnyLane: the Hash binding concentrates each vertex on
+		// NOT ReduceAnyLane: the reduce binding concentrates each vertex on
 		// one lane, which is what makes the per-lane combining cache hit.
 		// Letting distributors reduce in place spreads a vertex's
 		// contributions over many lanes' caches and the eviction
@@ -168,6 +187,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Key i of the flush is lane i: Block, whatever the placement.
 	a.flushInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.flushall", NumKeys: uint64(cfg.Lanes.Count),
 		MapEvent: flushBody, Lanes: cfg.Lanes,
@@ -177,7 +197,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	}
 	a.applyInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.applyall", NumKeys: uint64(dg.G.N),
-		MapEvent: applyBody, Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
+		MapEvent: applyBody, MapBinding: mapBinding,
+		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
 	})
 	if err != nil {
 		return nil, err
@@ -236,6 +257,27 @@ func (a *App) Run() (updown.Stats, error) {
 
 // Elapsed returns the simulated cycles of the measured region.
 func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
+
+// PhaseDurations splits Elapsed into each completed iteration's map+reduce,
+// flush and apply cycles (read from PhaseMarks; flush is zero under
+// UseMemFetchAdd, which has none).
+func (a *App) PhaseDurations() [][3]updown.Cycles {
+	phases := []int{0, 1, 2}
+	if a.cfg.UseMemFetchAdd {
+		phases = []int{0, 2}
+	}
+	var out [][3]updown.Cycles
+	prev := a.Start
+	for i := 0; i+len(phases) <= len(a.PhaseMarks); i += len(phases) {
+		var d [3]updown.Cycles
+		for j, phase := range phases {
+			d[phase] = a.PhaseMarks[i+j] - prev
+			prev = a.PhaseMarks[i+j]
+		}
+		out = append(out, d)
+	}
+	return out
+}
 
 // Values reads back the final PageRank vector indexed by original input
 // vertex ID (host side, post-run).
@@ -467,11 +509,11 @@ func (a *App) applyFinish(c *updown.Ctx, st *applyState) {
 	c.DRAMWrite(a.dg.FieldVA(st.v, graph.VValue), ack, udweave.FloatBits(next))
 	total := 1 + st.subCount
 	var zeros [7]uint64
-	for off := uint32(0); off < total; off += 7 {
-		n := total - off
-		if n > 7 {
-			n = 7
-		}
+	for off, n := uint32(0), uint32(0); off < total; off += n {
+		// A write stops at the end of its distribution block: the words
+		// past it live on another node (and a replicated write must land
+		// on one stripe).
+		n = min(total-off, 7, a.auxBlock-(st.v+off)%a.auxBlock)
 		st.writes++
 		c.DRAMWrite(a.auxVA+uint64(st.v+off)*gasmem.WordBytes, ack, zeros[:n]...)
 	}

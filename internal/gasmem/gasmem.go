@@ -119,6 +119,53 @@ func (r *Region) ReplicaIndexOn(va VA, node int) (j int, ok bool) {
 // Contains reports whether va falls inside the region.
 func (r *Region) Contains(va VA) bool { return va >= r.Base && va < r.Base+r.Size }
 
+// Striping is the software-visible part of a region's descriptor, for an
+// array of fixed-size elements laid out from the region's base: which ring
+// position homes element i, and the inverse — which elements, in ascending
+// order, one ring position homes. It is what a computation binding needs to
+// start a task where its data lives using index arithmetic alone; Translate
+// stays the authority (the two are checked against each other in the
+// tests), and Node names the home as allocated, before any fail-stop
+// Reassign.
+type Striping struct {
+	// FirstNode and NRNodes are the region's node ring.
+	FirstNode, NRNodes int
+	// PerBlock is the number of elements in one distribution block.
+	PerBlock uint64
+}
+
+// Striping describes how elements of elemBytes bytes, indexed from the
+// region's base, fall on the node ring. ok is false when elements would
+// straddle blocks (elemBytes does not divide BS).
+func (r *Region) Striping(elemBytes uint64) (s Striping, ok bool) {
+	if elemBytes == 0 || r.BS%elemBytes != 0 {
+		return Striping{}, false
+	}
+	return Striping{FirstNode: r.FirstNode, NRNodes: r.NRNodes, PerBlock: r.BS / elemBytes}, true
+}
+
+// Pos returns the ring position homing element i.
+func (s Striping) Pos(i uint64) int { return int(i / s.PerBlock % uint64(s.NRNodes)) }
+
+// Node returns the node homing element i.
+func (s Striping) Node(i uint64) int { return s.FirstNode + s.Pos(i) }
+
+// CountAt returns how many of the elements [0, n) ring position pos homes.
+func (s Striping) CountAt(pos int, n uint64) uint64 {
+	round := s.PerBlock * uint64(s.NRNodes)
+	count := n / round * s.PerBlock
+	if rem, skip := n%round, uint64(pos)*s.PerBlock; rem > skip {
+		count += min(rem-skip, s.PerBlock)
+	}
+	return count
+}
+
+// ElemAt returns the j-th element (ascending, from 0) homed at ring
+// position pos.
+func (s Striping) ElemAt(pos int, j uint64) uint64 {
+	return (j/s.PerBlock*uint64(s.NRNodes)+uint64(pos))*s.PerBlock + j%s.PerBlock
+}
+
 // extent is one reusable hole in a node's physical store: [Off, Off+Size)
 // bytes previously occupied by a reclaimed region. Per-node free lists are
 // kept sorted by offset and coalesced, so stack-like allocate/free cycles

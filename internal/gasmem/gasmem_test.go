@@ -338,3 +338,70 @@ func TestOwnerTagging(t *testing.T) {
 		t.Errorf("OwnerBytes(99) = %d, want 0", got)
 	}
 }
+
+// TestStripingMatchesTranslate: the index arithmetic a computation binding
+// uses agrees with the descriptor's Translate on every element, and
+// CountAt/ElemAt enumerate each ring position's elements exactly once, in
+// ascending order.
+func TestStripingMatchesTranslate(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, first, nr int
+		bs, elem         uint64
+	}{
+		{4, 0, 4, 32 << 10, 64},
+		{8, 2, 2, 4 << 10, 64},
+		{8, 4, 4, 4 << 10, 8},
+		{2, 1, 1, 512, 64},
+		{16, 0, 8, 1 << 10, 128},
+	} {
+		g := New(tc.nodes, 1<<30)
+		if _, err := g.DRAMmalloc(3*tc.bs, 0, 1, tc.bs); err != nil { // base off zero
+			t.Fatal(err)
+		}
+		perBlock := tc.bs / tc.elem
+		for _, n := range []uint64{1, perBlock - 1, perBlock, perBlock*uint64(tc.nr) - 1,
+			perBlock * uint64(tc.nr), perBlock*uint64(tc.nr) + 1, 5*perBlock + 3} {
+			if n == 0 {
+				continue
+			}
+			va, err := g.DRAMmalloc(n*tc.elem, tc.first, tc.nr, tc.bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, ok := g.RegionOf(va).Striping(tc.elem)
+			if !ok || s.PerBlock != perBlock {
+				t.Fatalf("%+v: Striping = %+v, %v", tc, s, ok)
+			}
+			var total uint64
+			for pos := 0; pos < tc.nr; pos++ {
+				cnt := s.CountAt(pos, n)
+				total += cnt
+				prev := int64(-1)
+				for j := uint64(0); j < cnt; j++ {
+					i := s.ElemAt(pos, j)
+					if int64(i) <= prev || i >= n {
+						t.Fatalf("%+v n=%d pos %d: ElemAt(%d) = %d after %d", tc, n, pos, j, i, prev)
+					}
+					prev = int64(i)
+					if node, _ := g.Translate(va + i*tc.elem); node != s.Node(i) || s.Pos(i) != pos {
+						t.Fatalf("%+v n=%d: element %d homed on node %d, Striping says node %d pos %d (enumerated at %d)",
+							tc, n, i, node, s.Node(i), s.Pos(i), pos)
+					}
+				}
+				if cnt < n && s.ElemAt(pos, cnt) < n {
+					t.Fatalf("%+v n=%d pos %d: CountAt = %d leaves element %d out", tc, n, pos, cnt, s.ElemAt(pos, cnt))
+				}
+			}
+			if total != n {
+				t.Fatalf("%+v: ring positions home %d of %d elements", tc, total, n)
+			}
+		}
+	}
+	g := New(2, 1<<30)
+	va, _ := g.DRAMmalloc(1<<16, 0, 2, 4096)
+	for _, elem := range []uint64{0, 24, 8192} {
+		if _, ok := g.RegionOf(va).Striping(elem); ok {
+			t.Errorf("Striping(%d) accepted elements that straddle 4096-byte blocks", elem)
+		}
+	}
+}

@@ -56,9 +56,11 @@ type Placement struct {
 	BlockBytes uint64
 }
 
-// DefaultPlacement stripes over all nodes in 32 KiB blocks.
+// DefaultPlacement stripes in 32 KiB blocks over all nodes, or, when their
+// count is not a power of two, over as many of the first nodes as
+// DRAMmalloc accepts (a 3-node machine holds the graph on nodes 0-1).
 func DefaultPlacement(nodes int) Placement {
-	return Placement{FirstNode: 0, NRNodes: nodes, BlockBytes: 32 << 10}
+	return Placement{FirstNode: 0, NRNodes: gasmem.FloorPow2(nodes), BlockBytes: 32 << 10}
 }
 
 // LoadToGAS allocates and fills the device arrays.

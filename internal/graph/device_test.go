@@ -49,3 +49,21 @@ func TestPlacementRespectsNRNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultPlacementAnyNodeCount: DRAMmalloc takes power-of-two node
+// counts only, so the default placement of a 3-, 5-, 6- or 7-node machine
+// stripes over the largest power of two that fits (it used to ask for all
+// of them and fail the load); power-of-two machines keep every node.
+func TestDefaultPlacementAnyNodeCount(t *testing.T) {
+	g := FromEdges(256, DefaultRMAT(8, 1), BuildOptions{Dedup: true})
+	s := Split(g, 16)
+	for nodes, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 6: 4, 7: 4, 8: 8} {
+		pl := DefaultPlacement(nodes)
+		if pl.NRNodes != want || pl.FirstNode != 0 || pl.BlockBytes != 32<<10 {
+			t.Errorf("DefaultPlacement(%d) = %+v, want %d nodes from 0 in 32 KiB blocks", nodes, pl, want)
+		}
+		if _, err := LoadToGAS(gasmem.New(nodes, 1<<30), s, pl); err != nil {
+			t.Errorf("%d nodes: %v", nodes, err)
+		}
+	}
+}

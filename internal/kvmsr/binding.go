@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"updown/internal/arch"
+	"updown/internal/gasmem"
 	"updown/internal/prng"
 )
 
@@ -65,15 +66,14 @@ func (ls LaneSet) NodeMaster(m arch.Machine, node int) arch.NetworkID {
 
 // laneRangeOnNode returns the intersection of the set with a node.
 func (ls LaneSet) laneRangeOnNode(m arch.Machine, node int) (lo, hi arch.NetworkID) {
-	lo = arch.NetworkID(node * m.LanesPerNode())
-	hi = lo + arch.NetworkID(m.LanesPerNode())
-	if lo < ls.First {
-		lo = ls.First
-	}
-	if hi > ls.End() {
-		hi = ls.End()
-	}
-	return lo, hi
+	return ls.nodeLanes(m.LanesPerNode(), node)
+}
+
+// nodeLanes is laneRangeOnNode given only the machine's lanes per node.
+func (ls LaneSet) nodeLanes(lanesPerNode, node int) (lo, hi arch.NetworkID) {
+	lo = arch.NetworkID(node * lanesPerNode)
+	hi = lo + arch.NetworkID(lanesPerNode)
+	return max(lo, ls.First), min(hi, ls.End())
 }
 
 // AccelRangeOnNode returns the accelerator indices the set covers on a node.
@@ -116,9 +116,11 @@ func (ls LaneSet) ParentNodeMaster(m arch.Machine, id arch.NetworkID) arch.Netwo
 
 // MapBinding distributes map keys over the lane set (paper Section 2.3).
 type MapBinding interface {
-	// initialRange returns lane laneIdx's statically assigned keys for a
-	// key space of numKeys over laneCount lanes.
-	initialRange(laneIdx int, laneCount int, numKeys uint64) (start, end uint64)
+	// initialKeys returns the keys statically assigned to one lane of the
+	// set for a key space of numKeys. Every lane derives its own walk from
+	// (lane, set, numKeys) and what the binding itself holds — no metadata
+	// traffic.
+	initialKeys(m arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq
 	// dynamic reports whether exhausted lanes should ask the master for
 	// more work (the PBMW protocol).
 	dynamic() bool
@@ -129,21 +131,49 @@ type MapBinding interface {
 	chunk() uint64
 }
 
+// keySeq is a lane's walk over its assigned keys: positions next,
+// next+step, ... below end. A position is the key itself (the contiguous
+// ranges of Block, Stride, PBMW and its grants) or, under the Owner binding
+// (home.PerBlock != 0), the index among the keys that ring position pos of
+// a striped array homes.
+type keySeq struct {
+	next, end, step uint64
+	home            gasmem.Striping
+	pos             int
+}
+
+// keyRange is the walk over the contiguous keys [start, end).
+func keyRange(start, end uint64) keySeq { return keySeq{next: start, end: end, step: 1} }
+
+func (s *keySeq) empty() bool { return s.next >= s.end }
+
+// striped reports whether positions unfold block-cyclically.
+func (s *keySeq) striped() bool { return s.home.PerBlock != 0 }
+
+// pop returns the next key of a non-empty walk.
+func (s *keySeq) pop() uint64 {
+	p := s.next
+	s.next += s.step
+	if s.striped() {
+		return s.home.ElemAt(s.pos, p)
+	}
+	return p
+}
+
+// blockRange is lane laneIdx's share when numKeys keys are dealt to
+// laneCount lanes in contiguous runs of per keys.
+func blockRange(laneIdx int, per, numKeys uint64) keySeq {
+	start := uint64(laneIdx) * per
+	return keyRange(min(start, numKeys), min(start+per, numKeys))
+}
+
 // Block assigns every lane an equal, contiguous portion of the keys — the
 // default kv_map binding.
 type Block struct{}
 
-func (Block) initialRange(laneIdx, laneCount int, numKeys uint64) (uint64, uint64) {
-	per := (numKeys + uint64(laneCount) - 1) / uint64(laneCount)
-	start := uint64(laneIdx) * per
-	end := start + per
-	if start > numKeys {
-		start = numKeys
-	}
-	if end > numKeys {
-		end = numKeys
-	}
-	return start, end
+func (Block) initialKeys(_ arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq {
+	per := (numKeys + uint64(ls.Count) - 1) / uint64(ls.Count)
+	return blockRange(ls.Index(lane), per, numKeys)
 }
 func (Block) dynamic() bool                                  { return false }
 func (Block) poolStart(laneCount int, numKeys uint64) uint64 { return numKeys }
@@ -184,17 +214,8 @@ func (b PBMW) perLane(laneCount int, numKeys uint64) uint64 {
 	return per
 }
 
-func (b PBMW) initialRange(laneIdx, laneCount int, numKeys uint64) (uint64, uint64) {
-	per := b.perLane(laneCount, numKeys)
-	start := uint64(laneIdx) * per
-	end := start + per
-	if start > numKeys {
-		start = numKeys
-	}
-	if end > numKeys {
-		end = numKeys
-	}
-	return start, end
+func (b PBMW) initialKeys(_ arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq {
+	return blockRange(ls.Index(lane), b.perLane(ls.Count, numKeys), numKeys)
 }
 
 func (b PBMW) dynamic() bool { return true }
@@ -224,20 +245,81 @@ func (b Stride) step() int {
 	return b.Step
 }
 
-func (b Stride) initialRange(laneIdx, laneCount int, numKeys uint64) (uint64, uint64) {
+func (b Stride) initialKeys(_ arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq {
 	s := b.step()
+	laneIdx := ls.Index(lane)
 	if laneIdx%s != 0 {
-		return 0, 0
+		return keySeq{}
 	}
 	k := uint64(laneIdx / s)
 	if k >= numKeys {
-		return 0, 0
+		return keySeq{}
 	}
-	return k, k + 1
+	return keyRange(k, k+1)
 }
 func (Stride) dynamic() bool                                  { return false }
 func (Stride) poolStart(laneCount int, numKeys uint64) uint64 { return numKeys }
 func (Stride) chunk() uint64                                  { return 0 }
+
+// Owner is the owner-computes binding: the task for key k runs on a lane of
+// the node that homes element k of a DRAMmalloc'd array, so a kv_map,
+// kv_reduce or doAll body that starts by touching record k does so with a
+// node-local access. It is built from the array's region descriptor (see
+// NewOwner) and serves as MapBinding and as ReduceBinding.
+//
+// As a MapBinding it deals the keys each node homes cyclically over that
+// node's lanes of the set: consecutive keys go to consecutive lanes, which
+// also breaks up the run of members a split hub would hand one lane under
+// Block. As a ReduceBinding it hashes k over the lanes of k's home node —
+// still a pure function of the key, so a combining cache keeps its
+// one-owner-lane rule.
+type Owner struct {
+	home gasmem.Striping
+	// lanesPerNode is the machine's (Lane runs per emitted tuple).
+	lanesPerNode int
+}
+
+// NewOwner builds the binding for keys indexing the elemBytes-byte elements
+// r holds from its base, or reports that it does not apply. It applies iff
+// the region's nodes are exactly the nodes of the lane set and there is
+// more than one of them — a property of the input, not a choice: with
+// memory and compute on different node sets some keys have no lane at home,
+// and on a single node every lane is at home and Block's contiguous ranges
+// measure no worse than cyclic dealing. Callers keep their default binding
+// then.
+func NewOwner(m arch.Machine, ls LaneSet, r *gasmem.Region, elemBytes uint64) (Owner, bool) {
+	if r == nil {
+		return Owner{}, false
+	}
+	home, ok := r.Striping(elemBytes)
+	o := Owner{home: home, lanesPerNode: m.LanesPerNode()}
+	if !ok || home.NRNodes < 2 || !o.fits(m, ls) {
+		return Owner{}, false
+	}
+	return o, true
+}
+
+// fits reports whether the array's nodes are exactly the lane set's.
+func (o Owner) fits(m arch.Machine, ls LaneSet) bool {
+	return o.home.FirstNode == ls.firstNode(m) && o.home.NRNodes == ls.NumNodes(m)
+}
+
+func (o Owner) initialKeys(m arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq {
+	node := m.NodeOf(lane)
+	pos := node - o.home.FirstNode
+	lo, hi := ls.laneRangeOnNode(m, node)
+	return keySeq{next: uint64(lane - lo), end: o.home.CountAt(pos, numKeys), step: uint64(hi - lo),
+		home: o.home, pos: pos}
+}
+func (Owner) dynamic() bool                                  { return false }
+func (Owner) poolStart(laneCount int, numKeys uint64) uint64 { return numKeys }
+func (Owner) chunk() uint64                                  { return 0 }
+
+// Lane implements ReduceBinding.
+func (o Owner) Lane(key uint64, ls LaneSet) arch.NetworkID {
+	lo, hi := ls.nodeLanes(o.lanesPerNode, o.home.Node(key))
+	return lo + arch.NetworkID(prng.Mix64(key)%uint64(hi-lo))
+}
 
 // ReduceBinding maps an emitted key to the lane that runs its kv_reduce
 // task.

@@ -7,9 +7,11 @@ import (
 
 // Test-only accessors for the package-internal binding methods.
 
-// InitialRangeForTest exposes MapBinding.initialRange.
+// InitialRangeForTest exposes the contiguous range MapBinding.initialKeys
+// hands lane laneIdx of a laneCount-lane set (Block, PBMW, Stride).
 func InitialRangeForTest(b MapBinding, laneIdx, laneCount int, numKeys uint64) (uint64, uint64) {
-	return b.initialRange(laneIdx, laneCount, numKeys)
+	s := b.initialKeys(arch.Machine{}, LaneSet{Count: laneCount}, arch.NetworkID(laneIdx), numKeys)
+	return s.next, s.end
 }
 
 // PoolStartForTest exposes MapBinding.poolStart.

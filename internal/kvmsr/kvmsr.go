@@ -3,9 +3,10 @@
 //
 // A KVMSR invocation applies a user kv_map event to every key of a key
 // space, distributing the map tasks over a lane set according to a
-// computation binding (Block by default, PBMW for skew tolerance). Map
-// tasks emit intermediate key-value tuples; each emit spawns a kv_reduce
-// task on the lane selected by the reduce binding (Hash by default). Both
+// computation binding (Block by default, PBMW for skew tolerance, Owner to
+// run each task on the node that homes its key's record). Map tasks emit
+// intermediate key-value tuples; each emit spawns a kv_reduce task on the
+// lane selected by the reduce binding (Hash by default, or Owner). Both
 // user events run over the shared global address space and may perform
 // split-phase DRAM accesses across multiple events of their thread.
 //
@@ -47,6 +48,18 @@ import (
 // tasks. KVMSR throttles task creation so thread and memory parallelism
 // match the hardware rather than flooding it (Section 4.1.3).
 const DefaultMaxOutstanding = 32
+
+// What the Owner binding's index arithmetic costs a lane, in instructions:
+// at lane_start its node's ring position, its rank among the node's lanes
+// of the set and the count of keys the node homes (a divide, two multiplies,
+// compares); per started key the block-cyclic unfolding of a position
+// (shift, mask, multiply-add); per emitted tuple the home node of the key
+// ahead of the hash (shift, mask, multiply) and the clamp to the set.
+const (
+	stripedStartCycles = 8
+	stripedKeyCycles   = 3
+	ownerEmitCycles    = 3
+)
 
 // probeRetryDelay is the period of the straggler detector's re-probe clock.
 // Only Spec.Resilience arms it: the classic and coalescing shuffles cannot
@@ -126,10 +139,11 @@ type Spec struct {
 // broadcast.
 type laneState struct {
 	// worker role
-	numKeys     uint64
-	arg         uint64
-	nextKey     uint64
-	endKey      uint64
+	numKeys uint64
+	arg     uint64
+	// keys is the walk over the lane's assigned keys not yet started: its
+	// static share from lane_start, then each PBMW grant.
+	keys        keySeq
 	outstanding int
 	emitted     uint64
 	awaiting    bool
@@ -258,6 +272,9 @@ type Invocation struct {
 	// the emit fast path (coalescing granularity, network-message
 	// accounting).
 	lpn int
+	// emitCycles is what routing one tuple charges: the reduce binding's
+	// arithmetic and the send set-up.
+	emitCycles int
 
 	// Precomputed span names (tracing): per-emit instants, per-lane map
 	// windows, and per-launch master phases.
@@ -291,7 +308,16 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.Combiner != nil && s.Coalesce == nil {
 		return nil, fmt.Errorf("kvmsr: %s: Combiner requires Coalesce", s.Name)
 	}
-	v := &Invocation{p: p, s: s, slot: p.AllocSlot(), lpn: p.M.LanesPerNode()}
+	for _, b := range []any{s.MapBinding, s.ReduceBinding} {
+		if o, ok := b.(Owner); ok && !o.fits(p.M, s.Lanes) {
+			return nil, fmt.Errorf("kvmsr: %s: Owner binding built for another lane set (data on nodes [%d,%d), lanes on [%d,%d])",
+				s.Name, o.home.FirstNode, o.home.FirstNode+o.home.NRNodes, s.Lanes.firstNode(p.M), s.Lanes.lastNode(p.M)+1)
+		}
+	}
+	v := &Invocation{p: p, s: s, slot: p.AllocSlot(), lpn: p.M.LanesPerNode(), emitCycles: 4}
+	if _, ok := s.ReduceBinding.(Owner); ok {
+		v.emitCycles += ownerEmitCycles
+	}
 	n := s.Name
 	v.lMasterStart = p.Define(n+".master_start", v.masterStart)
 	v.lNodeStart = p.Define(n+".node_start", v.nodeStart)
@@ -447,7 +473,7 @@ func (v *Invocation) countMsg(c *udweave.Ctx, target arch.NetworkID) {
 // directly otherwise — and returns the termination credit: 1, or 0 when a
 // coalescing Combiner absorbed the tuple into a buffered same-key entry.
 func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint64 {
-	c.Cycles(4)
+	c.Cycles(v.emitCycles)
 	c.Mark(v.nameEmit)
 	c.CountShuffle(0, 1)
 	target := v.s.ReduceBinding.Lane(key, v.s.Lanes)
@@ -621,16 +647,18 @@ func (v *Invocation) accelStart(c *udweave.Ctx) {
 func (v *Invocation) laneStart(c *udweave.Ctx) {
 	st := v.st(c)
 	numKeys := c.Op(0)
-	idx := v.s.Lanes.Index(c.NetworkID())
 	st.numKeys = numKeys
 	st.arg = c.Op(1)
-	st.nextKey, st.endKey = v.s.MapBinding.initialRange(idx, v.s.Lanes.Count, numKeys)
+	st.keys = v.s.MapBinding.initialKeys(v.p.M, v.s.Lanes, c.NetworkID(), numKeys)
 	st.outstanding = 0
 	st.awaiting = false
 	st.exhausted = !v.s.MapBinding.dynamic()
 	st.doneSent = false
 	st.reportMode = false
 	c.Cycles(8)
+	if st.keys.striped() {
+		c.Cycles(stripedStartCycles)
+	}
 	v.pump(c, st)
 	c.YieldTerminate()
 }
@@ -639,9 +667,11 @@ func (v *Invocation) laneStart(c *udweave.Ctx) {
 // under a dynamic binding, and reports lane completion.
 func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 	self := c.NetworkID()
-	for st.outstanding < v.s.MaxOutstanding && st.nextKey < st.endKey {
-		key := st.nextKey
-		st.nextKey++
+	for st.outstanding < v.s.MaxOutstanding && !st.keys.empty() {
+		if st.keys.striped() {
+			c.Cycles(stripedKeyCycles)
+		}
+		key := st.keys.pop()
 		st.outstanding++
 		c.Cycles(3)
 		c.SendEvent(udweave.EvwNew(self, v.s.MapEvent),
@@ -651,13 +681,13 @@ func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 	// the lane has drained its work: granting chunks to still-busy lanes
 	// would queue movable work behind long tasks, defeating the
 	// load-balancing purpose of PBMW.
-	if st.nextKey >= st.endKey && !st.exhausted && !st.awaiting && st.outstanding == 0 {
+	if st.keys.empty() && !st.exhausted && !st.awaiting && st.outstanding == 0 {
 		st.awaiting = true
 		c.Cycles(2)
 		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lMoreWork),
 			udweave.EvwNew(self, v.lGrant))
 	}
-	if st.outstanding == 0 && st.nextKey >= st.endKey && st.exhausted && !st.doneSent {
+	if st.outstanding == 0 && st.keys.empty() && st.exhausted && !st.doneSent {
 		st.doneSent = true
 		// The lane's map phase is over (its last task returned): flush
 		// everything still packed so the emit count reported upward is
@@ -717,7 +747,7 @@ func (v *Invocation) grant(c *udweave.Ctx) {
 	if start >= end {
 		st.exhausted = true
 	} else {
-		st.nextKey, st.endKey = start, end
+		st.keys = keyRange(start, end)
 	}
 	c.Cycles(4)
 	v.pump(c, st)

@@ -473,10 +473,7 @@ func (t *TraceRecorder) walkChain(u uid, edges map[uid]*EdgeRec, xm map[uid]*Exe
 	for {
 		x := xm[u]
 		events++
-		k := int(x.Kind)
-		if k >= nKinds {
-			k = kindOther
-		}
+		k := kindIndex(x.Kind)
 		kinds[k].Count++
 		kinds[k].Cycles += int64(x.Charged)
 		e := edges[u]
@@ -683,10 +680,7 @@ func (t *TraceRecorder) Latencies() *LatencyReport {
 			if e == nil {
 				continue
 			}
-			k := int(x.Kind)
-			if k >= nKinds {
-				k = kindOther
-			}
+			k := kindIndex(x.Kind)
 			r.Kinds[k][CompQueue].add(e.Queue)
 			r.Kinds[k][CompNetwork].add(e.Net)
 			r.Kinds[k][CompService].add(e.Service)

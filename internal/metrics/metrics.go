@@ -112,10 +112,14 @@ func (s *NodeSeries) Totals() Sample {
 	return t
 }
 
-// KindStat is the cycle/count breakdown for one message kind.
+// KindStat is the cycle/count breakdown for one message kind. Cross is the
+// subset of Count delivered from another node: for the DRAM kinds, accesses
+// whose issuing lane is not on the memory's node — the locality a
+// computation binding buys or wastes.
 type KindStat struct {
 	Count  int64
 	Cycles int64
+	Cross  int64
 }
 
 // Recorder accumulates observations for one engine. Install it via
@@ -232,10 +236,7 @@ func (v *ShardView) sample(node int32, at arch.Cycles) *Sample {
 // Event records one executed message: kind, start cycle, charged cycles,
 // and the destination actor's wait-queue depth after execution.
 func (v *ShardView) Event(node int32, kind uint8, start, charged arch.Cycles, waitq int) {
-	k := int(kind)
-	if k >= nKinds {
-		k = kindOther
-	}
+	k := kindIndex(kind)
 	v.kinds[k].Count++
 	v.kinds[k].Cycles += int64(charged)
 	b := v.sample(node, start)
@@ -251,6 +252,18 @@ func (v *ShardView) Event(node int32, kind uint8, start, charged arch.Cycles, wa
 			jt.Busy += int64(charged)
 		}
 	}
+}
+
+// Remote marks the message just reported through Event as delivered from
+// another node.
+func (v *ShardView) Remote(kind uint8) { v.kinds[kindIndex(kind)].Cross++ }
+
+// kindIndex is a message kind's row of the per-kind tables.
+func kindIndex(kind uint8) int {
+	if int(kind) >= nKinds {
+		return kindOther
+	}
+	return int(kind)
 }
 
 // Send records one message injection from a node. backlog64 is the
@@ -325,6 +338,7 @@ func (r *Recorder) Profile() *Profile {
 		for k := range v.kinds {
 			p.Kinds[k].Count += v.kinds[k].Count
 			p.Kinds[k].Cycles += v.kinds[k].Cycles
+			p.Kinds[k].Cross += v.kinds[k].Cross
 		}
 	}
 	return p
@@ -351,6 +365,7 @@ func (r *Recorder) PartialProfile() *Profile {
 		for k := range v.kinds {
 			p.Kinds[k].Count += v.kinds[k].Count
 			p.Kinds[k].Cycles += v.kinds[k].Cycles
+			p.Kinds[k].Cross += v.kinds[k].Cross
 		}
 	}
 	return p
@@ -472,12 +487,14 @@ func (p *Profile) Summarize(m arch.Machine) Summary {
 func (p *Profile) WriteText(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "profile: interval=%d cycles, final=%d cycles\n", p.Interval, p.FinalTime)
-	fmt.Fprintf(&b, "%-12s %12s %14s\n", "kind", "count", "cycles")
+	fmt.Fprintf(&b, "%-12s %12s %14s %12s\n", "kind", "count", "cycles", "cross-node")
 	for k := range p.Kinds {
-		if p.Kinds[k].Count == 0 {
+		ks := p.Kinds[k]
+		if ks.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s %12d %14d\n", KindName(k), p.Kinds[k].Count, p.Kinds[k].Cycles)
+		fmt.Fprintf(&b, "%-12s %12d %14d %12d (%.1f%%)\n", KindName(k), ks.Count, ks.Cycles,
+			ks.Cross, 100*float64(ks.Cross)/float64(ks.Count))
 	}
 	if !p.Fault.Zero() {
 		fmt.Fprintf(&b, "faults: dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d\n",

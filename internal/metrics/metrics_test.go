@@ -240,6 +240,65 @@ func TestRecorderAccumulatesAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestKindTableSplitsLocalFromCrossNode: the per-kind table counts, next to
+// every delivery, the ones whose sender sits on another node — for DRAM
+// kinds the accesses a lane makes to another node's memory.
+func TestKindTableSplitsLocalFromCrossNode(t *testing.T) {
+	m := arch.DefaultMachine(2)
+	gas := gasmem.New(m.Nodes, m.DRAMBytesPerNode)
+	va, err := gas.DRAMmalloc(2*4096, 0, 2, 4096) // block 0 on node 0, block 1 on node 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := metrics.New(m.Nodes, metrics.Options{})
+	eng, err := sim.NewEngine(m, sim.Options{Shards: 2, Metrics: rec,
+		LaneFactory: func(id arch.NetworkID) sim.Actor {
+			return actorFunc(func(env *sim.Env, msg *sim.Message) {
+				env.Charge(1)
+				if msg.Event != 0 {
+					return // a DRAM response
+				}
+				// Two reads and a write of node 0's block, one read of node 1's.
+				cont := udweave.EvwExisting(env.Self(), 0, 1)
+				env.Send(m.MemCtrlID(0), arch.KindDRAMRead, 0, cont, va, 1)
+				env.Send(m.MemCtrlID(0), arch.KindDRAMRead, 0, cont, va+8, 1)
+				env.Send(m.MemCtrlID(0), arch.KindDRAMWrite, 0, udweave.IGNRCONT, va+16, 7)
+				env.Send(m.MemCtrlID(1), arch.KindDRAMRead, 0, cont, va+4096, 1)
+			})
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dram.Install(eng, gas)
+	eng.Post(0, m.LaneID(0, 0, 0), arch.KindEvent, 0, udweave.IGNRCONT, 1)
+	eng.Post(0, m.LaneID(1, 3, 5), arch.KindEvent, 0, udweave.IGNRCONT, 1)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	p := rec.Profile()
+	// Per lane 3 reads + 1 write; the lane on node 0 crosses with 1 read, the
+	// lane on node 1 with 2 reads and the write. Events: 2 posts (from the
+	// host interface on node 0, so node 1's crosses) + 6 read responses, 3 of
+	// them from the other node.
+	for _, want := range []struct {
+		kind uint8
+		stat metrics.KindStat
+	}{
+		{arch.KindDRAMRead, metrics.KindStat{Count: 6, Cross: 3}},
+		{arch.KindDRAMWrite, metrics.KindStat{Count: 2, Cross: 1}},
+		{arch.KindEvent, metrics.KindStat{Count: 8, Cross: 4}},
+	} {
+		got := p.Kinds[want.kind]
+		got.Cycles = 0
+		if got != want.stat {
+			t.Errorf("%s: %+v, want %+v", metrics.KindName(int(want.kind)), got, want.stat)
+		}
+	}
+	if !strings.Contains(p.String(), "dram-read               6              0            3 (50.0%)") {
+		t.Errorf("report lacks the cross-node column:\n%s", p.String())
+	}
+}
+
 type actorFunc func(*sim.Env, *sim.Message)
 
 func (f actorFunc) OnMessage(env *sim.Env, m *sim.Message) { f(env, m) }
@@ -264,8 +323,8 @@ func ExampleProfile_String() {
 	fmt.Print(r.Profile().String())
 	// Output:
 	// profile: interval=100 cycles, final=100 cycles
-	// kind                count         cycles
-	// event                   1             42
+	// kind                count         cycles   cross-node
+	// event                   1             42            0 (0.0%)
 	// node           busy     events      sends     xsends     dram-bytes    backlog    waitq
 	// 0                42          1          0          0              0          0        0
 }

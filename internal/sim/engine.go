@@ -710,6 +710,9 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 			}
 			if s.rec != nil {
 				s.rec.Event(e.nodeOfID[m.Dst], m.Kind, m.Deliver, env.charged, st.waitqLen())
+				if e.nodeOfID[m.Src] != e.nodeOfID[m.Dst] {
+					s.rec.Remote(m.Kind)
+				}
 			}
 			if s.trace != nil {
 				// m.Deliver is the actual start: the retry mechanism above

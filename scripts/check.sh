@@ -71,6 +71,20 @@ plain=$(./updown-sim -app bfs -nodes 2 -scale 10 -checksum | awk '/^result-check
 coal=$(printf '%s\n' "$coal" | awk '/^result-checksum:/{print $2}')
 [ -n "$plain" ] && [ "$plain" = "$coal" ] || { echo "termination smoke: checksum '$coal' (coalesced) != '$plain'"; exit 1; }
 
+# Placement smoke: with the graph on the lanes' own four nodes PageRank binds
+# every vertex task to the node homing its record, so most DRAM reads are
+# node-local (75% crossed nodes under Block/Hash; what still does is
+# neighbor lists). A machine whose node count is not a power of two holds
+# the graph on the largest power of two of its nodes and PageRank falls
+# back to Block/Hash, as do Figure 12's mem != compute rows: all of them
+# must still run and validate.
+./updown-sim -app pr -nodes 4 -scale 12 -profile \
+    | awk '/^dram-read / { share = $5; gsub(/[(%)]/, "", share); if (share+0 >= 60) { print "placement smoke: " share "% of dram-read cross-node"; exit 1 } found=1 } END { exit !found }'
+./updown-sim -app pr -nodes 3 -scale 10 > /dev/null
+./fig 9pr -scale 10 -nodes 3 | grep -q 'values validated against host baseline'
+./fig 12 -scale 10 -mem 1,2,4 -compute 4 \
+    | awk '/^mem=/ { rows++ } END { if (rows != 6) { print "fig 12: " rows+0 " of 6 rows"; exit 1 } }'
+
 # Scheduler smoke: a small multi-tenant sweep with -verify replays every
 # completed job solo, pinned to the same nodes, and exits nonzero unless
 # outputs, completion cycles and attributed totals are bit-identical to
