@@ -4,13 +4,19 @@
 // current frontier); each map task then acts as a local master, organizing
 // its accelerator's 64 lanes as workers over its frontier section — the
 // paper's departure from flat data parallelism. Discovered neighbors are
-// emitted to Hash-bound kv_reduce tasks, which mark the vertex visited,
-// record distance and parent, and append the vertex (plus its split
-// sub-vertices) to their own accelerator's next-frontier segment.
+// emitted to kv_reduce tasks, which mark the vertex visited, record
+// distance and parent, and append the vertex (plus its split sub-vertices)
+// to their own accelerator's next-frontier segment.
 //
 // Rounds repeat until a round emits nothing. The frontier uses the
 // contiguous-per-node DRAMmalloc layout the paper highlights for data
-// locality.
+// locality, and the reduce binding completes it: where the graph's nodes
+// are the lane set's, kv_reduce for vertex v is bound (kvmsr.Owner) to the
+// node homing record v, so the mark is a local write and — because the
+// frontier entry goes to the segment of an accelerator of that same node,
+// whose lanes expand it — next round's vertex task reads the record and
+// its neighbor list locally too. That one binding is all BFS needs;
+// elsewhere reduces are Hash-bound.
 package bfs
 
 import (
@@ -116,6 +122,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("bfs: root %d outside graph of %d vertices", cfg.Root, dg.G.OrigN)
 	}
 	a := &App{m: m, dg: dg, cfg: cfg, visitedSlot: m.Prog.AllocSlot()}
+	var reduce kvmsr.ReduceBinding // nil: Hash
+	if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
+		reduce = own
+	}
 	p := m.Prog
 
 	accels := cfg.Lanes.Count / m.Arch.LanesPerAccel
@@ -148,13 +158,14 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lDriver = p.Define("bfs.driver", a.driver)
 
 	a.inv, err = kvmsr.New(p, kvmsr.Spec{
-		Name:        "bfs.round",
-		NumKeys:     uint64(accels),
-		MapEvent:    kvMap,
-		ReduceEvent: kvReduce,
-		MapBinding:  kvmsr.Stride{Step: m.Arch.LanesPerAccel},
-		Lanes:       cfg.Lanes,
-		Resilience:  m.Resilience,
+		Name:          "bfs.round",
+		NumKeys:       uint64(accels),
+		MapEvent:      kvMap,
+		ReduceEvent:   kvReduce,
+		MapBinding:    kvmsr.Stride{Step: m.Arch.LanesPerAccel},
+		ReduceBinding: reduce,
+		Lanes:         cfg.Lanes,
+		Resilience:    m.Resilience,
 		// Coalescing only, no combiner: each discovered (neighbor, dist,
 		// parent) tuple must reach the owner lane so Traversed counts
 		// explored edges and the first arrival picks the BFS-tree parent.
@@ -257,7 +268,7 @@ func (a *App) driver(c *updown.Ctx) {
 		// Mark the root visited on its reduce owner lane. Keys in the
 		// shuffle are base-member IDs.
 		rootBase := uint64(a.dg.G.NewID[a.cfg.Root])
-		owner := kvmsr.Hash{}.Lane(rootBase, a.cfg.Lanes)
+		owner := a.inv.Spec().ReduceBinding.Lane(rootBase, a.cfg.Lanes)
 		c.SendEvent(udweave.EvwNew(owner, a.lSeedVisit), c.ContinueTo(a.lDriver), rootBase)
 		return
 	}
@@ -467,7 +478,7 @@ func (a *App) vChunk(c *updown.Ctx) {
 	}
 }
 
-// kvReduce marks one discovered vertex: the Hash binding makes this lane
+// kvReduce marks one discovered vertex: the reduce binding makes this lane
 // the exclusive owner of the vertex, so the scratchpad visited check is
 // race-free (events are atomic).
 func (a *App) kvReduce(c *updown.Ctx) {

@@ -133,6 +133,10 @@ func TestBFSShardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Graph and lanes on the same four nodes: reduces are owner-bound.
+		if _, ok := app.ReduceBindingForTest().(kvmsr.Owner); !ok {
+			t.Fatalf("reduce binding %T, want Owner", app.ReduceBindingForTest())
+		}
 		app.InitValues()
 		if _, err := app.Run(); err != nil {
 			t.Fatal(err)
@@ -168,6 +172,9 @@ func TestBFSLaneSubsets(t *testing.T) {
 		app, err := bfs.New(m, dg, bfs.Config{Root: 0, Lanes: kvmsr.LaneSet{First: 0, Count: lanes}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if app.ReduceBindingForTest() != (kvmsr.Hash{}) {
+			t.Fatalf("one node: reduce binding %T, want Hash", app.ReduceBindingForTest())
 		}
 		app.InitValues()
 		if _, err := app.Run(); err != nil {

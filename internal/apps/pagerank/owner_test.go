@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"updown"
+	"updown/internal/apps/bfs"
 	"updown/internal/apps/pagerank"
+	"updown/internal/apps/tc"
 	"updown/internal/arch"
 	"updown/internal/baseline"
 	"updown/internal/graph"
@@ -18,9 +20,8 @@ type prRun struct {
 	stats updown.Stats
 }
 
-// runPlaced loads split under pl on the machine cfg describes and runs one
-// iteration over lanes (zero = the whole machine).
-func runPlaced(t *testing.T, cfg updown.Config, split *graph.SplitGraph, pl graph.Placement, lanes kvmsr.LaneSet, combine bool) prRun {
+// loadPlaced builds the machine cfg describes and loads split under pl.
+func loadPlaced(t *testing.T, cfg updown.Config, split *graph.SplitGraph, pl graph.Placement) (*updown.Machine, *graph.DeviceGraph) {
 	t.Helper()
 	cfg.MaxTime = 1 << 40
 	m, err := updown.New(cfg)
@@ -31,6 +32,12 @@ func runPlaced(t *testing.T, cfg updown.Config, split *graph.SplitGraph, pl grap
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, dg
+}
+
+// runPROn runs one PageRank iteration over lanes (zero = the whole machine).
+func runPROn(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, lanes kvmsr.LaneSet, combine bool) prRun {
+	t.Helper()
 	app, err := pagerank.New(m, dg, pagerank.Config{Lanes: lanes, Combine: combine})
 	if err != nil {
 		t.Fatal(err)
@@ -54,18 +61,82 @@ func ownerBound(a *pagerank.App) bool {
 	return m
 }
 
-// TestOwnerBoundOracle: on a 4-node machine holding the graph on all four
-// nodes PageRank takes the owner-computes bindings, and under every shuffle
-// mode and under replicated memory it matches the host baseline with a
-// timeline that does not depend on the simulator's shard count.
+// TestOwnerBoundOracle: PageRank, BFS and TC each match the host baseline
+// under every shuffle mode and under replicated memory, with a timeline that
+// does not depend on the simulator's shard count — both on a 4-node machine
+// holding the graph on all four nodes, where the owner-computes bindings
+// apply, and on a 3-node machine (graph on two), where they fall back.
 func TestOwnerBoundOracle(t *testing.T) {
-	g := graph.FromEdges(2048, graph.DefaultRMAT(11, 5), graph.BuildOptions{
-		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 16, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
-	if err := split.ValidateSplit(g); err != nil {
-		t.Fatal(err)
+	build := func(scale int) *graph.Graph {
+		return graph.FromEdges(1<<scale, graph.DefaultRMAT(scale, 5), graph.BuildOptions{
+			Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 	}
-	want := baseline.PageRank(g, 1)
+	g, small := build(10), build(8)
+	const root = 28
+	wantPR, wantBFS, wantTC := baseline.PageRank(g, 1), baseline.BFS(g, root), baseline.TriangleCount(small)
+	prSplit := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 16, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
+	bfsSplit := graph.Split(g, 16)
+	for _, s := range []*graph.SplitGraph{prSplit, bfsSplit} {
+		if err := s.ValidateSplit(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		cycles updown.Cycles
+		stats  updown.Stats
+	}
+	apps := []struct {
+		name     string
+		split    *graph.SplitGraph
+		combiner bool
+		run      func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, owner bool) result
+	}{
+		{"pr", prSplit, true, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, owner bool) result {
+			r := runPROn(t, m, dg, kvmsr.LaneSet{}, combine)
+			if ownerBound(r.app) != owner {
+				t.Fatalf("Owner bindings taken: %v, want %v", !owner, owner)
+			}
+			comparePR(t, r.app.Values(), wantPR)
+			return result{r.app.Elapsed(), r.stats}
+		}},
+		{"bfs", bfsSplit, false, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, _, _ bool) result {
+			app, err := bfs.New(m, dg, bfs.Config{Root: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.InitValues()
+			stats, err := app.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, parents := app.Distances(), app.Parents()
+			for v, w := range wantBFS {
+				switch {
+				case w == baseline.Unreached && dist[v] != bfs.Unvisited, w != baseline.Unreached && dist[v] != uint64(w):
+					t.Fatalf("vertex %d: simulated dist %d, baseline %d", v, dist[v], w)
+				case w != baseline.Unreached && v != root:
+					if p := parents[v]; p == bfs.Unvisited || wantBFS[bfsSplit.OrigID[p]] != w-1 {
+						t.Fatalf("vertex %d at dist %d: parent %d is not one hop closer", v, w, p)
+					}
+				}
+			}
+			return result{app.Elapsed(), stats}
+		}},
+		{"tc", graph.Split(small, 0), true, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, _ bool) result {
+			app, err := tc.New(m, dg, tc.Config{Combine: combine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := app.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if app.Total() != wantTC || wantTC == 0 {
+				t.Fatalf("simulated total %d, baseline %d", app.Total(), wantTC)
+			}
+			return result{app.Elapsed(), stats}
+		}},
+	}
 	for _, mode := range []struct {
 		name    string
 		cfg     updown.Config
@@ -78,20 +149,32 @@ func TestOwnerBoundOracle(t *testing.T) {
 		{"replication k=2", updown.Config{Replication: 2}, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			var first prRun
-			for _, shards := range []int{1, 2, 3, 7} {
-				cfg := mode.cfg
-				cfg.Nodes, cfg.Shards = 4, shards
-				r := runPlaced(t, cfg, split, graph.DefaultPlacement(4), kvmsr.LaneSet{}, mode.combine)
-				if !ownerBound(r.app) {
-					t.Fatal("data and lanes on the same 4 nodes, but the bindings are not Owner")
+			for _, app := range apps {
+				if mode.combine && !app.combiner {
+					continue
 				}
-				comparePR(t, r.app.Values(), want)
-				if shards == 1 {
-					first = r
-				} else if r.app.Elapsed() != first.app.Elapsed() || r.stats != first.stats {
-					t.Errorf("shards %d: %d cycles %+v\nshards 1: %d cycles %+v",
-						shards, r.app.Elapsed(), r.stats, first.app.Elapsed(), first.stats)
+				for _, nodes := range []int{4, 3} {
+					var first result
+					for _, shards := range []int{1, 2, 3, 7} {
+						cfg := mode.cfg
+						cfg.Nodes, cfg.Shards = nodes, shards
+						// 64-record blocks spread even TC's 256 vertices
+						// over the ring.
+						pl := graph.DefaultPlacement(nodes)
+						pl.BlockBytes = 4 << 10
+						m, dg := loadPlaced(t, cfg, app.split, pl)
+						_, owner := dg.Owner(m.Arch, m.GAS, kvmsr.AllLanes(m.Arch))
+						if owner != (nodes == 4) {
+							t.Fatalf("%s, %d nodes: Owner applies: %v", app.name, nodes, owner)
+						}
+						r := app.run(t, m, dg, mode.combine, owner)
+						if shards == 1 {
+							first = r
+						} else if r != first {
+							t.Errorf("%s, %d nodes, shards %d: %d cycles %+v\nshards 1: %d cycles %+v",
+								app.name, nodes, shards, r.cycles, r.stats, first.cycles, first.stats)
+						}
+					}
 				}
 			}
 		})
@@ -100,30 +183,33 @@ func TestOwnerBoundOracle(t *testing.T) {
 
 // TestOwnerFallsBackToBlock: when the vertex array's nodes are not the lane
 // set's, or there is only one, PageRank runs the Block/Hash bindings it
-// always had — correct, and cycle for cycle what the commit before the owner
-// binding measured on the same point.
+// always had — correct, and in the cycles pinned here. On one node they are
+// cycle for cycle what the commit before the owner binding measured; on the
+// others the home-node adjacency layout (lists follow their vertex blocks)
+// moved them by 8 cycles, once, from 23,299 and 23,316.
 func TestOwnerFallsBackToBlock(t *testing.T) {
 	g := graph.FromEdges(1024, graph.DefaultRMAT(10, 42), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 	split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: 64, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
 	want := baseline.PageRank(g, 1)
 	lpn := arch.DefaultMachine(1).LanesPerNode()
-	for _, tc := range []struct {
+	for _, row := range []struct {
 		name   string
 		nodes  int
 		pl     graph.Placement
 		lanes  kvmsr.LaneSet
-		cycles updown.Cycles // at the parent commit
+		cycles updown.Cycles
 	}{
-		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 23299},
-		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 23316},
+		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 23307},
+		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 23324},
 		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 6346},
 		{name: "3-node partition of 4, data on its first 2", nodes: 4,
 			pl:    graph.Placement{FirstNode: 1, NRNodes: 2, BlockBytes: 32 << 10},
-			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 23299},
+			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 23307},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := runPlaced(t, updown.Config{Nodes: tc.nodes, Shards: 1}, split, tc.pl, tc.lanes, false)
+		t.Run(row.name, func(t *testing.T) {
+			m, dg := loadPlaced(t, updown.Config{Nodes: row.nodes, Shards: 1}, split, row.pl)
+			r := runPROn(t, m, dg, row.lanes, false)
 			if ownerBound(r.app) {
 				t.Fatal("Owner bindings chosen")
 			}
@@ -134,8 +220,8 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 				t.Fatalf("reduce binding %T, want Hash", r.app.ReduceBindingForTest())
 			}
 			comparePR(t, r.app.Values(), want)
-			if r.app.Elapsed() != tc.cycles {
-				t.Errorf("completed in %d cycles, the parent commit in %d", r.app.Elapsed(), tc.cycles)
+			if r.app.Elapsed() != row.cycles {
+				t.Errorf("completed in %d cycles, pinned at %d", r.app.Elapsed(), row.cycles)
 			}
 		})
 	}

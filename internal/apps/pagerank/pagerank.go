@@ -135,12 +135,9 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	var mapBinding kvmsr.MapBinding
 	var reduceBinding kvmsr.ReduceBinding
 	auxBS := uint64(32 << 10)
-	const recordBytes = graph.VertexStride * gasmem.WordBytes
-	if vr := m.GAS.RegionOf(dg.VertexVA); vr != nil && vr.Base == dg.VertexVA {
-		if own, ok := kvmsr.NewOwner(m.Arch, cfg.Lanes, vr, recordBytes); ok {
-			mapBinding, reduceBinding = own, own
-			auxBS = vr.BS / graph.VertexStride
-		}
+	if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
+		mapBinding, reduceBinding = own, own
+		auxBS = m.GAS.RegionOf(dg.VertexVA).BS / graph.VertexStride
 	}
 	// The accumulator array lives on the lane set's own nodes, so a job
 	// confined to a lane partition touches no other partition's memory.

@@ -27,7 +27,10 @@ type slotGold struct {
 // have never moved; the cycles and counters were recaptured when slots
 // became independent round chains and again when KVMSR termination went
 // from polled to event-driven (every round's drain got shorter: BFS
-// events 122,464 -> 72,759). Any later refactor must leave the simulated
+// events 122,464 -> 72,759), and once more when neighbor lists moved to
+// their vertex block's node (this graph's records fit one block, so node 0
+// now serves every list read: BFS final time 139,075 -> 147,626, PPR
+// 1,408,538 -> 1,431,979). Any later refactor must leave the simulated
 // timeline of both kernels exactly in place.
 var kernels = []struct {
 	name  string
@@ -44,9 +47,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{2, 2186, 5775}, {2, 2231, 5750}, {3, 15527, 25931}, {0, 137708, 139074}},
-		stats: sim.Stats{Events: 72759, Sends: 72755, DRAMReads: 1716, DRAMWrites: 6679,
-			DRAMBytes: 160840, BusyCycles: 702080, FinalTime: 139075},
+		slots: [4]slotGold{{2, 2186, 5775}, {2, 2231, 5750}, {3, 15527, 25931}, {0, 146259, 147625}},
+		stats: sim.Stats{Events: 72764, Sends: 72760, DRAMReads: 1716, DRAMWrites: 6679,
+			DRAMBytes: 160840, BusyCycles: 702125, FinalTime: 147626},
 	},
 	{
 		name: "ppr",
@@ -57,9 +60,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{29786887349, 426400, 426716}, {4055503735, 431859, 432175}, {7974059777, 1342527, 1342843}, {0, 1408221, 1408537}},
-		stats: sim.Stats{Events: 1736050, Sends: 1736046, DRAMReads: 97531, DRAMWrites: 401380,
-			DRAMBytes: 10280464, BusyCycles: 12753733, FinalTime: 1408538},
+		slots: [4]slotGold{{29786887349, 407294, 407610}, {4055503735, 411372, 411688}, {7974059777, 1354288, 1354604}, {0, 1431662, 1431978}},
+		stats: sim.Stats{Events: 1736143, Sends: 1736139, DRAMReads: 97531, DRAMWrites: 401380,
+			DRAMBytes: 10280464, BusyCycles: 12754570, FinalTime: 1431979},
 	},
 }
 

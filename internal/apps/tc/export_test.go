@@ -1,0 +1,6 @@
+package tc
+
+import "updown/internal/kvmsr"
+
+// MapBindingForTest returns the main invocation's map binding.
+func (a *App) MapBindingForTest() kvmsr.MapBinding { return a.mainInv.Spec().MapBinding }

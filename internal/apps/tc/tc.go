@@ -9,6 +9,8 @@
 //
 // The map binding is configurable between Block and PBMW — the paper's
 // two TC variants (Section 4.3.3) — which the benchmark harness ablates.
+// Where the graph's nodes are the lane set's, Block gives way to
+// kvmsr.Owner: kv_map for u runs on the node homing u's record and list.
 package tc
 
 import (
@@ -117,6 +119,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	var mb kvmsr.MapBinding = kvmsr.Block{}
 	if cfg.UsePBMW {
 		mb = kvmsr.PBMW{}
+	} else if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
+		mb = own
 	}
 	var combiner kvmsr.Combiner
 	if cfg.Combine {

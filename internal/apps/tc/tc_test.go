@@ -15,6 +15,9 @@ func buildTCGraph(scale int, seed uint64) *graph.Graph {
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 }
 
+// runTC counts g's triangles on a nodes-node machine. The map binding is
+// PBMW when asked for, else Owner where the graph's nodes are the lanes'
+// (any multi-node machine here), else Block.
 func runTC(t *testing.T, g *graph.Graph, nodes int, pbmw bool) (uint64, updown.Cycles) {
 	t.Helper()
 	m, err := updown.New(updown.Config{Nodes: nodes, Shards: 1, MaxTime: 1 << 42})
@@ -29,6 +32,12 @@ func runTC(t *testing.T, g *graph.Graph, nodes int, pbmw bool) (uint64, updown.C
 	app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw})
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := app.MapBindingForTest()
+	_, owner := got.(kvmsr.Owner)
+	switch {
+	case pbmw && got != (kvmsr.PBMW{}), !pbmw && owner != (nodes > 1), !pbmw && !owner && got != (kvmsr.Block{}):
+		t.Fatalf("%d nodes, pbmw %v: map binding %T", nodes, pbmw, got)
 	}
 	if _, err := app.Run(); err != nil {
 		t.Fatal(err)
@@ -71,8 +80,9 @@ func TestTriangleCountPBMWVariant(t *testing.T) {
 	want := baseline.TriangleCount(g)
 	block, _ := runTC(t, g, 1, false)
 	pbmw, _ := runTC(t, g, 1, true)
-	if block != want || pbmw != want {
-		t.Fatalf("block=%d pbmw=%d baseline=%d", block, pbmw, want)
+	pbmw2, _ := runTC(t, g, 2, true) // asked for, PBMW is kept where Owner would apply
+	if block != want || pbmw != want || pbmw2 != want {
+		t.Fatalf("block=%d pbmw=%d pbmw on 2 nodes=%d baseline=%d", block, pbmw, pbmw2, want)
 	}
 }
 

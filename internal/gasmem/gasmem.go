@@ -584,10 +584,18 @@ func (g *GAS) ReadWords(va VA, dst []uint64) {
 	}
 }
 
-// WriteWords bulk-stores src at va.
+// WriteWords bulk-stores src at va, as one WriteU64 per word would: a
+// block's worth at a time, each run copied to every replica stripe.
 func (g *GAS) WriteWords(va VA, src []uint64) {
-	for i, v := range src {
-		g.WriteU64(va+uint64(i)*WordBytes, v)
+	g.checkAligned(va)
+	for len(src) > 0 {
+		r := g.regionOrFault(va)
+		n := min(uint64(len(src)), (r.BS-(va-r.Base)&(r.BS-1))/WordBytes)
+		for j := 0; j < r.Rep; j++ {
+			node, phys := r.TranslateReplica(va, j)
+			copy(g.store[node][phys/WordBytes:], src[:n])
+		}
+		va, src = va+n*WordBytes, src[n:]
 	}
 }
 

@@ -201,16 +201,38 @@ func TestAddU64(t *testing.T) {
 	}
 }
 
+// TestReadWriteWords: a bulk store is one WriteU64 per word — across block
+// boundaries (here a run over three blocks on three nodes) and onto every
+// replica stripe.
 func TestReadWriteWords(t *testing.T) {
-	g := New(4, 1<<20)
-	va, _ := g.DRAMmalloc(1<<14, 0, 4, 4096)
-	src := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	g.WriteWords(va+4096-16, src) // spans a block boundary
-	dst := make([]uint64, len(src))
-	g.ReadWords(va+4096-16, dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("word %d: got %d want %d", i, dst[i], src[i])
+	for _, rep := range []int{1, 2} {
+		g := New(4, 1<<20)
+		va, err := g.DRAMmallocRep(1<<14, 0, 4, 512, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]uint64, 2+64+3) // two words, a whole 512-byte block, three words
+		for i := range src {
+			src[i] = uint64(100 + i)
+		}
+		at := va + 512 - 16
+		g.WriteWords(at, src)
+		dst := make([]uint64, len(src))
+		g.ReadWords(at, dst)
+		r := g.RegionOf(va)
+		for i := range src {
+			if dst[i] != src[i] {
+				t.Fatalf("rep %d word %d: got %d want %d", rep, i, dst[i], src[i])
+			}
+			for j := 0; j < rep; j++ {
+				node, phys := r.TranslateReplica(at+uint64(i)*WordBytes, j)
+				if got := g.store[node][phys/WordBytes]; got != src[i] {
+					t.Fatalf("rep %d word %d stripe %d: got %d want %d", rep, i, j, got, src[i])
+				}
+			}
+		}
+		if g.ReadU64(at-WordBytes) != 0 || g.ReadU64(at+uint64(len(src))*WordBytes) != 0 {
+			t.Fatalf("rep %d: WriteWords wrote outside its run", rep)
 		}
 	}
 }

@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
+
+	"updown/internal/arch"
 	"updown/internal/gasmem"
+	"updown/internal/kvmsr"
 )
 
 // Device layout: the two global data structures of Section 4.1.1 — the
@@ -40,8 +45,10 @@ type DeviceGraph struct {
 	// VertexVA is the vertex array base; record v is at
 	// VertexVA + v*VertexStride*8.
 	VertexVA gasmem.VA
-	// NeighVA is the neighbor-list base (one word per edge, holding the
-	// destination's ORIGINAL vertex ID).
+	// NeighVA is the base of the neighbor region (one word per edge,
+	// holding the destination's ORIGINAL vertex ID). Lists are packed per
+	// home node, not by edge offset: address one through its record's
+	// VNeighVA only.
 	NeighVA gasmem.VA
 }
 
@@ -52,9 +59,14 @@ type Placement struct {
 	// power of two).
 	FirstNode, NRNodes int
 	// BlockBytes is the striping block size (default 32 KiB, the paper's
-	// Section 4.1.1 default).
+	// Section 4.1.1 default): a power of two holding at least one vertex
+	// record.
 	BlockBytes uint64
 }
+
+// ErrBadPlacement is wrapped by LoadToGAS when it cannot lay the graph out
+// under the Placement it was given.
+var ErrBadPlacement = errors.New("graph: bad placement")
 
 // DefaultPlacement stripes in 32 KiB blocks over all nodes, or, when their
 // count is not a power of two, over as many of the first nodes as
@@ -63,29 +75,81 @@ func DefaultPlacement(nodes int) Placement {
 	return Placement{FirstNode: 0, NRNodes: gasmem.FloorPow2(nodes), BlockBytes: 32 << 10}
 }
 
-// LoadToGAS allocates and fills the device arrays.
+const recordBytes = VertexStride * gasmem.WordBytes
+
+// layoutLists places every neighbor list in a region striped like the
+// vertex array (blocks of bs bytes over the ring home describes) so that a
+// list is homed with its vertex's record: the lists of the vertices ring
+// position p homes are packed, in vertex order, into p's own blocks — the
+// k-th of which is block k*NRNodes+p of the region — and a list that would
+// straddle a block starts at p's next one. It returns each list's byte
+// offset in the region and the bytes of one position's share.
+//
+// A list longer than a block cannot stay on one node: it starts on a block
+// of its home position and runs on, contiguous in the region, through the
+// blocks of the positions that follow, which are taken from them whole.
+func layoutLists(s *SplitGraph, home gasmem.Striping, bs uint64) (offs []uint64, share uint64) {
+	nr := uint64(home.NRNodes)
+	offs = make([]uint64, s.N)
+	used := make([]uint64, nr) // bytes of each position's blocks spoken for
+	rows := func(n uint64) uint64 { return (n + bs - 1) / bs }
+	for v := range offs {
+		p := uint64(home.Pos(uint64(v)))
+		n := uint64(s.Degree(uint32(v))) * gasmem.WordBytes
+		if used[p]%bs+n > bs {
+			used[p] = rows(used[p]) * bs
+		}
+		row := used[p] / bs
+		if n > bs {
+			// The j-th block the list covers lies j positions on, one
+			// row down per lap of the ring: start on the first row from
+			// which they are all still free, and take them.
+			for j := uint64(1); j < rows(n); j++ {
+				if free, lap := rows(used[(p+j)%nr]), (p+j)/nr; free > row+lap {
+					row = free - lap
+				}
+			}
+			for j := uint64(0); j < rows(n); j++ {
+				used[(p+j)%nr] = (row + (p+j)/nr + 1) * bs
+			}
+			offs[v] = (row*nr + p) * bs
+			continue
+		}
+		offs[v] = (row*nr+p)*bs + used[p]%bs
+		used[p] += n
+	}
+	for _, u := range used {
+		share = max(share, rows(u)*bs)
+	}
+	return offs, share
+}
+
+// LoadToGAS allocates and fills the device arrays, both striped as pl says;
+// the neighbor lists follow their vertex blocks (see layoutLists).
 func LoadToGAS(gas *gasmem.GAS, s *SplitGraph, pl Placement) (*DeviceGraph, error) {
 	if pl.BlockBytes == 0 {
 		pl.BlockBytes = 32 << 10
 	}
-	vBytes := uint64(s.N) * VertexStride * gasmem.WordBytes
-	nBytes := uint64(len(s.Neigh)) * gasmem.WordBytes
-	if nBytes == 0 {
-		nBytes = gasmem.WordBytes
+	if bs := pl.BlockBytes; bs < recordBytes || bs&(bs-1) != 0 {
+		return nil, fmt.Errorf("%w: BlockBytes %d: want a power of two >= one %d-byte vertex record",
+			ErrBadPlacement, bs, recordBytes)
 	}
-	vertexVA, err := gas.DRAMmalloc(vBytes, pl.FirstNode, pl.NRNodes, pl.BlockBytes)
+	vertexVA, err := gas.DRAMmalloc(uint64(s.N)*recordBytes, pl.FirstNode, pl.NRNodes, pl.BlockBytes)
 	if err != nil {
 		return nil, err
 	}
-	neighVA, err := gas.DRAMmalloc(nBytes, pl.FirstNode, pl.NRNodes, pl.BlockBytes)
+	home, _ := gas.RegionOf(vertexVA).Striping(recordBytes) // ok: records divide the block
+	offs, share := layoutLists(s, home, pl.BlockBytes)
+	neighVA, err := gas.DRAMmalloc(max(share, gasmem.WordBytes)*uint64(pl.NRNodes), pl.FirstNode, pl.NRNodes, pl.BlockBytes)
 	if err != nil {
 		return nil, err
 	}
 	d := &DeviceGraph{G: s, VertexVA: vertexVA, NeighVA: neighVA}
 	rec := make([]uint64, VertexStride)
+	var list []uint64
 	for v := uint32(0); int(v) < s.N; v++ {
 		rec[VDegree] = uint64(s.Degree(v))
-		rec[VNeighVA] = neighVA + s.Offsets[v]*gasmem.WordBytes
+		rec[VNeighVA] = neighVA + offs[v]
 		rec[VTotalDeg] = uint64(s.TotalDeg[v])
 		rec[VValue] = 0
 		rec[VAux] = 0
@@ -95,11 +159,26 @@ func LoadToGAS(gas *gasmem.GAS, s *SplitGraph, pl Placement) (*DeviceGraph, erro
 		rec[VSubCount] = uint64(s.SubCount[v])
 		rec[VParent] = uint64(s.Parent[v])
 		gas.WriteWords(d.RecordVA(v), rec)
-	}
-	for i, dst := range s.Neigh {
-		gas.WriteU64(neighVA+uint64(i)*gasmem.WordBytes, uint64(dst))
+		list = list[:0]
+		for _, dst := range s.Neighbors(v) {
+			list = append(list, uint64(dst))
+		}
+		gas.WriteWords(rec[VNeighVA], list)
 	}
 	return d, nil
+}
+
+// Owner returns the owner-computes binding for tasks keyed by (split)
+// vertex ID over lanes, or reports that it does not apply (kvmsr.NewOwner:
+// the vertex array's nodes must be exactly the lane set's, and more than
+// one). A task it binds finds record v — and, by the layout above, v's
+// neighbor list — in its own node's memory.
+func (d *DeviceGraph) Owner(m arch.Machine, gas *gasmem.GAS, lanes kvmsr.LaneSet) (kvmsr.Owner, bool) {
+	r := gas.RegionOf(d.VertexVA)
+	if r == nil || r.Base != d.VertexVA {
+		return kvmsr.Owner{}, false
+	}
+	return kvmsr.NewOwner(m, lanes, r, recordBytes)
 }
 
 // RecordVA returns the address of vertex v's record.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"sort"
 	"testing"
 
 	"updown/internal/gasmem"
@@ -65,5 +67,100 @@ func TestDefaultPlacementAnyNodeCount(t *testing.T) {
 		if _, err := LoadToGAS(gasmem.New(nodes, 1<<30), s, pl); err != nil {
 			t.Errorf("%d nodes: %v", nodes, err)
 		}
+	}
+}
+
+// TestAdjacencyHomedWithRecord: the device layout follows the vertex blocks.
+// On every ring (1-8 nodes, not starting at node 0), block size and split
+// cap, each list reads back as s.Neighbors(v) through its record's VNeighVA;
+// a list that fits a block lies inside one block of the node homing its
+// record; no two lists overlap (lists longer than a block — unsplit hubs,
+// the 1024 cap under 4 KiB blocks — included); and the region is no larger
+// than the fullest node's share needs.
+func TestAdjacencyHomedWithRecord(t *testing.T) {
+	g := FromEdges(1<<12, DefaultRMAT(12, 5), BuildOptions{Undirected: true, Dedup: true, SortNeighbors: true})
+	const firstNode = 3
+	spilled := false
+	for _, nr := range []int{1, 2, 4, 8} {
+		for _, bs := range []uint64{4 << 10, 32 << 10} {
+			for _, maxDeg := range []int{8, 64, 1024, 0} {
+				s := Split(g, maxDeg)
+				gas := gasmem.New(firstNode+nr, 1<<30)
+				d, err := LoadToGAS(gas, s, Placement{FirstNode: firstNode, NRNodes: nr, BlockBytes: bs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				type span struct{ lo, hi uint64 }
+				var lists []span
+				share := make([]uint64, nr) // highest byte a list occupies in each position's blocks
+				homed := make([]uint64, nr) // list bytes each position homes
+				fitsHalf, region := true, gas.RegionOf(d.NeighVA)
+				for v := uint32(0); int(v) < s.N; v++ {
+					want := s.Neighbors(v)
+					if len(want) == 0 {
+						continue
+					}
+					nva := gas.ReadU64(d.FieldVA(v, VNeighVA))
+					bytes := uint64(len(want)) * gasmem.WordBytes
+					lists = append(lists, span{nva, nva + bytes})
+					home := gas.NodeOf(d.RecordVA(v))
+					homed[home-firstNode] += bytes
+					fitsHalf = fitsHalf && bytes <= bs/2
+					spilled = spilled || bytes > bs
+					if bytes <= bs && (nva-d.NeighVA)/bs != (nva+bytes-1-d.NeighVA)/bs {
+						t.Fatalf("nr=%d bs=%d cap=%d: vertex %d's %d-byte list straddles a block", nr, bs, maxDeg, v, bytes)
+					}
+					for i, w := range want {
+						va := nva + uint64(i)*gasmem.WordBytes
+						if got := gas.ReadU64(va); got != uint64(w) {
+							t.Fatalf("nr=%d bs=%d cap=%d: vertex %d neighbor %d = %d, want %d", nr, bs, maxDeg, v, i, got, w)
+						}
+						if node := gas.NodeOf(va); bytes <= bs && node != home {
+							t.Fatalf("nr=%d bs=%d cap=%d: vertex %d on node %d, list word %d on node %d", nr, bs, maxDeg, v, home, i, node)
+						}
+						blk := (va - d.NeighVA) / bs
+						pos := blk % uint64(nr)
+						share[pos] = max(share[pos], blk/uint64(nr)*bs+(va-d.NeighVA)%bs+gasmem.WordBytes)
+					}
+				}
+				sort.Slice(lists, func(i, j int) bool { return lists[i].lo < lists[j].lo })
+				for i := 1; i < len(lists); i++ {
+					if lists[i].lo < lists[i-1].hi {
+						t.Fatalf("nr=%d bs=%d cap=%d: lists [%#x,%#x) and [%#x,%#x) overlap", nr, bs, maxDeg,
+							lists[i-1].lo, lists[i-1].hi, lists[i].lo, lists[i].hi)
+					}
+				}
+				var maxShare, maxHomed uint64
+				for p := range share {
+					maxShare, maxHomed = max(maxShare, share[p]), max(maxHomed, homed[p])
+				}
+				if limit := (maxShare + bs - 1) / bs * bs * uint64(nr); region.Size > limit {
+					t.Errorf("nr=%d bs=%d cap=%d: region of %d bytes, fullest share needs %d", nr, bs, maxDeg, region.Size, limit)
+				}
+				// Padding: with every list at most half a block, a block is
+				// at least half used.
+				if fitsHalf && maxShare > 2*maxHomed+bs {
+					t.Errorf("nr=%d bs=%d cap=%d: fullest share %d bytes for %d bytes of lists", nr, bs, maxDeg, maxShare, maxHomed)
+				}
+			}
+		}
+	}
+	if !spilled {
+		t.Fatal("no list longer than a block: the spill layout went untested")
+	}
+}
+
+// TestLoadToGASRejectsBadBlock: a block that cannot hold one vertex record,
+// or is not a power of two, is a typed error (the first used to be accepted).
+func TestLoadToGASRejectsBadBlock(t *testing.T) {
+	s := Split(FromEdges(64, DefaultRMAT(6, 9), BuildOptions{Dedup: true}), 8)
+	for _, bs := range []uint64{8, 32, 48, 96, 4097} {
+		_, err := LoadToGAS(gasmem.New(2, 1<<30), s, Placement{NRNodes: 2, BlockBytes: bs})
+		if !errors.Is(err, ErrBadPlacement) {
+			t.Errorf("BlockBytes %d: err = %v, want ErrBadPlacement", bs, err)
+		}
+	}
+	if _, err := LoadToGAS(gasmem.New(2, 1<<30), s, Placement{NRNodes: 2, BlockBytes: 64}); err != nil {
+		t.Errorf("BlockBytes 64 (one record): %v", err)
 	}
 }

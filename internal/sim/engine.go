@@ -585,7 +585,7 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 			break
 		}
 		mi := h.popIdx()
-		pm := &h.arena[mi]
+		pm := h.at(mi)
 		st := &e.state[pm.Dst]
 		if pm.retry {
 			st.floating--
@@ -667,9 +667,8 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 			continue
 		}
 		for {
-			// Copy out before executing: sends during OnMessage may grow
-			// (and reallocate) the arena backing pm, and the freed slot is
-			// the first one they reuse.
+			// Copy out before executing: the freed slot is the first one
+			// the sends during OnMessage reuse.
 			m := &s.cur
 			*m = *pm
 			h.release(mi)
@@ -724,7 +723,7 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 				break
 			}
 			ni := st.waitq[st.waitqHead]
-			nm := &h.arena[ni]
+			nm := h.at(ni)
 			d := nm.Deliver
 			if d < st.freeAt {
 				d = st.freeAt
@@ -768,7 +767,7 @@ func (s *shard) releaseParked(st *actorState) {
 		return
 	}
 	ni := st.waitqPop()
-	nm := &s.heap.arena[ni]
+	nm := s.heap.at(ni)
 	nm.Deliver = max(nm.Deliver, st.freeAt)
 	nm.retry = true
 	st.floating++

@@ -294,7 +294,7 @@ func BenchmarkQueue(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mi := h.popIdx()
-				now := h.arena[mi].Deliver
+				now := h.at(mi).Deliver
 				h.release(mi)
 				push(now)
 			}

@@ -126,12 +126,24 @@ func (a curEnt) less(b curEnt) int {
 	return int(borrow)
 }
 
+// pageBits sizes an arena page: 4,096 messages, slot i at [i>>12][i&4095].
+const (
+	pageBits = 12
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
 // msgHeap is the shard event queue: it pops messages in the (Deliver, Src,
 // Seq) total order. Messages live in an arena; the queue moves 4-byte
 // arena indices. The zero value is an empty queue (Restore resets shards
 // that way).
 type msgHeap struct {
-	arena []Message
+	// pages is the arena, in fixed-size pages so that growing it appends
+	// a page instead of copying every live message, and a slot's address
+	// is stable until compact. slots counts the slots ever handed out:
+	// the pages before the last are full.
+	pages [][]Message
+	slots int
 	free  []int32
 	// link[i] is the successor of arena slot i in its ring slot's list,
 	// stored +1 so zero ends the list.
@@ -159,18 +171,26 @@ type msgHeap struct {
 
 func (h *msgHeap) len() int { return h.n }
 
+// at returns arena slot i.
+func (h *msgHeap) at(i int32) *Message { return &h.pages[i>>pageBits][i&pageMask] }
+
 // alloc copies m into a free arena slot and returns its index. The slot is
 // not queued; the caller owns it until pushIdx or release.
 func (h *msgHeap) alloc(m *Message) int32 {
+	var i int32
 	if n := len(h.free); n > 0 {
-		i := h.free[n-1]
+		i = h.free[n-1]
 		h.free = h.free[:n-1]
-		h.arena[i] = *m
-		return i
+	} else {
+		i = int32(h.slots)
+		if i&pageMask == 0 {
+			h.pages = append(h.pages, make([]Message, pageSize))
+		}
+		h.slots++
+		h.link = append(h.link, 0)
 	}
-	h.arena = append(h.arena, *m)
-	h.link = append(h.link, 0)
-	return int32(len(h.arena) - 1)
+	*h.at(i) = *m
+	return i
 }
 
 func (h *msgHeap) push(m *Message) { h.pushIdx(h.alloc(m)) }
@@ -180,7 +200,7 @@ func (h *msgHeap) push(m *Message) { h.pushIdx(h.alloc(m)) }
 // per-actor wait queues and the queue without copying the 120-byte
 // Message, and to re-queue a retry whose Deliver it bumped.
 func (h *msgHeap) pushIdx(i int32) {
-	m := &h.arena[i]
+	m := h.at(i)
 	d := m.Deliver
 	if d < h.base {
 		h.reanchor(d)
@@ -201,8 +221,8 @@ func (h *msgHeap) pushIdx(i int32) {
 
 // popIdx removes the minimum entry from the queue but keeps its arena slot
 // allocated; the caller owns the slot until it calls release or pushIdx.
-// The slot contents stay valid across push/pushIdx (the arena only grows
-// or is compacted, and compaction refuses to run while slots are parked).
+// The slot does not move while it is parked (compaction refuses to run
+// then).
 func (h *msgHeap) popIdx() int32 {
 	if len(h.cur) == 0 {
 		h.load()
@@ -226,7 +246,7 @@ func (h *msgHeap) release(i int32) { h.free = append(h.free, i) }
 
 // live returns the number of allocated arena slots: queued entries plus
 // slots parked outside the queue via popIdx.
-func (h *msgHeap) live() int { return len(h.arena) - len(h.free) }
+func (h *msgHeap) live() int { return h.slots - len(h.free) }
 
 // topDeliver returns the delivery time of the minimum message without
 // touching the arena. It must not be called on an empty queue.
@@ -264,14 +284,14 @@ func (h *msgHeap) beats(d arch.Cycles, src arch.NetworkID, seq uint64) bool {
 // ones) to msgs, in no particular order; Checkpoint sorts them.
 func (h *msgHeap) appendQueued(msgs []Message) []Message {
 	for _, e := range h.cur {
-		msgs = append(msgs, h.arena[e.i])
+		msgs = append(msgs, *h.at(e.i))
 	}
 	for _, e := range h.far {
-		msgs = append(msgs, h.arena[e.i])
+		msgs = append(msgs, *h.at(e.i))
 	}
 	h.eachSlot(func(s int) {
 		for j := h.heads[s]; j != 0; j = h.link[j-1] {
-			msgs = append(msgs, h.arena[j-1])
+			msgs = append(msgs, *h.at(j - 1))
 		}
 	})
 	return msgs
@@ -292,20 +312,18 @@ func (h *msgHeap) eachSlot(fn func(s int)) {
 // hold peak-phase memory forever. It only runs when every live slot is
 // referenced by the queue itself — parked wait-queue indices held by
 // actors make slot movement unsafe — and when the arena is both mostly
-// free (len(free) > 2*len) and worth reclaiming (cap > 4096).
+// free (len(free) > 2*len) and worth reclaiming (more than one page).
 func (h *msgHeap) compact() {
 	if h.live() != h.n {
 		return
 	}
-	if cap(h.arena) <= 4096 || len(h.free) <= 2*h.n {
+	if len(h.pages) <= 1 || len(h.free) <= 2*h.n {
 		return
 	}
-	arena := make([]Message, 0, h.n)
-	link := make([]int32, h.n)
-	move := func(i int32) int32 {
-		arena = append(arena, h.arena[i])
-		return int32(len(arena) - 1)
-	}
+	pages, oldLink := h.pages, h.link
+	h.pages, h.slots, h.free = nil, 0, nil
+	h.link = make([]int32, 0, h.n)
+	move := func(i int32) int32 { return h.alloc(&pages[i>>pageBits][i&pageMask]) }
 	for j := range h.cur {
 		h.cur[j].i = move(h.cur[j].i)
 	}
@@ -315,17 +333,16 @@ func (h *msgHeap) compact() {
 	h.eachSlot(func(s int) {
 		// A list's nodes take consecutive new indices, in list order.
 		j := h.heads[s]
-		h.heads[s] = int32(len(arena)) + 1
+		h.heads[s] = int32(h.slots) + 1
 		for j != 0 {
-			next := h.link[j-1]
+			next := oldLink[j-1]
 			k := move(j - 1)
 			if next != 0 {
-				link[k] = k + 2
+				h.link[k] = k + 2
 			}
 			j = next
 		}
 	})
-	h.arena, h.link, h.free = arena, link, nil
 }
 
 // ringPush links arena slot i into the ring slot of cycle d, which must
@@ -372,7 +389,7 @@ func (h *msgHeap) load() {
 	s := int(h.base) & wheelMask
 	cur := h.cur
 	for j := h.heads[s]; j != 0; j = h.link[j-1] {
-		m := &h.arena[j-1]
+		m := h.at(j - 1)
 		cur = append(cur, newCurEnt(m.Src, m.Seq, j-1))
 	}
 	h.cur = cur
@@ -403,7 +420,7 @@ func (h *msgHeap) rebase(d arch.Cycles) {
 // between runs at an earlier cycle gets here, when the queue is small.
 func (h *msgHeap) reanchor(d arch.Cycles) {
 	far := func(i int32) {
-		m := &h.arena[i]
+		m := h.at(i)
 		h.farPush(heapEnt{d: m.Deliver, src: int32(m.Src), i: i})
 	}
 	for _, e := range h.cur {
@@ -476,7 +493,7 @@ func (h *msgHeap) farBefore(a, b heapEnt) bool {
 	if a.src != b.src {
 		return a.src < b.src
 	}
-	return h.arena[a.i].Seq < h.arena[b.i].Seq
+	return h.at(a.i).Seq < h.at(b.i).Seq
 }
 
 func (h *msgHeap) farPush(e heapEnt) {

@@ -52,7 +52,7 @@ func (q *queueDiff) push(d arch.Cycles, src arch.NetworkID) {
 func (q *queueDiff) pop() int32 {
 	q.t.Helper()
 	i := q.h.popIdx()
-	got, want := q.h.arena[i], *q.ref[0]
+	got, want := *q.h.at(i), *q.ref[0]
 	if got != want {
 		q.t.Fatalf("pop: got (%d,%d,%d) ops0=%#x, want (%d,%d,%d) ops0=%#x",
 			got.Deliver, got.Src, got.Seq, got.Ops[0], want.Deliver, want.Src, want.Seq, want.Ops[0])
@@ -65,7 +65,7 @@ func (q *queueDiff) pop() int32 {
 // requeue bumps a popped (or parked) slot's Deliver and pushes it back by
 // index, as the engine does for a floating retry.
 func (q *queueDiff) requeue(i int32, d arch.Cycles) {
-	m := &q.h.arena[i]
+	m := q.h.at(i)
 	m.Deliver = d
 	m.retry = true
 	q.refInsert(*m)
@@ -183,7 +183,7 @@ func TestHeapOrderProperty(t *testing.T) {
 					if n := len(q.parked); n > 0 {
 						i := q.parked[n-1]
 						q.parked = q.parked[:n-1]
-						d := q.h.arena[i].Deliver
+						d := q.h.at(i).Deliver
 						if d < q.now {
 							d = q.now
 						}
@@ -270,16 +270,18 @@ func TestHeapOrderProperty(t *testing.T) {
 		}
 		parked := q.pop()
 		q.parked = append(q.parked, parked)
-		before := cap(q.h.arena)
-		q.h.compact() // refused: a slot is parked outside the queue
-		if cap(q.h.arena) != before {
+		before := len(q.h.pages) // 20,000 pushes: five pages
+		q.h.compact()            // refused: a slot is parked outside the queue
+		if len(q.h.pages) != before {
 			t.Fatal("compact moved slots while one was parked")
 		}
 		q.parked = nil
 		q.requeue(parked, q.now)
 		q.h.compact()
-		if cap(q.h.arena) != len(q.ref) || len(q.h.free) != 0 {
-			t.Fatalf("compact left cap %d, free %d for %d entries", cap(q.h.arena), len(q.h.free), len(q.ref))
+		want := (len(q.ref) + pageSize - 1) / pageSize
+		if len(q.h.pages) != want || want >= before || q.h.slots != len(q.ref) || len(q.h.free) != 0 {
+			t.Fatalf("compact left %d of %d pages, %d slots, free %d for %d entries",
+				len(q.h.pages), before, q.h.slots, len(q.h.free), len(q.ref))
 		}
 		q.check()
 		q.checkEnum()

@@ -423,7 +423,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		if len(wq) > 0 {
 			h := &e.shards[e.shardOf(arch.NetworkID(i))].heap
 			for _, mi := range wq {
-				writeMessage(sw, &h.arena[mi])
+				writeMessage(sw, h.at(mi))
 			}
 		}
 	}
