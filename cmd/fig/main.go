@@ -245,9 +245,8 @@ func fig9(sweep func(harness.Fig9Options) ([]*harness.Table, error), scale int, 
 			if err = emit(c, "\n", err, tables...); err == nil && abs {
 				// The conventional-multicore comparator, the stand-in for the
 				// paper's Perlmutter reference (Section 5.2.1).
-				p, _ := graph.PresetByName("rmat")
-				host(graph.FromEdges(1<<o.Scale, p.Build(o.Scale, o.Seed), graph.BuildOptions{
-					Dedup: true, DropSelfLoops: true, SortNeighbors: true}), max(o.Iterations, 1))
+				g, _ := graph.BuildPreset("rmat", o.Scale, o.Seed, false)
+				host(g, max(o.Iterations, 1))
 			}
 			return err
 		}

@@ -1,0 +1,77 @@
+package main
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestGoldenOutput runs every case of testdata/golden.txt in process and
+// compares stdout byte for byte: pr, bfs and tc classic, coalesced with
+// combiners and resilient, ingest and match, and pr under -profile. The
+// file was captured before the graph applications moved onto the
+// harness's application table. One line has changed since, on purpose:
+// the last case's shuffle line printed "(+Inf tup/msg)" for a run whose
+// every tuple stayed node-local, and now prints no ratio.
+func TestGoldenOutput(t *testing.T) {
+	data, err := os.ReadFile("testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range strings.Split(string(data), "$ updown-sim ")[1:] {
+		args, want, _ := strings.Cut(block, "\n")
+		t.Run(args, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			if got := stdout.String(); got != want {
+				t.Errorf("stdout differs from the golden file:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestFlagsUnchanged: the flag set, defaults and help text are those of
+// testdata/flags.txt, the -h output captured with the golden file.
+func TestFlagsUnchanged(t *testing.T) {
+	want, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	if got := stderr.String(); got != "Usage of updown-sim:\n"+string(want) {
+		t.Errorf("-h output differs from testdata/flags.txt:\n%s", got)
+	}
+}
+
+// TestBadRunsRejected: flag values that used to panic or print nonsense
+// exit 2 with one line before anything is built, and a fault plan naming a
+// node the machine lacks is updown.New's typed error (exit 1), not a panic.
+func TestBadRunsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		code int
+		msg  string
+	}{
+		{"-scale -1", 2, "scale -1"},
+		{"-scale 31", 2, "scale 31"},
+		{"-iters -3", 2, "iters -3"},
+		{"-app ingest -records -1", 2, "records -1"},
+		{"-app match -records -1", 2, "records -1"},
+		{"-app sssp", 2, "unknown app"},
+		{"-app bfs -resilient -fault-spec drop=NaN", 2, "drop probability"},
+		{"-app bfs -nodes 2 -scale 6 -resilient -fault-spec failstop=99@10", 1, "fault: failstop 0: node 99 out of range"},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		msg := stderr.String()
+		if code != tc.code || !strings.Contains(msg, tc.msg) || strings.Count(msg, "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("updown-sim %s: exit %d, stderr %q, stdout %q; want exit %d and one line naming %q",
+				tc.args, code, msg, stdout.String(), tc.code, tc.msg)
+		}
+	}
+}

@@ -9,8 +9,9 @@
 //	updown-sim -app ingest -records 10000 -nodes 4
 //	updown-sim -app match  -records 2000 -nodes 2
 //
-// Alternatively, -gv/-nl load a preprocessed binary graph produced by
-// cmd/preprocess.
+// The graph applications (pr, bfs, tc) are built and run through the
+// harness's one application table. Alternatively, -gv/-nl load a
+// preprocessed binary graph produced by cmd/preprocess.
 //
 // Observability: -profile prints the per-node utilization report and
 // per-kind breakdown (with each kind's cross-node share) after the run, for
@@ -57,6 +58,10 @@
 // run demonstrates zero data loss:
 //
 //	updown-sim -app bfs -nodes 4 -rep 2 -spare -victim 40000 -checksum
+//
+// Exit status: 0, 1 when the run failed, 2 for a rejected flag value
+// (before anything is built), 3 after a simulated-time timeout and 130
+// after an interrupt (see runPartial).
 package main
 
 import (
@@ -70,20 +75,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 
 	"updown"
-	"updown/internal/apps/bfs"
 	"updown/internal/apps/ingest"
 	"updown/internal/apps/match"
-	"updown/internal/apps/pagerank"
-	"updown/internal/apps/tc"
 	"updown/internal/arch"
 	"updown/internal/fault"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
+	"updown/internal/harness"
 	"updown/internal/kvmsr"
 	"updown/internal/metrics"
 	"updown/internal/sim"
@@ -91,58 +93,85 @@ import (
 	"updown/internal/tform"
 )
 
-func main() {
-	app := flag.String("app", "pr", "application: pr | bfs | tc | ingest | match")
-	preset := flag.String("graph", "rmat", "workload preset (see graph.Presets)")
-	scale := flag.Int("scale", 14, "log2 vertex count")
-	gvPath := flag.String("gv", "", "preprocessed vertex array (with -nl, overrides -graph)")
-	nlPath := flag.String("nl", "", "preprocessed neighbor list")
-	nodes := flag.Int("nodes", 4, "UpDown node count")
-	accels := flag.Int("accel", 32, "accelerators per node")
-	memNodes := flag.Int("mem", 0, "memory nodes for DRAMmalloc (0 = all; the artifact's <mem> argument)")
-	maxDeg := flag.Int("m", 64, "vertex-splitting max degree (0 = none)")
-	root := flag.Uint("root", 28, "BFS root vertex")
-	iters := flag.Int("iters", 1, "PageRank iterations")
-	records := flag.Int("records", 5000, "record count for ingest/match")
-	seed := flag.Uint64("seed", 42, "generator seed")
-	shards := flag.Int("shards", 0, "simulator host parallelism (0 = auto)")
-	profile := flag.Bool("profile", false, "print the per-node utilization profile after the run")
-	tracePath := flag.String("trace", "", "write a Perfetto/Chrome trace_event JSON file")
-	spans := flag.Bool("spans", false, "record named spans (event executions, threads, KVMSR phases, app phases) into the -trace file")
-	critpath := flag.Bool("critpath", false, "print the causal critical-path report and latency histograms after the run")
-	flows := flag.Bool("flows", false, "print the node-to-node message flow matrix after the run")
-	interval := flag.Int64("metrics-interval", int64(metrics.DefaultInterval), "profile sampling interval in cycles")
-	faultSpec := flag.String("fault-spec", "", "fault-injection spec, e.g. drop=0.05,dup=0.02,failstop=3@20000 (see internal/fault)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for fault-injection verdicts (same seed+spec = bit-identical run)")
-	resilient := flag.Bool("resilient", false, "use the resilient KVMSR shuffle (acked emits, retransmission, dedup)")
-	coalesce := flag.Bool("coalesce", false, "use the coalescing KVMSR shuffle (multi-tuple packed messages)")
-	combine := flag.Bool("combine", false, "with -coalesce: pre-reduce same-key tuples in the pack buffers (pr: float add, tc: keep-first)")
-	spare := flag.Bool("spare", false, "add one machine node beyond -nodes that carries no lanes' work and no data: a safe fail-stop target")
-	rep := flag.Int("rep", 0, "k-way replicated global-memory placement (0/1 = single copy): writes fan out to k nodes, reads fall over past fail-stops")
-	victimAt := flag.Int64("victim", 0, "fail-stop the last data node at this cycle (0 = never); requires -rep >= 2 and -spare, and keeps lanes off the victim")
-	checksum := flag.Bool("checksum", false, "print a deterministic application-result checksum")
-	ckptPath := flag.String("checkpoint", "", "write a warm-start checkpoint (loaded graph + machine state) to FILE after graph load, then run (pr|bfs|tc)")
-	restorePath := flag.String("restore", "", "restore a -checkpoint FILE instead of generating and loading the graph, then run")
-	serveAddr := flag.String("serve", "", "serve live telemetry on ADDR (e.g. :9187): /metrics (Prometheus), /status (JSON), /profile (partial profile), /debug/pprof")
-	watchdog := flag.Duration("watchdog", 0, "dump goroutine stacks + partial profile to -dump-dir when no window advances for this long (0 = off)")
-	dumpDir := flag.String("dump-dir", ".", "directory for watchdog and SIGUSR1 partial-artifact dumps")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the application and writes its report to stdout,
+// returning the exit status.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("updown-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "pr", "application: pr | bfs | tc | ingest | match")
+	preset := fs.String("graph", "rmat", "workload preset (see graph.Presets)")
+	scale := fs.Int("scale", 14, "log2 vertex count")
+	gvPath := fs.String("gv", "", "preprocessed vertex array (with -nl, overrides -graph)")
+	nlPath := fs.String("nl", "", "preprocessed neighbor list")
+	nodes := fs.Int("nodes", 4, "UpDown node count")
+	accels := fs.Int("accel", 32, "accelerators per node")
+	memNodes := fs.Int("mem", 0, "memory nodes for DRAMmalloc (0 = all; the artifact's <mem> argument)")
+	maxDeg := fs.Int("m", 64, "vertex-splitting max degree (0 = none)")
+	root := fs.Uint("root", 28, "BFS root vertex")
+	iters := fs.Int("iters", 1, "PageRank iterations")
+	records := fs.Int("records", 5000, "record count for ingest/match")
+	seed := fs.Uint64("seed", 42, "generator seed")
+	shards := fs.Int("shards", 0, "simulator host parallelism (0 = auto)")
+	profile := fs.Bool("profile", false, "print the per-node utilization profile after the run")
+	tracePath := fs.String("trace", "", "write a Perfetto/Chrome trace_event JSON file")
+	spans := fs.Bool("spans", false, "record named spans (event executions, threads, KVMSR phases, app phases) into the -trace file")
+	critpath := fs.Bool("critpath", false, "print the causal critical-path report and latency histograms after the run")
+	flows := fs.Bool("flows", false, "print the node-to-node message flow matrix after the run")
+	interval := fs.Int64("metrics-interval", int64(metrics.DefaultInterval), "profile sampling interval in cycles")
+	faultSpec := fs.String("fault-spec", "", "fault-injection spec, e.g. drop=0.05,dup=0.02,failstop=3@20000 (see internal/fault)")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed for fault-injection verdicts (same seed+spec = bit-identical run)")
+	resilient := fs.Bool("resilient", false, "use the resilient KVMSR shuffle (acked emits, retransmission, dedup)")
+	coalesce := fs.Bool("coalesce", false, "use the coalescing KVMSR shuffle (multi-tuple packed messages)")
+	combine := fs.Bool("combine", false, "with -coalesce: pre-reduce same-key tuples in the pack buffers (pr: float add, tc: keep-first)")
+	spare := fs.Bool("spare", false, "add one machine node beyond -nodes that carries no lanes' work and no data: a safe fail-stop target")
+	rep := fs.Int("rep", 0, "k-way replicated global-memory placement (0/1 = single copy): writes fan out to k nodes, reads fall over past fail-stops")
+	victimAt := fs.Int64("victim", 0, "fail-stop the last data node at this cycle (0 = never); requires -rep >= 2 and -spare, and keeps lanes off the victim")
+	checksum := fs.Bool("checksum", false, "print a deterministic application-result checksum")
+	ckptPath := fs.String("checkpoint", "", "write a warm-start checkpoint (loaded graph + machine state) to FILE after graph load, then run (pr|bfs|tc)")
+	restorePath := fs.String("restore", "", "restore a -checkpoint FILE instead of generating and loading the graph, then run")
+	serveAddr := fs.String("serve", "", "serve live telemetry on ADDR (e.g. :9187): /metrics (Prometheus), /status (JSON), /profile (partial profile), /debug/pprof")
+	watchdog := fs.Duration("watchdog", 0, "dump goroutine stacks + partial profile to -dump-dir when no window advances for this long (0 = off)")
+	dumpDir := fs.String("dump-dir", ".", "directory for watchdog and SIGUSR1 partial-artifact dumps")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
 
 	sf := simFlags{
-		App: *app, Nodes: *nodes, Rep: *rep, Spare: *spare,
-		Coalesce: *coalesce, Combine: *combine,
+		App: *app, Scale: *scale, Nodes: *nodes, Accels: *accels, Iters: *iters, Records: *records,
+		Rep: *rep, Spare: *spare, Coalesce: *coalesce, Combine: *combine,
 		CkptPath: *ckptPath, RestorePath: *restorePath, VictimAt: *victimAt,
 	}
-	if err := sf.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "updown-sim:", err)
-		os.Exit(2)
+	fl := obsFlags{
+		Profile: *profile, TracePath: *tracePath, Spans: *spans,
+		CritPath: *critpath, Flows: *flows, Interval: *interval,
 	}
-
 	plan, err := fault.ParseSpec(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "updown-sim:", err)
-		os.Exit(2)
+	if err == nil {
+		err = sf.validate()
 	}
+	if err == nil {
+		err = fl.validate()
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "updown-sim:", err)
+		return 2
+	}
+	defer func() { // a must failure ends the run here
+		if r := recover(); r != nil {
+			f, ok := r.(failure)
+			if !ok {
+				panic(r)
+			}
+			fmt.Fprintln(stderr, "updown-sim:", f.err)
+			code = 1
+		}
+	}()
+
 	if plan != nil {
 		plan.Seed = *faultSeed
 	}
@@ -151,26 +180,19 @@ func main() {
 		res = &kvmsr.Resilience{}
 	}
 	if plan != nil && len(plan.Rules) > 0 && res == nil {
-		fmt.Fprintln(os.Stderr, "updown-sim: warning: message faults without -resilient will lose shuffle tuples")
+		fmt.Fprintln(stderr, "updown-sim: warning: message faults without -resilient will lose shuffle tuples")
 	}
 	var coal *kvmsr.Coalesce
 	if *coalesce {
 		coal = &kvmsr.Coalesce{}
-	}
-	fl := obsFlags{
-		Profile: *profile, TracePath: *tracePath, Spans: *spans,
-		CritPath: *critpath, Flows: *flows, Interval: *interval,
-	}
-	if err := fl.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "updown-sim:", err)
-		os.Exit(2)
 	}
 
 	machNodes := *nodes
 	if *spare {
 		machNodes++
 	}
-	ar := updownArch(machNodes, *accels)
+	ar := arch.DefaultMachine(machNodes)
+	ar.AccelsPerNode = *accels
 	// With -spare, application lanes stay on the first -nodes nodes; the
 	// extra node only relays protocol traffic and can be fail-stopped
 	// without losing state. A zero LaneSet means "whole machine".
@@ -199,7 +221,7 @@ func main() {
 	// nil-check plus one clock read, invisible next to a real workload.
 	// HTTP exposition and the watchdog stay opt-in.
 	pub := &telemetry.Publisher{Logf: func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "updown-sim: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "updown-sim: "+format+"\n", args...)
 	}}
 	m, err := updown.New(updown.Config{
 		Arch: &ar, Shards: *shards, MaxTime: 1 << 46,
@@ -208,18 +230,14 @@ func main() {
 		Fault:     plan, Resilience: res, Coalesce: coal,
 		Replication: *rep,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pub.Dump = func(s *telemetry.Snapshot) error { return writeDump(*dumpDir, m, s) }
-	installSignals(pub)
+	must(err)
+	pub.Dump = func(s *telemetry.Snapshot) error { return writeDump(stderr, *dumpDir, m, s) }
+	defer installSignals(pub)()
 	if *serveAddr != "" {
 		srv, err := telemetry.Serve(*serveAddr, pub)
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "updown-sim: telemetry on http://%s (/metrics /status /profile /debug/pprof)\n", *serveAddr)
+		fmt.Fprintf(stderr, "updown-sim: telemetry on http://%s (/metrics /status /profile /debug/pprof)\n", *serveAddr)
 	}
 	if *watchdog > 0 {
 		wd := &telemetry.Watchdog{P: pub, Stall: *watchdog, Dir: *dumpDir, Logf: pub.Logf}
@@ -228,214 +246,153 @@ func main() {
 	}
 
 	// resTotals is filled by apps that ran a resilient shuffle and
-	// termTotals by every graph app (-profile prints it); sum is the
-	// -checksum application-result digest (bit-exact for the integer
-	// results; PageRank's float ranks are bit-exact only between runs with
-	// identical delivery schedules — the chaos harness epsilon-compares
-	// those instead).
+	// termTotals by every graph app (-profile prints it); sum, when
+	// non-nil, is the -checksum application-result digest's input
+	// (bit-exact for the integer results; PageRank's float ranks are
+	// bit-exact only between runs with identical delivery schedules — the
+	// chaos harness epsilon-compares those instead).
 	var resTotals kvmsr.ResilienceTotals
 	var termTotals kvmsr.TerminationTotals
-	var sum uint64
-	haveSum := false
+	var sum []uint64
 
-	switch *app {
-	case "pr", "bfs", "tc":
+	if a := harness.LookupApp(*app); a != nil {
 		// The warm-start boundary: generation, splitting and LoadToGAS are
 		// the deterministic preamble a checkpoint lets later runs skip.
 		var dg *graph.DeviceGraph
-		var edges uint64 // original (pre-split) directed edge count
 		if *restorePath != "" {
-			dg, edges = mustRestoreWarmStart(m, *restorePath, sf)
+			dg = mustRestoreWarmStart(m, *restorePath, sf)
 		} else {
 			g := loadGraph(*gvPath, *nlPath, *preset, *scale, *seed, *app == "tc")
-			edges = g.NumEdges()
 			pl := graph.DefaultPlacement(*nodes)
 			if *memNodes != 0 {
 				pl.NRNodes = *memNodes
 			}
-			var split *graph.SplitGraph
-			switch *app {
-			case "pr":
-				split = graph.SplitWith(g, graph.SplitOptions{
-					MaxDeg: *maxDeg, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
-			case "bfs":
-				split = graph.Split(g, 256)
-			case "tc":
-				split = graph.Split(g, 0)
-			}
-			dg = mustLoad(m, split, pl)
+			dg, err = graph.LoadToGAS(m.GAS, a.Split(g, *maxDeg), pl)
+			must(err)
 			if *ckptPath != "" {
-				must(writeWarmStart(m, *ckptPath, sf, dg, edges))
-				fmt.Printf("checkpoint written to %s\n", *ckptPath)
+				must(writeWarmStart(m, *ckptPath, sf, dg))
+				fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptPath)
 			}
 		}
-		switch *app {
-		case "pr":
-			a, err := pagerank.New(m, dg, pagerank.Config{Iterations: *iters, Lanes: appLanes, Combine: *combine})
-			must(err)
-			a.InitValues()
-			stats, err := a.Run()
-			partial := runPartial(err)
-			report(m, stats, a.Elapsed())
-			if !partial {
-				fmt.Printf("updates: %d (%.4f GUPS)\n", edges*uint64(*iters),
-					float64(edges*uint64(*iters))/m.Seconds(a.Elapsed())/1e9)
-				resTotals = a.ResilienceTotals()
-				termTotals = a.TerminationTotals()
-				if *profile {
-					for i, d := range a.PhaseDurations() {
-						fmt.Printf("phases: iter %d map+reduce=%d flush=%d apply=%d cycles\n", i+1, d[0], d[1], d[2])
-					}
-				}
-				if *checksum {
-					vals := make([]uint64, 0, len(a.Values()))
-					for _, r := range a.Values() {
-						vals = append(vals, updown.FloatBits(r))
-					}
-					sum, haveSum = digest(vals...), true
+		j, err := a.Start(m, dg, harness.AppConfig{Lanes: appLanes, Root: uint32(*root), Iters: *iters, Combine: *combine})
+		must(err)
+		stats, err := j.Run()
+		code = runPartial(stderr, err)
+		report(stdout, m, stats, j.Elapsed())
+		if code == 0 {
+			fmt.Fprintln(stdout, j.Summary())
+			resTotals, termTotals = j.ResilienceTotals(), j.TerminationTotals()
+			if *profile && j.Phases != nil {
+				for i, d := range j.Phases() {
+					fmt.Fprintf(stdout, "phases: iter %d map+reduce=%d flush=%d apply=%d cycles\n", i+1, d[0], d[1], d[2])
 				}
 			}
-		case "bfs":
-			a, err := bfs.New(m, dg, bfs.Config{Root: uint32(*root), Lanes: appLanes})
-			must(err)
-			a.InitValues()
-			stats, err := a.Run()
-			partial := runPartial(err)
-			report(m, stats, a.Elapsed())
-			if !partial {
-				fmt.Printf("rounds: %d, traversed edges: %d (%.4f GTEPS)\n",
-					a.Rounds, a.Traversed, float64(a.Traversed)/m.Seconds(a.Elapsed())/1e9)
-				resTotals = a.ResilienceTotals()
-				termTotals = a.TerminationTotals()
-				if *checksum {
-					sum = digest(append([]uint64{uint64(a.Rounds), a.Traversed}, a.Distances()...)...)
-					haveSum = true
-				}
-			}
-		case "tc":
-			a, err := tc.New(m, dg, tc.Config{Lanes: appLanes, Combine: *combine})
-			must(err)
-			stats, err := a.Run()
-			partial := runPartial(err)
-			report(m, stats, a.Elapsed())
-			if !partial {
-				fmt.Printf("intersection total: %d (%d triangles)\n", a.Total(), a.Triangles())
-				resTotals = a.ResilienceTotals()
-				termTotals = a.TerminationTotals()
-				if *checksum {
-					sum, haveSum = digest(a.Total()), true
-				}
+			if *checksum {
+				sum = j.Checksum()
 			}
 		}
-	case "ingest":
+	} else if *app == "ingest" {
 		data, _ := tform.GenCSV(*records, 1<<24, 8, *seed)
 		a, err := ingest.New(m, data, ingest.Config{Lanes: appLanes})
 		must(err)
 		stats, err := a.Run()
-		partial := runPartial(err)
-		report(m, stats, a.Elapsed())
-		if !partial {
-			fmt.Printf("records: %d, phase1 %d cycles, phase2 %d cycles (%.2f MRec/s)\n",
+		code = runPartial(stderr, err)
+		report(stdout, m, stats, a.Elapsed())
+		if code == 0 {
+			fmt.Fprintf(stdout, "records: %d, phase1 %d cycles, phase2 %d cycles (%.2f MRec/s)\n",
 				a.Records, a.Phase1(), a.Phase2(),
 				float64(a.Records)/m.Seconds(a.Elapsed())/1e6)
 			if *checksum {
-				sum, haveSum = digest(a.Records), true
+				sum = []uint64{a.Records}
 			}
 		}
-	case "match":
+	} else { // match
 		_, recs := tform.GenCSV(*records, 4096, 4, *seed)
 		patterns := []match.Pattern{{Types: []uint64{0, 1}}, {Types: []uint64{2, 2}}}
 		a, err := match.New(m, recs, patterns, match.Config{Interarrival: 40})
 		must(err)
 		stats, err := a.Run()
-		partial := runPartial(err)
-		report(m, stats, 0)
-		if !partial {
-			fmt.Printf("processed: %d, matches: %d, avg latency %.0f cycles (%.2f us)\n",
+		code = runPartial(stderr, err)
+		report(stdout, m, stats, 0)
+		if code == 0 {
+			fmt.Fprintf(stdout, "processed: %d, matches: %d, avg latency %.0f cycles (%.2f us)\n",
 				a.Processed(), a.Matches(), a.AvgLatency(), a.AvgLatency()/2e3)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
-		os.Exit(2)
 	}
 
 	if resTotals != (kvmsr.ResilienceTotals{}) {
-		fmt.Printf("resilience: emits=%d retries=%d dup-drops=%d acks=%d rekicks=%d\n",
+		fmt.Fprintf(stdout, "resilience: emits=%d retries=%d dup-drops=%d acks=%d rekicks=%d\n",
 			resTotals.Emits, resTotals.Retries, resTotals.DupDrops, resTotals.Acks, resTotals.Rekicks)
 	}
 	if *profile && termTotals.Launches > 0 {
-		fmt.Printf("termination: launches=%d probes=%d zero-probe=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
+		fmt.Fprintf(stdout, "termination: launches=%d probes=%d zero-probe=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
 			termTotals.Launches, termTotals.Probes, termTotals.ZeroProbe,
 			termTotals.DeltaMsgs, termTotals.DeltaReduces, termTotals.Pushes)
 	}
-	if haveSum {
-		fmt.Printf("result-checksum: %016x\n", sum)
+	if sum != nil {
+		fmt.Fprintf(stdout, "result-checksum: %016x\n", digest(sum...))
 	}
 
 	if m.Metrics != nil {
 		p := m.Metrics.Profile()
 		if *profile {
-			fmt.Println()
-			if err := p.WriteText(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
+			fmt.Fprintln(stdout)
+			must(p.WriteText(stdout))
 			s := p.Summarize(m.Arch)
-			fmt.Printf("nodes touched: %d, imbalance %.2fx (peak node %d), DRAM util %.1f%%, inj util %.1f%%\n",
+			fmt.Fprintf(stdout, "nodes touched: %d, imbalance %.2fx (peak node %d), DRAM util %.1f%%, inj util %.1f%%\n",
 				s.NodesTouched, s.Imbalance, s.PeakBusyNode, 100*s.DRAMUtil, 100*s.InjUtil)
 		}
 		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			must(err)
-			must(metrics.WriteTraceFile(f, m.Arch, p, m.Trace))
-			must(f.Close())
-			fmt.Printf("trace written to %s (open in ui.perfetto.dev)\n", *tracePath)
+			must(writeFileWith(*tracePath, func(w io.Writer) error { return metrics.WriteTraceFile(w, m.Arch, p, m.Trace) }))
+			fmt.Fprintf(stdout, "trace written to %s (open in ui.perfetto.dev)\n", *tracePath)
 		}
 	}
 	if m.Trace != nil && m.Trace.CausalOn() {
 		if *critpath {
-			cp := m.Trace.CriticalPath()
-			fmt.Println()
-			must(cp.WriteText(os.Stdout))
-			fmt.Println()
-			must(m.Trace.Latencies().WriteText(os.Stdout))
+			fmt.Fprintln(stdout)
+			must(m.Trace.CriticalPath().WriteText(stdout))
+			fmt.Fprintln(stdout)
+			must(m.Trace.Latencies().WriteText(stdout))
 		}
 		if *flows {
-			fmt.Println()
-			must(m.Trace.Flows().WriteText(os.Stdout, m.Arch))
+			fmt.Fprintln(stdout)
+			must(m.Trace.Flows().WriteText(stdout, m.Arch))
 		}
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
+	return code
+}
+
+// failure is what must panics with; run recovers it and exits 1.
+type failure struct{ err error }
+
+func must(err error) {
+	if err != nil {
+		panic(failure{err})
 	}
 }
 
-// exitCode is the process status for tolerated partial runs: 3 after a
-// simulated-time timeout, 130 after a requested (SIGINT) interrupt. Set
-// by runPartial, applied after the observability artifacts are written.
-var exitCode int
-
-// runPartial classifies an application Run error. nil means the run
-// completed. A timeout or a telemetry-requested stop makes the run
-// partial: the machine statistics and every recorded artifact (profile,
-// trace, dumps) are still coherent — the engine stopped at a quiesced
-// window boundary — so the caller reports them and skips only the
-// application-level results, which never materialized. Any other error
-// is fatal.
-func runPartial(err error) bool {
-	if err == nil {
-		return false
-	}
+// runPartial classifies an application Run error as the exit status: 0
+// when the run completed, 3 after a simulated-time timeout, 130 after a
+// requested (SIGINT) stop. A timed-out or stopped run is partial: the
+// machine statistics and every recorded artifact (profile, trace, dumps)
+// are still coherent — the engine stopped at a quiesced window boundary —
+// so the caller reports them and skips only the application-level
+// results, which never materialized. Any other error is fatal.
+func runPartial(stderr io.Writer, err error) int {
+	code := 0
 	switch {
+	case err == nil:
+		return 0
 	case errors.Is(err, sim.ErrTimeout):
-		exitCode = 3
+		code = 3
 	case errors.Is(err, sim.ErrInterrupted):
-		exitCode = 130
+		code = 130
 	default:
-		log.Fatal(err)
+		must(err)
 	}
-	fmt.Fprintln(os.Stderr, "updown-sim:", err)
-	fmt.Fprintln(os.Stderr, "updown-sim: partial run: reporting machine stats and artifacts, skipping application results")
-	return true
+	fmt.Fprintln(stderr, "updown-sim:", err)
+	fmt.Fprintln(stderr, "updown-sim: partial run: reporting machine stats and artifacts, skipping application results")
+	return code
 }
 
 // writeDump writes the partial-run observability artifacts for a
@@ -445,7 +402,7 @@ func runPartial(err error) bool {
 // overwritten on every dump so scripts can poll for them. The publisher
 // invokes it from a quiesced engine context, so cloning the recorders
 // is race-free.
-func writeDump(dir string, m *updown.Machine, s *telemetry.Snapshot) error {
+func writeDump(stderr io.Writer, dir string, m *updown.Machine, s *telemetry.Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -471,7 +428,7 @@ func writeDump(dir string, m *updown.Machine, s *telemetry.Snapshot) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "updown-sim: partial artifacts dumped to %s\n", dir)
+	fmt.Fprintf(stderr, "updown-sim: partial artifacts dumped to %s\n", dir)
 	return nil
 }
 
@@ -489,12 +446,13 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// simFlags bundles the run-shaping flags so contradictory combinations
-// are rejected up front — before any graph is generated or machine state
-// built — with errors naming both flags involved.
+// simFlags bundles the run-shaping flags so bad values and contradictory
+// combinations are rejected up front — before any graph is generated or
+// machine state built — with errors naming the flags involved.
 type simFlags struct {
 	App                   string
-	Nodes                 int
+	Scale, Nodes, Accels  int
+	Iters, Records        int
 	Rep                   int
 	Spare                 bool
 	Coalesce, Combine     bool
@@ -504,15 +462,20 @@ type simFlags struct {
 }
 
 func (f simFlags) validate() error {
+	graphApp := harness.LookupApp(f.App) != nil
+	if !graphApp && f.App != "ingest" && f.App != "match" {
+		return fmt.Errorf("unknown app %q", f.App)
+	}
+	// The figures' rule: a scale that fits in memory, and positive counts.
+	if err := harness.Validate(f.Scale, 0, harness.Positive("nodes", f.Nodes), harness.Positive("accel", f.Accels),
+		harness.Positive("iters", f.Iters), harness.Positive("records", f.Records)); err != nil {
+		return err
+	}
 	if f.CkptPath != "" && f.RestorePath != "" {
 		return fmt.Errorf("-checkpoint and -restore are mutually exclusive")
 	}
-	if f.CkptPath != "" || f.RestorePath != "" {
-		switch f.App {
-		case "pr", "bfs", "tc":
-		default:
-			return fmt.Errorf("-checkpoint/-restore target the graph applications (pr|bfs|tc), not %q", f.App)
-		}
+	if (f.CkptPath != "" || f.RestorePath != "") && !graphApp {
+		return fmt.Errorf("-checkpoint/-restore target the graph applications (pr|bfs|tc), not %q", f.App)
 	}
 	if f.Combine && !f.Coalesce {
 		return fmt.Errorf("-combine pre-reduces pack buffers: add -coalesce")
@@ -608,12 +571,6 @@ func (f obsFlags) traceOptions() *metrics.TraceOptions {
 	return &o
 }
 
-func updownArch(nodes, accels int) arch.Machine {
-	a := arch.DefaultMachine(nodes)
-	a.AccelsPerNode = accels
-	return a
-}
-
 func loadGraph(gvPath, nlPath, preset string, scale int, seed uint64, undirected bool) *graph.Graph {
 	if gvPath != "" && nlPath != "" {
 		gv, err := os.Open(gvPath)
@@ -626,20 +583,9 @@ func loadGraph(gvPath, nlPath, preset string, scale int, seed uint64, undirected
 		must(err)
 		return g
 	}
-	p, err := graph.PresetByName(preset)
+	g, err := graph.BuildPreset(preset, scale, seed, undirected)
 	must(err)
-	return graph.FromEdges(1<<scale, p.Build(scale, seed), graph.BuildOptions{
-		Undirected:    p.Undirected || undirected,
-		Dedup:         true,
-		DropSelfLoops: true,
-		SortNeighbors: true,
-	})
-}
-
-func mustLoad(m *updown.Machine, s *graph.SplitGraph, pl graph.Placement) *graph.DeviceGraph {
-	dg, err := graph.LoadToGAS(m.GAS, s, pl)
-	must(err)
-	return dg
+	return g
 }
 
 // warmStart is the CLI-level checkpoint metadata riding in front of the
@@ -648,9 +594,8 @@ func mustLoad(m *updown.Machine, s *graph.SplitGraph, pl graph.Placement) *graph
 // drivers walk). The graph's GAS-resident arrays travel inside the
 // machine checkpoint itself.
 type warmStart struct {
-	App   string
-	Edges uint64
-	DG    *graph.DeviceGraph
+	App string
+	DG  *graph.DeviceGraph
 	// Machine shape the checkpoint was written under; a -restore with
 	// different flags is rejected by checkWarmStartMeta before any state
 	// is loaded. Zero Nodes marks a checkpoint from before these fields
@@ -666,10 +611,9 @@ const cliCkptMagic = "UDCLICKP"
 // metadata, then the machine checkpoint. The gob blob is length-prefixed
 // because gob decoders buffer ahead and would otherwise eat the head of
 // the machine section.
-func writeWarmStart(m *updown.Machine, path string, sf simFlags, dg *graph.DeviceGraph, edges uint64) error {
+func writeWarmStart(m *updown.Machine, path string, sf simFlags, dg *graph.DeviceGraph) error {
 	var meta bytes.Buffer
-	ws := &warmStart{App: sf.App, Edges: edges, DG: dg,
-		Nodes: sf.Nodes, Spare: sf.Spare, Rep: normRep(sf.Rep)}
+	ws := &warmStart{App: sf.App, DG: dg, Nodes: sf.Nodes, Spare: sf.Spare, Rep: normRep(sf.Rep)}
 	if err := gob.NewEncoder(&meta).Encode(ws); err != nil {
 		return fmt.Errorf("checkpoint metadata: %w", err)
 	}
@@ -706,14 +650,14 @@ func writeWarmStart(m *updown.Machine, path string, sf simFlags, dg *graph.Devic
 // app recorded in the file must match -app; machine mismatches are
 // rejected by Machine.Restore with a typed error before any state
 // changes.
-func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) (*graph.DeviceGraph, uint64) {
+func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) *graph.DeviceGraph {
 	f, err := os.Open(path)
 	must(err)
 	defer f.Close()
 	r := bufio.NewReader(f)
 	head := make([]byte, len(cliCkptMagic)+8)
 	if _, err := io.ReadFull(r, head); err != nil || string(head[:len(cliCkptMagic)]) != cliCkptMagic {
-		log.Fatalf("%s is not an updown-sim checkpoint", path)
+		must(fmt.Errorf("%s is not an updown-sim checkpoint", path))
 	}
 	metaBytes := make([]byte, binary.LittleEndian.Uint64(head[len(cliCkptMagic):]))
 	_, err = io.ReadFull(r, metaBytes)
@@ -721,30 +665,34 @@ func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) (*graph.D
 	var ws warmStart
 	must(gob.NewDecoder(bytes.NewReader(metaBytes)).Decode(&ws))
 	if err := checkWarmStartMeta(&ws, sf); err != nil {
-		log.Fatalf("%s: %v", path, err)
+		must(fmt.Errorf("%s: %v", path, err))
 	}
 	must(m.Restore(r))
-	return ws.DG, ws.Edges
+	return ws.DG
 }
 
-func report(m *updown.Machine, stats updown.Stats, elapsed updown.Cycles) {
+func report(w io.Writer, m *updown.Machine, stats updown.Stats, elapsed updown.Cycles) {
 	// Partial runs can leave per-app phase clocks unset or mid-phase
 	// (negative); the engine's final time is always meaningful.
 	if elapsed <= 0 {
 		elapsed = stats.FinalTime
 	}
-	fmt.Printf("simulated: %d cycles = %.6f s at 2 GHz\n", elapsed, m.Seconds(elapsed))
-	fmt.Printf("events: %d, sends: %d, DRAM: %d reads / %d writes / %d bytes\n",
+	fmt.Fprintf(w, "simulated: %d cycles = %.6f s at 2 GHz\n", elapsed, m.Seconds(elapsed))
+	fmt.Fprintf(w, "events: %d, sends: %d, DRAM: %d reads / %d writes / %d bytes\n",
 		stats.Events, stats.Sends, stats.DRAMReads, stats.DRAMWrites, stats.DRAMBytes)
-	fmt.Printf("lanes touched: %d, utilization %.1f%%\n",
+	fmt.Fprintf(w, "lanes touched: %d, utilization %.1f%%\n",
 		stats.LanesTouched, 100*stats.Utilization())
 	if stats.ShuffleTuples != 0 {
-		fmt.Printf("shuffle: %d tuples in %d messages (%.2f tup/msg)\n",
-			stats.ShuffleTuples, stats.ShuffleMsgs,
-			float64(stats.ShuffleTuples)/float64(stats.ShuffleMsgs))
+		// The packing ratio only when something crossed the network: under
+		// Owner bindings every tuple can stay node-local.
+		line := fmt.Sprintf("shuffle: %d tuples in %d messages", stats.ShuffleTuples, stats.ShuffleMsgs)
+		if stats.ShuffleMsgs > 0 {
+			line += fmt.Sprintf(" (%.2f tup/msg)", float64(stats.ShuffleTuples)/float64(stats.ShuffleMsgs))
+		}
+		fmt.Fprintln(w, line)
 	}
 	if !stats.Faults.Zero() {
-		fmt.Printf("faults: dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d\n",
+		fmt.Fprintf(w, "faults: dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d\n",
 			stats.Faults.Dropped, stats.Faults.Dupped, stats.Faults.Delayed,
 			stats.Faults.DeadLetters, stats.Faults.Failovers, stats.Faults.Stalled)
 	}
@@ -760,10 +708,4 @@ func digest(vals ...uint64) uint64 {
 		h.Write(b[:])
 	}
 	return h.Sum64()
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -58,7 +58,7 @@ func TestObsFlagsTraceOptions(t *testing.T) {
 
 func TestSimFlagsValidate(t *testing.T) {
 	// ok is a valid baseline each case perturbs.
-	ok := simFlags{App: "bfs", Nodes: 4}
+	ok := simFlags{App: "bfs", Scale: 14, Nodes: 4, Accels: 32, Iters: 1, Records: 5000}
 	cases := []struct {
 		name    string
 		mut     func(*simFlags)
@@ -79,6 +79,16 @@ func TestSimFlagsValidate(t *testing.T) {
 		{"negative victim", func(f *simFlags) { f.VictimAt = -5 }, "-victim"},
 		{"victim full config", func(f *simFlags) { f.Rep = 2; f.Spare = true; f.VictimAt = 1000 }, ""},
 		{"victim one node", func(f *simFlags) { f.Nodes = 1; f.Rep = 1; f.Spare = true; f.VictimAt = 9 }, "-rep 2"},
+		{"unknown app", func(f *simFlags) { f.App = "sssp" }, "unknown app"},
+		{"long app name", func(f *simFlags) { f.App = "pagerank" }, ""},
+		{"negative scale", func(f *simFlags) { f.Scale = -1 }, "scale -1"},
+		{"scale beyond memory", func(f *simFlags) { f.Scale = 31 }, "scale 31"},
+		{"scale 0", func(f *simFlags) { f.Scale = 0 }, ""},
+		{"negative iters", func(f *simFlags) { f.Iters = -3 }, "iters -3"},
+		{"zero iters", func(f *simFlags) { f.Iters = 0 }, "iters 0"},
+		{"negative records", func(f *simFlags) { f.App = "ingest"; f.Records = -1 }, "records -1"},
+		{"zero nodes", func(f *simFlags) { f.Nodes = 0 }, "nodes 0"},
+		{"zero accels", func(f *simFlags) { f.Accels = 0 }, "accel 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

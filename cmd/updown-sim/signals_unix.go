@@ -20,8 +20,8 @@ import (
 //
 // Both requests are single atomic stores observed by the engine at its
 // next quiesced point, so a signal can never corrupt or perturb a run —
-// only end it early or snapshot it.
-func installSignals(pub *telemetry.Publisher) {
+// only end it early or snapshot it. stop uninstalls the handlers.
+func installSignals(pub *telemetry.Publisher) (stop func()) {
 	ch := make(chan os.Signal, 4)
 	signal.Notify(ch, syscall.SIGUSR1, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -41,4 +41,8 @@ func installSignals(pub *telemetry.Publisher) {
 			}
 		}
 	}()
+	return func() {
+		signal.Stop(ch)
+		close(ch)
+	}
 }

@@ -47,14 +47,14 @@ type Config struct {
 	SegCap int
 }
 
-// App is a BFS program instance.
+// App is a BFS program instance; its Driver's shuffle is the round
+// invocation.
 type App struct {
-	m   *updown.Machine
+	updown.Driver
 	dg  *graph.DeviceGraph
 	cfg Config
 
-	f   *collections.Frontier
-	inv *kvmsr.Invocation
+	f *collections.Frontier
 
 	lSubDone   udweave.Label
 	lSubTask   udweave.Label
@@ -67,12 +67,9 @@ type App struct {
 	lAppendAck udweave.Label
 	lSeedVisit udweave.Label
 	lSeedCount udweave.Label
-	lDriver    udweave.Label
 
 	visitedSlot int
 
-	Start  updown.Cycles
-	Done   updown.Cycles
 	Rounds int
 	// Traversed counts edges explored across all rounds (the GTEPS
 	// numerator).
@@ -121,7 +118,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if int(cfg.Root) >= dg.G.OrigN {
 		return nil, fmt.Errorf("bfs: root %d outside graph of %d vertices", cfg.Root, dg.G.OrigN)
 	}
-	a := &App{m: m, dg: dg, cfg: cfg, visitedSlot: m.Prog.AllocSlot()}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg, visitedSlot: m.Prog.AllocSlot()}
 	var reduce kvmsr.ReduceBinding // nil: Hash
 	if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
 		reduce = own
@@ -131,7 +128,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	accels := cfg.Lanes.Count / m.Arch.LanesPerAccel
 	segCap := cfg.SegCap
 	if segCap <= 0 {
-		segCap = 4*(dg.G.N/maxInt(accels, 1)) + 256
+		segCap = 4*(dg.G.N/max(accels, 1)) + 256
 	}
 	var err error
 	a.f, err = collections.NewFrontier(p, "bfs.front", cfg.Lanes, segCap)
@@ -155,9 +152,9 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lAppendAck = p.Define("bfs.append_ack", a.appendAck)
 	a.lSeedVisit = p.Define("bfs.seed_visit", a.seedVisit)
 	a.lSeedCount = p.Define("bfs.seed_count", a.seedCount)
-	a.lDriver = p.Define("bfs.driver", a.driver)
+	a.Label = p.Define("bfs.driver", a.driver)
 
-	a.inv, err = kvmsr.New(p, kvmsr.Spec{
+	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name:          "bfs.round",
 		NumKeys:       uint64(accels),
 		MapEvent:      kvMap,
@@ -177,74 +174,29 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	return a, nil
 }
 
-// ResilienceTotals aggregates the resilient-shuffle counters across the
-// app's lanes (zero when Machine.Resilience is nil). Call after Run.
-func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
-	return a.inv.ResilienceTotals(a.m.LanePeek())
-}
-
-// TerminationTotals reads the shuffle invocation's termination-protocol
-// counters (launches, drain probes, pushed deltas). Call after Run.
-func (a *App) TerminationTotals() kvmsr.TerminationTotals {
-	return a.inv.TerminationTotals(a.m.LanePeek())
-}
-
-// Outstanding reports unacked resilient emits left after a run (always
-// zero for a healthy run; leak detection for the chaos harness).
-func (a *App) Outstanding() int {
-	return a.inv.Outstanding(a.m.LanePeek())
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // InitValues prepares distances and seeds the root's frontier segment
 // (host-side setup).
 func (a *App) InitValues() {
 	for v := uint32(0); int(v) < a.dg.G.N; v++ {
-		a.m.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), Unvisited)
-		a.m.GAS.WriteU64(a.dg.FieldVA(v, graph.VAux), Unvisited)
+		a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), Unvisited)
+		a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VAux), Unvisited)
 	}
 	rootBase := a.dg.G.NewID[a.cfg.Root]
-	a.m.GAS.WriteU64(a.dg.FieldVA(rootBase, graph.VValue), 0)
+	a.M.GAS.WriteU64(a.dg.FieldVA(rootBase, graph.VValue), 0)
 	members := a.dg.G.Members(a.cfg.Root)
 	seed := make([]uint64, len(members))
 	for i, v := range members {
 		seed[i] = uint64(v)
 	}
-	a.f.HostSeed(a.m.GAS, 0, 0, seed)
+	a.f.HostSeed(a.M.GAS, 0, 0, seed)
 }
-
-// Post queues the driver event without entering the simulator, so the
-// host can drive execution itself (RunUntil + Checkpoint workflows).
-func (a *App) Post() { a.PostAt(0) }
-
-// PostAt queues the driver for delivery at cycle t: a job scheduler
-// launching this instance on a resident machine posts it just past the
-// already-simulated frontier.
-func (a *App) PostAt(t updown.Cycles) {
-	a.m.StartAt(t, updown.EvwNew(a.cfg.Lanes.First, a.lDriver))
-}
-
-// Run simulates to completion.
-func (a *App) Run() (updown.Stats, error) {
-	a.Post()
-	return a.m.Run()
-}
-
-// Elapsed returns the simulated cycles of the measured region.
-func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
 
 // Distances reads back the hop distances indexed by original input
 // vertex ID (post-run).
 func (a *App) Distances() []uint64 {
 	out := make([]uint64, a.dg.G.OrigN)
 	for v := range out {
-		out[v] = a.m.GAS.ReadU64(a.dg.FieldVA(a.dg.G.NewID[v], graph.VValue))
+		out[v] = a.M.GAS.ReadU64(a.dg.FieldVA(a.dg.G.NewID[v], graph.VValue))
 	}
 	return out
 }
@@ -254,7 +206,7 @@ func (a *App) Distances() []uint64 {
 func (a *App) Parents() []uint64 {
 	out := make([]uint64, a.dg.G.OrigN)
 	for v := range out {
-		out[v] = a.m.GAS.ReadU64(a.dg.FieldVA(a.dg.G.NewID[v], graph.VAux))
+		out[v] = a.M.GAS.ReadU64(a.dg.FieldVA(a.dg.G.NewID[v], graph.VAux))
 	}
 	return out
 }
@@ -268,8 +220,8 @@ func (a *App) driver(c *updown.Ctx) {
 		// Mark the root visited on its reduce owner lane. Keys in the
 		// shuffle are base-member IDs.
 		rootBase := uint64(a.dg.G.NewID[a.cfg.Root])
-		owner := a.inv.Spec().ReduceBinding.Lane(rootBase, a.cfg.Lanes)
-		c.SendEvent(udweave.EvwNew(owner, a.lSeedVisit), c.ContinueTo(a.lDriver), rootBase)
+		owner := a.Shuffle.Spec().ReduceBinding.Lane(rootBase, a.cfg.Lanes)
+		c.SendEvent(udweave.EvwNew(owner, a.lSeedVisit), c.ContinueTo(a.Label), rootBase)
 		return
 	}
 	st := c.State().(*driverState)
@@ -277,11 +229,11 @@ func (a *App) driver(c *updown.Ctx) {
 	case "seedv":
 		st.phase = "seedc"
 		members := uint64(len(a.dg.G.Members(a.cfg.Root)))
-		c.SendEvent(udweave.EvwNew(a.cfg.Lanes.First, a.lSeedCount), c.ContinueTo(a.lDriver), members)
+		c.SendEvent(udweave.EvwNew(a.cfg.Lanes.First, a.lSeedCount), c.ContinueTo(a.Label), members)
 	case "seedc":
 		st.phase = "round"
 		a.roundPhase(c, st.round)
-		a.inv.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.lDriver))
+		a.Shuffle.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.Label))
 	case "round":
 		a.Rounds++
 		a.Traversed += c.Op(0)
@@ -294,7 +246,7 @@ func (a *App) driver(c *updown.Ctx) {
 		}
 		st.round++
 		a.roundPhase(c, st.round)
-		a.inv.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.lDriver))
+		a.Shuffle.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.Label))
 	}
 }
 
@@ -331,13 +283,13 @@ func (a *App) kvMap(c *updown.Ctx) {
 	cnt := uint64(a.f.Count(c, parity))
 	a.f.Reset(c, parity)
 	if cnt == 0 {
-		a.inv.Return(c, c.Cont())
+		a.Shuffle.Return(c, c.Cont())
 		c.YieldTerminate()
 		return
 	}
 	st := &mapState{mapCont: c.Cont()}
 	c.SetState(st)
-	lpa := uint64(a.m.Arch.LanesPerAccel)
+	lpa := uint64(a.M.Arch.LanesPerAccel)
 	chunk := (cnt + lpa - 1) / lpa
 	self := c.NetworkID()
 	cont := c.ContinueTo(a.lSubDone)
@@ -361,8 +313,8 @@ func (a *App) subDone(c *updown.Ctx) {
 	st.expect--
 	c.Cycles(3)
 	if st.expect == 0 {
-		a.inv.EmitFrom(c, st.emits)
-		a.inv.Return(c, st.mapCont)
+		a.Shuffle.EmitFrom(c, st.emits)
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 	}
 }
@@ -398,7 +350,7 @@ func (a *App) subPump(c *updown.Ctx, st *subState) {
 		// This lane sends nothing more this round, and its own map phase
 		// ended at lane_start: flush its partly filled pack buffers now
 		// rather than leave them to the max-linger guard.
-		a.inv.Flush(c)
+		a.Shuffle.Flush(c)
 		c.Cycles(2)
 		c.Reply(st.cont, st.emitted)
 		c.YieldTerminate()
@@ -469,7 +421,7 @@ func (a *App) vChunk(c *updown.Ctx) {
 	st := c.State().(*vertState)
 	n := c.NOps()
 	for i := 0; i < n; i++ {
-		st.sent += a.inv.SendReduce(c, c.Op(i), st.round+1, uint64(st.v))
+		st.sent += a.Shuffle.SendReduce(c, c.Op(i), st.round+1, uint64(st.v))
 	}
 	st.loaded += uint64(n)
 	if st.loaded == st.degree {
@@ -489,7 +441,7 @@ func (a *App) kvReduce(c *updown.Ctx) {
 	c.ScratchAccess(1)
 	c.Cycles(4)
 	if vis[v] {
-		a.inv.ReduceDone(c)
+		a.Shuffle.ReduceDone(c)
 		c.YieldTerminate()
 		return
 	}
@@ -526,7 +478,7 @@ func (a *App) appendAck(c *updown.Ctx) {
 	st.pendingAcks--
 	c.Cycles(2)
 	if st.pendingAcks == 0 {
-		a.inv.ReduceDone(c)
+		a.Shuffle.ReduceDone(c)
 		c.YieldTerminate()
 	}
 }

@@ -51,9 +51,11 @@ type Config struct {
 	Combine bool
 }
 
-// App is a PageRank program instance bound to one machine and graph.
+// App is a PageRank program instance bound to one machine and graph. Its
+// Driver's shuffle is the main scatter invocation: flush and apply are
+// map-only.
 type App struct {
-	m   *updown.Machine
+	updown.Driver
 	dg  *graph.DeviceGraph
 	cfg Config
 
@@ -65,7 +67,6 @@ type App struct {
 	auxBlock uint32
 
 	cc       *collections.CombiningCache
-	mainInv  *kvmsr.Invocation
 	flushInv *kvmsr.Invocation
 	applyInv *kvmsr.Invocation
 
@@ -77,13 +78,8 @@ type App struct {
 	lApplyRead udweave.Label
 	lAuxRead   udweave.Label
 	lApplyAck  udweave.Label
-	lDriver    udweave.Label
 
 	iterLeft int
-	// Start and Done are the simulated cycle bounds of the measured
-	// region (all iterations).
-	Start updown.Cycles
-	Done  updown.Cycles
 	// PhaseMarks records the completion cycle of every phase
 	// (map/reduce, flush, apply per iteration) for bottleneck analysis.
 	PhaseMarks []updown.Cycles
@@ -125,7 +121,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	a := &App{m: m, dg: dg, cfg: cfg}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
 	a.cc = collections.NewCombiningCache(p, "pr.fna", collections.AddF64)
 	// Where the vertex array's nodes are the lane set's, every per-vertex
@@ -162,13 +158,13 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lApplyRead = p.Define("pr.apply_read", a.applyRead)
 	a.lAuxRead = p.Define("pr.aux_read", a.auxRead)
 	a.lApplyAck = p.Define("pr.apply_ack", a.applyAck)
-	a.lDriver = p.Define("pr.driver", a.driver)
+	a.Label = p.Define("pr.driver", a.driver)
 
 	var combiner kvmsr.Combiner
 	if cfg.Combine {
 		combiner = addCombiner
 	}
-	a.mainInv, err = kvmsr.New(p, kvmsr.Spec{
+	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce,
 		MapBinding: mapBinding, ReduceBinding: reduceBinding,
@@ -210,50 +206,16 @@ func addCombiner(_ uint64, a, b []uint64) []uint64 {
 	return a
 }
 
-// ResilienceTotals aggregates the resilient-shuffle counters across the
-// app's lanes (zero when Machine.Resilience is nil). Only the main
-// scatter invocation shuffles; flush/apply are map-only. Call after Run.
-func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
-	return a.mainInv.ResilienceTotals(a.m.LanePeek())
-}
-
-// TerminationTotals reads the shuffle invocation's termination-protocol
-// counters (launches, drain probes, pushed deltas). Call after Run.
-func (a *App) TerminationTotals() kvmsr.TerminationTotals {
-	return a.mainInv.TerminationTotals(a.m.LanePeek())
-}
-
 // InitValues writes the uniform starting vector (host-side setup).
 func (a *App) InitValues() {
 	init := udweave.FloatBits(1.0 / float64(a.dg.G.OrigN))
 	for v := uint32(0); int(v) < a.dg.G.N; v++ {
 		if a.dg.G.IsBase(v) {
-			a.m.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), init)
+			a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), init)
 		}
-		a.m.GAS.WriteU64(a.auxVA+uint64(v)*gasmem.WordBytes, 0)
+		a.M.GAS.WriteU64(a.auxVA+uint64(v)*gasmem.WordBytes, 0)
 	}
 }
-
-// Post queues the driver event without entering the simulator, so the
-// host can drive execution itself (RunUntil + Checkpoint workflows).
-func (a *App) Post() { a.PostAt(0) }
-
-// PostAt queues the driver for delivery at cycle t: a job scheduler
-// launching this instance on a resident machine posts it just past the
-// already-simulated frontier.
-func (a *App) PostAt(t updown.Cycles) {
-	a.iterLeft = a.cfg.Iterations
-	a.m.StartAt(t, updown.EvwNew(a.cfg.Lanes.First, a.lDriver))
-}
-
-// Run posts the driver and simulates to completion, returning statistics.
-func (a *App) Run() (updown.Stats, error) {
-	a.Post()
-	return a.m.Run()
-}
-
-// Elapsed returns the simulated cycles of the measured region.
-func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
 
 // PhaseDurations splits Elapsed into each completed iteration's map+reduce,
 // flush and apply cycles (read from PhaseMarks; flush is zero under
@@ -282,7 +244,7 @@ func (a *App) Values() []float64 {
 	out := make([]float64, a.dg.G.OrigN)
 	for v := range out {
 		base := a.dg.G.NewID[v]
-		out[v] = udweave.BitsFloat(a.m.GAS.ReadU64(a.dg.FieldVA(base, graph.VValue)))
+		out[v] = udweave.BitsFloat(a.M.GAS.ReadU64(a.dg.FieldVA(base, graph.VValue)))
 	}
 	return out
 }
@@ -291,9 +253,10 @@ func (a *App) Values() []float64 {
 func (a *App) driver(c *updown.Ctx) {
 	if c.State() == nil {
 		a.Start = c.Now()
+		a.iterLeft = a.cfg.Iterations
 		c.SetState("map")
 		a.phase(c, "map")
-		a.mainInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.lDriver))
+		a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 		return
 	}
 	a.PhaseMarks = append(a.PhaseMarks, c.Now())
@@ -307,7 +270,7 @@ func (a *App) driver(c *updown.Ctx) {
 		}
 		c.SetState("flush")
 		a.phase(c, "flush")
-		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.lDriver))
+		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.Label))
 	case "flush":
 		a.flushed2apply(c)
 	case "apply":
@@ -315,7 +278,7 @@ func (a *App) driver(c *updown.Ctx) {
 		if a.iterLeft > 0 {
 			c.SetState("map")
 			a.phase(c, "map")
-			a.mainInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.lDriver))
+			a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 			return
 		}
 		a.Done = c.Now()
@@ -335,7 +298,7 @@ func (a *App) phase(c *updown.Ctx, name string) {
 func (a *App) flushed2apply(c *updown.Ctx) {
 	c.SetState("apply")
 	a.phase(c, "apply")
-	a.applyInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.lDriver))
+	a.applyInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 }
 
 // kvMap: load this split vertex's record, then stream its neighbors.
@@ -371,7 +334,7 @@ func (a *App) parentVal(c *updown.Ctx) {
 // reads in chunks of eight (Listing 3's kv_map loop).
 func (a *App) beginStream(c *updown.Ctx, st *workerState, valueBits uint64) {
 	if st.degree == 0 {
-		a.mainInv.Return(c, st.mapCont)
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 		return
 	}
@@ -394,11 +357,11 @@ func (a *App) returnRead(c *updown.Ctx) {
 	st := c.State().(*workerState)
 	n := c.NOps()
 	for i := 0; i < n; i++ {
-		a.mainInv.Emit(c, c.Op(i), st.contribBits)
+		a.Shuffle.Emit(c, c.Op(i), st.contribBits)
 	}
 	st.loadedNeighbors += uint64(n)
 	if st.loadedNeighbors == st.degree {
-		a.mainInv.Return(c, st.mapCont)
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 	}
 }
@@ -416,13 +379,13 @@ func (a *App) kvReduce(c *updown.Ctx) {
 	}
 	c.Cycles(4)
 	a.cc.Add(c, va, c.Op(1))
-	a.mainInv.ReduceDone(c)
+	a.Shuffle.ReduceDone(c)
 	c.YieldTerminate()
 }
 
 // reduceAck completes a memory-side-atomic reduce.
 func (a *App) reduceAck(c *updown.Ctx) {
-	a.mainInv.ReduceDone(c)
+	a.Shuffle.ReduceDone(c)
 	c.YieldTerminate()
 }
 

@@ -30,26 +30,22 @@ type Config struct {
 	BucketCap int
 }
 
-// App is a sort program instance.
+// App is a sort program instance; its Driver's shuffle is the scatter
+// invocation.
 type App struct {
-	m   *updown.Machine
+	updown.Driver
 	cfg Config
 	n   int
 
 	inVA      gasmem.VA
 	bucketsVA gasmem.VA
 
-	mainInv *kvmsr.Invocation
 	sortInv *kvmsr.Invocation
 
 	lInChunk udweave.Label
 	lInsert  udweave.Label
 	lLoaded  udweave.Label
 	lStored  udweave.Label
-	lDriver  udweave.Label
-
-	Start updown.Cycles
-	Done  updown.Cycles
 }
 
 // mapState streams one map task's input chunk.
@@ -100,7 +96,7 @@ func New(m *updown.Machine, input []uint64, cfg Config) (*App, error) {
 	if cfg.Buckets > cfg.Lanes.Count {
 		return nil, fmt.Errorf("sort: %d buckets exceed %d lanes", cfg.Buckets, cfg.Lanes.Count)
 	}
-	a := &App{m: m, cfg: cfg, n: len(input)}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, cfg: cfg, n: len(input)}
 	gas := m.GAS
 	var err error
 	a.inVA, err = gas.DRAMmalloc(uint64(len(input))*gasmem.WordBytes, 0, gasmem.FloorPow2(m.Arch.Nodes), 32<<10)
@@ -125,10 +121,10 @@ func New(m *updown.Machine, input []uint64, cfg Config) (*App, error) {
 	sortBody := p.Define("sort.bucket_sort", a.bucketSort)
 	a.lLoaded = p.Define("sort.loaded", a.loaded)
 	a.lStored = p.Define("sort.stored", a.stored)
-	a.lDriver = p.Define("sort.driver", a.driver)
+	a.Label = p.Define("sort.driver", a.driver)
 
 	nTasks := (len(input) + elemsPerMapTask - 1) / elemsPerMapTask
-	a.mainInv, err = kvmsr.New(p, kvmsr.Spec{
+	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "sort.scatter", NumKeys: uint64(nTasks),
 		MapEvent: mapBody, ReduceEvent: a.lInsert,
 		ReduceBinding: kvmsr.ReduceFunc(a.bucketOwner),
@@ -144,26 +140,13 @@ func New(m *updown.Machine, input []uint64, cfg Config) (*App, error) {
 	a.sortInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "sort.local", NumKeys: uint64(cfg.Buckets),
 		MapEvent:   sortBody,
-		MapBinding: kvmsr.Stride{Step: maxInt(cfg.Lanes.Count/cfg.Buckets, 1)},
+		MapBinding: kvmsr.Stride{Step: max(cfg.Lanes.Count/cfg.Buckets, 1)},
 		Lanes:      cfg.Lanes,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return a, nil
-}
-
-// ResilienceTotals aggregates the resilient-shuffle counters across the
-// app's lanes (zero when Machine.Resilience is nil). Call after Run.
-func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
-	return a.mainInv.ResilienceTotals(a.m.LanePeek())
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bucketOf maps a value to its bucket.
@@ -177,7 +160,7 @@ func (a *App) bucketOf(v uint64) uint32 {
 
 // bucketOwner is the reduce binding: bucket b is owned by a fixed lane.
 func (a *App) bucketOwner(key uint64, ls kvmsr.LaneSet) updown.NetworkID {
-	stride := maxInt(ls.Count/a.cfg.Buckets, 1)
+	stride := max(ls.Count/a.cfg.Buckets, 1)
 	return ls.First + updown.NetworkID(int(key)*stride%ls.Count)
 }
 
@@ -186,23 +169,14 @@ func (a *App) bucketVA(b uint32) gasmem.VA {
 	return a.bucketsVA + uint64(int(b)*a.cfg.BucketCap)*gasmem.WordBytes
 }
 
-// Run simulates the scatter and local-sort phases.
-func (a *App) Run() (updown.Stats, error) {
-	a.m.Start(updown.EvwNew(a.cfg.Lanes.First, a.lDriver))
-	return a.m.Run()
-}
-
-// Elapsed returns the simulated cycles of the measured region.
-func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
-
 // Result reads back the sorted array (host side, post-run).
 func (a *App) Result() []uint64 {
 	out := make([]uint64, 0, a.n)
 	for b := 0; b < a.cfg.Buckets; b++ {
-		cnt := a.m.GAS.ReadU64(a.bucketVA(uint32(b)))
+		cnt := a.M.GAS.ReadU64(a.bucketVA(uint32(b)))
 		base := a.bucketVA(uint32(b)) + gasmem.WordBytes
 		for i := uint64(0); i < cnt; i++ {
-			out = append(out, a.m.GAS.ReadU64(base+i*gasmem.WordBytes))
+			out = append(out, a.M.GAS.ReadU64(base+i*gasmem.WordBytes))
 		}
 	}
 	return out
@@ -213,13 +187,13 @@ func (a *App) driver(c *updown.Ctx) {
 		a.Start = c.Now()
 		c.SetState("scatter")
 		nTasks := uint64((a.n + elemsPerMapTask - 1) / elemsPerMapTask)
-		a.mainInv.Launch(c, nTasks, c.ContinueTo(a.lDriver))
+		a.Shuffle.Launch(c, nTasks, c.ContinueTo(a.Label))
 		return
 	}
 	switch c.State().(string) {
 	case "scatter":
 		c.SetState("sort")
-		a.sortInv.Launch(c, uint64(a.cfg.Buckets), c.ContinueTo(a.lDriver))
+		a.sortInv.Launch(c, uint64(a.cfg.Buckets), c.ContinueTo(a.Label))
 	case "sort":
 		a.Done = c.Now()
 		c.YieldTerminate()
@@ -245,9 +219,9 @@ func (a *App) inChunk(c *updown.Ctx) {
 	c.Cycles(3 * n)
 	for i := 0; i < n; i++ {
 		v := c.Op(i)
-		a.mainInv.Emit(c, uint64(a.bucketOf(v)), v)
+		a.Shuffle.Emit(c, uint64(a.bucketOf(v)), v)
 	}
-	a.mainInv.Return(c, st.mapCont)
+	a.Shuffle.Return(c, st.mapCont)
 	c.YieldTerminate()
 }
 
@@ -289,7 +263,7 @@ func (a *App) stored(c *updown.Ctx) {
 		}
 		return
 	}
-	a.mainInv.ReduceDone(c)
+	a.Shuffle.ReduceDone(c)
 	c.YieldTerminate()
 }
 
@@ -348,7 +322,7 @@ func (a *App) finishSort(c *updown.Ctx, st *sortState) {
 	for t := n; t > 1; t >>= 1 {
 		logN++
 	}
-	c.Cycles(3 * n * maxInt(logN, 1))
+	c.Cycles(3 * n * max(logN, 1))
 	ack := c.ContinueTo(a.lStored)
 	st.writes = 1
 	c.DRAMWrite(a.bucketVA(st.bucket), ack, uint64(n))

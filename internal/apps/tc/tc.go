@@ -38,14 +38,14 @@ type Config struct {
 	Combine bool
 }
 
-// App is a TC program instance.
+// App is a TC program instance; its Driver's shuffle is the main pair
+// invocation.
 type App struct {
-	m   *updown.Machine
+	updown.Driver
 	dg  *graph.DeviceGraph
 	cfg Config
 
 	cc       *collections.CombiningCache
-	mainInv  *kvmsr.Invocation
 	flushInv *kvmsr.Invocation
 
 	// totalsVA is a per-lane partial-total array (exclusive combining
@@ -58,10 +58,6 @@ type App struct {
 	lAChunk  udweave.Label
 	lBChunk  udweave.Label
 	lFlushed udweave.Label
-	lDriver  udweave.Label
-
-	Start updown.Cycles
-	Done  updown.Cycles
 }
 
 // mapState streams vertex u's list, emitting pairs.
@@ -101,7 +97,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Lanes.Count == 0 {
 		cfg.Lanes = kvmsr.AllLanes(m.Arch)
 	}
-	a := &App{m: m, dg: dg, cfg: cfg}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
 	a.cc = collections.NewCombiningCache(p, "tc.count", collections.AddU64)
 
@@ -114,7 +110,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lBChunk = p.Define("tc.b_chunk", a.bChunk)
 	flushBody := p.Define("tc.flush", a.flushBody)
 	a.lFlushed = p.Define("tc.flushed", a.flushed)
-	a.lDriver = p.Define("tc.driver", a.driver)
+	a.Label = p.Define("tc.driver", a.driver)
 
 	var mb kvmsr.MapBinding = kvmsr.Block{}
 	if cfg.UsePBMW {
@@ -127,7 +123,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		combiner = keepFirst
 	}
 	var err error
-	a.mainInv, err = kvmsr.New(p, kvmsr.Spec{
+	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "tc.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce, MapBinding: mb,
 		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
@@ -158,44 +154,12 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	return a, nil
 }
 
-// Post queues the driver event without entering the simulator, so the
-// host can drive execution itself (RunUntil + Checkpoint workflows).
-func (a *App) Post() { a.PostAt(0) }
-
-// PostAt queues the driver for delivery at cycle t: a job scheduler
-// launching this instance on a resident machine posts it just past the
-// already-simulated frontier.
-func (a *App) PostAt(t updown.Cycles) {
-	a.m.StartAt(t, updown.EvwNew(a.cfg.Lanes.First, a.lDriver))
-}
-
-// Run simulates to completion.
-func (a *App) Run() (updown.Stats, error) {
-	a.Post()
-	return a.m.Run()
-}
-
-// ResilienceTotals aggregates the resilient-shuffle counters across the
-// app's lanes (zero when Machine.Resilience is nil). Call after Run.
-func (a *App) ResilienceTotals() kvmsr.ResilienceTotals {
-	return a.mainInv.ResilienceTotals(a.m.LanePeek())
-}
-
-// TerminationTotals reads the shuffle invocation's termination-protocol
-// counters (launches, drain probes, pushed deltas). Call after Run.
-func (a *App) TerminationTotals() kvmsr.TerminationTotals {
-	return a.mainInv.TerminationTotals(a.m.LanePeek())
-}
-
-// Elapsed returns the simulated cycles of the measured region.
-func (a *App) Elapsed() updown.Cycles { return a.Done - a.Start }
-
 // Total reads back the per-edge intersection total (3x the triangle
 // count); host side, post-run.
 func (a *App) Total() uint64 {
 	var sum uint64
 	for i := 0; i < a.cfg.Lanes.Count; i++ {
-		sum += a.m.GAS.ReadU64(a.totalsVA + uint64(i)*gasmem.WordBytes)
+		sum += a.M.GAS.ReadU64(a.totalsVA + uint64(i)*gasmem.WordBytes)
 	}
 	return sum
 }
@@ -208,14 +172,14 @@ func (a *App) driver(c *updown.Ctx) {
 		a.Start = c.Now()
 		c.Phase("tc main")
 		c.SetState("main")
-		a.mainInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.lDriver))
+		a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 		return
 	}
 	switch c.State().(string) {
 	case "main":
 		c.Phase("tc flush")
 		c.SetState("flush")
-		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.lDriver))
+		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.Label))
 	case "flush":
 		a.Done = c.Now()
 		c.PhaseEnd()
@@ -236,7 +200,7 @@ func (a *App) uRecord(c *updown.Ctx) {
 	st.degree = c.Op(0)
 	st.neighVA = c.Op(1)
 	if st.degree == 0 {
-		a.mainInv.Return(c, st.mapCont)
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 		return
 	}
@@ -260,12 +224,12 @@ func (a *App) uChunk(c *updown.Ctx) {
 		v := c.Op(i)
 		if v < st.u {
 			// Pass u's list descriptor so the reduce reads only v's.
-			a.mainInv.Emit(c, pairKey(st.u, v), uint64(st.neighVA), st.degree)
+			a.Shuffle.Emit(c, pairKey(st.u, v), uint64(st.neighVA), st.degree)
 		}
 	}
 	st.loaded += uint64(n)
 	if st.loaded == st.degree {
-		a.mainInv.Return(c, st.mapCont)
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 	}
 }
@@ -352,7 +316,7 @@ func (a *App) finishReduce(c *updown.Ctx, st *reduceState) {
 		laneIdx := a.cfg.Lanes.Index(c.NetworkID())
 		a.cc.Add(c, a.totalsVA+uint64(laneIdx)*gasmem.WordBytes, st.count)
 	}
-	a.mainInv.ReduceDone(c)
+	a.Shuffle.ReduceDone(c)
 	c.YieldTerminate()
 }
 

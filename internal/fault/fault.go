@@ -187,11 +187,12 @@ func Compile(p *Plan, m arch.Machine) (*Injector, error) {
 		defaultDelay = 1
 	}
 	for i, r := range p.Rules {
-		if r.DropProb < 0 || r.DupProb < 0 || r.DelayProb < 0 {
-			return nil, fmt.Errorf("fault: rule %d: negative probability", i)
+		// Written so that NaN, which fails every comparison, is rejected.
+		if !(r.DropProb >= 0 && r.DupProb >= 0 && r.DelayProb >= 0) {
+			return nil, fmt.Errorf("fault: rule %d: NaN or negative probability", i)
 		}
 		sum := r.DropProb + r.DupProb + r.DelayProb
-		if sum > 1 {
+		if !(sum <= 1) {
 			return nil, fmt.Errorf("fault: rule %d: probabilities sum to %g > 1", i, sum)
 		}
 		if err := checkNode(m, "rule", i, r.SrcNode); err != nil {

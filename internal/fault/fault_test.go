@@ -26,6 +26,7 @@ func TestCompileValidation(t *testing.T) {
 	}{
 		{"ok-basic", Plan{Rules: []MsgRule{{DropProb: 0.1, SrcNode: AnyNode, DstNode: AnyNode}}}, ""},
 		{"neg-prob", Plan{Rules: []MsgRule{{DropProb: -0.1, SrcNode: AnyNode, DstNode: AnyNode}}}, "negative probability"},
+		{"nan-prob", Plan{Rules: []MsgRule{{DupProb: math.NaN(), SrcNode: AnyNode, DstNode: AnyNode}}}, "NaN"},
 		{"sum-over-one", Plan{Rules: []MsgRule{{DropProb: 0.6, DupProb: 0.6, SrcNode: AnyNode, DstNode: AnyNode}}}, "sum to"},
 		{"bad-src", Plan{Rules: []MsgRule{{DropProb: 0.1, SrcNode: 99, DstNode: AnyNode}}}, "out of range"},
 		{"empty-window", Plan{Rules: []MsgRule{{DropProb: 0.1, SrcNode: AnyNode, DstNode: AnyNode, From: 100, Until: 100}}}, "empty window"},
@@ -187,6 +188,7 @@ func TestParseSpec(t *testing.T) {
 				p.Degrades[0] == (Degrade{Node: 2, InjFactor: 3, DRAMFactor: 4, From: 100})
 		}},
 		{"drop=1.5", "probability", nil},
+		{"drop=NaN", "probability", nil},
 		{"drop", "key=value", nil},
 		{"src=1", "no drop/dup/delay", nil},
 		{"bogus=1", "unknown clause", nil},

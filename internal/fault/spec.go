@@ -58,7 +58,7 @@ func ParseSpec(spec string) (*Plan, error) {
 				}
 			}
 			f, err := strconv.ParseFloat(prob, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return nil, fmt.Errorf("fault: %s probability %q: want a value in [0,1]", key, prob)
 			}
 			switch key {

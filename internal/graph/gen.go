@@ -156,3 +156,19 @@ func PresetByName(name string) (Preset, error) {
 	}
 	return Preset{}, fmt.Errorf("graph: unknown preset %q", name)
 }
+
+// BuildPreset generates the named preset at scale as every driver uses it:
+// deduplicated, without self-loops, neighbor lists sorted, and undirected
+// when the preset is or when forceUndirected asks for it.
+func BuildPreset(name string, scale int, seed uint64, forceUndirected bool) (*Graph, error) {
+	p, err := PresetByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(1<<scale, p.Build(scale, seed), BuildOptions{
+		Undirected:    p.Undirected || forceUndirected,
+		Dedup:         true,
+		DropSelfLoops: true,
+		SortNeighbors: true,
+	}), nil
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"updown"
-	"updown/internal/apps/bfs"
 	"updown/internal/arch"
 	"updown/internal/fault"
 	"updown/internal/graph"
@@ -112,30 +111,27 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.FaultSeed, 1)
 	const root = paperRoot
-	if err := validate(opt.Scale, root, positive("nodes", opt.Nodes)); err != nil {
+	if err := Validate(opt.Scale, root, Positive("nodes", opt.Nodes)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}
-	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
+	g, err := graph.BuildPreset("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	split := bfsApp.split(g)
-
 	machNodes := opt.Nodes
 	if opt.FailStop {
 		machNodes++ // the spare that dies
 	}
 	ar := arch.DefaultMachine(machNodes)
-	appLanes := kvmsr.LaneSet{First: 0, Count: opt.Nodes * ar.LanesPerNode()}
+	w := bfsApp.workload(g, AppConfig{Lanes: kvmsr.LaneSet{First: 0, Count: opt.Nodes * ar.LanesPerNode()}, Root: root}, false)
 
 	tb := &ChaosTable{
 		Workload: fmt.Sprintf("rmat s%d (%d vertices, %d edges, root %d), %d nodes, dup=%.3g",
 			opt.Scale, g.N, g.NumEdges(), root, opt.Nodes, opt.DupProb),
 	}
 
-	var golden *appOutput // the fault-free row's distances and traversed edges
-	var rounds int
+	var golden *appOutput // the fault-free row's distances, rounds and traversed edges
 
 	rates := append([]float64{0}, opt.DropRates...)
 	for _, rate := range rates {
@@ -156,39 +152,34 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(opt.Nodes))
+		j, err := w.start(m, graph.DefaultPlacement(opt.Nodes))
 		if err != nil {
 			return nil, err
 		}
-		app, err := bfs.New(m, dg, bfs.Config{Root: root, Lanes: appLanes})
-		if err != nil {
-			return nil, err
-		}
-		app.InitValues()
 		progressf(s.Progress, "chaos-bfs drop=%.3g: running", rate)
 		wall := time.Now()
-		stats, err := app.Run()
+		stats, err := j.Run()
 		if err != nil {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g: %w", rate, err)
 		}
 		progressf(s.Progress, "chaos-bfs drop=%.3g: done in %.1fs", rate, time.Since(wall).Seconds())
-		res := appOutput{dist: app.Distances(), work: float64(app.Traversed)}
+		res := j.output()
 		if golden == nil {
-			golden, rounds = &res, app.Rounds
-		} else if app.Rounds != rounds || res.work != golden.work {
+			golden = &res
+		} else if res.rounds != golden.rounds || res.work != golden.work {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g: rounds/traversed %d/%.0f, fault-free %d/%.0f",
-				rate, app.Rounds, res.work, rounds, golden.work)
+				rate, res.rounds, res.work, golden.rounds, golden.work)
 		} else if err := golden.diff(res); err != nil {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g vs fault-free: %w", rate, err)
 		}
-		if out := app.Outstanding(); out != 0 {
+		if out := j.Outstanding(); out != 0 {
 			return nil, fmt.Errorf("chaos bfs drop=%.3g: %d emits unacked after quiescence", rate, out)
 		}
-		rt := app.ResilienceTotals()
+		rt := j.ResilienceTotals()
 		row := ChaosRow{
 			DropRate:    rate,
-			Cycles:      app.Elapsed(),
-			Goodput:     float64(app.Traversed) / m.Seconds(app.Elapsed()) / 1e9,
+			Cycles:      j.Elapsed(),
+			Goodput:     res.work / m.Seconds(j.Elapsed()) / 1e9,
 			Dropped:     stats.Faults.Dropped,
 			Dupped:      stats.Faults.Dupped,
 			DeadLetters: stats.Faults.DeadLetters,

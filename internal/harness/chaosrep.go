@@ -141,15 +141,15 @@ func chaosRepRun(opt ChaosRepOptions, w *workload, failAt arch.Cycles) (*chaosRe
 	}
 	// 4 KiB blocks (not the 32 KiB default) so chaos-scale graphs still
 	// stripe across all four data nodes — the victim must carry data.
-	r, err := w.start(m, graph.Placement{FirstNode: 0, NRNodes: chaosRepDataNodes, BlockBytes: 4 << 10})
+	j, err := w.start(m, graph.Placement{FirstNode: 0, NRNodes: chaosRepDataNodes, BlockBytes: 4 << 10})
 	if err != nil {
 		return nil, err
 	}
-	stats, err := r.run()
+	stats, err := j.Run()
 	if err != nil {
 		return nil, err
 	}
-	return &chaosRepOutcome{m: m, cycles: r.elapsed(), stats: stats, out: r.output()}, nil
+	return &chaosRepOutcome{m: m, cycles: j.Elapsed(), stats: stats, out: j.output()}, nil
 }
 
 // chaosRepMatch compares a faulted run's output against the fault-free
@@ -193,15 +193,15 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 	if opt.Rep < 2 {
 		return nil, fmt.Errorf("chaosrep: replication factor %d, need >= 2 to survive a fail-stop", opt.Rep)
 	}
-	if err := validate(opt.Scale, paperRoot); err != nil {
+	if err := Validate(opt.Scale, paperRoot); err != nil {
 		return nil, err
 	}
-	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
+	g, err := graph.BuildPreset("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
 	lanes := chaosRepAppNodes * arch.DefaultMachine(chaosRepMachNodes).LanesPerNode()
-	cfg := appConfig{lanes: kvmsr.LaneSet{First: 0, Count: lanes}, root: paperRoot, iters: 1}
+	cfg := AppConfig{Lanes: kvmsr.LaneSet{First: 0, Count: lanes}, Root: paperRoot, Iters: 1}
 	// spare is Backfill's destination (-1 = heal the victim in place);
 	// target is whichever node then holds the victim's stripes.
 	heal, spare, target := "in place", -1, chaosRepVictim
@@ -213,17 +213,17 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 			opt.Scale, opt.Rep, chaosRepDataNodes, chaosRepAppNodes, chaosRepVictim, heal),
 	}
 	for _, app := range opt.Apps {
-		a := graphApps[app]
+		a := LookupApp(app)
 		if a == nil {
 			return nil, fmt.Errorf("chaosrep: unknown app %q", app)
 		}
-		split := a.split
+		split := a.Split
 		if a == prApp {
 			// This run keeps PageRank on the plain 256 cap rather than the
 			// Fig. 9 spread split; its recorded cycle counts depend on it.
-			split = bfsApp.split
+			split = bfsApp.Split
 		}
-		w := &workload{app: a, g: g, split: split(g), cfg: cfg}
+		w := &workload{app: a, split: split(g, prMaxDeg), cfg: cfg}
 		progressf(opt.Progress, "chaosrep %s: clean run", app)
 		clean, err := chaosRepRun(opt, w, 0)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // full tracing and returns the machine plus its rendered analyses.
 func runPRTraced(t *testing.T, shards int) (*updown.Machine, *metrics.CritPath, string, string, []byte) {
 	t.Helper()
-	g, err := buildPreset("rmat", 9, 42, true)
+	g, err := graph.BuildPreset("rmat", 9, 42, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 	orDefaultList(&opt.Nodes, 1, 2, 4, 8)
 	orDefault(&opt.BlockBytes, 512)
 	orDefault(&opt.Seed, 7)
-	if err := validate(0, 0, positive("records", opt.BaseRecords), positive("mults", opt.Multipliers...),
-		positive("nodes", opt.Nodes...), positive("block", opt.BlockBytes)); err != nil {
+	if err := Validate(0, 0, Positive("records", opt.BaseRecords), Positive("mults", opt.Multipliers...),
+		Positive("nodes", opt.Nodes...), Positive("block", opt.BlockBytes)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, Coalesce: opt.Coalesce,
@@ -115,7 +115,7 @@ func Fig11PartialMatch(opt Fig11Options) (*Table, error) {
 	orDefaultList(&opt.LaneCounts, 32, 128, 512, 2048)
 	orDefault(&opt.Seed, 11)
 	orDefault(&opt.MaxTime, 1<<46)
-	if err := validate(0, 0, positive("records", opt.Records), positive("lanes", opt.LaneCounts...)); err != nil {
+	if err := Validate(0, 0, Positive("records", opt.Records), Positive("lanes", opt.LaneCounts...)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}

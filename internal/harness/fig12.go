@@ -51,12 +51,12 @@ func Fig12Placement(opt Fig12Options) ([]*Table, error) {
 	orDefault(&opt.Scale, 14)
 	orDefault(&opt.DRAMBytesPerCycle, 100)
 	orDefault(&opt.Seed, 42)
-	if err := validate(opt.Scale, paperRoot, positive("compute", opt.ComputeNodes), positive("mem", opt.MemNodes...),
-		positive("dram-bw", opt.DRAMBytesPerCycle), positive("reps", opt.Reps...)); err != nil {
+	if err := Validate(opt.Scale, paperRoot, Positive("compute", opt.ComputeNodes), Positive("mem", opt.MemNodes...),
+		Positive("dram-bw", opt.DRAMBytesPerCycle), Positive("reps", opt.Reps...)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}
-	g, err := buildPreset("rmat", opt.Scale, opt.Seed, false)
+	g, err := graph.BuildPreset("rmat", opt.Scale, opt.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -66,8 +66,8 @@ func Fig12Placement(opt Fig12Options) ([]*Table, error) {
 		return graph.Placement{FirstNode: 0, NRNodes: mem, BlockBytes: 32 << 10}
 	}
 	workloads := []*workload{
-		prApp.workload(g, appConfig{iters: 1}, false),
-		bfsApp.workload(g, appConfig{root: paperRoot}, false),
+		prApp.workload(g, AppConfig{Iters: 1}, false),
+		bfsApp.workload(g, AppConfig{Root: paperRoot}, false),
 	}
 
 	var tables []*Table

@@ -57,21 +57,21 @@ func Fig9TC(opt Fig9Options) ([]*Table, error) {
 }
 
 // fig9 sweeps the machine size for app a, one table per preset graph.
-func fig9(opt Fig9Options, a *graphApp, figure string, scale int, presets []string) ([]*Table, error) {
+func fig9(opt Fig9Options, a *GraphApp, figure string, scale int, presets []string) ([]*Table, error) {
 	orDefault(&opt.Scale, scale)
 	orDefaultList(&opt.Nodes, 1, 2, 4, 8, 16)
 	orDefaultList(&opt.Presets, presets...)
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.Iterations, 1)
-	cfg := func(preset string) appConfig {
-		c := appConfig{iters: opt.Iterations, combine: opt.Combine}
+	cfg := func(preset string) AppConfig {
+		c := AppConfig{Iters: opt.Iterations, Combine: opt.Combine}
 		if a == bfsApp && preset != "erdos-renyi" { // the paper roots ER graphs at 0
-			c.root = paperRoot
+			c.Root = paperRoot
 		}
 		return c
 	}
 	for _, name := range opt.Presets {
-		if err := validate(opt.Scale, cfg(name).root, positive("nodes", opt.Nodes...), positive("iters", opt.Iterations)); err != nil {
+		if err := Validate(opt.Scale, cfg(name).Root, Positive("nodes", opt.Nodes...), Positive("iters", opt.Iterations)); err != nil {
 			return nil, err
 		}
 	}
@@ -79,7 +79,7 @@ func fig9(opt Fig9Options, a *graphApp, figure string, scale int, presets []stri
 		MaxTime: opt.MaxTime, Progress: opt.Progress, shuffle: true}
 	var tables []*Table
 	for _, name := range opt.Presets {
-		g, err := buildPreset(name, opt.Scale, opt.Seed, a.symmetrize)
+		g, err := graph.BuildPreset(name, opt.Scale, opt.Seed, a.symmetrize)
 		if err != nil {
 			return nil, err
 		}

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"updown"
-	"updown/internal/apps/bfs"
-	"updown/internal/apps/pagerank"
 	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
@@ -113,25 +111,14 @@ func (r *FigSchedResult) Format() string {
 	}, nil)
 }
 
-// schedWork adapts an application to sched.Workload.
-type schedWork struct {
-	post   func(at updown.Cycles)
-	done   func() updown.Cycles
-	output func() []uint64
-}
-
-func (w schedWork) Post(at updown.Cycles) { w.post(at) }
-func (w schedWork) Finished() (updown.Cycles, bool) {
-	done := w.done()
-	return done, done > 0
-}
-func (w schedWork) Output() []uint64 { return w.output() }
+// schedApps are the applications the job mix draws from.
+var schedApps = []*GraphApp{bfsApp, prApp}
 
 // schedProto is one generated submission, reusable across load points
 // and solo replays (the Build closure is derived from it per machine).
 type schedProto struct {
 	spec  sched.JobSpec
-	app   int // 0 bfs, 1 pagerank
+	app   *GraphApp
 	graph int
 	root  uint32
 }
@@ -143,28 +130,11 @@ func (p *schedProto) build(splits []*graph.SplitGraph) func(*updown.Machine, sch
 		if err != nil {
 			return nil, err
 		}
-		if p.app == 0 {
-			app, err := bfs.New(m, dg, bfs.Config{Lanes: part.Lanes, Root: p.root % uint32(split.OrigN)})
-			if err != nil {
-				return nil, err
-			}
-			app.InitValues()
-			return schedWork{app.PostAt, func() updown.Cycles { return app.Done },
-				func() []uint64 { return append(app.Distances(), app.Parents()...) }}, nil
-		}
-		app, err := pagerank.New(m, dg, pagerank.Config{Lanes: part.Lanes, Iterations: 1})
+		j, err := p.app.Start(m, dg, AppConfig{Lanes: part.Lanes, Root: p.root % uint32(split.OrigN), Iters: 1})
 		if err != nil {
-			return nil, err
+			return nil, err // not j: a nil *GraphJob is a non-nil Workload
 		}
-		app.InitValues()
-		return schedWork{app.PostAt, func() updown.Cycles { return app.Done }, func() []uint64 {
-			vals := app.Values()
-			out := make([]uint64, len(vals))
-			for i, v := range vals {
-				out[i] = math.Float64bits(v)
-			}
-			return out
-		}}, nil
+		return j, nil
 	}
 }
 
@@ -210,8 +180,8 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.Quantum, 4096)
 	orDefault(&opt.MaxQueue, 64)
-	if err := validate(opt.Scale, 0, positive("nodes", opt.Nodes), positive("accels", opt.AccelsPerNode),
-		positive("lanes", opt.LanesPerAccel), positive("jobs", opt.Jobs), positive("loads", opt.Loads...)); err != nil {
+	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
+		Positive("lanes", opt.LanesPerAccel), Positive("jobs", opt.Jobs), Positive("loads", opt.Loads...)); err != nil {
 		return nil, err
 	}
 	ar := arch.DefaultMachine(opt.Nodes)
@@ -244,7 +214,7 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 		arrive := updown.Cycles(0)
 		for i := range protos {
 			t := rng.Intn(len(tenants))
-			p := &schedProto{app: rng.Intn(2), graph: t, root: uint32(rng.Next() >> 40)}
+			p := &schedProto{app: schedApps[rng.Intn(2)], graph: t, root: uint32(rng.Next() >> 40)}
 			p.spec = sched.JobSpec{
 				Name:   fmt.Sprintf("j%02d", i),
 				Tenant: tenants[t],

@@ -172,8 +172,8 @@ func FigServe(opt FigServeOptions) (*FigServeResult, error) {
 	orDefault(&opt.Quantum, 4096)
 	orDefault(&opt.FuseWindow, 2048)
 	orDefault(&opt.QueueCap, 64)
-	if err := validate(opt.Scale, 0, positive("nodes", opt.Nodes), positive("accels", opt.AccelsPerNode),
-		positive("lanes", opt.LanesPerAccel), positive("queries", opt.Queries), positive("gaps", opt.Gaps...)); err != nil {
+	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
+		Positive("lanes", opt.LanesPerAccel), Positive("queries", opt.Queries), Positive("gaps", opt.Gaps...)); err != nil {
 		return nil, err
 	}
 	ar := arch.DefaultMachine(opt.Nodes)

@@ -5,7 +5,8 @@
 // the shared options, and sweep.runPoint runs one configuration under the
 // progress protocol, turns a simulation timeout into a table note, measures
 // the host rate and fills the row's shared columns. The graph applications
-// (pr, bfs, tc) are one table in apps.go, validate rejects bad options with
+// (pr, bfs, tc) are one table in apps.go, under every sweep, the scheduler
+// sweep, the chaos runs and updown-sim; Validate rejects bad options with
 // ErrBadOption before anything is built, and render is the one text and
 // markdown renderer under every table type. A FigN function keeps only its
 // workload, its x-axis and its metric.
@@ -247,9 +248,9 @@ var ErrBadOption = errors.New("harness: bad option")
 // paperRoot is the BFS root the paper uses on RMAT graphs.
 const paperRoot = 28
 
-// positive is a validate check: every value of the named option (in its
+// Positive is a Validate check: every value of the named option (in its
 // flag spelling) must be > 0.
-func positive[T int | int64 | float64](name string, vals ...T) error {
+func Positive[T int | int64 | float64](name string, vals ...T) error {
 	for _, v := range vals {
 		if !(v > 0) {
 			return fmt.Errorf("%w: %s %v: want > 0", ErrBadOption, name, v)
@@ -258,10 +259,11 @@ func positive[T int | int64 | float64](name string, vals ...T) error {
 	return nil
 }
 
-// validate is the one option check: scale (log2 vertices; 0 = the figure
-// has none) must be in 1..30, root must be a vertex of the 2^scale graph,
-// and every positive check must have passed. It returns the first failure.
-func validate(scale int, root uint32, checks ...error) error {
+// Validate is the one option check, of every figure and of updown-sim:
+// scale (log2 vertices; 0 = the figure has none) must be in 1..30, root
+// must be a vertex of the 2^scale graph, and every Positive check must
+// have passed. It returns the first failure.
+func Validate(scale int, root uint32, checks ...error) error {
 	if scale < 0 || scale > 30 {
 		return fmt.Errorf("%w: scale %d: want 1..30", ErrBadOption, scale)
 	}

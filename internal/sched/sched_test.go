@@ -284,7 +284,7 @@ func TestAdmissionErrors(t *testing.T) {
 type bfsWork struct{ app *bfs.App }
 
 func (w bfsWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
-func (w bfsWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
+func (w bfsWork) Finished() (updown.Cycles, bool) { return w.app.Finished() }
 func (w bfsWork) Output() []uint64 {
 	return append(w.app.Distances(), w.app.Parents()...)
 }
@@ -293,7 +293,7 @@ func (w bfsWork) Output() []uint64 {
 type prWork struct{ app *pagerank.App }
 
 func (w prWork) Post(at updown.Cycles)           { w.app.PostAt(at) }
-func (w prWork) Finished() (updown.Cycles, bool) { return w.app.Done, w.app.Done > 0 }
+func (w prWork) Finished() (updown.Cycles, bool) { return w.app.Finished() }
 func (w prWork) Output() []uint64 {
 	vals := w.app.Values()
 	out := make([]uint64, len(vals))

@@ -29,6 +29,11 @@ go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/t
 # (-count=1: the test cache does not key on GOMAXPROCS).
 GOMAXPROCS=1 go test -count=1 ./internal/sim/
 
+# Fuzz smoke: a few seconds of new -fault-spec strings beyond the checked-in
+# corpus (which go test above already replays); a panic in the parser or in
+# updown.New on the parsed plan fails here.
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s -parallel 2 ./internal/fault/
+
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into
 # the inter-node network than the classic shuffle while emitting the

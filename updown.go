@@ -181,14 +181,8 @@ func New(cfg Config) (*Machine, error) {
 	}
 	var failover func(kind uint8, op0 uint64, deadNode int, at arch.Cycles) (uint8, uint64, int, bool)
 	if cfg.Fault != nil {
-		// Mirror the plan's fail-stops into the address space so
-		// placement decisions (read fall-over, write fan-out, hinted
-		// handoff) can consult node liveness, and install the engine
-		// failover hook that catches DRAM messages already in flight
-		// when their destination dies.
-		for _, fs := range cfg.Fault.FailStops {
-			gas.SetFailStop(int(fs.Node), int64(fs.At))
-		}
+		// Install the engine failover hook that catches DRAM messages
+		// already in flight when their destination dies.
 		if cfg.Replication > 1 {
 			failover = func(kind uint8, op0 uint64, deadNode int, at arch.Cycles) (uint8, uint64, int, bool) {
 				switch kind {
@@ -241,6 +235,14 @@ func New(cfg Config) (*Machine, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Fault != nil {
+		// The engine has validated the plan. Mirror its fail-stops into the
+		// address space so placement decisions (read fall-over, write
+		// fan-out, hinted handoff) can consult node liveness.
+		for _, fs := range cfg.Fault.FailStops {
+			gas.SetFailStop(fs.Node, int64(fs.At))
+		}
 	}
 	ctrls := dram.Install(eng, gas)
 	if cfg.Telemetry != nil {
@@ -302,6 +304,58 @@ func (m *Machine) StartWithCont(evw, cont uint64, ops ...uint64) {
 func (m *Machine) StartAt(t Cycles, evw uint64, ops ...uint64) {
 	m.Engine.Post(t, udweave.EvwNetworkID(evw), arch.KindEvent, evw, udweave.IGNRCONT, ops...)
 }
+
+// Driver is what a batch application embeds to be driven from the host:
+// the machine it runs on, the lane and label of its driver event (the
+// first event of a run), and its map-shuffle-reduce invocation, whose
+// counters it reports. The driver event records Start when it first runs
+// and Done when the application finishes.
+type Driver struct {
+	M       *Machine
+	Lane    NetworkID
+	Label   Label
+	Shuffle *kvmsr.Invocation
+	// Start and Done are the simulated cycle bounds of the measured region.
+	Start, Done Cycles
+}
+
+// Post queues the driver event without entering the simulator, so the
+// host can drive execution itself (RunUntil + Checkpoint workflows).
+func (d *Driver) Post() { d.PostAt(0) }
+
+// PostAt queues the driver event for delivery at cycle t: a job scheduler
+// launching the application on a resident machine posts it just past the
+// already-simulated frontier.
+func (d *Driver) PostAt(t Cycles) { d.M.StartAt(t, EvwNew(d.Lane, d.Label)) }
+
+// Run posts the driver event and simulates to completion.
+func (d *Driver) Run() (Stats, error) {
+	d.Post()
+	return d.M.Run()
+}
+
+// Elapsed returns the simulated cycles of the measured region.
+func (d *Driver) Elapsed() Cycles { return d.Done - d.Start }
+
+// Finished returns the completion cycle and whether the application has
+// finished.
+func (d *Driver) Finished() (Cycles, bool) { return d.Done, d.Done > 0 }
+
+// ResilienceTotals aggregates the resilient-shuffle counters across the
+// application's lanes (zero when Machine.Resilience is nil). Call after Run.
+func (d *Driver) ResilienceTotals() kvmsr.ResilienceTotals {
+	return d.Shuffle.ResilienceTotals(d.M.LanePeek())
+}
+
+// TerminationTotals reads the shuffle's termination-protocol counters
+// (launches, drain probes, pushed deltas). Call after Run.
+func (d *Driver) TerminationTotals() kvmsr.TerminationTotals {
+	return d.Shuffle.TerminationTotals(d.M.LanePeek())
+}
+
+// Outstanding reports unacked resilient emits left after a run (always
+// zero for a healthy run; leak detection for the chaos harness).
+func (d *Driver) Outstanding() int { return d.Shuffle.Outstanding(d.M.LanePeek()) }
 
 // Run simulates to quiescence. After the run the replication-layer
 // counters are folded into the metrics recorder so profiles surface
