@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts. One benchmark
-// per table/figure (reduced scale; the cmd/fig* tools run the same
+// per table/figure (reduced scale; cmd/fig's subcommands run the same
 // harnesses with larger sweeps), plus microbenchmarks for the Table 2 cost
 // model, ablations of the design choices called out in DESIGN.md, and
 // host-side comparators.

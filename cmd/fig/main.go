@@ -151,7 +151,7 @@ func emit[T interface {
 }
 
 // writePayload writes the -json file: {"what", "date", ...res's fields},
-// the layout of the checked-in BENCH_*.json files.
+// the layout of the goldens in testdata/ (TestGoldenPayloads).
 func (c *common) writePayload(res any) error {
 	if c.json == "" {
 		return nil

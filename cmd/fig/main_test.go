@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -181,6 +185,42 @@ func TestUnknownFigure(t *testing.T) {
 				t.Errorf("run(%q) usage does not list %q:\n%s", args, name, stderr.String())
 			}
 		}
+	}
+}
+
+// TestGoldenPayloads regenerates the checked-in `fig sched -verify` and
+// `fig serve` payloads at their default flags and requires them byte for
+// byte. Every number in them is simulated time, so a difference is a
+// changed timeline, never host noise. An intended change is re-pinned by
+// the command in the failure message.
+func TestGoldenPayloads(t *testing.T) {
+	for _, args := range [][]string{{"sched", "-verify"}, {"serve"}} {
+		t.Run(args[0], func(t *testing.T) {
+			golden := filepath.Join("testdata", args[0]+".json")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var head struct{ What, Date string }
+			if err := json.Unmarshal(want, &head); err != nil {
+				t.Fatalf("%s: %v", golden, err)
+			}
+			out := filepath.Join(t.TempDir(), args[0]+".json")
+			var stderr strings.Builder
+			full := append(args, "-json", out, "-what", head.What, "-date", head.Date)
+			if code := run(full, &stderr); code != 0 {
+				t.Fatalf("fig %s: exit %d: %s", args[0], code, stderr.String())
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("fig %s payload differs from %s; if the change is intended, re-pin with\n"+
+					"  go run ./cmd/fig %s -json cmd/fig/%s -what %q -date %q",
+					args[0], golden, strings.Join(args, " "), golden, head.What, head.Date)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,7 +52,14 @@ func TestFlagsUnchanged(t *testing.T) {
 // TestBadRunsRejected: flag values that used to panic or print nonsense
 // exit 2 with one line before anything is built, and a fault plan naming a
 // node the machine lacks is updown.New's typed error (exit 1), not a panic.
+// So is a -gv/-nl pair whose header claims 2^62 vertices.
 func TestBadRunsRejected(t *testing.T) {
+	dir := t.TempDir()
+	gv, nl := filepath.Join(dir, "g.gv"), filepath.Join(dir, "g.nl")
+	if os.WriteFile(gv, []byte("VGDU\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x40"), 0o644) != nil ||
+		os.WriteFile(nl, []byte("LNDU\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644) != nil {
+		t.Fatal("writing the malformed graph files failed")
+	}
 	for _, tc := range []struct {
 		args string
 		code int
@@ -65,6 +73,7 @@ func TestBadRunsRejected(t *testing.T) {
 		{"-app sssp", 2, "unknown app"},
 		{"-app bfs -resilient -fault-spec drop=NaN", 2, "drop probability"},
 		{"-app bfs -nodes 2 -scale 6 -resilient -fault-spec failstop=99@10", 1, "fault: failstop 0: node 99 out of range"},
+		{"-app bfs -gv " + gv + " -nl " + nl, 1, "graph: malformed gv/nl file: gv vertex count"},
 	} {
 		var stdout, stderr strings.Builder
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

@@ -3,8 +3,10 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -56,51 +58,76 @@ func WriteNL(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadGVNL reconstructs a graph from the two binary streams.
+// ErrBadGVNL is wrapped by every ReadGVNL error: the two streams are not a
+// well-formed WriteGV/WriteNL pair.
+var ErrBadGVNL = errors.New("graph: malformed gv/nl file")
+
+// ReadGVNL reconstructs a graph from the two binary streams. Both arrays
+// grow chunk by chunk as words arrive, so a header that overstates a count
+// ends at EOF, not in a count-sized allocation.
 func ReadGVNL(gv, nl io.Reader) (*Graph, error) {
-	br := bufio.NewReader(gv)
+	bad := func(format string, args ...any) (*Graph, error) {
+		return nil, fmt.Errorf("%w: "+format, append([]any{ErrBadGVNL}, args...)...)
+	}
+	br, nr := bufio.NewReader(gv), bufio.NewReader(nl)
 	var hdr [2]uint64
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("graph: gv header: %w", err)
+		return bad("gv header: %v", err)
 	}
 	if hdr[0] != gvMagic {
-		return nil, fmt.Errorf("graph: bad gv magic %#x", hdr[0])
+		return bad("gv magic %#x", hdr[0])
+	}
+	if hdr[1] > math.MaxUint32 { // vertex IDs are uint32
+		return bad("gv vertex count %d does not fit 32-bit IDs", hdr[1])
 	}
 	n := int(hdr[1])
-	g := &Graph{N: n, Offsets: make([]uint64, n+1)}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
-		return nil, fmt.Errorf("graph: gv offsets: %w", err)
+	offsets, err := readWords(br, uint64(n)+1, func(w uint64) uint64 { return w })
+	if err != nil {
+		return bad("gv offsets: %v", err)
 	}
-	nr := bufio.NewReader(nl)
+	if offsets[0] != 0 {
+		return bad("gv offsets start at %d, not 0", offsets[0])
+	}
+	for v := 0; v < n; v++ {
+		if offsets[v] > offsets[v+1] {
+			return bad("gv offsets not monotone at vertex %d", v)
+		}
+	}
 	if err := binary.Read(nr, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("graph: nl header: %w", err)
+		return bad("nl header: %v", err)
 	}
 	if hdr[0] != nlMagic {
-		return nil, fmt.Errorf("graph: bad nl magic %#x", hdr[0])
+		return bad("nl magic %#x", hdr[0])
 	}
-	m := int(hdr[1])
-	if uint64(m) != g.Offsets[n] {
-		return nil, fmt.Errorf("graph: nl edge count %d != gv %d", m, g.Offsets[n])
+	if hdr[1] != offsets[n] {
+		return bad("nl edge count %d != gv %d", hdr[1], offsets[n])
 	}
-	g.Neigh = make([]uint32, m)
-	buf := make([]uint64, 4096)
-	for read := 0; read < m; {
-		chunk := len(buf)
-		if m-read < chunk {
-			chunk = m - read
-		}
-		if err := binary.Read(nr, binary.LittleEndian, buf[:chunk]); err != nil {
-			return nil, fmt.Errorf("graph: nl data: %w", err)
-		}
-		for i := 0; i < chunk; i++ {
-			g.Neigh[read+i] = uint32(buf[i])
-		}
-		read += chunk
+	// Words past 32 bits saturate to MaxUint32 (never < n): Validate rejects them.
+	neigh, err := readWords(nr, hdr[1], func(w uint64) uint32 { return uint32(min(w, math.MaxUint32)) })
+	if err != nil {
+		return bad("nl data: %v", err)
 	}
+	g := &Graph{N: n, Offsets: offsets, Neigh: neigh}
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return bad("%v", err)
 	}
 	return g, nil
+}
+
+// readWords reads count little-endian words through conv, 4096 at a time.
+func readWords[T any](r io.Reader, count uint64, conv func(uint64) T) ([]T, error) {
+	out := make([]T, 0, min(count, 4096))
+	buf := make([]uint64, 4096)
+	for uint64(len(out)) < count {
+		chunk := buf[:min(count-uint64(len(out)), uint64(len(buf)))]
+		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+			return nil, err
+		}
+		for _, w := range chunk {
+			out = append(out, conv(w))
+		}
+	}
+	return out, nil
 }
 
 // ReadEdgeList parses a plain-text edge list ("src dst" per line, # or %

@@ -80,7 +80,7 @@ type SchedRow struct {
 	Tenants []sched.TenantUsage `json:"tenants"`
 }
 
-// FigSchedResult is the sweep output (the BENCH_sched.json payload).
+// FigSchedResult is the sweep output (cmd/fig/testdata/sched.json).
 type FigSchedResult struct {
 	Nodes         int        `json:"nodes"`
 	LanesPerNode  int        `json:"lanes_per_node"`

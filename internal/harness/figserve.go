@@ -56,8 +56,7 @@ type FigServeOptions struct {
 	Progress io.Writer
 }
 
-// ServeRow is one sweep point. The map key benchdiff compares a row by
-// is queries_per_sec; latency keys end in _ms and compare inverted.
+// ServeRow is one sweep point; latency keys end in _ms.
 type ServeRow struct {
 	// MeanGapCycles is the offered-load knob: mean Poisson interarrival.
 	MeanGapCycles int64 `json:"mean_gap_cycles"`
@@ -99,7 +98,7 @@ type ServeComparison struct {
 	QPSGainPct      float64            `json:"qps_gain_pct"`
 }
 
-// FigServeResult is the sweep output (the BENCH_serve.json payload).
+// FigServeResult is the sweep output (cmd/fig/testdata/serve.json).
 type FigServeResult struct {
 	Nodes            int             `json:"nodes"`
 	LanesPerNode     int             `json:"lanes_per_node"`

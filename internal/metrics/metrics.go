@@ -352,21 +352,10 @@ func (r *Recorder) Profile() *Profile {
 // telemetry plane calls it at barrier publication points; it is not safe
 // to call concurrently with executing shards.
 func (r *Recorder) PartialProfile() *Profile {
-	p := &Profile{Interval: r.interval, FinalTime: r.finalTime, Fault: r.faults,
-		Repl: r.repl, ShuffleMsgs: r.shuffleMsgs, ShuffleTuples: r.shuffleTuples}
+	p := r.Profile()
 	p.Nodes = make([]NodeSeries, len(r.nodes))
-	for i := range r.nodes {
-		p.Nodes[i] = NodeSeries{
-			Node:    r.nodes[i].Node,
-			Samples: append([]Sample(nil), r.nodes[i].Samples...),
-		}
-	}
-	for _, v := range r.views {
-		for k := range v.kinds {
-			p.Kinds[k].Count += v.kinds[k].Count
-			p.Kinds[k].Cycles += v.kinds[k].Cycles
-			p.Kinds[k].Cross += v.kinds[k].Cross
-		}
+	for i, n := range r.nodes {
+		p.Nodes[i] = NodeSeries{Node: n.Node, Samples: append([]Sample(nil), n.Samples...)}
 	}
 	return p
 }

@@ -185,11 +185,12 @@ type Config struct {
 	Quantum updown.Cycles
 	// MaxQueue bounds the admitted-but-unplaced queue (default 64).
 	MaxQueue int
-	// LabelHeadroom defers placement while the program's free label count
-	// is below it (default 64), so a job's Build can never exhaust the
-	// 12-bit label space mid-construction.
-	LabelHeadroom int
 }
+
+// labelHeadroom defers placement while the program's free label count is
+// below it, so a job's Build can never exhaust the 12-bit label space
+// mid-construction.
+const labelHeadroom = 64
 
 // TenantUsage is the per-tenant accounting row.
 type TenantUsage struct {
@@ -231,9 +232,6 @@ func New(m *updown.Machine, cfg Config) *Scheduler {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
-	}
-	if cfg.LabelHeadroom <= 0 {
-		cfg.LabelHeadroom = 64
 	}
 	s := &Scheduler{m: m, cfg: cfg, alloc: newNodeAlloc(m.Arch.Nodes), pace: NewPacer(cfg.Quantum)}
 	if m.Telemetry != nil {
@@ -456,7 +454,7 @@ func (s *Scheduler) arrivals() {
 func (s *Scheduler) place() {
 	for len(s.queue) > 0 {
 		j := s.queue[0]
-		if s.m.Prog.FreeLabels() < s.cfg.LabelHeadroom {
+		if s.m.Prog.FreeLabels() < labelHeadroom {
 			return // wait for a completion to recycle label space
 		}
 		nodes := s.nodesFor(j.Spec.Lanes)

@@ -151,6 +151,25 @@ type Stats struct {
 	Faults fault.Counts
 }
 
+// totals sums the shards' statistics; FinalTime is their maximum and
+// LanesTouched, which is derived from actor state, stays zero.
+func (e *Engine) totals() Stats {
+	var t Stats
+	for _, s := range e.shards {
+		t.Events += s.stats.Events
+		t.DRAMReads += s.stats.DRAMReads
+		t.DRAMWrites += s.stats.DRAMWrites
+		t.DRAMBytes += s.stats.DRAMBytes
+		t.Sends += s.stats.Sends
+		t.ShuffleMsgs += s.stats.ShuffleMsgs
+		t.ShuffleTuples += s.stats.ShuffleTuples
+		t.BusyCycles += s.stats.BusyCycles
+		t.Faults.Add(s.stats.Faults)
+		t.FinalTime = max(t.FinalTime, s.stats.FinalTime)
+	}
+	return t
+}
+
 // Utilization returns BusyCycles / (FinalTime * lanes touched), a rough
 // measure of how well the program filled the hardware it used.
 func (s Stats) Utilization() float64 {
@@ -494,21 +513,7 @@ func (e *Engine) run(limit arch.Cycles) (Stats, error) {
 	}
 	timedOut := e.win.timedOut
 	e.running = false
-	var total Stats
-	for _, s := range e.shards {
-		total.Events += s.stats.Events
-		total.DRAMReads += s.stats.DRAMReads
-		total.DRAMWrites += s.stats.DRAMWrites
-		total.DRAMBytes += s.stats.DRAMBytes
-		total.Sends += s.stats.Sends
-		total.ShuffleMsgs += s.stats.ShuffleMsgs
-		total.ShuffleTuples += s.stats.ShuffleTuples
-		total.BusyCycles += s.stats.BusyCycles
-		total.Faults.Add(s.stats.Faults)
-		if s.stats.FinalTime > total.FinalTime {
-			total.FinalTime = s.stats.FinalTime
-		}
-	}
+	total := e.totals()
 	for i := range e.state[:e.totalLanes] {
 		if e.state[i].used {
 			total.LanesTouched++
@@ -545,11 +550,7 @@ func (e *Engine) run(limit arch.Cycles) (Stats, error) {
 		return total, terr
 	}
 	if e.interrupted {
-		ierr := &InterruptedError{At: e.interruptedAt}
-		for _, s := range e.shards {
-			ierr.Pending += s.heap.live()
-		}
-		return total, ierr
+		return total, &InterruptedError{At: e.interruptedAt, Pending: e.Pending()}
 	}
 	return total, nil
 }

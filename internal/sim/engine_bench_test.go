@@ -14,10 +14,10 @@ package sim
 //   - CrossNodeStorm: all traffic crosses shards every window — outbox
 //     production and collection.
 //
-// BENCH_sim.json records these numbers before and after engine changes.
-// Since the adaptive-lookahead entry, the timed region is the Run call
-// only: engine construction (32K actor-state slots on the SparseLane
-// machine) was diluting the measured run-phase differences.
+// DESIGN.md "Host performance" records these numbers before and after
+// engine changes. Since the adaptive-lookahead table, the timed region is
+// the Run call only: engine construction (32K actor-state slots on the
+// SparseLane machine) was diluting the measured run-phase differences.
 
 import (
 	"fmt"

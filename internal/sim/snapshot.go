@@ -352,21 +352,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		sw.I64(v)
 	}
 	// Aggregate statistics (LanesTouched is derived from actor state).
-	var st Stats
-	for _, s := range e.shards {
-		st.Events += s.stats.Events
-		st.DRAMReads += s.stats.DRAMReads
-		st.DRAMWrites += s.stats.DRAMWrites
-		st.DRAMBytes += s.stats.DRAMBytes
-		st.Sends += s.stats.Sends
-		st.ShuffleMsgs += s.stats.ShuffleMsgs
-		st.ShuffleTuples += s.stats.ShuffleTuples
-		st.BusyCycles += s.stats.BusyCycles
-		st.Faults.Add(s.stats.Faults)
-		if s.stats.FinalTime > st.FinalTime {
-			st.FinalTime = s.stats.FinalTime
-		}
-	}
+	st := e.totals()
 	sw.I64(st.FinalTime)
 	sw.I64(st.Events)
 	sw.I64(st.DRAMReads)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"updown/internal/arch"
-	"updown/internal/fault"
 	"updown/internal/telemetry"
 )
 
@@ -77,29 +76,19 @@ func (e *Engine) telemetryPublish(now arch.Cycles, done bool) {
 	if e.rec == nil && e.tr == nil {
 		return
 	}
-	var ft arch.Cycles
-	var faults fault.Counts
-	var shuffleMsgs, shuffleTuples int64
-	for _, s := range e.shards {
-		if s.stats.FinalTime > ft {
-			ft = s.stats.FinalTime
-		}
-		faults.Add(s.stats.Faults)
-		shuffleMsgs += s.stats.ShuffleMsgs
-		shuffleTuples += s.stats.ShuffleTuples
-	}
+	t := e.totals()
 	if e.tr != nil {
 		// Monotone-max like the recorder's: a mid-run fold keeps partial
 		// trace dumps coherent (open program phases get a current end)
 		// without changing what the post-run observation produces.
-		e.tr.ObserveFinalTime(ft)
+		e.tr.ObserveFinalTime(t.FinalTime)
 	}
 	if e.rec == nil {
 		return
 	}
-	e.rec.ObserveFinalTime(ft)
-	e.rec.ObserveFaults(faults)
-	e.rec.ObserveShuffle(shuffleMsgs, shuffleTuples)
+	e.rec.ObserveFinalTime(t.FinalTime)
+	e.rec.ObserveFaults(t.Faults)
+	e.rec.ObserveShuffle(t.ShuffleMsgs, t.ShuffleTuples)
 	e.tel.SetProfile(e.rec.PartialProfile())
 }
 
@@ -111,18 +100,10 @@ func (e *Engine) telemetrySnapshot(now arch.Cycles, done bool) *telemetry.Snapsh
 	if e.maxTime < 1<<62 {
 		s.MaxTime = int64(e.maxTime)
 	}
-	for _, sh := range e.shards {
-		s.Events += sh.stats.Events
-		s.Sends += sh.stats.Sends
-		s.DRAMReads += sh.stats.DRAMReads
-		s.DRAMWrites += sh.stats.DRAMWrites
-		s.DRAMBytes += sh.stats.DRAMBytes
-		s.BusyCycles += sh.stats.BusyCycles
-		s.ShuffleMsgs += sh.stats.ShuffleMsgs
-		s.ShuffleTuples += sh.stats.ShuffleTuples
-		s.Faults.Add(sh.stats.Faults)
-		s.Pending += sh.heap.live()
-	}
+	t := e.totals()
+	s.Events, s.Sends, s.BusyCycles, s.Faults = t.Events, t.Sends, t.BusyCycles, t.Faults
+	s.DRAMReads, s.DRAMWrites, s.DRAMBytes = t.DRAMReads, t.DRAMWrites, t.DRAMBytes
+	s.ShuffleMsgs, s.ShuffleTuples, s.Pending = t.ShuffleMsgs, t.ShuffleTuples, e.Pending()
 	s.Nodes = make([]telemetry.NodeStat, e.M.Nodes)
 	for n := range s.Nodes {
 		s.Nodes[n].Node = n

@@ -29,21 +29,18 @@ go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/t
 # (-count=1: the test cache does not key on GOMAXPROCS).
 GOMAXPROCS=1 go test -count=1 ./internal/sim/
 
-# Fuzz smoke: a few seconds of new -fault-spec strings beyond the checked-in
-# corpus (which go test above already replays); a panic in the parser or in
-# updown.New on the parsed plan fails here.
+# Fuzz smoke: a few seconds of new -fault-spec strings and gv/nl graph files
+# beyond the checked-in corpora (which go test above already replays); a
+# panic in the parser, in updown.New on the parsed plan, or in ReadGVNL
+# fails here.
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s -parallel 2 ./internal/fault/
+go test -run '^$' -fuzz '^FuzzReadGVNL$' -fuzztime 5s -parallel 2 ./internal/graph/
 
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into
 # the inter-node network than the classic shuffle while emitting the
 # same number of logical tuples.
 go test -run XX -bench BenchmarkKVMSRShuffle -benchtime=5x .
-
-# Benchmark-history sanity: benchdiff must parse BENCH_sim.json and find
-# no regression between the recorded entries (they are historical, so
-# this only breaks when the file or the tool is broken).
-go run ./cmd/benchdiff -max-regress 100
 
 # The figure tool is built once and called as a binary by every smoke
 # below (go run would re-link it each time).
