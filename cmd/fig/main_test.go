@@ -244,6 +244,8 @@ func TestBadFlagExits2(t *testing.T) {
 		{"chaos -drops 1.5", "-drops"},
 		{"9tc -combine", "-coalesce"},
 		{"11 -lanes 0", "-lanes"},
+		{"9bfs -scale 8 -nodes 3000000", "NetworkID"},
+		{"sched -nodes 40000000", "NetworkID"},
 	} {
 		var stderr strings.Builder
 		if code := run(strings.Fields(tc.args), &stderr); code != 2 {

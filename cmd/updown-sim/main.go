@@ -466,9 +466,16 @@ func (f simFlags) validate() error {
 	if !graphApp && f.App != "ingest" && f.App != "match" {
 		return fmt.Errorf("unknown app %q", f.App)
 	}
-	// The figures' rule: a scale that fits in memory, and positive counts.
+	// The figures' rule: a scale that fits in memory, positive counts, and
+	// a machine (with its -spare node) whose actors a NetworkID can name.
+	ar := arch.DefaultMachine(0)
+	ar.AccelsPerNode = f.Accels
+	machNodes := f.Nodes
+	if f.Spare {
+		machNodes++
+	}
 	if err := harness.Validate(f.Scale, 0, harness.Positive("nodes", f.Nodes), harness.Positive("accel", f.Accels),
-		harness.Positive("iters", f.Iters), harness.Positive("records", f.Records)); err != nil {
+		harness.Positive("iters", f.Iters), harness.Positive("records", f.Records), harness.Addressable(ar, machNodes)); err != nil {
 		return err
 	}
 	if f.CkptPath != "" && f.RestorePath != "" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,10 @@ func TestSimFlagsValidate(t *testing.T) {
 		{"negative records", func(f *simFlags) { f.App = "ingest"; f.Records = -1 }, "records -1"},
 		{"zero nodes", func(f *simFlags) { f.Nodes = 0 }, "nodes 0"},
 		{"zero accels", func(f *simFlags) { f.Accels = 0 }, "accel 0"},
+		{"nodes beyond NetworkID", func(f *simFlags) { f.Nodes = 3000000 }, "NetworkID"},
+		{"accels beyond NetworkID", func(f *simFlags) { f.Accels = 1 << 40 }, "NetworkID"},
+		{"largest machine", func(f *simFlags) { f.Nodes = math.MaxInt32 / 2049 }, ""},
+		{"spare beyond NetworkID", func(f *simFlags) { f.Nodes = math.MaxInt32 / 2049; f.Spare = true }, "NetworkID"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,13 +10,15 @@
 //
 // Rounds repeat until a round emits nothing. The frontier uses the
 // contiguous-per-node DRAMmalloc layout the paper highlights for data
-// locality, and the reduce binding completes it: where the graph's nodes
-// are the lane set's, kv_reduce for vertex v is bound (kvmsr.Owner) to the
-// node homing record v, so the mark is a local write and — because the
-// frontier entry goes to the segment of an accelerator of that same node,
-// whose lanes expand it — next round's vertex task reads the record and
-// its neighbor list locally too. That one binding is all BFS needs;
-// elsewhere reduces are Hash-bound.
+// locality — each accelerator's segment sits on the accelerator's own
+// node — and the reduce binding completes it: where the graph's nodes are
+// the lane set's, kv_reduce for vertex v is bound (kvmsr.Owner) to the
+// node homing record v, so the mark and the frontier append are local
+// writes and — because the entry goes to the segment of an accelerator of
+// that same node, whose lanes expand it — next round's vertex task reads
+// the segment, the record and its neighbor list locally too. The shuffle
+// is then BFS's only cross-node traffic. That one binding is all BFS
+// needs; elsewhere reduces are Hash-bound.
 package bfs
 
 import (

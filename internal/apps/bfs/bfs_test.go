@@ -5,9 +5,11 @@ import (
 
 	"updown"
 	"updown/internal/apps/bfs"
+	"updown/internal/arch"
 	"updown/internal/baseline"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
+	"updown/internal/metrics"
 )
 
 func runBFS(t *testing.T, g *graph.Graph, maxDeg, nodes int, root uint32) *bfs.App {
@@ -116,12 +118,14 @@ func TestBFSTreeConsistency(t *testing.T) {
 }
 
 // The windowed-parallel simulator must produce bit-identical BFS runs
-// regardless of shard count (the whole-app determinism check).
+// regardless of shard count (the whole-app determinism check). The run is
+// owner-bound on four nodes, so every DRAM write — the visited mark and the
+// frontier append — stays on the writing lane's node.
 func TestBFSShardDeterminism(t *testing.T) {
 	g := graph.FromEdges(512, graph.DefaultRMAT(9, 31), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 	run := func(shards int) (updown.Cycles, []uint64) {
-		m, err := updown.New(updown.Config{Nodes: 4, Shards: shards, MaxTime: 1 << 42})
+		m, err := updown.New(updown.Config{Nodes: 4, Shards: shards, MaxTime: 1 << 42, Metrics: &metrics.Options{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +144,9 @@ func TestBFSShardDeterminism(t *testing.T) {
 		app.InitValues()
 		if _, err := app.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if w := m.Metrics.Profile().Kinds[arch.KindDRAMWrite]; w.Count == 0 || w.Cross != 0 {
+			t.Fatalf("shards=%d: %d of %d DRAM writes cross nodes, want 0 of > 0", shards, w.Cross, w.Count)
 		}
 		return app.Elapsed(), app.Distances()
 	}

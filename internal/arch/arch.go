@@ -10,7 +10,11 @@
 // struct fields so experiments can sweep them.
 package arch
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Cycles is simulated time measured in lane clock cycles (2 GHz default).
 type Cycles = int64
@@ -163,8 +167,18 @@ func (m Machine) Validate() error {
 	case m.DRAMLatency <= 0:
 		return fmt.Errorf("arch: DRAMLatency must be positive")
 	}
+	// Checked by division so the products themselves cannot overflow.
+	const ids = math.MaxInt32
+	if m.LanesPerAccel > ids/m.AccelsPerNode || m.Nodes > ids/(m.LanesPerNode()+1) {
+		return fmt.Errorf("%w: %d nodes of %d×%d lanes", ErrTooManyActors, m.Nodes, m.AccelsPerNode, m.LanesPerAccel)
+	}
 	return nil
 }
+
+// ErrTooManyActors is wrapped by Validate's error for a machine whose lanes
+// and memory controllers outnumber the IDs a NetworkID can name (an event
+// word carries it in 32 bits).
+var ErrTooManyActors = errors.New("arch: machine has more actors than the 2^31-1 a NetworkID can name")
 
 // LanesPerNode returns the number of lanes on one node.
 func (m Machine) LanesPerNode() int { return m.AccelsPerNode * m.LanesPerAccel }

@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +32,31 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mutate(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsActorOverflow: a machine whose actors do not fit a
+// NetworkID is a typed error, checked without overflowing int — the
+// largest machine that fits still validates.
+func TestValidateRejectsActorOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, accels, lanes int
+		ok                   bool
+	}{
+		{math.MaxInt32 / 2049, 32, 64, true},
+		{math.MaxInt32/2049 + 1, 32, 64, false},
+		{3000000, 32, 64, false},
+		{1, math.MaxInt32, 1, false},    // 2^31-1 lanes + 1 controller
+		{1, math.MaxInt32 - 1, 1, true}, // exactly 2^31-1 actors
+		{1 << 40, 1 << 40, 1 << 40, false},
+		{math.MaxInt, math.MaxInt, math.MaxInt, false},
+	} {
+		m := DefaultMachine(tc.nodes)
+		m.AccelsPerNode, m.LanesPerAccel = tc.accels, tc.lanes
+		err := m.Validate()
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrTooManyActors)) {
+			t.Errorf("%d nodes of %d×%d lanes: err = %v, want ok=%v or ErrTooManyActors", tc.nodes, tc.accels, tc.lanes, err, tc.ok)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package collections_test
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"updown"
+	"updown/internal/arch"
 	"updown/internal/collections"
+	"updown/internal/gasmem"
 	"updown/internal/kvmsr"
 	"updown/internal/udweave"
 )
@@ -392,6 +395,64 @@ func TestFrontierAppendAndParity(t *testing.T) {
 				t.Fatalf("accel %d parity 1 slot %d holds %d", accel, i, v)
 			}
 		}
+	}
+}
+
+// TestFrontierPlacement: every word of every segment, both parities, lives
+// on the node of the accelerator that owns the segment, and no two
+// segments overlap — for whole-node sets of any node count, sets that start
+// past node 0, sets smaller than a node and sets that start and end
+// mid-node. The capacity is not a power of two, as BFS's default is not.
+func TestFrontierPlacement(t *testing.T) {
+	ar := arch.DefaultMachine(8)
+	ar.AccelsPerNode, ar.LanesPerAccel = 4, 16
+	lpn := ar.LanesPerNode()
+	const segCap = 100
+	for _, tc := range []struct {
+		name  string
+		lanes kvmsr.LaneSet
+	}{
+		{"1 node", kvmsr.LaneSet{First: 0, Count: lpn}},
+		{"2 nodes", kvmsr.LaneSet{First: 0, Count: 2 * lpn}},
+		{"3 nodes", kvmsr.LaneSet{First: 0, Count: 3 * lpn}},
+		{"8 nodes", kvmsr.LaneSet{First: 0, Count: 8 * lpn}},
+		{"from node 2", kvmsr.LaneSet{First: arch.NetworkID(2 * lpn), Count: 2 * lpn}},
+		{"2 accelerators", kvmsr.LaneSet{First: arch.NetworkID(5*lpn + 16), Count: 32}},
+		{"mid-node to mid-node", kvmsr.LaneSet{First: arch.NetworkID(lpn + 32), Count: 2 * lpn}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := updown.New(updown.Config{Arch: &ar, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := collections.NewFrontier(m.Prog, "front", tc.lanes, segCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Alloc(m.GAS); err != nil {
+				t.Fatal(err)
+			}
+			type span struct{ lo, hi gasmem.VA }
+			var spans []span
+			for accel := 0; accel < f.Accels(); accel++ {
+				node := ar.NodeOf(arch.NetworkID(f.MasterOfAccel(accel)))
+				for parity := 0; parity < 2; parity++ {
+					lo := f.SegmentVA(accel, parity)
+					for i := gasmem.VA(0); i < segCap; i++ {
+						if got := m.GAS.NodeOf(lo + i*gasmem.WordBytes); got != node {
+							t.Fatalf("accel %d parity %d word %d on node %d, want %d", accel, parity, i, got, node)
+						}
+					}
+					spans = append(spans, span{lo, lo + segCap*gasmem.WordBytes})
+				}
+			}
+			sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].lo < spans[i-1].hi {
+					t.Fatalf("segments [%#x,%#x) and [%#x,%#x) overlap", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+				}
+			}
+		})
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 // sending an append event to the accelerator master, which assigns the
 // slot atomically (events are atomic) and writes the value.
 //
-// The allocation uses DRAMmalloc(size, 0, NRnodes, size/NRnodes): a
-// contiguous chunk of virtual addresses per node, so each accelerator's
-// segment is node-local to its readers and writers — the data-placement
-// flexibility the paper highlights for BFS.
+// The storage is one contiguous DRAMmalloc chunk per node the lane set
+// touches, allocated on that node and holding the segments of the set's
+// accelerators there, so each segment is node-local to the lanes that
+// append to it and read it — the data-placement flexibility the paper
+// highlights for BFS.
 type Frontier struct {
 	p      *udweave.Program
 	name   string
@@ -27,7 +28,8 @@ type Frontier struct {
 	lanes  kvmsr.LaneSet
 	segCap int
 
-	base gasmem.VA
+	// seg[a] is accelerator a's parity-0 segment; parity 1 follows it.
+	seg []gasmem.VA
 
 	lAppend udweave.Label
 }
@@ -62,27 +64,28 @@ func (f *Frontier) Accels() int { return f.lanes.Count / f.p.M.LanesPerAccel }
 // SegCap returns the per-accelerator capacity.
 func (f *Frontier) SegCap() int { return f.segCap }
 
-// Alloc reserves the double-buffered segment storage: per-node contiguous
-// chunks covering the node's accelerators.
+// Alloc reserves the double-buffered segment storage: for each node the
+// lane set touches, one chunk on that node holding the segments of the
+// set's accelerators there, back to back. Storage never leaves the set's
+// nodes, so concurrently scheduled jobs on disjoint partitions never share
+// a memory controller.
 func (f *Frontier) Alloc(gas *gasmem.GAS) error {
-	m := f.p.M
-	size := uint64(f.Accels()) * 2 * uint64(f.segCap) * gasmem.WordBytes
-	lanesPerNode := m.LanesPerNode()
-	if int(f.lanes.First)%lanesPerNode == 0 && f.lanes.Count%lanesPerNode == 0 {
-		nodes := f.lanes.Count / lanesPerNode
-		perNode := size / uint64(nodes)
-		if perNode&(perNode-1) == 0 {
-			va, err := gas.DRAMmalloc(size, m.NodeOf(f.lanes.First), nodes, perNode)
-			f.base = va
+	lpn, lpa := f.p.M.LanesPerNode(), f.p.M.LanesPerAccel
+	segBytes := 2 * uint64(f.segCap) * gasmem.WordBytes
+	f.seg = make([]gasmem.VA, f.Accels())
+	for a := 0; a < len(f.seg); {
+		master := f.MasterOfAccel(a)
+		n := min(len(f.seg)-a, (lpn-master%lpn)/lpa) // the set's accelerators on master's node
+		va, err := gas.DRAMmalloc(uint64(n)*segBytes, master/lpn, 1, 4096)
+		if err != nil {
 			return err
 		}
+		for i := range n {
+			f.seg[a+i] = va + uint64(i)*segBytes
+		}
+		a += n
 	}
-	// Fallback: one chunk on the lane set's first node, keeping the
-	// storage inside the set's node span so concurrently scheduled jobs
-	// on disjoint partitions never share a memory controller.
-	va, err := gas.DRAMmalloc(size, m.NodeOf(f.lanes.First), 1, 4096)
-	f.base = va
-	return err
+	return nil
 }
 
 // AccelOfLane returns the set-relative accelerator index of a lane.
@@ -97,7 +100,7 @@ func (f *Frontier) MasterOfAccel(accel int) int {
 
 // SegmentVA returns the storage of one accelerator's segment for a parity.
 func (f *Frontier) SegmentVA(accel int, parity int) gasmem.VA {
-	return f.base + uint64(accel*2+parity&1)*uint64(f.segCap)*gasmem.WordBytes
+	return f.seg[accel] + uint64(parity&1)*uint64(f.segCap)*gasmem.WordBytes
 }
 
 // Append adds value to the appending lane's own accelerator segment for

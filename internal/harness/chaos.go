@@ -111,7 +111,7 @@ func ChaosBFS(opt ChaosOptions) (*ChaosTable, error) {
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.FaultSeed, 1)
 	const root = paperRoot
-	if err := Validate(opt.Scale, root, Positive("nodes", opt.Nodes)); err != nil {
+	if err := Validate(opt.Scale, root, Positive("nodes", opt.Nodes), Addressable(arch.DefaultMachine(0), opt.Nodes)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}

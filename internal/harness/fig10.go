@@ -45,7 +45,7 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 	orDefault(&opt.BlockBytes, 512)
 	orDefault(&opt.Seed, 7)
 	if err := Validate(0, 0, Positive("records", opt.BaseRecords), Positive("mults", opt.Multipliers...),
-		Positive("nodes", opt.Nodes...), Positive("block", opt.BlockBytes)); err != nil {
+		Positive("nodes", opt.Nodes...), Positive("block", opt.BlockBytes), Addressable(arch.DefaultMachine(0), opt.Nodes...)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, Coalesce: opt.Coalesce,

@@ -52,7 +52,8 @@ func Fig12Placement(opt Fig12Options) ([]*Table, error) {
 	orDefault(&opt.DRAMBytesPerCycle, 100)
 	orDefault(&opt.Seed, 42)
 	if err := Validate(opt.Scale, paperRoot, Positive("compute", opt.ComputeNodes), Positive("mem", opt.MemNodes...),
-		Positive("dram-bw", opt.DRAMBytesPerCycle), Positive("reps", opt.Reps...)); err != nil {
+		Positive("dram-bw", opt.DRAMBytesPerCycle), Positive("reps", opt.Reps...),
+		Addressable(arch.DefaultMachine(0), opt.ComputeNodes)); err != nil {
 		return nil, err
 	}
 	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, MaxTime: opt.MaxTime, Progress: opt.Progress}

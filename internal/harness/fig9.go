@@ -71,7 +71,8 @@ func fig9(opt Fig9Options, a *GraphApp, figure string, scale int, presets []stri
 		return c
 	}
 	for _, name := range opt.Presets {
-		if err := Validate(opt.Scale, cfg(name).Root, Positive("nodes", opt.Nodes...), Positive("iters", opt.Iterations)); err != nil {
+		if err := Validate(opt.Scale, cfg(name).Root, Positive("nodes", opt.Nodes...), Positive("iters", opt.Iterations),
+			Addressable(arch.DefaultMachine(0), opt.Nodes...)); err != nil {
 			return nil, err
 		}
 	}

@@ -180,13 +180,13 @@ func FigSched(opt FigSchedOptions) (*FigSchedResult, error) {
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.Quantum, 4096)
 	orDefault(&opt.MaxQueue, 64)
-	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
-		Positive("lanes", opt.LanesPerAccel), Positive("jobs", opt.Jobs), Positive("loads", opt.Loads...)); err != nil {
-		return nil, err
-	}
 	ar := arch.DefaultMachine(opt.Nodes)
 	ar.AccelsPerNode = opt.AccelsPerNode
 	ar.LanesPerAccel = opt.LanesPerAccel
+	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
+		Positive("lanes", opt.LanesPerAccel), Addressable(ar, opt.Nodes), Positive("jobs", opt.Jobs), Positive("loads", opt.Loads...)); err != nil {
+		return nil, err
+	}
 	lpn := ar.LanesPerNode()
 
 	// One graph per tenant, shared read-only across all load points.

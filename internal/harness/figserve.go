@@ -171,13 +171,13 @@ func FigServe(opt FigServeOptions) (*FigServeResult, error) {
 	orDefault(&opt.Quantum, 4096)
 	orDefault(&opt.FuseWindow, 2048)
 	orDefault(&opt.QueueCap, 64)
-	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
-		Positive("lanes", opt.LanesPerAccel), Positive("queries", opt.Queries), Positive("gaps", opt.Gaps...)); err != nil {
-		return nil, err
-	}
 	ar := arch.DefaultMachine(opt.Nodes)
 	ar.AccelsPerNode = opt.AccelsPerNode
 	ar.LanesPerAccel = opt.LanesPerAccel
+	if err := Validate(opt.Scale, 0, Positive("nodes", opt.Nodes), Positive("accels", opt.AccelsPerNode),
+		Positive("lanes", opt.LanesPerAccel), Addressable(ar, opt.Nodes), Positive("queries", opt.Queries), Positive("gaps", opt.Gaps...)); err != nil {
+		return nil, err
+	}
 
 	g := graph.FromEdges(1<<opt.Scale, graph.DefaultRMAT(opt.Scale, opt.Seed), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})

@@ -259,6 +259,20 @@ func Positive[T int | int64 | float64](name string, vals ...T) error {
 	return nil
 }
 
+// Addressable is a Validate check: machine ar at each node count must have
+// no more actors than a NetworkID can name (arch.ErrTooManyActors), so an
+// oversized sweep is an option error, not an allocation the host cannot
+// make. Non-positive counts are Positive's to reject.
+func Addressable(ar arch.Machine, nodes ...int) error {
+	for _, n := range nodes {
+		ar.Nodes = n
+		if err := ar.Validate(); errors.Is(err, arch.ErrTooManyActors) {
+			return fmt.Errorf("%w: %w", ErrBadOption, err)
+		}
+	}
+	return nil
+}
+
 // Validate is the one option check, of every figure and of updown-sim:
 // scale (log2 vertices; 0 = the figure has none) must be in 1..30, root
 // must be a vertex of the 2^scale graph, and every Positive check must

@@ -176,6 +176,9 @@ func TestBadOptions(t *testing.T) {
 		"fig12 scale -1":    tables(Fig12Placement(Fig12Options{Scale: -1})),
 		"fig9bfs scale -1":  tables(Fig9BFS(Fig9Options{Scale: -1})),
 		"fig9tc scale -1":   tables(Fig9TC(Fig9Options{Scale: -1})),
+		"fig9bfs nodes 3M":  tables(Fig9BFS(Fig9Options{Scale: 8, Nodes: []int{1, 3000000}})),
+		"fig12 compute 3M":  tables(Fig12Placement(Fig12Options{Scale: 8, ComputeNodes: 3000000})),
+		"figsched lanes":    func() error { _, err := FigSched(FigSchedOptions{LanesPerAccel: 1 << 40}); return err }(),
 	} {
 		if !errors.Is(err, ErrBadOption) {
 			t.Errorf("%s: err = %v, want ErrBadOption", name, err)

@@ -221,6 +221,32 @@ type ShardView struct {
 	// jobs accumulates per-job attribution for nodes this shard owns,
 	// indexed by job ID; merged by Recorder.JobTotals.
 	jobs []JobTotals
+	// lanes[i] is the busy total of lane laneLo+i: the contiguous ID range
+	// this shard's lanes span (a shard owns a contiguous node range).
+	laneLo arch.NetworkID
+	lanes  []LaneBusy
+}
+
+// LaneBusy is one lane's busy-cycle total.
+type LaneBusy struct {
+	Lane arch.NetworkID
+	Node int32
+	Busy int64
+}
+
+// lane returns lane id's total, growing the view's range to cover it.
+func (v *ShardView) lane(id arch.NetworkID) *LaneBusy {
+	if len(v.lanes) == 0 {
+		v.laneLo = id
+	}
+	if id < v.laneLo {
+		v.lanes = append(make([]LaneBusy, v.laneLo-id), v.lanes...)
+		v.laneLo = id
+	}
+	for int(id-v.laneLo) >= len(v.lanes) {
+		v.lanes = append(v.lanes, LaneBusy{})
+	}
+	return &v.lanes[id-v.laneLo]
 }
 
 // sample returns the bucket for (node, at), growing the node's series.
@@ -233,12 +259,19 @@ func (v *ShardView) sample(node int32, at arch.Cycles) *Sample {
 	return &s.Samples[b]
 }
 
-// Event records one executed message: kind, start cycle, charged cycles,
-// and the destination actor's wait-queue depth after execution.
-func (v *ShardView) Event(node int32, kind uint8, start, charged arch.Cycles, waitq int) {
+// Event records one executed message: the executing lane
+// (arch.InvalidNetworkID for memory controllers and other actors), kind,
+// start cycle, charged cycles, and the destination actor's wait-queue depth
+// after execution.
+func (v *ShardView) Event(node int32, lane arch.NetworkID, kind uint8, start, charged arch.Cycles, waitq int) {
 	k := kindIndex(kind)
 	v.kinds[k].Count++
 	v.kinds[k].Cycles += int64(charged)
+	if lane >= 0 {
+		l := v.lane(lane)
+		l.Lane, l.Node = lane, node
+		l.Busy += int64(charged)
+	}
 	b := v.sample(node, start)
 	b.Events++
 	b.Busy += int64(charged)
@@ -326,6 +359,9 @@ type Profile struct {
 	// emitted tuples (see sim.Stats; both zero for shuffle-free runs).
 	ShuffleMsgs   int64
 	ShuffleTuples int64
+	// BusiestLane is the lane with the most busy cycles (the lowest ID on
+	// a tie); zero when no lane ran.
+	BusiestLane LaneBusy
 }
 
 // Profile merges the shard views into a deterministic snapshot. The node
@@ -339,6 +375,11 @@ func (r *Recorder) Profile() *Profile {
 			p.Kinds[k].Count += v.kinds[k].Count
 			p.Kinds[k].Cycles += v.kinds[k].Cycles
 			p.Kinds[k].Cross += v.kinds[k].Cross
+		}
+		for _, l := range v.lanes {
+			if b := &p.BusiestLane; l.Busy > b.Busy || l.Busy == b.Busy && l.Busy > 0 && l.Lane < b.Lane {
+				*b = l
+			}
 		}
 	}
 	return p
@@ -500,6 +541,10 @@ func (p *Profile) WriteText(w io.Writer) error {
 			line += fmt.Sprintf(" tup/msg=%.2f", float64(p.ShuffleTuples)/float64(p.ShuffleMsgs))
 		}
 		b.WriteString(line + "\n")
+	}
+	if l := p.BusiestLane; l.Busy > 0 && p.FinalTime > 0 {
+		fmt.Fprintf(&b, "busiest lane: %d (node %d) %d cycles = %.1f%% of makespan\n",
+			l.Lane, l.Node, l.Busy, 100*float64(l.Busy)/float64(p.FinalTime))
 	}
 	type row struct {
 		node int

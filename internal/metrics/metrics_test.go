@@ -21,12 +21,12 @@ import (
 func TestBucketAttribution(t *testing.T) {
 	r := metrics.New(2, metrics.Options{Interval: 100})
 	v := r.Shard(0)
-	v.Event(0, arch.KindEvent, 0, 10, 0)
-	v.Event(0, arch.KindEvent, 99, 10, 3) // same bucket, crosses boundary
-	v.Event(0, arch.KindEvent, 100, 5, 1) // next bucket
-	v.Event(1, arch.KindEvent, 250, 7, 0) // other node, third bucket
-	v.Send(0, true, 128, 99)              // cross-node: injection backlog
-	v.Send(0, false, 0, 99)               // intra-node: no port
+	v.Event(0, -1, arch.KindEvent, 0, 10, 0)
+	v.Event(0, -1, arch.KindEvent, 99, 10, 3) // same bucket, crosses boundary
+	v.Event(0, -1, arch.KindEvent, 100, 5, 1) // next bucket
+	v.Event(1, -1, arch.KindEvent, 250, 7, 0) // other node, third bucket
+	v.Send(0, true, 128, 99)                  // cross-node: injection backlog
+	v.Send(0, false, 0, 99)                   // intra-node: no port
 	v.DRAM(1, 64, 640, 250)
 	r.ObserveFinalTime(257)
 
@@ -63,8 +63,8 @@ func TestSummarize(t *testing.T) {
 	r := metrics.New(2, metrics.Options{Interval: 100})
 	v := r.Shard(0)
 	// Node 0: 300 busy cycles, node 1: 100 — imbalance 300/200 = 1.5.
-	v.Event(0, arch.KindEvent, 0, 300, 0)
-	v.Event(1, arch.KindEvent, 0, 100, 0)
+	v.Event(0, -1, arch.KindEvent, 0, 300, 0)
+	v.Event(1, -1, arch.KindEvent, 0, 100, 0)
 	// Node 1 serves 470000 bytes in a 1000-cycle run at 4700 B/cycle:
 	// 10% of its bandwidth.
 	v.DRAM(1, 470000, 0, 50)
@@ -190,14 +190,15 @@ func obsRun(t *testing.T, shards int) (string, []byte) {
 // TestRecorderDeterminism: the recorder's merged output must be
 // byte-identical at every shard count — per-node series are computed from
 // per-node event streams that the engine executes in the same order
-// regardless of host parallelism, and per-kind tables merge by integer
-// sums.
+// regardless of host parallelism, per-kind tables merge by integer sums,
+// and the busiest lane is a maximum over per-lane sums with ties to the
+// lowest ID.
 func TestRecorderDeterminism(t *testing.T) {
 	refText, refTrace := obsRun(t, 1)
-	if !strings.Contains(refText, "dram-faddf") {
-		t.Fatalf("workload did not exercise float fetch-adds:\n%s", refText)
+	if !strings.Contains(refText, "dram-faddf") || !strings.Contains(refText, "busiest lane: ") {
+		t.Fatalf("workload did not exercise float fetch-adds or report a busiest lane:\n%s", refText)
 	}
-	for _, shards := range []int{2, runtime.GOMAXPROCS(0)} {
+	for _, shards := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
 		text, trace := obsRun(t, shards)
 		if text != refText {
 			t.Errorf("shards=%d: profile text diverges\n--- shards=1\n%s\n--- shards=%d\n%s",
@@ -207,6 +208,32 @@ func TestRecorderDeterminism(t *testing.T) {
 			t.Errorf("shards=%d: trace bytes diverge (%d vs %d bytes)",
 				shards, len(trace), len(refTrace))
 		}
+	}
+}
+
+// TestBusiestLane: the busiest lane is the largest per-lane busy total over
+// every shard view, ties going to the lowest lane ID; memory controllers
+// and other non-lane actors do not count.
+func TestBusiestLane(t *testing.T) {
+	r := metrics.New(4, metrics.Options{Interval: 100})
+	a, b := r.Shard(0), r.Shard(1)
+	a.Event(0, 9, arch.KindEvent, 0, 30, 0)
+	a.Event(0, 4, arch.KindEvent, 10, 20, 0)
+	b.Event(3, 200, arch.KindEvent, 0, 25, 0)
+	b.Event(3, 200, arch.KindEvent, 40, 5, 0)    // lane 200: 30, ties lane 9
+	b.Event(3, 130, arch.KindEvent, 0, 10, 0)    // below the view's first lane
+	b.Event(3, -1, arch.KindDRAMRead, 0, 500, 0) // a controller: not a lane
+	a.Event(0, 4, arch.KindEvent, 20, 10, 0)     // lane 4: 30, ties too
+	r.ObserveFinalTime(120)
+	p := r.Profile()
+	if want := (metrics.LaneBusy{Lane: 4, Node: 0, Busy: 30}); p.BusiestLane != want {
+		t.Fatalf("busiest lane %+v, want %+v", p.BusiestLane, want)
+	}
+	if !strings.Contains(p.String(), "busiest lane: 4 (node 0) 30 cycles = 25.0% of makespan\n") {
+		t.Errorf("report lacks the busiest-lane line:\n%s", p.String())
+	}
+	if p := metrics.New(1, metrics.Options{}).Profile(); strings.Contains(p.String(), "busiest") {
+		t.Errorf("an empty run reports a busiest lane:\n%s", p.String())
 	}
 }
 
@@ -318,13 +345,14 @@ func TestNodeCountMismatch(t *testing.T) {
 
 func ExampleProfile_String() {
 	r := metrics.New(1, metrics.Options{Interval: 100})
-	r.Shard(0).Event(0, arch.KindEvent, 0, 42, 0)
+	r.Shard(0).Event(0, 5, arch.KindEvent, 0, 42, 0)
 	r.ObserveFinalTime(100)
 	fmt.Print(r.Profile().String())
 	// Output:
 	// profile: interval=100 cycles, final=100 cycles
 	// kind                count         cycles   cross-node
 	// event                   1             42            0 (0.0%)
+	// busiest lane: 5 (node 0) 42 cycles = 42.0% of makespan
 	// node           busy     events      sends     xsends     dram-bytes    backlog    waitq
 	// 0                42          1          0          0              0          0        0
 }

@@ -30,7 +30,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 			mach: arch.DefaultMachine(2),
 			build: func() *metrics.Profile {
 				r := metrics.New(2, metrics.Options{Interval: 100})
-				r.Shard(0).Event(0, arch.KindEvent, 0, 50, 1)
+				r.Shard(0).Event(0, -1, arch.KindEvent, 0, 50, 1)
 				// No ObserveFinalTime: FinalTime stays zero.
 				return r.Profile()
 			},
@@ -74,7 +74,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 			mach: arch.DefaultMachine(1),
 			build: func() *metrics.Profile {
 				r := metrics.New(1, metrics.Options{Interval: 1 << 30})
-				r.Shard(0).Event(0, arch.KindEvent, 10, 20, 0)
+				r.Shard(0).Event(0, -1, arch.KindEvent, 10, 20, 0)
 				r.Shard(0).Send(0, true, 64, 15)
 				r.ObserveFinalTime(100)
 				return r.Profile()
@@ -94,7 +94,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 			build: func() *metrics.Profile {
 				r := metrics.New(2, metrics.Options{Interval: 100})
 				v := r.Shard(0)
-				v.Event(1, arch.KindEvent, 50, 25, 1)
+				v.Event(1, -1, arch.KindEvent, 50, 25, 1)
 				v.Send(1, true, 64, 60)
 				v.DRAM(1, 4096, 128, 70)
 				r.ObserveFinalTime(200)

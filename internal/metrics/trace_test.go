@@ -36,8 +36,8 @@ func buildTraceProfile(t *testing.T) (*metrics.Profile, arch.Machine) {
 	m := arch.DefaultMachine(3)
 	r := metrics.New(3, metrics.Options{Interval: 1000})
 	v := r.Shard(0)
-	v.Event(0, arch.KindEvent, 100, 400, 2)
-	v.Event(0, arch.KindDRAMRead, 1500, 30, 0)
+	v.Event(0, -1, arch.KindEvent, 100, 400, 2)
+	v.Event(0, -1, arch.KindDRAMRead, 1500, 30, 0)
 	v.Send(0, true, 64, 120)
 	v.DRAM(2, 4096, 320, 2500)
 	r.ObserveFinalTime(3000)
@@ -139,7 +139,7 @@ func TestWriteTraceSchema(t *testing.T) {
 func TestWriteTraceTimestamps(t *testing.T) {
 	m := arch.DefaultMachine(1)
 	r := metrics.New(1, metrics.Options{Interval: 2000})
-	r.Shard(0).Event(0, arch.KindEvent, 2000, 10, 0) // bucket 1
+	r.Shard(0).Event(0, -1, arch.KindEvent, 2000, 10, 0) // bucket 1
 	r.ObserveFinalTime(4000)
 	var buf bytes.Buffer
 	if err := r.Profile().WriteTrace(&buf, m); err != nil {
@@ -171,8 +171,8 @@ func TestWriteTracePartialLastBucket(t *testing.T) {
 	m := arch.DefaultMachine(1)
 	r := metrics.New(1, metrics.Options{Interval: 1000})
 	v := r.Shard(0)
-	v.Event(0, arch.KindEvent, 100, 10, 0)  // bucket 0
-	v.Event(0, arch.KindEvent, 2400, 10, 0) // bucket 2, before FinalTime 2500
+	v.Event(0, -1, arch.KindEvent, 100, 10, 0)  // bucket 0
+	v.Event(0, -1, arch.KindEvent, 2400, 10, 0) // bucket 2, before FinalTime 2500
 	r.ObserveFinalTime(2500)
 	var buf bytes.Buffer
 	if err := r.Profile().WriteTrace(&buf, m); err != nil {

@@ -709,7 +709,11 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 				s.stats.DRAMWrites++
 			}
 			if s.rec != nil {
-				s.rec.Event(e.nodeOfID[m.Dst], m.Kind, m.Deliver, env.charged, st.waitqLen())
+				lane := m.Dst
+				if int(lane) >= e.totalLanes {
+					lane = arch.InvalidNetworkID
+				}
+				s.rec.Event(e.nodeOfID[m.Dst], lane, m.Kind, m.Deliver, env.charged, st.waitqLen())
 				if e.nodeOfID[m.Src] != e.nodeOfID[m.Dst] {
 					s.rec.Remote(m.Kind)
 				}

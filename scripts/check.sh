@@ -29,12 +29,15 @@ go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/t
 # (-count=1: the test cache does not key on GOMAXPROCS).
 GOMAXPROCS=1 go test -count=1 ./internal/sim/
 
-# Fuzz smoke: a few seconds of new -fault-spec strings and gv/nl graph files
-# beyond the checked-in corpora (which go test above already replays); a
-# panic in the parser, in updown.New on the parsed plan, or in ReadGVNL
-# fails here.
+# Fuzz smoke: a few seconds of new -fault-spec strings, gv/nl graph files
+# and sweep-list flag values beyond the checked-in corpora (which go test
+# above already replays); a panic in a parser, in updown.New on the parsed
+# plan, or in ReadGVNL, or a list parser that accepts an unsorted list or
+# rejects with anything but a one-line bad option, fails here.
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s -parallel 2 ./internal/fault/
 go test -run '^$' -fuzz '^FuzzReadGVNL$' -fuzztime 5s -parallel 2 ./internal/graph/
+go test -run '^$' -fuzz '^FuzzParseNodeList$' -fuzztime 5s -parallel 2 ./internal/harness/
+go test -run '^$' -fuzz '^FuzzParseList$' -fuzztime 5s -parallel 2 ./cmd/fig/
 
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into
@@ -77,21 +80,26 @@ coal=$(printf '%s\n' "$coal" | awk '/^result-checksum:/{print $2}')
 # block's records and neighbor lists share a node and the apps bind to it:
 # PageRank runs every vertex task there (under 5% of DRAM reads may cross
 # nodes; 75% did under Block/Hash, 23% with lists laid out by edge offset),
-# BFS its kv_reduce, so a frontier vertex is expanded on the node homing
-# its record and list (under 30%; 76% before; what is left is the frontier
-# array itself) — with the distances of the 1-node run. A machine
-# whose node count is not a power of two holds the graph on the largest
-# power of two of its nodes and the apps fall back to Block/Hash, as do
-# Figure 12's mem != compute rows: all of them must still run and validate.
+# BFS its kv_reduce, so a frontier vertex is appended to and expanded from a
+# segment on the node homing its record and list: under 1% of reads and no
+# write cross nodes (13.3% and 37.6% while the frontier sat on node 0) —
+# with the distances of the 1-node run, as must the 3-node run (a lane set
+# of three nodes: one frontier chunk on each). A machine whose node count
+# is not a power of two holds the graph on the largest power of two of its
+# nodes and the apps fall back to Block/Hash, as do Figure 12's mem !=
+# compute rows: all of them must still run and validate.
 cross_below() { # cross_below <limit%> <label>: the profile's dram-read row on stdin
     awk -v lim="$1" -v what="$2" '/^dram-read / { share = $5; gsub(/[(%)]/, "", share); if (share+0 >= lim) { print "placement smoke: " what ": " share "% of dram-read cross-node, want < " lim; exit 1 } found=1 } END { exit !found }'
 }
+checksum() { awk '/^result-checksum:/{print $2}'; }
 ./updown-sim -app pr -nodes 4 -scale 12 -profile | cross_below 5 pr
 bfs4=$(./updown-sim -app bfs -nodes 4 -scale 12 -profile -checksum)
-printf '%s\n' "$bfs4" | cross_below 30 bfs
-bfs1=$(./updown-sim -app bfs -nodes 1 -scale 12 -checksum | awk '/^result-checksum:/{print $2}')
-bfs4=$(printf '%s\n' "$bfs4" | awk '/^result-checksum:/{print $2}')
-[ -n "$bfs1" ] && [ "$bfs1" = "$bfs4" ] || { echo "placement smoke: bfs checksum '$bfs4' on 4 nodes != '$bfs1' on 1"; exit 1; }
+printf '%s\n' "$bfs4" | cross_below 1 bfs
+printf '%s\n' "$bfs4" | awk '$1 == "dram-write" { found=1; if ($4 != 0) { print "placement smoke: bfs: " $4 " dram-writes cross nodes, want 0"; exit 1 } } END { exit !found }'
+bfs1=$(./updown-sim -app bfs -nodes 1 -scale 12 -checksum | checksum)
+bfs3=$(./updown-sim -app bfs -nodes 3 -scale 12 -checksum | checksum)
+bfs4=$(printf '%s\n' "$bfs4" | checksum)
+[ -n "$bfs1" ] && [ "$bfs1" = "$bfs4" ] && [ "$bfs1" = "$bfs3" ] || { echo "placement smoke: bfs checksum '$bfs4' on 4 nodes, '$bfs3' on 3, want '$bfs1' of 1"; exit 1; }
 ./updown-sim -app pr -nodes 3 -scale 10 > /dev/null
 ./fig 9pr -scale 10 -nodes 3 | grep -q 'values validated against host baseline'
 ./fig 12 -scale 10 -mem 1,2,4 -compute 4 \
