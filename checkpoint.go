@@ -85,39 +85,49 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 }
 
 // Restore rebuilds the simulation state serialized by Checkpoint into
-// this machine. Mismatches — format version, program shape, machine
-// architecture, actor space — are rejected with an error before any
-// state is modified; errors found deeper in the stream leave the machine
-// in an undefined state, and it must be discarded.
+// this machine. Every error is a *RestoreError. Mismatches — format
+// version, program shape, machine architecture, actor space — and corrupt
+// or truncated sections are rejected before any state is modified; only
+// an actor payload that fails to apply (RestoreActorFailed) leaves the
+// machine in an undefined state, and it must then be discarded.
 func (m *Machine) Restore(r io.Reader) error {
+	bad := func(k RestoreErrorKind, format string, args ...any) error {
+		return &RestoreError{Kind: k, Detail: fmt.Sprintf(format, args...)}
+	}
 	magic := make([]byte, len(mchkMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != mchkMagic {
-		return fmt.Errorf("updown: not a machine checkpoint (got %q)", magic)
+		return bad(RestoreBadMagic, "not a machine checkpoint (got %q)", magic)
 	}
 	sr := sim.NewSnapReader(r)
 	if v := sr.U32(); sr.Err() == nil && v != mchkVersion {
-		return fmt.Errorf("updown: checkpoint format version %d, this build reads %d", v, mchkVersion)
+		return bad(RestoreBadVersion, "checkpoint format version %d, this build reads %d", v, mchkVersion)
 	}
 	nh := sr.U64()
 	ns := sr.U64()
-	if sr.Err() == nil && (int(nh) != m.Prog.NumHandlers() || int(ns) != m.Prog.NumSlots()) {
-		return fmt.Errorf("updown: checkpoint program has %d handlers and %d slots, this machine has %d and %d (define the same program before Restore)",
+	if sr.Err() == nil && (nh != uint64(m.Prog.NumHandlers()) || ns != uint64(m.Prog.NumSlots())) {
+		return bad(RestoreShapeMismatch, "checkpoint program has %d handlers and %d slots, this machine has %d and %d (define the same program before Restore)",
 			nh, ns, m.Prog.NumHandlers(), m.Prog.NumSlots())
 	}
 	gasSec := sr.Bytes(1 << 32)
 	engSec := sr.Bytes(1 << 32)
 	if err := sr.Err(); err != nil {
-		return fmt.Errorf("updown: truncated checkpoint: %w", err)
+		return bad(RestoreCorrupt, "truncated checkpoint: %v", err)
 	}
-	// Engine first: it validates the full architecture description and
-	// the actor space before mutating, so the common mismatches reject
-	// with both engine and GAS untouched.
-	if err := m.Engine.Restore(bytes.NewReader(engSec)); err != nil {
+	// Both sections are decoded and checked before either is installed.
+	// The engine goes first: it validates the architecture description
+	// and the actor space, so a machine mismatch is named as one.
+	commitEngine, err := m.Engine.StageRestore(bytes.NewReader(engSec))
+	if err != nil {
 		return err
 	}
-	if err := m.GAS.RestoreSnapshot(bytes.NewReader(gasSec)); err != nil {
+	commitGAS, err := m.GAS.StageRestore(bytes.NewReader(gasSec))
+	if err != nil {
+		return bad(RestoreCorrupt, "%v", err)
+	}
+	if err := commitEngine(); err != nil {
 		return err
 	}
+	commitGAS()
 	return nil
 }
 

@@ -11,6 +11,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"updown"
@@ -216,5 +220,135 @@ func TestMachineRestoreGuards(t *testing.T) {
 	// Garbage is not a checkpoint.
 	if err := m.Restore(bytes.NewReader([]byte("not a checkpoint at all"))); err == nil {
 		t.Error("garbage stream accepted")
+	}
+}
+
+// fuzzMachine assembles FuzzRestore's target: two nodes of one 4-lane
+// accelerator, a live region and a freed one (so the GAS section carries a
+// free list), and a hop program whose threads keep gob-encoded state and
+// whose odd hops stay live.
+func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
+	t.Helper()
+	ar := arch.DefaultMachine(2)
+	ar.AccelsPerNode, ar.LanesPerAccel = 1, 4
+	m, err := updown.New(updown.Config{Arch: &ar, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := m.GAS.DRAMmalloc(64*8, 0, 2, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := m.GAS.SetOwner(1)
+	if _, err := m.GAS.DRAMmalloc(32*8, 0, 2, 256); err != nil {
+		t.Fatal(err)
+	}
+	m.GAS.SetOwner(prev)
+	m.GAS.FreeOwner(1)
+	var hop updown.Label
+	hop = m.Prog.Define("hop", func(c *updown.Ctx) {
+		st, _ := c.State().(*relayState)
+		if st == nil {
+			st = &relayState{}
+			c.SetState(st)
+		}
+		st.Sum += c.Op(0)
+		st.Hops++
+		c.LaneLocal("tally", func() any { return &laneTally{} }).(*laneTally).Seen++
+		c.Cycles(20)
+		c.DRAMFetchAdd(va+c.Op(0)%64*8, 1, updown.IGNRCONT)
+		if ttl := c.Op(1); ttl > 0 {
+			h := mix(c.Op(0))
+			c.SendEvent(updown.EvwNew(updown.NetworkID(h%8), hop), updown.IGNRCONT, h%1000, ttl-1)
+		}
+		if st.Hops&1 == 0 {
+			c.YieldTerminate()
+		}
+	})
+	return m, hop
+}
+
+// FuzzRestore feeds arbitrary bytes to Machine.Restore: it never panics,
+// every error is a *RestoreError, and every error but RestoreActorFailed
+// leaves the machine exactly as it was (its checkpoint bytes unchanged).
+// The seed is a checkpoint of fuzzMachine paused mid-run, with messages
+// in flight and live threads; testdata/fuzz/FuzzRestore holds that
+// checkpoint with one count word set so large that sizing a buffer from
+// it used to end the process (TestRestoreReproducers lists them).
+func FuzzRestore(f *testing.F) {
+	m, hop := fuzzMachine(f)
+	m.Start(updown.EvwNew(0, hop), 1, 30)
+	m.Start(updown.EvwNew(5, hop), 2, 30)
+	if _, err := m.RunUntil(400); err != nil {
+		f.Fatal(err)
+	}
+	var seed bytes.Buffer
+	if err := m.Checkpoint(&seed); err != nil {
+		f.Fatal(err)
+	}
+	if fresh, _ := fuzzMachine(f); fresh.Restore(bytes.NewReader(seed.Bytes())) != nil {
+		f.Fatal("the seed checkpoint does not restore")
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, _ := fuzzMachine(t)
+		var before, after bytes.Buffer
+		if err := m.Checkpoint(&before); err != nil {
+			t.Fatal(err)
+		}
+		err := m.Restore(bytes.NewReader(data))
+		if err == nil {
+			return
+		}
+		var re *updown.RestoreError
+		if !errors.As(err, &re) {
+			t.Fatalf("untyped restore error %T: %v", err, err)
+		}
+		if re.Kind == updown.RestoreActorFailed {
+			return
+		}
+		if err := m.Checkpoint(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("rejected (%v) after modifying the machine", err)
+		}
+	})
+}
+
+// TestRestoreReproducers: each checked-in FuzzRestore input announces a
+// count or length no stream of its size can back — 2^36 heap messages,
+// 2^32 free extents, regions or payload bytes, a 2^33-word node store, a
+// region spanning 2^62 nodes from node 2^62 — and each used to be
+// allocated up front (a fatal out-of-memory error, short of a host with
+// that much memory) or to panic in makeslice. Restore must reject every
+// one as a corrupt stream with the machine untouched.
+func TestRestoreReproducers(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzRestore/*")
+	if err != nil || len(files) < 7 {
+		t.Fatalf("%d reproducers (%v)", len(files), err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte fuzz input", name)
+		}
+		m, _ := fuzzMachine(t)
+		var before, after bytes.Buffer
+		if err := m.Checkpoint(&before); err != nil {
+			t.Fatal(err)
+		}
+		var re *updown.RestoreError
+		if err := m.Restore(strings.NewReader(data)); !errors.As(err, &re) || re.Kind != updown.RestoreCorrupt {
+			t.Errorf("%s: got %v, want a corrupt-stream RestoreError", filepath.Base(name), err)
+		}
+		if err := m.Checkpoint(&after); err != nil || !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("%s: the rejected restore modified the machine", filepath.Base(name))
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,7 +57,10 @@ func TestFlagsUnchanged(t *testing.T) {
 // TestBadRunsRejected: flag values that used to panic or print nonsense
 // exit 2 with one line before anything is built, and a fault plan naming a
 // node the machine lacks is updown.New's typed error (exit 1), not a panic.
-// So is a -gv/-nl pair whose header claims 2^62 vertices.
+// So is a -gv/-nl pair whose header claims 2^62 vertices, and so are two
+// -restore files that used to die of a runtime out-of-memory error: 16
+// bytes announcing 2^36 bytes of metadata, and a 2-node warm-start
+// checkpoint whose engine section claims 2^36 pending messages.
 func TestBadRunsRejected(t *testing.T) {
 	dir := t.TempDir()
 	gv, nl := filepath.Join(dir, "g.gv"), filepath.Join(dir, "g.nl")
@@ -63,6 +68,11 @@ func TestBadRunsRejected(t *testing.T) {
 		os.WriteFile(nl, []byte("LNDU\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644) != nil {
 		t.Fatal("writing the malformed graph files failed")
 	}
+	short, msgs := filepath.Join(dir, "short.ckpt"), filepath.Join(dir, "msgs.ckpt")
+	if os.WriteFile(short, []byte("UDCLICKP\x00\x00\x00\x00\x10\x00\x00\x00"), 0o644) != nil {
+		t.Fatal("writing the short checkpoint failed")
+	}
+	writeMsgsCheckpoint(t, msgs)
 	for _, tc := range []struct {
 		args string
 		code int
@@ -78,6 +88,8 @@ func TestBadRunsRejected(t *testing.T) {
 		{"-app bfs -resilient -fault-spec drop=NaN", 2, "drop probability"},
 		{"-app bfs -nodes 2 -scale 6 -resilient -fault-spec failstop=99@10", 1, "fault: failstop 0: node 99 out of range"},
 		{"-app bfs -gv " + gv + " -nl " + nl, 1, "graph: malformed gv/nl file: gv vertex count"},
+		{"-app bfs -scale 8 -restore " + short, 1, "corrupt checkpoint: 68719476736 bytes of metadata announced"},
+		{"-app bfs -nodes 2 -restore " + msgs, 1, "restore rejected (corrupt stream)"},
 	} {
 		var stdout, stderr strings.Builder
 		code := run(strings.Fields(tc.args), &stdout, &stderr)
@@ -86,5 +98,31 @@ func TestBadRunsRejected(t *testing.T) {
 			t.Errorf("updown-sim %s: exit %d, stderr %q, stdout %q; want exit %d and one line naming %q",
 				tc.args, code, msg, stdout.String(), tc.code, tc.msg)
 		}
+	}
+}
+
+// writeMsgsCheckpoint writes a 2-node bfs warm-start checkpoint to path
+// with the engine section's pending-message count set to 2^36. The count
+// follows the section's magic, version, 22 machine words, actor count,
+// host sequence, one injection word per node and 15 statistics words; a
+// warm-start checkpoint has no pending message, so the word must read 0.
+func writeMsgsCheckpoint(t *testing.T, path string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	if code := run(strings.Fields("-app bfs -nodes 2 -scale 6 -checkpoint "+path), &stdout, &stderr); code != 0 {
+		t.Fatalf("writing the checkpoint: exit %d: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("UDSIMCKP"))
+	off := at + 8 + 4 + 22*8 + 8 + 8 + 2*8 + 15*8
+	if at < 0 || off+8 > len(data) || binary.LittleEndian.Uint64(data[off:]) != 0 {
+		t.Fatal("the engine section's message count is not where this test expects it")
+	}
+	binary.LittleEndian.PutUint64(data[off:], 1<<36)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

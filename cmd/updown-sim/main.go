@@ -278,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		must(err)
 		stats, err := j.Run()
 		code = runPartial(stderr, err)
-		report(stdout, m, stats, j.Elapsed())
+		report(stdout, m, stats, j.Elapsed(), j.TerminationTotals().Retired)
 		if code == 0 {
 			fmt.Fprintln(stdout, j.Summary())
 			resTotals, termTotals = j.ResilienceTotals(), j.TerminationTotals()
@@ -297,7 +297,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		must(err)
 		stats, err := a.Run()
 		code = runPartial(stderr, err)
-		report(stdout, m, stats, a.Elapsed())
+		report(stdout, m, stats, a.Elapsed(), 0)
 		if code == 0 {
 			fmt.Fprintf(stdout, "records: %d, phase1 %d cycles, phase2 %d cycles (%.2f MRec/s)\n",
 				a.Records, a.Phase1(), a.Phase2(),
@@ -313,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		must(err)
 		stats, err := a.Run()
 		code = runPartial(stderr, err)
-		report(stdout, m, stats, 0)
+		report(stdout, m, stats, 0, 0)
 		if code == 0 {
 			fmt.Fprintf(stdout, "processed: %d, matches: %d, avg latency %.0f cycles (%.2f us)\n",
 				a.Processed(), a.Matches(), a.AvgLatency(), a.AvgLatency()/2e3)
@@ -666,7 +666,14 @@ func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) *graph.De
 	if _, err := io.ReadFull(r, head); err != nil || string(head[:len(cliCkptMagic)]) != cliCkptMagic {
 		must(fmt.Errorf("%s is not an updown-sim checkpoint", path))
 	}
-	metaBytes := make([]byte, binary.LittleEndian.Uint64(head[len(cliCkptMagic):]))
+	// The length word sizes nothing it does not find in the file.
+	fi, err := f.Stat()
+	must(err)
+	metaLen, left := binary.LittleEndian.Uint64(head[len(cliCkptMagic):]), uint64(fi.Size())-uint64(len(head))
+	if metaLen > left {
+		must(fmt.Errorf("%s: corrupt checkpoint: %d bytes of metadata announced, %d left in the file", path, metaLen, left))
+	}
+	metaBytes := make([]byte, metaLen)
 	_, err = io.ReadFull(r, metaBytes)
 	must(err)
 	var ws warmStart
@@ -678,7 +685,9 @@ func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) *graph.De
 	return ws.DG
 }
 
-func report(w io.Writer, m *updown.Machine, stats updown.Stats, elapsed updown.Cycles) {
+// report prints the machine statistics; retired is how many shuffle tuples
+// a FirstWins invocation retired at hand-off (printed only when non-zero).
+func report(w io.Writer, m *updown.Machine, stats updown.Stats, elapsed updown.Cycles, retired uint64) {
 	// Partial runs can leave per-app phase clocks unset or mid-phase
 	// (negative); the engine's final time is always meaningful.
 	if elapsed <= 0 {
@@ -695,6 +704,9 @@ func report(w io.Writer, m *updown.Machine, stats updown.Stats, elapsed updown.C
 		line := fmt.Sprintf("shuffle: %d tuples in %d messages", stats.ShuffleTuples, stats.ShuffleMsgs)
 		if stats.ShuffleMsgs > 0 {
 			line += fmt.Sprintf(" (%.2f tup/msg)", float64(stats.ShuffleTuples)/float64(stats.ShuffleMsgs))
+		}
+		if retired > 0 {
+			line += fmt.Sprintf(", %d retired at hand-off", retired)
 		}
 		fmt.Fprintln(w, line)
 	}

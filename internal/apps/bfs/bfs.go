@@ -165,10 +165,12 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		ReduceBinding: reduce,
 		Lanes:         cfg.Lanes,
 		Resilience:    m.Resilience,
-		// Coalescing only, no combiner: each discovered (neighbor, dist,
-		// parent) tuple must reach the owner lane so Traversed counts
-		// explored edges and the first arrival picks the BFS-tree parent.
-		Coalesce: m.Coalesce,
+		// Coalescing only, no combiner: Traversed counts every emitted
+		// (neighbor, dist, parent) tuple and the first arrival picks the
+		// BFS-tree parent. The visited check makes every later tuple of a
+		// vertex a drop, so the shuffle retires repeats at hand-off.
+		Coalesce:  m.Coalesce,
+		FirstWins: true,
 	})
 	if err != nil {
 		return nil, err

@@ -66,6 +66,8 @@ func ownerBound(a *pagerank.App) bool {
 // does not depend on the simulator's shard count — both on a 4-node machine
 // holding the graph on all four nodes, where the owner-computes bindings
 // apply, and on a 3-node machine (graph on two), where they fall back.
+// BFS's FirstWins shuffle retires repeat tuples at hand-off on every row;
+// PageRank and TC, which do not declare it, retire none.
 func TestOwnerBoundOracle(t *testing.T) {
 	build := func(scale int) *graph.Graph {
 		return graph.FromEdges(1<<scale, graph.DefaultRMAT(scale, 5), graph.BuildOptions{
@@ -82,8 +84,9 @@ func TestOwnerBoundOracle(t *testing.T) {
 		}
 	}
 	type result struct {
-		cycles updown.Cycles
-		stats  updown.Stats
+		cycles  updown.Cycles
+		stats   updown.Stats
+		retired uint64
 	}
 	apps := []struct {
 		name     string
@@ -97,7 +100,7 @@ func TestOwnerBoundOracle(t *testing.T) {
 				t.Fatalf("Owner bindings taken: %v, want %v", !owner, owner)
 			}
 			comparePR(t, r.app.Values(), wantPR)
-			return result{r.app.Elapsed(), r.stats}
+			return result{r.app.Elapsed(), r.stats, r.app.TerminationTotals().Retired}
 		}},
 		{"bfs", bfsSplit, false, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, _, _ bool) result {
 			app, err := bfs.New(m, dg, bfs.Config{Root: root})
@@ -120,7 +123,7 @@ func TestOwnerBoundOracle(t *testing.T) {
 					}
 				}
 			}
-			return result{app.Elapsed(), stats}
+			return result{app.Elapsed(), stats, app.TerminationTotals().Retired}
 		}},
 		{"tc", graph.Split(small, 0), true, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, _ bool) result {
 			app, err := tc.New(m, dg, tc.Config{Combine: combine})
@@ -134,7 +137,7 @@ func TestOwnerBoundOracle(t *testing.T) {
 			if app.Total() != wantTC || wantTC == 0 {
 				t.Fatalf("simulated total %d, baseline %d", app.Total(), wantTC)
 			}
-			return result{app.Elapsed(), stats}
+			return result{app.Elapsed(), stats, app.TerminationTotals().Retired}
 		}},
 	}
 	for _, mode := range []struct {
@@ -168,6 +171,9 @@ func TestOwnerBoundOracle(t *testing.T) {
 							t.Fatalf("%s, %d nodes: Owner applies: %v", app.name, nodes, owner)
 						}
 						r := app.run(t, m, dg, mode.combine, owner)
+						if (r.retired > 0) != (app.name == "bfs") {
+							t.Errorf("%s, %d nodes: %d tuples retired at hand-off", app.name, nodes, r.retired)
+						}
 						if shards == 1 {
 							first = r
 						} else if r != first {

@@ -108,28 +108,45 @@ func (g *GAS) Snapshot(w io.Writer) error {
 
 // RestoreSnapshot replaces the address space's contents with a snapshot
 // previously written by Snapshot. The GAS must span the same number of
-// nodes with the same per-node capacity; mismatches are rejected before
-// any state is modified.
+// nodes with the same per-node capacity; any error, mismatch or
+// corruption, is returned before any state is modified.
 func (g *GAS) RestoreSnapshot(r io.Reader) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	commit, err := g.StageRestore(r)
+	if err != nil {
+		return err
+	}
+	commit()
+	return nil
+}
+
+// restoreChunk bounds what a restore allocates ahead of the data: lists
+// sized by a count read from the stream start at most this many elements
+// and grow as the elements arrive, so a count the stream cannot back ends
+// at EOF, not in a count-sized allocation.
+const restoreChunk = 4096
+
+// StageRestore decodes and validates a snapshot written by Snapshot
+// without modifying the GAS; commit then installs it. A caller restoring
+// several sections together (the machine checkpoint) stages each before
+// committing any.
+func (g *GAS) StageRestore(r io.Reader) (commit func(), err error) {
 	br := bufio.NewReader(r)
 	sr := &snapReader{r: br}
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapMagic {
-		return fmt.Errorf("gasmem: not a GAS snapshot (got %q)", magic)
+		return nil, fmt.Errorf("gasmem: not a GAS snapshot (got %q)", magic)
 	}
 	if v := sr.u64(); sr.err == nil && v != uint64(snapVersion) {
-		return fmt.Errorf("gasmem: snapshot version %d, this build reads %d", v, snapVersion)
+		return nil, fmt.Errorf("gasmem: snapshot version %d, this build reads %d", v, snapVersion)
 	}
 	nodes := sr.u64()
 	capacity := sr.u64()
 	nextVA := sr.u64()
 	if sr.err != nil {
-		return fmt.Errorf("gasmem: truncated snapshot header: %w", sr.err)
+		return nil, fmt.Errorf("gasmem: truncated snapshot header: %w", sr.err)
 	}
 	if int(nodes) != g.nodes || capacity != g.capacity {
-		return fmt.Errorf("gasmem: snapshot for %d nodes × %d bytes, this GAS has %d × %d",
+		return nil, fmt.Errorf("gasmem: snapshot for %d nodes × %d bytes, this GAS has %d × %d",
 			nodes, capacity, g.nodes, g.capacity)
 	}
 	used := make([]uint64, g.nodes)
@@ -139,27 +156,19 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 	free := make([][]extent, g.nodes)
 	for i := range free {
 		n := sr.u64()
-		if sr.err != nil {
-			break
-		}
-		if n > 1<<32 {
-			return fmt.Errorf("gasmem: implausible free-list length %d on node %d", n, i)
-		}
-		fl := make([]extent, n)
-		for j := range fl {
-			fl[j] = extent{Off: sr.u64(), Size: sr.u64()}
-			if sr.err == nil && (fl[j].Size == 0 || fl[j].Off+fl[j].Size > used[i] ||
-				(j > 0 && fl[j].Off < fl[j-1].Off+fl[j-1].Size)) {
-				return fmt.Errorf("gasmem: corrupt free extent %d on node %d", j, i)
+		fl := make([]extent, 0, min(n, restoreChunk))
+		for j := uint64(0); j < n && sr.err == nil; j++ {
+			e := extent{Off: sr.u64(), Size: sr.u64()}
+			if sr.err == nil && (e.Size == 0 || e.Off+e.Size < e.Off || e.Off+e.Size > used[i] ||
+				(j > 0 && e.Off < fl[j-1].Off+fl[j-1].Size)) {
+				return nil, fmt.Errorf("gasmem: corrupt free extent %d on node %d", j, i)
 			}
+			fl = append(fl, e)
 		}
 		free[i] = fl
 	}
 	nregions := sr.u64()
-	if sr.err == nil && nregions > 1<<32 {
-		return fmt.Errorf("gasmem: implausible region count %d", nregions)
-	}
-	regions := make([]*Region, 0, nregions)
+	regions := make([]*Region, 0, min(nregions, restoreChunk))
 	for i := uint64(0); i < nregions && sr.err == nil; i++ {
 		reg := &Region{
 			Base:      sr.u64(),
@@ -175,16 +184,16 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 			break
 		}
 		if reg.NRNodes <= 0 || reg.NRNodes&(reg.NRNodes-1) != 0 ||
-			reg.FirstNode < 0 || reg.FirstNode+reg.NRNodes > g.nodes ||
+			reg.FirstNode < 0 || reg.NRNodes > g.nodes || reg.FirstNode > g.nodes-reg.NRNodes ||
 			reg.BS == 0 || reg.BS&(reg.BS-1) != 0 ||
 			reg.Rep < 1 || reg.Rep > reg.NRNodes {
-			return fmt.Errorf("gasmem: corrupt region descriptor %d", i)
+			return nil, fmt.Errorf("gasmem: corrupt region descriptor %d", i)
 		}
 		reg.nodes = make([]int32, reg.NRNodes)
 		for j := range reg.nodes {
 			nd := sr.u64()
 			if sr.err == nil && nd >= uint64(g.nodes) {
-				return fmt.Errorf("gasmem: corrupt region descriptor %d", i)
+				return nil, fmt.Errorf("gasmem: corrupt region descriptor %d", i)
 			}
 			reg.nodes[j] = int32(nd)
 		}
@@ -199,31 +208,31 @@ func (g *GAS) RestoreSnapshot(r io.Reader) error {
 	store := make([][]uint64, g.nodes)
 	for i := range store {
 		n := sr.u64()
-		if sr.err != nil {
-			break
+		if sr.err == nil && n > capacity/WordBytes+1 {
+			return nil, fmt.Errorf("gasmem: node %d store of %d words exceeds capacity", i, n)
 		}
-		if n*WordBytes > capacity+WordBytes {
-			return fmt.Errorf("gasmem: node %d store of %d words exceeds capacity", i, n)
-		}
-		st := make([]uint64, n)
-		for j := range st {
-			st[j] = sr.u64()
+		st := make([]uint64, 0, min(n, restoreChunk))
+		for j := uint64(0); j < n && sr.err == nil; j++ {
+			st = append(st, sr.u64())
 		}
 		store[i] = st
 	}
 	if sr.err != nil {
-		return fmt.Errorf("gasmem: truncated snapshot: %w", sr.err)
+		return nil, fmt.Errorf("gasmem: truncated snapshot: %w", sr.err)
 	}
-	g.nextVA = nextVA
-	g.used = used
-	g.free = free
-	g.regions = regions
-	g.store = store
-	g.replicated = false
-	for _, reg := range regions {
-		if reg.Rep > 1 {
-			g.replicated = true
+	return func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.nextVA = nextVA
+		g.used = used
+		g.free = free
+		g.regions = regions
+		g.store = store
+		g.replicated = false
+		for _, reg := range regions {
+			if reg.Rep > 1 {
+				g.replicated = true
+			}
 		}
-	}
-	return nil
+	}, nil
 }

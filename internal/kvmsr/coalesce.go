@@ -48,9 +48,12 @@
 // nodeBase + srcLane%lanesPerNode, so concurrent senders spread across
 // all of the node's lanes instead of hot-spotting one. The distributor
 // unpacks and forwards each tuple to its owner lane (recomputed from the
-// reduce binding; reducers keep lane-local state, so tuples must land on
-// their owners) over the cheap intra-node interconnect, or runs it
-// directly through udweave.InvokeLocal when it owns the tuple itself.
+// reduce binding; reducers keep lane-local state, so a tuple that changes
+// state must land on its owner) over the cheap intra-node interconnect,
+// or runs it directly through udweave.InvokeLocal when it owns the tuple
+// itself. Under Spec.FirstWins the distributor first retires every tuple
+// whose key it has already handed over (see handOff): that one never
+// reaches its owner.
 // Invocations whose reducer tolerates any lane declare Spec.ReduceAnyLane
 // and skip the forward hop entirely: the distributor runs every tuple in
 // place, so a packed message costs one event dispatch for several tuples
@@ -313,9 +316,16 @@ func (v *Invocation) unpackDispatch(c *udweave.Ctx, src arch.NetworkID, ops []ui
 	}
 	c.Cycles(2)
 	self := c.NetworkID()
+	var st *laneState // the FirstWins table's lane, fetched once per message
+	if v.s.FirstWins {
+		st = v.st(c)
+	}
 	for i := 0; i < count; i++ {
 		base := 1 + i*width
 		if !v.s.ReduceAnyLane {
+			if st != nil && !v.handOff(c, st, ops[base]) {
+				continue
+			}
 			owner := v.s.ReduceBinding.Lane(ops[base], v.s.Lanes)
 			if owner != self {
 				c.Cycles(1)

@@ -2,6 +2,7 @@ package kvmsr
 
 import (
 	"updown/internal/arch"
+	"updown/internal/prng"
 	"updown/internal/udweave"
 )
 
@@ -32,3 +33,6 @@ func (v *Invocation) PushesForTest(peek func(arch.NetworkID) any, lane arch.Netw
 	})
 	return n
 }
+
+// HandOffSlotForTest returns the FirstWins table slot key occupies.
+func HandOffSlotForTest(key uint64) uint64 { return prng.Mix64(key) >> (64 - handedBits) }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"updown/internal/arch"
+	"updown/internal/prng"
 	"updown/internal/sim"
 	"updown/internal/udweave"
 )
@@ -126,7 +127,28 @@ type Spec struct {
 	// per remote tuple. Ignored without Coalesce: the direct path already
 	// sends straight to the binding's lane.
 	ReduceAnyLane bool
+	// FirstWins declares that a key's kv_reduce changes state only for the
+	// first tuple of that key to reach the key's owner lane, over the
+	// invocation's whole life; every later tuple only calls ReduceDone
+	// (BFS's visited check). The shuffle then retires a tuple on the lane
+	// that would hand it to its owner — the emitter of a direct send, the
+	// coalescing distributor of a forwarded one — when that lane has
+	// already handed the owner a tuple of the same key (see handOff). Which
+	// of several same-key tuples wins may change; that any but the first
+	// changes nothing may not. Incompatible with ReduceAnyLane, whose
+	// reduce has no owner lane.
+	FirstWins bool
 }
+
+// handedBits sizes the FirstWins table every handing-over lane keeps:
+// 1<<handedBits direct-mapped 32-bit slots, 2 KiB of the lane's 64 KiB
+// scratchpad (EXPERIMENTS.md "BFS's hub round" has the size sweep).
+const handedBits = 9
+
+// handOffCycles is what the FirstWins check costs a lane per tuple: the
+// slot index (a shift of the key hash the reduce binding computes anyway)
+// and the compare, next to the slot's scratchpad access.
+const handOffCycles = 2
 
 // laneState is the per-lane, per-invocation bookkeeping kept in lane-local
 // scratchpad storage. One lane may simultaneously play up to four roles
@@ -164,6 +186,11 @@ type laneState struct {
 	replyOwed  bool
 	reportMode bool
 	pushes     uint64
+	// handed is the lane's FirstWins table (see handOff), allocated at
+	// its first hand-off; retired counts the tuples it retired against
+	// the table, each also a started and reduced task.
+	handed  *[1 << handedBits]uint32
+	retired uint64
 	// mapActive tracks the open map-window span (tracing only): the
 	// window from the lane's first in-flight map task to its lane-done
 	// report.
@@ -307,6 +334,9 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	}
 	if s.Combiner != nil && s.Coalesce == nil {
 		return nil, fmt.Errorf("kvmsr: %s: Combiner requires Coalesce", s.Name)
+	}
+	if s.FirstWins && s.ReduceAnyLane {
+		return nil, fmt.Errorf("kvmsr: %s: FirstWins needs an owner lane per key, ReduceAnyLane has none", s.Name)
 	}
 	for _, b := range []any{s.MapBinding, s.ReduceBinding} {
 		if o, ok := b.(Owner); ok && !o.fits(p.M, s.Lanes) {
@@ -470,8 +500,9 @@ func (v *Invocation) countMsg(c *udweave.Ctx, target arch.NetworkID) {
 
 // routeTuple delivers one [key, vals...] tuple through the shuffle —
 // buffered per destination node under Coalesce when the owner is remote,
-// directly otherwise — and returns the termination credit: 1, or 0 when a
-// coalescing Combiner absorbed the tuple into a buffered same-key entry.
+// directly otherwise (unless FirstWins retires it here) — and returns the
+// termination credit: 1, or 0 when a coalescing Combiner absorbed the tuple
+// into a buffered same-key entry.
 func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint64 {
 	c.Cycles(v.emitCycles)
 	c.Mark(v.nameEmit)
@@ -484,25 +515,31 @@ func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint6
 		}
 	}
 	st := v.st(c)
-	buf := &st.sendBuf
 	if v.res != nil {
 		checkResilientVals(v.s.Name, vals)
-		if v.coal != nil {
-			// Same-node tuple under coalescing+resilience: wrap as a
-			// 1-tuple packed message so redDeliver parses one format.
-			buf[0] = packHeader(1, 1+len(vals))
-			buf[1] = key
-			n := copy(buf[2:], vals)
-			v.sendResilient(c, target, buf[:2+n])
-			return 1
-		}
-		buf[0] = key
-		n := copy(buf[1:], vals)
-		v.sendResilient(c, target, buf[:1+n])
+	}
+	// Under coalescing+resilience a same-node tuple travels as a 1-tuple
+	// packed message, so that redDeliver parses one format; its target
+	// unpacks it through the FirstWins filter, so a tuple this lane wraps
+	// for itself is not filtered here as well.
+	wrap := v.res != nil && v.coal != nil
+	if v.s.FirstWins && (!wrap || target != c.NetworkID()) && !v.handOff(c, st, key) {
+		return 1
+	}
+	buf := &st.sendBuf
+	if wrap {
+		buf[0] = packHeader(1, 1+len(vals))
+		buf[1] = key
+		n := copy(buf[2:], vals)
+		v.sendResilient(c, target, buf[:2+n])
 		return 1
 	}
 	buf[0] = key
 	n := copy(buf[1:], vals)
+	if v.res != nil {
+		v.sendResilient(c, target, buf[:1+n])
+		return 1
+	}
 	v.countMsg(c, target)
 	c.SendEvent(udweave.EvwNew(target, v.lReduce), udweave.IGNRCONT, buf[:1+n]...)
 	return 1
@@ -551,8 +588,9 @@ func (v *Invocation) Return(c *udweave.Ctx, mapCont uint64) {
 // being asked for again: at most one message per reduce-idle transition,
 // and a backlogged lane batches — the push event queues behind the reduces
 // already waiting in the lane's FIFO and reports all of them at once.
-func (v *Invocation) ReduceDone(c *udweave.Ctx) {
-	st := v.st(c)
+func (v *Invocation) ReduceDone(c *udweave.Ctx) { v.reduceDone(c, v.st(c)) }
+
+func (v *Invocation) reduceDone(c *udweave.Ctx, st *laneState) {
 	st.reduced++
 	c.ScratchAccess(1)
 	if (st.reportMode || st.replyOwed) && st.started == st.reduced {
@@ -567,6 +605,36 @@ func (v *Invocation) ReduceDone(c *udweave.Ctx) {
 func (v *Invocation) reduce(c *udweave.Ctx) {
 	v.st(c).started++
 	c.Invoke(v.s.ReduceEvent)
+}
+
+// handOff is the Spec.FirstWins filter, run by the lane about to hand a
+// tuple of key to the key's owner lane: it reports whether to hand it over,
+// which is false only if this lane has handed the owner a tuple of key
+// before. That earlier tuple reaches the owner ahead of this one (a lane's
+// sends to one lane arrive in order), so the owner would only ReduceDone
+// this one. It is retired here instead, started and reduced on this lane,
+// so the termination sums hold unchanged. The table is direct-mapped and
+// remembers the last key per slot: a miss just hands the tuple over, and
+// the owner's own check stays the authority. Slots hold key+1 in 32 bits
+// (0 = empty), so a key of 2^32-1 or more is always handed over.
+func (v *Invocation) handOff(c *udweave.Ctx, st *laneState, key uint64) bool {
+	c.Cycles(handOffCycles)
+	c.ScratchAccess(1)
+	if key >= 1<<32-1 {
+		return true
+	}
+	if st.handed == nil {
+		st.handed = new([1 << handedBits]uint32)
+	}
+	slot := &st.handed[prng.Mix64(key)>>(64-handedBits)]
+	if *slot == uint32(key+1) {
+		st.started++
+		st.retired++
+		v.reduceDone(c, st)
+		return false
+	}
+	*slot = uint32(key + 1)
+	return true
 }
 
 // Flush sends whatever the executing lane holds in its pack buffers now
@@ -1109,14 +1177,19 @@ type TerminationTotals struct {
 	DeltaMsgs    uint64
 	DeltaReduces uint64
 	Pushes       uint64
+	// Retired counts the tuples Spec.FirstWins retired at hand-off, over
+	// every lane: the emits that never reached their owner lane.
+	Retired uint64
 }
 
 // TerminationState is a host-side reading of the protocol's conservation
 // law (see Invocation.TerminationState): at quiescence Reduced == Reported
-// == R == E and nothing is Armed or Pending.
+// == R == E, Retired <= Reduced, and nothing is Armed or Pending.
 type TerminationState struct {
-	// Reduced and Reported sum the lanes' finished and reported reduces.
-	Reduced, Reported uint64
+	// Reduced and Reported sum the lanes' finished and reported reduces;
+	// Retired the part of Reduced that FirstWins retired at hand-off
+	// instead of running kv_reduce.
+	Reduced, Reported, Retired uint64
 	// R and E are the master's delta sum and cumulative emit count.
 	R, E uint64
 	// Armed counts queued push events; Pending sums deltas parked at
@@ -1142,17 +1215,18 @@ func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot int, f f
 }
 
 // TerminationTotals reads the termination counters after a run: the
-// master lane's, plus the worker lanes' push count.
+// master lane's, plus the worker lanes' push and retired counts.
 func (v *Invocation) TerminationTotals(peek func(arch.NetworkID) any) TerminationTotals {
 	var t TerminationTotals
-	var pushes uint64
+	var pushes, retired uint64
 	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
 		if lane == v.s.Lanes.First {
 			t = st.term
 		}
 		pushes += st.pushes
+		retired += st.retired
 	})
-	t.Pushes = pushes
+	t.Pushes, t.Retired = pushes, retired
 	return t
 }
 
@@ -1163,6 +1237,7 @@ func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) Termination
 	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
 		s.Reduced += st.reduced
 		s.Reported += st.reported
+		s.Retired += st.retired
 		if lane == v.s.Lanes.First {
 			s.R, s.E = st.mRed, st.mEmit
 		}

@@ -14,11 +14,12 @@
 // regardless of the host shard count that produced them.
 //
 // Restore validates before it mutates: the magic, version, machine
-// section and actor-space shape are checked first, and any mismatch
-// returns a *RestoreError with the engine untouched. Errors found later
-// in the stream (corruption, an actor payload that fails to decode)
-// also return *RestoreError, but the engine is then in an undefined
-// state and must be discarded.
+// section and actor-space shape are checked first, then the whole stream
+// is decoded and checked, and any error returns a *RestoreError with the
+// engine untouched. Only an actor payload that fails to apply
+// (RestoreActorFailed) leaves the engine in an undefined state, to be
+// discarded. Nothing is sized from a count in the stream before the data
+// behind it has arrived.
 package sim
 
 import (
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"updown/internal/arch"
@@ -97,10 +99,9 @@ func (k RestoreErrorKind) String() string {
 	return "unknown"
 }
 
-// RestoreError is the typed error Engine.Restore returns. For
-// RestoreBadMagic, RestoreBadVersion, RestoreMachineMismatch and
-// RestoreShapeMismatch the engine has not been mutated; for the other
-// kinds it must be discarded.
+// RestoreError is the typed error Engine.Restore returns. For every kind
+// but RestoreActorFailed the engine has not been mutated; after that one
+// it must be discarded.
 type RestoreError struct {
 	Kind   RestoreErrorKind
 	Detail string
@@ -240,8 +241,14 @@ func (r *SnapReader) U8() uint8 {
 // F64 reads a float64 bit pattern.
 func (r *SnapReader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes reads a length-prefixed byte string, capping the announced
-// length at max to keep corrupt streams from provoking huge allocations.
+// restoreChunk bounds what a restore allocates ahead of the data: buffers
+// sized by a count read from the stream start at most this many elements
+// and grow as the elements arrive, so a count the stream cannot back ends
+// at EOF, not in a count-sized allocation.
+const restoreChunk = 4096
+
+// Bytes reads a length-prefixed byte string of at most max bytes, growing
+// the buffer as the bytes arrive (see restoreChunk).
 func (r *SnapReader) Bytes(max uint64) []byte {
 	n := r.U64()
 	if r.err != nil {
@@ -251,8 +258,12 @@ func (r *SnapReader) Bytes(max uint64) []byte {
 		r.err = fmt.Errorf("length %d exceeds limit %d", n, max)
 		return nil
 	}
-	b := make([]byte, n)
-	r.read(b)
+	b := make([]byte, 0, min(n, restoreChunk))
+	for uint64(len(b)) < n && r.err == nil {
+		k := int(min(n-uint64(len(b)), 16*restoreChunk))
+		b = slices.Grow(b, k)[:len(b)+k]
+		r.read(b[len(b)-k:])
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -484,33 +495,61 @@ type snapPayload struct {
 // work. After a successful Restore, Run continues bit-identically to an
 // uninterrupted run.
 func (e *Engine) Restore(r io.Reader) error {
+	commit, err := e.StageRestore(r)
+	if err != nil {
+		return err
+	}
+	return commit()
+}
+
+// StageRestore is Restore in two steps: it decodes and validates the
+// whole checkpoint without modifying the engine, and commit installs it.
+// Only commit's actor payloads can still fail (RestoreActorFailed). A
+// caller restoring several sections together (the machine checkpoint)
+// stages each before committing any.
+func (e *Engine) StageRestore(r io.Reader) (commit func() error, err error) {
 	if e.running {
 		panic("sim: Restore called while Run is in progress")
 	}
+	snap, err := e.decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return e.applySnapshot(snap) }, nil
+}
+
+// validMsg reports whether a decoded message can be scheduled: a
+// registered destination and an operand count the arena holds.
+func (e *Engine) validMsg(m *Message) bool {
+	return m.Dst >= 0 && int(m.Dst) < len(e.actors) && m.NOps <= MaxOperands
+}
+
+// decodeSnapshot reads and checks a checkpoint stream into a snapState.
+func (e *Engine) decodeSnapshot(r io.Reader) (*snapState, error) {
 	br := bufio.NewReader(r)
 	sr := NewSnapReader(br)
 	magic := make([]byte, len(snapMagic))
 	sr.read(magic)
 	if sr.err != nil || string(magic) != snapMagic {
-		return restoreErrf(RestoreBadMagic, "not an engine checkpoint (got %q)", magic)
+		return nil, restoreErrf(RestoreBadMagic, "not an engine checkpoint (got %q)", magic)
 	}
 	if v := sr.U32(); v != snapVersion {
-		return restoreErrf(RestoreBadVersion, "format version %d, this build reads %d", v, snapVersion)
+		return nil, restoreErrf(RestoreBadVersion, "format version %d, this build reads %d", v, snapVersion)
 	}
 	want := machineWords(e.M)
 	for i, w := range want {
 		if got := sr.U64(); sr.err == nil && got != w {
-			return restoreErrf(RestoreMachineMismatch,
+			return nil, restoreErrf(RestoreMachineMismatch,
 				"machine word %d differs: checkpoint %d, engine %d", i, got, w)
 		}
 	}
 	if sr.err != nil {
-		return restoreErrf(RestoreCorrupt, "truncated machine section: %v", sr.err)
+		return nil, restoreErrf(RestoreCorrupt, "truncated machine section: %v", sr.err)
 	}
-	var snap snapState
+	snap := &snapState{}
 	snap.nActors = int(sr.U64())
 	if sr.err == nil && snap.nActors != len(e.actors) {
-		return restoreErrf(RestoreShapeMismatch,
+		return nil, restoreErrf(RestoreShapeMismatch,
 			"checkpoint has %d actors, engine has %d (auxiliary actors must be registered before Restore)",
 			snap.nActors, len(e.actors))
 	}
@@ -535,12 +574,13 @@ func (e *Engine) Restore(r io.Reader) error {
 	snap.stats.Faults.Failovers = sr.I64()
 	snap.stats.Faults.Stalled = sr.I64()
 	nmsgs := sr.U64()
-	if sr.err == nil && nmsgs > 1<<40 {
-		return restoreErrf(RestoreCorrupt, "implausible heap message count %d", nmsgs)
-	}
-	snap.heapMsgs = make([]Message, 0, nmsgs)
+	snap.heapMsgs = make([]Message, 0, min(nmsgs, restoreChunk))
 	for i := uint64(0); i < nmsgs && sr.err == nil; i++ {
-		snap.heapMsgs = append(snap.heapMsgs, readMessage(sr))
+		m := readMessage(sr)
+		if sr.err == nil && !e.validMsg(&m) {
+			return nil, restoreErrf(RestoreCorrupt, "heap message to actor %d with %d operands", m.Dst, m.NOps)
+		}
+		snap.heapMsgs = append(snap.heapMsgs, m)
 	}
 	nstate := sr.U64()
 	for i := uint64(0); i < nstate && sr.err == nil; i++ {
@@ -551,14 +591,15 @@ func (e *Engine) Restore(r io.Reader) error {
 		a.seq = sr.U64()
 		a.busy = sr.I64()
 		nw := sr.U64()
-		if sr.err == nil && nw > 1<<40 {
-			return restoreErrf(RestoreCorrupt, "implausible wait-queue length %d", nw)
-		}
 		for j := uint64(0); j < nw && sr.err == nil; j++ {
-			a.waitq = append(a.waitq, readMessage(sr))
+			m := readMessage(sr)
+			if sr.err == nil && !e.validMsg(&m) {
+				return nil, restoreErrf(RestoreCorrupt, "parked message to actor %d with %d operands", m.Dst, m.NOps)
+			}
+			a.waitq = append(a.waitq, m)
 		}
 		if a.id < 0 || a.id >= len(e.actors) {
-			return restoreErrf(RestoreCorrupt, "actor record for out-of-range id %d", a.id)
+			return nil, restoreErrf(RestoreCorrupt, "actor record for out-of-range id %d", a.id)
 		}
 		snap.actors = append(snap.actors, a)
 	}
@@ -570,17 +611,36 @@ func (e *Engine) Restore(r io.Reader) error {
 			break
 		}
 		if id < 0 || id >= len(e.actors) {
-			return restoreErrf(RestoreCorrupt, "payload for out-of-range actor id %d", id)
+			return nil, restoreErrf(RestoreCorrupt, "payload for out-of-range actor id %d", id)
 		}
 		snap.payloads = append(snap.payloads, snapPayload{id: id, data: data})
 	}
 	if sr.err == nil && sr.U64() != snapEnd {
-		return restoreErrf(RestoreCorrupt, "missing end sentinel")
+		return nil, restoreErrf(RestoreCorrupt, "missing end sentinel")
 	}
 	if sr.err != nil {
-		return restoreErrf(RestoreCorrupt, "truncated stream: %v", sr.err)
+		return nil, restoreErrf(RestoreCorrupt, "truncated stream: %v", sr.err)
 	}
-	// Validation complete — apply. Engine state first, then payloads.
+	// The wait-queue invariant must hold or the scheduler would strand
+	// parked messages: an actor with parked messages has a floating retry
+	// in the heap.
+	floating := map[int]bool{}
+	for i := range snap.heapMsgs {
+		if m := &snap.heapMsgs[i]; m.retry {
+			floating[int(m.Dst)] = true
+		}
+	}
+	for _, a := range snap.actors {
+		if len(a.waitq) > 0 && !floating[a.id] {
+			return nil, restoreErrf(RestoreCorrupt, "actor %d has %d parked messages but no floating retry", a.id, len(a.waitq))
+		}
+	}
+	return snap, nil
+}
+
+// applySnapshot installs a decoded checkpoint: engine state first, then
+// the actor payloads, the one step that can still fail.
+func (e *Engine) applySnapshot(snap *snapState) error {
 	e.hostSeq = snap.hostSeq
 	copy(e.injBusy64, snap.inj)
 	for i := range e.state {
@@ -620,20 +680,9 @@ func (e *Engine) Restore(r io.Reader) error {
 	// destination.
 	for i := range snap.heapMsgs {
 		m := &snap.heapMsgs[i]
-		if int(m.Dst) >= len(e.actors) {
-			return restoreErrf(RestoreCorrupt, "heap message for out-of-range actor %d", m.Dst)
-		}
 		e.shards[e.shardOf(m.Dst)].heap.push(m)
 		if m.retry {
 			e.state[m.Dst].floating++
-		}
-	}
-	// The wait-queue invariant must hold or the scheduler would strand
-	// parked messages.
-	for i := range e.state {
-		if e.state[i].waitqLen() > 0 && e.state[i].floating == 0 {
-			return restoreErrf(RestoreCorrupt,
-				"actor %d has %d parked messages but no floating retry", i, e.state[i].waitqLen())
 		}
 	}
 	for _, p := range snap.payloads {

@@ -29,15 +29,17 @@ go test -race ./internal/sim/ ./internal/kvmsr/ ./internal/metrics/ ./internal/t
 # (-count=1: the test cache does not key on GOMAXPROCS).
 GOMAXPROCS=1 go test -count=1 ./internal/sim/
 
-# Fuzz smoke: a few seconds of new -fault-spec strings, gv/nl graph files
-# and sweep-list flag values beyond the checked-in corpora (which go test
-# above already replays); a panic in a parser, in updown.New on the parsed
-# plan, or in ReadGVNL, or a list parser that accepts an unsorted list or
-# rejects with anything but a one-line bad option, fails here.
+# Fuzz smoke: a few seconds of new -fault-spec strings, gv/nl graph files,
+# sweep-list flag values and checkpoint bytes beyond the checked-in corpora
+# (which go test above already replays); a panic in a parser, in updown.New
+# on the parsed plan, in ReadGVNL or in Machine.Restore, a list parser that
+# accepts an unsorted list or rejects with anything but a one-line bad
+# option, or a rejected restore that changed the machine, fails here.
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s -parallel 2 ./internal/fault/
 go test -run '^$' -fuzz '^FuzzReadGVNL$' -fuzztime 5s -parallel 2 ./internal/graph/
 go test -run '^$' -fuzz '^FuzzParseNodeList$' -fuzztime 5s -parallel 2 ./internal/harness/
 go test -run '^$' -fuzz '^FuzzParseList$' -fuzztime 5s -parallel 2 ./cmd/fig/
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s -parallel 2 .
 
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
 # that coalesced+combined PageRank pushes strictly fewer messages into
@@ -100,6 +102,13 @@ bfs1=$(./updown-sim -app bfs -nodes 1 -scale 12 -checksum | checksum)
 bfs3=$(./updown-sim -app bfs -nodes 3 -scale 12 -checksum | checksum)
 bfs4=$(printf '%s\n' "$bfs4" | checksum)
 [ -n "$bfs1" ] && [ "$bfs1" = "$bfs4" ] && [ "$bfs1" = "$bfs3" ] || { echo "placement smoke: bfs checksum '$bfs4' on 4 nodes, '$bfs3' on 3, want '$bfs1' of 1"; exit 1; }
+# BFS declares FirstWins: coalescing distributors and direct-send emitters
+# retire a vertex's repeat tuples instead of queueing them at its owner
+# lane, which must change no distance, round or traversed-edge count.
+bfs4c=$(./updown-sim -app bfs -nodes 4 -scale 12 -coalesce -checksum)
+printf '%s\n' "$bfs4c" | grep -Eq '^shuffle: .*, [1-9][0-9]* retired at hand-off$' || { echo "placement smoke: bfs -coalesce on 4 nodes retired no tuple at hand-off"; exit 1; }
+bfs4c=$(printf '%s\n' "$bfs4c" | checksum)
+[ "$bfs4c" = "$bfs1" ] || { echo "placement smoke: bfs -coalesce checksum '$bfs4c' on 4 nodes, want '$bfs1' of 1"; exit 1; }
 ./updown-sim -app pr -nodes 3 -scale 10 > /dev/null
 ./fig 9pr -scale 10 -nodes 3 | grep -q 'values validated against host baseline'
 ./fig 12 -scale 10 -mem 1,2,4 -compute 4 \
