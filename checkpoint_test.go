@@ -26,7 +26,7 @@ import (
 )
 
 // relayState is per-thread state; laneTally accumulates per-lane output
-// in lane-local storage. Both travel through the checkpoint via gob.
+// in a lane slot. Both travel through the checkpoint via gob.
 type relayState struct{ Sum, Hops uint64 }
 type laneTally struct{ Seen, Sum uint64 }
 
@@ -49,7 +49,7 @@ const relayNodes = 3
 // with drops, dups, delays, a lane stall and a degraded node, with
 // metrics, tracing and a resilience config enabled. extraHandler grows
 // the program (for the shape-guard test); post seeds the workload.
-func buildRelay(t *testing.T, post, extraHandler bool) (*updown.Machine, updown.VA) {
+func buildRelay(t *testing.T, post, extraHandler bool) (*updown.Machine, updown.VA, udweave.Slot[laneTally]) {
 	t.Helper()
 	a := arch.DefaultMachine(relayNodes)
 	m, err := updown.New(updown.Config{
@@ -75,6 +75,7 @@ func buildRelay(t *testing.T, post, extraHandler bool) (*updown.Machine, updown.
 	if err != nil {
 		t.Fatal(err)
 	}
+	tally := udweave.NewSlot[laneTally](m.Prog)
 	var relay updown.Label
 	relay = m.Prog.Define("relay", func(c *updown.Ctx) {
 		st, _ := c.State().(*relayState)
@@ -84,7 +85,7 @@ func buildRelay(t *testing.T, post, extraHandler bool) (*updown.Machine, updown.
 		}
 		st.Sum += c.Op(0)
 		st.Hops++
-		tl := c.LaneLocal("tally", func() any { return &laneTally{} }).(*laneTally)
+		tl := tally.Get(c)
 		tl.Seen++
 		tl.Sum += c.Op(0)
 		c.Cycles(25)
@@ -120,22 +121,17 @@ func buildRelay(t *testing.T, post, extraHandler bool) (*updown.Machine, updown.
 		// One root on the stalled lane, so the stall provably fires.
 		m.Start(updown.EvwNew(a.LaneID(1, 0, 3), relay), 7, 40)
 	}
-	return m, va
+	return m, va, tally
 }
 
 // relayOutput fingerprints the application-visible output: the lane
 // tallies of every lane plus a slice of the DRAM accumulators.
-func relayOutput(m *updown.Machine, va updown.VA) string {
+func relayOutput(m *updown.Machine, va updown.VA, tally udweave.Slot[laneTally]) string {
 	var buf bytes.Buffer
 	for node := 0; node < relayNodes; node++ {
 		for lane := 0; lane < 64; lane++ {
 			id := m.Arch.LaneID(node, 0, lane)
-			a := m.Engine.PeekActor(id)
-			if a == nil {
-				continue
-			}
-			l := a.(*udweave.Lane)
-			if tl, ok := l.LocalPeek("tally").(*laneTally); ok {
+			if tl := tally.Peek(m.Engine.PeekActor(id)); tl != nil {
 				fmt.Fprintf(&buf, "%d:%d/%d ", id, tl.Seen, tl.Sum)
 			}
 		}
@@ -147,7 +143,7 @@ func relayOutput(m *updown.Machine, va updown.VA) string {
 }
 
 func TestMachineCheckpointRoundTrip(t *testing.T) {
-	ref, refVA := buildRelay(t, true, false)
+	ref, refVA, tally := buildRelay(t, true, false)
 	refStats, err := ref.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -155,11 +151,11 @@ func TestMachineCheckpointRoundTrip(t *testing.T) {
 	if refStats.Events < 50 || refStats.Faults.Dropped == 0 || refStats.Faults.Stalled == 0 {
 		t.Fatalf("workload too tame to be a useful fixture: %+v", refStats)
 	}
-	refOut := relayOutput(ref, refVA)
+	refOut := relayOutput(ref, refVA, tally)
 
 	for _, pause := range []updown.Cycles{0, 2500, 20000} {
 		t.Run(fmt.Sprintf("pause=%d", pause), func(t *testing.T) {
-			m, _ := buildRelay(t, true, false)
+			m, _, _ := buildRelay(t, true, false)
 			if _, err := m.RunUntil(pause); err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +163,7 @@ func TestMachineCheckpointRoundTrip(t *testing.T) {
 			if err := m.Checkpoint(&buf); err != nil {
 				t.Fatal(err)
 			}
-			f, fVA := buildRelay(t, false, false)
+			f, fVA, _ := buildRelay(t, false, false)
 			if err := f.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +174,7 @@ func TestMachineCheckpointRoundTrip(t *testing.T) {
 			if stats != refStats {
 				t.Errorf("stats diverge:\n got %+v\nwant %+v", stats, refStats)
 			}
-			if out := relayOutput(f, fVA); out != refOut {
+			if out := relayOutput(f, fVA, tally); out != refOut {
 				t.Errorf("application output diverges:\n got %s\nwant %s", out, refOut)
 			}
 		})
@@ -186,7 +182,7 @@ func TestMachineCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestMachineRestoreGuards(t *testing.T) {
-	m, _ := buildRelay(t, true, false)
+	m, _, _ := buildRelay(t, true, false)
 	if _, err := m.RunUntil(2500); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +193,7 @@ func TestMachineRestoreGuards(t *testing.T) {
 
 	// A machine whose program registered an extra handler is a different
 	// program; the handler-count guard must reject it.
-	wrongProg, _ := buildRelay(t, false, true)
+	wrongProg, _, _ := buildRelay(t, false, true)
 	if err := wrongProg.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("restore into a machine with a different program was accepted")
 	}
@@ -210,6 +206,7 @@ func TestMachineRestoreGuards(t *testing.T) {
 	}
 	// Match the program shape so the earlier guard passes and the engine
 	// guard is the one exercised.
+	udweave.NewSlot[laneTally](wrongArch.Prog)
 	wrongArch.Prog.Define("relay", func(c *updown.Ctx) {})
 	rerr := wrongArch.Restore(bytes.NewReader(buf.Bytes()))
 	var re *updown.RestoreError
@@ -223,11 +220,9 @@ func TestMachineRestoreGuards(t *testing.T) {
 	}
 }
 
-// fuzzMachine assembles FuzzRestore's target: two nodes of one 4-lane
-// accelerator, a live region and a freed one (so the GAS section carries a
-// free list), and a hop program whose threads keep gob-encoded state and
-// whose odd hops stay live.
-func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
+// fuzzArch builds FuzzRestore's machine: two nodes of one 4-lane
+// accelerator.
+func fuzzArch(t testing.TB) *updown.Machine {
 	t.Helper()
 	ar := arch.DefaultMachine(2)
 	ar.AccelsPerNode, ar.LanesPerAccel = 1, 4
@@ -235,6 +230,16 @@ func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// fuzzMachine assembles FuzzRestore's target on fuzzArch: a live region and
+// a freed one (so the GAS section carries a free list), and a hop program
+// whose threads keep gob-encoded state, whose lanes count hops in a slot
+// and whose odd hops stay live.
+func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
+	t.Helper()
+	m := fuzzArch(t)
 	va, err := m.GAS.DRAMmalloc(64*8, 0, 2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +250,7 @@ func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
 	}
 	m.GAS.SetOwner(prev)
 	m.GAS.FreeOwner(1)
+	tally := udweave.NewSlot[laneTally](m.Prog)
 	var hop updown.Label
 	hop = m.Prog.Define("hop", func(c *updown.Ctx) {
 		st, _ := c.State().(*relayState)
@@ -254,7 +260,7 @@ func fuzzMachine(t testing.TB) (*updown.Machine, updown.Label) {
 		}
 		st.Sum += c.Op(0)
 		st.Hops++
-		c.LaneLocal("tally", func() any { return &laneTally{} }).(*laneTally).Seen++
+		tally.Get(c).Seen++
 		c.Cycles(20)
 		c.DRAMFetchAdd(va+c.Op(0)%64*8, 1, updown.IGNRCONT)
 		if ttl := c.Op(1); ttl > 0 {
@@ -350,5 +356,43 @@ func TestRestoreReproducers(t *testing.T) {
 		if err := m.Checkpoint(&after); err != nil || !bytes.Equal(before.Bytes(), after.Bytes()) {
 			t.Errorf("%s: the rejected restore modified the machine", filepath.Base(name))
 		}
+	}
+}
+
+// TestRestoreRejectsSlotOfAnotherType: a checkpoint of a program that
+// keeps a *relayState in the slot where fuzzMachine keeps a *laneTally has
+// the same handler and slot counts, but is another program's state. Restore
+// must reject it as a shape mismatch and leave the machine as it was, so
+// the next run cannot meet a value of the wrong type.
+func TestRestoreRejectsSlotOfAnotherType(t *testing.T) {
+	src := fuzzArch(t)
+	relay := udweave.NewSlot[relayState](src.Prog)
+	hop := src.Prog.Define("hop", func(c *updown.Ctx) {
+		relay.Get(c).Hops++
+		c.YieldTerminate()
+	})
+	src.Start(updown.EvwNew(0, hop), 1, 0)
+	if _, err := src.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := src.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	m, hop := fuzzMachine(t)
+	var before, after bytes.Buffer
+	if err := m.Checkpoint(&before); err != nil {
+		t.Fatal(err)
+	}
+	var re *updown.RestoreError
+	if err := m.Restore(bytes.NewReader(ckpt.Bytes())); !errors.As(err, &re) || re.Kind != updown.RestoreShapeMismatch {
+		t.Fatalf("got %v, want a shape-mismatch RestoreError", err)
+	}
+	if err := m.Checkpoint(&after); err != nil || !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("the rejected restore modified the machine")
+	}
+	m.Start(updown.EvwNew(0, hop), 1, 0)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

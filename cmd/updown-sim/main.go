@@ -17,7 +17,8 @@
 // per-kind breakdown (with each kind's cross-node share) after the run, for
 // the graph apps one "termination:" line with the KVMSR termination
 // protocol's counters (launches, drain probes, pushed deltas), and for pr
-// one "phases:" line per iteration (map+reduce, flush, apply cycles);
+// one "phases:" line per iteration (map+reduce, flush, apply cycles), and
+// one "scratchpad:" line naming the lane whose slots hold the most bytes;
 // -trace out.json exports a Chrome trace_event file loadable in Perfetto
 // (ui.perfetto.dev), one process per node with counter tracks for lane
 // occupancy, DRAM traffic/backlog and injection backlog. -spans adds named
@@ -341,6 +342,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			s := p.Summarize(m.Arch)
 			fmt.Fprintf(stdout, "nodes touched: %d, imbalance %.2fx (peak node %d), DRAM util %.1f%%, inj util %.1f%%\n",
 				s.NodesTouched, s.Imbalance, s.PeakBusyNode, 100*s.DRAMUtil, 100*s.InjUtil)
+			if lane, held := m.Prog.FullestLane(); held > 0 {
+				fmt.Fprintf(stdout, "scratchpad: fullest lane %d (node %d) holds %d of %d bytes\n",
+					lane, m.Arch.NodeOf(lane), held, m.Arch.ScratchBytesPerLane)
+			}
 		}
 		if *tracePath != "" {
 			must(writeFileWith(*tracePath, func(w io.Writer) error { return metrics.WriteTraceFile(w, m.Arch, p, m.Trace) }))

@@ -70,7 +70,7 @@ type App struct {
 	lSeedVisit udweave.Label
 	lSeedCount udweave.Label
 
-	visitedSlot int
+	visited udweave.Slot[map[uint32]bool]
 
 	Rounds int
 	// Traversed counts edges explored across all rounds (the GTEPS
@@ -120,7 +120,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if int(cfg.Root) >= dg.G.OrigN {
 		return nil, fmt.Errorf("bfs: root %d outside graph of %d vertices", cfg.Root, dg.G.OrigN)
 	}
-	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg, visitedSlot: m.Prog.AllocSlot()}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg, visited: udweave.NewSlot[map[uint32]bool](m.Prog)}
 	var reduce kvmsr.ReduceBinding // nil: Hash
 	if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
 		reduce = own
@@ -262,12 +262,17 @@ func (a *App) roundPhase(c *updown.Ctx, round uint64) {
 	}
 }
 
-func (a *App) visited(c *updown.Ctx) map[uint32]bool {
-	return c.LocalSlot(a.visitedSlot, func() any { return make(map[uint32]bool) }).(map[uint32]bool)
+// visitedSet returns the executing lane's visited set.
+func (a *App) visitedSet(c *updown.Ctx) map[uint32]bool {
+	v := a.visited.Get(c)
+	if *v == nil {
+		*v = make(map[uint32]bool)
+	}
+	return *v
 }
 
 func (a *App) seedVisit(c *updown.Ctx) {
-	a.visited(c)[uint32(c.Op(0))] = true
+	a.visitedSet(c)[uint32(c.Op(0))] = true
 	c.ScratchAccess(1)
 	c.Reply(c.Cont())
 	c.YieldTerminate()
@@ -441,7 +446,7 @@ func (a *App) kvReduce(c *updown.Ctx) {
 	v := uint32(c.Op(0))
 	dist := c.Op(1)
 	src := c.Op(2)
-	vis := a.visited(c)
+	vis := a.visitedSet(c)
 	c.ScratchAccess(1)
 	c.Cycles(4)
 	if vis[v] {

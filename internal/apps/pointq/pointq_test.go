@@ -245,6 +245,11 @@ func TestTooManySlots(t *testing.T) {
 			if a, b := e.Result(0), e.Result(ceiling-1); a != k.slots[0].result || b != k.slots[1].result {
 				t.Errorf("answers %#x, %#x at the ceiling, want %#x, %#x", a, b, k.slots[0].result, k.slots[1].result)
 			}
+			// The serving machine's lane state, fullest at the ceiling
+			// (a lane past its scratchpad would have panicked).
+			lane, held := m.Prog.FullestLane()
+			t.Logf("%d slots: scratchpad: fullest lane %d (node %d) holds %d of %d bytes",
+				ceiling, lane, m.Arch.NodeOf(lane), held, m.Arch.ScratchBytesPerLane)
 		})
 	}
 	m, dg := pointqtest.Machine(t, testGraph, 2, 1)

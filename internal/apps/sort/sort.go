@@ -41,6 +41,7 @@ type App struct {
 	bucketsVA gasmem.VA
 
 	sortInv *kvmsr.Invocation
+	buckets udweave.Slot[bucketState]
 
 	lInChunk udweave.Label
 	lInsert  udweave.Label
@@ -115,6 +116,7 @@ func New(m *updown.Machine, input []uint64, cfg Config) (*App, error) {
 	}
 
 	p := m.Prog
+	a.buckets = udweave.NewSlot[bucketState](p)
 	mapBody := p.Define("sort.kv_map", a.kvMap)
 	a.lInChunk = p.Define("sort.in_chunk", a.inChunk)
 	a.lInsert = p.Define("sort.insert", a.insert)
@@ -226,9 +228,11 @@ func (a *App) inChunk(c *updown.Ctx) {
 }
 
 func (a *App) bst(c *updown.Ctx) *bucketState {
-	return c.LaneLocal("sort.buckets", func() any {
-		return &bucketState{counts: make(map[uint32]uint32)}
-	}).(*bucketState)
+	st := a.buckets.Get(c)
+	if st.counts == nil {
+		st.counts = make(map[uint32]uint32)
+	}
+	return st
 }
 
 // insert is the kv_reduce: the owner lane assigns the slot (atomic within

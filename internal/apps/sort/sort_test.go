@@ -92,3 +92,31 @@ func TestBucketSortValidation(t *testing.T) {
 		t.Error("more buckets than lanes accepted")
 	}
 }
+
+// TestTwoSortsOneMachine: two sorts built on one machine and run one after
+// the other keep their bucket counts in their own lane slots, so each
+// returns exactly its own input, sorted.
+func TestTwoSortsOneMachine(t *testing.T) {
+	m, err := updown.New(updown.Config{Nodes: 2, Shards: 1, MaxTime: 1 << 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.NewStream(5)
+	var inputs [2][]uint64
+	var apps [2]*usort.App
+	for i := range apps {
+		inputs[i] = make([]uint64, 3000)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Uint64n(1 << 32)
+		}
+		if apps[i], err = usort.New(m, inputs[i], usort.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, app := range apps {
+		if _, err := app.Run(); err != nil {
+			t.Fatal(err)
+		}
+		checkSorted(t, app.Result(), inputs[i])
+	}
+}

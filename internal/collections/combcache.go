@@ -27,7 +27,7 @@ import (
 type CombiningCache struct {
 	p    *udweave.Program
 	name string
-	slot int
+	slot udweave.Slot[ccLaneState]
 	op   func(acc, v uint64) uint64
 
 	lFlushRead  udweave.Label
@@ -59,7 +59,7 @@ type flushEntry struct {
 // accumulated delta with the value in memory during flush (and deltas with
 // each other locally), e.g. AddU64 or AddF64.
 func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) uint64) *CombiningCache {
-	cc := &CombiningCache{p: p, name: name, slot: p.AllocSlot(), op: op}
+	cc := &CombiningCache{p: p, name: name, slot: udweave.NewSlot[ccLaneState](p), op: op}
 	cc.lFlushRead = p.Define(name+".flush_read", cc.flushRead)
 	cc.lFlushWrite = p.Define(name+".flush_write", cc.flushWrite)
 	cc.lFlushDone = p.Define(name+".flush_done", cc.flushDone)
@@ -83,9 +83,11 @@ func MaxU64(acc, v uint64) uint64 {
 }
 
 func (cc *CombiningCache) st(c *udweave.Ctx) *ccLaneState {
-	return c.LocalSlot(cc.slot, func() any {
-		return &ccLaneState{acc: make(map[gasmem.VA]uint64)}
-	}).(*ccLaneState)
+	st := cc.slot.Get(c)
+	if st.acc == nil {
+		st.acc = make(map[gasmem.VA]uint64)
+	}
+	return st
 }
 
 // Add combines v into the lane-local accumulator for va. It costs a few

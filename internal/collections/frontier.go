@@ -24,7 +24,7 @@ import (
 type Frontier struct {
 	p      *udweave.Program
 	name   string
-	slot   int
+	slot   udweave.Slot[frontierLaneState]
 	lanes  kvmsr.LaneSet
 	segCap int
 
@@ -53,7 +53,7 @@ func NewFrontier(p *udweave.Program, name string, lanes kvmsr.LaneSet, segCap in
 	if segCap <= 0 {
 		return nil, fmt.Errorf("collections: %s: segCap must be positive", name)
 	}
-	f := &Frontier{p: p, name: name, slot: p.AllocSlot(), lanes: lanes, segCap: segCap}
+	f := &Frontier{p: p, name: name, slot: udweave.NewSlot[frontierLaneState](p), lanes: lanes, segCap: segCap}
 	f.lAppend = p.Define(name+".append", f.append)
 	return f, nil
 }
@@ -134,9 +134,7 @@ func (f *Frontier) append(c *udweave.Ctx) {
 	c.YieldTerminate()
 }
 
-func (f *Frontier) st(c *udweave.Ctx) *frontierLaneState {
-	return c.LocalSlot(f.slot, func() any { return &frontierLaneState{} }).(*frontierLaneState)
-}
+func (f *Frontier) st(c *udweave.Ctx) *frontierLaneState { return f.slot.Get(c) }
 
 // Count returns this accel master's segment occupancy for a parity; it
 // must be called from an event executing on the accel master.

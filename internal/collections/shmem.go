@@ -31,7 +31,7 @@ type Shmem struct {
 	lReduceRead  udweave.Label
 	lSum         udweave.Label
 	lSumWritten  udweave.Label
-	sumSlot      int
+	sumSlot      udweave.Slot[shmemSumState]
 
 	// resultVA holds the all-reduce result.
 	resultVA gasmem.VA
@@ -52,7 +52,7 @@ func NewShmem(p *udweave.Program, lanes kvmsr.LaneSet, words int) (*Shmem, error
 	if words <= 0 {
 		return nil, fmt.Errorf("collections: shmem block must be positive, got %d", words)
 	}
-	s := &Shmem{p: p, lanes: lanes, words: words, sumSlot: p.AllocSlot()}
+	s := &Shmem{p: p, lanes: lanes, words: words, sumSlot: udweave.NewSlot[shmemSumState](p)}
 	s.lBarrierBody = p.Define("shmem.barrier_body", s.barrierBody)
 	s.lReduceBody = p.Define("shmem.reduce_body", s.reduceBody)
 	s.lReduceRead = p.Define("shmem.reduce_read", s.reduceRead)
@@ -173,7 +173,7 @@ func (s *Shmem) reduceRead(c *udweave.Ctx) {
 // ReduceDone — so the collective's completion implies the result is
 // durable, and back-to-back collectives cannot interleave.
 func (s *Shmem) sum(c *udweave.Ctx) {
-	st := c.LocalSlot(s.sumSlot, func() any { return &shmemSumState{} }).(*shmemSumState)
+	st := s.sumSlot.Get(c)
 	st.sum += c.Op(1)
 	st.n++
 	c.ScratchAccess(1)

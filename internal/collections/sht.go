@@ -31,7 +31,7 @@ import (
 type SHT struct {
 	p    *udweave.Program
 	cfg  SHTConfig
-	slot int
+	slot udweave.Slot[shtLaneState]
 
 	base gasmem.VA
 
@@ -98,7 +98,7 @@ func NewSHT(p *udweave.Program, cfg SHTConfig) (*SHT, error) {
 	if cfg.EntriesPerBucket <= 0 || cfg.EntriesPerBucket&(cfg.EntriesPerBucket-1) != 0 {
 		return nil, fmt.Errorf("collections: %s: EntriesPerBucket must be a positive power of two", cfg.Name)
 	}
-	t := &SHT{p: p, cfg: cfg, slot: p.AllocSlot()}
+	t := &SHT{p: p, cfg: cfg, slot: udweave.NewSlot[shtLaneState](p)}
 	t.lOp = p.Define(cfg.Name+".op", t.opStart)
 	t.lScan = p.Define(cfg.Name+".scan", t.opScan)
 	return t, nil
@@ -190,13 +190,13 @@ func (t *SHT) send(c *udweave.Ctx, kind, key, val, cont uint64) {
 // ---- owner-lane implementation ----------------------------------------
 
 func (t *SHT) st(c *udweave.Ctx) *shtLaneState {
-	return c.LocalSlot(t.slot, func() any {
-		return &shtLaneState{
-			counts: make(map[uint32]uint16),
-			locked: make(map[uint32]bool),
-			waitq:  make(map[uint32][]shtQueued),
-		}
-	}).(*shtLaneState)
+	st := t.slot.Get(c)
+	if st.counts == nil {
+		st.counts = make(map[uint32]uint16)
+		st.locked = make(map[uint32]bool)
+		st.waitq = make(map[uint32][]shtQueued)
+	}
+	return st
 }
 
 // opStart acquires the home-bucket lock or queues behind it.
@@ -336,15 +336,10 @@ func (t *SHT) finish(c *udweave.Ctx, st *shtLaneState, op *shtOpState, flag, val
 func (t *SHT) HostDump(eng *sim.Engine, gas *gasmem.GAS) map[uint64]uint64 {
 	out := make(map[uint64]uint64)
 	for i := 0; i < t.cfg.Lanes.Count; i++ {
-		lane, ok := eng.Actor(t.cfg.Lanes.First + arch.NetworkID(i)).(*udweave.Lane)
-		if !ok || lane == nil {
+		st := t.slot.Peek(eng.PeekActor(t.cfg.Lanes.First + arch.NetworkID(i)))
+		if st == nil {
 			continue
 		}
-		stAny := lane.SlotPeek(t.slot)
-		if stAny == nil {
-			continue
-		}
-		st := stAny.(*shtLaneState)
 		for bucket, count := range st.counts {
 			base := t.bucketVA(i, bucket)
 			for e := 0; e < int(count); e++ {

@@ -123,7 +123,7 @@ type packBuf struct {
 }
 
 // coalState is the per-lane, per-invocation coalescing bookkeeping, kept
-// in its own lane-local slot. Buffers are allocated once per destination
+// in its own lane slot. Buffers are allocated once per destination
 // node (at most nodes-1 of them) and reused for the lane's lifetime;
 // order records first-use order so flush-all never iterates a Go map
 // (map order must not leak into simulated behavior).
@@ -134,11 +134,13 @@ type coalState struct {
 	guardOn  bool
 }
 
-// cst returns the lane-local coalescing state for this invocation.
+// cst returns the lane's coalescing state for this invocation.
 func (v *Invocation) cst(c *udweave.Ctx) *coalState {
-	return c.LocalSlot(v.cslot, func() any {
-		return &coalState{bufs: make(map[int]*packBuf)}
-	}).(*coalState)
+	cs := v.cslot.Get(c)
+	if cs.bufs == nil {
+		cs.bufs = make(map[int]*packBuf)
+	}
+	return cs
 }
 
 // payloadWords is the per-message packing budget: one operand goes to the

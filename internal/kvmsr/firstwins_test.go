@@ -87,10 +87,12 @@ func fwJob(t *testing.T, mode termMode, firstWins bool, shards int) fwResult {
 		c.YieldTerminate()
 	})
 	var recorded udweave.Label
+	fw := udweave.NewSlot[fwLane](m.Prog)
 	reduceEv := m.Prog.Define("fw_reduce", func(c *updown.Ctx) {
-		st := c.LaneLocal("fw", func() any {
-			return &fwLane{first: map[uint64]uint64{}, runs: map[[2]uint64]int{}}
-		}).(*fwLane)
+		st := fw.Get(c)
+		if st.first == nil {
+			st.first, st.runs = map[uint64]uint64{}, map[[2]uint64]int{}
+		}
 		key := c.Op(0)
 		st.runs[[2]uint64{uint64(c.Src()), key}]++
 		c.Cycles(6)
@@ -127,11 +129,7 @@ func fwJob(t *testing.T, mode termMode, firstWins bool, shards int) fwResult {
 	}
 	var b strings.Builder
 	for lane := lanes.First; lane < lanes.End(); lane++ {
-		a, _ := m.Engine.PeekActor(lane).(*udweave.Lane)
-		if a == nil {
-			continue
-		}
-		st, _ := a.LocalPeek("fw").(*fwLane)
+		st := fw.Peek(m.Engine.PeekActor(lane))
 		if st == nil {
 			continue
 		}

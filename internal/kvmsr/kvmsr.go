@@ -145,13 +145,16 @@ type Spec struct {
 // scratchpad (EXPERIMENTS.md "BFS's hub round" has the size sweep).
 const handedBits = 9
 
+// handedTable is the FirstWins table (see handOff).
+type handedTable [1 << handedBits]uint32
+
 // handOffCycles is what the FirstWins check costs a lane per tuple: the
 // slot index (a shift of the key hash the reduce binding computes anyway)
 // and the compare, next to the slot's scratchpad access.
 const handOffCycles = 2
 
-// laneState is the per-lane, per-invocation bookkeeping kept in lane-local
-// scratchpad storage. One lane may simultaneously play up to four roles
+// laneState is the per-lane, per-invocation bookkeeping kept in a lane
+// slot. One lane may simultaneously play up to four roles
 // (worker, accelerator master, node master, invocation master), whose
 // fields are kept disjoint.
 //
@@ -186,10 +189,10 @@ type laneState struct {
 	replyOwed  bool
 	reportMode bool
 	pushes     uint64
-	// handed is the lane's FirstWins table (see handOff), allocated at
-	// its first hand-off; retired counts the tuples it retired against
-	// the table, each also a started and reduced task.
-	handed  *[1 << handedBits]uint32
+	// handed caches the lane's FirstWins table slot from its first
+	// hand-off; retired counts the tuples it retired against the table,
+	// each also a started and reduced task.
+	handed  *handedTable
 	retired uint64
 	// mapActive tracks the open map-window span (tracing only): the
 	// window from the lane's first in-flight map task to its lane-done
@@ -256,8 +259,10 @@ type laneState struct {
 type Invocation struct {
 	p *udweave.Program
 	s Spec
-	// slot indexes the lane-local state.
-	slot int
+	// slot holds the lane state; fwslot, declared only under
+	// Spec.FirstWins, the FirstWins table.
+	slot   udweave.Slot[laneState]
+	fwslot udweave.Slot[handedTable]
 
 	// Internal event labels.
 	lMasterStart udweave.Label
@@ -283,7 +288,7 @@ type Invocation struct {
 	// Resilient-shuffle registration (nil res means the classic reliable
 	// shuffle; see resilience.go).
 	res         *Resilience
-	rslot       int
+	rslot       udweave.Slot[resilState]
 	lRedDeliver udweave.Label
 	lAck        udweave.Label
 	lGuard      udweave.Label
@@ -292,7 +297,7 @@ type Invocation struct {
 	// Coalescing-shuffle registration (nil coal means one message per
 	// tuple; see coalesce.go).
 	coal         *Coalesce
-	cslot        int
+	cslot        udweave.Slot[coalState]
 	lPackDeliver udweave.Label
 	lFlushGuard  udweave.Label
 	// lpn caches the machine's lanes-per-node: node-of-lane arithmetic on
@@ -344,7 +349,10 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 				s.Name, o.home.FirstNode, o.home.FirstNode+o.home.NRNodes, s.Lanes.firstNode(p.M), s.Lanes.lastNode(p.M)+1)
 		}
 	}
-	v := &Invocation{p: p, s: s, slot: p.AllocSlot(), lpn: p.M.LanesPerNode(), emitCycles: 4}
+	v := &Invocation{p: p, s: s, slot: udweave.NewSlot[laneState](p), lpn: p.M.LanesPerNode(), emitCycles: 4}
+	if s.FirstWins {
+		v.fwslot = udweave.NewSlot[handedTable](p)
+	}
 	if _, ok := s.ReduceBinding.(Owner); ok {
 		v.emitCycles += ownerEmitCycles
 	}
@@ -380,7 +388,7 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.Resilience != nil && s.ReduceEvent != 0 {
 		res := s.Resilience.withDefaults(p.M)
 		v.res = &res
-		v.rslot = p.AllocSlot()
+		v.rslot = udweave.NewSlot[resilState](p)
 		v.lRedDeliver = p.Define(n+".red_deliver", v.redDeliver)
 		v.lAck = p.Define(n+".emit_ack", v.ack)
 		v.lGuard = p.Define(n+".guard", v.guard)
@@ -389,7 +397,7 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.Coalesce != nil && s.ReduceEvent != 0 {
 		co := s.Coalesce.withDefaults(p.M)
 		v.coal = &co
-		v.cslot = p.AllocSlot()
+		v.cslot = udweave.NewSlot[coalState](p)
 		v.lFlushGuard = p.Define(n+".flush_guard", v.flushGuard)
 		if v.res == nil {
 			// Under resilience the packed message arrives through
@@ -458,10 +466,8 @@ func (v *Invocation) LaunchWithArg(c *udweave.Ctx, numKeys, arg uint64, cont uin
 	c.SendEvent(v.LaunchEvw(), cont, numKeys, arg)
 }
 
-// st returns the lane-local state for this invocation.
-func (v *Invocation) st(c *udweave.Ctx) *laneState {
-	return c.LocalSlot(v.slot, func() any { return &laneState{} }).(*laneState)
-}
+// st returns the lane state for this invocation.
+func (v *Invocation) st(c *udweave.Ctx) *laneState { return v.slot.Get(c) }
 
 // ---- user-facing operations ------------------------------------------
 
@@ -624,7 +630,7 @@ func (v *Invocation) handOff(c *udweave.Ctx, st *laneState, key uint64) bool {
 		return true
 	}
 	if st.handed == nil {
-		st.handed = new([1 << handedBits]uint32)
+		st.handed = v.fwslot.Get(c)
 	}
 	slot := &st.handed[prng.Mix64(key)>>(64-handedBits)]
 	if *slot == uint32(key+1) {
@@ -1199,16 +1205,12 @@ type TerminationState struct {
 }
 
 // eachLane calls f with the *T that every lane of the invocation's set
-// keeps in lane-local slot (lanes the program never touched keep none).
-// peek resolves a lane to its actor: pass updown.Machine's lane peek or
+// keeps in slot (lanes the program never touched keep none). peek
+// resolves a lane to its actor: pass updown.Machine's lane peek or
 // sim.Engine.PeekActor, after a run or at a quiesced point.
-func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot int, f func(lane arch.NetworkID, st *T)) {
+func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot udweave.Slot[T], f func(lane arch.NetworkID, st *T)) {
 	for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
-		a, _ := peek(lane).(interface{ SlotPeek(int) any })
-		if a == nil {
-			continue
-		}
-		if st, _ := a.SlotPeek(slot).(*T); st != nil {
+		if st := slot.Peek(peek(lane)); st != nil {
 			f(lane, st)
 		}
 	}

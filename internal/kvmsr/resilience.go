@@ -97,7 +97,7 @@ type srcWindow struct {
 }
 
 // resilState is the per-lane, per-invocation resilience bookkeeping,
-// kept in its own lane-local slot.
+// kept in its own lane slot.
 type resilState struct {
 	// sender side
 	nextID  uint64
@@ -108,11 +108,13 @@ type resilState struct {
 	totals ResilienceTotals
 }
 
-// rst returns the lane-local resilience state for this invocation.
+// rst returns the lane's resilience state for this invocation.
 func (v *Invocation) rst(c *udweave.Ctx) *resilState {
-	return c.LocalSlot(v.rslot, func() any {
-		return &resilState{out: make(map[uint64]*pendingEmit)}
-	}).(*resilState)
+	rs := v.rslot.Get(c)
+	if rs.out == nil {
+		rs.out = make(map[uint64]*pendingEmit)
+	}
+	return rs
 }
 
 // admit records (src, id) and reports whether it is the first delivery.

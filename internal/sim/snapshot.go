@@ -51,6 +51,13 @@ type Snapshotter interface {
 	RestoreSnapshot(r *SnapReader) error
 }
 
+// Stager is implemented by Snapshotters that can decode and check a
+// payload without applying it. StageRestore stages every Stager's payload,
+// so one it rejects leaves the engine untouched; commit installs it.
+type Stager interface {
+	StageSnapshot(r *SnapReader) (commit func(), err error)
+}
+
 const (
 	snapMagic = "UDSIMCKP"
 	// Version 2 added the Failovers fault counter to the stats record.
@@ -71,7 +78,7 @@ const (
 	RestoreMachineMismatch
 	// RestoreShapeMismatch: the actor-ID space differs (auxiliary actors
 	// registered before Checkpoint were not registered before Restore,
-	// or vice versa).
+	// or vice versa), or a Stager's payload holds another program's state.
 	RestoreShapeMismatch
 	// RestoreCorrupt: the stream is truncated or internally inconsistent.
 	RestoreCorrupt
@@ -484,6 +491,9 @@ type snapActor struct {
 type snapPayload struct {
 	id   int
 	data []byte
+	// actor and commit are set for a staged payload (see Stager).
+	actor  Actor
+	commit func()
 }
 
 // Restore rebuilds the simulation state serialized by Checkpoint into
@@ -504,7 +514,8 @@ func (e *Engine) Restore(r io.Reader) error {
 
 // StageRestore is Restore in two steps: it decodes and validates the
 // whole checkpoint without modifying the engine, and commit installs it.
-// Only commit's actor payloads can still fail (RestoreActorFailed). A
+// Only commit's payloads of actors that are not Stagers can still fail
+// (RestoreActorFailed). A
 // caller restoring several sections together (the machine checkpoint)
 // stages each before committing any.
 func (e *Engine) StageRestore(r io.Reader) (commit func() error, err error) {
@@ -635,6 +646,26 @@ func (e *Engine) decodeSnapshot(r io.Reader) (*snapState, error) {
 			return nil, restoreErrf(RestoreCorrupt, "actor %d has %d parked messages but no floating retry", a.id, len(a.waitq))
 		}
 	}
+	for i := range snap.payloads {
+		p := &snap.payloads[i]
+		a := e.actors[p.id]
+		if a == nil && p.id < e.totalLanes && e.factory != nil {
+			a = e.factory(arch.NetworkID(p.id)) // installed at commit
+		}
+		s, ok := a.(Stager)
+		if !ok {
+			continue
+		}
+		commit, err := s.StageSnapshot(NewSnapReader(bytes.NewReader(p.data)))
+		if err != nil {
+			var re *RestoreError
+			if errors.As(err, &re) {
+				return nil, re
+			}
+			return nil, restoreErrf(RestoreCorrupt, "actor %d: %v", p.id, err)
+		}
+		p.actor, p.commit = a, commit
+	}
 	return snap, nil
 }
 
@@ -686,6 +717,11 @@ func (e *Engine) applySnapshot(snap *snapState) error {
 		}
 	}
 	for _, p := range snap.payloads {
+		if p.commit != nil {
+			e.actors[p.id] = p.actor
+			p.commit()
+			continue
+		}
 		a := e.Actor(arch.NetworkID(p.id))
 		if a == nil {
 			return restoreErrf(RestoreActorFailed, "actor %d has a payload but is not registered", p.id)

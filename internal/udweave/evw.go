@@ -23,13 +23,12 @@ const IGNRCONT uint64 = ^uint64(0)
 
 // EvwNew returns an event word for a new thread on the given lane running
 // the given event — the evw_new intrinsic.
-func EvwNew(nid arch.NetworkID, label Label) uint64 {
-	return pack(nid, NewThreadTID, label, 0)
-}
+func EvwNew(nid arch.NetworkID, label Label) uint64 { return EvwExisting(nid, NewThreadTID, label) }
 
-// EvwExisting returns an event word addressing an existing thread.
+// EvwExisting returns an event word addressing an existing thread (the
+// operand count is left 0).
 func EvwExisting(nid arch.NetworkID, tid uint16, label Label) uint64 {
-	return pack(nid, tid, label, 0)
+	return uint64(uint32(nid))<<32 | uint64(tid)<<16 | uint64(label&maxLabel)<<4
 }
 
 // EvwUpdateEvent returns a copy of evw with the event label replaced; the
@@ -37,10 +36,6 @@ func EvwExisting(nid arch.NetworkID, tid uint16, label Label) uint64 {
 // intrinsic.
 func EvwUpdateEvent(evw uint64, label Label) uint64 {
 	return evw&^uint64(maxLabel<<4) | uint64(label&maxLabel)<<4
-}
-
-func pack(nid arch.NetworkID, tid uint16, label Label, nops uint8) uint64 {
-	return uint64(uint32(nid))<<32 | uint64(tid)<<16 | uint64(label&maxLabel)<<4 | uint64(nops&0xF)
 }
 
 // EvwNetworkID extracts the computation location from an event word.

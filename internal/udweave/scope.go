@@ -14,7 +14,7 @@ import "fmt"
 // Usage (host-side, engine quiesced):
 //
 //	sc := prog.Begin("job-7")
-//	app, err := pagerank.New(m, dg, cfg) // Defines/AllocSlots recorded
+//	app, err := pagerank.New(m, dg, cfg) // Defines/NewSlots recorded
 //	prog.End()
 //	... run the job to completion ...
 //	prog.Retire(sc) // labels and slots return to the free lists
@@ -28,7 +28,7 @@ type Scope struct {
 	retired bool
 }
 
-// Begin opens a recording scope: until End, every Define and AllocSlot is
+// Begin opens a recording scope: until End, every Define and NewSlot is
 // recorded in the returned Scope. Scopes do not nest — program units that
 // compose (an app plus its KVMSR invocations) share one scope. Host-side
 // only, engine quiesced.
@@ -40,7 +40,7 @@ func (p *Program) Begin(tag string) *Scope {
 	return p.scope
 }
 
-// End closes the open recording scope. Define/AllocSlot calls after End
+// End closes the open recording scope. Define/NewSlot calls after End
 // are permanent again (never recycled).
 func (p *Program) End() {
 	if p.scope == nil {
@@ -69,12 +69,11 @@ func (p *Program) Retire(sc *Scope) {
 		p.names[l] = "<retired>"
 		p.freeLabels = append(p.freeLabels, l)
 	}
+	p.freeSlots = append(p.freeSlots, sc.slots...)
 	p.laneMu.Lock()
-	lanes := p.lanes
-	p.laneMu.Unlock()
-	for _, s := range sc.slots {
-		p.freeSlots = append(p.freeSlots, s)
-		for _, l := range lanes {
+	defer p.laneMu.Unlock()
+	for _, l := range p.lanes {
+		for _, s := range sc.slots {
 			if s < len(l.slots) {
 				l.slots[s] = nil
 			}

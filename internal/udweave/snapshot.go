@@ -1,32 +1,34 @@
 package udweave
 
 // Checkpoint support. A lane's mutable state is its thread contexts and
-// lane-local storage; the values inside them are application-defined, so
-// they are serialized with encoding/gob. Applications whose thread
-// states or lane-local values are reached through interfaces must
-// register the concrete types with gob.Register. Values that cannot be
-// gob-encoded — closures in particular — make Snapshot fail with a
-// descriptive error rather than silently dropping state, so programs
-// that keep functions in lane-local storage (e.g. slot initializers
-// captured in running KVMSR jobs) are not checkpointable mid-job.
+// its slots; the values inside them are application-defined, so they are
+// serialized with encoding/gob, and their concrete types must be
+// registered with gob.Register. A value gob cannot encode — a struct with
+// no exported fields, such as the state a KVMSR invocation keeps on its
+// lanes, or a closure — makes Snapshot fail with a descriptive error rather
+// than silently dropping state, so a lane is not checkpointable while a
+// KVMSR job has run on it.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"reflect"
+	"unsafe"
 
 	"updown/internal/sim"
 )
 
-const laneSnapVersion = 1
+// laneSnapVersion 2 dropped the string-keyed local section: all lane
+// state is in slots.
+const laneSnapVersion = 2
 
 // ErrNotQuiescent is the sentinel wrapped by lane Snapshot failures caused
 // by live, non-serializable runtime state: a KVMSR invocation mid-job
-// keeps closures (map/reduce functions, slot initializers) and unexported
-// runtime structs in thread and lane-local storage, none of which gob can
-// encode. Callers detect the condition with errors.Is(err,
-// ErrNotQuiescent) and either run the machine to quiescence or checkpoint
-// at the warm-start boundary instead.
+// keeps closures (map/reduce functions) in thread state and unexported
+// runtime structs in its slots, none of which gob can encode. Callers
+// detect the condition with errors.Is(err, ErrNotQuiescent) and either run
+// the machine to quiescence or checkpoint at the warm-start boundary
+// instead.
 var ErrNotQuiescent = errors.New("lane holds live non-serializable state (checkpoint requires quiescence)")
 
 // NotQuiescentError carries the lane and the value that failed to encode.
@@ -48,10 +50,9 @@ func (e *NotQuiescentError) Unwrap() []error { return []error{ErrNotQuiescent, e
 // guard that the restoring process registered the same program.
 func (p *Program) NumHandlers() int { return len(p.handlers) }
 
-// NumSlots returns the number of lane-local slots allocated with
-// AllocSlot, recorded in machine-level checkpoints alongside the handler
-// count.
-func (p *Program) NumSlots() int { return p.numSlots }
+// NumSlots returns the number of slots declared with NewSlot, recorded in
+// machine-level checkpoints alongside the handler count.
+func (p *Program) NumSlots() int { return len(p.slotTypes) }
 
 // Snapshot implements sim.Snapshotter for a lane.
 func (l *Lane) Snapshot(w *sim.SnapWriter) error {
@@ -74,20 +75,12 @@ func (l *Lane) Snapshot(w *sim.SnapWriter) error {
 	for _, t := range l.freeTIDs {
 		w.U64(uint64(t))
 	}
-	keys := make([]string, 0, len(l.local))
-	for k := range l.local {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		if err := w.Gob(l.local[k]); err != nil {
-			return &NotQuiescentError{Lane: int32(l.id), What: fmt.Sprintf("local %q", k), Err: err}
-		}
-	}
 	w.U64(uint64(len(l.slots)))
-	for i, v := range l.slots {
+	for i, p := range l.slots {
+		var v any
+		if p != nil {
+			v = reflect.NewAt(l.p.slotTypes[i].Elem(), p).Interface()
+		}
 		if err := w.Gob(v); err != nil {
 			return &NotQuiescentError{Lane: int32(l.id), What: fmt.Sprintf("slot %d", i), Err: err}
 		}
@@ -95,71 +88,79 @@ func (l *Lane) Snapshot(w *sim.SnapWriter) error {
 	return w.Err()
 }
 
-// RestoreSnapshot implements sim.Snapshotter for a lane. The recycled
-// thread pool is not part of the snapshot: pooling is an allocation
-// optimization with no observable effect, so the restored lane simply
-// starts with an empty pool.
+// RestoreSnapshot implements sim.Snapshotter for a lane.
 func (l *Lane) RestoreSnapshot(r *sim.SnapReader) error {
-	if v := r.U8(); r.Err() == nil && v != laneSnapVersion {
-		return fmt.Errorf("lane %d: snapshot version %d, this build reads %d", l.id, v, laneSnapVersion)
+	commit, err := l.StageSnapshot(r)
+	if err == nil {
+		commit()
 	}
-	l.timerGen = r.U64()
+	return err
+}
+
+// StageSnapshot implements sim.Stager: it decodes and checks a lane
+// snapshot without touching the lane, and commit installs it. A slot value
+// whose type is not the slot's is a *sim.RestoreError of kind
+// RestoreShapeMismatch: the checkpoint came from another program. The
+// recycled thread pool is not part of the snapshot: pooling is an
+// allocation optimization with no observable effect, so the restored lane
+// simply starts with an empty pool.
+func (l *Lane) StageSnapshot(r *sim.SnapReader) (commit func(), err error) {
+	if v := r.U8(); r.Err() == nil && v != laneSnapVersion {
+		return nil, fmt.Errorf("lane %d: snapshot version %d, this build reads %d", l.id, v, laneSnapVersion)
+	}
+	timerGen := r.U64()
 	nthreads := r.U64()
 	if r.Err() == nil && nthreads > uint64(NewThreadTID) {
-		return fmt.Errorf("lane %d: implausible thread count %d", l.id, nthreads)
+		return nil, fmt.Errorf("lane %d: implausible thread count %d", l.id, nthreads)
 	}
-	l.threads = l.threads[:0]
-	l.pool = nil
-	l.live = 0
+	var threads []*Thread
+	live := 0
 	for tid := uint64(0); tid < nthreads && r.Err() == nil; tid++ {
 		if r.U8() == 0 {
-			l.threads = append(l.threads, nil)
+			threads = append(threads, nil)
 			continue
 		}
-		th := &Thread{TID: uint16(tid)}
-		th.timeoutGen = r.U64()
-		th.timeoutLabel = Label(r.U64())
-		state, err := r.Gob()
-		if err != nil {
-			return fmt.Errorf("lane %d thread %d state: %w (register concrete state types with gob.Register)",
+		th := &Thread{TID: uint16(tid), timeoutGen: r.U64(), timeoutLabel: Label(r.U64())}
+		var err error
+		if th.State, err = r.Gob(); err != nil {
+			return nil, fmt.Errorf("lane %d thread %d state: %w (register concrete state types with gob.Register)",
 				l.id, tid, err)
 		}
-		th.State = state
-		l.threads = append(l.threads, th)
-		l.live++
+		threads = append(threads, th)
+		live++
 	}
 	nfree := r.U64()
 	if r.Err() == nil && nfree > uint64(NewThreadTID) {
-		return fmt.Errorf("lane %d: implausible free-TID count %d", l.id, nfree)
+		return nil, fmt.Errorf("lane %d: implausible free-TID count %d", l.id, nfree)
 	}
-	l.freeTIDs = l.freeTIDs[:0]
+	var freeTIDs []uint16
 	for i := uint64(0); i < nfree && r.Err() == nil; i++ {
-		l.freeTIDs = append(l.freeTIDs, uint16(r.U64()))
-	}
-	nlocal := r.U64()
-	l.local = nil
-	if r.Err() == nil && nlocal > 0 {
-		l.local = make(map[string]any, nlocal)
-		for i := uint64(0); i < nlocal && r.Err() == nil; i++ {
-			k := r.String(1 << 20)
-			v, err := r.Gob()
-			if err != nil {
-				return fmt.Errorf("lane %d local %q: %w", l.id, k, err)
-			}
-			l.local[k] = v
-		}
+		freeTIDs = append(freeTIDs, uint16(r.U64()))
 	}
 	nslots := r.U64()
-	if r.Err() == nil && nslots > 1<<20 {
-		return fmt.Errorf("lane %d: implausible slot count %d", l.id, nslots)
+	if r.Err() == nil && nslots > uint64(len(l.p.slotTypes)) {
+		return nil, fmt.Errorf("lane %d: %d slots, the program declares %d", l.id, nslots, len(l.p.slotTypes))
 	}
-	l.slots = l.slots[:0]
+	var slots []unsafe.Pointer
 	for i := uint64(0); i < nslots && r.Err() == nil; i++ {
 		v, err := r.Gob()
 		if err != nil {
-			return fmt.Errorf("lane %d slot %d: %w", l.id, i, err)
+			return nil, fmt.Errorf("lane %d slot %d: %w", l.id, i, err)
 		}
-		l.slots = append(l.slots, v)
+		var p unsafe.Pointer
+		if v != nil {
+			if want := l.p.slotTypes[i]; reflect.TypeOf(v) != want {
+				return nil, &sim.RestoreError{Kind: sim.RestoreShapeMismatch,
+					Detail: fmt.Sprintf("lane %d slot %d holds a %T, this program's slot holds a %v", l.id, i, v, want)}
+			}
+			p = reflect.ValueOf(v).UnsafePointer()
+		}
+		slots = append(slots, p)
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return func() {
+		l.timerGen, l.threads, l.live, l.pool, l.freeTIDs, l.slots = timerGen, threads, live, nil, freeTIDs, slots
+	}, nil
 }

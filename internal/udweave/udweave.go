@@ -13,10 +13,13 @@ package udweave
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
+	"unsafe"
 
 	"updown/internal/arch"
 	"updown/internal/gasmem"
+	"updown/internal/metrics"
 	"updown/internal/sim"
 )
 
@@ -35,15 +38,16 @@ type Program struct {
 	totalLanes int
 	handlers   []Handler
 	names      []string
-	numSlots   int
+	// slotTypes[i] is the pointer type slot i holds (see NewSlot).
+	slotTypes []reflect.Type
 	// lTimeout is the reserved label carried by Ctx.ArmTimeout timer
 	// messages; the lane intercepts it and dispatches the thread's armed
 	// recovery label instead (stale timers are swallowed).
 	lTimeout Label
 
-	// scope, when non-nil, records Define/AllocSlot calls so a completed
+	// scope, when non-nil, records Define/NewSlot calls so a completed
 	// job's labels and slots can be recycled (see Scope); freeLabels and
-	// freeSlots hold the recycled entries Define/AllocSlot reuse first.
+	// freeSlots hold the recycled entries Define/NewSlot reuse first.
 	scope      *Scope
 	freeLabels []Label
 	freeSlots  []int
@@ -89,26 +93,6 @@ func (p *Program) Define(name string, h Handler) Label {
 		p.scope.labels = append(p.scope.labels, l)
 	}
 	return l
-}
-
-// AllocSlot reserves one lane-local storage slot, shared by all lanes.
-// Libraries (KVMSR, combining cache, SHT) allocate a slot per instance at
-// program-construction time; slot access is an array index, unlike the
-// string-keyed LaneLocal map. Retired slots are reused first (their
-// lane-local contents were cleared at Retire).
-func (p *Program) AllocSlot() int {
-	var s int
-	if n := len(p.freeSlots); n > 0 {
-		s = p.freeSlots[n-1]
-		p.freeSlots = p.freeSlots[:n-1]
-	} else {
-		s = p.numSlots
-		p.numSlots++
-	}
-	if p.scope != nil {
-		p.scope.slots = append(p.scope.slots, s)
-	}
-	return s
 }
 
 // Name returns the registered name of a label (diagnostics).
@@ -167,8 +151,10 @@ type Lane struct {
 	live     int
 	freeTIDs []uint16
 	pool     []*Thread
-	local    map[string]any
-	slots    []any
+	// slots[i] is the lane's *T of slot i (T is in Program.slotTypes), nil
+	// until its first Get. Untyped, so a Get inlines to a bounds check, a
+	// nil check and a conversion.
+	slots []unsafe.Pointer
 	// timerGen is the lane-wide monotonic timer generation; each
 	// ArmTimeout takes the next value, making elder timers stale.
 	timerGen uint64
@@ -224,11 +210,7 @@ func (l *Lane) OnMessage(env *sim.Env, m *sim.Message) {
 		label = th.timeoutLabel
 		th.timeoutLabel = 0
 	case tid == NewThreadTID:
-		th = l.allocThread()
-		env.Charge(l.p.M.CostThreadCreate)
-		if tv != nil {
-			tv.AsyncBegin(l.pid, l.tid, l.threadSpanID(th), "thread", env.Start())
-		}
+		th = l.newThread(env, tv, env.Start())
 	default:
 		if int(tid) >= len(l.threads) || l.threads[tid] == nil {
 			if m.Kind == arch.KindEventU {
@@ -243,32 +225,8 @@ func (l *Lane) OnMessage(env *sim.Env, m *sim.Message) {
 		}
 		th = l.threads[tid]
 	}
-	env.Charge(l.p.M.CostEventDispatch)
 	l.ctx = Ctx{env: env, lane: l, th: th, msg: m, label: label}
-	l.p.handlers[label](&l.ctx)
-	if th.terminated {
-		env.Charge(l.p.M.CostThreadDealloc)
-		if tv != nil {
-			tv.AsyncEnd(l.pid, l.tid, l.threadSpanID(th), "thread", env.Now())
-		}
-		l.threads[th.TID] = nil
-		l.freeTIDs = append(l.freeTIDs, th.TID)
-		l.live--
-		th.State = nil
-		th.terminated = false
-		// Disarm any pending timer so a recycled context never fires a
-		// predecessor's timeout.
-		th.timeoutLabel = 0
-		l.pool = append(l.pool, th)
-	} else {
-		env.Charge(l.p.M.CostThreadYield)
-	}
-	if tv != nil {
-		// One duration span per executed event, named by its handler.
-		// Event executions on a lane are serial, so the exporter can
-		// render them as B/E pairs on the lane's track.
-		tv.Span(l.pid, l.tid, l.p.names[label], env.Start(), env.Now())
-	}
+	l.dispatch(&l.ctx, tv, env.Start())
 }
 
 // threadSpanID pairs a thread's lifetime begin/end span records: lane and
@@ -277,7 +235,38 @@ func (l *Lane) threadSpanID(th *Thread) uint64 {
 	return uint64(l.id)<<16 | uint64(th.TID)
 }
 
-func (l *Lane) allocThread() *Thread {
+// dispatch runs the event c describes, begun at begin, and ends it: a
+// yield, or the deallocation of a terminated thread, whose context returns
+// to the pool with its timer disarmed so a recycled context never fires a
+// predecessor's timeout. Under span tracing the event is one duration span
+// named by its handler; a lane's events run serially (a local dispatch
+// nests inside its enclosing event), so the exporter renders them as B/E
+// pairs on the lane's track.
+func (l *Lane) dispatch(c *Ctx, tv *metrics.TraceView, begin arch.Cycles) {
+	env, th := c.env, c.th
+	env.Charge(l.p.M.CostEventDispatch)
+	l.p.handlers[c.label](c)
+	if th.terminated {
+		env.Charge(l.p.M.CostThreadDealloc)
+		if tv != nil {
+			tv.AsyncEnd(l.pid, l.tid, l.threadSpanID(th), "thread", env.Now())
+		}
+		l.threads[th.TID] = nil
+		l.freeTIDs = append(l.freeTIDs, th.TID)
+		l.live--
+		th.State, th.terminated, th.timeoutLabel = nil, false, 0
+		l.pool = append(l.pool, th)
+	} else {
+		env.Charge(l.p.M.CostThreadYield)
+	}
+	if tv != nil {
+		tv.Span(l.pid, l.tid, l.p.names[c.label], begin, env.Now())
+	}
+}
+
+// newThread allocates a thread context, charging its creation; its
+// lifetime span (under span tracing) begins at begin.
+func (l *Lane) newThread(env *sim.Env, tv *metrics.TraceView, begin arch.Cycles) *Thread {
 	var tid uint16
 	if n := len(l.freeTIDs); n > 0 {
 		tid = l.freeTIDs[n-1]
@@ -299,29 +288,16 @@ func (l *Lane) allocThread() *Thread {
 	}
 	l.threads[tid] = th
 	l.live++
+	env.Charge(l.p.M.CostThreadCreate)
+	if tv != nil {
+		tv.AsyncBegin(l.pid, l.tid, l.threadSpanID(th), "thread", begin)
+	}
 	return th
 }
 
 // LiveThreads returns the number of allocated thread contexts (testing and
 // leak detection: a well-terminated program leaves only daemon threads).
 func (l *Lane) LiveThreads() int { return l.live }
-
-// LocalPeek exposes a lane-local storage entry to host-side inspection
-// (verification and dumps after Engine.Run; nil when absent).
-func (l *Lane) LocalPeek(key string) any {
-	if l.local == nil {
-		return nil
-	}
-	return l.local[key]
-}
-
-// SlotPeek is LocalPeek for slot-indexed storage.
-func (l *Lane) SlotPeek(slot int) any {
-	if slot >= len(l.slots) {
-		return nil
-	}
-	return l.slots[slot]
-}
 
 // Ctx is the execution context of one event.
 //
@@ -425,11 +401,7 @@ func (c *Ctx) InvokeLocal(src arch.NetworkID, label Label, ops ...uint64) {
 		tv = nil
 	}
 	begin := c.env.Now()
-	th := l.allocThread()
-	c.env.Charge(p.M.CostThreadCreate)
-	if tv != nil {
-		tv.AsyncBegin(l.pid, l.tid, l.threadSpanID(th), "thread", begin)
-	}
+	th := l.newThread(c.env, tv, begin)
 	if l.depth == len(l.nested) {
 		l.nested = append(l.nested, new(localFrame))
 	}
@@ -439,30 +411,11 @@ func (c *Ctx) InvokeLocal(src arch.NetworkID, label Label, ops ...uint64) {
 	f.msg = sim.Message{Src: src, Dst: l.id, Kind: c.msg.Kind,
 		Event: EvwExisting(l.id, th.TID, label), Cont: IGNRCONT}
 	f.msg.NOps = uint8(copy(f.msg.Ops[:], ops))
-	c.env.Charge(p.M.CostEventDispatch)
 	f.ctx = Ctx{env: c.env, lane: l, th: th, msg: &f.msg, label: label}
-	p.handlers[label](&f.ctx)
+	// The span begins at the local dispatch time, not the outer event's
+	// start, so it nests inside the enclosing event's span.
+	l.dispatch(&f.ctx, tv, begin)
 	l.depth--
-	if th.terminated {
-		c.env.Charge(p.M.CostThreadDealloc)
-		if tv != nil {
-			tv.AsyncEnd(l.pid, l.tid, l.threadSpanID(th), "thread", c.env.Now())
-		}
-		l.threads[th.TID] = nil
-		l.freeTIDs = append(l.freeTIDs, th.TID)
-		l.live--
-		th.State = nil
-		th.terminated = false
-		th.timeoutLabel = 0
-		l.pool = append(l.pool, th)
-	} else {
-		c.env.Charge(p.M.CostThreadYield)
-	}
-	if tv != nil {
-		// The inner span begins at the local dispatch time, not the outer
-		// event's start, so it nests inside the enclosing event's span.
-		tv.Span(l.pid, l.tid, p.names[label], begin, c.env.Now())
-	}
 }
 
 // EventWord returns the current event word (CEVNT): this lane, this thread,
@@ -495,6 +448,11 @@ func (c *Ctx) YieldTerminate() { c.th.terminated = true }
 // SendEvent sends a message triggering the event word evw, carrying the
 // continuation cont and operands — the send_event intrinsic.
 func (c *Ctx) SendEvent(evw uint64, cont uint64, ops ...uint64) {
+	c.send(arch.KindEvent, evw, cont, ops)
+}
+
+// send is SendEvent on message class kind.
+func (c *Ctx) send(kind uint8, evw uint64, cont uint64, ops []uint64) {
 	if evw == IGNRCONT {
 		// Sending to an ignored continuation is a no-op; this lets
 		// library code reply unconditionally.
@@ -504,7 +462,7 @@ func (c *Ctx) SendEvent(evw uint64, cont uint64, ops ...uint64) {
 	if !c.lane.p.isLane(dst) {
 		panic(fmt.Sprintf("udweave: send_event to non-lane networkID %d (event %q)", dst, c.lane.p.Name(EvwLabel(evw))))
 	}
-	c.env.Send(dst, arch.KindEvent, evw, cont, ops...)
+	c.env.Send(dst, kind, evw, cont, ops...)
 }
 
 // Reply sends operands to a continuation word; with IGNRCONT it does
@@ -518,14 +476,7 @@ func (c *Ctx) Reply(cont uint64, ops ...uint64) { c.SendEvent(cont, IGNRCONT, op
 // their own ack/retry/dedup machinery (see internal/kvmsr resilience);
 // without a fault plan it behaves exactly like SendEvent.
 func (c *Ctx) SendEventU(evw uint64, cont uint64, ops ...uint64) {
-	if evw == IGNRCONT {
-		return
-	}
-	dst := EvwNetworkID(evw)
-	if !c.lane.p.isLane(dst) {
-		panic(fmt.Sprintf("udweave: send_event to non-lane networkID %d (event %q)", dst, c.lane.p.Name(EvwLabel(evw))))
-	}
-	c.env.Send(dst, arch.KindEventU, evw, cont, ops...)
+	c.send(arch.KindEventU, evw, cont, ops)
 }
 
 // ArmTimeout schedules a timeout continuation for the executing thread:
@@ -645,53 +596,25 @@ func (c *Ctx) DRAMWrite(va gasmem.VA, ackEvw uint64, vals ...uint64) {
 // collections.CombiningCache). Replicated regions apply the add on every
 // copy; the coordinator's prior value answers retEvw.
 func (c *Ctx) DRAMFetchAdd(va gasmem.VA, delta uint64, retEvw uint64) {
-	g := c.lane.p.GAS
-	if g.Replicated() {
-		c.dramFanout(va, arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddHint, retEvw, delta)
-		return
-	}
-	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMFetchAdd, 0, retEvw, va, delta)
+	c.fetchAdd(arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddHint, va, delta, retEvw)
 }
 
 // DRAMFetchAddF is DRAMFetchAdd over float64 bit patterns (ablation
 // against the software combining cache).
 func (c *Ctx) DRAMFetchAddF(va gasmem.VA, delta float64, retEvw uint64) {
+	c.fetchAdd(arch.KindDRAMFetchAddF, arch.KindDRAMFetchAddFHint, va, FloatBits(delta), retEvw)
+}
+
+// fetchAdd sends a fetch-and-add of message kind (hintKind for a leg to a
+// fail-stopped replica).
+func (c *Ctx) fetchAdd(kind, hintKind uint8, va gasmem.VA, delta uint64, retEvw uint64) {
 	g := c.lane.p.GAS
 	if g.Replicated() {
-		c.dramFanout(va, arch.KindDRAMFetchAddF, arch.KindDRAMFetchAddFHint, retEvw, FloatBits(delta))
+		c.dramFanout(va, kind, hintKind, retEvw, delta)
 		return
 	}
 	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMFetchAddF, 0, retEvw, va, FloatBits(delta))
-}
-
-// LaneLocal returns named lane-private storage (the scratchpad), creating
-// it with init on first use. Libraries such as the combining cache keep
-// per-lane caches here.
-func (c *Ctx) LaneLocal(key string, init func() any) any {
-	if c.lane.local == nil {
-		c.lane.local = make(map[string]any)
-	}
-	v, ok := c.lane.local[key]
-	if !ok {
-		v = init()
-		c.lane.local[key] = v
-	}
-	return v
-}
-
-// LocalSlot is LaneLocal for a slot from Program.AllocSlot: an array
-// access on the hot path instead of a string-keyed map lookup.
-func (c *Ctx) LocalSlot(slot int, init func() any) any {
-	l := c.lane
-	for len(l.slots) <= slot {
-		l.slots = append(l.slots, nil)
-	}
-	if l.slots[slot] == nil {
-		l.slots[slot] = init()
-	}
-	return l.slots[slot]
+	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), kind, 0, retEvw, va, delta)
 }
 
 // ---- tracing ----------------------------------------------------------

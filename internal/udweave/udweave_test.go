@@ -336,31 +336,6 @@ func TestUndefinedEventPanics(t *testing.T) {
 	r.eng.Run() //nolint:errcheck
 }
 
-func TestLaneLocalStorage(t *testing.T) {
-	r := newRig(t, 1)
-	var a, b any
-	ev := r.prog.Define("ll", func(c *udweave.Ctx) {
-		v := c.LaneLocal("counter", func() any { return new(int) })
-		*v.(*int)++
-		if a == nil {
-			a = v
-		} else {
-			b = v
-		}
-		c.YieldTerminate()
-	})
-	lane := r.m.LaneID(0, 0, 0)
-	r.start(udweave.EvwNew(lane, ev))
-	r.start(udweave.EvwNew(lane, ev))
-	r.run(t)
-	if a != b {
-		t.Fatal("lane-local storage not shared between threads of a lane")
-	}
-	if *a.(*int) != 2 {
-		t.Fatalf("counter = %d, want 2", *a.(*int))
-	}
-}
-
 func TestSendEventToIgnoredContinuationIsNoop(t *testing.T) {
 	r := newRig(t, 1)
 	ev := r.prog.Define("noop", func(c *udweave.Ctx) {

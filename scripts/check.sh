@@ -20,6 +20,13 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Line budget: the repository's non-blank Go source lines (cmd/loccount's
+# total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
+# that adds code deletes as much elsewhere, or raises the budget on purpose.
+LOC_BUDGET=23719
+loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
+[ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
+
 go vet ./...
 go build ./...
 go test ./...
@@ -109,6 +116,11 @@ bfs4c=$(./updown-sim -app bfs -nodes 4 -scale 12 -coalesce -checksum)
 printf '%s\n' "$bfs4c" | grep -Eq '^shuffle: .*, [1-9][0-9]* retired at hand-off$' || { echo "placement smoke: bfs -coalesce on 4 nodes retired no tuple at hand-off"; exit 1; }
 bfs4c=$(printf '%s\n' "$bfs4c" | checksum)
 [ "$bfs4c" = "$bfs1" ] || { echo "placement smoke: bfs -coalesce checksum '$bfs4c' on 4 nodes, want '$bfs1' of 1"; exit 1; }
+# Scratchpad smoke: every lane's slots (udweave.NewSlot) are charged to its
+# 64 KiB scratchpad and a Get past it panics; BFS at the bfs_batch geometry
+# must run and report its fullest lane below the cap.
+./updown-sim -app bfs -scale 16 -nodes 8 -coalesce -m 256 -root 28 -profile \
+    | awk '/^scratchpad:/ { if ($8+0 >= 65536) { print "scratchpad smoke: " $0; exit 1 } found=1 } END { exit !found }'
 ./updown-sim -app pr -nodes 3 -scale 10 > /dev/null
 ./fig 9pr -scale 10 -nodes 3 | grep -q 'values validated against host baseline'
 ./fig 12 -scale 10 -mem 1,2,4 -compute 4 \
