@@ -4,7 +4,8 @@ package updown
 // global address space and the engine state (which carries every actor's
 // private state — lanes, DRAM controllers, auxiliary actors — through
 // sim.Snapshotter). A machine restored from a checkpoint continues
-// bit-identically to one that was never interrupted.
+// bit-identically to one that was never interrupted; a rejected one is
+// left as it was.
 //
 // The restoring process must rebuild the same machine first: same
 // architecture, same program definitions (handler labels and lane-local
@@ -15,10 +16,12 @@ package updown
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
 	"updown/internal/sim"
+	"updown/internal/snap"
 	"updown/internal/udweave"
 )
 
@@ -30,8 +33,8 @@ import (
 // (graph loaded, no job started).
 var ErrNotQuiescent = udweave.ErrNotQuiescent
 
-// RestoreError is the typed error the engine section of Restore returns
-// on a rejected snapshot; inspect its Kind with errors.As.
+// RestoreError is the typed error Restore returns on a rejected
+// checkpoint; inspect its Kind with errors.As.
 type RestoreError = sim.RestoreError
 
 // RestoreErrorKind classifies why a snapshot was rejected.
@@ -52,6 +55,32 @@ const (
 	mchkVersion = uint32(2) // v2: replicated gasmem regions, DRAM hint logs, failover counters
 )
 
+// code states the machine checkpoint's layout for both directions: magic,
+// version, the program's handler and slot counts, then the GAS and engine
+// sections, each length-prefixed. Reading, a check that fails records a
+// *RestoreError of its kind.
+func (m *Machine) code(c *snap.Codec, gas, eng *[]byte) {
+	bad := func(k RestoreErrorKind, format string, args ...any) {
+		c.Fail(&RestoreError{Kind: k, Detail: fmt.Sprintf(format, args...)})
+	}
+	if !c.Magic(mchkMagic) {
+		bad(RestoreBadMagic, "not a machine checkpoint")
+	}
+	version := mchkVersion
+	if snap.W32(c, &version); version != mchkVersion {
+		bad(RestoreBadVersion, "checkpoint format version %d, this build reads %d", version, mchkVersion)
+	}
+	nh, ns := m.Prog.NumHandlers(), m.Prog.NumSlots()
+	snap.W64(c, &nh)
+	snap.W64(c, &ns)
+	if nh != m.Prog.NumHandlers() || ns != m.Prog.NumSlots() {
+		bad(RestoreShapeMismatch, "checkpoint program has %d handlers and %d slots, this machine has %d and %d (define the same program before Restore)",
+			nh, ns, m.Prog.NumHandlers(), m.Prog.NumSlots())
+	}
+	c.Bytes(gas, 1<<32)
+	c.Bytes(eng, 1<<32)
+}
+
 // Checkpoint serializes the machine's complete simulation state to w.
 // It must be called between runs; pause a run at a chosen cycle with
 // RunUntil first. Application state held in lanes (thread states,
@@ -61,59 +90,35 @@ const (
 // fails with an error naming the lane and value that satisfies
 // errors.Is(err, ErrNotQuiescent), rather than dropping state.
 func (m *Machine) Checkpoint(w io.Writer) error {
-	if _, err := io.WriteString(w, mchkMagic); err != nil {
-		return fmt.Errorf("updown: checkpoint write: %w", err)
-	}
-	sw := sim.NewSnapWriter(w)
-	sw.U32(mchkVersion)
-	sw.U64(uint64(m.Prog.NumHandlers()))
-	sw.U64(uint64(m.Prog.NumSlots()))
-	var gasBuf bytes.Buffer
-	if err := m.GAS.Snapshot(&gasBuf); err != nil {
+	var gas, eng bytes.Buffer
+	if err := m.GAS.Snapshot(&gas); err != nil {
 		return err
 	}
-	sw.Bytes(gasBuf.Bytes())
-	var engBuf bytes.Buffer
-	if err := m.Engine.Checkpoint(&engBuf); err != nil {
+	if err := m.Engine.Checkpoint(&eng); err != nil {
 		return err
 	}
-	sw.Bytes(engBuf.Bytes())
-	if err := sw.Err(); err != nil {
-		return fmt.Errorf("updown: checkpoint write: %w", err)
+	gasSec, engSec := gas.Bytes(), eng.Bytes()
+	c := snap.NewWriter(w)
+	if m.code(c, &gasSec, &engSec); c.Err() != nil {
+		return fmt.Errorf("updown: checkpoint write: %w", c.Err())
 	}
 	return nil
 }
 
 // Restore rebuilds the simulation state serialized by Checkpoint into
-// this machine. Every error is a *RestoreError. Mismatches — format
-// version, program shape, machine architecture, actor space — and corrupt
-// or truncated sections are rejected before any state is modified; only
-// an actor payload that fails to apply (RestoreActorFailed) leaves the
-// machine in an undefined state, and it must then be discarded.
+// this machine. Every error is a *RestoreError, and a rejected checkpoint
+// leaves the machine untouched: the header, both sections and every actor
+// payload are decoded and checked before anything is installed.
 func (m *Machine) Restore(r io.Reader) error {
-	bad := func(k RestoreErrorKind, format string, args ...any) error {
-		return &RestoreError{Kind: k, Detail: fmt.Sprintf(format, args...)}
+	var gasSec, engSec []byte
+	c := snap.NewReader(r)
+	if m.code(c, &gasSec, &engSec); c.Err() != nil {
+		var re *RestoreError
+		if errors.As(c.Err(), &re) {
+			return re
+		}
+		return &RestoreError{Kind: RestoreCorrupt, Detail: "truncated checkpoint: " + c.Err().Error()}
 	}
-	magic := make([]byte, len(mchkMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != mchkMagic {
-		return bad(RestoreBadMagic, "not a machine checkpoint (got %q)", magic)
-	}
-	sr := sim.NewSnapReader(r)
-	if v := sr.U32(); sr.Err() == nil && v != mchkVersion {
-		return bad(RestoreBadVersion, "checkpoint format version %d, this build reads %d", v, mchkVersion)
-	}
-	nh := sr.U64()
-	ns := sr.U64()
-	if sr.Err() == nil && (nh != uint64(m.Prog.NumHandlers()) || ns != uint64(m.Prog.NumSlots())) {
-		return bad(RestoreShapeMismatch, "checkpoint program has %d handlers and %d slots, this machine has %d and %d (define the same program before Restore)",
-			nh, ns, m.Prog.NumHandlers(), m.Prog.NumSlots())
-	}
-	gasSec := sr.Bytes(1 << 32)
-	engSec := sr.Bytes(1 << 32)
-	if err := sr.Err(); err != nil {
-		return bad(RestoreCorrupt, "truncated checkpoint: %v", err)
-	}
-	// Both sections are decoded and checked before either is installed.
 	// The engine goes first: it validates the architecture description
 	// and the actor space, so a machine mismatch is named as one.
 	commitEngine, err := m.Engine.StageRestore(bytes.NewReader(engSec))
@@ -122,11 +127,9 @@ func (m *Machine) Restore(r io.Reader) error {
 	}
 	commitGAS, err := m.GAS.StageRestore(bytes.NewReader(gasSec))
 	if err != nil {
-		return bad(RestoreCorrupt, "%v", err)
+		return &RestoreError{Kind: RestoreCorrupt, Detail: err.Error()}
 	}
-	if err := commitEngine(); err != nil {
-		return err
-	}
+	commitEngine()
 	commitGAS()
 	return nil
 }

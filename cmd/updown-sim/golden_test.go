@@ -88,7 +88,7 @@ func TestBadRunsRejected(t *testing.T) {
 		{"-app bfs -resilient -fault-spec drop=NaN", 2, "drop probability"},
 		{"-app bfs -nodes 2 -scale 6 -resilient -fault-spec failstop=99@10", 1, "fault: failstop 0: node 99 out of range"},
 		{"-app bfs -gv " + gv + " -nl " + nl, 1, "graph: malformed gv/nl file: gv vertex count"},
-		{"-app bfs -scale 8 -restore " + short, 1, "corrupt checkpoint: 68719476736 bytes of metadata announced"},
+		{"-app bfs -scale 8 -restore " + short, 1, "corrupt checkpoint header: 68719476736-byte string: EOF"},
 		{"-app bfs -nodes 2 -restore " + msgs, 1, "restore rejected (corrupt stream)"},
 	} {
 		var stdout, stderr strings.Builder

@@ -90,6 +90,7 @@ import (
 	"updown/internal/kvmsr"
 	"updown/internal/metrics"
 	"updown/internal/sim"
+	"updown/internal/snap"
 	"updown/internal/telemetry"
 	"updown/internal/tform"
 )
@@ -619,10 +620,19 @@ type warmStart struct {
 
 const cliCkptMagic = "UDCLICKP"
 
-// writeWarmStart writes magic, a length-prefixed gob of the warmStart
-// metadata, then the machine checkpoint. The gob blob is length-prefixed
-// because gob decoders buffer ahead and would otherwise eat the head of
-// the machine section.
+// codeWarmStartHead codes the head of a -checkpoint file: magic, then the
+// gob of the warmStart metadata, length-prefixed because gob decoders
+// buffer ahead and would otherwise eat the head of the machine checkpoint
+// that follows.
+func codeWarmStartHead(c *snap.Codec, meta *[]byte) {
+	if !c.Magic(cliCkptMagic) {
+		c.Failf("not an updown-sim checkpoint")
+	}
+	c.Bytes(meta, 1<<40)
+}
+
+// writeWarmStart writes the head (codeWarmStartHead), then the machine
+// checkpoint.
 func writeWarmStart(m *updown.Machine, path string, sf simFlags, dg *graph.DeviceGraph) error {
 	var meta bytes.Buffer
 	ws := &warmStart{App: sf.App, DG: dg, Nodes: sf.Nodes, Spare: sf.Spare, Rep: normRep(sf.Rep)}
@@ -634,12 +644,9 @@ func writeWarmStart(m *updown.Machine, path string, sf simFlags, dg *graph.Devic
 		return err
 	}
 	w := bufio.NewWriter(f)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(meta.Len()))
-	if _, err := io.WriteString(w, cliCkptMagic); err == nil {
-		if _, err = w.Write(lenBuf[:]); err == nil {
-			_, err = w.Write(meta.Bytes())
-		}
+	c, head := snap.NewWriter(w), meta.Bytes()
+	if codeWarmStartHead(c, &head); c.Err() != nil {
+		err = c.Err()
 	}
 	if err == nil {
 		err = m.Checkpoint(w)
@@ -667,22 +674,13 @@ func mustRestoreWarmStart(m *updown.Machine, path string, sf simFlags) *graph.De
 	must(err)
 	defer f.Close()
 	r := bufio.NewReader(f)
-	head := make([]byte, len(cliCkptMagic)+8)
-	if _, err := io.ReadFull(r, head); err != nil || string(head[:len(cliCkptMagic)]) != cliCkptMagic {
-		must(fmt.Errorf("%s is not an updown-sim checkpoint", path))
+	var meta []byte
+	c := snap.NewReader(r)
+	if codeWarmStartHead(c, &meta); c.Err() != nil {
+		must(fmt.Errorf("%s: corrupt checkpoint header: %v", path, c.Err()))
 	}
-	// The length word sizes nothing it does not find in the file.
-	fi, err := f.Stat()
-	must(err)
-	metaLen, left := binary.LittleEndian.Uint64(head[len(cliCkptMagic):]), uint64(fi.Size())-uint64(len(head))
-	if metaLen > left {
-		must(fmt.Errorf("%s: corrupt checkpoint: %d bytes of metadata announced, %d left in the file", path, metaLen, left))
-	}
-	metaBytes := make([]byte, metaLen)
-	_, err = io.ReadFull(r, metaBytes)
-	must(err)
 	var ws warmStart
-	must(gob.NewDecoder(bytes.NewReader(metaBytes)).Decode(&ws))
+	must(gob.NewDecoder(bytes.NewReader(meta)).Decode(&ws))
 	if err := checkWarmStartMeta(&ws, sf); err != nil {
 		must(fmt.Errorf("%s: %v", path, err))
 	}

@@ -1,45 +1,32 @@
 package dram
 
-import "updown/internal/sim"
+import (
+	"math"
+
+	"updown/internal/snap"
+)
 
 // Snapshot implements sim.Snapshotter: the controller's mutable state is
 // its bandwidth horizon, traffic counters and the hinted-handoff log (the
-// backing store belongs to gasmem, which snapshots separately).
-func (c *Controller) Snapshot(w *sim.SnapWriter) error {
-	w.I64(c.busy64)
-	w.I64(c.Bytes)
-	w.I64(c.FallbackReads)
-	w.U64(uint64(len(c.hints)))
-	for _, h := range c.hints {
-		w.U64(uint64(h.Intended))
-		w.U64(uint64(h.Kind))
-		w.U64(uint64(h.NOps))
-		w.U64(h.VA)
-		for i := 0; i < int(h.NOps); i++ {
-			w.U64(h.Ops[i])
+// backing store belongs to gasmem, which snapshots separately). A hint
+// announcing more operands than Hint.Ops holds is rejected.
+func (c *Controller) Snapshot(sc *snap.Codec) (commit func(), err error) {
+	busy, bytes, fallback, hints := c.busy64, c.Bytes, c.FallbackReads, c.hints
+	snap.W64(sc, &busy)
+	snap.W64(sc, &bytes)
+	snap.W64(sc, &fallback)
+	snap.List(sc, &hints, math.MaxUint64, func(_ int, h *Hint) {
+		snap.W64(sc, &h.Intended)
+		snap.W64(sc, &h.Kind)
+		snap.W64(sc, &h.NOps)
+		sc.U64(&h.VA)
+		if h.NOps > uint8(len(h.Ops)) {
+			sc.Failf("dram: hint with %d operands, at most %d", h.NOps, len(h.Ops))
+			return
 		}
-	}
-	return w.Err()
-}
-
-// RestoreSnapshot implements sim.Snapshotter.
-func (c *Controller) RestoreSnapshot(r *sim.SnapReader) error {
-	c.busy64 = r.I64()
-	c.Bytes = r.I64()
-	c.FallbackReads = r.I64()
-	n := r.U64()
-	c.hints = nil
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		h := Hint{
-			Intended: int32(r.U64()),
-			Kind:     uint8(r.U64()),
-			NOps:     uint8(r.U64()),
-			VA:       r.U64(),
+		for i := range h.NOps {
+			sc.U64(&h.Ops[i])
 		}
-		for j := 0; j < int(h.NOps) && j < len(h.Ops); j++ {
-			h.Ops[j] = r.U64()
-		}
-		c.hints = append(c.hints, h)
-	}
-	return r.Err()
+	})
+	return func() { c.busy64, c.Bytes, c.FallbackReads, c.hints = busy, bytes, fallback, hints }, sc.Err()
 }

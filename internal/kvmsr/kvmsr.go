@@ -386,8 +386,7 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	v.nameRetry = n + ".retry"
 	v.nameDupDrop = n + ".dup_drop"
 	if s.Resilience != nil && s.ReduceEvent != 0 {
-		res := s.Resilience.withDefaults(p.M)
-		v.res = &res
+		v.res = s.Resilience
 		v.rslot = udweave.NewSlot[resilState](p)
 		v.lRedDeliver = p.Define(n+".red_deliver", v.redDeliver)
 		v.lAck = p.Define(n+".emit_ack", v.ack)
@@ -1069,7 +1068,7 @@ func (v *Invocation) straggler(c *udweave.Ctx, st *laneState) {
 		st.noProgress = 0
 		st.lastProbeSum = st.mRed
 	}
-	if st.noProgress >= v.res.StragglerProbes {
+	if st.noProgress >= stragglerProbes {
 		st.noProgress = 0
 		v.rst(c).totals.Rekicks++
 		c.Cycles(4)

@@ -24,35 +24,21 @@ import (
 	"updown/internal/udweave"
 )
 
-// Resilience configures the resilient shuffle. The zero value of each
-// field selects a default at registration time.
-type Resilience struct {
-	// RetryTimeout is the base ack deadline before an emit is
-	// retransmitted; it doubles per failed attempt. Zero selects
-	// 8 x the machine's cross-node latency.
-	RetryTimeout arch.Cycles
-	// BackoffCap bounds the exponential backoff to RetryTimeout<<cap.
-	// Zero selects 6 (64x base).
-	BackoffCap int
-	// StragglerProbes is the number of consecutive no-progress
-	// termination probes after which the master re-kicks all lanes.
-	// Zero selects 8.
-	StragglerProbes int
-}
+// Resilience opts an invocation into the resilient shuffle (Spec.Resilience
+// non-nil). Its timing is fixed: the constants below.
+type Resilience struct{}
 
-// withDefaults resolves zero fields against machine m.
-func (r Resilience) withDefaults(m arch.Machine) Resilience {
-	if r.RetryTimeout <= 0 {
-		r.RetryTimeout = 8 * m.LatCrossNode
-	}
-	if r.BackoffCap <= 0 {
-		r.BackoffCap = 6
-	}
-	if r.StragglerProbes <= 0 {
-		r.StragglerProbes = 8
-	}
-	return r
-}
+const (
+	// retryHops sets the base ack deadline before an emit is retransmitted,
+	// in cross-node latencies; the deadline doubles per failed attempt.
+	retryHops = 8
+	// backoffCap bounds the exponential backoff to 2^backoffCap (64x) the
+	// base deadline.
+	backoffCap = 6
+	// stragglerProbes is the number of consecutive no-progress
+	// termination probes after which the master re-kicks all lanes.
+	stragglerProbes = 8
+)
 
 // ResilienceTotals aggregates the protocol's counters across a lane set
 // (see Invocation.ResilienceTotals).
@@ -190,8 +176,8 @@ func sortedPending(rs *resilState) []uint64 {
 	return ids
 }
 
-// guard is the sender-side watchdog thread: it wakes every RetryTimeout
-// cycles (via the udweave timeout continuation), retransmits emits whose
+// guard is the sender-side watchdog thread: it wakes every base ack
+// deadline (via the udweave timeout continuation), retransmits emits whose
 // backoff deadline passed, and terminates once everything is acked.
 func (v *Invocation) guard(c *udweave.Ctx) {
 	rs := v.rst(c)
@@ -201,19 +187,15 @@ func (v *Invocation) guard(c *udweave.Ctx) {
 		c.YieldTerminate()
 		return
 	}
-	now := c.Now()
+	now, timeout := c.Now(), retryHops*v.p.M.LatCrossNode
 	c.Cycles(4)
 	for _, id := range sortedPending(rs) {
 		pe := rs.out[id]
-		shift := pe.attempts - 1
-		if shift > v.res.BackoffCap {
-			shift = v.res.BackoffCap
-		}
-		if now-pe.sentAt >= v.res.RetryTimeout<<uint(shift) {
+		if now-pe.sentAt >= timeout<<uint(min(pe.attempts-1, backoffCap)) {
 			v.resend(c, rs, pe)
 		}
 	}
-	c.ArmTimeout(v.res.RetryTimeout, v.lGuard)
+	c.ArmTimeout(timeout, v.lGuard)
 }
 
 // rekick is the straggler-recovery broadcast target: retransmit every

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"updown/internal/arch"
+	"updown/internal/snap"
 )
 
 // fuzzEngine builds an engine running the determinism-fuzz workload.
@@ -166,14 +167,10 @@ func (a *hashActor) OnMessage(env *Env, m *Message) {
 	env.Charge(arch.Cycles(100 + a.h%400))
 }
 
-func (a *hashActor) Snapshot(w *SnapWriter) error {
-	w.U64(a.h)
-	return w.Err()
-}
-
-func (a *hashActor) RestoreSnapshot(r *SnapReader) error {
-	a.h = r.U64()
-	return r.Err()
+func (a *hashActor) Snapshot(c *snap.Codec) (func(), error) {
+	h := a.h
+	c.U64(&h)
+	return func() { a.h = h }, c.Err()
 }
 
 // TestCheckpointDeepWaitq pauses while ~150 messages are parked behind
@@ -361,14 +358,15 @@ func TestRestoreGuardRails(t *testing.T) {
 
 // TestRestorePayloadTypeGuard: a payload destined for an actor that does
 // not implement Snapshotter in the target engine is a RestoreActorFailed
-// error, not silent data loss.
+// error, not silent data loss, and it is raised before anything is
+// installed: the target keeps its own pending message and statistics.
 func TestRestorePayloadTypeGuard(t *testing.T) {
 	m := arch.DefaultMachine(2)
 	src, err := NewEngine(m, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.AddActor(&hashActor{h: 3})
+	src.Post(7, src.AddActor(&hashActor{h: 3}), arch.KindEvent, 2, 0)
 	var buf bytes.Buffer
 	if err := src.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -377,10 +375,17 @@ func TestRestorePayloadTypeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.AddActor(&fuzzActor{m: &m}) // same slot, not a Snapshotter
+	dst.Post(5, dst.AddActor(&fuzzActor{m: &m}), arch.KindEvent, 1, 0) // same slot, not a Snapshotter
+	var before, after bytes.Buffer
+	if err := dst.Checkpoint(&before); err != nil {
+		t.Fatal(err)
+	}
 	rerr := dst.Restore(bytes.NewReader(buf.Bytes()))
 	var re *RestoreError
 	if !errors.As(rerr, &re) || re.Kind != RestoreActorFailed {
 		t.Fatalf("got %v, want RestoreActorFailed", rerr)
+	}
+	if err := dst.Checkpoint(&after); err != nil || !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("the rejected restore modified the engine")
 	}
 }

@@ -8,33 +8,30 @@
 // that state in an engine constructed for the same machine, after which
 // Run continues bit-identically to a run that was never interrupted.
 //
-// The byte stream is canonical: heap messages are written in the global
-// (Deliver, Src, Seq) total order and actor records in NetworkID order,
-// so checkpoints of the same simulation state are byte-identical
-// regardless of the host shard count that produced them.
+// The layout is stated once, in snapState.code, which runs through a
+// snap.Codec in both directions. The stream is canonical: heap messages
+// are written in the global (Deliver, Src, Seq) total order and actor
+// records in NetworkID order, so checkpoints of the same simulation state
+// are byte-identical regardless of the host shard count that produced
+// them.
 //
-// Restore validates before it mutates: the magic, version, machine
-// section and actor-space shape are checked first, then the whole stream
-// is decoded and checked, and any error returns a *RestoreError with the
-// engine untouched. Only an actor payload that fails to apply
-// (RestoreActorFailed) leaves the engine in an undefined state, to be
-// discarded. Nothing is sized from a count in the stream before the data
-// behind it has arrived.
+// Restore installs nothing until the whole stream has been decoded and
+// checked, every actor payload included; any error is a *RestoreError and
+// leaves the engine untouched. Nothing is sized from a count in the
+// stream before the data behind it has arrived.
 package sim
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 
 	"updown/internal/arch"
+	"updown/internal/snap"
 )
 
 // Snapshotter is implemented by actors whose private state participates
@@ -43,19 +40,11 @@ import (
 // time. Lanes instantiated lazily and never touched carry no state and
 // are skipped automatically.
 type Snapshotter interface {
-	// Snapshot writes the actor's state to w. It must be deterministic:
-	// equal states must produce equal bytes.
-	Snapshot(w *SnapWriter) error
-	// RestoreSnapshot rebuilds the actor's state from r, which holds
-	// exactly the bytes a prior Snapshot wrote.
-	RestoreSnapshot(r *SnapReader) error
-}
-
-// Stager is implemented by Snapshotters that can decode and check a
-// payload without applying it. StageRestore stages every Stager's payload,
-// so one it rejects leaves the engine untouched; commit installs it.
-type Stager interface {
-	StageSnapshot(r *SnapReader) (commit func(), err error)
+	// Snapshot codes the actor's state through c. Writing, it encodes the
+	// live state — equal states must produce equal bytes — and commit is a
+	// no-op. Reading, it decodes and checks a payload without touching the
+	// actor, and commit installs it.
+	Snapshot(c *snap.Codec) (commit func(), err error)
 }
 
 const (
@@ -78,13 +67,12 @@ const (
 	RestoreMachineMismatch
 	// RestoreShapeMismatch: the actor-ID space differs (auxiliary actors
 	// registered before Checkpoint were not registered before Restore,
-	// or vice versa), or a Stager's payload holds another program's state.
+	// or vice versa), or an actor payload holds another program's state.
 	RestoreShapeMismatch
 	// RestoreCorrupt: the stream is truncated or internally inconsistent.
 	RestoreCorrupt
-	// RestoreActorFailed: an actor payload could not be applied (the
-	// actor is missing, does not implement Snapshotter, or its
-	// RestoreSnapshot failed).
+	// RestoreActorFailed: an actor payload has no actor to go to (the
+	// actor is missing or does not implement Snapshotter).
 	RestoreActorFailed
 )
 
@@ -106,9 +94,8 @@ func (k RestoreErrorKind) String() string {
 	return "unknown"
 }
 
-// RestoreError is the typed error Engine.Restore returns. For every kind
-// but RestoreActorFailed the engine has not been mutated; after that one
-// it must be discarded.
+// RestoreError is the typed error Engine.Restore returns; the engine has
+// not been mutated.
 type RestoreError struct {
 	Kind   RestoreErrorKind
 	Detail string
@@ -120,180 +107,6 @@ func (e *RestoreError) Error() string {
 
 func restoreErrf(k RestoreErrorKind, format string, args ...any) *RestoreError {
 	return &RestoreError{Kind: k, Detail: fmt.Sprintf(format, args...)}
-}
-
-// SnapWriter encodes checkpoint sections. All integers are fixed-width
-// little-endian; byte strings are length-prefixed. The first error
-// sticks: later writes are no-ops and Err returns it.
-type SnapWriter struct {
-	w   io.Writer
-	buf [8]byte
-	err error
-}
-
-// NewSnapWriter wraps w. Callers that need buffering wrap w themselves.
-func NewSnapWriter(w io.Writer) *SnapWriter { return &SnapWriter{w: w} }
-
-// Err returns the first write error, or nil.
-func (w *SnapWriter) Err() error { return w.err }
-
-func (w *SnapWriter) write(b []byte) {
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
-
-// U64 writes a fixed-width unsigned word.
-func (w *SnapWriter) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a fixed-width signed word.
-func (w *SnapWriter) I64(v int64) { w.U64(uint64(v)) }
-
-// U32 writes a fixed-width 32-bit word.
-func (w *SnapWriter) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U8 writes one byte.
-func (w *SnapWriter) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
-}
-
-// F64 writes a float64 bit pattern.
-func (w *SnapWriter) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bytes writes a length-prefixed byte string.
-func (w *SnapWriter) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.write(b)
-}
-
-// String writes a length-prefixed string.
-func (w *SnapWriter) String(s string) { w.Bytes([]byte(s)) }
-
-// Gob writes a length-prefixed, self-contained gob encoding of v, or a
-// zero length for nil. Concrete types reached through interfaces must be
-// registered with encoding/gob.Register by the application.
-func (w *SnapWriter) Gob(v any) error {
-	if w.err != nil {
-		return w.err
-	}
-	if v == nil {
-		w.U64(0)
-		return w.err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return err
-	}
-	w.Bytes(buf.Bytes())
-	return w.err
-}
-
-// SnapReader decodes checkpoint sections written by SnapWriter. The
-// first error sticks; reads after it return zero values.
-type SnapReader struct {
-	r   io.Reader
-	buf [8]byte
-	err error
-}
-
-// NewSnapReader wraps r. Callers that need buffering wrap r themselves.
-func NewSnapReader(r io.Reader) *SnapReader { return &SnapReader{r: r} }
-
-// Err returns the first read error, or nil.
-func (r *SnapReader) Err() error { return r.err }
-
-func (r *SnapReader) read(b []byte) {
-	if r.err == nil {
-		_, r.err = io.ReadFull(r.r, b)
-	}
-}
-
-// U64 reads a fixed-width unsigned word.
-func (r *SnapReader) U64() uint64 {
-	r.read(r.buf[:8])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// I64 reads a fixed-width signed word.
-func (r *SnapReader) I64() int64 { return int64(r.U64()) }
-
-// U32 reads a fixed-width 32-bit word.
-func (r *SnapReader) U32() uint32 {
-	r.read(r.buf[:4])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U8 reads one byte.
-func (r *SnapReader) U8() uint8 {
-	r.read(r.buf[:1])
-	if r.err != nil {
-		return 0
-	}
-	return r.buf[0]
-}
-
-// F64 reads a float64 bit pattern.
-func (r *SnapReader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// restoreChunk bounds what a restore allocates ahead of the data: buffers
-// sized by a count read from the stream start at most this many elements
-// and grow as the elements arrive, so a count the stream cannot back ends
-// at EOF, not in a count-sized allocation.
-const restoreChunk = 4096
-
-// Bytes reads a length-prefixed byte string of at most max bytes, growing
-// the buffer as the bytes arrive (see restoreChunk).
-func (r *SnapReader) Bytes(max uint64) []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > max {
-		r.err = fmt.Errorf("length %d exceeds limit %d", n, max)
-		return nil
-	}
-	b := make([]byte, 0, min(n, restoreChunk))
-	for uint64(len(b)) < n && r.err == nil {
-		k := int(min(n-uint64(len(b)), 16*restoreChunk))
-		b = slices.Grow(b, k)[:len(b)+k]
-		r.read(b[len(b)-k:])
-	}
-	if r.err != nil {
-		return nil
-	}
-	return b
-}
-
-// String reads a length-prefixed string.
-func (r *SnapReader) String(max uint64) string { return string(r.Bytes(max)) }
-
-// Gob reads a value written by SnapWriter.Gob (nil for zero length).
-func (r *SnapReader) Gob() (any, error) {
-	data := r.Bytes(1 << 30)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // machineWords flattens the architecture description into fixed-width
@@ -312,173 +125,48 @@ func machineWords(m arch.Machine) []uint64 {
 	}
 }
 
-func writeMessage(w *SnapWriter, m *Message) {
-	w.I64(m.Deliver)
-	w.U32(uint32(m.Src))
-	w.U64(m.Seq)
-	w.U32(uint32(m.Dst))
-	w.U8(m.Kind)
-	w.U8(m.NOps)
-	if m.retry {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-	w.U64(m.Event)
-	w.U64(m.Cont)
-	for _, op := range m.Ops {
-		w.U64(op)
-	}
-}
-
-func readMessage(r *SnapReader) Message {
-	var m Message
-	m.Deliver = r.I64()
-	m.Src = arch.NetworkID(int32(r.U32()))
-	m.Seq = r.U64()
-	m.Dst = arch.NetworkID(int32(r.U32()))
-	m.Kind = r.U8()
-	m.NOps = r.U8()
-	m.retry = r.U8() != 0
-	m.Event = r.U64()
-	m.Cont = r.U64()
+// code codes a message, its engine-internal retry flag included.
+func (m *Message) code(c *snap.Codec) {
+	snap.W64(c, &m.Deliver)
+	snap.W32(c, &m.Src)
+	c.U64(&m.Seq)
+	snap.W32(c, &m.Dst)
+	snap.W8(c, &m.Kind)
+	snap.W8(c, &m.NOps)
+	c.Bool(&m.retry)
+	c.U64(&m.Event)
+	c.U64(&m.Cont)
 	for i := range m.Ops {
-		m.Ops[i] = r.U64()
+		c.U64(&m.Ops[i])
 	}
-	return m
 }
 
-// Checkpoint writes the engine's complete simulation state to w. It
-// must be called between runs (never while Run is in progress); pausing
-// a run at a chosen cycle first is what RunUntil is for. The stream is
-// canonical: checkpointing the same simulation state yields identical
-// bytes at every host shard count.
-func (e *Engine) Checkpoint(w io.Writer) error {
-	if e.running {
-		panic("sim: Checkpoint called while Run is in progress")
+// code codes the aggregate statistics but LanesTouched, which is derived
+// from actor state.
+func (s *Stats) code(c *snap.Codec) {
+	f := &s.Faults
+	for _, v := range []*int64{&s.FinalTime, &s.Events, &s.DRAMReads, &s.DRAMWrites, &s.DRAMBytes,
+		&s.Sends, &s.ShuffleMsgs, &s.ShuffleTuples, &s.BusyCycles,
+		&f.Dropped, &f.Dupped, &f.Delayed, &f.DeadLetters, &f.Failovers, &f.Stalled} {
+		snap.W64(c, v)
 	}
-	bw := bufio.NewWriter(w)
-	sw := NewSnapWriter(bw)
-	sw.write([]byte(snapMagic))
-	sw.U32(snapVersion)
-	for _, v := range machineWords(e.M) {
-		sw.U64(v)
-	}
-	sw.U64(uint64(len(e.actors)))
-	sw.U64(e.hostSeq)
-	for _, v := range e.injBusy64 {
-		sw.I64(v)
-	}
-	// Aggregate statistics (LanesTouched is derived from actor state).
-	st := e.totals()
-	sw.I64(st.FinalTime)
-	sw.I64(st.Events)
-	sw.I64(st.DRAMReads)
-	sw.I64(st.DRAMWrites)
-	sw.I64(st.DRAMBytes)
-	sw.I64(st.Sends)
-	sw.I64(st.ShuffleMsgs)
-	sw.I64(st.ShuffleTuples)
-	sw.I64(st.BusyCycles)
-	sw.I64(st.Faults.Dropped)
-	sw.I64(st.Faults.Dupped)
-	sw.I64(st.Faults.Delayed)
-	sw.I64(st.Faults.DeadLetters)
-	sw.I64(st.Faults.Failovers)
-	sw.I64(st.Faults.Stalled)
-	// Heap-resident messages (including floating retries, excluding
-	// parked wait-queue entries), in the global total order.
-	var msgs []Message
-	for _, s := range e.shards {
-		msgs = s.heap.appendQueued(msgs)
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].before(&msgs[j]) })
-	sw.U64(uint64(len(msgs)))
-	for i := range msgs {
-		writeMessage(sw, &msgs[i])
-	}
-	// Sparse per-actor state, in NetworkID order. Wait-queue messages
-	// are embedded in FIFO order — the pop order is part of the
-	// deterministic schedule and is not reconstructible from the
-	// (Deliver, Src, Seq) key once deliveries have been bumped.
-	var nstate uint64
-	for i := range e.state {
-		if stateNonZero(&e.state[i]) {
-			nstate++
-		}
-	}
-	sw.U64(nstate)
-	for i := range e.state {
-		a := &e.state[i]
-		if !stateNonZero(a) {
-			continue
-		}
-		sw.U32(uint32(i))
-		if a.used {
-			sw.U8(1)
-		} else {
-			sw.U8(0)
-		}
-		sw.I64(a.freeAt)
-		sw.U64(a.seq)
-		sw.I64(a.busy)
-		wq := a.waitq[a.waitqHead:]
-		sw.U64(uint64(len(wq)))
-		if len(wq) > 0 {
-			h := &e.shards[e.shardOf(arch.NetworkID(i))].heap
-			for _, mi := range wq {
-				writeMessage(sw, h.at(mi))
-			}
-		}
-	}
-	// Actor payloads, in NetworkID order.
-	var nact uint64
-	for _, a := range e.actors {
-		if _, ok := a.(Snapshotter); ok {
-			nact++
-		}
-	}
-	sw.U64(nact)
-	for i, a := range e.actors {
-		s, ok := a.(Snapshotter)
-		if !ok {
-			continue
-		}
-		sw.U32(uint32(i))
-		var buf bytes.Buffer
-		pw := NewSnapWriter(&buf)
-		if err := s.Snapshot(pw); err != nil {
-			return fmt.Errorf("sim: checkpoint of actor %d: %w", i, err)
-		}
-		if err := pw.Err(); err != nil {
-			return fmt.Errorf("sim: checkpoint of actor %d: %w", i, err)
-		}
-		sw.Bytes(buf.Bytes())
-	}
-	sw.U64(snapEnd)
-	if err := sw.Err(); err != nil {
-		return fmt.Errorf("sim: checkpoint write: %w", err)
-	}
-	return bw.Flush()
 }
 
-func stateNonZero(a *actorState) bool {
-	return a.used || a.freeAt != 0 || a.seq != 0 || a.busy != 0 ||
-		a.waitqLen() > 0 || a.floating != 0
-}
-
-// snapState is the fully-decoded checkpoint, staged before any engine
-// mutation.
+// snapState is the engine checkpoint: gathered from the live engine to
+// write it, decoded and checked before any engine mutation to restore it.
 type snapState struct {
-	nActors  int
 	hostSeq  uint64
 	inj      []int64
 	stats    Stats
-	heapMsgs []Message
+	heapMsgs []Message // heap-resident, floating retries included, in total order
 	actors   []snapActor
 	payloads []snapPayload
 }
 
+// snapActor is one actor's non-zero scheduler state. Its wait queue is
+// embedded in FIFO order: the pop order is part of the deterministic
+// schedule and is not reconstructible from the (Deliver, Src, Seq) key
+// once deliveries have been bumped.
 type snapActor struct {
 	id     int
 	used   bool
@@ -491,9 +179,125 @@ type snapActor struct {
 type snapPayload struct {
 	id   int
 	data []byte
-	// actor and commit are set for a staged payload (see Stager).
+	// actor and commit are set once the payload has been checked.
 	actor  Actor
 	commit func()
+}
+
+// code states the checkpoint layout for both directions. Reading, it checks
+// the stream against engine e as it goes and fails c with a *RestoreError
+// of the first problem's kind.
+func (s *snapState) code(c *snap.Codec, e *Engine) {
+	bad := func(k RestoreErrorKind, format string, args ...any) { c.Fail(restoreErrf(k, format, args...)) }
+	if !c.Magic(snapMagic) {
+		bad(RestoreBadMagic, "not an engine checkpoint")
+	}
+	version := snapVersion
+	snap.W32(c, &version)
+	if version != snapVersion {
+		bad(RestoreBadVersion, "format version %d, this build reads %d", version, snapVersion)
+	}
+	for i, want := range machineWords(e.M) {
+		got := want
+		c.U64(&got)
+		if got != want {
+			bad(RestoreMachineMismatch, "machine word %d differs: checkpoint %d, engine %d", i, got, want)
+		}
+	}
+	n := len(e.actors)
+	snap.W64(c, &n)
+	if n != len(e.actors) {
+		bad(RestoreShapeMismatch, "checkpoint has %d actors, engine has %d (auxiliary actors must be registered before Restore)",
+			n, len(e.actors))
+	}
+	c.U64(&s.hostSeq)
+	if c.Reading() {
+		s.inj = make([]int64, len(e.injBusy64))
+	}
+	for i := range s.inj {
+		snap.W64(c, &s.inj[i])
+	}
+	s.stats.code(c)
+	msg := func(where string) func(int, *Message) {
+		return func(_ int, m *Message) {
+			if m.code(c); c.Err() == nil && !e.validMsg(m) {
+				bad(RestoreCorrupt, "%s message to actor %d with %d operands", where, m.Dst, m.NOps)
+			}
+		}
+	}
+	snap.List(c, &s.heapMsgs, math.MaxUint64, msg("heap"))
+	snap.List(c, &s.actors, math.MaxUint64, func(_ int, a *snapActor) {
+		snap.W32(c, &a.id)
+		c.Bool(&a.used)
+		snap.W64(c, &a.freeAt)
+		c.U64(&a.seq)
+		snap.W64(c, &a.busy)
+		snap.List(c, &a.waitq, math.MaxUint64, msg("parked"))
+		if c.Err() == nil && (a.id < 0 || a.id >= len(e.actors)) {
+			bad(RestoreCorrupt, "actor record for out-of-range id %d", a.id)
+		}
+	})
+	snap.List(c, &s.payloads, math.MaxUint64, func(_ int, p *snapPayload) {
+		snap.W32(c, &p.id)
+		c.Bytes(&p.data, 1<<32)
+		if c.Err() == nil && (p.id < 0 || p.id >= len(e.actors)) {
+			bad(RestoreCorrupt, "payload for out-of-range actor id %d", p.id)
+		}
+	})
+	end := snapEnd
+	c.U64(&end)
+	if end != snapEnd {
+		bad(RestoreCorrupt, "missing end sentinel")
+	}
+}
+
+// Checkpoint writes the engine's complete simulation state to w. It
+// must be called between runs (never while Run is in progress); pausing
+// a run at a chosen cycle first is what RunUntil is for. The stream is
+// canonical: checkpointing the same simulation state yields identical
+// bytes at every host shard count.
+func (e *Engine) Checkpoint(w io.Writer) error {
+	if e.running {
+		panic("sim: Checkpoint called while Run is in progress")
+	}
+	s := &snapState{hostSeq: e.hostSeq, inj: e.injBusy64, stats: e.totals()}
+	for _, sh := range e.shards {
+		s.heapMsgs = sh.heap.appendQueued(s.heapMsgs)
+	}
+	sort.Slice(s.heapMsgs, func(i, j int) bool { return s.heapMsgs[i].before(&s.heapMsgs[j]) })
+	for i := range e.state {
+		st := &e.state[i]
+		if !stateNonZero(st) {
+			continue
+		}
+		a := snapActor{id: i, used: st.used, freeAt: st.freeAt, seq: st.seq, busy: st.busy}
+		h := &e.shards[e.shardOf(arch.NetworkID(i))].heap
+		for _, mi := range st.waitq[st.waitqHead:] {
+			a.waitq = append(a.waitq, *h.at(mi))
+		}
+		s.actors = append(s.actors, a)
+	}
+	for i, a := range e.actors {
+		if sn, ok := a.(Snapshotter); ok {
+			var buf bytes.Buffer
+			if _, err := sn.Snapshot(snap.NewWriter(&buf)); err != nil {
+				return fmt.Errorf("sim: checkpoint of actor %d: %w", i, err)
+			}
+			s.payloads = append(s.payloads, snapPayload{id: i, data: buf.Bytes()})
+		}
+	}
+	bw := bufio.NewWriter(w)
+	c := snap.NewWriter(bw)
+	s.code(c, e)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("sim: checkpoint write: %w", err)
+	}
+	return bw.Flush()
+}
+
+func stateNonZero(a *actorState) bool {
+	return a.used || a.freeAt != 0 || a.seq != 0 || a.busy != 0 ||
+		a.waitqLen() > 0 || a.floating != 0
 }
 
 // Restore rebuilds the simulation state serialized by Checkpoint into
@@ -506,27 +310,25 @@ type snapPayload struct {
 // uninterrupted run.
 func (e *Engine) Restore(r io.Reader) error {
 	commit, err := e.StageRestore(r)
-	if err != nil {
-		return err
+	if err == nil {
+		commit()
 	}
-	return commit()
+	return err
 }
 
-// StageRestore is Restore in two steps: it decodes and validates the
-// whole checkpoint without modifying the engine, and commit installs it.
-// Only commit's payloads of actors that are not Stagers can still fail
-// (RestoreActorFailed). A
-// caller restoring several sections together (the machine checkpoint)
-// stages each before committing any.
-func (e *Engine) StageRestore(r io.Reader) (commit func() error, err error) {
+// StageRestore is Restore in two steps: it decodes and checks the whole
+// checkpoint, every actor payload included, without modifying the engine,
+// and commit installs it. A caller restoring several sections together
+// (the machine checkpoint) stages each before committing any.
+func (e *Engine) StageRestore(r io.Reader) (commit func(), err error) {
 	if e.running {
 		panic("sim: Restore called while Run is in progress")
 	}
-	snap, err := e.decodeSnapshot(r)
+	s, err := e.decodeSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-	return func() error { return e.applySnapshot(snap) }, nil
+	return func() { e.applySnapshot(s) }, nil
 }
 
 // validMsg reports whether a decoded message can be scheduled: a
@@ -535,208 +337,104 @@ func (e *Engine) validMsg(m *Message) bool {
 	return m.Dst >= 0 && int(m.Dst) < len(e.actors) && m.NOps <= MaxOperands
 }
 
-// decodeSnapshot reads and checks a checkpoint stream into a snapState.
+// asRestoreError returns err if it is a *RestoreError, or a corrupt-stream
+// one describing it.
+func asRestoreError(err error, format string, args ...any) *RestoreError {
+	var re *RestoreError
+	if errors.As(err, &re) {
+		return re
+	}
+	return restoreErrf(RestoreCorrupt, format+": %v", append(args, err)...)
+}
+
+// decodeSnapshot reads and checks a checkpoint stream, then stages every
+// actor payload against the actor it belongs to.
 func (e *Engine) decodeSnapshot(r io.Reader) (*snapState, error) {
-	br := bufio.NewReader(r)
-	sr := NewSnapReader(br)
-	magic := make([]byte, len(snapMagic))
-	sr.read(magic)
-	if sr.err != nil || string(magic) != snapMagic {
-		return nil, restoreErrf(RestoreBadMagic, "not an engine checkpoint (got %q)", magic)
-	}
-	if v := sr.U32(); v != snapVersion {
-		return nil, restoreErrf(RestoreBadVersion, "format version %d, this build reads %d", v, snapVersion)
-	}
-	want := machineWords(e.M)
-	for i, w := range want {
-		if got := sr.U64(); sr.err == nil && got != w {
-			return nil, restoreErrf(RestoreMachineMismatch,
-				"machine word %d differs: checkpoint %d, engine %d", i, got, w)
-		}
-	}
-	if sr.err != nil {
-		return nil, restoreErrf(RestoreCorrupt, "truncated machine section: %v", sr.err)
-	}
-	snap := &snapState{}
-	snap.nActors = int(sr.U64())
-	if sr.err == nil && snap.nActors != len(e.actors) {
-		return nil, restoreErrf(RestoreShapeMismatch,
-			"checkpoint has %d actors, engine has %d (auxiliary actors must be registered before Restore)",
-			snap.nActors, len(e.actors))
-	}
-	snap.hostSeq = sr.U64()
-	snap.inj = make([]int64, len(e.injBusy64))
-	for i := range snap.inj {
-		snap.inj[i] = sr.I64()
-	}
-	snap.stats.FinalTime = sr.I64()
-	snap.stats.Events = sr.I64()
-	snap.stats.DRAMReads = sr.I64()
-	snap.stats.DRAMWrites = sr.I64()
-	snap.stats.DRAMBytes = sr.I64()
-	snap.stats.Sends = sr.I64()
-	snap.stats.ShuffleMsgs = sr.I64()
-	snap.stats.ShuffleTuples = sr.I64()
-	snap.stats.BusyCycles = sr.I64()
-	snap.stats.Faults.Dropped = sr.I64()
-	snap.stats.Faults.Dupped = sr.I64()
-	snap.stats.Faults.Delayed = sr.I64()
-	snap.stats.Faults.DeadLetters = sr.I64()
-	snap.stats.Faults.Failovers = sr.I64()
-	snap.stats.Faults.Stalled = sr.I64()
-	nmsgs := sr.U64()
-	snap.heapMsgs = make([]Message, 0, min(nmsgs, restoreChunk))
-	for i := uint64(0); i < nmsgs && sr.err == nil; i++ {
-		m := readMessage(sr)
-		if sr.err == nil && !e.validMsg(&m) {
-			return nil, restoreErrf(RestoreCorrupt, "heap message to actor %d with %d operands", m.Dst, m.NOps)
-		}
-		snap.heapMsgs = append(snap.heapMsgs, m)
-	}
-	nstate := sr.U64()
-	for i := uint64(0); i < nstate && sr.err == nil; i++ {
-		var a snapActor
-		a.id = int(sr.U32())
-		a.used = sr.U8() != 0
-		a.freeAt = sr.I64()
-		a.seq = sr.U64()
-		a.busy = sr.I64()
-		nw := sr.U64()
-		for j := uint64(0); j < nw && sr.err == nil; j++ {
-			m := readMessage(sr)
-			if sr.err == nil && !e.validMsg(&m) {
-				return nil, restoreErrf(RestoreCorrupt, "parked message to actor %d with %d operands", m.Dst, m.NOps)
-			}
-			a.waitq = append(a.waitq, m)
-		}
-		if a.id < 0 || a.id >= len(e.actors) {
-			return nil, restoreErrf(RestoreCorrupt, "actor record for out-of-range id %d", a.id)
-		}
-		snap.actors = append(snap.actors, a)
-	}
-	npay := sr.U64()
-	for i := uint64(0); i < npay && sr.err == nil; i++ {
-		id := int(sr.U32())
-		data := sr.Bytes(1 << 32)
-		if sr.err != nil {
-			break
-		}
-		if id < 0 || id >= len(e.actors) {
-			return nil, restoreErrf(RestoreCorrupt, "payload for out-of-range actor id %d", id)
-		}
-		snap.payloads = append(snap.payloads, snapPayload{id: id, data: data})
-	}
-	if sr.err == nil && sr.U64() != snapEnd {
-		return nil, restoreErrf(RestoreCorrupt, "missing end sentinel")
-	}
-	if sr.err != nil {
-		return nil, restoreErrf(RestoreCorrupt, "truncated stream: %v", sr.err)
+	c := snap.NewReader(bufio.NewReader(r))
+	s := &snapState{}
+	if s.code(c, e); c.Err() != nil {
+		return nil, asRestoreError(c.Err(), "truncated stream")
 	}
 	// The wait-queue invariant must hold or the scheduler would strand
 	// parked messages: an actor with parked messages has a floating retry
 	// in the heap.
 	floating := map[int]bool{}
-	for i := range snap.heapMsgs {
-		if m := &snap.heapMsgs[i]; m.retry {
+	for i := range s.heapMsgs {
+		if m := &s.heapMsgs[i]; m.retry {
 			floating[int(m.Dst)] = true
 		}
 	}
-	for _, a := range snap.actors {
+	for _, a := range s.actors {
 		if len(a.waitq) > 0 && !floating[a.id] {
 			return nil, restoreErrf(RestoreCorrupt, "actor %d has %d parked messages but no floating retry", a.id, len(a.waitq))
 		}
 	}
-	for i := range snap.payloads {
-		p := &snap.payloads[i]
+	for i := range s.payloads {
+		p := &s.payloads[i]
 		a := e.actors[p.id]
 		if a == nil && p.id < e.totalLanes && e.factory != nil {
 			a = e.factory(arch.NetworkID(p.id)) // installed at commit
 		}
-		s, ok := a.(Stager)
+		sn, ok := a.(Snapshotter)
 		if !ok {
-			continue
+			return nil, restoreErrf(RestoreActorFailed, "actor %d (%T) has a payload but does not implement Snapshotter", p.id, a)
 		}
-		commit, err := s.StageSnapshot(NewSnapReader(bytes.NewReader(p.data)))
+		data := bytes.NewReader(p.data)
+		commit, err := sn.Snapshot(snap.NewReader(data))
+		if err == nil && data.Len() > 0 {
+			err = fmt.Errorf("%d bytes past the end of the payload", data.Len())
+		}
 		if err != nil {
-			var re *RestoreError
-			if errors.As(err, &re) {
-				return nil, re
-			}
-			return nil, restoreErrf(RestoreCorrupt, "actor %d: %v", p.id, err)
+			return nil, asRestoreError(err, "actor %d", p.id)
 		}
 		p.actor, p.commit = a, commit
 	}
-	return snap, nil
+	return s, nil
 }
 
-// applySnapshot installs a decoded checkpoint: engine state first, then
-// the actor payloads, the one step that can still fail.
-func (e *Engine) applySnapshot(snap *snapState) error {
-	e.hostSeq = snap.hostSeq
-	copy(e.injBusy64, snap.inj)
+// applySnapshot installs a decoded, checked checkpoint.
+func (e *Engine) applySnapshot(s *snapState) {
+	e.hostSeq = s.hostSeq
+	copy(e.injBusy64, s.inj)
 	for i := range e.state {
 		e.state[i] = actorState{}
 	}
-	for si, s := range e.shards {
-		s.heap = msgHeap{}
+	for si, sh := range e.shards {
+		sh.heap = msgHeap{}
 		for p := 0; p < 2; p++ {
-			for j := range s.outbox[p] {
-				s.outbox[p][j] = s.outbox[p][j][:0]
+			for j := range sh.outbox[p] {
+				sh.outbox[p][j] = sh.outbox[p][j][:0]
 			}
 		}
-		s.resetOut()
-		s.parity = 0
-		s.stats = Stats{}
+		sh.resetOut()
+		sh.parity = 0
+		sh.stats = Stats{}
 		if si == 0 {
-			s.stats = snap.stats
+			sh.stats = s.stats
 		}
 	}
 	// Wait queues first: parked messages occupy arena slots outside the
 	// heap, exactly as the scheduler left them.
-	for _, a := range snap.actors {
+	for _, a := range s.actors {
 		st := &e.state[a.id]
-		st.used = a.used
-		st.freeAt = a.freeAt
-		st.seq = a.seq
-		st.busy = a.busy
-		if len(a.waitq) > 0 {
-			h := &e.shards[e.shardOf(arch.NetworkID(a.id))].heap
-			for i := range a.waitq {
-				st.waitqPush(h.alloc(&a.waitq[i]))
-			}
+		st.used, st.freeAt, st.seq, st.busy = a.used, a.freeAt, a.seq, a.busy
+		h := &e.shards[e.shardOf(arch.NetworkID(a.id))].heap
+		for i := range a.waitq {
+			st.waitqPush(h.alloc(&a.waitq[i]))
 		}
 	}
 	// Heap messages, preserving retry flags (and their bumped delivery
 	// times); each retry accounts for one floating entry of its
 	// destination.
-	for i := range snap.heapMsgs {
-		m := &snap.heapMsgs[i]
+	for i := range s.heapMsgs {
+		m := &s.heapMsgs[i]
 		e.shards[e.shardOf(m.Dst)].heap.push(m)
 		if m.retry {
 			e.state[m.Dst].floating++
 		}
 	}
-	for _, p := range snap.payloads {
-		if p.commit != nil {
-			e.actors[p.id] = p.actor
-			p.commit()
-			continue
-		}
-		a := e.Actor(arch.NetworkID(p.id))
-		if a == nil {
-			return restoreErrf(RestoreActorFailed, "actor %d has a payload but is not registered", p.id)
-		}
-		s, ok := a.(Snapshotter)
-		if !ok {
-			return restoreErrf(RestoreActorFailed, "actor %d (%T) does not implement Snapshotter", p.id, a)
-		}
-		pr := NewSnapReader(bytes.NewReader(p.data))
-		if err := s.RestoreSnapshot(pr); err != nil {
-			return restoreErrf(RestoreActorFailed, "actor %d: %v", p.id, err)
-		}
-		if err := pr.Err(); err != nil && !errors.Is(err, io.EOF) {
-			return restoreErrf(RestoreActorFailed, "actor %d payload: %v", p.id, err)
-		}
+	for _, p := range s.payloads {
+		e.actors[p.id] = p.actor
+		p.commit()
 	}
-	return nil
 }

@@ -10,12 +10,15 @@ package udweave
 // KVMSR job has run on it.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
 	"unsafe"
 
 	"updown/internal/sim"
+	"updown/internal/snap"
 )
 
 // laneSnapVersion 2 dropped the string-keyed local section: all lane
@@ -54,113 +57,73 @@ func (p *Program) NumHandlers() int { return len(p.handlers) }
 // machine-level checkpoints alongside the handler count.
 func (p *Program) NumSlots() int { return len(p.slotTypes) }
 
-// Snapshot implements sim.Snapshotter for a lane.
-func (l *Lane) Snapshot(w *sim.SnapWriter) error {
-	w.U8(laneSnapVersion)
-	w.U64(l.timerGen)
-	w.U64(uint64(len(l.threads)))
-	for tid, th := range l.threads {
-		if th == nil {
-			w.U8(0)
-			continue
-		}
-		w.U8(1)
-		w.U64(th.timeoutGen)
-		w.U64(uint64(th.timeoutLabel))
-		if err := w.Gob(th.State); err != nil {
-			return &NotQuiescentError{Lane: int32(l.id), What: fmt.Sprintf("thread %d state", tid), Err: err}
-		}
+// Snapshot implements sim.Snapshotter for a lane. The recycled thread
+// pool is not part of the snapshot: pooling is an allocation optimization
+// with no observable effect, so the restored lane starts with an empty
+// pool. A slot value whose type is not the slot's is a *sim.RestoreError of
+// kind RestoreShapeMismatch: the checkpoint came from another program.
+func (l *Lane) Snapshot(c *snap.Codec) (commit func(), err error) {
+	version := uint8(laneSnapVersion)
+	if snap.W8(c, &version); version != laneSnapVersion {
+		c.Failf("lane %d: snapshot version %d, this build reads %d", l.id, version, laneSnapVersion)
 	}
-	w.U64(uint64(len(l.freeTIDs)))
-	for _, t := range l.freeTIDs {
-		w.U64(uint64(t))
-	}
-	w.U64(uint64(len(l.slots)))
-	for i, p := range l.slots {
-		var v any
-		if p != nil {
-			v = reflect.NewAt(l.p.slotTypes[i].Elem(), p).Interface()
-		}
-		if err := w.Gob(v); err != nil {
-			return &NotQuiescentError{Lane: int32(l.id), What: fmt.Sprintf("slot %d", i), Err: err}
-		}
-	}
-	return w.Err()
-}
-
-// RestoreSnapshot implements sim.Snapshotter for a lane.
-func (l *Lane) RestoreSnapshot(r *sim.SnapReader) error {
-	commit, err := l.StageSnapshot(r)
-	if err == nil {
-		commit()
-	}
-	return err
-}
-
-// StageSnapshot implements sim.Stager: it decodes and checks a lane
-// snapshot without touching the lane, and commit installs it. A slot value
-// whose type is not the slot's is a *sim.RestoreError of kind
-// RestoreShapeMismatch: the checkpoint came from another program. The
-// recycled thread pool is not part of the snapshot: pooling is an
-// allocation optimization with no observable effect, so the restored lane
-// simply starts with an empty pool.
-func (l *Lane) StageSnapshot(r *sim.SnapReader) (commit func(), err error) {
-	if v := r.U8(); r.Err() == nil && v != laneSnapVersion {
-		return nil, fmt.Errorf("lane %d: snapshot version %d, this build reads %d", l.id, v, laneSnapVersion)
-	}
-	timerGen := r.U64()
-	nthreads := r.U64()
-	if r.Err() == nil && nthreads > uint64(NewThreadTID) {
-		return nil, fmt.Errorf("lane %d: implausible thread count %d", l.id, nthreads)
-	}
-	var threads []*Thread
+	timerGen, threads, freeTIDs, slots := l.timerGen, l.threads, l.freeTIDs, l.slots
+	c.U64(&timerGen)
 	live := 0
-	for tid := uint64(0); tid < nthreads && r.Err() == nil; tid++ {
-		if r.U8() == 0 {
-			threads = append(threads, nil)
-			continue
+	snap.List(c, &threads, uint64(NewThreadTID), func(tid int, th **Thread) {
+		alive := *th != nil
+		if c.Bool(&alive); !alive {
+			return
 		}
-		th := &Thread{TID: uint16(tid), timeoutGen: r.U64(), timeoutLabel: Label(r.U64())}
-		var err error
-		if th.State, err = r.Gob(); err != nil {
-			return nil, fmt.Errorf("lane %d thread %d state: %w (register concrete state types with gob.Register)",
-				l.id, tid, err)
+		if c.Reading() {
+			*th = &Thread{TID: uint16(tid)}
+			live++
 		}
-		threads = append(threads, th)
-		live++
-	}
-	nfree := r.U64()
-	if r.Err() == nil && nfree > uint64(NewThreadTID) {
-		return nil, fmt.Errorf("lane %d: implausible free-TID count %d", l.id, nfree)
-	}
-	var freeTIDs []uint16
-	for i := uint64(0); i < nfree && r.Err() == nil; i++ {
-		freeTIDs = append(freeTIDs, uint16(r.U64()))
-	}
-	nslots := r.U64()
-	if r.Err() == nil && nslots > uint64(len(l.p.slotTypes)) {
-		return nil, fmt.Errorf("lane %d: %d slots, the program declares %d", l.id, nslots, len(l.p.slotTypes))
-	}
-	var slots []unsafe.Pointer
-	for i := uint64(0); i < nslots && r.Err() == nil; i++ {
-		v, err := r.Gob()
-		if err != nil {
-			return nil, fmt.Errorf("lane %d slot %d: %w", l.id, i, err)
+		c.U64(&(*th).timeoutGen)
+		snap.W64(c, &(*th).timeoutLabel)
+		l.codeGob(c, &(*th).State, "thread %d state", tid)
+	})
+	snap.List(c, &freeTIDs, uint64(NewThreadTID), func(_ int, t *uint16) { snap.W64(c, t) })
+	snap.List(c, &slots, uint64(len(l.p.slotTypes)), func(i int, p *unsafe.Pointer) {
+		var v any
+		if *p != nil {
+			v = reflect.NewAt(l.p.slotTypes[i].Elem(), *p).Interface()
 		}
-		var p unsafe.Pointer
-		if v != nil {
-			if want := l.p.slotTypes[i]; reflect.TypeOf(v) != want {
-				return nil, &sim.RestoreError{Kind: sim.RestoreShapeMismatch,
-					Detail: fmt.Sprintf("lane %d slot %d holds a %T, this program's slot holds a %v", l.id, i, v, want)}
-			}
-			p = reflect.ValueOf(v).UnsafePointer()
+		if l.codeGob(c, &v, "slot %d", i); !c.Reading() || v == nil || c.Err() != nil {
+			return
 		}
-		slots = append(slots, p)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
+		if want := l.p.slotTypes[i]; reflect.TypeOf(v) != want {
+			c.Fail(&sim.RestoreError{Kind: sim.RestoreShapeMismatch,
+				Detail: fmt.Sprintf("lane %d slot %d holds a %T, this program's slot holds a %v", l.id, i, v, want)})
+			return
+		}
+		*p = reflect.ValueOf(v).UnsafePointer()
+	})
+	if !c.Reading() {
+		return func() {}, c.Err()
 	}
 	return func() {
 		l.timerGen, l.threads, l.live, l.pool, l.freeTIDs, l.slots = timerGen, threads, live, nil, freeTIDs, slots
-	}, nil
+	}, c.Err()
+}
+
+// codeGob codes *v as a length-prefixed, self-contained gob encoding, or a
+// zero length for nil. Concrete types reached through interfaces must be
+// registered with gob.Register; one gob cannot encode is a
+// *NotQuiescentError naming what (a format of i).
+func (l *Lane) codeGob(c *snap.Codec, v *any, what string, i int) {
+	var data []byte
+	if !c.Reading() && *v != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			c.Fail(&NotQuiescentError{Lane: int32(l.id), What: fmt.Sprintf(what, i), Err: err})
+		}
+		data = buf.Bytes()
+	}
+	c.Bytes(&data, 1<<30)
+	if c.Reading() && len(data) > 0 && c.Err() == nil {
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+			c.Failf("lane %d %s: %w (register concrete types with gob.Register)", l.id, fmt.Sprintf(what, i), err)
+		}
+	}
 }
