@@ -37,8 +37,6 @@ type Config struct {
 	// Iterations of power iteration (default 1, the unit the paper's
 	// strong-scaling measurements time).
 	Iterations int
-	// MaxOutstanding caps in-flight map tasks per lane.
-	MaxOutstanding int
 	// UseMemFetchAdd switches the reduce accumulation from the software
 	// combining cache to a memory-side atomic (ablation of the paper's
 	// footnote 1).
@@ -168,7 +166,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		Name: "pr.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce,
 		MapBinding: mapBinding, ReduceBinding: reduceBinding,
-		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
+		Lanes:      cfg.Lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
 		// NOT ReduceAnyLane: the reduce binding concentrates each vertex on
 		// one lane, which is what makes the per-lane combining cache hit.
@@ -191,7 +189,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.applyInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.applyall", NumKeys: uint64(dg.G.N),
 		MapEvent: applyBody, MapBinding: mapBinding,
-		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
+		Lanes: cfg.Lanes,
 	})
 	if err != nil {
 		return nil, err

@@ -147,9 +147,6 @@ func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*Point
 	return e, nil
 }
 
-// Score returns a completed slot's result as a float for reporting.
-func (e *PointPPR) Score(slot int) float64 { return float64(e.Result(slot)) / float64(FixOne) }
-
 // seed: the full unit of mass starts as the source base member's residual.
 func (e *PointPPR) seed(slot, sb, _ uint64) (nfront, result uint64) {
 	e.gas.WriteU64(e.PlaneVA(slot, plR, sb), FixOne)

@@ -29,8 +29,6 @@ type Config struct {
 	// UsePBMW selects the partial-block master-worker map binding
 	// instead of Block.
 	UsePBMW bool
-	// MaxOutstanding caps in-flight map tasks per lane.
-	MaxOutstanding int
 	// Combine installs a keep-first combiner on the coalescing shuffle.
 	// Pair keys are globally unique (each <u,v> pair is enumerated once),
 	// so the combiner never actually merges — it exercises the combining
@@ -126,7 +124,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "tc.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce, MapBinding: mb,
-		Lanes: cfg.Lanes, MaxOutstanding: cfg.MaxOutstanding,
+		Lanes:      cfg.Lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
 		// The reducer intersects two DRAM adjacency lists and adds into
 		// the totals slot of whichever lane it runs on, so any lane may

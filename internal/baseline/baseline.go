@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"updown/internal/graph"
@@ -261,12 +260,3 @@ func intersectSize(a, b []uint32) uint64 {
 
 // Triangles converts the intersection total to a triangle count.
 func Triangles(total uint64) uint64 { return total / 3 }
-
-// SortAdjacency ensures every neighbor list is ascending (TC requirement);
-// FromEdges with SortNeighbors already guarantees this for built graphs.
-func SortAdjacency(g *graph.Graph) {
-	for v := uint32(0); int(v) < g.N; v++ {
-		ns := g.Neighbors(v)
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
-}

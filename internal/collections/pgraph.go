@@ -45,9 +45,6 @@ type pgInsert struct {
 // EdgeKey packs a directed edge.
 func EdgeKey(src, dst uint64) uint64 { return src<<32 | dst }
 
-// EdgeKeyParts unpacks an edge key.
-func EdgeKeyParts(key uint64) (src, dst uint64) { return key >> 32, key & 0xFFFFFFFF }
-
 // NewParallelGraph registers the abstraction and its two tables.
 func NewParallelGraph(p *udweave.Program, cfg ParallelGraphConfig) (*ParallelGraph, error) {
 	v, err := NewSHT(p, SHTConfig{Name: cfg.Name + ".v", Lanes: cfg.Lanes,

@@ -64,12 +64,6 @@ func Split(g *Graph, maxDeg int) *SplitGraph {
 	return SplitWith(g, SplitOptions{MaxDeg: maxDeg, Seed: DefaultShuffleSeed})
 }
 
-// SplitSeeded is Split with an explicit shuffle seed; seed 0 disables the
-// shuffle (identity order), which is occasionally useful in tests.
-func SplitSeeded(g *Graph, maxDeg int, seed uint64) *SplitGraph {
-	return SplitWith(g, SplitOptions{MaxDeg: maxDeg, Seed: seed})
-}
-
 // SplitWith applies the full preprocessing.
 func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 	maxDeg, seed := opt.MaxDeg, opt.Seed

@@ -35,8 +35,9 @@ func (ls LaneSet) Validate(m arch.Machine) error {
 	if ls.Count <= 0 {
 		return fmt.Errorf("kvmsr: LaneSet.Count must be positive, got %d", ls.Count)
 	}
-	if ls.First < 0 || int(ls.End()) > m.TotalLanes() {
-		return fmt.Errorf("kvmsr: LaneSet [%d,%d) outside machine of %d lanes", ls.First, ls.End(), m.TotalLanes())
+	// In int: End wraps in NetworkID's 32 bits.
+	if end := int(ls.First) + ls.Count; ls.First < 0 || end > m.TotalLanes() {
+		return fmt.Errorf("kvmsr: LaneSet [%d,%d) outside machine of %d lanes", ls.First, end, m.TotalLanes())
 	}
 	return nil
 }
@@ -44,9 +45,33 @@ func (ls LaneSet) Validate(m arch.Machine) error {
 // Tree geometry: KVMSR organizes the lane set hierarchically
 // (master -> node masters -> accelerator masters -> lanes) so that
 // broadcast and reduction avoid serializing hundreds of thousands of sends
-// at one lane. All of these are pure functions of (machine, set), so every
-// participant derives its role and its parents/children locally without
-// any metadata traffic.
+// at one lane. One rule places every role: the role at a level is held by
+// the first lane of its unit — the set's lanes on one lane, one
+// accelerator, one node, or the whole set. A role's parent holds the unit
+// one level up that contains it; its children hold the units one level
+// down that it contains. All of it is a pure function of (machine, set),
+// so every participant derives its role, parent and children locally
+// without any metadata traffic.
+
+// unit returns the set's lanes [lo, hi) in the unit at level that contains
+// lane; lo holds the unit's role.
+func (ls LaneSet) unit(m arch.Machine, level uint64, lane arch.NetworkID) (lo, hi arch.NetworkID) {
+	size := 1
+	switch level {
+	case levelAccel:
+		size = m.LanesPerAccel
+	case levelNode:
+		size = m.LanesPerNode()
+	case levelMaster:
+		return ls.First, ls.End()
+	}
+	return ls.clip(int(lane)-int(lane)%size, size)
+}
+
+// clip returns the set's lanes among the size lanes from lo.
+func (ls LaneSet) clip(lo, size int) (arch.NetworkID, arch.NetworkID) {
+	return max(arch.NetworkID(lo), ls.First), min(arch.NetworkID(lo+size), ls.End())
+}
 
 // firstNode and lastNode bound the nodes the set touches.
 func (ls LaneSet) firstNode(m arch.Machine) int { return m.NodeOf(ls.First) }
@@ -54,65 +79,6 @@ func (ls LaneSet) lastNode(m arch.Machine) int  { return m.NodeOf(ls.End() - 1) 
 
 // NumNodes returns how many nodes the set touches.
 func (ls LaneSet) NumNodes(m arch.Machine) int { return ls.lastNode(m) - ls.firstNode(m) + 1 }
-
-// NodeMaster returns the lane coordinating a node's share of the set.
-func (ls LaneSet) NodeMaster(m arch.Machine, node int) arch.NetworkID {
-	id := m.LaneID(node, 0, 0)
-	if id < ls.First {
-		id = ls.First
-	}
-	return id
-}
-
-// laneRangeOnNode returns the intersection of the set with a node.
-func (ls LaneSet) laneRangeOnNode(m arch.Machine, node int) (lo, hi arch.NetworkID) {
-	return ls.nodeLanes(m.LanesPerNode(), node)
-}
-
-// nodeLanes is laneRangeOnNode given only the machine's lanes per node.
-func (ls LaneSet) nodeLanes(lanesPerNode, node int) (lo, hi arch.NetworkID) {
-	lo = arch.NetworkID(node * lanesPerNode)
-	hi = lo + arch.NetworkID(lanesPerNode)
-	return max(lo, ls.First), min(hi, ls.End())
-}
-
-// AccelRangeOnNode returns the accelerator indices the set covers on a node.
-func (ls LaneSet) AccelRangeOnNode(m arch.Machine, node int) (lo, hi int) {
-	l, h := ls.laneRangeOnNode(m, node)
-	return m.AccelOf(l), m.AccelOf(h-1) + 1
-}
-
-// AccelMaster returns the lane coordinating one accelerator's share.
-func (ls LaneSet) AccelMaster(m arch.Machine, node, accel int) arch.NetworkID {
-	id := m.LaneID(node, accel, 0)
-	if id < ls.First {
-		id = ls.First
-	}
-	return id
-}
-
-// LaneRangeOnAccel returns the set's lanes on one accelerator.
-func (ls LaneSet) LaneRangeOnAccel(m arch.Machine, node, accel int) (lo, hi arch.NetworkID) {
-	lo = m.LaneID(node, accel, 0)
-	hi = lo + arch.NetworkID(m.LanesPerAccel)
-	if lo < ls.First {
-		lo = ls.First
-	}
-	if hi > ls.End() {
-		hi = ls.End()
-	}
-	return lo, hi
-}
-
-// ParentAccelMaster returns the accel master responsible for a lane.
-func (ls LaneSet) ParentAccelMaster(m arch.Machine, id arch.NetworkID) arch.NetworkID {
-	return ls.AccelMaster(m, m.NodeOf(id), m.AccelOf(id))
-}
-
-// ParentNodeMaster returns the node master responsible for a lane.
-func (ls LaneSet) ParentNodeMaster(m arch.Machine, id arch.NetworkID) arch.NetworkID {
-	return ls.NodeMaster(m, m.NodeOf(id))
-}
 
 // MapBinding distributes map keys over the lane set (paper Section 2.3).
 type MapBinding interface {
@@ -305,9 +271,8 @@ func (o Owner) fits(m arch.Machine, ls LaneSet) bool {
 }
 
 func (o Owner) initialKeys(m arch.Machine, ls LaneSet, lane arch.NetworkID, numKeys uint64) keySeq {
-	node := m.NodeOf(lane)
-	pos := node - o.home.FirstNode
-	lo, hi := ls.laneRangeOnNode(m, node)
+	pos := m.NodeOf(lane) - o.home.FirstNode
+	lo, hi := ls.unit(m, levelNode, lane)
 	return keySeq{next: uint64(lane - lo), end: o.home.CountAt(pos, numKeys), step: uint64(hi - lo),
 		home: o.home, pos: pos}
 }
@@ -317,7 +282,7 @@ func (Owner) chunk() uint64                                  { return 0 }
 
 // Lane implements ReduceBinding.
 func (o Owner) Lane(key uint64, ls LaneSet) arch.NetworkID {
-	lo, hi := ls.nodeLanes(o.lanesPerNode, o.home.Node(key))
+	lo, hi := ls.clip(o.home.Node(key)*o.lanesPerNode, o.lanesPerNode)
 	return lo + arch.NetworkID(prng.Mix64(key)%uint64(hi-lo))
 }
 

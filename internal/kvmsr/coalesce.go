@@ -256,15 +256,8 @@ func (v *Invocation) flushBuf(c *udweave.Ctx, cs *coalState, pb *packBuf) {
 // targets always derive from in-set lanes, so that slice is never empty),
 // spreading concurrent senders instead of hot-spotting one lane.
 func (v *Invocation) distributor(src arch.NetworkID, node int) arch.NetworkID {
-	lo := node * v.lpn
-	hi := lo + v.lpn
-	if f := int(v.s.Lanes.First); f > lo {
-		lo = f
-	}
-	if e := int(v.s.Lanes.End()); e < hi {
-		hi = e
-	}
-	return arch.NetworkID(lo + int(src)%(hi-lo))
+	lo, hi := v.s.Lanes.clip(node*v.lpn, v.lpn)
+	return lo + arch.NetworkID(int(src)%int(hi-lo))
 }
 
 // flushAll drains every pack buffer in destination first-use order.

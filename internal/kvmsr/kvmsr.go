@@ -45,10 +45,10 @@ import (
 	"updown/internal/udweave"
 )
 
-// DefaultMaxOutstanding is the per-lane cap on concurrently active map
-// tasks. KVMSR throttles task creation so thread and memory parallelism
-// match the hardware rather than flooding it (Section 4.1.3).
-const DefaultMaxOutstanding = 32
+// maxOutstanding is the per-lane cap on concurrently active map tasks.
+// KVMSR throttles task creation so thread and memory parallelism match the
+// hardware rather than flooding it (Section 4.1.3).
+const maxOutstanding = 32
 
 // What the Owner binding's index arithmetic costs a lane, in instructions:
 // at lane_start its node's ring position, its rank among the node's lanes
@@ -67,10 +67,10 @@ const (
 // lose a tuple, so their termination detection needs no timer.
 const probeRetryDelay = 500
 
-// Tree levels. The probe, push and delta labels each serve every role of
-// the master -> node masters -> accelerator masters -> lanes tree; operand
-// 0 of their messages names the role addressed (one lane may hold all
-// four).
+// Tree levels, leaf first: the master -> node masters -> accelerator
+// masters -> lanes tree has one role per level and unit (see LaneSet.unit;
+// one lane may hold all four). The probe, push and delta labels each serve
+// every role; operand 0 of their messages names the role addressed.
 const (
 	levelLane uint64 = iota
 	levelAccel
@@ -97,8 +97,6 @@ type Spec struct {
 	ReduceBinding ReduceBinding
 	// Lanes is the target lane set.
 	Lanes LaneSet
-	// MaxOutstanding caps in-flight map tasks per lane (0 = default).
-	MaxOutstanding int
 	// Resilience, when non-nil, routes emitted tuples through the
 	// resilient shuffle (acks, retransmission with backoff, idempotent
 	// apply — see resilience.go), so the invocation survives message
@@ -212,34 +210,15 @@ type laneState struct {
 	pend  [levelMaster]uint64
 	armed [levelMaster]bool
 
-	// accelerator-master role: map-completion sums (emits and the reduce
-	// deltas riding with them) and the counted drain-probe replies.
-	aExpect int
-	aDone   int
-	aEmit   uint64
-	aRed    uint64
-	apCnt   int
-	apSum   uint64
+	// roles holds the counted convergecast of each tree role the lane
+	// holds, indexed by level (roles[levelLane] is unused).
+	roles [levelMaster + 1]role
 
-	// node-master role
-	nExpect int
-	nDone   int
-	nEmit   uint64
-	nRed    uint64
-	npCnt   int
-	npSum   uint64
-
-	// invocation-master role: mEmit is E, the cumulative emit count
-	// (exact once every node has reported map-done); mRed is R, the sum
-	// of every reduce-count delta the master has been told. draining is
-	// set from map-done to completion; probeOut while a counted drain
-	// probe is in the tree.
+	// invocation-master role: cont is the launch's completion continuation;
+	// draining is set from map-done to completion, probeOut while a
+	// counted drain probe is in the tree.
 	cont     uint64
-	mDone    int
-	mEmit    uint64
 	prevEmit uint64
-	mRed     uint64
-	mpCnt    int
 	poolNext uint64
 	poolEnd  uint64
 	draining bool
@@ -255,6 +234,18 @@ type laneState struct {
 	term TerminationTotals
 }
 
+// role is the counted convergecast of one tree role: expect children, done
+// of which have reported, with the sums of what they reported. The map-done
+// pass (emits and the reduce deltas riding with them) and the drain probe's
+// replies (reduce deltas) share it: a probe starts only after every child
+// has reported map-done. At the master emit is E, the cumulative emit count
+// (exact once every node has reported map-done), and red is R, the sum of
+// every reduce-count delta the master has been told.
+type role struct {
+	expect, done int
+	emit, red    uint64
+}
+
 // Invocation is a registered KVMSR computation, launchable repeatedly.
 type Invocation struct {
 	p *udweave.Program
@@ -264,21 +255,16 @@ type Invocation struct {
 	slot   udweave.Slot[laneState]
 	fwslot udweave.Slot[handedTable]
 
-	// Internal event labels.
-	lMasterStart udweave.Label
-	lNodeStart   udweave.Label
-	lAccelStart  udweave.Label
-	lLaneStart   udweave.Label
-	lMapReturn   udweave.Label
-	lLaneDone    udweave.Label
-	lAccelDone   udweave.Label
-	lNodeDone    udweave.Label
-	lProbe       udweave.Label
-	lReplyAccel  udweave.Label
-	lReplyNode   udweave.Label
-	lReplyMaster udweave.Label
-	lMoreWork    udweave.Label
-	lGrant       udweave.Label
+	// Internal event labels. lStart[level] starts the role at level;
+	// lDone[level] and lReply[level] carry the role's map-done report and
+	// probe reply to its parent.
+	lStart     [levelMaster + 1]udweave.Label
+	lDone      [levelMaster]udweave.Label
+	lReply     [levelMaster]udweave.Label
+	lMapReturn udweave.Label
+	lProbe     udweave.Label
+	lMoreWork  udweave.Label
+	lGrant     udweave.Label
 	// lReduce is the reduce entry point every shuffle path delivers to:
 	// it counts the task as started and runs Spec.ReduceEvent in place.
 	lReduce udweave.Label
@@ -334,9 +320,6 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.ReduceBinding == nil {
 		s.ReduceBinding = Hash{}
 	}
-	if s.MaxOutstanding <= 0 {
-		s.MaxOutstanding = DefaultMaxOutstanding
-	}
 	if s.Combiner != nil && s.Coalesce == nil {
 		return nil, fmt.Errorf("kvmsr: %s: Combiner requires Coalesce", s.Name)
 	}
@@ -357,18 +340,18 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 		v.emitCycles += ownerEmitCycles
 	}
 	n := s.Name
-	v.lMasterStart = p.Define(n+".master_start", v.masterStart)
-	v.lNodeStart = p.Define(n+".node_start", v.nodeStart)
-	v.lAccelStart = p.Define(n+".accel_start", v.accelStart)
-	v.lLaneStart = p.Define(n+".lane_start", v.laneStart)
+	v.lStart[levelMaster] = p.Define(n+".master_start", v.masterStart)
+	v.lStart[levelNode] = p.Define(n+".node_start", v.start(levelNode))
+	v.lStart[levelAccel] = p.Define(n+".accel_start", v.start(levelAccel))
+	v.lStart[levelLane] = p.Define(n+".lane_start", v.laneStart)
 	v.lMapReturn = p.Define(n+".map_return", v.mapReturn)
-	v.lLaneDone = p.Define(n+".lane_done", v.laneDone)
-	v.lAccelDone = p.Define(n+".accel_done", v.accelDone)
-	v.lNodeDone = p.Define(n+".node_done", v.nodeDone)
+	v.lDone[levelLane] = p.Define(n+".lane_done", v.done(levelAccel))
+	v.lDone[levelAccel] = p.Define(n+".accel_done", v.done(levelNode))
+	v.lDone[levelNode] = p.Define(n+".node_done", v.done(levelMaster))
 	v.lProbe = p.Define(n+".probe", v.probe)
-	v.lReplyAccel = p.Define(n+".reply_accel", v.replyAccel)
-	v.lReplyNode = p.Define(n+".reply_node", v.replyNode)
-	v.lReplyMaster = p.Define(n+".reply_master", v.replyMaster)
+	v.lReply[levelLane] = p.Define(n+".reply_accel", v.reply(levelAccel))
+	v.lReply[levelAccel] = p.Define(n+".reply_node", v.reply(levelNode))
+	v.lReply[levelNode] = p.Define(n+".reply_master", v.reply(levelMaster))
 	v.lMoreWork = p.Define(n+".more_work", v.moreWork)
 	v.lGrant = p.Define(n+".grant", v.grant)
 	v.lPush = p.Define(n+".push", v.push)
@@ -429,9 +412,6 @@ func (s Spec) Labels() int {
 	return n
 }
 
-// Resilient reports whether the invocation uses the resilient shuffle.
-func (v *Invocation) Resilient() bool { return v.res != nil }
-
 // MustNew is New, panicking on error (program construction helper).
 func MustNew(p *udweave.Program, s Spec) *Invocation {
 	v, err := New(p, s)
@@ -449,7 +429,7 @@ func (v *Invocation) Spec() Spec { return v.s }
 // completion continuation. The completion event receives
 // (emittedThisLaunch, emittedCumulative) as operands.
 func (v *Invocation) LaunchEvw() uint64 {
-	return udweave.EvwNew(v.s.Lanes.First, v.lMasterStart)
+	return udweave.EvwNew(v.s.Lanes.First, v.lStart[levelMaster])
 }
 
 // Launch starts the invocation from inside the simulation.
@@ -655,6 +635,29 @@ func (v *Invocation) Flush(c *udweave.Ctx) {
 
 // ---- broadcast: master -> node masters -> accel masters -> lanes ------
 
+// fanOut sends label with ops from the role at level, held by the executing
+// lane, to each of its children one level down, in lane order, and returns
+// their number. It charges base cycles and 2 per child. Both broadcasts of a
+// launch use it: the start and the drain probe.
+func (v *Invocation) fanOut(c *udweave.Ctx, level uint64, base int, label udweave.Label, ops ...uint64) int {
+	m, n := v.p.M, 0
+	lo, hi := v.s.Lanes.unit(m, level, c.NetworkID())
+	c.Cycles(base)
+	for child := lo; child < hi; _, child = v.s.Lanes.unit(m, level-1, child) {
+		c.Cycles(2)
+		c.SendEvent(udweave.EvwNew(child, label), udweave.IGNRCONT, ops...)
+		n++
+	}
+	return n
+}
+
+// parent returns the lane holding the role one level up from the role at
+// level that self holds.
+func (v *Invocation) parent(level uint64, self arch.NetworkID) arch.NetworkID {
+	lo, _ := v.s.Lanes.unit(v.p.M, level+1, self)
+	return lo
+}
+
 func (v *Invocation) masterStart(c *udweave.Ctx) {
 	st := v.st(c)
 	numKeys := v.s.NumKeys
@@ -666,55 +669,27 @@ func (v *Invocation) masterStart(c *udweave.Ctx) {
 		arg = c.Op(1)
 	}
 	st.cont = c.Cont()
-	st.mDone = 0
-	st.mEmit = 0
+	// red is R, which spans launches.
+	r := &st.roles[levelMaster]
+	r.done, r.emit = 0, 0
 	st.poolNext = v.s.MapBinding.poolStart(v.s.Lanes.Count, numKeys)
 	st.poolEnd = numKeys
 	st.lastProbeSum = 0
 	st.noProgress = 0
 	st.term.Launches++
 	c.TaskBegin(v.namePhaseMap, st.term.Launches)
-	c.Cycles(10)
-	m := v.p.M
-	for node := v.s.Lanes.firstNode(m); node <= v.s.Lanes.lastNode(m); node++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.NodeMaster(m, node), v.lNodeStart), udweave.IGNRCONT, numKeys, arg)
-	}
+	r.expect = v.fanOut(c, levelMaster, 10, v.lStart[levelNode], numKeys, arg)
 	c.YieldTerminate()
 }
 
-func (v *Invocation) nodeStart(c *udweave.Ctx) {
-	st := v.st(c)
-	m := v.p.M
-	node := m.NodeOf(c.NetworkID())
-	lo, hi := v.s.Lanes.AccelRangeOnNode(m, node)
-	st.nExpect = hi - lo
-	st.nDone = 0
-	st.nEmit = 0
-	st.nRed = 0
-	c.Cycles(6)
-	for a := lo; a < hi; a++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.AccelMaster(m, node, a), v.lAccelStart), udweave.IGNRCONT, c.Op(0), c.Op(1))
+// start returns the start handler of the node or accelerator role: it
+// opens the role's convergecast for the launch and passes the broadcast on.
+func (v *Invocation) start(level uint64) udweave.Handler {
+	return func(c *udweave.Ctx) {
+		st := v.st(c)
+		st.roles[level] = role{expect: v.fanOut(c, level, 6, v.lStart[level-1], c.Op(0), c.Op(1))}
+		c.YieldTerminate()
 	}
-	c.YieldTerminate()
-}
-
-func (v *Invocation) accelStart(c *udweave.Ctx) {
-	st := v.st(c)
-	m := v.p.M
-	self := c.NetworkID()
-	lo, hi := v.s.Lanes.LaneRangeOnAccel(m, m.NodeOf(self), m.AccelOf(self))
-	st.aExpect = int(hi - lo)
-	st.aDone = 0
-	st.aEmit = 0
-	st.aRed = 0
-	c.Cycles(6)
-	for lane := lo; lane < hi; lane++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, v.lLaneStart), udweave.IGNRCONT, c.Op(0), c.Op(1))
-	}
-	c.YieldTerminate()
 }
 
 func (v *Invocation) laneStart(c *udweave.Ctx) {
@@ -740,7 +715,7 @@ func (v *Invocation) laneStart(c *udweave.Ctx) {
 // under a dynamic binding, and reports lane completion.
 func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 	self := c.NetworkID()
-	for st.outstanding < v.s.MaxOutstanding && !st.keys.empty() {
+	for st.outstanding < maxOutstanding && !st.keys.empty() {
 		if st.keys.striped() {
 			c.Cycles(stripedKeyCycles)
 		}
@@ -771,7 +746,7 @@ func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 			v.flushAll(c)
 		}
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentAccelMaster(v.p.M, self), v.lLaneDone),
+		c.SendEvent(udweave.EvwNew(v.parent(levelLane, self), v.lDone[levelLane]),
 			udweave.IGNRCONT, st.emitted, st.takeDelta())
 	}
 	// Tracing: bracket the lane's map window — first in-flight task to the
@@ -833,55 +808,45 @@ func (v *Invocation) grant(c *udweave.Ctx) {
 // to it, the reduce-count delta its lanes had not yet reported: one tree
 // traversal yields both sums at the master.
 
-func (v *Invocation) laneDone(c *udweave.Ctx) {
-	st := v.st(c)
-	st.aDone++
-	st.aEmit += c.Op(0)
-	st.aRed += c.Op(1)
-	c.Cycles(3)
-	if st.aDone == st.aExpect {
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentNodeMaster(v.p.M, c.NetworkID()), v.lAccelDone),
-			udweave.IGNRCONT, st.aEmit, st.aRed)
+// done returns the map-done handler of the role at level: it counts one
+// child's report into the role's convergecast and, on the last child's,
+// reports the role's sums to its parent or, at the master, ends the map
+// phase.
+func (v *Invocation) done(level uint64) udweave.Handler {
+	return func(c *udweave.Ctx) {
+		st := v.st(c)
+		r := &st.roles[level]
+		r.done++
+		r.emit += c.Op(0)
+		r.red += c.Op(1)
+		c.Cycles(3)
+		if r.done == r.expect {
+			if level == levelMaster {
+				v.mapDone(c, st)
+			} else {
+				c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDone[level]), udweave.IGNRCONT, r.emit, r.red)
+			}
+		}
+		c.YieldTerminate()
 	}
-	c.YieldTerminate()
 }
 
-func (v *Invocation) accelDone(c *udweave.Ctx) {
-	st := v.st(c)
-	st.nDone++
-	st.nEmit += c.Op(0)
-	st.nRed += c.Op(1)
-	c.Cycles(3)
-	if st.nDone == st.nExpect {
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lNodeDone), udweave.IGNRCONT, st.nEmit, st.nRed)
+// mapDone runs at the master once every node has reported map-done: all
+// map tasks have returned and E is exact. With no reduce phase, or when the
+// reduce counts that rode up with the done messages already match it, the
+// launch is complete without a probe; otherwise drain.
+func (v *Invocation) mapDone(c *udweave.Ctx, st *laneState) {
+	c.TaskEnd(v.namePhaseMap, st.term.Launches)
+	if v.s.ReduceEvent != 0 {
+		st.draining = true
+		c.TaskBegin(v.namePhaseDrain, st.term.Launches)
 	}
-	c.YieldTerminate()
-}
-
-func (v *Invocation) nodeDone(c *udweave.Ctx) {
-	st := v.st(c)
-	st.mDone++
-	st.mEmit += c.Op(0)
-	st.mRed += c.Op(1)
-	c.Cycles(3)
-	if st.mDone == v.s.Lanes.NumNodes(v.p.M) {
-		// All map tasks have returned; mEmit is the cumulative emit
-		// count E. With no reduce phase, or when the reduce counts that
-		// rode up with the done messages already match it, the launch is
-		// complete without a probe; otherwise drain.
-		c.TaskEnd(v.namePhaseMap, st.term.Launches)
-		if v.s.ReduceEvent != 0 {
-			st.draining = true
-			c.TaskBegin(v.namePhaseDrain, st.term.Launches)
-		}
-		if v.drained(st) {
-			st.term.ZeroProbe++
-			v.complete(c, st)
-		} else {
-			v.sendProbe(c, st)
-		}
+	if v.drained(st) {
+		st.term.ZeroProbe++
+		v.complete(c, st)
+	} else {
+		v.sendProbe(c, st)
 	}
-	c.YieldTerminate()
 }
 
 func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
@@ -891,29 +856,30 @@ func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 	if st.draining {
 		c.TaskEnd(v.namePhaseDrain, st.term.Launches)
 	}
-	delta := st.mEmit - st.prevEmit
-	st.prevEmit = st.mEmit
+	e := st.roles[levelMaster].emit
+	delta := e - st.prevEmit
+	st.prevEmit = e
 	st.draining = false
 	c.Cycles(4)
-	c.Reply(st.cont, delta, st.mEmit)
+	c.Reply(st.cont, delta, e)
 }
 
 // ---- termination detection --------------------------------------------
 //
-// One invariant: the master's R (mRed) sums every reduce-count delta it
-// has been told, and R <= reduces actually finished <= E (mEmit), so once
-// map-done has made E exact, R == E means the launch is drained — in
-// whatever order the deltas arrived, within or across launches. Deltas
-// reach the master with the done messages above, as the counted replies of
-// the one drain probe a launch sends when R < E at map-done (a lane replies
-// when it is reduce-idle, so the reply covers everything queued at the lane
-// when the probe arrived), and, from lanes that have replied and are
-// thereby in report mode, as pushes: the lane reports its own late reduces
-// when it goes reduce-idle, and accelerator and node masters accumulate
-// arriving deltas and forward them with the same self-addressed event, so
-// bursts combine on the way up. The master completes on the message that
-// makes R == E, unless a counted probe is still in the tree: its replies
-// are aggregated by count, which two overlapping probes would corrupt.
+// One invariant: the master's R sums every reduce-count delta it has been
+// told, and R <= reduces actually finished <= E, so once map-done has made E
+// exact, R == E means the launch is drained — in whatever order the deltas
+// arrived, within or across launches. Deltas reach the master with the done
+// messages above, as the counted replies of the one drain probe a launch
+// sends when R < E at map-done (a lane replies when it is reduce-idle, so
+// the reply covers everything queued at the lane when the probe arrived),
+// and, from lanes that have replied and are thereby in report mode, as
+// pushes: the lane reports its own late reduces when it goes reduce-idle,
+// and accelerator and node masters accumulate arriving deltas and forward
+// them with the same self-addressed event, so bursts combine on the way up.
+// The master completes on the message that makes R == E, unless a counted
+// probe is still in the tree: its replies are aggregated by count, which two
+// overlapping probes would corrupt.
 
 // drained reports R == E. Call it only between map-done and completion,
 // when E is exact. R can exceed E only through a bug in the user's events
@@ -921,10 +887,11 @@ func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 // reached EmitFrom), which would otherwise leave the launch open forever
 // with nothing left to run.
 func (v *Invocation) drained(st *laneState) bool {
-	if st.mRed > st.mEmit {
-		panic(fmt.Sprintf("kvmsr: %s: %d reduces reported done for %d emits", v.s.Name, st.mRed, st.mEmit))
+	r := &st.roles[levelMaster]
+	if r.red > r.emit {
+		panic(fmt.Sprintf("kvmsr: %s: %d reduces reported done for %d emits", v.s.Name, r.red, r.emit))
 	}
-	return st.mRed == st.mEmit
+	return r.red == r.emit
 }
 
 // takeDelta returns the lane's reduces not yet reported upward and marks
@@ -937,57 +904,27 @@ func (st *laneState) takeDelta() uint64 {
 
 // sendProbe starts the counted drain broadcast.
 func (v *Invocation) sendProbe(c *udweave.Ctx, st *laneState) {
-	st.mpCnt = 0
+	st.roles[levelMaster].done = 0
 	st.probeOut = true
 	st.term.Probes++
-	m := v.p.M
-	c.Cycles(4)
-	for node := v.s.Lanes.firstNode(m); node <= v.s.Lanes.lastNode(m); node++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.NodeMaster(m, node), v.lProbe), udweave.IGNRCONT, levelNode)
-	}
+	v.fanOut(c, levelMaster, 4, v.lProbe, levelNode)
 }
 
-// probe is the level-tagged drain-probe handler.
+// probe is the level-tagged drain-probe handler. A node or accelerator
+// role reopens its convergecast for the replies and passes the probe on.
 func (v *Invocation) probe(c *udweave.Ctx) {
 	st := v.st(c)
-	switch c.Op(0) {
+	switch level := c.Op(0); level {
 	case levelMaster:
 		v.retryProbe(c, st)
-	case levelNode:
-		v.probeNode(c, st)
-	case levelAccel:
-		v.probeAccel(c, st)
-	default:
+	case levelLane:
 		v.probeLane(c, st)
+	default:
+		r := &st.roles[level]
+		r.done, r.red = 0, 0
+		v.fanOut(c, level, 4, v.lProbe, level-1)
 	}
 	c.YieldTerminate()
-}
-
-func (v *Invocation) probeNode(c *udweave.Ctx, st *laneState) {
-	st.npCnt = 0
-	st.npSum = 0
-	m := v.p.M
-	node := m.NodeOf(c.NetworkID())
-	lo, hi := v.s.Lanes.AccelRangeOnNode(m, node)
-	c.Cycles(4)
-	for a := lo; a < hi; a++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.AccelMaster(m, node, a), v.lProbe), udweave.IGNRCONT, levelAccel)
-	}
-}
-
-func (v *Invocation) probeAccel(c *udweave.Ctx, st *laneState) {
-	st.apCnt = 0
-	st.apSum = 0
-	m := v.p.M
-	self := c.NetworkID()
-	lo, hi := v.s.Lanes.LaneRangeOnAccel(m, m.NodeOf(self), m.AccelOf(self))
-	c.Cycles(4)
-	for lane := lo; lane < hi; lane++ {
-		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(lane, v.lProbe), udweave.IGNRCONT, levelLane)
-	}
 }
 
 // probeLane answers the drain probe. A reduce-idle lane replies at once; a
@@ -1010,49 +947,37 @@ func (v *Invocation) probeLane(c *udweave.Ctx, st *laneState) {
 func (v *Invocation) replyLane(c *udweave.Ctx, st *laneState) {
 	st.replyOwed = false
 	st.reportMode = true
-	c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentAccelMaster(v.p.M, c.NetworkID()), v.lReplyAccel),
+	c.SendEvent(udweave.EvwNew(v.parent(levelLane, c.NetworkID()), v.lReply[levelLane]),
 		udweave.IGNRCONT, st.takeDelta())
 }
 
-func (v *Invocation) replyAccel(c *udweave.Ctx) {
-	st := v.st(c)
-	st.apCnt++
-	st.apSum += c.Op(0)
-	c.Cycles(3)
-	if st.apCnt == st.aExpect {
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.ParentNodeMaster(v.p.M, c.NetworkID()), v.lReplyNode),
-			udweave.IGNRCONT, st.apSum)
-	}
-	c.YieldTerminate()
-}
-
-func (v *Invocation) replyNode(c *udweave.Ctx) {
-	st := v.st(c)
-	st.npCnt++
-	st.npSum += c.Op(0)
-	c.Cycles(3)
-	if st.npCnt == st.nExpect {
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lReplyMaster), udweave.IGNRCONT, st.npSum)
-	}
-	c.YieldTerminate()
-}
-
-func (v *Invocation) replyMaster(c *udweave.Ctx) {
-	st := v.st(c)
-	st.mpCnt++
-	st.mRed += c.Op(0)
-	c.Cycles(3)
-	if st.mpCnt == v.s.Lanes.NumNodes(v.p.M) {
-		st.probeOut = false
-		if v.drained(st) {
-			v.complete(c, st)
-		} else if v.res != nil {
-			v.straggler(c, st)
+// reply returns the probe-reply handler of the role at level: it counts one
+// child's reduce delta into the role's convergecast and, on the last
+// child's, reports the sum to its parent or, at the master, closes the
+// probe.
+func (v *Invocation) reply(level uint64) udweave.Handler {
+	return func(c *udweave.Ctx) {
+		st := v.st(c)
+		r := &st.roles[level]
+		r.done++
+		r.red += c.Op(0)
+		c.Cycles(3)
+		switch {
+		case r.done < r.expect:
+		case level < levelMaster:
+			c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lReply[level]), udweave.IGNRCONT, r.red)
+		default:
+			st.probeOut = false
+			if v.drained(st) {
+				v.complete(c, st)
+			} else if v.res != nil {
+				v.straggler(c, st)
+			}
+			// Otherwise every lane is now in report mode: the pushes bring
+			// the rest, and the one that makes R == E completes the launch.
 		}
-		// Otherwise every lane is now in report mode: the pushes bring
-		// the rest, and the one that makes R == E completes the launch.
+		c.YieldTerminate()
 	}
-	c.YieldTerminate()
 }
 
 // straggler runs when a drain probe returns short under the resilient
@@ -1062,11 +987,11 @@ func (v *Invocation) replyMaster(c *udweave.Ctx) {
 // outstanding emits immediately. It then arms the detector's clock — the
 // next probe — tagged with the launch it belongs to.
 func (v *Invocation) straggler(c *udweave.Ctx, st *laneState) {
-	if st.mRed == st.lastProbeSum {
+	if r := st.roles[levelMaster].red; r == st.lastProbeSum {
 		st.noProgress++
 	} else {
 		st.noProgress = 0
-		st.lastProbeSum = st.mRed
+		st.lastProbeSum = r
 	}
 	if st.noProgress >= stragglerProbes {
 		st.noProgress = 0
@@ -1089,17 +1014,6 @@ func (v *Invocation) retryProbe(c *udweave.Ctx, st *laneState) {
 	if st.draining && c.Op(1) == st.term.Launches {
 		v.sendProbe(c, st)
 	}
-}
-
-// parent returns the lane holding the next role up from level.
-func (v *Invocation) parent(level uint64, self arch.NetworkID) arch.NetworkID {
-	switch level {
-	case levelLane:
-		return v.s.Lanes.ParentAccelMaster(v.p.M, self)
-	case levelAccel:
-		return v.s.Lanes.ParentNodeMaster(v.p.M, self)
-	}
-	return v.s.Lanes.First
 }
 
 // armPush queues the role's push event on the executing lane unless one
@@ -1155,7 +1069,7 @@ func (v *Invocation) delta(c *udweave.Ctx) {
 		st.pend[level] += d
 		v.armPush(c, st, level)
 	} else {
-		st.mRed += d
+		st.roles[levelMaster].red += d
 		st.term.DeltaMsgs++
 		st.term.DeltaReduces += d
 		if st.draining && !st.probeOut && v.drained(st) {
@@ -1240,7 +1154,7 @@ func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) Termination
 		s.Reported += st.reported
 		s.Retired += st.retired
 		if lane == v.s.Lanes.First {
-			s.R, s.E = st.mRed, st.mEmit
+			s.R, s.E = st.roles[levelMaster].red, st.roles[levelMaster].emit
 		}
 		for level := range st.armed {
 			if st.armed[level] {

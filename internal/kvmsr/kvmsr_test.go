@@ -1,6 +1,7 @@
 package kvmsr_test
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -443,11 +444,20 @@ func TestSpecValidation(t *testing.T) {
 		t.Error("missing MapEvent accepted")
 	}
 	ev := m.Prog.Define("e", func(c *updown.Ctx) {})
-	if _, err := kvmsr.New(m.Prog, kvmsr.Spec{Name: "x", MapEvent: ev, Lanes: kvmsr.LaneSet{First: 0, Count: 0}}); err == nil {
-		t.Error("empty LaneSet accepted")
-	}
-	if _, err := kvmsr.New(m.Prog, kvmsr.Spec{Name: "x", MapEvent: ev, Lanes: kvmsr.LaneSet{First: 0, Count: 1 << 30}}); err == nil {
-		t.Error("oversized LaneSet accepted")
+	for _, tc := range []struct {
+		what  string
+		lanes kvmsr.LaneSet
+	}{
+		{"empty", kvmsr.LaneSet{First: 0, Count: 0}},
+		{"oversized", kvmsr.LaneSet{First: 0, Count: 1 << 30}},
+		// Counts whose end wraps in a 32-bit NetworkID: to [0,64), and
+		// negative.
+		{"wrapping", kvmsr.LaneSet{First: 0, Count: 1<<32 + 64}},
+		{"negative-end", kvmsr.LaneSet{First: 10, Count: math.MaxInt32}},
+	} {
+		if _, err := kvmsr.New(m.Prog, kvmsr.Spec{Name: "x", MapEvent: ev, Lanes: tc.lanes}); err == nil {
+			t.Errorf("%s LaneSet %+v accepted", tc.what, tc.lanes)
+		}
 	}
 }
 

@@ -403,9 +403,6 @@ func NewEngine(m arch.Machine, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// HostID returns the NetworkID used as the source of host-posted messages.
-func (e *Engine) HostID() arch.NetworkID { return e.hostID }
-
 // SetActor installs the actor for a NetworkID (memory controllers, or
 // eagerly-created lanes).
 func (e *Engine) SetActor(id arch.NetworkID, a Actor) {
@@ -1028,13 +1025,10 @@ func (v *Env) AddShuffle(msgs, tuples int64) {
 	v.shard.stats.ShuffleTuples += tuples
 }
 
-// AddDRAMBytes accounts memory traffic in the run statistics; it is called
-// by the memory controller model.
-func (v *Env) AddDRAMBytes(n int64) { v.AddDRAMTraffic(n, 0) }
-
-// AddDRAMTraffic is AddDRAMBytes plus the controller's bandwidth horizon
-// (busy64, in 1/64-cycle units), which the metrics layer turns into a
-// queue-occupancy series. Controllers that do not model a horizon may pass
+// AddDRAMTraffic accounts memory traffic in the run statistics, with the
+// controller's bandwidth horizon (busy64, in 1/64-cycle units), which the
+// metrics layer turns into a queue-occupancy series; it is called by the
+// memory controller model. Controllers that do not model a horizon may pass
 // zero.
 func (v *Env) AddDRAMTraffic(bytes, busy64 int64) {
 	v.shard.stats.DRAMBytes += bytes
