@@ -45,8 +45,6 @@ type Config struct {
 	// Root is the search root (original vertex ID; the paper uses 0 for
 	// ER graphs and 28 for RMAT).
 	Root uint32
-	// SegCap overrides the per-accelerator frontier capacity.
-	SegCap int
 }
 
 // App is a BFS program instance; its Driver's shuffle is the round
@@ -61,9 +59,7 @@ type App struct {
 	lSubDone   udweave.Label
 	lSubTask   udweave.Label
 	lFrontChnk udweave.Label
-	lVertTask  udweave.Label
-	lVRec      udweave.Label
-	lVChunk    udweave.Label
+	stream     *graph.Streamer
 	lVertDone  udweave.Label
 	lRedRec    udweave.Label
 	lAppendAck udweave.Label
@@ -101,17 +97,6 @@ type subState struct {
 	emitted      uint64
 }
 
-// vertState streams one frontier vertex's neighbors.
-type vertState struct {
-	cont    uint64
-	round   uint64
-	v       uint32
-	degree  uint64
-	neighVA gasmem.VA
-	loaded  uint64
-	sent    uint64
-}
-
 // New builds the program against a loaded device graph.
 func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Lanes.Count == 0 {
@@ -128,12 +113,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	p := m.Prog
 
 	accels := cfg.Lanes.Count / m.Arch.LanesPerAccel
-	segCap := cfg.SegCap
-	if segCap <= 0 {
-		segCap = 4*(dg.G.N/max(accels, 1)) + 256
-	}
 	var err error
-	a.f, err = collections.NewFrontier(p, "bfs.front", cfg.Lanes, segCap)
+	a.f, err = collections.NewFrontier(p, "bfs.front", cfg.Lanes, 4*(dg.G.N/max(accels, 1))+256)
 	if err != nil {
 		return nil, err
 	}
@@ -145,9 +126,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lSubDone = p.Define("bfs.sub_done", a.subDone)
 	a.lSubTask = p.Define("bfs.sub_task", a.subTask)
 	a.lFrontChnk = p.Define("bfs.front_chunk", a.frontChunk)
-	a.lVertTask = p.Define("bfs.vert_task", a.vertTask)
-	a.lVRec = p.Define("bfs.v_rec", a.vRec)
-	a.lVChunk = p.Define("bfs.v_chunk", a.vChunk)
+	a.stream = graph.NewStreamer(p, dg, [3]string{"bfs.vert_task", "bfs.v_rec", "bfs.v_chunk"}, a.emit)
 	a.lVertDone = p.Define("bfs.vert_done", a.vertDone)
 	kvReduce := p.Define("bfs.kv_reduce", a.kvReduce)
 	a.lRedRec = p.Define("bfs.red_rec", a.redRec)
@@ -370,15 +349,14 @@ func (a *App) subPump(c *updown.Ctx, st *subState) {
 func (a *App) frontChunk(c *updown.Ctx) {
 	st := c.State().(*subState)
 	st.chunkPending = false
-	n := c.NOps()
 	self := c.NetworkID()
 	cont := c.ContinueTo(a.lVertDone)
-	for i := 0; i < n; i++ {
+	for _, v := range c.Ops() {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(self, a.lVertTask), cont, c.Op(i), st.round)
+		a.stream.Start(c, self, cont, 0, v, st.round+1, v)
 		st.outstanding++
 	}
-	st.next += uint64(n)
+	st.next += uint64(c.NOps())
 	a.subPump(c, st)
 }
 
@@ -391,52 +369,13 @@ func (a *App) vertDone(c *updown.Ctx) {
 	a.subPump(c, st)
 }
 
-// vertTask explores one (split) frontier vertex.
-func (a *App) vertTask(c *updown.Ctx) {
-	v := uint32(c.Op(0))
-	st := &vertState{cont: c.Cont(), round: c.Op(1), v: v}
-	c.SetState(st)
-	c.Cycles(4)
-	c.DRAMRead(a.dg.FieldVA(v, graph.VDegree), 2, c.ContinueTo(a.lVRec))
-}
-
-func (a *App) vRec(c *updown.Ctx) {
-	st := c.State().(*vertState)
-	st.degree = c.Op(0)
-	st.neighVA = c.Op(1)
-	if st.degree == 0 {
-		c.Reply(st.cont, 0)
-		c.YieldTerminate()
-		return
-	}
-	c.Cycles(4)
-	ret := c.ContinueTo(a.lVChunk)
-	for off := uint64(0); off < st.degree; off += 8 {
-		n := st.degree - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-	}
-}
-
-// vChunk pushes one chunk of neighbors into the shuffle. The emitted
-// tuples carry (neighbor, distance): sends are unaccounted SendReduce
-// calls whose credits flow back to the map task for EmitFrom crediting
-// (under a combining shuffle a merged tuple returns credit 0, so the
-// sum stays balanced against the reducers' ReduceDone count).
-func (a *App) vChunk(c *updown.Ctx) {
-	st := c.State().(*vertState)
-	n := c.NOps()
-	for i := 0; i < n; i++ {
-		st.sent += a.Shuffle.SendReduce(c, c.Op(i), st.round+1, uint64(st.v))
-	}
-	st.loaded += uint64(n)
-	if st.loaded == st.degree {
-		c.Reply(st.cont, st.sent)
-		c.YieldTerminate()
-	}
+// emit pushes one neighbor of a streamed frontier vertex into the shuffle
+// as (neighbor, distance, parent). Sends are unaccounted SendReduce calls
+// whose credits flow back to the map task for EmitFrom crediting (under a
+// combining shuffle a merged tuple returns credit 0, so the sum stays
+// balanced against the reducers' ReduceDone count).
+func (a *App) emit(c *updown.Ctx, _, nb, dist, parent uint64) uint64 {
+	return a.Shuffle.SendReduce(c, nb, dist, parent)
 }
 
 // kvReduce marks one discovered vertex: the reduce binding makes this lane

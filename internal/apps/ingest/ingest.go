@@ -32,9 +32,6 @@ type Config struct {
 	Lanes kvmsr.LaneSet
 	// BlockBytes is the parallel-file block size (default 4096).
 	BlockBytes int
-	// Graph sizing; zero values default to Listing 14's shape scaled
-	// down (16 entries/bucket vertices, 64 edges, 256 buckets/lane).
-	VertexEB, VertexBL, EdgeEB, EdgeBL int
 }
 
 // App is an ingestion program instance.
@@ -103,21 +100,6 @@ func New(m *updown.Machine, data []byte, cfg Config) (*App, error) {
 	if cfg.BlockBytes <= 0 {
 		cfg.BlockBytes = 4096
 	}
-	// Bucket geometry defaults keep the reduced-scale tables modest; the
-	// paper's Listing 14 configuration (EB 16/64, BL 256 over 65536
-	// lanes) is reachable through the Config knobs.
-	if cfg.VertexEB == 0 {
-		cfg.VertexEB = 8
-	}
-	if cfg.VertexBL == 0 {
-		cfg.VertexBL = 32
-	}
-	if cfg.EdgeEB == 0 {
-		cfg.EdgeEB = 8
-	}
-	if cfg.EdgeBL == 0 {
-		cfg.EdgeBL = 64
-	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("ingest: empty input")
 	}
@@ -154,11 +136,7 @@ func New(m *updown.Machine, data []byte, cfg Config) (*App, error) {
 	}
 
 	p := m.Prog
-	a.PG, err = collections.NewParallelGraph(p, collections.ParallelGraphConfig{
-		Name: "ingest.pga", Lanes: cfg.Lanes,
-		VertexEB: cfg.VertexEB, VertexBL: cfg.VertexBL,
-		EdgeEB: cfg.EdgeEB, EdgeBL: cfg.EdgeBL,
-	})
+	a.PG, err = collections.NewParallelGraph(p, "ingest.pga", cfg.Lanes)
 	if err != nil {
 		return nil, err
 	}

@@ -46,11 +46,10 @@ type Config struct {
 	// Interarrival is the cycle gap between streamed records (source
 	// rate).
 	Interarrival updown.Cycles
-	// StateEB/StateBL size the partial-state SHT.
-	StateEB, StateBL int
-	// Graph sizing (as in ingest).
-	VertexEB, VertexBL, EdgeEB, EdgeBL int
 }
+
+// The partial-state SHT holds 8 entries per bucket and 32 buckets per lane.
+const stateEB, stateBL = 8, 32
 
 // App is a partial-match program instance.
 type App struct {
@@ -98,38 +97,16 @@ func New(m *updown.Machine, records []tform.Record, patterns []Pattern, cfg Conf
 			return nil, fmt.Errorf("match: pattern %d has %d stages (max %d)", i, len(p.Types), MaxStages)
 		}
 	}
-	if cfg.StateEB == 0 {
-		cfg.StateEB = 8
-	}
-	if cfg.StateBL == 0 {
-		cfg.StateBL = 32
-	}
-	if cfg.VertexEB == 0 {
-		cfg.VertexEB = 8
-	}
-	if cfg.VertexBL == 0 {
-		cfg.VertexBL = 32
-	}
-	if cfg.EdgeEB == 0 {
-		cfg.EdgeEB = 8
-	}
-	if cfg.EdgeBL == 0 {
-		cfg.EdgeBL = 64
-	}
 	a := &App{m: m, cfg: cfg, patterns: patterns, records: records}
 	p := m.Prog
 	var err error
-	a.PG, err = collections.NewParallelGraph(p, collections.ParallelGraphConfig{
-		Name: "match.pga", Lanes: cfg.Lanes,
-		VertexEB: cfg.VertexEB, VertexBL: cfg.VertexBL,
-		EdgeEB: cfg.EdgeEB, EdgeBL: cfg.EdgeBL,
-	})
+	a.PG, err = collections.NewParallelGraph(p, "match.pga", cfg.Lanes)
 	if err != nil {
 		return nil, err
 	}
 	a.partial, err = collections.NewSHT(p, collections.SHTConfig{
 		Name: "match.state", Lanes: cfg.Lanes,
-		BucketsPerLane: cfg.StateBL, EntriesPerBucket: cfg.StateEB,
+		BucketsPerLane: stateBL, EntriesPerBucket: stateEB,
 	})
 	if err != nil {
 		return nil, err

@@ -65,14 +65,12 @@ type App struct {
 	auxBlock uint32
 
 	cc       *collections.CombiningCache
-	flushInv *kvmsr.Invocation
 	applyInv *kvmsr.Invocation
 
 	lRecord    udweave.Label
 	lParentVal udweave.Label
 	lNeighRead udweave.Label
 	lReduceAck udweave.Label
-	lFlushed   udweave.Label
 	lApplyRead udweave.Label
 	lAuxRead   udweave.Label
 	lApplyAck  udweave.Label
@@ -121,7 +119,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	}
 	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
-	a.cc = collections.NewCombiningCache(p, "pr.fna", collections.AddF64)
+	var err error
+	if a.cc, err = collections.NewCombiningCache(p, "pr.fna", collections.AddF64, cfg.Lanes); err != nil {
+		return nil, err
+	}
 	// Where the vertex array's nodes are the lane set's, every per-vertex
 	// task is bound to the node homing its record, and the accumulator
 	// array is striped in blocks of as many vertices as the vertex array's
@@ -137,7 +138,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	// confined to a lane partition touches no other partition's memory.
 	auxFirst := m.Arch.NodeOf(cfg.Lanes.First)
 	auxNodes := gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch))
-	var err error
 	a.auxVA, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, auxFirst, auxNodes, auxBS)
 	if err != nil {
 		return nil, err
@@ -150,8 +150,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lNeighRead = p.Define("pr.return_read", a.returnRead)
 	kvReduce := p.Define("pr.kv_reduce", a.kvReduce)
 	a.lReduceAck = p.Define("pr.reduce_ack", a.reduceAck)
-	flushBody := p.Define("pr.flush", a.flushBody)
-	a.lFlushed = p.Define("pr.flushed", a.flushed)
 	applyBody := p.Define("pr.apply", a.applyBody)
 	a.lApplyRead = p.Define("pr.apply_read", a.applyRead)
 	a.lAuxRead = p.Define("pr.aux_read", a.auxRead)
@@ -174,14 +172,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		// contributions over many lanes' caches and the eviction
 		// writebacks explode (measured: 5x the DRAM writes, 2x the
 		// cycles at scale 18 x 4 nodes).
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Key i of the flush is lane i: Block, whatever the placement.
-	a.flushInv, err = kvmsr.New(p, kvmsr.Spec{
-		Name: "pr.flushall", NumKeys: uint64(cfg.Lanes.Count),
-		MapEvent: flushBody, Lanes: cfg.Lanes,
 	})
 	if err != nil {
 		return nil, err
@@ -268,7 +258,7 @@ func (a *App) driver(c *updown.Ctx) {
 		}
 		c.SetState("flush")
 		a.phase(c, "flush")
-		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.Label))
+		a.cc.FlushAll(c, c.ContinueTo(a.Label))
 	case "flush":
 		a.flushed2apply(c)
 	case "apply":
@@ -338,15 +328,7 @@ func (a *App) beginStream(c *updown.Ctx, st *workerState, valueBits uint64) {
 	}
 	st.contribBits = udweave.FloatBits(udweave.BitsFloat(valueBits) / float64(st.totalDeg))
 	c.Cycles(8)
-	ret := c.ContinueTo(a.lNeighRead)
-	for off := uint64(0); off < st.degree; off += 8 {
-		n := st.degree - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-	}
+	graph.ReadAdj(c, st.neighVA, st.degree, c.ContinueTo(a.lNeighRead))
 }
 
 // returnRead receives one chunk of neighbor IDs and emits an intermediate
@@ -384,17 +366,6 @@ func (a *App) kvReduce(c *updown.Ctx) {
 // reduceAck completes a memory-side-atomic reduce.
 func (a *App) reduceAck(c *updown.Ctx) {
 	a.Shuffle.ReduceDone(c)
-	c.YieldTerminate()
-}
-
-// flushBody is the doAll body draining one lane's combining cache.
-func (a *App) flushBody(c *updown.Ctx) {
-	c.SetState(c.Cont())
-	a.cc.Flush(c, c.ContinueTo(a.lFlushed))
-}
-
-func (a *App) flushed(c *updown.Ctx) {
-	a.flushInv.Return(c, c.State().(uint64))
 	c.YieldTerminate()
 }
 

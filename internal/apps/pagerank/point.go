@@ -214,7 +214,7 @@ func (e *PointPPR) vRec(c *udweave.Ctx) {
 		// Stream the base member's own out-list, then its sub-vertices'.
 		st.degree = c.Op(graph.VDegree)
 		st.subStart, st.subCount = c.Op(graph.VSubStart), c.Op(graph.VSubCount)
-		pointq.ReadAdj(c, c.Op(graph.VNeighVA), st.degree, c.ContinueTo(e.lVChunk))
+		graph.ReadAdj(c, c.Op(graph.VNeighVA), st.degree, c.ContinueTo(e.lVChunk))
 	}
 	e.subPump(c, st)
 }

@@ -118,7 +118,7 @@ type Engine struct {
 	inv []*kvmsr.Invocation
 
 	lDriver, lHdr, lIdleAck, lClrAck, lChunk, lVDone udweave.Label
-	lStream, lSRec, lSChunk                          udweave.Label
+	stream                                           *graph.Streamer
 
 	// done[s] is the cycle slot s's round chain ended, -1 from Seed until
 	// then. Its only in-simulation writer is the slot's driver thread, so
@@ -192,9 +192,11 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	e.lIdleAck = def("idle_ack", e.idleAck)
 	e.lClrAck = def("clr_ack", e.clrAck)
 	e.lChunk = def("chunk", e.chunk)
-	e.lStream = def(k.Stream[0], e.stream)
-	e.lSRec = def(k.Stream[1], e.sRec)
-	e.lSChunk = def(k.Stream[2], e.sChunk)
+	names := k.Stream
+	for i := range names {
+		names[i] = k.Name + "." + names[i]
+	}
+	e.stream = graph.NewStreamer(m.Prog, dg, names, e.emit)
 	e.lVDone = def("v_done", e.vDone)
 
 	e.inv = make([]*kvmsr.Invocation, cfg.Slots)
@@ -449,61 +451,21 @@ func (e *Engine) vDone(c *udweave.Ctx) {
 
 // ---- adjacency streamer -------------------------------------------------
 
-// streamState streams one split vertex's out-list into the shuffle.
-type streamState struct {
-	cont, slot, a, b     uint64
-	degree, loaded, sent uint64
-}
-
 // Stream starts a streamer for split vertex v on its slice lane: every
 // out-neighbor nb becomes the reduce tuple (slot<<32|nb, a, b), and cont
 // receives the credits sent.
 func (e *Engine) Stream(c *udweave.Ctx, cont, slot, v, a, b uint64) {
-	c.SendEvent(udweave.EvwNew(e.Lane(slot, v), e.lStream), cont, v, a, b, slot)
-}
-
-func (e *Engine) stream(c *udweave.Ctx) {
-	c.SetState(&streamState{cont: c.Cont(), a: c.Op(1), b: c.Op(2), slot: c.Op(3)})
-	c.Cycles(4)
-	c.DRAMRead(e.dg.FieldVA(uint32(c.Op(0)), graph.VDegree), 2, c.ContinueTo(e.lSRec))
-}
-
-func (e *Engine) sRec(c *udweave.Ctx) {
-	st := c.State().(*streamState)
-	if st.degree = c.Op(0); st.degree == 0 {
-		c.Reply(st.cont, 0)
-		c.YieldTerminate()
-		return
-	}
-	c.Cycles(4)
-	ReadAdj(c, c.Op(1), st.degree, c.ContinueTo(e.lSChunk))
-}
-
-func (e *Engine) sChunk(c *udweave.Ctx) {
-	st := c.State().(*streamState)
-	st.sent += e.EmitChunk(c, st.slot, st.a, st.b)
-	if st.loaded += uint64(c.NOps()); st.loaded == st.degree {
-		c.Reply(st.cont, st.sent)
-		c.YieldTerminate()
-	}
-}
-
-// ReadAdj issues the chunked reads of a degree-long adjacency list at
-// neighVA; ret receives up to 8 neighbors per event.
-func ReadAdj(c *udweave.Ctx, neighVA gasmem.VA, degree, ret uint64) {
-	for off := uint64(0); off < degree; off += 8 {
-		c.Cycles(2)
-		c.DRAMRead(neighVA+off*gasmem.WordBytes, int(min(degree-off, 8)), ret)
-	}
+	e.stream.Start(c, e.Lane(slot, v), cont, slot, v, a, b)
 }
 
 // EmitChunk sends one reduce tuple (slot<<32|nb, a, b) per neighbor in the
 // current event's operands and returns the credits to report upstream.
-func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) (sent uint64) {
-	for _, nb := range c.Ops() {
-		sent += e.inv[slot].SendReduce(c, slot<<32|nb, a, b)
-	}
-	return sent
+func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) uint64 {
+	return e.stream.EmitChunk(c, slot, a, b)
+}
+
+func (e *Engine) emit(c *udweave.Ctx, slot, nb, a, b uint64) uint64 {
+	return e.inv[slot].SendReduce(c, slot<<32|nb, a, b)
 }
 
 // ---- reduce-side helpers -------------------------------------------------

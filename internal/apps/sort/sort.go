@@ -9,6 +9,7 @@ package sort
 
 import (
 	"fmt"
+	"slices"
 
 	"updown"
 	"updown/internal/gasmem"
@@ -320,7 +321,7 @@ func (a *App) loaded(c *updown.Ctx) {
 // finishSort sorts in scratchpad (charging n log n compare cycles) and
 // writes back count + elements.
 func (a *App) finishSort(c *updown.Ctx, st *sortState) {
-	sortU64(st.vals)
+	slices.Sort(st.vals)
 	n := len(st.vals)
 	logN := 0
 	for t := n; t > 1; t >>= 1 {
@@ -337,19 +338,5 @@ func (a *App) finishSort(c *updown.Ctx, st *sortState) {
 		}
 		st.writes++
 		c.DRAMWrite(a.bucketVA(st.bucket)+uint64(1+off)*gasmem.WordBytes, ack, st.vals[off:hi]...)
-	}
-}
-
-// sortU64 is an in-place shell sort.
-func sortU64(a []uint64) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
 	}
 }

@@ -43,8 +43,7 @@ type App struct {
 	dg  *graph.DeviceGraph
 	cfg Config
 
-	cc       *collections.CombiningCache
-	flushInv *kvmsr.Invocation
+	cc *collections.CombiningCache
 
 	// totalsVA is a per-lane partial-total array (exclusive combining
 	// cache targets; the host sums it after the run).
@@ -55,7 +54,6 @@ type App struct {
 	lVRecord udweave.Label
 	lAChunk  udweave.Label
 	lBChunk  udweave.Label
-	lFlushed udweave.Label
 }
 
 // mapState streams vertex u's list, emitting pairs.
@@ -97,7 +95,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	}
 	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
-	a.cc = collections.NewCombiningCache(p, "tc.count", collections.AddU64)
+	var err error
+	if a.cc, err = collections.NewCombiningCache(p, "tc.count", collections.AddU64, cfg.Lanes); err != nil {
+		return nil, err
+	}
 
 	kvMap := p.Define("tc.kv_map", a.kvMap)
 	a.lURecord = p.Define("tc.u_record", a.uRecord)
@@ -106,8 +107,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lVRecord = p.Define("tc.v_record", a.vRecord)
 	a.lAChunk = p.Define("tc.a_chunk", a.aChunk)
 	a.lBChunk = p.Define("tc.b_chunk", a.bChunk)
-	flushBody := p.Define("tc.flush", a.flushBody)
-	a.lFlushed = p.Define("tc.flushed", a.flushed)
 	a.Label = p.Define("tc.driver", a.driver)
 
 	var mb kvmsr.MapBinding = kvmsr.Block{}
@@ -120,7 +119,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Combine {
 		combiner = keepFirst
 	}
-	var err error
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "tc.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce, MapBinding: mb,
@@ -130,13 +128,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		// the totals slot of whichever lane it runs on, so any lane may
 		// run it.
 		ReduceAnyLane: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	a.flushInv, err = kvmsr.New(p, kvmsr.Spec{
-		Name: "tc.flushall", NumKeys: uint64(cfg.Lanes.Count),
-		MapEvent: flushBody, Lanes: cfg.Lanes,
 	})
 	if err != nil {
 		return nil, err
@@ -177,7 +168,7 @@ func (a *App) driver(c *updown.Ctx) {
 	case "main":
 		c.Phase("tc flush")
 		c.SetState("flush")
-		a.flushInv.Launch(c, uint64(a.cfg.Lanes.Count), c.ContinueTo(a.Label))
+		a.cc.FlushAll(c, c.ContinueTo(a.Label))
 	case "flush":
 		a.Done = c.Now()
 		c.PhaseEnd()
@@ -203,15 +194,7 @@ func (a *App) uRecord(c *updown.Ctx) {
 		return
 	}
 	c.Cycles(4)
-	ret := c.ContinueTo(a.lUChunk)
-	for off := uint64(0); off < st.degree; off += 8 {
-		n := st.degree - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(st.neighVA+off*gasmem.WordBytes, int(n), ret)
-	}
+	graph.ReadAdj(c, st.neighVA, st.degree, c.ContinueTo(a.lUChunk))
 }
 
 func (a *App) uChunk(c *updown.Ctx) {
@@ -256,22 +239,8 @@ func (a *App) vRecord(c *updown.Ctx) {
 		st.aLen, st.bLen = st.bLen, st.aLen
 	}
 	st.set = make(map[uint64]struct{}, st.aLen)
-	a.issueAll(c, st.aVA, st.aLen, a.lAChunk)
+	graph.ReadAdj(c, st.aVA, st.aLen, c.ContinueTo(a.lAChunk))
 	st.pending = int((st.aLen + 7) / 8)
-}
-
-// issueAll launches every chunk read of a list at once; responses are
-// order-independent.
-func (a *App) issueAll(c *udweave.Ctx, va gasmem.VA, length uint64, ret udweave.Label) {
-	cont := c.ContinueTo(ret)
-	for off := uint64(0); off < length; off += 8 {
-		n := length - off
-		if n > 8 {
-			n = 8
-		}
-		c.Cycles(2)
-		c.DRAMRead(va+off*gasmem.WordBytes, int(n), cont)
-	}
 }
 
 // aChunk inserts one chunk of the cached list into the scratchpad set.
@@ -287,7 +256,7 @@ func (a *App) aChunk(c *updown.Ctx) {
 	if st.pending == 0 {
 		// Set complete: stream the larger list against it.
 		st.streaming = true
-		a.issueAll(c, st.bVA, st.bLen, a.lBChunk)
+		graph.ReadAdj(c, st.bVA, st.bLen, c.ContinueTo(a.lBChunk))
 		st.pending = int((st.bLen + 7) / 8)
 	}
 }
@@ -315,15 +284,5 @@ func (a *App) finishReduce(c *updown.Ctx, st *reduceState) {
 		a.cc.Add(c, a.totalsVA+uint64(laneIdx)*gasmem.WordBytes, st.count)
 	}
 	a.Shuffle.ReduceDone(c)
-	c.YieldTerminate()
-}
-
-func (a *App) flushBody(c *updown.Ctx) {
-	c.SetState(c.Cont())
-	a.cc.Flush(c, c.ContinueTo(a.lFlushed))
-}
-
-func (a *App) flushed(c *updown.Ctx) {
-	a.flushInv.Return(c, c.State().(uint64))
 	c.YieldTerminate()
 }

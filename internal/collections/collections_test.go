@@ -35,10 +35,12 @@ func TestCombiningCacheFetchAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := collections.NewCombiningCache(m.Prog, "fna", collections.AddU64)
 	lanes := kvmsr.LaneSet{First: 0, Count: slots}
-	var updInv, flushInv *kvmsr.Invocation
-	var flushed udweave.Label
+	cc, err := collections.NewCombiningCache(m.Prog, "fna", collections.AddU64, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var updInv *kvmsr.Invocation
 	upd := m.Prog.Define("upd", func(c *updown.Ctx) {
 		lane := uint64(c.NetworkID())
 		slot := lane % slots
@@ -48,19 +50,8 @@ func TestCombiningCacheFetchAdd(t *testing.T) {
 		updInv.Return(c, c.Cont())
 		c.YieldTerminate()
 	})
-	flush := m.Prog.Define("flush", func(c *updown.Ctx) {
-		// Multi-event map task: save the continuation, flush, return.
-		c.SetState(c.Cont())
-		cc.Flush(c, c.ContinueTo(flushed))
-	})
-	flushed = m.Prog.Define("flushed", func(c *updown.Ctx) {
-		flushInv.Return(c, c.State().(uint64))
-		c.YieldTerminate()
-	})
 	updInv = kvmsr.MustNew(m.Prog, kvmsr.Spec{
 		Name: "updphase", MapEvent: upd, Lanes: lanes})
-	flushInv = kvmsr.MustNew(m.Prog, kvmsr.Spec{
-		Name: "flushphase", MapEvent: flush, Lanes: lanes})
 
 	// Drive the two phases from a driver thread that stays alive.
 	var phase atomic.Int32
@@ -70,7 +61,7 @@ func TestCombiningCacheFetchAdd(t *testing.T) {
 		case 1:
 			updInv.Launch(c, uint64(lanes.Count), c.ContinueTo(driver))
 		case 2:
-			flushInv.Launch(c, uint64(lanes.Count), c.ContinueTo(driver))
+			cc.FlushAll(c, c.ContinueTo(driver))
 		default:
 			c.YieldTerminate()
 		}
@@ -91,7 +82,10 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 	m := newMachine(t, 1)
 	va, _ := m.GAS.DRAMmalloc(4096, 0, 1, 4096)
 	m.GAS.WriteU64(va, updown.FloatBits(1.5))
-	cc := collections.NewCombiningCache(m.Prog, "fadd", collections.AddF64)
+	cc, err := collections.NewCombiningCache(m.Prog, "fadd", collections.AddF64, kvmsr.LaneSet{Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fin udweave.Label
 	start := m.Prog.Define("start", func(c *updown.Ctx) {
 		cc.Add(c, va, updown.FloatBits(0.25))
@@ -110,7 +104,10 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 
 func TestCombiningCacheEmptyFlush(t *testing.T) {
 	m := newMachine(t, 1)
-	cc := collections.NewCombiningCache(m.Prog, "empty", collections.AddU64)
+	cc, err := collections.NewCombiningCache(m.Prog, "empty", collections.AddU64, kvmsr.LaneSet{Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fired := false
 	var fin udweave.Label
 	start := m.Prog.Define("start", func(c *updown.Ctx) {

@@ -7,8 +7,10 @@ package collections
 
 import (
 	"fmt"
+	"slices"
 
 	"updown/internal/gasmem"
+	"updown/internal/kvmsr"
 	"updown/internal/udweave"
 )
 
@@ -20,7 +22,8 @@ import (
 // must be performed on one lane, which the KVMSR Hash reduce binding
 // guarantees (a key always reduces on the same lane). Under that
 // discipline, Add is a purely local scratchpad operation and the flush is
-// a race-free read-modify-write.
+// a race-free read-modify-write. The cache owns its drain: FlushAll runs
+// Flush on every lane of its lane set as one doAll.
 //
 // The combining operation can be any associative, commutative function
 // over the 64-bit word (integer add, float add on the bit pattern, max).
@@ -30,9 +33,13 @@ type CombiningCache struct {
 	slot udweave.Slot[ccLaneState]
 	op   func(acc, v uint64) uint64
 
+	// drain is the doAll whose key i flushes lane i of the set.
+	drain *kvmsr.Invocation
+
 	lFlushRead  udweave.Label
 	lFlushWrite udweave.Label
 	lFlushDone  udweave.Label
+	lFlushed    udweave.Label
 }
 
 // maxFlushWindow bounds in-flight flush write-backs per lane.
@@ -55,15 +62,22 @@ type flushEntry struct {
 	delta uint64
 }
 
-// NewCombiningCache registers a cache with the program. op combines the
-// accumulated delta with the value in memory during flush (and deltas with
-// each other locally), e.g. AddU64 or AddF64.
-func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) uint64) *CombiningCache {
+// NewCombiningCache registers a cache with the program, and the doAll
+// that drains it over lanes. op combines the accumulated delta with the
+// value in memory during flush (and deltas with each other locally), e.g.
+// AddU64 or AddF64.
+func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) uint64,
+	lanes kvmsr.LaneSet) (*CombiningCache, error) {
 	cc := &CombiningCache{p: p, name: name, slot: udweave.NewSlot[ccLaneState](p), op: op}
 	cc.lFlushRead = p.Define(name+".flush_read", cc.flushRead)
 	cc.lFlushWrite = p.Define(name+".flush_write", cc.flushWrite)
 	cc.lFlushDone = p.Define(name+".flush_done", cc.flushDone)
-	return cc
+	body := p.Define(name+".flush", cc.flushBody)
+	cc.lFlushed = p.Define(name+".flushed", cc.flushed)
+	var err error
+	// Key i of the drain is lane i: Block, whatever the caller's bindings.
+	cc.drain, err = kvmsr.New(p, kvmsr.Spec{Name: name + ".flushall", NumKeys: uint64(lanes.Count), MapEvent: body, Lanes: lanes})
+	return cc, err
 }
 
 // AddU64 is the integer-add combiner.
@@ -106,10 +120,26 @@ func (cc *CombiningCache) Add(c *udweave.Ctx, va gasmem.VA, v uint64) {
 // Pending returns the number of cached accumulators on this lane.
 func (cc *CombiningCache) Pending(c *udweave.Ctx) int { return len(cc.st(c).acc) }
 
+// FlushAll drains every lane's cache (a doAll of Flush over the lane set)
+// and then replies to cont.
+func (cc *CombiningCache) FlushAll(c *udweave.Ctx, cont uint64) {
+	cc.drain.Launch(c, cc.drain.Spec().NumKeys, cont)
+}
+
+// flushBody is the drain's map task: one lane's Flush.
+func (cc *CombiningCache) flushBody(c *udweave.Ctx) {
+	c.SetState(c.Cont())
+	cc.Flush(c, c.ContinueTo(cc.lFlushed))
+}
+
+func (cc *CombiningCache) flushed(c *udweave.Ctx) {
+	cc.drain.Return(c, c.State().(uint64))
+	c.YieldTerminate()
+}
+
 // Flush writes this lane's accumulators back to global memory
-// (read-modify-write per entry, windowed), then replies to doneCont. Run
-// one Flush per lane — typically as the body of a doAll over the lane set.
-// Flushing an empty cache replies immediately.
+// (read-modify-write per entry, windowed), then replies to doneCont.
+// FlushAll runs one per lane. Flushing an empty cache replies immediately.
 func (cc *CombiningCache) Flush(c *udweave.Ctx, doneCont uint64) {
 	st := cc.st(c)
 	if st.flushCont != 0 {
@@ -122,7 +152,7 @@ func (cc *CombiningCache) Flush(c *udweave.Ctx, doneCont uint64) {
 	for va := range st.acc {
 		st.pendingVAs = append(st.pendingVAs, va)
 	}
-	sortVAs(st.pendingVAs)
+	slices.Sort(st.pendingVAs)
 	st.nextFlush = 0
 	st.outstanding = 0
 	st.flushCont = doneCont
@@ -171,19 +201,4 @@ func (cc *CombiningCache) flushDone(c *udweave.Ctx) {
 	st.outstanding--
 	cc.pump(c, st)
 	c.YieldTerminate()
-}
-
-// sortVAs is an insertion/shell sort avoiding package sort's interface
-// overhead on the flush path (entry counts per lane are small).
-func sortVAs(a []gasmem.VA) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }

@@ -61,9 +61,6 @@ func NewFrontier(p *udweave.Program, name string, lanes kvmsr.LaneSet, segCap in
 // Accels returns the number of accelerator segments.
 func (f *Frontier) Accels() int { return f.lanes.Count / f.p.M.LanesPerAccel }
 
-// SegCap returns the per-accelerator capacity.
-func (f *Frontier) SegCap() int { return f.segCap }
-
 // Alloc reserves the double-buffered segment storage: for each node the
 // lane set touches, one chunk on that node holding the segments of the
 // set's accelerators there, back to back. Storage never leaves the set's

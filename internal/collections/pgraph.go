@@ -24,17 +24,14 @@ type ParallelGraph struct {
 	lAck    udweave.Label
 }
 
-// ParallelGraphConfig sizes the two tables (the paper's Listing 14
-// parameters: NUM_PGA_LANES, VERTEX_EB/BL, EDGE_EB/BL).
-type ParallelGraphConfig struct {
-	Name  string
-	Lanes kvmsr.LaneSet
-	// VertexEB/VertexBL: entries per bucket and buckets per lane of the
-	// vertex table.
-	VertexEB, VertexBL int
-	// EdgeEB/EdgeBL size the edge table.
-	EdgeEB, EdgeBL int
-}
+// Table geometry, Listing 14's VERTEX_EB/BL and EDGE_EB/BL scaled down to
+// keep the reduced-scale tables modest: the vertex table holds 8 entries
+// per bucket and 32 buckets per lane, the edge table 8 entries per bucket
+// and 64 buckets per lane.
+const (
+	vertexEB, vertexBL = 8, 32
+	edgeEB, edgeBL     = 8, 64
+)
 
 // pgInsert tracks one in-flight record insertion.
 type pgInsert struct {
@@ -45,21 +42,22 @@ type pgInsert struct {
 // EdgeKey packs a directed edge.
 func EdgeKey(src, dst uint64) uint64 { return src<<32 | dst }
 
-// NewParallelGraph registers the abstraction and its two tables.
-func NewParallelGraph(p *udweave.Program, cfg ParallelGraphConfig) (*ParallelGraph, error) {
-	v, err := NewSHT(p, SHTConfig{Name: cfg.Name + ".v", Lanes: cfg.Lanes,
-		BucketsPerLane: cfg.VertexBL, EntriesPerBucket: cfg.VertexEB})
+// NewParallelGraph registers the abstraction and its two tables over
+// lanes (the paper's Listing 14 NUM_PGA_LANES).
+func NewParallelGraph(p *udweave.Program, name string, lanes kvmsr.LaneSet) (*ParallelGraph, error) {
+	v, err := NewSHT(p, SHTConfig{Name: name + ".v", Lanes: lanes,
+		BucketsPerLane: vertexBL, EntriesPerBucket: vertexEB})
 	if err != nil {
 		return nil, err
 	}
-	e, err := NewSHT(p, SHTConfig{Name: cfg.Name + ".e", Lanes: cfg.Lanes,
-		BucketsPerLane: cfg.EdgeBL, EntriesPerBucket: cfg.EdgeEB})
+	e, err := NewSHT(p, SHTConfig{Name: name + ".e", Lanes: lanes,
+		BucketsPerLane: edgeBL, EntriesPerBucket: edgeEB})
 	if err != nil {
 		return nil, err
 	}
 	g := &ParallelGraph{Vertices: v, Edges: e}
-	g.lInsert = p.Define(cfg.Name+".insert", g.insert)
-	g.lAck = p.Define(cfg.Name+".insert_ack", g.ack)
+	g.lInsert = p.Define(name+".insert", g.insert)
+	g.lAck = p.Define(name+".insert_ack", g.ack)
 	return g, nil
 }
 

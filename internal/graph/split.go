@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"updown/internal/prng"
 )
@@ -150,24 +151,9 @@ func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 	}
 	s.Graph.Neigh = neigh
 	for v := 0; v < n2; v++ {
-		sortU32(neigh[s.Offsets[v]:s.Offsets[v+1]])
+		slices.Sort(neigh[s.Offsets[v]:s.Offsets[v+1]])
 	}
 	return s
-}
-
-// sortU32 sorts small uint32 slices (shell sort; adjacency lists are
-// bounded by MaxDeg).
-func sortU32(a []uint32) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }
 
 // Members returns the split-vertex IDs representing original input vertex
@@ -217,8 +203,8 @@ func (s *SplitGraph) ValidateSplit(orig *Graph) error {
 		if len(got) != len(want) {
 			return fmt.Errorf("graph: vertex %d out-degree %d != %d after split", v, len(got), len(want))
 		}
-		sortU32(got)
-		sortU32(want)
+		slices.Sort(got)
+		slices.Sort(want)
 		for i := range want {
 			if got[i] != want[i] {
 				return fmt.Errorf("graph: vertex %d neighbor %d relabeled wrongly", v, i)
