@@ -135,8 +135,12 @@ func (m *Machine) Restore(r io.Reader) error {
 }
 
 // RunUntil simulates until quiescence or until the next pending message
-// lies beyond cycle t, whichever comes first (pausing is not an error).
-// The machine pauses in exactly the state Checkpoint serializes, so
-// RunUntil + Checkpoint + (later) Restore + Run is bit-equal to one
-// uninterrupted Run.
-func (m *Machine) RunUntil(t Cycles) (Stats, error) { return m.Engine.RunUntil(t) }
+// lies beyond cycle t, whichever comes first (pausing is not an error),
+// then folds the replication counters like Run. The machine pauses in
+// exactly the state Checkpoint serializes, so RunUntil + Checkpoint +
+// (later) Restore + Run is bit-equal to one uninterrupted Run.
+func (m *Machine) RunUntil(t Cycles) (Stats, error) {
+	stats, err := m.Engine.RunUntil(t)
+	m.foldRepl()
+	return stats, err
+}

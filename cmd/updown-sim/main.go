@@ -714,9 +714,7 @@ func report(w io.Writer, m *updown.Machine, stats updown.Stats, elapsed updown.C
 		fmt.Fprintln(w, line)
 	}
 	if !stats.Faults.Zero() {
-		fmt.Fprintf(w, "faults: dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d\n",
-			stats.Faults.Dropped, stats.Faults.Dupped, stats.Faults.Delayed,
-			stats.Faults.DeadLetters, stats.Faults.Failovers, stats.Faults.Stalled)
+		fmt.Fprintf(w, "faults: %s\n", stats.Faults)
 	}
 }
 

@@ -125,6 +125,12 @@ func (c *Counts) Add(o Counts) {
 // Zero reports whether no fault was injected.
 func (c Counts) Zero() bool { return c == Counts{} }
 
+// String renders the counts as the "faults:" line's key=value list.
+func (c Counts) String() string {
+	return fmt.Sprintf("dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d",
+		c.Dropped, c.Dupped, c.Delayed, c.DeadLetters, c.Failovers, c.Stalled)
+}
+
 // Verdict is the outcome of a per-message fault draw.
 type Verdict uint8
 

@@ -132,7 +132,7 @@ func chaosRepRun(opt ChaosRepOptions, w *workload, failAt arch.Cycles) (*chaosRe
 		plan = &fault.Plan{Seed: 1, FailStops: []fault.FailStop{{Node: chaosRepVictim, At: failAt}}}
 	}
 	// The metrics recorder rides along so the run's profile carries the
-	// replication counters (repl: line / Summary fields) the table's repl
+	// replication counters (Profile.Repl, the repl: line) the table's repl
 	// column is read from.
 	s := sweep{Shards: opt.Shards, MaxTime: opt.MaxTime, Profile: true}
 	m, err := updown.New(s.config(updown.Config{Arch: &ar, Fault: plan, Replication: opt.Rep, Resilience: &kvmsr.Resilience{}}))
@@ -247,13 +247,13 @@ func ChaosReplicated(opt ChaosRepOptions) (*ChaosRepTable, error) {
 			fallback += c.FallbackReads
 		}
 		// The same counters, read back through the metrics profile: the
-		// recorder observed them when Machine.Run finished, so the summary
+		// recorder observed them when Machine.Run finished, so the profile
 		// must agree with the direct controller sums above.
-		ps := faulted.m.Metrics.Profile().Summarize(faulted.m.Arch)
-		if ps.FallbackReads != fallback {
-			return nil, fmt.Errorf("chaosrep %s: profile fallback-reads %d != controller sum %d", app, ps.FallbackReads, fallback)
+		p := faulted.m.Metrics.Profile()
+		if p.Repl.FallbackReads != fallback {
+			return nil, fmt.Errorf("chaosrep %s: profile fallback-reads %d != controller sum %d", app, p.Repl.FallbackReads, fallback)
 		}
-		repl := fmt.Sprintf("fo=%d fb=%d hq=%d", ps.Failovers, ps.FallbackReads, ps.HintsQueued)
+		repl := fmt.Sprintf("fo=%d fb=%d hq=%d", p.Faults.Failovers, p.Repl.FallbackReads, p.Repl.HintsQueued)
 		bf, err := faulted.m.Backfill(chaosRepVictim, spare)
 		if err != nil {
 			return nil, fmt.Errorf("chaosrep %s backfill: %w", app, err)

@@ -28,7 +28,8 @@ type JobTotals struct {
 	DRAMBytes int64 `json:"dram_bytes"`
 }
 
-func (t *JobTotals) add(o JobTotals) {
+// Add accumulates o into t.
+func (t *JobTotals) Add(o JobTotals) {
 	t.Busy += o.Busy
 	t.Events += o.Events
 	t.Sends += o.Sends
@@ -63,13 +64,14 @@ func (r *Recorder) UnbindNodes(firstNode, numNodes int) {
 }
 
 // JobTotals merges the per-shard counters charged to one job. Valid at
-// quiesced points (between Run calls, or inside a telemetry Aux hook,
-// which the publisher invokes with every shard parked at a barrier).
+// quiesced points (between Run calls, or inside a telemetry publish
+// hook, which the publisher invokes with every shard parked at a
+// barrier).
 func (r *Recorder) JobTotals(job int) JobTotals {
 	var t JobTotals
 	for _, v := range r.views {
 		if job < len(v.jobs) {
-			t.add(v.jobs[job])
+			t.Add(v.jobs[job])
 		}
 	}
 	return t

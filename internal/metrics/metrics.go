@@ -1,6 +1,7 @@
 // Package metrics is the opt-in observability layer of the simulator: it
-// turns the engine's run-level aggregates (sim.Stats) into per-node time
-// series and per-message-kind breakdowns, which is what bottleneck
+// declares the run's counter record (Totals, which the engine accumulates
+// as sim.Stats) and adds per-node time series and per-message-kind
+// breakdowns to it, which is what bottleneck
 // attribution needs — the paper's scaling knees are DRAM-bandwidth,
 // injection-port and lane-occupancy stories, none of which are visible in
 // an end-to-end cycle count.
@@ -42,6 +43,67 @@ const nKinds = 11
 
 // kindOther is the overflow bucket index.
 const kindOther = nKinds - 1
+
+// Totals is the run's counter record, declared once: the engine
+// accumulates it per shard (sim.Stats is this type), the recorder keeps
+// the latest observation for Profile, and the telemetry Snapshot embeds
+// it. The JSON names are the /status keys.
+type Totals struct {
+	// FinalTime is the completion cycle of the last executed message —
+	// its start cycle plus the cycles it charged — i.e. the simulated
+	// completion time of the program including the tail event's work.
+	FinalTime arch.Cycles `json:"-"`
+	// Events counts executed messages by kind.
+	Events int64 `json:"events"`
+	// DRAMReads, DRAMWrites and DRAMBytes count memory traffic.
+	DRAMReads  int64 `json:"dram_reads"`
+	DRAMWrites int64 `json:"dram_writes"`
+	DRAMBytes  int64 `json:"dram_bytes"`
+	// Sends counts messages injected into the network.
+	Sends int64 `json:"sends"`
+	// ShuffleMsgs and ShuffleTuples separate the two meanings "sends"
+	// conflates once a shuffle packs tuples: ShuffleMsgs counts shuffle
+	// messages that enter the inter-node network (cross-node sends, the
+	// ones that pay injection-port serialization — retransmissions
+	// included, acks and intra-node deliveries excluded) and
+	// ShuffleTuples counts logical emitted tuples. Their ratio is the
+	// number of logical tuples each network message carries, comparable
+	// across shuffle modes. Runtimes report them through Env.AddShuffle.
+	ShuffleMsgs   int64 `json:"shuffle_msgs"`
+	ShuffleTuples int64 `json:"shuffle_tuples"`
+	// BusyCycles is the sum of actor occupancy, used for utilization.
+	BusyCycles int64 `json:"busy_cycles"`
+	// LanesTouched is the number of lanes that executed at least one
+	// event.
+	LanesTouched int64 `json:"-"`
+	// Faults counts injected faults; all-zero when fault injection is
+	// disabled.
+	Faults fault.Counts `json:"faults"`
+}
+
+// Add accumulates o into t; FinalTime is the later of the two.
+func (t *Totals) Add(o Totals) {
+	t.FinalTime = max(t.FinalTime, o.FinalTime)
+	t.Events += o.Events
+	t.DRAMReads += o.DRAMReads
+	t.DRAMWrites += o.DRAMWrites
+	t.DRAMBytes += o.DRAMBytes
+	t.Sends += o.Sends
+	t.ShuffleMsgs += o.ShuffleMsgs
+	t.ShuffleTuples += o.ShuffleTuples
+	t.BusyCycles += o.BusyCycles
+	t.LanesTouched += o.LanesTouched
+	t.Faults.Add(o.Faults)
+}
+
+// Utilization returns BusyCycles / (FinalTime * lanes touched), a rough
+// measure of how well the program filled the hardware it used.
+func (t Totals) Utilization() float64 {
+	if t.FinalTime <= 0 || t.LanesTouched == 0 {
+		return 0
+	}
+	return float64(t.BusyCycles) / (float64(t.FinalTime) * float64(t.LanesTouched))
+}
 
 // Options configures a Recorder.
 type Options struct {
@@ -126,14 +188,11 @@ type KindStat struct {
 // sim.Options.Metrics (or updown.Config.Metrics); it may observe several
 // consecutive Run calls and accumulates across them.
 type Recorder struct {
-	interval      arch.Cycles
-	nodes         []NodeSeries
-	views         []*ShardView
-	finalTime     arch.Cycles
-	faults        fault.Counts
-	repl          ReplCounts
-	shuffleMsgs   int64
-	shuffleTuples int64
+	interval arch.Cycles
+	nodes    []NodeSeries
+	views    []*ShardView
+	totals   Totals
+	repl     ReplCounts
 
 	// jobOfNode maps each node to the job currently bound to it (-1 =
 	// unattributed); nil until the first BindJob, which keeps per-job
@@ -171,25 +230,12 @@ func (r *Recorder) Shard(i int) *ShardView {
 	return r.views[i]
 }
 
-// ObserveFinalTime records the run's completion time; the engine calls it
-// after every Run with the accumulated final time.
-func (r *Recorder) ObserveFinalTime(t arch.Cycles) {
-	if t > r.finalTime {
-		r.finalTime = t
-	}
-}
-
-// ObserveFaults records the run's cumulative injected-fault counts; the
-// engine calls it after every Run with the accumulated totals (like
-// ObserveFinalTime, later calls replace earlier ones).
-func (r *Recorder) ObserveFaults(c fault.Counts) { r.faults = c }
-
-// ObserveShuffle records the run's cumulative shuffle traffic — inter-node
-// network messages carrying shuffle payload and logical emitted tuples;
-// the engine calls it after every Run with the accumulated totals (like
-// ObserveFinalTime, later calls replace earlier ones).
-func (r *Recorder) ObserveShuffle(msgs, tuples int64) {
-	r.shuffleMsgs, r.shuffleTuples = msgs, tuples
+// ObserveTotals records the run's cumulative counters; the engine calls
+// it after every Run and at telemetry publication points. Later calls
+// replace earlier ones, except that FinalTime only grows.
+func (r *Recorder) ObserveTotals(t Totals) {
+	t.FinalTime = max(t.FinalTime, r.totals.FinalTime)
+	r.totals = t
 }
 
 // ReplCounts aggregates the replication-layer counters of the k-way
@@ -209,8 +255,8 @@ type ReplCounts struct {
 func (c ReplCounts) Zero() bool { return c == ReplCounts{} }
 
 // ObserveRepl records the run's replication counters; the updown layer
-// calls it after every Run with the accumulated totals (like
-// ObserveFinalTime, later calls replace earlier ones).
+// calls it after every Run and RunUntil with the accumulated totals
+// (later calls replace earlier ones).
 func (r *Recorder) ObserveRepl(c ReplCounts) { r.repl = c }
 
 // ShardView is the per-engine-shard write interface. A view writes only to
@@ -339,26 +385,19 @@ func (v *ShardView) DRAM(node int32, bytes, backlog64 int64, at arch.Cycles) {
 
 // Profile is the merged, read-only result of a recorded run.
 type Profile struct {
+	// Totals is the run's counter record as last observed (FinalTime is
+	// the simulated completion time).
+	Totals
 	// Interval is the sampling bucket width in cycles.
 	Interval arch.Cycles
-	// FinalTime is the simulated completion time.
-	FinalTime arch.Cycles
 	// Nodes holds one series per node, indexed by node.
 	Nodes []NodeSeries
 	// Kinds is the per-message-kind breakdown, indexed by the arch.Kind*
 	// constants; index 10 collects unknown kinds.
 	Kinds [nKinds]KindStat
-	// Fault is the cumulative injected-fault count (all-zero when fault
-	// injection was disabled).
-	Fault fault.Counts
 	// Repl is the replication-layer counter set (all-zero when the
 	// machine used unreplicated placement).
 	Repl ReplCounts
-	// ShuffleMsgs and ShuffleTuples are the run's shuffle traffic:
-	// inter-node network messages carrying shuffle payload and logical
-	// emitted tuples (see sim.Stats; both zero for shuffle-free runs).
-	ShuffleMsgs   int64
-	ShuffleTuples int64
 	// BusiestLane is the lane with the most busy cycles (the lowest ID on
 	// a tie); zero when no lane ran.
 	BusiestLane LaneBusy
@@ -368,8 +407,7 @@ type Profile struct {
 // series are shared with the recorder, not copied; take the profile after
 // the run, not during it.
 func (r *Recorder) Profile() *Profile {
-	p := &Profile{Interval: r.interval, FinalTime: r.finalTime, Nodes: r.nodes, Fault: r.faults,
-		Repl: r.repl, ShuffleMsgs: r.shuffleMsgs, ShuffleTuples: r.shuffleTuples}
+	p := &Profile{Totals: r.totals, Interval: r.interval, Nodes: r.nodes, Repl: r.repl}
 	for _, v := range r.views {
 		for k := range v.kinds {
 			p.Kinds[k].Count += v.kinds[k].Count
@@ -432,8 +470,6 @@ func KindName(k int) string {
 // Summary condenses a profile into the machine-utilization figures the
 // harness tables report.
 type Summary struct {
-	// FinalTime is the simulated completion time.
-	FinalTime arch.Cycles
 	// NodesTouched is the number of nodes with any recorded activity.
 	NodesTouched int
 	// PeakBusyNode is the node with the most busy cycles.
@@ -450,13 +486,6 @@ type Summary struct {
 	// busiest port spent serializing cross-node messages divided by
 	// FinalTime.
 	InjUtil float64
-	// FallbackReads, HintsQueued and Failovers surface the replication
-	// layer: reads served by a non-primary replica, hinted-handoff
-	// records awaiting Backfill, and DRAM messages rerouted around a
-	// fail-stopped node. All zero for unreplicated or fault-free runs.
-	FallbackReads int64
-	HintsQueued   int64
-	Failovers     int64
 }
 
 // Summarize computes the run summary under machine m's bandwidth and
@@ -465,9 +494,7 @@ type Summary struct {
 // yield zero utilizations rather than NaN/Inf: every division below is
 // gated on a positive denominator.
 func (p *Profile) Summarize(m arch.Machine) Summary {
-	s := Summary{FinalTime: p.FinalTime,
-		FallbackReads: p.Repl.FallbackReads, HintsQueued: p.Repl.HintsQueued,
-		Failovers: p.Fault.Failovers}
+	var s Summary
 	var busySum, peakBusy, peakBytes, peakXSends int64
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
@@ -526,14 +553,12 @@ func (p *Profile) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "%-12s %12d %14d %12d (%.1f%%)\n", KindName(k), ks.Count, ks.Cycles,
 			ks.Cross, 100*float64(ks.Cross)/float64(ks.Count))
 	}
-	if !p.Fault.Zero() {
-		fmt.Fprintf(&b, "faults: dropped=%d dupped=%d delayed=%d dead-letters=%d failovers=%d stalls=%d\n",
-			p.Fault.Dropped, p.Fault.Dupped, p.Fault.Delayed, p.Fault.DeadLetters,
-			p.Fault.Failovers, p.Fault.Stalled)
+	if !p.Faults.Zero() {
+		fmt.Fprintf(&b, "faults: %s\n", p.Faults)
 	}
 	if !p.Repl.Zero() {
 		fmt.Fprintf(&b, "repl: fallback-reads=%d hints-queued=%d failovers=%d\n",
-			p.Repl.FallbackReads, p.Repl.HintsQueued, p.Fault.Failovers)
+			p.Repl.FallbackReads, p.Repl.HintsQueued, p.Faults.Failovers)
 	}
 	if p.ShuffleTuples != 0 || p.ShuffleMsgs != 0 {
 		line := fmt.Sprintf("shuffle: tuples=%d network-msgs=%d", p.ShuffleTuples, p.ShuffleMsgs)

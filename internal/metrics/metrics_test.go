@@ -28,7 +28,7 @@ func TestBucketAttribution(t *testing.T) {
 	v.Send(0, true, 128, 99)                  // cross-node: injection backlog
 	v.Send(0, false, 0, 99)                   // intra-node: no port
 	v.DRAM(1, 64, 640, 250)
-	r.ObserveFinalTime(257)
+	r.ObserveTotals(metrics.Totals{FinalTime: 257})
 
 	p := r.Profile()
 	n0, n1 := &p.Nodes[0], &p.Nodes[1]
@@ -74,7 +74,7 @@ func TestSummarize(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		v.Send(0, true, 0, 60)
 	}
-	r.ObserveFinalTime(1000)
+	r.ObserveTotals(metrics.Totals{FinalTime: 1000})
 
 	s := r.Profile().Summarize(m)
 	if s.NodesTouched != 2 {
@@ -181,7 +181,7 @@ func obsRun(t *testing.T, shards int) (string, []byte) {
 	}
 	p := rec.Profile()
 	var trace bytes.Buffer
-	if err := p.WriteTrace(&trace, m); err != nil {
+	if err := metrics.WriteTraceFile(&trace, m, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	return p.String(), trace.Bytes()
@@ -224,7 +224,7 @@ func TestBusiestLane(t *testing.T) {
 	b.Event(3, 130, arch.KindEvent, 0, 10, 0)    // below the view's first lane
 	b.Event(3, -1, arch.KindDRAMRead, 0, 500, 0) // a controller: not a lane
 	a.Event(0, 4, arch.KindEvent, 20, 10, 0)     // lane 4: 30, ties too
-	r.ObserveFinalTime(120)
+	r.ObserveTotals(metrics.Totals{FinalTime: 120})
 	p := r.Profile()
 	if want := (metrics.LaneBusy{Lane: 4, Node: 0, Busy: 30}); p.BusiestLane != want {
 		t.Fatalf("busiest lane %+v, want %+v", p.BusiestLane, want)
@@ -346,7 +346,7 @@ func TestNodeCountMismatch(t *testing.T) {
 func ExampleProfile_String() {
 	r := metrics.New(1, metrics.Options{Interval: 100})
 	r.Shard(0).Event(0, 5, arch.KindEvent, 0, 42, 0)
-	r.ObserveFinalTime(100)
+	r.ObserveTotals(metrics.Totals{FinalTime: 100})
 	fmt.Print(r.Profile().String())
 	// Output:
 	// profile: interval=100 cycles, final=100 cycles

@@ -31,7 +31,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 			build: func() *metrics.Profile {
 				r := metrics.New(2, metrics.Options{Interval: 100})
 				r.Shard(0).Event(0, -1, arch.KindEvent, 0, 50, 1)
-				// No ObserveFinalTime: FinalTime stays zero.
+				// No ObserveTotals: FinalTime stays zero.
 				return r.Profile()
 			},
 			want: func(t *testing.T, s metrics.Summary) {
@@ -60,7 +60,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 			mach: arch.DefaultMachine(4),
 			build: func() *metrics.Profile {
 				r := metrics.New(4, metrics.Options{})
-				r.ObserveFinalTime(5000)
+				r.ObserveTotals(metrics.Totals{FinalTime: 5000})
 				return r.Profile()
 			},
 			want: func(t *testing.T, s metrics.Summary) {
@@ -76,7 +76,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 				r := metrics.New(1, metrics.Options{Interval: 1 << 30})
 				r.Shard(0).Event(0, -1, arch.KindEvent, 10, 20, 0)
 				r.Shard(0).Send(0, true, 64, 15)
-				r.ObserveFinalTime(100)
+				r.ObserveTotals(metrics.Totals{FinalTime: 100})
 				return r.Profile()
 			},
 			want: func(t *testing.T, s metrics.Summary) {
@@ -97,7 +97,7 @@ func TestSummarizeDegenerate(t *testing.T) {
 				v.Event(1, -1, arch.KindEvent, 50, 25, 1)
 				v.Send(1, true, 64, 60)
 				v.DRAM(1, 4096, 128, 70)
-				r.ObserveFinalTime(200)
+				r.ObserveTotals(metrics.Totals{FinalTime: 200})
 				return r.Profile()
 			},
 			want: func(t *testing.T, s metrics.Summary) {

@@ -69,17 +69,11 @@ func traceCounters(m arch.Machine, interval arch.Cycles) []counterDef {
 	}
 }
 
-// WriteTrace writes the profile's counter tracks as trace_event JSON.
-// Timestamps are in microseconds at machine m's clock, as the format
-// requires. Untouched nodes are omitted.
-func (p *Profile) WriteTrace(w io.Writer, m arch.Machine) error {
-	return WriteTraceFile(w, m, p, nil)
-}
-
 // WriteTraceFile writes counter tracks (from p) and span tracks (from tr)
-// into one trace_event JSON file; either source may be nil. Span emission
-// walks the canonically sorted span records, so the file is byte-identical
-// at any shard count.
+// into one trace_event JSON file; either source may be nil. Timestamps
+// are in microseconds at machine m's clock, as the format requires, and
+// untouched nodes are omitted. Span emission walks the canonically sorted
+// span records, so the file is byte-identical at any shard count.
 func WriteTraceFile(w io.Writer, m arch.Machine, p *Profile, tr *TraceRecorder) error {
 	usPerCycle := 1e6 / m.ClockHz
 	var evs []traceEvent

@@ -40,7 +40,7 @@ func buildTraceProfile(t *testing.T) (*metrics.Profile, arch.Machine) {
 	v.Event(0, -1, arch.KindDRAMRead, 1500, 30, 0)
 	v.Send(0, true, 64, 120)
 	v.DRAM(2, 4096, 320, 2500)
-	r.ObserveFinalTime(3000)
+	r.ObserveTotals(metrics.Totals{FinalTime: 3000})
 	return r.Profile(), m
 }
 
@@ -52,7 +52,7 @@ func buildTraceProfile(t *testing.T) (*metrics.Profile, arch.Machine) {
 func TestWriteTraceSchema(t *testing.T) {
 	p, m := buildTraceProfile(t)
 	var buf bytes.Buffer
-	if err := p.WriteTrace(&buf, m); err != nil {
+	if err := metrics.WriteTraceFile(&buf, m, p, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,9 +140,9 @@ func TestWriteTraceTimestamps(t *testing.T) {
 	m := arch.DefaultMachine(1)
 	r := metrics.New(1, metrics.Options{Interval: 2000})
 	r.Shard(0).Event(0, -1, arch.KindEvent, 2000, 10, 0) // bucket 1
-	r.ObserveFinalTime(4000)
+	r.ObserveTotals(metrics.Totals{FinalTime: 4000})
 	var buf bytes.Buffer
-	if err := r.Profile().WriteTrace(&buf, m); err != nil {
+	if err := metrics.WriteTraceFile(&buf, m, r.Profile(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr decodedTrace
@@ -173,9 +173,9 @@ func TestWriteTracePartialLastBucket(t *testing.T) {
 	v := r.Shard(0)
 	v.Event(0, -1, arch.KindEvent, 100, 10, 0)  // bucket 0
 	v.Event(0, -1, arch.KindEvent, 2400, 10, 0) // bucket 2, before FinalTime 2500
-	r.ObserveFinalTime(2500)
+	r.ObserveTotals(metrics.Totals{FinalTime: 2500})
 	var buf bytes.Buffer
-	if err := r.Profile().WriteTrace(&buf, m); err != nil {
+	if err := metrics.WriteTraceFile(&buf, m, r.Profile(), nil); err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -221,7 +221,7 @@ func TestWriteTraceEmptyProfile(t *testing.T) {
 	m := arch.DefaultMachine(2)
 	r := metrics.New(2, metrics.Options{})
 	var buf bytes.Buffer
-	if err := r.Profile().WriteTrace(&buf, m); err != nil {
+	if err := metrics.WriteTraceFile(&buf, m, r.Profile(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr decodedTrace

@@ -1,18 +1,16 @@
 package sched
 
-import (
-	"updown"
-	"updown/internal/sim"
-)
+import "updown"
 
 // DefaultQuantum is the reconcile interval used when a caller leaves the
 // quantum unset: 4096 simulated cycles (~2 µs at 2 GHz).
 const DefaultQuantum updown.Cycles = 4096
 
 // Engine is the slice of the simulator the pacer drives: advance the
-// simulated frontier to a host-chosen boundary. *sim.Engine satisfies it.
+// simulated frontier to a host-chosen boundary. *updown.Machine
+// satisfies it (and folds its replication counters at every boundary).
 type Engine interface {
-	RunUntil(t updown.Cycles) (sim.Stats, error)
+	RunUntil(t updown.Cycles) (updown.Stats, error)
 }
 
 // Step is one host-side reconcile pass, invoked at a quiesced quantum

@@ -6,7 +6,7 @@
 // memory controllers.
 //
 // The core is a reconcile loop in the style of declarative cluster
-// managers: between bounded simulation slices (Engine.RunUntil quanta)
+// managers: between bounded simulation slices (Machine.RunUntil quanta)
 // the scheduler observes job state and drives every job toward its goal
 // state through the chain
 //
@@ -223,7 +223,7 @@ type Scheduler struct {
 }
 
 // New builds a scheduler for the machine. When the machine has a
-// telemetry publisher, the scheduler chains an Aux hook so every
+// telemetry publisher, the scheduler adds a publish hook so every
 // published snapshot carries a per-job row (state, tenant, lanes,
 // progress counters).
 func New(m *updown.Machine, cfg Config) *Scheduler {
@@ -235,13 +235,7 @@ func New(m *updown.Machine, cfg Config) *Scheduler {
 	}
 	s := &Scheduler{m: m, cfg: cfg, alloc: newNodeAlloc(m.Arch.Nodes), pace: NewPacer(cfg.Quantum)}
 	if m.Telemetry != nil {
-		prev := m.Telemetry.Aux
-		m.Telemetry.Aux = func(snap *telemetry.Snapshot) {
-			if prev != nil {
-				prev(snap)
-			}
-			snap.Jobs = s.JobStats()
-		}
+		m.Telemetry.OnPublish(func(snap *telemetry.Snapshot) { snap.Jobs = s.JobStats() })
 	}
 	return s
 }
@@ -304,7 +298,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 // frontier only moves forward. Pacing — quantum grid, idle-gap jumps —
 // lives in the shared Pacer, which the query-serving layer reuses.
 func (s *Scheduler) Run() error {
-	return s.pace.Drive(s.m.Engine, func(now updown.Cycles) (updown.Cycles, bool) {
+	return s.pace.Drive(s.m, func(now updown.Cycles) (updown.Cycles, bool) {
 		s.now = now
 		s.reconcile()
 		if len(s.pending) == 0 && len(s.queue) == 0 && len(s.active) == 0 {
@@ -522,11 +516,7 @@ func (s *Scheduler) TenantReport() []TenantUsage {
 			u.Done++
 			u.AllocBytes += j.AllocBytes
 			u.LaneCycles += int64(j.Part.Lanes.Count) * int64(j.DoneAt-j.PostedAt)
-			u.Totals.Busy += j.Totals.Busy
-			u.Totals.Events += j.Totals.Events
-			u.Totals.Sends += j.Totals.Sends
-			u.Totals.XSends += j.Totals.XSends
-			u.Totals.DRAMBytes += j.Totals.DRAMBytes
+			u.Totals.Add(j.Totals)
 		case Failed:
 			u.Failed++
 		}
@@ -540,7 +530,7 @@ func (s *Scheduler) TenantReport() []TenantUsage {
 }
 
 // JobStats renders every submission as a telemetry row. It runs either
-// host-side between runs or inside the telemetry Aux hook (quiesced
+// host-side between runs or inside the telemetry publish hook (quiesced
 // engine context), where reading the metrics recorder is race-free.
 func (s *Scheduler) JobStats() []telemetry.JobStat {
 	out := make([]telemetry.JobStat, len(s.jobs))
@@ -557,13 +547,9 @@ func (s *Scheduler) JobStats() []telemetry.JobStat {
 		st.AllocBytes = int64(j.AllocBytes)
 		switch {
 		case j.State == Done || j.State == Failed:
-			st.Busy, st.Events, st.Sends, st.DRAMBytes =
-				j.Totals.Busy, j.Totals.Events, j.Totals.Sends, j.Totals.DRAMBytes
-		case j.State == Running || j.State == Placed:
-			if s.m.Metrics != nil {
-				t := s.m.Metrics.JobTotals(j.ID)
-				st.Busy, st.Events, st.Sends, st.DRAMBytes = t.Busy, t.Events, t.Sends, t.DRAMBytes
-			}
+			st.JobTotals = j.Totals
+		case (j.State == Running || j.State == Placed) && s.m.Metrics != nil:
+			st.JobTotals = s.m.Metrics.JobTotals(j.ID)
 		}
 		out[i] = st
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"updown"
 	"updown/internal/apps/bfs"
@@ -18,6 +19,7 @@ import (
 	"updown/internal/metrics"
 	"updown/internal/prng"
 	"updown/internal/sched"
+	"updown/internal/telemetry"
 	"updown/internal/udweave"
 )
 
@@ -455,6 +457,68 @@ func TestConcurrentMatchesSolo(t *testing.T) {
 	for _, u := range rep {
 		if u.Totals.Busy <= 0 || u.Totals.Events <= 0 || u.LaneCycles <= 0 {
 			t.Errorf("tenant %s has empty accounting: %+v", u.Tenant, u)
+		}
+	}
+}
+
+// TestSchedTelemetryJobs runs a concurrent mix observed by a telemetry
+// publisher at every window: every submission has a row in the last
+// snapshot, every Done row carries the job's attributed totals, and
+// observing changes no job's post or completion cycle or output.
+func TestSchedTelemetryJobs(t *testing.T) {
+	splitA, splitB := testSplit(7, 15, 8), testSplit(6, 99, 8)
+	lpn := 16 // 2 accels x 8 lanes, as testMachine
+	run := func(pub *telemetry.Publisher) (*sched.Scheduler, []telemetry.JobStat) {
+		ar := arch.DefaultMachine(4)
+		ar.AccelsPerNode, ar.LanesPerAccel = 2, 8
+		m, err := updown.New(updown.Config{Arch: &ar, Shards: 2, MaxTime: 1 << 42,
+			Metrics: &metrics.Options{}, Telemetry: pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sched.New(m, sched.Config{Quantum: 2048})
+		var rows []telemetry.JobStat
+		if pub != nil {
+			pub.OnPublish(func(snap *telemetry.Snapshot) { rows = append(rows, snap.Jobs...) })
+		}
+		for _, spec := range []sched.JobSpec{
+			{Name: "bfs-a", Tenant: "acme", Lanes: 2 * lpn, Build: bfsBuild(splitA, 3)},
+			{Name: "pr-b", Tenant: "globex", Class: sched.Batch, Lanes: lpn, Build: prBuild(splitB, 1)},
+			{Name: "bfs-c", Tenant: "acme", Lanes: lpn, Arrive: 9000, Build: bfsBuild(splitB, 0)},
+		} {
+			if _, err := s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s, rows
+	}
+	pub := &telemetry.Publisher{MinPeriod: time.Nanosecond}
+	observed, rows := run(pub)
+	plain, _ := run(nil)
+	if got := len(pub.Latest().Jobs); got != len(observed.Jobs()) {
+		t.Errorf("last snapshot has %d job rows, want %d", got, len(observed.Jobs()))
+	}
+	done := 0
+	for _, r := range append(rows, observed.JobStats()...) {
+		if r.State != sched.Done.String() {
+			continue
+		}
+		done++
+		if j := observed.Jobs()[r.ID]; r.JobTotals != j.Totals {
+			t.Errorf("job %d done row totals %+v, job totals %+v", r.ID, r.JobTotals, j.Totals)
+		}
+	}
+	if done <= len(observed.Jobs()) {
+		t.Errorf("%d done rows, want some published before the run ended", done)
+	}
+	for i, j := range observed.Jobs() {
+		p := plain.Jobs()[i]
+		if j.State != sched.Done || j.PostedAt != p.PostedAt || j.DoneAt != p.DoneAt || digest(j.Output()) != digest(p.Output()) {
+			t.Errorf("job %s: observed %v posted %d done %d, unobserved %v posted %d done %d (or outputs differ)",
+				j.Spec.Name, j.State, j.PostedAt, j.DoneAt, p.State, p.PostedAt, p.DoneAt)
 		}
 	}
 }

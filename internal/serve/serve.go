@@ -33,7 +33,6 @@ import (
 	"updown/internal/apps/pagerank"
 	"updown/internal/apps/pointq"
 	"updown/internal/sched"
-	"updown/internal/sim"
 	"updown/internal/telemetry"
 )
 
@@ -131,7 +130,7 @@ type Stats struct {
 	// Batches counts launch groups: boundaries at which a kind seeded and
 	// posted at least one query.
 	Batches [2]int
-	Sim     sim.Stats
+	Sim     updown.Stats
 	// First/Last bracket the stream: first arrival to last resolution.
 	First, Last updown.Cycles
 }
@@ -198,17 +197,17 @@ func (s *Server) Now() updown.Cycles { return s.pace.Now() }
 // Stats returns the aggregate outcome of the last Run.
 func (s *Server) Stats() Stats { return s.stats }
 
-// accumEngine records the engine's statistics as the pacer drives it.
+// accumEngine records the statistics as the pacer drives the machine.
 // Engine stats are cumulative over the machine's life (reset only by a
 // checkpoint restore), so the last RunUntil's snapshot is the total for
 // the whole serving interval.
 type accumEngine struct {
-	e   *sim.Engine
-	tot *sim.Stats
+	m   *updown.Machine
+	tot *updown.Stats
 }
 
-func (a accumEngine) RunUntil(t updown.Cycles) (sim.Stats, error) {
-	st, err := a.e.RunUntil(t)
+func (a accumEngine) RunUntil(t updown.Cycles) (updown.Stats, error) {
+	st, err := a.m.RunUntil(t)
 	*a.tot = st
 	return st, err
 }
@@ -222,7 +221,7 @@ func (s *Server) Run(queries []Query) error {
 	if err := s.Begin(queries); err != nil {
 		return err
 	}
-	return s.pace.Drive(accumEngine{s.m.Engine, &s.stats.Sim}, s.Step)
+	return s.pace.Drive(accumEngine{s.m, &s.stats.Sim}, s.Step)
 }
 
 // Begin installs a schedule for Step to serve. The whole schedule is
@@ -384,17 +383,13 @@ func (s *Server) launch(now updown.Cycles) {
 	}
 }
 
-// installTelemetry chains per-kind query serving gauges onto the
-// machine's snapshot publisher (no-op without telemetry).
+// installTelemetry adds per-kind query serving gauges to the machine's
+// snapshot publisher (no-op without telemetry).
 func (s *Server) installTelemetry() {
 	if s.m.Telemetry == nil {
 		return
 	}
-	prev := s.m.Telemetry.Aux
-	s.m.Telemetry.Aux = func(snap *telemetry.Snapshot) {
-		if prev != nil {
-			prev(snap)
-		}
+	s.m.Telemetry.OnPublish(func(snap *telemetry.Snapshot) {
 		for k, e := range s.eng {
 			if e == nil {
 				continue
@@ -422,5 +417,5 @@ func (s *Server) installTelemetry() {
 			}
 			snap.Queries = append(snap.Queries, qs)
 		}
-	}
+	})
 }

@@ -318,11 +318,7 @@ func TestServeTelemetrySlots(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pub != nil {
-			fill := pub.Aux
-			pub.Aux = func(s *telemetry.Snapshot) {
-				fill(s)
-				rows = append(rows, s.Queries...)
-			}
+			pub.OnPublish(func(s *telemetry.Snapshot) { rows = append(rows, s.Queries...) })
 		}
 		qs := make([]serve.Query, 12)
 		for i := range qs {

@@ -118,65 +118,23 @@ type Options struct {
 	Telemetry *telemetry.Publisher
 }
 
-// Stats aggregates measurements across a Run.
-type Stats struct {
-	// FinalTime is the completion cycle of the last executed message —
-	// its start cycle plus the cycles it charged — i.e. the simulated
-	// completion time of the program including the tail event's work.
-	FinalTime arch.Cycles
-	// Events counts executed messages by kind.
-	Events int64
-	// DRAMReads, DRAMWrites and DRAMBytes count memory traffic.
-	DRAMReads  int64
-	DRAMWrites int64
-	DRAMBytes  int64
-	// Sends counts messages injected into the network.
-	Sends int64
-	// ShuffleMsgs and ShuffleTuples separate the two meanings "sends"
-	// conflates once a shuffle packs tuples: ShuffleMsgs counts shuffle
-	// messages that enter the inter-node network (cross-node sends, the
-	// ones that pay injection-port serialization — retransmissions
-	// included, acks and intra-node deliveries excluded) and
-	// ShuffleTuples counts logical emitted tuples. Their ratio is the
-	// number of logical tuples each network message carries, comparable
-	// across shuffle modes. Runtimes report them through Env.AddShuffle.
-	ShuffleMsgs   int64
-	ShuffleTuples int64
-	// BusyCycles is the sum of actor occupancy, used for utilization.
-	BusyCycles int64
-	// LanesTouched is the number of lanes that executed at least one
-	// event.
-	LanesTouched int64
-	// Faults counts injected faults; all-zero when Options.Fault is nil.
-	Faults fault.Counts
-}
+// Stats aggregates measurements across a Run: the run's counter record,
+// declared once in internal/metrics.
+type Stats = metrics.Totals
 
-// totals sums the shards' statistics; FinalTime is their maximum and
-// LanesTouched, which is derived from actor state, stays zero.
+// totals sums the shards' statistics; FinalTime is their maximum. The
+// lanes that executed an event are counted from actor state.
 func (e *Engine) totals() Stats {
 	var t Stats
 	for _, s := range e.shards {
-		t.Events += s.stats.Events
-		t.DRAMReads += s.stats.DRAMReads
-		t.DRAMWrites += s.stats.DRAMWrites
-		t.DRAMBytes += s.stats.DRAMBytes
-		t.Sends += s.stats.Sends
-		t.ShuffleMsgs += s.stats.ShuffleMsgs
-		t.ShuffleTuples += s.stats.ShuffleTuples
-		t.BusyCycles += s.stats.BusyCycles
-		t.Faults.Add(s.stats.Faults)
-		t.FinalTime = max(t.FinalTime, s.stats.FinalTime)
+		t.Add(s.stats)
+	}
+	for i := range e.state[:e.totalLanes] {
+		if e.state[i].used {
+			t.LanesTouched++
+		}
 	}
 	return t
-}
-
-// Utilization returns BusyCycles / (FinalTime * lanes touched), a rough
-// measure of how well the program filled the hardware it used.
-func (s Stats) Utilization() float64 {
-	if s.FinalTime <= 0 || s.LanesTouched == 0 {
-		return 0
-	}
-	return float64(s.BusyCycles) / (float64(s.FinalTime) * float64(s.LanesTouched))
 }
 
 type actorState struct {
@@ -511,15 +469,8 @@ func (e *Engine) run(limit arch.Cycles) (Stats, error) {
 	timedOut := e.win.timedOut
 	e.running = false
 	total := e.totals()
-	for i := range e.state[:e.totalLanes] {
-		if e.state[i].used {
-			total.LanesTouched++
-		}
-	}
 	if e.rec != nil {
-		e.rec.ObserveFinalTime(total.FinalTime)
-		e.rec.ObserveFaults(total.Faults)
-		e.rec.ObserveShuffle(total.ShuffleMsgs, total.ShuffleTuples)
+		e.rec.ObserveTotals(total)
 	}
 	if e.tr != nil {
 		e.tr.ObserveFinalTime(total.FinalTime)

@@ -141,9 +141,9 @@ func (m *Message) code(c *snap.Codec) {
 	}
 }
 
-// code codes the aggregate statistics but LanesTouched, which is derived
-// from actor state.
-func (s *Stats) code(c *snap.Codec) {
+// codeStats codes the aggregate statistics but LanesTouched, which is
+// derived from actor state.
+func codeStats(c *snap.Codec, s *Stats) {
 	f := &s.Faults
 	for _, v := range []*int64{&s.FinalTime, &s.Events, &s.DRAMReads, &s.DRAMWrites, &s.DRAMBytes,
 		&s.Sends, &s.ShuffleMsgs, &s.ShuffleTuples, &s.BusyCycles,
@@ -217,7 +217,7 @@ func (s *snapState) code(c *snap.Codec, e *Engine) {
 	for i := range s.inj {
 		snap.W64(c, &s.inj[i])
 	}
-	s.stats.code(c)
+	codeStats(c, &s.stats)
 	msg := func(where string) func(int, *Message) {
 		return func(_ int, m *Message) {
 			if m.code(c); c.Err() == nil && !e.validMsg(m) {

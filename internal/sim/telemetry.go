@@ -67,43 +67,32 @@ func (e *Engine) telemetryBeat(now arch.Cycles) {
 
 // telemetryPublish assembles and publishes a snapshot, then refreshes
 // the partial-profile clone when a metrics recorder is installed. The
-// recorder's run-level aggregates are folded in first so the clone is
-// coherent; their replace/monotone-max semantics mean the values the
-// engine re-observes after Run are unchanged, keeping final profile
-// output byte-identical to a telemetry-free run.
+// snapshot's counter record is folded into the recorder first so the
+// clone is coherent; the engine re-observes the same record after Run,
+// so final profile output stays byte-identical to a telemetry-free run.
 func (e *Engine) telemetryPublish(now arch.Cycles, done bool) {
-	e.tel.Publish(e.telemetrySnapshot(now, done))
-	if e.rec == nil && e.tr == nil {
-		return
-	}
-	t := e.totals()
+	s := e.telemetrySnapshot(now, done)
+	e.tel.Publish(s)
 	if e.tr != nil {
 		// Monotone-max like the recorder's: a mid-run fold keeps partial
 		// trace dumps coherent (open program phases get a current end)
 		// without changing what the post-run observation produces.
-		e.tr.ObserveFinalTime(t.FinalTime)
+		e.tr.ObserveFinalTime(s.FinalTime)
 	}
-	if e.rec == nil {
-		return
+	if e.rec != nil {
+		e.rec.ObserveTotals(s.Totals)
+		e.tel.SetProfile(e.rec.PartialProfile())
 	}
-	e.rec.ObserveFinalTime(t.FinalTime)
-	e.rec.ObserveFaults(t.Faults)
-	e.rec.ObserveShuffle(t.ShuffleMsgs, t.ShuffleTuples)
-	e.tel.SetProfile(e.rec.PartialProfile())
 }
 
 // telemetrySnapshot reads the quiesced engine into an immutable
 // snapshot. now is the current window start; done marks the final
 // snapshot of a Run.
 func (e *Engine) telemetrySnapshot(now arch.Cycles, done bool) *telemetry.Snapshot {
-	s := &telemetry.Snapshot{Done: done, SimTime: int64(now)}
+	s := &telemetry.Snapshot{Done: done, SimTime: int64(now), Totals: e.totals(), Pending: e.Pending()}
 	if e.maxTime < 1<<62 {
 		s.MaxTime = int64(e.maxTime)
 	}
-	t := e.totals()
-	s.Events, s.Sends, s.BusyCycles, s.Faults = t.Events, t.Sends, t.BusyCycles, t.Faults
-	s.DRAMReads, s.DRAMWrites, s.DRAMBytes = t.DRAMReads, t.DRAMWrites, t.DRAMBytes
-	s.ShuffleMsgs, s.ShuffleTuples, s.Pending = t.ShuffleMsgs, t.ShuffleTuples, e.Pending()
 	s.Nodes = make([]telemetry.NodeStat, e.M.Nodes)
 	for n := range s.Nodes {
 		s.Nodes[n].Node = n

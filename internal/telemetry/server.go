@@ -88,122 +88,124 @@ func statusView(s *Snapshot) status {
 	return v
 }
 
-// WriteProm renders the snapshot in Prometheus text exposition format.
-// A nil snapshot (nothing published yet) renders only the run-state
-// gauge, so a scrape before the first window is still well-formed.
+// WriteProm renders the snapshot in Prometheus text exposition format:
+// each row type's family table in turn. A nil snapshot (nothing
+// published yet) renders only the run-state gauge, so a scrape before the
+// first window is still well-formed.
 func WriteProm(b *strings.Builder, s *Snapshot) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
 	if s == nil {
-		gauge("updown_run_active", "1 while a simulation run is executing", 0)
+		render(b, runFamilies[:1], []Snapshot{{Done: true}})
 		return
 	}
-	active := 1.0
-	if s.Done {
-		active = 0
-	}
-	gauge("updown_run_active", "1 while a simulation run is executing", active)
-	gauge("updown_sim_cycles", "current simulated time in cycles", float64(s.SimTime))
-	gauge("updown_sim_max_cycles", "configured simulated-time bound", float64(s.MaxTime))
-	gauge("updown_wall_seconds", "wall seconds since the run started", float64(s.WallNanos)/1e9)
-	gauge("updown_cycles_per_second", "simulated cycles advanced per wall second", s.CyclesPerSec)
-	gauge("updown_pending_messages", "messages queued in the engine", float64(s.Pending))
-	counter("updown_snapshots_total", "telemetry snapshots published", s.Seq+1)
-	counter("updown_windows_total", "engine window barriers / scheduler rounds", s.Windows)
-	counter("updown_events_total", "executed simulation events", s.Events)
-	counter("updown_sends_total", "messages injected into the network", s.Sends)
-	counter("updown_busy_cycles_total", "sum of actor occupancy cycles", s.BusyCycles)
-	counter("updown_dram_reads_total", "DRAM read services", s.DRAMReads)
-	counter("updown_dram_writes_total", "DRAM write services", s.DRAMWrites)
-	counter("updown_dram_bytes_total", "DRAM bytes served", s.DRAMBytes)
-	counter("updown_shuffle_msgs_total", "shuffle messages entering the inter-node network", s.ShuffleMsgs)
-	counter("updown_shuffle_tuples_total", "logical shuffle tuples emitted", s.ShuffleTuples)
-	fmt.Fprintf(b, "# HELP updown_faults_total injected faults by fate\n# TYPE updown_faults_total counter\n")
-	for _, f := range []struct {
-		fate string
-		v    int64
-	}{
-		{"dropped", s.Faults.Dropped},
-		{"dupped", s.Faults.Dupped},
-		{"delayed", s.Faults.Delayed},
-		{"dead_letter", s.Faults.DeadLetters},
-		{"failover", s.Faults.Failovers},
-		{"stalled", s.Faults.Stalled},
-	} {
-		fmt.Fprintf(b, "updown_faults_total{fate=%q} %d\n", f.fate, f.v)
-	}
-	counter("updown_repl_fallback_reads_total", "reads served by a non-primary replica", s.Repl.FallbackReads)
-	gauge("updown_repl_hints_queued", "hinted-handoff records queued for backfill", float64(s.Repl.HintsQueued))
-	fmt.Fprintf(b, "# HELP updown_node_busy_cycles_total cumulative busy cycles per node\n# TYPE updown_node_busy_cycles_total counter\n")
-	for i := range s.Nodes {
-		n := &s.Nodes[i]
-		fmt.Fprintf(b, "updown_node_busy_cycles_total{node=\"%d\"} %d\n", n.Node, n.Busy)
-	}
-	fmt.Fprintf(b, "# HELP updown_node_inj_backlog_cycles injection-port backlog per node in cycles\n# TYPE updown_node_inj_backlog_cycles gauge\n")
-	for i := range s.Nodes {
-		n := &s.Nodes[i]
-		fmt.Fprintf(b, "updown_node_inj_backlog_cycles{node=\"%d\"} %d\n", n.Node, n.InjBacklog)
-	}
+	one := []Snapshot{*s}
+	render(b, runFamilies, one)
+	f := s.Faults
+	render(b, faultFamilies, []fate{{"dropped", f.Dropped}, {"dupped", f.Dupped}, {"delayed", f.Delayed},
+		{"dead_letter", f.DeadLetters}, {"failover", f.Failovers}, {"stalled", f.Stalled}})
+	render(b, replFamilies, one)
+	render(b, nodeFamilies, s.Nodes)
 	if len(s.Jobs) > 0 {
-		fmt.Fprintf(b, "# HELP updown_job_state scheduler job state (1 = listed state is current)\n# TYPE updown_job_state gauge\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_state{job=\"%d\",tenant=%q,class=%q,state=%q} 1\n",
-				j.ID, j.Tenant, j.Class, j.State)
-		}
-		fmt.Fprintf(b, "# HELP updown_job_lanes lanes held by each scheduler job\n# TYPE updown_job_lanes gauge\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_lanes{job=\"%d\",tenant=%q} %d\n", j.ID, j.Tenant, j.Lanes)
-		}
-		fmt.Fprintf(b, "# HELP updown_job_busy_cycles_total busy cycles attributed to each scheduler job\n# TYPE updown_job_busy_cycles_total counter\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_busy_cycles_total{job=\"%d\",tenant=%q} %d\n", j.ID, j.Tenant, j.Busy)
-		}
-		fmt.Fprintf(b, "# HELP updown_job_events_total events attributed to each scheduler job\n# TYPE updown_job_events_total counter\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_events_total{job=\"%d\",tenant=%q} %d\n", j.ID, j.Tenant, j.Events)
-		}
-		fmt.Fprintf(b, "# HELP updown_job_dram_bytes_total DRAM bytes attributed to each scheduler job\n# TYPE updown_job_dram_bytes_total counter\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_dram_bytes_total{job=\"%d\",tenant=%q} %d\n", j.ID, j.Tenant, j.DRAMBytes)
-		}
-		fmt.Fprintf(b, "# HELP updown_job_alloc_bytes DRAM footprint allocated by each scheduler job's build phase\n# TYPE updown_job_alloc_bytes gauge\n")
-		for i := range s.Jobs {
-			j := &s.Jobs[i]
-			fmt.Fprintf(b, "updown_job_alloc_bytes{job=\"%d\",tenant=%q} %d\n", j.ID, j.Tenant, j.AllocBytes)
-		}
+		render(b, jobFamilies, s.Jobs)
 	}
 	if len(s.Queries) > 0 {
-		for _, f := range queryFamilies {
-			fmt.Fprintf(b, "# HELP updown_query_%s %s\n# TYPE updown_query_%s %s\n", f.name, f.help, f.name, f.typ)
-			for i := range s.Queries {
-				fmt.Fprintf(b, "updown_query_%s{kind=%q} %v\n", f.name, s.Queries[i].Kind, f.val(&s.Queries[i]))
+		render(b, queryFamilies, s.Queries)
+	}
+}
+
+// family is one metric family over rows of type R: a HELP/TYPE header,
+// then one sample per row with the row's labels (none when labels is
+// nil). val's dynamic type sets the sample's format: integers print as
+// integers, floats as %g.
+type family[R any] struct {
+	name, typ, help string
+	labels          func(r *R) string
+	val             func(r *R) any
+}
+
+// render writes each family's header and one sample per row.
+func render[R any](b *strings.Builder, fams []family[R], rows []R) {
+	for _, f := range fams {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for i := range rows {
+			labels := ""
+			if f.labels != nil {
+				labels = f.labels(&rows[i])
 			}
+			fmt.Fprintf(b, "%s%s %v\n", f.name, labels, f.val(&rows[i]))
 		}
 	}
 }
 
-// queryFamilies are the per-kind updown_query_* series of a QueryStat.
-var queryFamilies = []struct {
-	name, typ, help string
-	val             func(q *QueryStat) any
-}{
-	{"served_total", "counter", "point queries resolved per kind", func(q *QueryStat) any { return q.Served }},
-	{"shed_total", "counter", "point queries shed at admission per kind", func(q *QueryStat) any { return q.Shed }},
-	{"batches_total", "counter", "launch groups (boundaries at which queries were posted) per kind", func(q *QueryStat) any { return q.Batches }},
-	{"queued", "gauge", "waiting-room depth per kind", func(q *QueryStat) any { return q.Queued }},
-	{"inflight", "gauge", "queries seeded in engine slots and not yet harvested per kind", func(q *QueryStat) any { return q.Inflight }},
-	{"slots_busy", "gauge", "engine slots running a query per kind", func(q *QueryStat) any { return q.SlotsBusy }},
-	{"slots", "gauge", "engine slots per kind", func(q *QueryStat) any { return q.Slots }},
-	{"fused_per_batch", "gauge", "mean queries per launch group per kind", func(q *QueryStat) any { return q.FusedPerBatch }},
-	{"p50_ms", "gauge", "median query sojourn latency in simulated ms", func(q *QueryStat) any { return q.P50Ms }},
-	{"p99_ms", "gauge", "tail query sojourn latency in simulated ms", func(q *QueryStat) any { return q.P99Ms }},
+// fate is one injected-fault outcome's count.
+type fate struct {
+	name string
+	n    int64
+}
+
+var runFamilies = []family[Snapshot]{
+	{"updown_run_active", "gauge", "1 while a simulation run is executing", nil, func(s *Snapshot) any {
+		if s.Done {
+			return 0.0
+		}
+		return 1.0
+	}},
+	{"updown_sim_cycles", "gauge", "current simulated time in cycles", nil, func(s *Snapshot) any { return float64(s.SimTime) }},
+	{"updown_sim_max_cycles", "gauge", "configured simulated-time bound", nil, func(s *Snapshot) any { return float64(s.MaxTime) }},
+	{"updown_wall_seconds", "gauge", "wall seconds since the run started", nil, func(s *Snapshot) any { return float64(s.WallNanos) / 1e9 }},
+	{"updown_cycles_per_second", "gauge", "simulated cycles advanced per wall second", nil, func(s *Snapshot) any { return s.CyclesPerSec }},
+	{"updown_pending_messages", "gauge", "messages queued in the engine", nil, func(s *Snapshot) any { return float64(s.Pending) }},
+	{"updown_snapshots_total", "counter", "telemetry snapshots published", nil, func(s *Snapshot) any { return s.Seq + 1 }},
+	{"updown_windows_total", "counter", "engine window barriers / scheduler rounds", nil, func(s *Snapshot) any { return s.Windows }},
+	{"updown_events_total", "counter", "executed simulation events", nil, func(s *Snapshot) any { return s.Events }},
+	{"updown_sends_total", "counter", "messages injected into the network", nil, func(s *Snapshot) any { return s.Sends }},
+	{"updown_busy_cycles_total", "counter", "sum of actor occupancy cycles", nil, func(s *Snapshot) any { return s.BusyCycles }},
+	{"updown_dram_reads_total", "counter", "DRAM read services", nil, func(s *Snapshot) any { return s.DRAMReads }},
+	{"updown_dram_writes_total", "counter", "DRAM write services", nil, func(s *Snapshot) any { return s.DRAMWrites }},
+	{"updown_dram_bytes_total", "counter", "DRAM bytes served", nil, func(s *Snapshot) any { return s.DRAMBytes }},
+	{"updown_shuffle_msgs_total", "counter", "shuffle messages entering the inter-node network", nil, func(s *Snapshot) any { return s.ShuffleMsgs }},
+	{"updown_shuffle_tuples_total", "counter", "logical shuffle tuples emitted", nil, func(s *Snapshot) any { return s.ShuffleTuples }},
+}
+
+var faultFamilies = []family[fate]{
+	{"updown_faults_total", "counter", "injected faults by fate", func(f *fate) string { return fmt.Sprintf("{fate=%q}", f.name) }, func(f *fate) any { return f.n }},
+}
+
+var replFamilies = []family[Snapshot]{
+	{"updown_repl_fallback_reads_total", "counter", "reads served by a non-primary replica", nil, func(s *Snapshot) any { return s.Repl.FallbackReads }},
+	{"updown_repl_hints_queued", "gauge", "hinted-handoff records queued for backfill", nil, func(s *Snapshot) any { return float64(s.Repl.HintsQueued) }},
+}
+
+func nodeLabel(n *NodeStat) string { return fmt.Sprintf("{node=\"%d\"}", n.Node) }
+
+var nodeFamilies = []family[NodeStat]{
+	{"updown_node_busy_cycles_total", "counter", "cumulative busy cycles per node", nodeLabel, func(n *NodeStat) any { return n.Busy }},
+	{"updown_node_inj_backlog_cycles", "gauge", "injection-port backlog per node in cycles", nodeLabel, func(n *NodeStat) any { return n.InjBacklog }},
+}
+
+func jobLabel(j *JobStat) string { return fmt.Sprintf("{job=\"%d\",tenant=%q}", j.ID, j.Tenant) }
+
+var jobFamilies = []family[JobStat]{
+	{"updown_job_state", "gauge", "scheduler job state (1 = listed state is current)", func(j *JobStat) string {
+		return fmt.Sprintf("{job=\"%d\",tenant=%q,class=%q,state=%q}", j.ID, j.Tenant, j.Class, j.State)
+	}, func(*JobStat) any { return 1 }},
+	{"updown_job_lanes", "gauge", "lanes held by each scheduler job", jobLabel, func(j *JobStat) any { return j.Lanes }},
+	{"updown_job_busy_cycles_total", "counter", "busy cycles attributed to each scheduler job", jobLabel, func(j *JobStat) any { return j.Busy }},
+	{"updown_job_events_total", "counter", "events attributed to each scheduler job", jobLabel, func(j *JobStat) any { return j.Events }},
+	{"updown_job_dram_bytes_total", "counter", "DRAM bytes attributed to each scheduler job", jobLabel, func(j *JobStat) any { return j.DRAMBytes }},
+	{"updown_job_alloc_bytes", "gauge", "DRAM footprint allocated by each scheduler job's build phase", jobLabel, func(j *JobStat) any { return j.AllocBytes }},
+}
+
+func queryLabel(q *QueryStat) string { return fmt.Sprintf("{kind=%q}", q.Kind) }
+
+var queryFamilies = []family[QueryStat]{
+	{"updown_query_served_total", "counter", "point queries resolved per kind", queryLabel, func(q *QueryStat) any { return q.Served }},
+	{"updown_query_shed_total", "counter", "point queries shed at admission per kind", queryLabel, func(q *QueryStat) any { return q.Shed }},
+	{"updown_query_batches_total", "counter", "launch groups (boundaries at which queries were posted) per kind", queryLabel, func(q *QueryStat) any { return q.Batches }},
+	{"updown_query_queued", "gauge", "waiting-room depth per kind", queryLabel, func(q *QueryStat) any { return q.Queued }},
+	{"updown_query_inflight", "gauge", "queries seeded in engine slots and not yet harvested per kind", queryLabel, func(q *QueryStat) any { return q.Inflight }},
+	{"updown_query_slots_busy", "gauge", "engine slots running a query per kind", queryLabel, func(q *QueryStat) any { return q.SlotsBusy }},
+	{"updown_query_slots", "gauge", "engine slots per kind", queryLabel, func(q *QueryStat) any { return q.Slots }},
+	{"updown_query_fused_per_batch", "gauge", "mean queries per launch group per kind", queryLabel, func(q *QueryStat) any { return q.FusedPerBatch }},
+	{"updown_query_p50_ms", "gauge", "median query sojourn latency in simulated ms", queryLabel, func(q *QueryStat) any { return q.P50Ms }},
+	{"updown_query_p99_ms", "gauge", "tail query sojourn latency in simulated ms", queryLabel, func(q *QueryStat) any { return q.P99Ms }},
 }

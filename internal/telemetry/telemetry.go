@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"updown/internal/fault"
 	"updown/internal/metrics"
 )
 
@@ -50,7 +49,7 @@ type NodeStat struct {
 }
 
 // JobStat is one scheduler job's row in a Snapshot, filled by the
-// scheduler's Aux hook when a job scheduler is driving the machine.
+// scheduler's publish hook when a job scheduler is driving the machine.
 type JobStat struct {
 	// ID is the scheduler-assigned job number.
 	ID int `json:"id"`
@@ -70,12 +69,9 @@ type JobStat struct {
 	SubmitCycle int64 `json:"submit_cycle"`
 	StartCycle  int64 `json:"start_cycle"`
 	DoneCycle   int64 `json:"done_cycle"`
-	// Per-job attribution counters (metrics.JobTotals at the snapshot
-	// barrier).
-	Busy      int64 `json:"busy_cycles"`
-	Events    int64 `json:"events"`
-	Sends     int64 `json:"sends"`
-	DRAMBytes int64 `json:"dram_bytes"`
+	// JobTotals are the job's attribution counters at the snapshot
+	// barrier.
+	metrics.JobTotals
 	// AllocBytes is the DRAM footprint the job's build phase allocated
 	// (gasmem owner tagging; replicas included).
 	AllocBytes int64 `json:"alloc_bytes"`
@@ -83,8 +79,7 @@ type JobStat struct {
 
 // Snapshot is one immutable observation of a running simulation,
 // published at a window barrier. All counters are cumulative since the
-// engine was built (they accumulate across multi-phase Runs, matching
-// sim.Stats semantics).
+// engine was built (they accumulate across multi-phase Runs).
 type Snapshot struct {
 	// Seq increments with every published snapshot.
 	Seq int64 `json:"seq"`
@@ -104,41 +99,31 @@ type Snapshot struct {
 	// on the first snapshot.
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 
-	Events     int64 `json:"events"`
-	Sends      int64 `json:"sends"`
-	DRAMReads  int64 `json:"dram_reads"`
-	DRAMWrites int64 `json:"dram_writes"`
-	DRAMBytes  int64 `json:"dram_bytes"`
-	BusyCycles int64 `json:"busy_cycles"`
-
-	ShuffleMsgs   int64 `json:"shuffle_msgs"`
-	ShuffleTuples int64 `json:"shuffle_tuples"`
+	// Totals is the engine's counter record at the snapshot point.
+	metrics.Totals
 
 	// Pending is the number of messages queued in the engine at the
 	// snapshot point, including messages parked behind busy actors.
 	Pending int `json:"pending"`
 
-	// Faults is the cumulative injected-fault count (all-zero when fault
-	// injection is disabled).
-	Faults fault.Counts `json:"faults"`
-	// Repl is the replication-layer counter set, filled by the
-	// Publisher's Aux hook when the machine uses replicated placement.
+	// Repl is the replication-layer counter set, filled by the updown
+	// layer's publish hook when the machine uses replicated placement.
 	Repl metrics.ReplCounts `json:"repl"`
 
 	// Nodes holds one entry per machine node, indexed by node.
 	Nodes []NodeStat `json:"nodes"`
 
 	// Jobs holds one row per scheduler job (submitted so far), filled by
-	// the scheduler's Aux hook; empty for single-job runs.
+	// the scheduler's publish hook; empty for single-job runs.
 	Jobs []JobStat `json:"jobs,omitempty"`
 
 	// Queries holds one row per point-query kind, filled by the serving
-	// layer's Aux hook; empty when no query server drives the machine.
+	// layer's publish hook; empty when no query server drives the machine.
 	Queries []QueryStat `json:"queries,omitempty"`
 }
 
 // QueryStat is one query kind's serving-state row in a Snapshot, filled
-// by the serve package's Aux hook.
+// by the serve package's publish hook.
 type QueryStat struct {
 	// Kind is the point-engine kind ("bfs", "ppr").
 	Kind string `json:"kind"`
@@ -190,11 +175,6 @@ type Publisher struct {
 	// wall time; zero selects DefaultMinPeriod. Dump requests bypass the
 	// throttle (the next beat publishes immediately).
 	MinPeriod time.Duration
-	// Aux, when non-nil, enriches a snapshot just before publication;
-	// the updown layer installs it to fill Snapshot.Repl from the memory
-	// controllers. It runs in the quiesced engine context, so it may
-	// read simulation state the engine owns.
-	Aux func(*Snapshot)
 	// Dump, when non-nil, is invoked in the quiesced engine context when
 	// a dump has been requested (RequestDump, typically from a SIGUSR1
 	// handler): it may read the live metrics/trace recorders and write
@@ -202,6 +182,9 @@ type Publisher struct {
 	Dump func(*Snapshot) error
 	// Logf, when non-nil, receives diagnostics (dump errors).
 	Logf func(format string, args ...any)
+
+	// hooks enrich every snapshot before publication (OnPublish).
+	hooks []func(*Snapshot)
 
 	snap atomic.Pointer[Snapshot]
 	prof atomic.Pointer[metrics.Profile]
@@ -223,6 +206,14 @@ type Publisher struct {
 	seq      int64
 	windows  int64
 }
+
+// OnPublish adds a hook that enriches every snapshot just before
+// publication; hooks run in the order they were added. The updown layer
+// adds one filling Snapshot.Repl from the memory controllers, the job
+// scheduler and the query server one each for their rows. Hooks run in
+// the quiesced engine context, so they may read simulation state the
+// engine owns. Add them before the run starts.
+func (p *Publisher) OnPublish(fn func(*Snapshot)) { p.hooks = append(p.hooks, fn) }
 
 // BeginRun marks the start (or continuation) of a Run. The first call
 // anchors the wall clock for WallNanos.
@@ -268,7 +259,7 @@ func (p *Publisher) BarrierWanted() bool {
 	return p.stopReq.Load() || p.dumpReq.Load() > p.dumpDone.Load()
 }
 
-// Publish completes a snapshot (Aux enrichment, sequence number, rate)
+// Publish completes a snapshot (hook enrichment, sequence number, rate)
 // and exposes it via pointer swap. If a dump is pending it runs the Dump
 // callback before returning. Quiesced engine context only.
 func (p *Publisher) Publish(s *Snapshot) {
@@ -277,8 +268,8 @@ func (p *Publisher) Publish(s *Snapshot) {
 		s.WallNanos = now.Sub(p.start).Nanoseconds()
 	}
 	s.Windows = p.windows
-	if p.Aux != nil {
-		p.Aux(s)
+	for _, fn := range p.hooks {
+		fn(s)
 	}
 	if !p.prevWall.IsZero() {
 		if dt := now.Sub(p.prevWall).Seconds(); dt > 0 && s.SimTime > p.prevSim {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,11 +22,12 @@ import (
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		Seq: 3, SimTime: 40000, MaxTime: 100000, WallNanos: 2_500_000_000,
-		Windows: 120, CyclesPerSec: 16000, Events: 123456, Sends: 98765,
-		DRAMReads: 11, DRAMWrites: 7, DRAMBytes: 4096, BusyCycles: 777777,
-		ShuffleMsgs: 42, ShuffleTuples: 420, Pending: 9,
-		Faults: fault.Counts{Dropped: 5, Dupped: 2, Delayed: 1, DeadLetters: 3, Failovers: 1, Stalled: 4},
-		Repl:   metrics.ReplCounts{FallbackReads: 371, HintsQueued: 48},
+		Windows: 120, CyclesPerSec: 16000, Pending: 9,
+		Totals: metrics.Totals{Events: 123456, Sends: 98765,
+			DRAMReads: 11, DRAMWrites: 7, DRAMBytes: 4096, BusyCycles: 777777,
+			ShuffleMsgs: 42, ShuffleTuples: 420,
+			Faults: fault.Counts{Dropped: 5, Dupped: 2, Delayed: 1, DeadLetters: 3, Failovers: 1, Stalled: 4}},
+		Repl: metrics.ReplCounts{FallbackReads: 371, HintsQueued: 48},
 		Nodes: []NodeStat{
 			{Node: 0, Busy: 1000, InjBacklog: 12},
 			{Node: 1, Busy: 900},
@@ -33,10 +35,10 @@ func sampleSnapshot() *Snapshot {
 		Jobs: []JobStat{
 			{ID: 0, Name: "bfs-a", Tenant: "acme", Class: "batch", State: "done",
 				FirstLane: 0, Lanes: 64, SubmitCycle: 0, StartCycle: 1, DoneCycle: 30000,
-				Busy: 5000, Events: 600, Sends: 500, DRAMBytes: 2048, AllocBytes: 65536},
+				JobTotals: metrics.JobTotals{Busy: 5000, Events: 600, Sends: 500, DRAMBytes: 2048}, AllocBytes: 65536},
 			{ID: 1, Name: "pr-b", Tenant: "globex", Class: "interactive", State: "running",
 				FirstLane: 64, Lanes: 64, SubmitCycle: 100, StartCycle: 200, DoneCycle: -1,
-				Busy: 3000, Events: 400, Sends: 300, DRAMBytes: 1024, AllocBytes: 32768},
+				JobTotals: metrics.JobTotals{Busy: 3000, Events: 400, Sends: 300, DRAMBytes: 1024}, AllocBytes: 32768},
 		},
 		Queries: []QueryStat{
 			{Kind: "bfs", Served: 1200000, Shed: 3, Queued: 5, Inflight: 7, SlotsBusy: 6, Slots: 8,
@@ -197,6 +199,21 @@ func TestWritePromDecodes(t *testing.T) {
 	}
 }
 
+// TestWritePromGolden requires the exposition byte for byte: the sample
+// snapshot, then a nil one.
+func TestWritePromGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "prom.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	WriteProm(&b, sampleSnapshot())
+	WriteProm(&b, nil)
+	if b.String() != string(want) {
+		t.Fatalf("WriteProm differs from testdata/prom.txt; got:\n%s", b.String())
+	}
+}
+
 func TestWritePromNilSnapshot(t *testing.T) {
 	var b strings.Builder
 	WriteProm(&b, nil)
@@ -343,6 +360,16 @@ func TestServerHandlers(t *testing.T) {
 	var st map[string]any
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/status is not JSON: %v\n%s", err, body)
+	}
+	var keys []string
+	for k := range st {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "busy_cycles cycles_per_sec done dram_bytes dram_reads dram_writes "+
+		"eta_seconds events faults jobs max_time nodes pending progress_pct queries repl running sends seq "+
+		"shuffle_msgs shuffle_tuples sim_time wall_nanos wall_seconds windows"; got != want {
+		t.Errorf("/status keys:\n got %s\nwant %s", got, want)
 	}
 	if st["running"] != true {
 		t.Errorf("/status running = %v, want true", st["running"])

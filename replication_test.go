@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/arch"
+	"updown/internal/fault"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
 	"updown/internal/metrics"
+	"updown/internal/telemetry"
 	"updown/internal/udweave"
 )
 
@@ -166,5 +169,55 @@ func TestCheckpointNotQuiescent(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "lane") {
 		t.Errorf("error does not name the lane: %v", err)
+	}
+}
+
+// TestReplFoldedByRunUntil drives a replicated BFS through a data node's
+// fail-stop with Machine.RunUntil in 4,096-cycle steps, once observed by
+// a telemetry publisher and once not. The machine folds the replication
+// counters itself at every step, so the profile's repl numbers must not
+// depend on the observer and must equal the controllers' sum.
+func TestReplFoldedByRunUntil(t *testing.T) {
+	g := graph.FromEdges(1<<10, graph.DefaultRMAT(10, 42), graph.BuildOptions{
+		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	run := func(pub *telemetry.Publisher) (metrics.ReplCounts, int64) {
+		ar := arch.DefaultMachine(5)
+		m, err := updown.New(updown.Config{Arch: &ar, Shards: 2, MaxTime: 1 << 40, Replication: 2,
+			Fault:      &fault.Plan{Seed: 1, FailStops: []fault.FailStop{{Node: 3, At: 20000}}},
+			Resilience: &kvmsr.Resilience{}, Metrics: &metrics.Options{}, Telemetry: pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 256), graph.Placement{NRNodes: 4, BlockBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := bfs.New(m, dg, bfs.Config{Root: 28, Lanes: kvmsr.LaneSet{Count: 2 * ar.LanesPerNode()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.InitValues()
+		app.Post()
+		for at := updown.Cycles(4096); m.Engine.Pending() > 0; at += 4096 {
+			if _, err := m.RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, done := app.Finished(); !done {
+			t.Fatal("BFS did not finish")
+		}
+		var fallback int64
+		for _, c := range m.Ctrls {
+			fallback += c.FallbackReads
+		}
+		return m.Metrics.Profile().Repl, fallback
+	}
+	plain, sum := run(nil)
+	observed, _ := run(&telemetry.Publisher{MinPeriod: time.Nanosecond})
+	if plain != observed {
+		t.Errorf("Profile().Repl = %+v without telemetry, %+v with it", plain, observed)
+	}
+	if sum == 0 || plain.FallbackReads != sum {
+		t.Errorf("Profile().Repl.FallbackReads = %d, controllers served %d (want equal, > 0)", plain.FallbackReads, sum)
 	}
 }

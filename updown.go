@@ -159,8 +159,8 @@ type Machine struct {
 	// their KVMSR specs; nil means one shuffle message per tuple.
 	Coalesce *kvmsr.Coalesce
 	// Telemetry echoes Config.Telemetry so layers above the machine (the
-	// job scheduler) can chain their own Aux snapshot enrichment onto the
-	// one installed by New; nil when the live plane is disabled.
+	// job scheduler, the query server) can add their own publish hooks
+	// after the one New adds; nil when the live plane is disabled.
 	Telemetry *telemetry.Publisher
 }
 
@@ -244,35 +244,32 @@ func New(cfg Config) (*Machine, error) {
 			gas.SetFailStop(fs.Node, int64(fs.At))
 		}
 	}
-	ctrls := dram.Install(eng, gas)
-	if cfg.Telemetry != nil {
-		// Aux runs in the quiesced engine context at snapshot publication,
-		// so reading the controllers' replication counters is race-free.
-		// Folding them into the recorder too keeps mid-run partial
-		// profiles coherent; Machine.Run re-observes the final values, so
-		// post-run profiles are unchanged by telemetry.
-		cfg.Telemetry.Aux = func(s *telemetry.Snapshot) {
-			c := replCounts(ctrls)
-			s.Repl = c
-			if rec != nil {
-				rec.ObserveRepl(c)
-			}
-		}
-	}
-	return &Machine{Arch: a, Engine: eng, GAS: gas, Prog: prog, Ctrls: ctrls,
+	m := &Machine{Arch: a, Engine: eng, GAS: gas, Prog: prog, Ctrls: dram.Install(eng, gas),
 		Metrics: rec, Trace: tr, Resilience: cfg.Resilience, Coalesce: cfg.Coalesce,
-		Telemetry: cfg.Telemetry}, nil
+		Telemetry: cfg.Telemetry}
+	if cfg.Telemetry != nil {
+		// The hook runs in the quiesced engine context at snapshot
+		// publication, so reading the controllers is race-free; the fold
+		// keeps mid-run partial profiles coherent.
+		cfg.Telemetry.OnPublish(func(s *telemetry.Snapshot) { s.Repl = m.foldRepl() })
+	}
+	return m, nil
 }
 
-// replCounts sums the replication-layer counters across the machine's
-// memory controllers: fall-over reads served and hinted-handoff records
-// still queued (Backfill drains the latter to zero). All-zero for
-// unreplicated machines.
-func replCounts(ctrls []*dram.Controller) metrics.ReplCounts {
+// foldRepl sums the replication-layer counters across the machine's
+// memory controllers — fall-over reads served and hinted-handoff records
+// still queued (Backfill drains the latter to zero); all-zero for
+// unreplicated machines — and folds them into the metrics recorder. Run,
+// RunUntil and the telemetry hook call it, so a profile's repl: line
+// does not depend on how the run was driven or observed.
+func (m *Machine) foldRepl() metrics.ReplCounts {
 	var c metrics.ReplCounts
-	for _, ctrl := range ctrls {
+	for _, ctrl := range m.Ctrls {
 		c.FallbackReads += ctrl.FallbackReads
 		c.HintsQueued += int64(ctrl.Hints())
+	}
+	if m.Metrics != nil {
+		m.Metrics.ObserveRepl(c)
 	}
 	return c
 }
@@ -357,14 +354,11 @@ func (d *Driver) TerminationTotals() kvmsr.TerminationTotals {
 // zero for a healthy run; leak detection for the chaos harness).
 func (d *Driver) Outstanding() int { return d.Shuffle.Outstanding(d.M.LanePeek()) }
 
-// Run simulates to quiescence. After the run the replication-layer
-// counters are folded into the metrics recorder so profiles surface
-// them (WriteText "repl:" line, Summary.FallbackReads/HintsQueued).
+// Run simulates to quiescence, then folds the replication-layer
+// counters into the metrics recorder (Profile.Repl, the "repl:" line).
 func (m *Machine) Run() (Stats, error) {
 	stats, err := m.Engine.Run()
-	if m.Metrics != nil {
-		m.Metrics.ObserveRepl(replCounts(m.Ctrls))
-	}
+	m.foldRepl()
 	return stats, err
 }
 
