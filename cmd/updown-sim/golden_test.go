@@ -18,7 +18,12 @@ import (
 // stayed node-local, and now prints no ratio; the bfs cases' timing lines
 // (and the resilient case's timer-driven event count) moved when the
 // frontier segments moved onto their accelerators' nodes, with the same
-// checksums; the -profile case gained its "busiest lane:" line.
+// checksums; the -profile case gained its "busiest lane:" line. Every
+// timing line moved once more when each node began draining its own lanes
+// and the tree's roles left the accelerators' first lanes: the
+// termination line names master probes and node drains, and the three pr
+// checksums moved with the order of PageRank's float sums, which follows
+// reduce order (bfs and tc kept theirs).
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

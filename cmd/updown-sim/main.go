@@ -16,8 +16,10 @@
 // Observability: -profile prints the per-node utilization report and
 // per-kind breakdown (with each kind's cross-node share) after the run, for
 // the graph apps one "termination:" line with the KVMSR termination
-// protocol's counters (launches, drain probes, pushed deltas), and for pr
-// one "phases:" line per iteration (map+reduce, flush, apply cycles), and
+// protocol's counters (launches, master probes, node drains, pushed
+// deltas), for pr one "phases:" line per iteration (map+reduce, flush,
+// apply cycles), for bfs one "rounds:" line (each round's cycles from
+// launch to completion and its tuples), and
 // one "scratchpad:" line naming the lane whose slots hold the most bytes;
 // -trace out.json exports a Chrome trace_event file loadable in Perfetto
 // (ui.perfetto.dev), one process per node with counter tracks for lane
@@ -284,9 +286,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if code == 0 {
 			fmt.Fprintln(stdout, j.Summary())
 			resTotals, termTotals = j.ResilienceTotals(), j.TerminationTotals()
-			if *profile && j.Phases != nil {
-				for i, d := range j.Phases() {
-					fmt.Fprintf(stdout, "phases: iter %d map+reduce=%d flush=%d apply=%d cycles\n", i+1, d[0], d[1], d[2])
+			if *profile && j.Profile != nil {
+				for _, line := range j.Profile() {
+					fmt.Fprintln(stdout, line)
 				}
 			}
 			if *checksum {
@@ -327,8 +329,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			resTotals.Emits, resTotals.Retries, resTotals.DupDrops, resTotals.Acks, resTotals.Rekicks)
 	}
 	if *profile && termTotals.Launches > 0 {
-		fmt.Fprintf(stdout, "termination: launches=%d probes=%d zero-probe=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
-			termTotals.Launches, termTotals.Probes, termTotals.ZeroProbe,
+		fmt.Fprintf(stdout, "termination: launches=%d master-probes=%d node-drains=%d at-map-done=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
+			termTotals.Launches, termTotals.Probes, termTotals.NodeDrains, termTotals.AtMapDone,
 			termTotals.DeltaMsgs, termTotals.DeltaReduces, termTotals.Pushes)
 	}
 	if sum != nil {

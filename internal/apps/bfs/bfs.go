@@ -72,6 +72,15 @@ type App struct {
 	// Traversed counts edges explored across all rounds (the GTEPS
 	// numerator).
 	Traversed uint64
+	// RoundLog records every round, launch to completion.
+	RoundLog []Round
+}
+
+// Round is one round's record: the cycles at which the driver launched it
+// and heard it complete, and the tuples it emitted.
+type Round struct {
+	Launch, Done updown.Cycles
+	Tuples       uint64
 }
 
 type driverState struct {
@@ -215,11 +224,12 @@ func (a *App) driver(c *updown.Ctx) {
 		c.SendEvent(udweave.EvwNew(a.cfg.Lanes.First, a.lSeedCount), c.ContinueTo(a.Label), members)
 	case "seedc":
 		st.phase = "round"
-		a.roundPhase(c, st.round)
-		a.Shuffle.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.Label))
+		a.launch(c, st.round)
 	case "round":
 		a.Rounds++
 		a.Traversed += c.Op(0)
+		r := &a.RoundLog[len(a.RoundLog)-1]
+		r.Done, r.Tuples = c.Now(), c.Op(0)
 		if c.Op(0) == 0 {
 			// No edges explored this round: the search is complete.
 			a.Done = c.Now()
@@ -228,17 +238,19 @@ func (a *App) driver(c *updown.Ctx) {
 			return
 		}
 		st.round++
-		a.roundPhase(c, st.round)
-		a.Shuffle.LaunchWithArg(c, uint64(a.f.Accels()), st.round, c.ContinueTo(a.Label))
+		a.launch(c, st.round)
 	}
 }
 
-// roundPhase annotates the program-phase trace track with the frontier
-// level (tracing only; the name is built only when spans are recorded).
-func (a *App) roundPhase(c *updown.Ctx, round uint64) {
+// launch starts a round and opens its record. It annotates the
+// program-phase trace track with the frontier level (tracing only; the
+// name is built only when spans are recorded).
+func (a *App) launch(c *updown.Ctx, round uint64) {
 	if c.Tracing() {
 		c.Phase(fmt.Sprintf("bfs round %d", round))
 	}
+	a.RoundLog = append(a.RoundLog, Round{Launch: c.Now()})
+	a.Shuffle.LaunchWithArg(c, uint64(a.f.Accels()), round, c.ContinueTo(a.Label))
 }
 
 // visitedSet returns the executing lane's visited set.

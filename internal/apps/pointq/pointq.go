@@ -47,9 +47,9 @@ type Config struct {
 	Lanes kvmsr.LaneSet
 	// Slots is the number of concurrent queries (default: one per
 	// accelerator, floor one). Each slot registers its own KVMSR
-	// invocation — 17 event labels, 19 under the coalescing shuffle, 4
+	// invocation — 16 event labels, 18 under the coalescing shuffle, 4
 	// more under the resilient one — so the 12-bit label space caps it: a
-	// BFS and a PPR engine on one machine fit 119 slots each (106
+	// BFS and a PPR engine on one machine fit 126 slots each (112
 	// coalescing). Past that, or with fewer lanes than slots, New returns
 	// ErrTooManySlots.
 	Slots int

@@ -30,7 +30,11 @@ type slotGold struct {
 // events 122,464 -> 72,759), and once more when neighbor lists moved to
 // their vertex block's node (this graph's records fit one block, so node 0
 // now serves every list read: BFS final time 139,075 -> 147,626, PPR
-// 1,408,538 -> 1,431,979). Any later refactor must leave the simulated
+// 1,408,538 -> 1,431,979), and once more when each node began draining
+// its own lanes and the tree's roles left the slices' first lanes (slots
+// resolve sooner, a chain's trailing empty round costs a drain per node:
+// BFS final time 147,626 -> 146,598 with events 72,764 -> 89,381, PPR
+// 1,431,979 -> 1,417,918). Any later refactor must leave the simulated
 // timeline of both kernels exactly in place.
 var kernels = []struct {
 	name  string
@@ -47,9 +51,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{2, 2186, 5775}, {2, 2231, 5750}, {3, 15527, 25931}, {0, 146259, 147625}},
-		stats: sim.Stats{Events: 72764, Sends: 72760, DRAMReads: 1716, DRAMWrites: 6679,
-			DRAMBytes: 160840, BusyCycles: 702125, FinalTime: 147626},
+		slots: [4]slotGold{{2, 1593, 6359}, {2, 1638, 6387}, {3, 14108, 25890}, {0, 143511, 146597}},
+		stats: sim.Stats{Events: 89381, Sends: 89377, DRAMReads: 1716, DRAMWrites: 6679,
+			DRAMBytes: 160840, BusyCycles: 843638, FinalTime: 146598},
 	},
 	{
 		name: "ppr",
@@ -60,9 +64,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{29786887349, 407294, 407610}, {4055503735, 411372, 411688}, {7974059777, 1354288, 1354604}, {0, 1431662, 1431978}},
-		stats: sim.Stats{Events: 1736143, Sends: 1736139, DRAMReads: 97531, DRAMWrites: 401380,
-			DRAMBytes: 10280464, BusyCycles: 12754570, FinalTime: 1431979},
+		slots: [4]slotGold{{29786887349, 395255, 396453}, {4055503735, 399240, 400438}, {7974059777, 1342522, 1343720}, {0, 1416719, 1417917}},
+		stats: sim.Stats{Events: 1752571, Sends: 1752567, DRAMReads: 97531, DRAMWrites: 401380,
+			DRAMBytes: 10280464, BusyCycles: 12894306, FinalTime: 1417918},
 	},
 }
 

@@ -55,10 +55,11 @@ func (o appOutput) words() []uint64 {
 // read. It is a sched.Workload.
 type GraphJob struct {
 	*updown.Driver
-	// Summary is updown-sim's result line. Phases, set for PageRank only,
-	// splits Elapsed into each iteration's map+reduce, flush and apply.
+	// Summary is updown-sim's result line; Profile, when set, the lines
+	// its -profile adds: PageRank's split of each iteration into
+	// map+reduce, flush and apply, and BFS's rounds.
 	Summary func() string
-	Phases  func() [][3]updown.Cycles
+	Profile func() []string
 	output  func() appOutput
 }
 
@@ -124,7 +125,13 @@ var prApp = &GraphApp{
 		a.InitValues()
 		// One update per edge per iteration; splitting keeps every edge.
 		updates := dg.G.NumEdges() * uint64(c.Iters)
-		return &GraphJob{Driver: &a.Driver, Phases: a.PhaseDurations,
+		return &GraphJob{Driver: &a.Driver,
+			Profile: func() (lines []string) {
+				for i, d := range a.PhaseDurations() {
+					lines = append(lines, fmt.Sprintf("phases: iter %d map+reduce=%d flush=%d apply=%d cycles", i+1, d[0], d[1], d[2]))
+				}
+				return lines
+			},
 			Summary: func() string {
 				return fmt.Sprintf("updates: %d (%.4f GUPS)", updates, float64(updates)/m.Seconds(a.Elapsed())/1e9)
 			},
@@ -153,6 +160,13 @@ var bfsApp = &GraphApp{
 			Summary: func() string {
 				return fmt.Sprintf("rounds: %d, traversed edges: %d (%.4f GTEPS)",
 					a.Rounds, a.Traversed, float64(a.Traversed)/m.Seconds(a.Elapsed())/1e9)
+			},
+			Profile: func() []string {
+				line := "rounds: cycles/tuples"
+				for _, r := range a.RoundLog {
+					line += fmt.Sprintf(" %d/%d", r.Done-r.Launch, r.Tuples)
+				}
+				return []string{line}
 			},
 			output: func() appOutput {
 				return appOutput{dist: a.Distances(), parents: a.Parents(), rounds: a.Rounds, work: float64(a.Traversed)}

@@ -43,7 +43,7 @@ type FigServeOptions struct {
 	FuseWindow updown.Cycles
 	// Slots is each point engine's concurrent-query capacity (0 = engine
 	// default: one slot per accelerator's worth of lanes). More than the
-	// lanes or the event-label space allow (pointq.Config.Slots: 119 on
+	// lanes or the event-label space allow (pointq.Config.Slots: 126 on
 	// the default machine) is ErrBadOption.
 	Slots int
 	// QueueCap bounds each kind's waiting room (default 64).

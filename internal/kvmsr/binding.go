@@ -45,16 +45,16 @@ func (ls LaneSet) Validate(m arch.Machine) error {
 // Tree geometry: KVMSR organizes the lane set hierarchically
 // (master -> node masters -> accelerator masters -> lanes) so that
 // broadcast and reduction avoid serializing hundreds of thousands of sends
-// at one lane. One rule places every role: the role at a level is held by
-// the first lane of its unit — the set's lanes on one lane, one
-// accelerator, one node, or the whole set. A role's parent holds the unit
-// one level up that contains it; its children hold the units one level
-// down that it contains. All of it is a pure function of (machine, set),
-// so every participant derives its role, parent and children locally
-// without any metadata traffic.
+// at one lane. Two rules place every role: unit gives the set's lanes in
+// the role's unit (one lane, one accelerator, one node, or the whole set)
+// and holder the lane of the unit that holds the role. A role's parent
+// holds the unit one level up that contains it; its children hold the
+// units one level down that it contains. All of it is a pure function of
+// (machine, set), so every participant derives its role, parent and
+// children locally without any metadata traffic.
 
 // unit returns the set's lanes [lo, hi) in the unit at level that contains
-// lane; lo holds the unit's role.
+// lane.
 func (ls LaneSet) unit(m arch.Machine, level uint64, lane arch.NetworkID) (lo, hi arch.NetworkID) {
 	size := 1
 	switch level {
@@ -66,6 +66,28 @@ func (ls LaneSet) unit(m arch.Machine, level uint64, lane arch.NetworkID) (lo, h
 		return ls.First, ls.End()
 	}
 	return ls.clip(int(lane)-int(lane)%size, size)
+}
+
+// holder returns the lane that holds the role of the unit [lo, hi) at
+// level, keeping the roles off the lanes that do the work: an accelerator's
+// goes on its last lane, a node's on the highest lane that holds no other
+// role and is no accelerator's first lane (where a Stride{LanesPerAccel}
+// map task runs), or on lo if there is none. The master stays on the set's
+// first lane, where launches are addressed.
+func (ls LaneSet) holder(m arch.Machine, level uint64, lo, hi arch.NetworkID) arch.NetworkID {
+	switch level {
+	case levelAccel:
+		return hi - 1
+	case levelNode:
+		for b := hi; b > lo; {
+			a, _ := ls.unit(m, levelAccel, b-1)
+			if c := b - 2; c >= a && int(c)%m.LanesPerAccel != 0 && c != ls.First {
+				return c
+			}
+			b = a
+		}
+	}
+	return lo
 }
 
 // clip returns the set's lanes among the size lanes from lo.

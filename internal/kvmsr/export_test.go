@@ -28,7 +28,7 @@ func (v *Invocation) PushesForTest(peek func(arch.NetworkID) any, lane arch.Netw
 	var n uint64
 	eachLane(v, peek, v.slot, func(l arch.NetworkID, st *laneState) {
 		if l == lane {
-			n = st.pushes
+			n = st.term.Pushes
 		}
 	})
 	return n

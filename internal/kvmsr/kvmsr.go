@@ -17,11 +17,11 @@
 // exactly the overheads the paper's strong-scaling curves include.
 //
 // Termination detection is event-driven, not polled: reduce counts reach
-// the master as deltas (with the map-completion tree, with at most one
-// drain broadcast per launch, and pushed by the lanes themselves once they
-// have answered that broadcast), and the launch completes on the message that
-// makes the master's sum equal the emit count. See "termination detection"
-// below and DESIGN.md "Termination".
+// the master as deltas (with the map-completion tree, which each node holds
+// back until a drain probe over its own lanes has answered, and pushed by
+// the lanes themselves once they have answered it), and the launch
+// completes on the message that makes the master's sum equal the emit
+// count. See "termination detection" below and DESIGN.md "Termination".
 //
 // Contract for user events:
 //
@@ -62,14 +62,9 @@ const (
 	ownerEmitCycles    = 3
 )
 
-// probeRetryDelay is the period of the straggler detector's re-probe clock.
-// Only Spec.Resilience arms it: the classic and coalescing shuffles cannot
-// lose a tuple, so their termination detection needs no timer.
-const probeRetryDelay = 500
-
 // Tree levels, leaf first: the master -> node masters -> accelerator
-// masters -> lanes tree has one role per level and unit (see LaneSet.unit;
-// one lane may hold all four). The probe, push and delta labels each serve
+// masters -> lanes tree has one role per level and unit (see LaneSet.unit
+// and LaneSet.holder). The probe, push, delta and rekick labels each serve
 // every role; operand 0 of their messages names the role addressed.
 const (
 	levelLane uint64 = iota
@@ -175,23 +170,19 @@ type laneState struct {
 	// started and reduced count kv_reduce tasks entered (the reduce
 	// wrapper) and finished (ReduceDone) on this lane; reported is how
 	// much of reduced the lane has told its accelerator master.
-	// replyOwed is set while the drain probe has reached the lane but
-	// found reduces in progress: the counted reply goes out when the
-	// lane is next reduce-idle. In report mode (from that reply until
-	// the next lane_start) the lane pushes reduced-reported itself
-	// whenever it goes reduce-idle; pushes counts the delta messages it
-	// sent that way.
+	// replyOwed is set while its node's drain probe has reached the lane
+	// but found reduces in progress: the counted reply goes out when the
+	// lane is next reduce-idle. In report mode (from that reply until the
+	// next lane_start) the lane pushes reduced-reported itself, pushLinger
+	// cycles after it goes reduce-idle.
 	started    uint64
 	reduced    uint64
 	reported   uint64
 	replyOwed  bool
 	reportMode bool
-	pushes     uint64
 	// handed caches the lane's FirstWins table slot from its first
-	// hand-off; retired counts the tuples it retired against the table,
-	// each also a started and reduced task.
-	handed  *handedTable
-	retired uint64
+	// hand-off.
+	handed *handedTable
 	// mapActive tracks the open map-window span (tracing only): the
 	// window from the lane's first in-flight map task to its lane-done
 	// report.
@@ -215,22 +206,17 @@ type laneState struct {
 	roles [levelMaster + 1]role
 
 	// invocation-master role: cont is the launch's completion continuation;
-	// draining is set from map-done to completion, probeOut while a
-	// counted drain probe is in the tree.
+	// draining is set from map-done to completion.
 	cont     uint64
 	prevEmit uint64
 	poolNext uint64
 	poolEnd  uint64
 	draining bool
-	probeOut bool
-	// lastProbeSum/noProgress drive the straggler detector (Resilience
-	// only): consecutive drain probes that return with the same short R
-	// mean outstanding shuffle work is stuck, so the master re-kicks lanes.
-	lastProbeSum uint64
-	noProgress   int
-	// term counts the protocol's work; term.Launches also numbers the
-	// launches, pairing the per-launch phase spans (tracing) and tagging
-	// the straggler clock.
+	// lastR is R at the straggler clock's last tick (Resilience only).
+	lastR uint64
+	// term counts the protocol's work on this lane; at the master
+	// term.Launches also numbers the launches, pairing the per-launch phase
+	// spans (tracing) and tagging the straggler clock.
 	term TerminationTotals
 }
 
@@ -238,8 +224,9 @@ type laneState struct {
 // of which have reported, with the sums of what they reported. The map-done
 // pass (emits and the reduce deltas riding with them) and the drain probe's
 // replies (reduce deltas) share it: a probe starts only after every child
-// has reported map-done. At the master emit is E, the cumulative emit count
-// (exact once every node has reported map-done), and red is R, the sum of
+// has reported map-done. At a node red keeps summing through its drain, so
+// node_done carries both; at the master emit is E, the cumulative emit
+// count (exact once every node has reported), and red is R, the sum of
 // every reduce-count delta the master has been told.
 type role struct {
 	expect, done int
@@ -257,10 +244,10 @@ type Invocation struct {
 
 	// Internal event labels. lStart[level] starts the role at level;
 	// lDone[level] and lReply[level] carry the role's map-done report and
-	// probe reply to its parent.
+	// probe reply to its parent (a node's drained map-done is its reply).
 	lStart     [levelMaster + 1]udweave.Label
 	lDone      [levelMaster]udweave.Label
-	lReply     [levelMaster]udweave.Label
+	lReply     [levelNode]udweave.Label
 	lMapReturn udweave.Label
 	lProbe     udweave.Label
 	lMoreWork  udweave.Label
@@ -293,6 +280,10 @@ type Invocation struct {
 	// emitCycles is what routing one tuple charges: the reduce binding's
 	// arithmetic and the send set-up.
 	emitCycles int
+	// pushLinger is how long a lane in report mode waits after going
+	// reduce-idle before it pushes: a quarter of a cross-node hop, so the
+	// next few tuples of a trickle ride the same delta.
+	pushLinger arch.Cycles
 
 	// Precomputed span names (tracing): per-emit instants, per-lane map
 	// windows, and per-launch master phases.
@@ -332,7 +323,8 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 				s.Name, o.home.FirstNode, o.home.FirstNode+o.home.NRNodes, s.Lanes.firstNode(p.M), s.Lanes.lastNode(p.M)+1)
 		}
 	}
-	v := &Invocation{p: p, s: s, slot: udweave.NewSlot[laneState](p), lpn: p.M.LanesPerNode(), emitCycles: 4}
+	v := &Invocation{p: p, s: s, slot: udweave.NewSlot[laneState](p), lpn: p.M.LanesPerNode(), emitCycles: 4,
+		pushLinger: p.M.LatCrossNode / 4}
 	if s.FirstWins {
 		v.fwslot = udweave.NewSlot[handedTable](p)
 	}
@@ -351,7 +343,6 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	v.lProbe = p.Define(n+".probe", v.probe)
 	v.lReply[levelLane] = p.Define(n+".reply_accel", v.reply(levelAccel))
 	v.lReply[levelAccel] = p.Define(n+".reply_node", v.reply(levelNode))
-	v.lReply[levelNode] = p.Define(n+".reply_master", v.reply(levelMaster))
 	v.lMoreWork = p.Define(n+".more_work", v.moreWork)
 	v.lGrant = p.Define(n+".grant", v.grant)
 	v.lPush = p.Define(n+".push", v.push)
@@ -395,7 +386,7 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 // a caller building many invocations checks against Program.FreeLabels
 // before defining any of them.
 func (s Spec) Labels() int {
-	n := 16
+	n := 15
 	if s.ReduceEvent == 0 {
 		return n
 	}
@@ -567,12 +558,12 @@ func (v *Invocation) Return(c *udweave.Ctx, mapCont uint64) {
 	c.SendEvent(mapCont, udweave.IGNRCONT)
 }
 
-// ReduceDone signals that one kv_reduce task has completed. On a lane the
-// drain probe has reached, the completion that leaves no reduce task in
-// progress arms the lane's push, so late reduces reach the master without
-// being asked for again: at most one message per reduce-idle transition,
-// and a backlogged lane batches — the push event queues behind the reduces
-// already waiting in the lane's FIFO and reports all of them at once.
+// ReduceDone signals that one kv_reduce task has completed. On a lane its
+// node's drain probe has reached, the completion that leaves no reduce task
+// in progress arms the lane's push, so late reduces reach the master
+// without being asked for again: at most one message per reduce-idle
+// transition, and a lane batches — the push fires pushLinger cycles later
+// and reports every reduce finished by then at once.
 func (v *Invocation) ReduceDone(c *udweave.Ctx) { v.reduceDone(c, v.st(c)) }
 
 func (v *Invocation) reduceDone(c *udweave.Ctx, st *laneState) {
@@ -614,7 +605,7 @@ func (v *Invocation) handOff(c *udweave.Ctx, st *laneState, key uint64) bool {
 	slot := &st.handed[prng.Mix64(key)>>(64-handedBits)]
 	if *slot == uint32(key+1) {
 		st.started++
-		st.retired++
+		st.term.Retired++
 		v.reduceDone(c, st)
 		return false
 	}
@@ -637,16 +628,17 @@ func (v *Invocation) Flush(c *udweave.Ctx) {
 
 // fanOut sends label with ops from the role at level, held by the executing
 // lane, to each of its children one level down, in lane order, and returns
-// their number. It charges base cycles and 2 per child. Both broadcasts of a
-// launch use it: the start and the drain probe.
+// their number. It charges base cycles and 2 per child. Every broadcast
+// uses it: the start, a node's drain probe and the straggler re-kick.
 func (v *Invocation) fanOut(c *udweave.Ctx, level uint64, base int, label udweave.Label, ops ...uint64) int {
 	m, n := v.p.M, 0
 	lo, hi := v.s.Lanes.unit(m, level, c.NetworkID())
 	c.Cycles(base)
-	for child := lo; child < hi; _, child = v.s.Lanes.unit(m, level-1, child) {
+	for child := lo; child < hi; n++ {
+		clo, chi := v.s.Lanes.unit(m, level-1, child)
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(child, label), udweave.IGNRCONT, ops...)
-		n++
+		c.SendEvent(udweave.EvwNew(v.s.Lanes.holder(m, level-1, clo, chi), label), udweave.IGNRCONT, ops...)
+		child = chi
 	}
 	return n
 }
@@ -654,8 +646,8 @@ func (v *Invocation) fanOut(c *udweave.Ctx, level uint64, base int, label udweav
 // parent returns the lane holding the role one level up from the role at
 // level that self holds.
 func (v *Invocation) parent(level uint64, self arch.NetworkID) arch.NetworkID {
-	lo, _ := v.s.Lanes.unit(v.p.M, level+1, self)
-	return lo
+	lo, hi := v.s.Lanes.unit(v.p.M, level+1, self)
+	return v.s.Lanes.holder(v.p.M, level+1, lo, hi)
 }
 
 func (v *Invocation) masterStart(c *udweave.Ctx) {
@@ -674,8 +666,6 @@ func (v *Invocation) masterStart(c *udweave.Ctx) {
 	r.done, r.emit = 0, 0
 	st.poolNext = v.s.MapBinding.poolStart(v.s.Lanes.Count, numKeys)
 	st.poolEnd = numKeys
-	st.lastProbeSum = 0
-	st.noProgress = 0
 	st.term.Launches++
 	c.TaskBegin(v.namePhaseMap, st.term.Launches)
 	r.expect = v.fanOut(c, levelMaster, 10, v.lStart[levelNode], numKeys, arg)
@@ -810,8 +800,8 @@ func (v *Invocation) grant(c *udweave.Ctx) {
 
 // done returns the map-done handler of the role at level: it counts one
 // child's report into the role's convergecast and, on the last child's,
-// reports the role's sums to its parent or, at the master, ends the map
-// phase.
+// reports the role's sums to its parent — a node first drains its lanes
+// (see drain) — or, at the master, ends the map phase.
 func (v *Invocation) done(level uint64) udweave.Handler {
 	return func(c *udweave.Ctx) {
 		st := v.st(c)
@@ -820,39 +810,45 @@ func (v *Invocation) done(level uint64) udweave.Handler {
 		r.emit += c.Op(0)
 		r.red += c.Op(1)
 		c.Cycles(3)
-		if r.done == r.expect {
-			if level == levelMaster {
-				v.mapDone(c, st)
-			} else {
-				c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDone[level]), udweave.IGNRCONT, r.emit, r.red)
-			}
+		switch {
+		case r.done < r.expect:
+		case level == levelMaster:
+			v.mapDone(c, st)
+		case level == levelNode && v.s.ReduceEvent != 0:
+			v.drain(c, st)
+		default:
+			v.report(c, level, r)
 		}
 		c.YieldTerminate()
 	}
 }
 
-// mapDone runs at the master once every node has reported map-done: all
-// map tasks have returned and E is exact. With no reduce phase, or when the
-// reduce counts that rode up with the done messages already match it, the
-// launch is complete without a probe; otherwise drain.
+// report sends the role's map-done sums to its parent.
+func (v *Invocation) report(c *udweave.Ctx, level uint64, r *role) {
+	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDone[level]), udweave.IGNRCONT, r.emit, r.red)
+}
+
+// mapDone runs at the master once every node has reported map-done and
+// drained: E is exact and every lane is in report mode. With no reduce
+// phase, or when the counts that rode up already match E, the launch is
+// complete; otherwise the push that makes R == E completes it.
 func (v *Invocation) mapDone(c *udweave.Ctx, st *laneState) {
 	c.TaskEnd(v.namePhaseMap, st.term.Launches)
 	if v.s.ReduceEvent != 0 {
 		st.draining = true
 		c.TaskBegin(v.namePhaseDrain, st.term.Launches)
 	}
-	if v.drained(st) {
-		st.term.ZeroProbe++
+	switch {
+	case v.drained(st):
+		st.term.AtMapDone++
 		v.complete(c, st)
-	} else {
-		v.sendProbe(c, st)
+	case v.res != nil:
+		st.lastR = st.roles[levelMaster].red
+		v.armTick(c, st)
 	}
 }
 
 func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
-	if st.probeOut {
-		panic(fmt.Sprintf("kvmsr: %s: launch completed with a drain probe still in the tree", v.s.Name))
-	}
 	if st.draining {
 		c.TaskEnd(v.namePhaseDrain, st.term.Launches)
 	}
@@ -869,17 +865,16 @@ func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 // One invariant: the master's R sums every reduce-count delta it has been
 // told, and R <= reduces actually finished <= E, so once map-done has made E
 // exact, R == E means the launch is drained — in whatever order the deltas
-// arrived, within or across launches. Deltas reach the master with the done
-// messages above, as the counted replies of the one drain probe a launch
-// sends when R < E at map-done (a lane replies when it is reduce-idle, so
-// the reply covers everything queued at the lane when the probe arrived),
-// and, from lanes that have replied and are thereby in report mode, as
-// pushes: the lane reports its own late reduces when it goes reduce-idle,
-// and accelerator and node masters accumulate arriving deltas and forward
-// them with the same self-addressed event, so bursts combine on the way up.
-// The master completes on the message that makes R == E, unless a counted
-// probe is still in the tree: its replies are aggregated by count, which two
-// overlapping probes would corrupt.
+// arrived, within or across launches. Deltas ride the done messages above
+// and, from lanes in report mode, pushes. A node holds its map-done report
+// until one counted probe over its own lanes has been answered (a lane
+// replies when it is reduce-idle, so the reply covers everything queued at
+// it, and enters report mode), and node_done carries the replies' deltas.
+// So no reply is in flight once the master has heard every node, a
+// launch's counted convergecasts never see another launch's messages, and
+// every lane then reports its own late reduces; tree masters combine those
+// pushes on the way up. The master completes on the message that makes
+// R == E; it never probes.
 
 // drained reports R == E. Call it only between map-done and completion,
 // when E is exact. R can exceed E only through a bug in the user's events
@@ -902,21 +897,22 @@ func (st *laneState) takeDelta() uint64 {
 	return d
 }
 
-// sendProbe starts the counted drain broadcast.
-func (v *Invocation) sendProbe(c *udweave.Ctx, st *laneState) {
-	st.roles[levelMaster].done = 0
-	st.probeOut = true
-	st.term.Probes++
-	v.fanOut(c, levelMaster, 4, v.lProbe, levelNode)
+// drain starts a node's counted probe over its own lanes; the replies add
+// to the red its accelerators reported with map-done.
+func (v *Invocation) drain(c *udweave.Ctx, st *laneState) {
+	st.roles[levelNode].done = 0
+	st.term.NodeDrains++
+	v.fanOut(c, levelNode, 4, v.lProbe, levelAccel)
 }
 
-// probe is the level-tagged drain-probe handler. A node or accelerator
-// role reopens its convergecast for the replies and passes the probe on.
+// probe is the level-tagged probe handler: an accelerator role reopens its
+// convergecast for the replies and passes the probe on, a lane answers it,
+// and at the master level it is the straggler clock.
 func (v *Invocation) probe(c *udweave.Ctx) {
 	st := v.st(c)
 	switch level := c.Op(0); level {
 	case levelMaster:
-		v.retryProbe(c, st)
+		v.tick(c, st)
 	case levelLane:
 		v.probeLane(c, st)
 	default:
@@ -929,9 +925,9 @@ func (v *Invocation) probe(c *udweave.Ctx) {
 
 // probeLane answers the drain probe. A reduce-idle lane replies at once; a
 // lane with reduce tasks in progress owes the reply until it is next idle,
-// so the counted aggregation — one message per accelerator and per node —
-// carries everything the lane had queued when the probe arrived, and only
-// tuples that arrive after the reply are left to pushes.
+// so the counted aggregation — one message per accelerator — carries
+// everything the lane had queued when the probe arrived, and only tuples
+// that arrive after the reply are left to pushes.
 func (v *Invocation) probeLane(c *udweave.Ctx, st *laneState) {
 	c.Cycles(2)
 	if st.started != st.reduced {
@@ -953,8 +949,8 @@ func (v *Invocation) replyLane(c *udweave.Ctx, st *laneState) {
 
 // reply returns the probe-reply handler of the role at level: it counts one
 // child's reduce delta into the role's convergecast and, on the last
-// child's, reports the sum to its parent or, at the master, closes the
-// probe.
+// child's, passes the sum up: an accelerator as its reply, a node as its
+// map-done report, which its drain held back.
 func (v *Invocation) reply(level uint64) udweave.Handler {
 	return func(c *udweave.Ctx) {
 		st := v.st(c)
@@ -964,67 +960,53 @@ func (v *Invocation) reply(level uint64) udweave.Handler {
 		c.Cycles(3)
 		switch {
 		case r.done < r.expect:
-		case level < levelMaster:
-			c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lReply[level]), udweave.IGNRCONT, r.red)
+		case level == levelNode:
+			v.report(c, level, r)
 		default:
-			st.probeOut = false
-			if v.drained(st) {
-				v.complete(c, st)
-			} else if v.res != nil {
-				v.straggler(c, st)
-			}
-			// Otherwise every lane is now in report mode: the pushes bring
-			// the rest, and the one that makes R == E completes the launch.
+			c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lReply[level]), udweave.IGNRCONT, r.red)
 		}
 		c.YieldTerminate()
 	}
 }
 
-// straggler runs when a drain probe returns short under the resilient
-// shuffle, where the master doubles as the straggler detector: a run of
-// probes with no forward progress means shuffle work is stuck (lost
-// retransmissions, a stalled lane), so re-kick every lane to resend its
-// outstanding emits immediately. It then arms the detector's clock — the
-// next probe — tagged with the launch it belongs to.
-func (v *Invocation) straggler(c *udweave.Ctx, st *laneState) {
-	if r := st.roles[levelMaster].red; r == st.lastProbeSum {
-		st.noProgress++
-	} else {
-		st.noProgress = 0
-		st.lastProbeSum = r
-	}
-	if st.noProgress >= stragglerProbes {
-		st.noProgress = 0
-		v.rst(c).totals.Rekicks++
-		c.Cycles(4)
-		for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
-			c.Cycles(1)
-			c.SendEvent(udweave.EvwNew(lane, v.lRekick), udweave.IGNRCONT)
-		}
-	}
-	c.SendEventAfter(probeRetryDelay,
-		udweave.EvwNew(v.s.Lanes.First, v.lProbe), udweave.IGNRCONT, levelMaster, st.term.Launches)
+// armTick queues the straggler clock's next tick at the master, tagged
+// with the launch it belongs to.
+func (v *Invocation) armTick(c *udweave.Ctx, st *laneState) {
+	c.SendEventAfter(stragglerTick, udweave.EvwNew(v.s.Lanes.First, v.lProbe), udweave.IGNRCONT, levelMaster, st.term.Launches)
 }
 
-// retryProbe is the straggler clock firing at the master. A timer whose
-// launch completed meanwhile (a push made R == E) is stale: without the
-// launch tag it could start a probe in a later launch's drain while that
-// launch's own probe is in the tree.
-func (v *Invocation) retryProbe(c *udweave.Ctx, st *laneState) {
-	if st.draining && c.Op(1) == st.term.Launches {
-		v.sendProbe(c, st)
+// tick is the straggler detector (Resilience only, where a tuple can be
+// lost in flight): a tick that finds R where the last one left it means
+// shuffle work is stuck (lost retransmissions, a stalled lane), so the
+// master re-kicks every lane down the tree to resend its outstanding emits
+// at once. A tick whose launch has completed meanwhile is stale and dies.
+func (v *Invocation) tick(c *udweave.Ctx, st *laneState) {
+	if !st.draining || c.Op(1) != st.term.Launches {
+		return
 	}
+	if r := st.roles[levelMaster].red; r == st.lastR {
+		v.rst(c).totals.Rekicks++
+		v.fanOut(c, levelMaster, 4, v.lRekick, levelNode)
+	} else {
+		st.lastR = r
+	}
+	v.armTick(c, st)
 }
 
 // armPush queues the role's push event on the executing lane unless one
-// is queued already.
+// is queued already; a lane in report mode lingers pushLinger cycles first.
 func (v *Invocation) armPush(c *udweave.Ctx, st *laneState, level uint64) {
 	if st.armed[level] {
 		return
 	}
 	st.armed[level] = true
 	c.Cycles(2)
-	c.SendEvent(udweave.EvwNew(c.NetworkID(), v.lPush), udweave.IGNRCONT, level)
+	evw := udweave.EvwNew(c.NetworkID(), v.lPush)
+	if level == levelLane && st.reportMode {
+		c.SendEventAfter(v.pushLinger, evw, udweave.IGNRCONT, level)
+		return
+	}
+	c.SendEvent(evw, udweave.IGNRCONT, level)
 }
 
 // push forwards what the role has accumulated one level up: a worker its
@@ -1053,7 +1035,7 @@ func (v *Invocation) push(c *udweave.Ctx) {
 		if d = st.takeDelta(); d == 0 {
 			return
 		}
-		st.pushes++
+		st.term.Pushes++
 	}
 	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDelta), udweave.IGNRCONT, level+1, d)
 }
@@ -1072,7 +1054,7 @@ func (v *Invocation) delta(c *udweave.Ctx) {
 		st.roles[levelMaster].red += d
 		st.term.DeltaMsgs++
 		st.term.DeltaReduces += d
-		if st.draining && !st.probeOut && v.drained(st) {
+		if st.draining && v.drained(st) {
 			v.complete(c, st)
 		}
 	}
@@ -1084,12 +1066,16 @@ func (v *Invocation) delta(c *udweave.Ctx) {
 type TerminationTotals struct {
 	// Launches counts launches started.
 	Launches uint64
-	// Probes counts drain broadcasts sent; without Spec.Resilience at
-	// most one per launch.
-	Probes uint64
-	// ZeroProbe counts launches that completed at map-done, the reduce
-	// counts riding the completion tree already matching the emits.
-	ZeroProbe uint64
+	// Probes counts drain probes the invocation master broadcast, and
+	// NodeDrains the ones node roles sent over their own lanes. Drains run
+	// at the nodes, so Probes stays 0 and NodeDrains is one per node and
+	// launch with a reduce phase.
+	Probes     uint64
+	NodeDrains uint64
+	// AtMapDone counts launches that completed on their last node_done,
+	// the reduce counts riding the completion tree already matching the
+	// emits.
+	AtMapDone uint64
 	// DeltaMsgs and DeltaReduces count the pushed delta messages the
 	// master received and the reduces they reported; Pushes the delta
 	// messages worker lanes sent (tree masters combine them on the way).
@@ -1129,19 +1115,16 @@ func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot udweave.
 	}
 }
 
-// TerminationTotals reads the termination counters after a run: the
-// master lane's, plus the worker lanes' push and retired counts.
+// TerminationTotals reads the termination counters after a run: each lane
+// counts what its roles did, so the invocation's totals are their sums.
 func (v *Invocation) TerminationTotals(peek func(arch.NetworkID) any) TerminationTotals {
 	var t TerminationTotals
-	var pushes, retired uint64
-	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
-		if lane == v.s.Lanes.First {
-			t = st.term
-		}
-		pushes += st.pushes
-		retired += st.retired
+	eachLane(v, peek, v.slot, func(_ arch.NetworkID, st *laneState) {
+		l := st.term
+		t = TerminationTotals{t.Launches + l.Launches, t.Probes + l.Probes, t.NodeDrains + l.NodeDrains,
+			t.AtMapDone + l.AtMapDone, t.DeltaMsgs + l.DeltaMsgs, t.DeltaReduces + l.DeltaReduces,
+			t.Pushes + l.Pushes, t.Retired + l.Retired}
 	})
-	t.Pushes, t.Retired = pushes, retired
 	return t
 }
 
@@ -1152,7 +1135,7 @@ func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) Termination
 	eachLane(v, peek, v.slot, func(lane arch.NetworkID, st *laneState) {
 		s.Reduced += st.reduced
 		s.Reported += st.reported
-		s.Retired += st.retired
+		s.Retired += st.term.Retired
 		if lane == v.s.Lanes.First {
 			s.R, s.E = st.roles[levelMaster].red, st.roles[levelMaster].emit
 		}

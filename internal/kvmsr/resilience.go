@@ -4,10 +4,10 @@
 // emits, explicit acks, a guard thread that retransmits overdue emits
 // with capped exponential backoff, and idempotent apply at the reducer
 // via a per-sender sliding dedup window. The invocation master doubles as
-// a straggler detector: only under this shuffle does it re-probe on a timer
-// (every probeRetryDelay cycles while the launch drains), and when those
-// probes stop making progress it re-kicks every lane, forcing an immediate
-// retransmission of all outstanding shuffle work.
+// a straggler detector: only under this shuffle does it keep a clock while
+// the launch drains (a tick every stragglerTick cycles), and when R stops
+// moving between ticks it re-kicks every lane down the tree, forcing an
+// immediate retransmission of all outstanding shuffle work.
 //
 // The net contract: under any fault plan that eventually delivers some
 // retransmission (message drop/dup/delay at any rate below 1), a
@@ -35,9 +35,9 @@ const (
 	// backoffCap bounds the exponential backoff to 2^backoffCap (64x) the
 	// base deadline.
 	backoffCap = 6
-	// stragglerProbes is the number of consecutive no-progress
-	// termination probes after which the master re-kicks all lanes.
-	stragglerProbes = 8
+	// stragglerTick is the period of the master's straggler clock: a tick
+	// that finds R unchanged since the last one re-kicks all lanes.
+	stragglerTick = 4000
 )
 
 // ResilienceTotals aggregates the protocol's counters across a lane set
@@ -198,9 +198,15 @@ func (v *Invocation) guard(c *udweave.Ctx) {
 	c.ArmTimeout(timeout, v.lGuard)
 }
 
-// rekick is the straggler-recovery broadcast target: retransmit every
-// outstanding emit immediately, ignoring backoff.
+// rekick is the straggler-recovery broadcast, level-tagged like the probe:
+// a tree role passes it down, and a lane retransmits every outstanding
+// emit immediately, ignoring backoff.
 func (v *Invocation) rekick(c *udweave.Ctx) {
+	if level := c.Op(0); level > levelLane {
+		v.fanOut(c, level, 4, v.lRekick, level-1)
+		c.YieldTerminate()
+		return
+	}
 	rs := v.rst(c)
 	c.Cycles(3)
 	for _, id := range sortedPending(rs) {

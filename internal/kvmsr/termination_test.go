@@ -8,6 +8,8 @@ import (
 	"updown"
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/tc"
+	"updown/internal/arch"
+	"updown/internal/fault"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
 	"updown/internal/udweave"
@@ -38,6 +40,18 @@ type termMode struct {
 	resilient       bool
 	nodes           int
 	first, laneSpan int // lane set; laneSpan 0 = the whole machine
+	// delaySeed, when nonzero, seeds a delay-only fault plan over both
+	// event classes: no message is lost, but any two may arrive out of
+	// order.
+	delaySeed uint64
+}
+
+// delayPlan delays 30% of event messages, reliable and unreliable, by up
+// to two cross-node hops each, dropping none.
+func delayPlan(seed uint64) *fault.Plan {
+	return &fault.Plan{Seed: seed, Rules: []fault.MsgRule{{
+		Kinds:   1<<arch.KindEvent | 1<<arch.KindEventU,
+		SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}
 }
 
 // termRound is one launch of the generic job: keys map tasks, each emitting
@@ -72,6 +86,9 @@ const termCounters = 64
 func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termResult {
 	t.Helper()
 	cfg := updown.Config{Nodes: mode.nodes, Shards: shards, MaxTime: 1 << 36}
+	if mode.delaySeed != 0 {
+		cfg.Fault = delayPlan(mode.delaySeed)
+	}
 	if mode.coalesce {
 		cfg.Coalesce = &kvmsr.Coalesce{}
 	}
@@ -180,12 +197,38 @@ func checkConserved(t *testing.T, inv *kvmsr.Invocation, m *updown.Machine, emit
 	}
 }
 
+// checkTermJob asserts what every run of the generic job must show: the
+// reduce-side sum, one completion per launch in launch order, no probe from
+// the master and one drain per node of the set and launch.
+func checkTermJob(t *testing.T, mode termMode, rounds []termRound, r termResult) {
+	t.Helper()
+	if r.sum != wantSum(rounds) {
+		t.Fatalf("reduce sum %d, want %d", r.sum, wantSum(rounds))
+	}
+	if r.totals.Launches != uint64(len(rounds)) {
+		t.Fatalf("launches = %d", r.totals.Launches)
+	}
+	nodes := uint64(mode.nodes)
+	if mode.laneSpan > 0 {
+		nodes = 1
+	}
+	if r.totals.Probes != 0 || r.totals.NodeDrains != nodes*r.totals.Launches {
+		t.Fatalf("want no master probe and one drain per node and launch over %d nodes: %+v", nodes, r.totals)
+	}
+	for i := 1; i < len(r.done); i++ {
+		if r.done[i] <= r.done[i-1] {
+			t.Fatalf("completions out of order: %v", r.done)
+		}
+	}
+}
+
+var termRounds = []termRound{{keys: 600, emits: 3}, {keys: 150, emits: 3}, {keys: 900, emits: 2}}
+
 // At quiescence, in every shuffle mode and lane-set shape and after three
 // relaunches: sum over lanes of reduced = of reported = the master's R =
-// E, with nothing armed or parked; the classic and coalescing paths send
-// at most one probe per launch.
+// E, with nothing armed or parked; the master never probes, and each node
+// drains its lanes once per launch.
 func TestTerminationConservation(t *testing.T) {
-	rounds := []termRound{{keys: 600, emits: 3}, {keys: 150, emits: 3}, {keys: 900, emits: 2}}
 	shapes := []termMode{{nodes: 1}, {nodes: 2}, {nodes: 4}, {nodes: 1, first: 80, laneSpan: 16}}
 	for _, mode := range []termMode{
 		{name: "classic"},
@@ -198,31 +241,47 @@ func TestTerminationConservation(t *testing.T) {
 			mode := mode
 			t.Run(fmt.Sprintf("%s/nodes=%d/lanes=%d", mode.name, mode.nodes, mode.laneSpan), func(t *testing.T) {
 				acrossShards(t, func(t *testing.T, shards int) string {
-					r := termJob(t, mode, shards, rounds)
-					if r.sum != wantSum(rounds) {
-						t.Fatalf("reduce sum %d, want %d", r.sum, wantSum(rounds))
-					}
-					if r.totals.Launches != uint64(len(rounds)) {
-						t.Fatalf("launches = %d", r.totals.Launches)
-					}
-					if !mode.resilient && r.totals.Probes+r.totals.ZeroProbe != r.totals.Launches {
-						t.Fatalf("a launch neither completed at map-done nor sent exactly one probe: %+v", r.totals)
-					}
-					for i := 1; i < len(r.done); i++ {
-						if r.done[i] <= r.done[i-1] {
-							t.Fatalf("completions out of order: %v", r.done)
-						}
-					}
+					r := termJob(t, mode, shards, termRounds)
+					checkTermJob(t, mode, termRounds, r)
 					return r.summary()
 				})
 			})
 		}
 	}
+	// Delivery order: with event messages delayed at random, a probe can
+	// overtake the tuples queued ahead of it and a reply or push the
+	// messages sent before it. Conservation and launch order must still
+	// hold. The middle round holds every lane's map task until its reduces
+	// are done, so it completes on its last node_done and the next launch
+	// starts at once: a drain reply still in flight then would land in that
+	// launch's convergecast. One shard count: the legs above vary it, and
+	// fault verdicts do not depend on it.
+	for _, mode := range []termMode{
+		{name: "classic"},
+		{name: "coalesced", coalesce: true},
+		{name: "combined", coalesce: true, combine: true},
+	} {
+		for _, nodes := range []int{2, 4} {
+			for _, seed := range []uint64{1, 2, 3} {
+				mode.nodes, mode.delaySeed = nodes, seed
+				mode := mode
+				rounds := []termRound{termRounds[0], {keys: uint64(nodes * 2048), emits: 2, hold: 20000}, termRounds[1]}
+				t.Run(fmt.Sprintf("delayed/%s/nodes=%d/seed=%d", mode.name, nodes, seed), func(t *testing.T) {
+					r := termJob(t, mode, 1, rounds)
+					checkTermJob(t, mode, rounds, r)
+					if r.stats.Faults.Delayed == 0 || r.totals.AtMapDone == 0 {
+						t.Fatalf("no message delayed or no launch completed at map-done: the leg is vacuous: %s", r.summary())
+					}
+				})
+			}
+		}
+	}
 }
 
 // A launch that emits nothing, and a launch whose reduces all finish (and
-// ride the completion tree) before the last map task returns, complete at
-// map-done: no probe is ever sent.
+// ride the completion tree) before the last map task returns, complete on
+// the last node_done: the master sends no probe, each node's drain finds
+// nothing, and nothing is pushed.
 func TestNoProbeWhenDrained(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -250,8 +309,9 @@ func TestNoProbeWhenDrained(t *testing.T) {
 				if res.sum != wantSum(rounds) {
 					t.Fatalf("reduce sum %d, want %d", res.sum, wantSum(rounds))
 				}
-				if res.totals.Probes != 0 || res.totals.ZeroProbe != 2 {
-					t.Fatalf("drained launches probed: %+v", res.totals)
+				nodes := uint64(tc.mode.nodes)
+				if res.totals.Probes != 0 || res.totals.AtMapDone != 2 || res.totals.NodeDrains != 2*nodes {
+					t.Fatalf("drained launches did not complete at map-done after one drain per node: %+v", res.totals)
 				}
 				if res.totals.DeltaMsgs != 0 || res.totals.Pushes != 0 {
 					t.Fatalf("deltas were pushed although no lane ever entered report mode: %+v", res.totals)
@@ -262,9 +322,9 @@ func TestNoProbeWhenDrained(t *testing.T) {
 	}
 }
 
-// The classic and coalescing paths send at most one probe per launch on
-// real applications too: BFS (one launch per round, sub-worker SendReduce)
-// and triangle counting (one long launch).
+// On real applications too the master never probes and each node drains
+// its lanes once per launch: BFS (one launch per round, sub-worker
+// SendReduce) and triangle counting (one long launch).
 func TestAtMostOneProbe(t *testing.T) {
 	g := graph.FromEdges(256, graph.DefaultRMAT(8, 15), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -285,8 +345,8 @@ func TestAtMostOneProbe(t *testing.T) {
 			return m, dg
 		}
 		check := func(t *testing.T, tt kvmsr.TerminationTotals) {
-			if tt.Launches == 0 || tt.Probes > tt.Launches || tt.Probes+tt.ZeroProbe != tt.Launches {
-				t.Fatalf("probes not bounded by launches: %+v", tt)
+			if tt.Launches == 0 || tt.Probes != 0 || tt.NodeDrains != 2*tt.Launches {
+				t.Fatalf("want no master probe and one drain per node and launch: %+v", tt)
 			}
 		}
 		t.Run(fmt.Sprintf("bfs/coalesce=%v", coalesce), func(t *testing.T) {
@@ -329,11 +389,12 @@ func TestAtMostOneProbe(t *testing.T) {
 }
 
 // One key receives every tuple, so its owner lane is still reducing long
-// after the drain probe has reached it. The launch must complete one
-// lane -> accelerator -> node -> master traversal after the last
-// ReduceDone, not at the next poll, and the hot lane — backlogged the
-// whole time — must batch: it owes its counted reply until it is idle and
-// sends at most one message per reduce-idle transition.
+// after its node's drain probe has reached it. The launch must complete
+// one lane -> accelerator -> node -> master traversal (plus, if the lane
+// has replied already, its push's linger) after the last ReduceDone, not at
+// the next poll, and the hot lane — backlogged the whole time — must batch:
+// it owes its counted reply until it is idle and sends at most one message
+// per reduce-idle transition.
 func TestHotReducerCompletesOnLastReduce(t *testing.T) {
 	const tuples = 1500
 	acrossShards(t, func(t *testing.T, shards int) string {
@@ -397,11 +458,11 @@ func TestHotReducerCompletesOnLastReduce(t *testing.T) {
 			t.Fatalf("reduced %d tuples, want %d", got, tuples)
 		}
 		tt := inv.TerminationTotals(m.LanePeek())
-		if tt.Probes != 1 {
-			t.Fatalf("want exactly one probe, got %+v", tt)
+		if tt.Probes != 0 || tt.NodeDrains != 2 {
+			t.Fatalf("want no master probe and one drain per node, got %+v", tt)
 		}
 		a := m.Arch
-		bound := a.LatSameAccel + a.LatSameNode + a.LatCrossNode + 200
+		bound := a.LatCrossNode/4 + a.LatSameAccel + a.LatSameNode + a.LatCrossNode + 200
 		if gap := completed - lastDone; gap <= 0 || gap > bound {
 			t.Fatalf("completion %d cycles after the last ReduceDone (at %d), want at most %d", gap, lastDone, bound)
 		}
@@ -417,12 +478,12 @@ func TestHotReducerCompletesOnLastReduce(t *testing.T) {
 	})
 }
 
-// Tuples that reach their reducers after the drain probe has passed (here
-// they linger in the pack buffers of helper lanes whose own map phase is
-// over, as BFS sub-workers' would without Invocation.Flush) are reported by
-// pushes: the launch completes on a pushed delta, one tree traversal after
-// the last ReduceDone, with no second probe, and the tree masters combine
-// the burst on the way up.
+// Tuples that reach their reducers after the drain probes have passed
+// (here they linger in the pack buffers of helper lanes whose own map phase
+// is over, as BFS sub-workers' would without Invocation.Flush) are reported
+// by pushes: the launch completes on a pushed delta, one linger and one
+// tree traversal after the last ReduceDone, with no probe from the master,
+// and the tree masters combine the burst on the way up.
 func TestLateTuplesCompleteByPush(t *testing.T) {
 	const tasks = 64
 	acrossShards(t, func(t *testing.T, shards int) string {
@@ -489,14 +550,14 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 			t.Fatal(err)
 		}
 		tt := inv.TerminationTotals(m.LanePeek())
-		if tt.Probes != 1 || tt.DeltaReduces != tasks {
-			t.Fatalf("want one probe and the %d lingering tuples' reduces pushed, got %+v", tasks, tt)
+		if tt.Probes != 0 || tt.NodeDrains != 2 || tt.DeltaReduces != tasks {
+			t.Fatalf("want one drain per node and the %d lingering tuples' reduces pushed, got %+v", tasks, tt)
 		}
 		if tt.DeltaMsgs == 0 || tt.DeltaMsgs > tt.Pushes || tt.Pushes > tasks {
 			t.Fatalf("pushes not combined on the way up: %+v", tt)
 		}
 		a := m.Arch
-		bound := a.LatSameAccel + a.LatSameNode + a.LatCrossNode + 200
+		bound := a.LatCrossNode/4 + a.LatSameAccel + a.LatSameNode + a.LatCrossNode + 200
 		if gap := completed - updown.Cycles(lastDone.Load()); gap <= 0 || gap > bound {
 			t.Fatalf("completion %d cycles after the last ReduceDone, want at most %d", gap, bound)
 		}
@@ -527,8 +588,7 @@ func TestRacingReduceAcrossLaunches(t *testing.T) {
 			if launch := c.Op(1); launch == 1 {
 				// One task per lane, one emitter: lane 65 starts a
 				// cross-node latency before the far lane does and sends
-				// straight to it (lane 0 would start earlier still, but
-				// as master of three tree levels it is busy relaying).
+				// straight to it.
 				if c.Op(0) == 65 {
 					inv.Emit(c, far, launch)
 				}
@@ -547,7 +607,7 @@ func TestRacingReduceAcrossLaunches(t *testing.T) {
 			c.Cycles(30)
 			if launch != 1 {
 				// Two-event reduces finish after map-done, so launches 0
-				// and 2 probe and leave every lane in report mode.
+				// and 2 leave every lane in report mode.
 				c.SetState(launch)
 				c.DRAMFetchAdd(counter, 1, c.ContinueTo(ack))
 				return

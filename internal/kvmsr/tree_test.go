@@ -10,22 +10,40 @@ import (
 	"updown/internal/udweave"
 )
 
-// TestTreeGeometry checks the one unit rule on a machine of 4 nodes x 4
-// accelerators x 4 lanes, for lane sets that start and end mid-accelerator
-// and mid-node and span one to three nodes: fanOut's walk from the master
-// reaches every lane of the set exactly once, parent names the role each
-// walk message came from, and after a launch every role's expect is the
-// number of children the walk found under it.
+// TestTreeGeometry checks the unit and holder rules on a machine of 4 nodes
+// x 4 accelerators x 4 lanes and one of 3 nodes x 2 single-lane
+// accelerators, for lane sets that start and end mid-accelerator and
+// mid-node, span one to three nodes and have units of one lane: fanOut's
+// walk from the master reaches every lane of the set exactly once, parent
+// names the role each walk message came from, and after a launch every
+// role's expect is the number of children the walk found under it. Where
+// a unit leaves the choice, the roles keep off the working lanes: an
+// accelerator role of a unit of two or more lanes is not on an
+// accelerator's first lane, and a node role shares its lane with no other
+// role and sits on no accelerator's first lane whenever its node has a lane
+// that is neither.
 func TestTreeGeometry(t *testing.T) {
-	m := arch.DefaultMachine(4)
-	m.AccelsPerNode, m.LanesPerAccel = 4, 4
-	for _, ls := range []LaneSet{
-		{First: 5, Count: 6},   // one node, mid-accelerator to mid-accelerator
-		{First: 15, Count: 2},  // one lane either side of a node boundary
-		{First: 6, Count: 17},  // two nodes
-		{First: 13, Count: 30}, // three nodes
-		{First: 0, Count: 64},  // the machine
+	small := arch.DefaultMachine(4)
+	small.AccelsPerNode, small.LanesPerAccel = 4, 4
+	single := arch.DefaultMachine(3)
+	single.AccelsPerNode, single.LanesPerAccel = 2, 1
+	for _, tc := range []struct {
+		m  arch.Machine
+		ls LaneSet
+	}{
+		{small, LaneSet{First: 5, Count: 6}},   // one node, mid-accelerator to mid-accelerator
+		{small, LaneSet{First: 15, Count: 2}},  // one lane either side of a node boundary
+		{small, LaneSet{First: 6, Count: 17}},  // two nodes
+		{small, LaneSet{First: 13, Count: 30}}, // three nodes
+		{small, LaneSet{First: 0, Count: 64}},  // the machine
+		{small, LaneSet{First: 12, Count: 9}},  // a whole accelerator, then one and a lane
+		{small, LaneSet{First: 14, Count: 2}},  // two lanes, the first the master's
+		{small, LaneSet{First: 16, Count: 2}},  // two lanes from a node's start
+		{small, LaneSet{First: 3, Count: 3}},   // a lane, then half an accelerator
+		{single, LaneSet{First: 1, Count: 4}},  // units of one lane
+		{single, LaneSet{First: 0, Count: 6}},
 	} {
+		m, ls := tc.m, tc.ls
 		gas := gasmem.New(m.Nodes, m.DRAMBytesPerNode)
 		p := udweave.NewProgram(m, gas)
 		eng, err := sim.NewEngine(m, sim.Options{Shards: 1, MaxTime: 1 << 30, LaneFactory: p.NewLane})
@@ -83,6 +101,27 @@ func TestTreeGeometry(t *testing.T) {
 				}
 				if expect != kids[level][lane] {
 					t.Errorf("%+v: level %d role on lane %d expects %d children, fanOut walks %d", ls, level, lane, expect, kids[level][lane])
+				}
+			}
+		}
+
+		// Placement: a lane is free if it is no accelerator's first lane
+		// and holds neither an accelerator role nor the master.
+		accelFirst := func(l arch.NetworkID) bool { return int(l)%m.LanesPerAccel == 0 }
+		free := func(l arch.NetworkID) bool {
+			return !accelFirst(l) && visits[levelAccel][l] == 0 && l != ls.First
+		}
+		for lane := range visits[levelAccel] {
+			if lo, hi := ls.unit(m, levelAccel, lane); hi-lo >= 2 && accelFirst(lane) {
+				t.Errorf("%+v: accelerator role of [%d,%d) on its first lane %d", ls, lo, hi, lane)
+			}
+		}
+		for lane := range visits[levelNode] {
+			lo, hi := ls.unit(m, levelNode, lane)
+			for l := lo; l < hi; l++ {
+				if free(l) && !free(lane) {
+					t.Errorf("%+v: node role of [%d,%d) on lane %d, which is not free, while lane %d is", ls, lo, hi, lane, l)
+					break
 				}
 			}
 		}

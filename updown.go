@@ -345,7 +345,7 @@ func (d *Driver) ResilienceTotals() kvmsr.ResilienceTotals {
 }
 
 // TerminationTotals reads the shuffle's termination-protocol counters
-// (launches, drain probes, pushed deltas). Call after Run.
+// (launches, master probes, node drains, pushed deltas). Call after Run.
 func (d *Driver) TerminationTotals() kvmsr.TerminationTotals {
 	return d.Shuffle.TerminationTotals(d.M.LanePeek())
 }
