@@ -23,7 +23,12 @@ import (
 // and the tree's roles left the accelerators' first lanes: the
 // termination line names master probes and node drains, and the three pr
 // checksums moved with the order of PageRank's float sums, which follows
-// reduce order (bfs and tc kept theirs).
+// reduce order (bfs and tc kept theirs). The bfs cases moved again when
+// BFS began seeding its root on the root's reduce owner's accelerator and
+// ending on the first round that visits nothing: one round fewer, and a
+// checksum that moved through its first word, the round count, alone. The
+// -profile case's scratchpad line grew then by the reduce-side sums
+// (ReduceDoneAdd) each lane's KVMSR state carries.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -19,7 +19,7 @@
 // protocol's counters (launches, master probes, node drains, pushed
 // deltas), for pr one "phases:" line per iteration (map+reduce, flush,
 // apply cycles), for bfs one "rounds:" line (each round's cycles from
-// launch to completion and its tuples), and
+// launch to completion, its tuples and its newly visited vertices), and
 // one "scratchpad:" line naming the lane whose slots hold the most bytes;
 // -trace out.json exports a Chrome trace_event file loadable in Perfetto
 // (ui.perfetto.dev), one process per node with counter tracks for lane

@@ -8,17 +8,18 @@
 // distance and parent, and append the vertex (plus its split sub-vertices)
 // to their own accelerator's next-frontier segment.
 //
-// Rounds repeat until a round emits nothing. The frontier uses the
-// contiguous-per-node DRAMmalloc layout the paper highlights for data
-// locality — each accelerator's segment sits on the accelerator's own
-// node — and the reduce binding completes it: where the graph's nodes are
-// the lane set's, kv_reduce for vertex v is bound (kvmsr.Owner) to the
-// node homing record v, so the mark and the frontier append are local
-// writes and — because the entry goes to the segment of an accelerator of
-// that same node, whose lanes expand it — next round's vertex task reads
-// the segment, the record and its neighbor list locally too. The shuffle
-// is then BFS's only cross-node traffic. That one binding is all BFS
-// needs; elsewhere reduces are Hash-bound.
+// Rounds repeat until a round's reduces append nothing (each newly visited
+// vertex adds 1 to the launch's kvmsr.ReduceDoneAdd sum). The frontier uses
+// the contiguous-per-node DRAMmalloc layout the paper highlights for data
+// locality — each accelerator's segment sits on the accelerator's own node
+// — and the reduce binding completes it: where the graph's nodes are the
+// lane set's, kv_reduce for vertex v is bound (kvmsr.Owner) to the node
+// homing record v, so the mark and the frontier append are local writes and
+// — because the entry goes to the segment of an accelerator of that same
+// node, whose lanes expand it — next round's vertex task reads the segment,
+// the record and its neighbor list locally too. The shuffle is then BFS's
+// only cross-node traffic. That one binding is all BFS needs; elsewhere
+// reduces are Hash-bound.
 package bfs
 
 import (
@@ -64,7 +65,10 @@ type App struct {
 	lRedRec    udweave.Label
 	lAppendAck udweave.Label
 	lSeedVisit udweave.Label
-	lSeedCount udweave.Label
+	lRootSeen  udweave.Label
+	// The root's reduce owner lane and its accelerator, where it is seeded.
+	rootOwner updown.NetworkID
+	rootAccel int
 
 	visited udweave.Slot[map[uint32]bool]
 
@@ -77,22 +81,18 @@ type App struct {
 }
 
 // Round is one round's record: the cycles at which the driver launched it
-// and heard it complete, and the tuples it emitted.
+// and heard it complete, its tuples and its newly visited vertices.
 type Round struct {
 	Launch, Done updown.Cycles
-	Tuples       uint64
-}
-
-type driverState struct {
-	phase string
-	round uint64
+	Tuples, New  uint64
 }
 
 // mapState is the accelerator-master kv_map task.
 type mapState struct {
-	mapCont uint64
-	expect  int
-	emits   uint64
+	mapCont    uint64
+	cnt, round uint64
+	expect     int
+	emits      uint64
 }
 
 // subState is one worker lane's share of a frontier section.
@@ -141,7 +141,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lRedRec = p.Define("bfs.red_rec", a.redRec)
 	a.lAppendAck = p.Define("bfs.append_ack", a.appendAck)
 	a.lSeedVisit = p.Define("bfs.seed_visit", a.seedVisit)
-	a.lSeedCount = p.Define("bfs.seed_count", a.seedCount)
+	a.lRootSeen = p.Define("bfs.root_seen", a.rootSeen)
 	a.Label = p.Define("bfs.driver", a.driver)
 
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
@@ -163,11 +163,13 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.rootOwner = a.Shuffle.Spec().ReduceBinding.Lane(uint64(dg.G.NewID[cfg.Root]), cfg.Lanes)
+	a.rootAccel = a.f.AccelOfLane(int(a.rootOwner))
 	return a, nil
 }
 
-// InitValues prepares distances and seeds the root's frontier segment
-// (host-side setup).
+// InitValues prepares distances and seeds the root's members into the
+// segment its reduce would append them to (host-side setup).
 func (a *App) InitValues() {
 	for v := uint32(0); int(v) < a.dg.G.N; v++ {
 		a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), Unvisited)
@@ -175,12 +177,7 @@ func (a *App) InitValues() {
 	}
 	rootBase := a.dg.G.NewID[a.cfg.Root]
 	a.M.GAS.WriteU64(a.dg.FieldVA(rootBase, graph.VValue), 0)
-	members := a.dg.G.Members(a.cfg.Root)
-	seed := make([]uint64, len(members))
-	for i, v := range members {
-		seed[i] = uint64(v)
-	}
-	a.f.HostSeed(a.M.GAS, 0, 0, seed)
+	a.f.HostSeed(a.M.GAS, a.rootAccel, 0, a.dg.G.Members(a.cfg.Root))
 }
 
 // Distances reads back the hop distances indexed by original input
@@ -203,49 +200,33 @@ func (a *App) Parents() []uint64 {
 	return out
 }
 
-// driver seeds the search, then chains rounds until one adds nothing.
+// driver launches round 0 when posted (no operands), then the next round
+// on each completion (emitted, cumulative, new) that visited something.
 func (a *App) driver(c *updown.Ctx) {
-	if c.State() == nil {
+	if c.NOps() == 0 {
 		a.Start = c.Now()
-		c.Phase("bfs seed")
-		c.SetState(&driverState{phase: "seedv"})
-		// Mark the root visited on its reduce owner lane. Keys in the
-		// shuffle are base-member IDs.
-		rootBase := uint64(a.dg.G.NewID[a.cfg.Root])
-		owner := a.Shuffle.Spec().ReduceBinding.Lane(rootBase, a.cfg.Lanes)
-		c.SendEvent(udweave.EvwNew(owner, a.lSeedVisit), c.ContinueTo(a.Label), rootBase)
+		a.launch(c)
 		return
 	}
-	st := c.State().(*driverState)
-	switch st.phase {
-	case "seedv":
-		st.phase = "seedc"
-		members := uint64(len(a.dg.G.Members(a.cfg.Root)))
-		c.SendEvent(udweave.EvwNew(a.cfg.Lanes.First, a.lSeedCount), c.ContinueTo(a.Label), members)
-	case "seedc":
-		st.phase = "round"
-		a.launch(c, st.round)
-	case "round":
-		a.Rounds++
-		a.Traversed += c.Op(0)
-		r := &a.RoundLog[len(a.RoundLog)-1]
-		r.Done, r.Tuples = c.Now(), c.Op(0)
-		if c.Op(0) == 0 {
-			// No edges explored this round: the search is complete.
-			a.Done = c.Now()
-			c.PhaseEnd()
-			c.YieldTerminate()
-			return
-		}
-		st.round++
-		a.launch(c, st.round)
+	a.Rounds++
+	a.Traversed += c.Op(0)
+	r := &a.RoundLog[len(a.RoundLog)-1]
+	r.Done, r.Tuples, r.New = c.Now(), c.Op(0), c.Op(2)
+	if r.New == 0 {
+		// Nothing appended: the next frontier is empty, the search complete.
+		a.Done = c.Now()
+		c.PhaseEnd()
+		c.YieldTerminate()
+		return
 	}
+	a.launch(c)
 }
 
-// launch starts a round and opens its record. It annotates the
+// launch starts the next round and opens its record. It annotates the
 // program-phase trace track with the frontier level (tracing only; the
 // name is built only when spans are recorded).
-func (a *App) launch(c *updown.Ctx, round uint64) {
+func (a *App) launch(c *updown.Ctx) {
+	round := uint64(a.Rounds)
 	if c.Tracing() {
 		c.Phase(fmt.Sprintf("bfs round %d", round))
 	}
@@ -262,6 +243,7 @@ func (a *App) visitedSet(c *updown.Ctx) map[uint32]bool {
 	return *v
 }
 
+// seedVisit marks the root visited on its reduce owner lane.
 func (a *App) seedVisit(c *updown.Ctx) {
 	a.visitedSet(c)[uint32(c.Op(0))] = true
 	c.ScratchAccess(1)
@@ -269,39 +251,45 @@ func (a *App) seedVisit(c *updown.Ctx) {
 	c.YieldTerminate()
 }
 
-func (a *App) seedCount(c *updown.Ctx) {
-	a.f.SeedCount(c, 0, int(c.Op(0)))
-	c.Reply(c.Cont())
-	c.YieldTerminate()
-}
-
 // kvMap is the per-accelerator map task: consume this accelerator's
 // frontier section by fanning subtasks out to the accelerator's lanes.
+// Round 0 on the root's accelerator expands the members InitValues seeded
+// there, once the root's owner lane, one of this accelerator's, has marked
+// it visited: the ack precedes every tuple the round sends.
 func (a *App) kvMap(c *updown.Ctx) {
 	round := c.Op(1)
 	parity := int(round & 1)
-	cnt := uint64(a.f.Count(c, parity))
+	st := &mapState{mapCont: c.Cont(), cnt: uint64(a.f.Count(c, parity)), round: round}
 	a.f.Reset(c, parity)
-	if cnt == 0 {
-		a.Shuffle.Return(c, c.Cont())
+	if round == 0 && a.f.AccelOfLane(int(c.NetworkID())) == a.rootAccel {
+		st.cnt = uint64(len(a.dg.G.Members(a.cfg.Root)))
+		c.SetState(st)
+		c.SendEvent(udweave.EvwNew(a.rootOwner, a.lSeedVisit), c.ContinueTo(a.lRootSeen), uint64(a.dg.G.NewID[a.cfg.Root]))
+		return
+	}
+	a.expand(c, st)
+}
+
+func (a *App) rootSeen(c *updown.Ctx) { a.expand(c, c.State().(*mapState)) }
+
+// expand fans the accelerator's frontier section out to its lanes.
+func (a *App) expand(c *updown.Ctx, st *mapState) {
+	if st.cnt == 0 {
+		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 		return
 	}
-	st := &mapState{mapCont: c.Cont()}
 	c.SetState(st)
 	lpa := uint64(a.M.Arch.LanesPerAccel)
-	chunk := (cnt + lpa - 1) / lpa
+	chunk := (st.cnt + lpa - 1) / lpa
 	self := c.NetworkID()
 	cont := c.ContinueTo(a.lSubDone)
 	c.Cycles(10)
-	for i := uint64(0); i*chunk < cnt; i++ {
+	for i := uint64(0); i*chunk < st.cnt; i++ {
 		lo := i * chunk
-		hi := lo + chunk
-		if hi > cnt {
-			hi = cnt
-		}
+		hi := min(lo+chunk, st.cnt)
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(self+updown.NetworkID(i), a.lSubTask), cont, lo, hi, round)
+		c.SendEvent(udweave.EvwNew(self+updown.NetworkID(i), a.lSubTask), cont, lo, hi, st.round)
 		st.expect++
 	}
 }
@@ -438,7 +426,7 @@ func (a *App) appendAck(c *updown.Ctx) {
 	st.pendingAcks--
 	c.Cycles(2)
 	if st.pendingAcks == 0 {
-		a.Shuffle.ReduceDone(c)
+		a.Shuffle.ReduceDoneAdd(c, 1) // one newly visited vertex
 		c.YieldTerminate()
 	}
 }

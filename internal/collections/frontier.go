@@ -140,24 +140,17 @@ func (f *Frontier) Count(c *udweave.Ctx, parity int) int {
 	return f.st(c).count[parity&1]
 }
 
-// SeedCount sets the count for a parity directly; the BFS root-seeding
-// event uses it together with HostSeed.
-func (f *Frontier) SeedCount(c *udweave.Ctx, parity, n int) {
-	c.ScratchAccess(1)
-	f.st(c).count[parity&1] = n
-}
-
 // Reset clears the count for a parity (after the segment is consumed).
 func (f *Frontier) Reset(c *udweave.Ctx, parity int) {
 	c.ScratchAccess(1)
 	f.st(c).count[parity&1] = 0
 }
 
-// HostSeed writes initial values into a segment before simulation (e.g.
-// the BFS seed vertex); the matching count is established by the
-// application's first-round setup event on the accel master.
-func (f *Frontier) HostSeed(gas *gasmem.GAS, accel, parity int, values []uint64) {
+// HostSeed writes initial values into a segment before simulation (the
+// BFS root's members). The segment's count stays zero: the application's
+// first task on that accelerator knows how many it seeded.
+func (f *Frontier) HostSeed(gas *gasmem.GAS, accel, parity int, values []uint32) {
 	for i, v := range values {
-		gas.WriteU64(f.SegmentVA(accel, parity)+uint64(i)*gasmem.WordBytes, v)
+		gas.WriteU64(f.SegmentVA(accel, parity)+uint64(i)*gasmem.WordBytes, uint64(v))
 	}
 }

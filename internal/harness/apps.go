@@ -162,9 +162,9 @@ var bfsApp = &GraphApp{
 					a.Rounds, a.Traversed, float64(a.Traversed)/m.Seconds(a.Elapsed())/1e9)
 			},
 			Profile: func() []string {
-				line := "rounds: cycles/tuples"
+				line := "rounds: cycles/tuples/new"
 				for _, r := range a.RoundLog {
-					line += fmt.Sprintf(" %d/%d", r.Done-r.Launch, r.Tuples)
+					line += fmt.Sprintf(" %d/%d/%d", r.Done-r.Launch, r.Tuples, r.New)
 				}
 				return []string{line}
 			},

@@ -31,7 +31,7 @@
 //     whichever event of the map thread finishes the task).
 //   - kv_reduce receives the emitted tuple (key, values...) as operands.
 //     When its work — possibly spanning several events — is complete, it
-//     must call ReduceDone(c) exactly once.
+//     must call ReduceDone(c), or ReduceDoneAdd(c, n), exactly once.
 //   - kv_reduce must not Emit (reductions that need to generate more work
 //     launch a follow-up invocation instead, as BFS does per round).
 package kvmsr
@@ -168,18 +168,19 @@ type laneState struct {
 	exhausted   bool
 	doneSent    bool
 	// started and reduced count kv_reduce tasks entered (the reduce
-	// wrapper) and finished (ReduceDone) on this lane; reported is how
-	// much of reduced the lane has told its accelerator master.
+	// wrapper) and finished (ReduceDone) on this lane, added sums their
+	// ReduceDoneAdd values; reported and addReported are how much of
+	// reduced and added the lane has told its accelerator master.
 	// replyOwed is set while its node's drain probe has reached the lane
 	// but found reduces in progress: the counted reply goes out when the
 	// lane is next reduce-idle. In report mode (from that reply until the
 	// next lane_start) the lane pushes reduced-reported itself, pushLinger
 	// cycles after it goes reduce-idle.
-	started    uint64
-	reduced    uint64
-	reported   uint64
-	replyOwed  bool
-	reportMode bool
+	started               uint64
+	reduced, added        uint64
+	reported, addReported uint64
+	replyOwed             bool
+	reportMode            bool
 	// handed caches the lane's FirstWins table slot from its first
 	// hand-off.
 	handed *handedTable
@@ -194,12 +195,12 @@ type laneState struct {
 	sendBuf [sim.MaxOperands]uint64
 
 	// pend and armed drive the self-clocked push of reduce-count deltas,
-	// indexed by the role's tree level: pend[level] accumulates deltas
-	// pushed up by the role's children (a worker's own pending delta is
-	// reduced-reported, so pend[levelLane] stays zero) and armed[level]
-	// says a push event for that role is queued on this lane.
-	pend  [levelMaster]uint64
-	armed [levelMaster]bool
+	// indexed by the role's tree level: pend[level] and pendAdd[level]
+	// accumulate deltas and sums pushed up by the role's children (a
+	// worker's own are reduced-reported and added-addReported, so
+	// level 0 stays zero) and armed[level] says a push is queued here.
+	pend, pendAdd [levelMaster]uint64
+	armed         [levelMaster]bool
 
 	// roles holds the counted convergecast of each tree role the lane
 	// holds, indexed by level (roles[levelLane] is unused).
@@ -207,11 +208,11 @@ type laneState struct {
 
 	// invocation-master role: cont is the launch's completion continuation;
 	// draining is set from map-done to completion.
-	cont     uint64
-	prevEmit uint64
-	poolNext uint64
-	poolEnd  uint64
-	draining bool
+	cont              uint64
+	prevEmit, prevSum uint64
+	poolNext          uint64
+	poolEnd           uint64
+	draining          bool
 	// lastR is R at the straggler clock's last tick (Resilience only).
 	lastR uint64
 	// term counts the protocol's work on this lane; at the master
@@ -227,10 +228,11 @@ type laneState struct {
 // has reported map-done. At a node red keeps summing through its drain, so
 // node_done carries both; at the master emit is E, the cumulative emit
 // count (exact once every node has reported), and red is R, the sum of
-// every reduce-count delta the master has been told.
+// every reduce-count delta the master has been told. sum rides with red:
+// the ReduceDoneAdd values of the reduces red counts.
 type role struct {
-	expect, done int
-	emit, red    uint64
+	expect, done   int
+	emit, red, sum uint64
 }
 
 // Invocation is a registered KVMSR computation, launchable repeatedly.
@@ -418,7 +420,8 @@ func (v *Invocation) Spec() Spec { return v.s }
 // LaunchEvw returns the event word that starts the invocation: send it
 // numKeys as operand 0 (or no operands for Spec.NumKeys) with the
 // completion continuation. The completion event receives
-// (emittedThisLaunch, emittedCumulative) as operands.
+// (emittedThisLaunch, emittedCumulative, sumThisLaunch) as operands, the
+// last the launch's ReduceDoneAdd values summed.
 func (v *Invocation) LaunchEvw() uint64 {
 	return udweave.EvwNew(v.s.Lanes.First, v.lStart[levelMaster])
 }
@@ -564,10 +567,15 @@ func (v *Invocation) Return(c *udweave.Ctx, mapCont uint64) {
 // without being asked for again: at most one message per reduce-idle
 // transition, and a lane batches — the push fires pushLinger cycles later
 // and reports every reduce finished by then at once.
-func (v *Invocation) ReduceDone(c *udweave.Ctx) { v.reduceDone(c, v.st(c)) }
+func (v *Invocation) ReduceDone(c *udweave.Ctx) { v.reduceDone(c, v.st(c), 0) }
 
-func (v *Invocation) reduceDone(c *udweave.Ctx, st *laneState) {
+// ReduceDoneAdd is ReduceDone adding n to the launch's sum (the completion's
+// third operand), which rides every report of the count and so is exact.
+func (v *Invocation) ReduceDoneAdd(c *udweave.Ctx, n uint64) { v.reduceDone(c, v.st(c), n) }
+
+func (v *Invocation) reduceDone(c *udweave.Ctx, st *laneState, n uint64) {
 	st.reduced++
+	st.added += n
 	c.ScratchAccess(1)
 	if (st.reportMode || st.replyOwed) && st.started == st.reduced {
 		v.armPush(c, st, levelLane)
@@ -606,7 +614,7 @@ func (v *Invocation) handOff(c *udweave.Ctx, st *laneState, key uint64) bool {
 	if *slot == uint32(key+1) {
 		st.started++
 		st.term.Retired++
-		v.reduceDone(c, st)
+		v.reduceDone(c, st, 0)
 		return false
 	}
 	*slot = uint32(key + 1)
@@ -736,8 +744,9 @@ func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 			v.flushAll(c)
 		}
 		c.Cycles(2)
+		d, a := st.takeDelta()
 		c.SendEvent(udweave.EvwNew(v.parent(levelLane, self), v.lDone[levelLane]),
-			udweave.IGNRCONT, st.emitted, st.takeDelta())
+			udweave.IGNRCONT, st.emitted, d, a)
 	}
 	// Tracing: bracket the lane's map window — first in-flight task to the
 	// lane-done report — as an async span (it overlaps the lane's event
@@ -795,8 +804,8 @@ func (v *Invocation) grant(c *udweave.Ctx) {
 // ---- completion aggregation: lanes -> accel -> node -> master ---------
 //
 // Each done message carries the subtree's cumulative emit count and, next
-// to it, the reduce-count delta its lanes had not yet reported: one tree
-// traversal yields both sums at the master.
+// to it, the reduce-count delta its lanes had not yet reported and that
+// delta's sum: one tree traversal yields all three sums at the master.
 
 // done returns the map-done handler of the role at level: it counts one
 // child's report into the role's convergecast and, on the last child's,
@@ -809,6 +818,7 @@ func (v *Invocation) done(level uint64) udweave.Handler {
 		r.done++
 		r.emit += c.Op(0)
 		r.red += c.Op(1)
+		r.sum += c.Op(2)
 		c.Cycles(3)
 		switch {
 		case r.done < r.expect:
@@ -825,7 +835,7 @@ func (v *Invocation) done(level uint64) udweave.Handler {
 
 // report sends the role's map-done sums to its parent.
 func (v *Invocation) report(c *udweave.Ctx, level uint64, r *role) {
-	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDone[level]), udweave.IGNRCONT, r.emit, r.red)
+	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDone[level]), udweave.IGNRCONT, r.emit, r.red, r.sum)
 }
 
 // mapDone runs at the master once every node has reported map-done and
@@ -852,12 +862,12 @@ func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 	if st.draining {
 		c.TaskEnd(v.namePhaseDrain, st.term.Launches)
 	}
-	e := st.roles[levelMaster].emit
-	delta := e - st.prevEmit
-	st.prevEmit = e
+	r := &st.roles[levelMaster]
+	delta, sum := r.emit-st.prevEmit, r.sum-st.prevSum
+	st.prevEmit, st.prevSum = r.emit, r.sum
 	st.draining = false
 	c.Cycles(4)
-	c.Reply(st.cont, delta, e)
+	c.Reply(st.cont, delta, r.emit, sum)
 }
 
 // ---- termination detection --------------------------------------------
@@ -874,7 +884,8 @@ func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 // launch's counted convergecasts never see another launch's messages, and
 // every lane then reports its own late reduces; tree masters combine those
 // pushes on the way up. The master completes on the message that makes
-// R == E; it never probes.
+// R == E; it never probes. Each delta carries its reduces' ReduceDoneAdd
+// sum, so at R == E the master's sum is exact too.
 
 // drained reports R == E. Call it only between map-done and completion,
 // when E is exact. R can exceed E only through a bug in the user's events
@@ -889,12 +900,12 @@ func (v *Invocation) drained(st *laneState) bool {
 	return r.red == r.emit
 }
 
-// takeDelta returns the lane's reduces not yet reported upward and marks
-// them reported.
-func (st *laneState) takeDelta() uint64 {
-	d := st.reduced - st.reported
-	st.reported = st.reduced
-	return d
+// takeDelta returns the lane's reduces not yet reported upward and their
+// sum, and marks them reported.
+func (st *laneState) takeDelta() (d, a uint64) {
+	d, a = st.reduced-st.reported, st.added-st.addReported
+	st.reported, st.addReported = st.reduced, st.added
+	return d, a
 }
 
 // drain starts a node's counted probe over its own lanes; the replies add
@@ -917,7 +928,7 @@ func (v *Invocation) probe(c *udweave.Ctx) {
 		v.probeLane(c, st)
 	default:
 		r := &st.roles[level]
-		r.done, r.red = 0, 0
+		r.done, r.red, r.sum = 0, 0, 0
 		v.fanOut(c, level, 4, v.lProbe, level-1)
 	}
 	c.YieldTerminate()
@@ -943,8 +954,8 @@ func (v *Invocation) probeLane(c *udweave.Ctx, st *laneState) {
 func (v *Invocation) replyLane(c *udweave.Ctx, st *laneState) {
 	st.replyOwed = false
 	st.reportMode = true
-	c.SendEvent(udweave.EvwNew(v.parent(levelLane, c.NetworkID()), v.lReply[levelLane]),
-		udweave.IGNRCONT, st.takeDelta())
+	d, a := st.takeDelta()
+	c.SendEvent(udweave.EvwNew(v.parent(levelLane, c.NetworkID()), v.lReply[levelLane]), udweave.IGNRCONT, d, a)
 }
 
 // reply returns the probe-reply handler of the role at level: it counts one
@@ -957,13 +968,14 @@ func (v *Invocation) reply(level uint64) udweave.Handler {
 		r := &st.roles[level]
 		r.done++
 		r.red += c.Op(0)
+		r.sum += c.Op(1)
 		c.Cycles(3)
 		switch {
 		case r.done < r.expect:
 		case level == levelNode:
 			v.report(c, level, r)
 		default:
-			c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lReply[level]), udweave.IGNRCONT, r.red)
+			c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lReply[level]), udweave.IGNRCONT, r.red, r.sum)
 		}
 		c.YieldTerminate()
 	}
@@ -1020,10 +1032,10 @@ func (v *Invocation) push(c *udweave.Ctx) {
 	st.armed[level] = false
 	c.Cycles(2)
 	c.YieldTerminate()
-	var d uint64
+	var d, a uint64
 	switch {
 	case level != levelLane:
-		d, st.pend[level] = st.pend[level], 0
+		d, a, st.pend[level], st.pendAdd[level] = st.pend[level], st.pendAdd[level], 0, 0
 	case st.started != st.reduced:
 		// Reduces started while the push was queued: the idle transition
 		// that ends them arms the next one.
@@ -1032,12 +1044,12 @@ func (v *Invocation) push(c *udweave.Ctx) {
 		v.replyLane(c, st)
 		return
 	default:
-		if d = st.takeDelta(); d == 0 {
+		if d, a = st.takeDelta(); d == 0 {
 			return
 		}
 		st.term.Pushes++
 	}
-	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDelta), udweave.IGNRCONT, level+1, d)
+	c.SendEvent(udweave.EvwNew(v.parent(level, c.NetworkID()), v.lDelta), udweave.IGNRCONT, level+1, d, a)
 }
 
 // delta receives a pushed reduce-count delta at a tree master (accumulate
@@ -1045,13 +1057,15 @@ func (v *Invocation) push(c *udweave.Ctx) {
 // drains the launch).
 func (v *Invocation) delta(c *udweave.Ctx) {
 	st := v.st(c)
-	level, d := c.Op(0), c.Op(1)
+	level, d, a := c.Op(0), c.Op(1), c.Op(2)
 	c.Cycles(3)
 	if level < levelMaster {
 		st.pend[level] += d
+		st.pendAdd[level] += a
 		v.armPush(c, st, level)
 	} else {
 		st.roles[levelMaster].red += d
+		st.roles[levelMaster].sum += a
 		st.term.DeltaMsgs++
 		st.term.DeltaReduces += d
 		if st.draining && v.drained(st) {
@@ -1089,16 +1103,18 @@ type TerminationTotals struct {
 
 // TerminationState is a host-side reading of the protocol's conservation
 // law (see Invocation.TerminationState): at quiescence Reduced == Reported
-// == R == E, Retired <= Reduced, and nothing is Armed or Pending.
+// == R == E, Added == S, Retired <= Reduced, and nothing is Armed or
+// Pending.
 type TerminationState struct {
 	// Reduced and Reported sum the lanes' finished and reported reduces;
 	// Retired the part of Reduced that FirstWins retired at hand-off
-	// instead of running kv_reduce.
-	Reduced, Reported, Retired uint64
-	// R and E are the master's delta sum and cumulative emit count.
-	R, E uint64
-	// Armed counts queued push events; Pending sums deltas parked at
-	// tree masters.
+	// instead of running kv_reduce; Added their ReduceDoneAdd values.
+	Reduced, Reported, Retired, Added uint64
+	// R and E are the master's delta sum and cumulative emit count, S the
+	// sum that rode with R.
+	R, E, S uint64
+	// Armed counts queued push events; Pending sums deltas, and their
+	// sums, parked at tree masters.
 	Armed   int
 	Pending uint64
 }
@@ -1136,14 +1152,16 @@ func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) Termination
 		s.Reduced += st.reduced
 		s.Reported += st.reported
 		s.Retired += st.term.Retired
+		s.Added += st.added
 		if lane == v.s.Lanes.First {
-			s.R, s.E = st.roles[levelMaster].red, st.roles[levelMaster].emit
+			r := st.roles[levelMaster]
+			s.R, s.E, s.S = r.red, r.emit, r.sum
 		}
 		for level := range st.armed {
 			if st.armed[level] {
 				s.Armed++
 			}
-			s.Pending += st.pend[level]
+			s.Pending += st.pend[level] + st.pendAdd[level]
 		}
 	})
 	return s

@@ -9,6 +9,7 @@ import (
 	"updown/internal/apps/bfs"
 	"updown/internal/apps/tc"
 	"updown/internal/arch"
+	"updown/internal/baseline"
 	"updown/internal/fault"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
@@ -66,6 +67,7 @@ type termRound struct {
 type termResult struct {
 	done   []updown.Cycles // completion cycle of each launch
 	deltas []uint64        // per-launch emit counts the completions reported
+	adds   []uint64        // per-launch ReduceDoneAdd sums the completions reported
 	cum    uint64          // last cumulative emit count reported
 	sum    uint64          // reduce-side sum of every value
 	stats  updown.Stats
@@ -73,16 +75,17 @@ type termResult struct {
 }
 
 func (r termResult) summary() string {
-	return fmt.Sprintf("done=%v deltas=%v cum=%d stats=%+v totals=%+v", r.done, r.deltas, r.cum, r.stats, r.totals)
+	return fmt.Sprintf("done=%v deltas=%v adds=%v cum=%d stats=%+v totals=%+v", r.done, r.deltas, r.adds, r.cum, r.stats, r.totals)
 }
 
 const termCounters = 64
 
 // termJob chains rounds through one invocation: map task k emits
 // (hash-spread key, k+1) tuples, reduces fetch-add the value into one of
-// termCounters words (two events per reduce task) and the completion
-// relaunches the next round from the same thread. It fails unless the
-// protocol's counters are conserved once the machine has quiesced.
+// termCounters words and, in the second event of the task, ReduceDoneAdd
+// it; the completion relaunches the next round from the same thread. It
+// fails unless the protocol's counters are conserved once the machine has
+// quiesced.
 func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termResult {
 	t.Helper()
 	cfg := updown.Config{Nodes: mode.nodes, Shards: shards, MaxTime: 1 << 36}
@@ -132,16 +135,18 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 	var ack udweave.Label
 	reduceEv := m.Prog.Define("term_reduce", func(c *updown.Ctx) {
 		c.Cycles(8)
+		c.SetState(c.Op(1))
 		c.DRAMFetchAdd(counters+(c.Op(0)%termCounters)*8, c.Op(1), c.ContinueTo(ack))
 	})
 	ack = m.Prog.Define("term_reduce_ack", func(c *updown.Ctx) {
-		inv.ReduceDone(c)
+		inv.ReduceDoneAdd(c, c.State().(uint64))
 		c.YieldTerminate()
 	})
 	var done udweave.Label
 	done = m.Prog.Define("term_done", func(c *updown.Ctx) {
 		res.done = append(res.done, c.Now())
 		res.deltas = append(res.deltas, c.Op(0))
+		res.adds = append(res.adds, c.Op(2))
 		res.cum = c.Op(1)
 		if n := len(res.done); n < len(rounds) {
 			inv.LaunchWithArg(c, rounds[n].keys, uint64(n), c.ContinueTo(done))
@@ -169,41 +174,50 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		res.sum += m.GAS.ReadU64(counters + i*8)
 	}
 	res.totals = inv.TerminationTotals(m.LanePeek())
-	checkConserved(t, inv, m, res.cum)
+	checkConserved(t, inv, m, res.cum, res.sum)
 	if out := inv.Outstanding(m.LanePeek()); out != 0 {
 		t.Fatalf("%d emits still unacked after quiescence", out)
 	}
 	return res
 }
 
-// wantSum is the reduce-side total the rounds must add up to (a combiner
-// merges tuples but conserves their values).
+// roundSum is the reduce-side total of one round (a combiner merges tuples
+// but conserves their values); wantSum is the rounds' total.
+func roundSum(r termRound) uint64 { return r.emits * r.keys * (r.keys + 1) / 2 }
+
 func wantSum(rounds []termRound) uint64 {
 	var s uint64
 	for _, r := range rounds {
-		s += r.emits * r.keys * (r.keys + 1) / 2
+		s += roundSum(r)
 	}
 	return s
 }
 
 // checkConserved asserts the protocol's conservation law at quiescence:
 // every lane's reduces finished and reported, the master's R and E both
-// equal to the emits the completions reported, nothing armed or parked.
-func checkConserved(t *testing.T, inv *kvmsr.Invocation, m *updown.Machine, emits uint64) {
+// equal to the emits the completions reported, its S to the lanes'
+// ReduceDoneAdd total added, nothing armed or parked.
+func checkConserved(t *testing.T, inv *kvmsr.Invocation, m *updown.Machine, emits, added uint64) {
 	t.Helper()
 	s := inv.TerminationState(m.LanePeek())
-	if want := (kvmsr.TerminationState{Reduced: emits, Reported: emits, R: emits, E: emits}); s != want {
+	if want := (kvmsr.TerminationState{Reduced: emits, Reported: emits, R: emits, E: emits, Added: added, S: added}); s != want {
 		t.Fatalf("not conserved at quiescence: %+v, want %+v", s, want)
 	}
 }
 
 // checkTermJob asserts what every run of the generic job must show: the
-// reduce-side sum, one completion per launch in launch order, no probe from
-// the master and one drain per node of the set and launch.
+// reduce-side sum, in memory and in each completion's ReduceDoneAdd sum,
+// one completion per launch in launch order, no probe from the master and
+// one drain per node of the set and launch.
 func checkTermJob(t *testing.T, mode termMode, rounds []termRound, r termResult) {
 	t.Helper()
 	if r.sum != wantSum(rounds) {
 		t.Fatalf("reduce sum %d, want %d", r.sum, wantSum(rounds))
+	}
+	for i, round := range rounds {
+		if r.adds[i] != roundSum(round) {
+			t.Fatalf("launch %d completed with sum %d, its reduces added %d: %v", i, r.adds[i], roundSum(round), r.adds)
+		}
 	}
 	if r.totals.Launches != uint64(len(rounds)) {
 		t.Fatalf("launches = %d", r.totals.Launches)
@@ -388,6 +402,73 @@ func TestAtMostOneProbe(t *testing.T) {
 	}
 }
 
+// BFS under reordered delivery: the root's visited mark is acked before
+// its accelerator fans round 0 out, so no tuple can reach the root's owner
+// ahead of it however messages are delayed, and the search still stops on
+// the first round that visits nothing. Distances match the host baseline,
+// Rounds is 1 + the deepest distance, the rounds' ReduceDoneAdd sums count
+// every reached vertex but the root, and the conservation law closes.
+func TestBFSUnderDelay(t *testing.T) {
+	g := graph.FromEdges(256, graph.DefaultRMAT(8, 15), graph.BuildOptions{
+		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	want := baseline.BFS(g, 28)
+	depth, reached := 0, uint64(0)
+	for _, d := range want {
+		if d != baseline.Unreached {
+			depth, reached = max(depth, int(d)), reached+1
+		}
+	}
+	for _, coalesce := range []bool{false, true} {
+		for _, nodes := range []int{2, 4} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("coalesce=%v/nodes=%d/seed=%d", coalesce, nodes, seed), func(t *testing.T) {
+					cfg := updown.Config{Nodes: nodes, Shards: 1, MaxTime: 1 << 42, Fault: delayPlan(seed)}
+					if coalesce {
+						cfg.Coalesce = &kvmsr.Coalesce{}
+					}
+					m, err := updown.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dg, err := graph.LoadToGAS(m.GAS, graph.Split(g, 16), graph.DefaultPlacement(nodes))
+					if err != nil {
+						t.Fatal(err)
+					}
+					app, err := bfs.New(m, dg, bfs.Config{Root: 28})
+					if err != nil {
+						t.Fatal(err)
+					}
+					app.InitValues()
+					st, err := app.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Faults.Delayed == 0 {
+						t.Fatal("no message delayed: the leg is vacuous")
+					}
+					for v, d := range app.Distances() {
+						if w := uint64(want[v]); want[v] == baseline.Unreached && d != bfs.Unvisited || want[v] != baseline.Unreached && d != w {
+							t.Fatalf("vertex %d: distance %d, baseline %d", v, d, want[v])
+						}
+					}
+					if app.Rounds != depth+1 {
+						t.Fatalf("%d rounds for depth %d", app.Rounds, depth)
+					}
+					var visited uint64
+					for _, r := range app.RoundLog {
+						visited += r.New
+					}
+					s := app.Shuffle.TerminationState(m.LanePeek())
+					if visited != reached-1 || s.Reduced != s.E || s.Reported != s.E || s.R != s.E ||
+						s.Added != visited || s.S != visited || s.Armed != 0 || s.Pending != 0 {
+						t.Fatalf("%d of %d vertices visited after the root, not conserved: %+v", visited, reached-1, s)
+					}
+				})
+			}
+		}
+	}
+}
+
 // One key receives every tuple, so its owner lane is still reducing long
 // after its node's drain probe has reached it. The launch must complete
 // one lane -> accelerator -> node -> master traversal (plus, if the lane
@@ -466,7 +547,7 @@ func TestHotReducerCompletesOnLastReduce(t *testing.T) {
 		if gap := completed - lastDone; gap <= 0 || gap > bound {
 			t.Fatalf("completion %d cycles after the last ReduceDone (at %d), want at most %d", gap, lastDone, bound)
 		}
-		checkConserved(t, inv, m, tuples)
+		checkConserved(t, inv, m, tuples, 0)
 		pushes := inv.PushesForTest(m.LanePeek(), hot)
 		if pushes > uint64(idles) {
 			t.Fatalf("hot lane pushed %d deltas over %d reduce-idle transitions", pushes, idles)
@@ -561,7 +642,7 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 		if gap := completed - updown.Cycles(lastDone.Load()); gap <= 0 || gap > bound {
 			t.Fatalf("completion %d cycles after the last ReduceDone, want at most %d", gap, bound)
 		}
-		checkConserved(t, inv, m, 2*tasks)
+		checkConserved(t, inv, m, 2*tasks, 0)
 		return fmt.Sprintf("%d %d %+v %+v", completed, lastDone.Load(), st, tt)
 	})
 }
@@ -660,7 +741,7 @@ func TestRacingReduceAcrossLaunches(t *testing.T) {
 				t.Fatalf("completions out of order: %v", doneAt)
 			}
 		}
-		checkConserved(t, inv, m, 2401)
+		checkConserved(t, inv, m, 2401, 0)
 		tt := inv.TerminationTotals(m.LanePeek())
 		return fmt.Sprintf("%v %v %+v %+v", doneAt, deltas, st, tt)
 	})

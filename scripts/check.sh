@@ -125,8 +125,14 @@ bfs4c=$(printf '%s\n' "$bfs4c" | checksum)
 # Scratchpad smoke: every lane's slots (udweave.NewSlot) are charged to its
 # 64 KiB scratchpad and a Get past it panics; BFS at the bfs_batch geometry
 # must run and report its fullest lane below the cap.
-./updown-sim -app bfs -scale 16 -nodes 8 -coalesce -m 256 -root 28 -profile \
+batch=$(./updown-sim -app bfs -scale 16 -nodes 8 -coalesce -m 256 -root 28 -profile)
+printf '%s\n' "$batch" \
     | awk '/^scratchpad:/ { if ($8+0 >= 65536) { print "scratchpad smoke: " $0; exit 1 } found=1 } END { exit !found }'
+# Stop-rule smoke: BFS ends on the first round whose reduces visit nothing,
+# so on the rounds: line (cycles/tuples/new per round) only the last entry
+# has new == 0.
+printf '%s\n' "$batch" \
+    | awk '/^rounds: cycles\/tuples\/new / { for (i = 3; i <= NF; i++) { split($i, f, "/"); if ((f[3] == 0) != (i == NF)) { print "stop-rule smoke: round " i-3 " of " $0; exit 1 } } found=1 } END { exit !found }'
 ./updown-sim -app pr -nodes 3 -scale 10 > /dev/null
 ./fig 9pr -scale 10 -nodes 3 | grep -q 'values validated against host baseline'
 ./fig 12 -scale 10 -mem 1,2,4 -compute 4 \
