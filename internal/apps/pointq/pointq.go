@@ -37,9 +37,12 @@ import (
 	"updown/internal/udweave"
 )
 
-// Window bounds a slot's in-flight per-vertex tasks (and a task's
-// in-flight sub-vertex streamers).
-const Window = 16
+// Window bounds a slot's in-flight per-vertex tasks, counting 8 for each
+// frontier chunk read still in flight (and a task's in-flight sub-vertex
+// streamers). A vertex task is three dependent DRAM trips and a
+// round's frontier is read from one lane, so a round is latency-bound:
+// 64 tasks keep a 16-lane slice busy where 16 left it waiting on DRAM.
+const Window = 64
 
 // Config sizes a point-query engine.
 type Config struct {
@@ -124,6 +127,10 @@ type Engine struct {
 	// then. Its only in-simulation writer is the slot's driver thread, so
 	// the host reads it race-free at any quiesced point.
 	done []updown.Cycles
+	// ended[s] is set by the map task of the round that resolved slot s
+	// (or found it resolved); the driver, on the same lane, ends the
+	// chain with that round.
+	ended []bool
 	// seeded lists the slots Seed has filled since the last Post.
 	seeded []int
 }
@@ -147,7 +154,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 		return nil, fmt.Errorf("%w: %s: %d slots over %d lanes (need a lane slice each)", ErrTooManySlots, k.Name, cfg.Slots, cfg.Lanes.Count)
 	}
 	e := &Engine{m: m, dg: dg, k: k, lanes: cfg.Lanes, sliceSize: cfg.Lanes.Count / cfg.Slots,
-		n: uint64(dg.G.N), done: make([]updown.Cycles, cfg.Slots), seeded: make([]int, 0, cfg.Slots)}
+		n: uint64(dg.G.N), done: make([]updown.Cycles, cfg.Slots), ended: make([]bool, cfg.Slots),
+		seeded: make([]int, 0, cfg.Slots)}
 	e.fcap = e.n + fSlack
 
 	// Label headroom first, so a refusal leaves nothing allocated or
@@ -202,7 +210,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	e.inv = make([]*kvmsr.Invocation, cfg.Slots)
 	for s := range e.inv {
 		spec.Name = fmt.Sprintf("%s.round%d", k.Name, s)
-		spec.Lanes = kvmsr.LaneSet{First: e.slotLane(uint64(s)), Count: e.sliceSize}
+		spec.Lanes = e.Slice(s)
 		var err error
 		if e.inv[s], err = kvmsr.New(m.Prog, spec); err != nil {
 			return nil, err
@@ -218,6 +226,12 @@ func SplitKey(key uint64) (slot, v uint64) { return key >> 32, key & 0xffffffff 
 // master and map task run there.
 func (e *Engine) slotLane(slot uint64) updown.NetworkID {
 	return e.lanes.First + updown.NetworkID(int(slot)*e.sliceSize)
+}
+
+// Slice is slot's lane slice: every event of a query in that slot runs
+// there.
+func (e *Engine) Slice(slot int) kvmsr.LaneSet {
+	return kvmsr.LaneSet{First: e.slotLane(uint64(slot)), Count: e.sliceSize}
 }
 
 // slotOf is the slot whose slice holds lane id.
@@ -268,7 +282,7 @@ func (e *Engine) Seed(slot int, src, tgt uint32) {
 	gas.WriteWords(e.HdrVA(s, 0), hdr[:])
 	gas.WriteU64(e.PlaneVA(s, 0, sb), 1)
 	gas.WriteU64(e.TouchVA(s, 0), sb)
-	e.done[slot] = -1
+	e.done[slot], e.ended[slot] = -1, false
 	e.seeded = append(e.seeded, slot)
 }
 
@@ -323,27 +337,22 @@ func (e *Engine) SlotDone(slot int) (updown.Cycles, bool) { return e.done[slot],
 
 // ---- per-slot round driver and map task ---------------------------------
 
-type driverState struct {
-	slot, round uint64
-	final       bool
-}
+type driverState struct{ slot, round uint64 }
 
-// driver chains one slot's rounds until a round emits nothing, then runs
-// one more: a round can consume the last frontier without emitting, and
-// only the following empty round stamps the slot's done cycle.
+// driver chains one slot's rounds until the round whose map task resolved
+// the query, or found it resolved, completes. A round that emits nothing
+// leaves the next one an empty frontier, which resolves.
 func (e *Engine) driver(c *udweave.Ctx) {
 	st, _ := c.State().(*driverState)
-	if st == nil {
+	switch {
+	case st == nil:
 		st = &driverState{slot: e.slotOf(c.NetworkID())}
 		c.SetState(st)
-	} else {
-		dry := c.Op(0) == 0
-		if dry && st.final {
-			e.done[st.slot] = c.Now()
-			c.YieldTerminate()
-			return
-		}
-		st.final = dry
+	case e.ended[st.slot]:
+		e.done[st.slot] = c.Now()
+		c.YieldTerminate()
+		return
+	default:
 		st.round++
 	}
 	e.inv[st.slot].LaunchWithArg(c, 1, st.round, c.ContinueTo(e.lDriver))
@@ -354,13 +363,13 @@ func (e *Engine) driver(c *udweave.Ctx) {
 type Task struct {
 	Slot, Round, Target uint64
 
-	mapCont      uint64
-	segVA        gasmem.VA
-	next, hi     uint64
-	outstanding  int
-	chunkPending bool
-	clears       int
-	emits        uint64
+	mapCont     uint64
+	segVA       gasmem.VA
+	next, hi    uint64
+	outstanding int
+	chunks      int
+	clears      int
+	emits       uint64
 }
 
 func (e *Engine) kvMap(c *udweave.Ctx) {
@@ -378,11 +387,13 @@ func (e *Engine) hdr(c *udweave.Ctx) {
 	c.Cycles(4)
 	switch {
 	case c.Op(HDone) != 0:
-		// Resolved in an earlier round: nothing to do.
+		// Resolved during the previous round's reduces: nothing to do.
+		e.ended[t.Slot] = true
 		e.idleAck(c)
 	case c.Op(HResult) != 0 || cnt == 0:
 		// Answer found during the previous round's reduces, or frontier
 		// dry: the kernel finalizes the header and stamps the done cycle.
+		e.ended[t.Slot] = true
 		e.k.Resolve(c, t)
 	default:
 		t.segVA, t.hi = e.FrontVA(t.Slot, parity), cnt
@@ -414,14 +425,18 @@ func (e *Engine) clrAck(c *udweave.Ctx) {
 	e.pump(c, t)
 }
 
-// pump keeps up to Window vertex tasks in flight over the slot's frontier.
+// pump keeps the slot's frontier streaming: it sends chunk reads while
+// the vertex tasks in flight plus 8 per pending chunk stay under Window,
+// reserving each chunk's indices as its read goes out.
 func (e *Engine) pump(c *udweave.Ctx, t *Task) {
-	if !t.chunkPending && t.next < t.hi && t.outstanding < Window {
-		t.chunkPending = true
+	for t.next < t.hi && t.outstanding+8*t.chunks < Window {
+		n := min(t.hi-t.next, 8)
+		t.chunks++
 		c.Cycles(2)
-		c.DRAMRead(t.segVA+t.next*gasmem.WordBytes, int(min(t.hi-t.next, 8)), c.ContinueTo(e.lChunk))
+		c.DRAMRead(t.segVA+t.next*gasmem.WordBytes, int(n), c.ContinueTo(e.lChunk))
+		t.next += n
 	}
-	if t.outstanding == 0 && !t.chunkPending && t.clears == 0 && t.next >= t.hi {
+	if t.outstanding == 0 && t.chunks == 0 && t.clears == 0 && t.next >= t.hi {
 		e.inv[t.Slot].EmitFrom(c, t.emits)
 		e.idleAck(c)
 	}
@@ -430,14 +445,13 @@ func (e *Engine) pump(c *udweave.Ctx, t *Task) {
 // chunk fans one frontier chunk out to the kernel's vertex tasks.
 func (e *Engine) chunk(c *udweave.Ctx) {
 	t := c.State().(*Task)
-	t.chunkPending = false
+	t.chunks--
 	cont := c.ContinueTo(e.lVDone)
 	for _, v := range c.Ops() {
 		c.Cycles(2)
 		e.k.Visit(c, t, v, cont)
 		t.outstanding++
 	}
-	t.next += uint64(c.NOps())
 	e.pump(c, t)
 }
 

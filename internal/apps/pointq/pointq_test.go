@@ -34,8 +34,13 @@ type slotGold struct {
 // its own lanes and the tree's roles left the slices' first lanes (slots
 // resolve sooner, a chain's trailing empty round costs a drain per node:
 // BFS final time 147,626 -> 146,598 with events 72,764 -> 89,381, PPR
-// 1,431,979 -> 1,417,918). Any later refactor must leave the simulated
-// timeline of both kernels exactly in place.
+// 1,431,979 -> 1,417,918), and once more when a round's frontier pump
+// began keeping several chunk reads and up to Window = 64 vertex tasks in
+// flight, and a chain began ending on the round that resolves its query
+// instead of one empty round later (PPR slot 0 done 395,255 -> 142,964;
+// BFS final time 146,598 -> 58,291 with events 89,381 -> 72,819). Any
+// later refactor must leave the simulated timeline of both kernels
+// exactly in place.
 var kernels = []struct {
 	name  string
 	build func(m *updown.Machine, dg *graph.DeviceGraph, slots int) (*pointq.Engine, error)
@@ -51,9 +56,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{2, 1593, 6359}, {2, 1638, 6387}, {3, 14108, 25890}, {0, 143511, 146597}},
-		stats: sim.Stats{Events: 89381, Sends: 89377, DRAMReads: 1716, DRAMWrites: 6679,
-			DRAMBytes: 160840, BusyCycles: 843638, FinalTime: 146598},
+		slots: [4]slotGold{{2, 1593, 4612}, {2, 1638, 4640}, {3, 14108, 19360}, {0, 56951, 58290}},
+		stats: sim.Stats{Events: 72819, Sends: 72815, DRAMReads: 1712, DRAMWrites: 6679,
+			DRAMBytes: 160648, BusyCycles: 669712, FinalTime: 58291},
 	},
 	{
 		name: "ppr",
@@ -64,9 +69,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{29786887349, 395255, 396453}, {4055503735, 399240, 400438}, {7974059777, 1342522, 1343720}, {0, 1416719, 1417917}},
-		stats: sim.Stats{Events: 1752571, Sends: 1752567, DRAMReads: 97531, DRAMWrites: 401380,
-			DRAMBytes: 10280464, BusyCycles: 12894306, FinalTime: 1417918},
+		slots: [4]slotGold{{29786887349, 142964, 144162}, {4055503735, 143007, 144205}, {7974059777, 452911, 454109}, {0, 477267, 478465}},
+		stats: sim.Stats{Events: 1752910, Sends: 1752906, DRAMReads: 97531, DRAMWrites: 401380,
+			DRAMBytes: 10280464, BusyCycles: 12897357, FinalTime: 478466},
 	},
 }
 
@@ -124,19 +129,56 @@ func TestGoldenBatch(t *testing.T) {
 
 // Batching must not change any answer: every query of a shared batch is
 // pinned to the result a solo run in slot 0 of an identically built
-// machine produces.
+// machine produces. So is a query sharing its slice with another kind's:
+// a BFS and a PPR engine on one machine cut the same lanes into the same
+// slices, and once every slice is busy the server seeds a query beside
+// another kind's.
 func TestBatchEqualsSolo(t *testing.T) {
-	for _, k := range kernels {
+	solo := make([][len(testQueries)]uint64, len(kernels))
+	for ki, k := range kernels {
+		for s := range testQueries {
+			e, _ := runBatch(t, k.build, 1, testQueries[s:s+1])
+			solo[ki][s] = e.Result(0)
+		}
+	}
+	for ki, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			e, _ := runBatch(t, k.build, 1, testQueries[:])
 			for s, q := range testQueries {
-				solo, _ := runBatch(t, k.build, 1, testQueries[s:s+1])
-				if b, so := e.Result(s), solo.Result(0); b != so {
+				if b, so := e.Result(s), solo[ki][s]; b != so {
 					t.Errorf("query %d->%d: batched %#x != solo %#x", q.src, q.tgt, b, so)
 				}
 			}
 		})
 	}
+	t.Run("bfs+ppr in one slice", func(t *testing.T) {
+		for s, q := range testQueries {
+			m, dg := pointqtest.Machine(t, testGraph, 2, 1)
+			engines := make([]*pointq.Engine, len(kernels))
+			for ki, k := range kernels {
+				e, err := k.build(m, dg, len(testQueries))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Seed(0, q.src, q.tgt)
+				engines[ki] = e
+			}
+			if a, b := engines[0].Slice(0), engines[1].Slice(0); a != b {
+				t.Fatalf("slot 0 slices %+v and %+v differ", a, b)
+			}
+			for _, e := range engines {
+				e.Post(1)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for ki, e := range engines {
+				if got, want := e.Result(0), solo[ki][s]; got != want {
+					t.Errorf("%s %d->%d beside the other kind: %#x != solo %#x", kernels[ki].name, q.src, q.tgt, got, want)
+				}
+			}
+		}
+	})
 }
 
 // Slots are independent round chains: a short query co-posted with a long

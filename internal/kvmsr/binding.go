@@ -27,6 +27,9 @@ func (ls LaneSet) End() arch.NetworkID { return ls.First + arch.NetworkID(ls.Cou
 // Contains reports membership.
 func (ls LaneSet) Contains(id arch.NetworkID) bool { return id >= ls.First && id < ls.End() }
 
+// Overlaps reports whether the two sets share a lane.
+func (ls LaneSet) Overlaps(o LaneSet) bool { return ls.First < o.End() && o.First < ls.End() }
+
 // Index returns the zero-based position of a lane within the set.
 func (ls LaneSet) Index(id arch.NetworkID) int { return int(id - ls.First) }
 

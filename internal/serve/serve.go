@@ -14,9 +14,10 @@
 // Admission is continuous and per slot. A point engine runs each query as
 // an independent round chain on the query's own lane slice (see pointq),
 // so at every boundary the server resolves and recycles whichever
-// in-flight queries have finished and seeds queued ones into whatever
-// slots are free; no query waits for the others it was launched with, and
-// a kind's next queries do not wait for its previous ones. MaxBatch caps
+// in-flight queries have finished and seeds queued ones into free slots,
+// off the slices another kind's queries are running on while it can; no
+// query waits for the others it was launched with, and a kind's next
+// queries do not wait for its previous ones. MaxBatch caps
 // the queries a kind has in flight and FuseWindow holds a partly filled
 // launch back for late joiners. Query descriptors live in the caller's
 // schedule slice and every server-side list is preallocated, so the
@@ -345,10 +346,10 @@ func (s *Server) admit(now updown.Cycles) {
 	}
 }
 
-// launch seeds queued queries, oldest first, into a kind's free slots,
-// lowest first, when the policy fires: the queue fills every free slot,
-// the fuse window expired, or the schedule has drained (no later arrival
-// can ever join).
+// launch seeds queued queries, oldest first, into a kind's free slots
+// (see pick) when the policy fires: the queue fills every free slot, the
+// fuse window expired, or the schedule has drained (no later arrival can
+// ever join).
 func (s *Server) launch(now updown.Cycles) {
 	for k, e := range s.eng {
 		if e == nil || len(s.queue[k]) == 0 {
@@ -363,11 +364,9 @@ func (s *Server) launch(now updown.Cycles) {
 			continue
 		}
 		n := min(len(s.queue[k]), free)
-		at, slot := now+1, 0
+		at := now + 1
 		for _, qi := range s.queue[k][:n] {
-			for s.busy[k][slot] {
-				slot++
-			}
+			slot := s.pick(k)
 			s.busy[k][slot] = true
 			q := &s.queries[qi]
 			e.Seed(slot, q.Src, q.Tgt)
@@ -381,6 +380,32 @@ func (s *Server) launch(now updown.Cycles) {
 		e.Post(at)
 		s.stats.Batches[k]++
 	}
+}
+
+// pick returns the free slot of kind k whose lane slice the fewest
+// in-flight queries of the other kinds overlap, the lowest on a tie, so
+// node 0's slices, beside the resident graph, fill first. The two kinds'
+// engines cut the same lanes into slices, and a query on a shared slice
+// waits behind its co-tenant's events.
+func (s *Server) pick(k int) int {
+	best, fewest := -1, 0
+	for slot, busy := range s.busy[k] {
+		if busy {
+			continue
+		}
+		ls, n := s.eng[k].Slice(slot), 0
+		for o, e := range s.eng {
+			for _, qi := range s.inflight[o] {
+				if o != k && e.Slice(s.queries[qi].Slot).Overlaps(ls) {
+					n++
+				}
+			}
+		}
+		if best < 0 || n < fewest {
+			best, fewest = slot, n
+		}
+	}
+	return best
 }
 
 // installTelemetry adds per-kind query serving gauges to the machine's

@@ -73,9 +73,28 @@ func poissonSchedule(n int, gap int64, seed uint64) []serve.Query {
 	return qs
 }
 
+// checkAnswer fails t unless resolved query i answers what the host
+// reference does: the baseline BFS distance or the fixed-point
+// forward-push score.
+func checkAnswer(t *testing.T, g *graph.Graph, i int, q *serve.Query) {
+	t.Helper()
+	if q.State != serve.Resolved {
+		t.Fatalf("query %d not resolved: state %d", i, q.State)
+	}
+	if q.Kind == serve.KindPPR {
+		if want := pagerank.RefScores(g, q.Src, 0)[q.Tgt]; q.Result != want {
+			t.Fatalf("query %d (ppr %d->%d): got %#x, want %#x", i, q.Src, q.Tgt, q.Result, want)
+		}
+		return
+	}
+	want := baseline.BFS(g, q.Src)[q.Tgt]
+	if q.Reached != (want != baseline.Unreached) || q.Reached && q.Result != uint64(want)+1 {
+		t.Fatalf("query %d (bfs %d->%d): got (%d,%v), want dist %d", i, q.Src, q.Tgt, q.Result, q.Reached, want)
+	}
+}
+
 // Every answer a shared open-loop stream produces must equal the host
-// reference: baseline BFS distances and fixed-point forward-push scores.
-// This pins batched, interleaved serving to solo ground truth.
+// reference. This pins batched, interleaved serving to solo ground truth.
 func TestServeMatchesHostReference(t *testing.T) {
 	g := testGraph()
 	_, srv := warmServer(t, g, 1, serve.Config{FuseWindow: 2048})
@@ -83,46 +102,71 @@ func TestServeMatchesHostReference(t *testing.T) {
 	if err := srv.Run(qs); err != nil {
 		t.Fatal(err)
 	}
-	bfsRefs := map[uint32][]uint32{}
-	pprRefs := map[uint32][]uint64{}
 	for i := range qs {
 		q := &qs[i]
-		if q.State != serve.Resolved {
-			t.Fatalf("query %d not resolved: state %d", i, q.State)
-		}
+		checkAnswer(t, g, i, q)
 		if q.Done <= q.Arrive {
 			t.Fatalf("query %d: done %d <= arrive %d", i, q.Done, q.Arrive)
-		}
-		switch q.Kind {
-		case serve.KindBFS:
-			ref, ok := bfsRefs[q.Src]
-			if !ok {
-				ref = baseline.BFS(g, q.Src)
-				bfsRefs[q.Src] = ref
-			}
-			if want := ref[q.Tgt]; want == baseline.Unreached {
-				if q.Reached {
-					t.Fatalf("query %d (bfs %d->%d): reached, want unreached", i, q.Src, q.Tgt)
-				}
-			} else if !q.Reached || q.Result != uint64(want)+1 {
-				t.Fatalf("query %d (bfs %d->%d): got (%d,%v), want dist %d",
-					i, q.Src, q.Tgt, q.Result, q.Reached, want)
-			}
-		case serve.KindPPR:
-			ref, ok := pprRefs[q.Src]
-			if !ok {
-				ref = pagerank.RefScores(g, q.Src, 0)
-				pprRefs[q.Src] = ref
-			}
-			if q.Result != ref[q.Tgt] {
-				t.Fatalf("query %d (ppr %d->%d): got %#x, want %#x",
-					i, q.Src, q.Tgt, q.Result, ref[q.Tgt])
-			}
 		}
 	}
 	st := srv.Stats()
 	if st.Served[0]+st.Served[1] != len(qs) {
 		t.Fatalf("served %v of %d", st.Served, len(qs))
+	}
+}
+
+// The BFS and PPR engines cut the same lanes into the same slices, so a
+// query seeded beside another kind's waits behind its events. A query goes
+// to the free slot whose slice the fewest in-flight queries of the other
+// kind share, the lowest on a tie: with a PPR query running in slot 0 the
+// next BFS queries take slots 1 and 2, also when MaxBatch 1 admits one
+// query per kind at a time; once every slice holds a PPR query, BFS falls
+// back to its lowest free slots.
+func TestServeSeparatesKinds(t *testing.T) {
+	g := testGraph()
+	for _, c := range []struct {
+		name          string
+		maxBatch, ppr int
+		bfsSlots      []int
+	}{
+		{"one PPR", 0, 1, []int{1, 2}},
+		{"MaxBatch 1", 1, 1, []int{1, 1}},
+		{"every slice busy", 0, 4, []int{0, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, srv := warmServer(t, g, 1, serve.Config{Quantum: 4096, MaxBatch: c.maxBatch})
+			var qs []serve.Query
+			for i := range c.ppr {
+				qs = append(qs, serve.Query{Kind: serve.KindPPR, Src: uint32(28 + i), Tgt: 0, Arrive: 1})
+			}
+			// The BFS queries arrive once the PPR queries are running.
+			for i := range c.bfsSlots {
+				qs = append(qs, serve.Query{Kind: serve.KindBFS, Src: uint32(3 * i), Tgt: 200, Arrive: 5000})
+			}
+			if err := srv.Run(qs); err != nil {
+				t.Fatal(err)
+			}
+			pprQ, bfsQ := qs[:c.ppr], qs[c.ppr:]
+			for i := range qs {
+				checkAnswer(t, g, i, &qs[i])
+			}
+			for i := range pprQ {
+				if pprQ[i].Slot != i {
+					t.Errorf("PPR query %d ran in slot %d, want %d", i, pprQ[i].Slot, i)
+				}
+			}
+			for i := range bfsQ {
+				b := &bfsQ[i]
+				for j := range pprQ {
+					if pprQ[j].Done <= b.Start {
+						t.Fatalf("PPR query %d resolved at %d, before BFS query %d was posted at %d", j, pprQ[j].Done, i, b.Start)
+					}
+				}
+				if b.Slot != c.bfsSlots[i] {
+					t.Errorf("BFS query %d ran in slot %d, want %d", i, b.Slot, c.bfsSlots[i])
+				}
+			}
+		})
 	}
 }
 
