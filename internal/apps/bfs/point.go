@@ -86,6 +86,7 @@ func (e *PointBFS) visit(c *udweave.Ctx, t *pointq.Task, v, cont uint64) {
 type pRedState struct {
 	slot, v, dist, target uint64
 	subStart, subCount    uint64
+	found                 uint64
 	acks                  int
 	fronted               bool
 }
@@ -102,15 +103,16 @@ func (e *PointBFS) mark(c *udweave.Ctx) {
 	st := c.State().(*pRedState)
 	if c.Op(0) != 0 {
 		// Already visited: first touch won.
-		e.ReduceDone(c, st.slot)
+		e.ReduceDone(c, st.slot, 0)
 		return
 	}
 	c.Cycles(2)
 	if st.v == st.target {
 		// Found: record distance and completion cycle together (adjacent
 		// header words, one acked write), then fall through to the
-		// bookkeeping chain — later rounds see result != 0 and idle out.
+		// bookkeeping chain; the found count ends the chain with this round.
 		st.acks++
+		st.found = 1
 		c.DRAMWrite(e.HdrVA(st.slot, pointq.HResult), c.ContinueTo(e.lTAck), st.dist+1, uint64(c.Now()))
 	}
 	c.DRAMFetchAdd(e.HdrVA(st.slot, pointq.HTouch), 1, c.ContinueTo(e.lTIdx))
@@ -149,6 +151,6 @@ func (e *PointBFS) ack(c *udweave.Ctx) {
 
 func (e *PointBFS) maybeDone(c *udweave.Ctx, st *pRedState) {
 	if st.acks == 0 && st.fronted {
-		e.ReduceDone(c, st.slot)
+		e.ReduceDone(c, st.slot, st.found)
 	}
 }

@@ -175,19 +175,24 @@ type ppVertState struct {
 	cont, v, round, slot uint64
 
 	r, share           uint64
-	recWait            bool
+	totalDeg, neighVA  uint64
 	degree, loaded     uint64
 	subStart, subCount uint64
 	nextSub            uint64
-	subsOut, acks      int
 	sent               uint64
+	// reads counts the residual and record reads in flight. The counters
+	// are int32 so that the state, one allocation per task, fits 128 bytes.
+	reads, subsOut, acks int32
 }
 
+// vert reads the residual and the vertex record together; push runs when
+// both have arrived.
 func (e *PointPPR) vert(c *udweave.Ctx) {
-	st := &ppVertState{cont: c.Cont(), v: c.Op(0), round: c.Op(1), slot: c.Op(2)}
+	st := &ppVertState{cont: c.Cont(), v: c.Op(0), round: c.Op(1), slot: c.Op(2), reads: 2}
 	c.SetState(st)
 	c.Cycles(4)
 	c.DRAMRead(e.PlaneVA(st.slot, plR+(st.round&1), st.v), 1, c.ContinueTo(e.lRRead))
+	c.DRAMRead(e.dg.RecordVA(uint32(st.v)), 8, c.ContinueTo(e.lVRec))
 }
 
 func (e *PointPPR) rRead(c *udweave.Ctx) {
@@ -195,26 +200,34 @@ func (e *PointPPR) rRead(c *udweave.Ctx) {
 	st.r = c.Op(0)
 	c.Cycles(2)
 	// Zero the consumed residual (acked) so the next round of this parity
-	// accumulates from scratch, then load the full vertex record.
+	// accumulates from scratch.
 	st.acks++
-	st.recWait = true
 	c.DRAMWrite(e.PlaneVA(st.slot, plR+(st.round&1), st.v), c.ContinueTo(e.lVAck), 0)
-	c.DRAMRead(e.dg.RecordVA(uint32(st.v)), 8, c.ContinueTo(e.lVRec))
+	e.push(c, st)
 }
 
 func (e *PointPPR) vRec(c *udweave.Ctx) {
 	st := c.State().(*ppVertState)
-	st.recWait = false
+	st.totalDeg, st.neighVA, st.degree = c.Op(graph.VTotalDeg), c.Op(graph.VNeighVA), c.Op(graph.VDegree)
+	st.subStart, st.subCount = c.Op(graph.VSubStart), c.Op(graph.VSubCount)
+	c.Cycles(2)
+	e.push(c, st)
+}
+
+func (e *PointPPR) push(c *udweave.Ctx, st *ppVertState) {
+	if st.reads--; st.reads > 0 {
+		return
+	}
 	var settle uint64
-	settle, st.share = pushSplit(st.r, c.Op(graph.VTotalDeg), e.eps)
+	settle, st.share = pushSplit(st.r, st.totalDeg, e.eps)
 	c.Cycles(8)
 	st.acks++
 	c.DRAMFetchAdd(e.PlaneVA(st.slot, plP, st.v), settle, c.ContinueTo(e.lVAck))
-	if st.share != 0 {
+	if st.share == 0 {
+		st.degree, st.subCount = 0, 0
+	} else {
 		// Stream the base member's own out-list, then its sub-vertices'.
-		st.degree = c.Op(graph.VDegree)
-		st.subStart, st.subCount = c.Op(graph.VSubStart), c.Op(graph.VSubCount)
-		graph.ReadAdj(c, c.Op(graph.VNeighVA), st.degree, c.ContinueTo(e.lVChunk))
+		graph.ReadAdj(c, st.neighVA, st.degree, c.ContinueTo(e.lVChunk))
 	}
 	e.subPump(c, st)
 }
@@ -253,7 +266,7 @@ func (e *PointPPR) sDone(c *udweave.Ctx) {
 }
 
 func (e *PointPPR) vertMaybeDone(c *udweave.Ctx, st *ppVertState) {
-	if st.acks == 0 && !st.recWait && st.loaded == st.degree && st.subsOut == 0 && st.nextSub == st.subCount {
+	if st.acks == 0 && st.reads == 0 && st.loaded == st.degree && st.subsOut == 0 && st.nextSub == st.subCount {
 		c.Reply(st.cont, st.sent)
 		c.YieldTerminate()
 	}
@@ -280,7 +293,7 @@ func (e *PointPPR) rAcc(c *udweave.Ctx) {
 	st := c.State().(*ppRedState)
 	if c.Op(0) != 0 {
 		// Not the first contribution this round: already in the frontier.
-		e.ReduceDone(c, st.slot)
+		e.ReduceDone(c, st.slot, 0)
 		return
 	}
 	c.Cycles(2)
@@ -324,6 +337,6 @@ func (e *PointPPR) ack(c *udweave.Ctx) {
 
 func (e *PointPPR) redMaybeDone(c *udweave.Ctx, st *ppRedState) {
 	if st.chains == 0 && st.acks == 0 {
-		e.ReduceDone(c, st.slot)
+		e.ReduceDone(c, st.slot, 0)
 	}
 }

@@ -10,10 +10,14 @@
 // A slot is the unit of execution. It owns a contiguous lane slice
 // (Lanes.Count/Slots lanes) and a KVMSR invocation over exactly that
 // slice, so its launch broadcast, its map master, its per-vertex tasks,
-// its reduce owners and its termination probes all stay there. A seeded
-// slot is driven by its own thread on the slice's first lane, which
-// chains the query's rounds — round k of a query is fully reduced before
-// its round k+1 expands — and records the cycle the chain ended. Nothing
+// its reduces and its termination traffic all stay there. A seeded slot
+// is driven by its own thread on the slice's first lane, its control
+// lane, which chains the query's rounds — round k of a query is fully
+// reduced before its round k+1 expands — and records the cycle the chain
+// ended. The control lane also runs the master and the frontier pump, so
+// vertex tasks and reduces run on the slice's other lanes, and a reduce's
+// lane depends on the lane that sent it as well as on its vertex: a hub's
+// in-flow spreads over the slice instead of queueing on one lane. Nothing
 // synchronizes one slot with another: a short query finishes, is
 // harvested and its slot reseeded while a long one is still running, and
 // an unseeded slot runs nothing. Every shared word of a slot sits behind
@@ -39,9 +43,9 @@ import (
 
 // Window bounds a slot's in-flight per-vertex tasks, counting 8 for each
 // frontier chunk read still in flight (and a task's in-flight sub-vertex
-// streamers). A vertex task is three dependent DRAM trips and a
-// round's frontier is read from one lane, so a round is latency-bound:
-// 64 tasks keep a 16-lane slice busy where 16 left it waiting on DRAM.
+// streamers). A vertex task is two or three dependent DRAM trips and a
+// round's frontier is read from one lane: 64 tasks keep a 16-lane slice
+// busy where 16 left it waiting on DRAM.
 const Window = 64
 
 // Config sizes a point-query engine.
@@ -127,9 +131,8 @@ type Engine struct {
 	// then. Its only in-simulation writer is the slot's driver thread, so
 	// the host reads it race-free at any quiesced point.
 	done []updown.Cycles
-	// ended[s] is set by the map task of the round that resolved slot s
-	// (or found it resolved); the driver, on the same lane, ends the
-	// chain with that round.
+	// ended[s] is set by the map task of the round that resolved slot s;
+	// the driver, on the same lane, ends the chain with that round.
 	ended []bool
 	// seeded lists the slots Seed has filled since the last Post.
 	seeded []int
@@ -186,7 +189,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 		MapEvent:    def("kv_map", e.kvMap),
 		ReduceEvent: def("kv_reduce", k.Reduce),
 		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, _ kvmsr.LaneSet) updown.NetworkID {
-			return e.Lane(SplitKey(key))
+			slot, v := SplitKey(key)
+			return e.worker(slot, prng.Mix64(v)+key>>spreadShift&spreadMask)
 		}),
 		Resilience: m.Resilience,
 		Coalesce:   m.Coalesce,
@@ -219,8 +223,19 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	return e, nil
 }
 
-// SplitKey unpacks a reduce key, slot<<32 | vertex.
-func SplitKey(key uint64) (slot, v uint64) { return key >> 32, key & 0xffffffff }
+// A reduce key is slot<<40 | spread<<32 | vertex, where spread is the
+// emitting lane's index in the slice, mod 256. The reduce binding adds it
+// to the vertex hash, so one vertex's tuples from different lanes reduce
+// on different lanes.
+const (
+	spreadShift = 32
+	spreadMask  = 0xff
+	slotShift   = 40
+)
+
+// SplitKey unpacks a reduce key into its slot and vertex, whatever its
+// spread.
+func SplitKey(key uint64) (slot, v uint64) { return key >> slotShift, key & 0xffffffff }
 
 // slotLane is the first lane of slot's slice: its driver, invocation
 // master and map task run there.
@@ -239,10 +254,19 @@ func (e *Engine) slotOf(id updown.NetworkID) uint64 {
 	return uint64(e.lanes.Index(id) / e.sliceSize)
 }
 
-// Lane hashes vertex v into slot's lane slice: where v's task runs and
-// where reduces keyed by v land.
-func (e *Engine) Lane(slot, v uint64) updown.NetworkID {
-	return e.slotLane(slot) + updown.NetworkID(prng.Mix64(v)%uint64(e.sliceSize))
+// Lane hashes vertex v over slot's worker lanes: where v's task and its
+// sub-vertex streamers run.
+func (e *Engine) Lane(slot, v uint64) updown.NetworkID { return e.worker(slot, prng.Mix64(v)) }
+
+// worker maps hash h to one of slot's worker lanes: every lane of the
+// slice but the first, which runs the driver, the master and the map
+// task, unless the slice has only that one.
+func (e *Engine) worker(slot, h uint64) updown.NetworkID {
+	first, n := e.slotLane(slot), uint64(e.sliceSize)
+	if n > 1 {
+		first, n = first+1, n-1
+	}
+	return first + updown.NetworkID(h%n)
 }
 
 // HdrVA addresses header word w of a slot.
@@ -339,16 +363,17 @@ func (e *Engine) SlotDone(slot int) (updown.Cycles, bool) { return e.done[slot],
 
 type driverState struct{ slot, round uint64 }
 
-// driver chains one slot's rounds until the round whose map task resolved
-// the query, or found it resolved, completes. A round that emits nothing
-// leaves the next one an empty frontier, which resolves.
+// driver chains one slot's rounds until one completes whose map task
+// resolved the query or whose reduces found the answer (a nonzero sum, the
+// completion's third operand). A round that emits nothing leaves the next
+// one an empty frontier, which resolves.
 func (e *Engine) driver(c *udweave.Ctx) {
 	st, _ := c.State().(*driverState)
 	switch {
 	case st == nil:
 		st = &driverState{slot: e.slotOf(c.NetworkID())}
 		c.SetState(st)
-	case e.ended[st.slot]:
+	case e.ended[st.slot] || c.Op(2) != 0:
 		e.done[st.slot] = c.Now()
 		c.YieldTerminate()
 		return
@@ -386,13 +411,10 @@ func (e *Engine) hdr(c *udweave.Ctx) {
 	t.Target = c.Op(HTarget)
 	c.Cycles(4)
 	switch {
-	case c.Op(HDone) != 0:
-		// Resolved during the previous round's reduces: nothing to do.
-		e.ended[t.Slot] = true
-		e.idleAck(c)
 	case c.Op(HResult) != 0 || cnt == 0:
-		// Answer found during the previous round's reduces, or frontier
-		// dry: the kernel finalizes the header and stamps the done cycle.
+		// Answer seeded, or frontier dry: the kernel finalizes the header
+		// and stamps the done cycle. (A round whose reduces find the
+		// answer ends the chain itself; no round reads its header.)
 		e.ended[t.Slot] = true
 		e.k.Resolve(c, t)
 	default:
@@ -466,20 +488,25 @@ func (e *Engine) vDone(c *udweave.Ctx) {
 // ---- adjacency streamer -------------------------------------------------
 
 // Stream starts a streamer for split vertex v on its slice lane: every
-// out-neighbor nb becomes the reduce tuple (slot<<32|nb, a, b), and cont
+// out-neighbor nb becomes a reduce tuple (nb's key, a, b), and cont
 // receives the credits sent.
 func (e *Engine) Stream(c *udweave.Ctx, cont, slot, v, a, b uint64) {
 	e.stream.Start(c, e.Lane(slot, v), cont, slot, v, a, b)
 }
 
-// EmitChunk sends one reduce tuple (slot<<32|nb, a, b) per neighbor in the
+// EmitChunk sends one reduce tuple (nb's key, a, b) per neighbor in the
 // current event's operands and returns the credits to report upstream.
 func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) uint64 {
 	return e.stream.EmitChunk(c, slot, a, b)
 }
 
 func (e *Engine) emit(c *udweave.Ctx, slot, nb, a, b uint64) uint64 {
-	return e.inv[slot].SendReduce(c, slot<<32|nb, a, b)
+	return e.inv[slot].SendReduce(c, e.key(slot, nb, c.NetworkID()), a, b)
+}
+
+// key is vertex v's reduce key in slot for a tuple sent from lane from.
+func (e *Engine) key(slot, v uint64, from updown.NetworkID) uint64 {
+	return slot<<slotShift | uint64(from-e.slotLane(slot))&spreadMask<<spreadShift | v
 }
 
 // ---- reduce-side helpers -------------------------------------------------
@@ -506,8 +533,9 @@ func (e *Engine) WriteFront(c *udweave.Ctx, slot, parity, idx, v, subStart, subC
 	return writes
 }
 
-// ReduceDone ends a kv_reduce task of slot.
-func (e *Engine) ReduceDone(c *udweave.Ctx, slot uint64) {
-	e.inv[slot].ReduceDone(c)
+// ReduceDone ends a kv_reduce task of slot, adding found to the round's
+// sum: the chain ends with a round whose sum is nonzero.
+func (e *Engine) ReduceDone(c *udweave.Ctx, slot, found uint64) {
+	e.inv[slot].ReduceDoneAdd(c, found)
 	c.YieldTerminate()
 }

@@ -10,7 +10,11 @@ import (
 	"updown/internal/apps/pagerank"
 	"updown/internal/apps/pointq"
 	"updown/internal/apps/pointq/pointqtest"
+	"updown/internal/arch"
+	"updown/internal/baseline"
+	"updown/internal/fault"
 	"updown/internal/graph"
+	"updown/internal/kvmsr"
 	"updown/internal/sim"
 )
 
@@ -38,9 +42,16 @@ type slotGold struct {
 // began keeping several chunk reads and up to Window = 64 vertex tasks in
 // flight, and a chain began ending on the round that resolves its query
 // instead of one empty round later (PPR slot 0 done 395,255 -> 142,964;
-// BFS final time 146,598 -> 58,291 with events 89,381 -> 72,819). Any
-// later refactor must leave the simulated timeline of both kernels
-// exactly in place.
+// BFS final time 146,598 -> 58,291 with events 89,381 -> 72,819), and
+// once more when reduces began spreading by emitting lane over the
+// slice's lanes but its first, PPR's pusher began reading residual and
+// record together, and a BFS chain began ending on the round whose
+// reduces find the target (PPR slot 0 done 142,964 -> 120,791; BFS events
+// 72,819 -> 60,344, three idle rounds fewer; BFS slot 3's unreachable
+// query 56,951 -> 58,959 is that one query's placement: over 48 random
+// BFS queries in slot 3 the median done stamp moves 0.1%). Any later
+// refactor must leave the simulated timeline of both kernels exactly in
+// place.
 var kernels = []struct {
 	name  string
 	build func(m *updown.Machine, dg *graph.DeviceGraph, slots int) (*pointq.Engine, error)
@@ -56,9 +67,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{2, 1593, 4612}, {2, 1638, 4640}, {3, 14108, 19360}, {0, 56951, 58290}},
-		stats: sim.Stats{Events: 72819, Sends: 72815, DRAMReads: 1712, DRAMWrites: 6679,
-			DRAMBytes: 160648, BusyCycles: 669712, FinalTime: 58291},
+		slots: [4]slotGold{{2, 1593, 2871}, {2, 1618, 2901}, {3, 14143, 17602}, {0, 58959, 60298}},
+		stats: sim.Stats{Events: 60344, Sends: 60340, DRAMReads: 1709, DRAMWrites: 6679,
+			DRAMBytes: 160504, BusyCycles: 538786, FinalTime: 60299},
 	},
 	{
 		name: "ppr",
@@ -69,9 +80,9 @@ var kernels = []struct {
 			}
 			return e.Engine, nil
 		},
-		slots: [4]slotGold{{29786887349, 142964, 144162}, {4055503735, 143007, 144205}, {7974059777, 452911, 454109}, {0, 477267, 478465}},
-		stats: sim.Stats{Events: 1752910, Sends: 1752906, DRAMReads: 97531, DRAMWrites: 401380,
-			DRAMBytes: 10280464, BusyCycles: 12897357, FinalTime: 478466},
+		slots: [4]slotGold{{29786887349, 120791, 121989}, {4055503735, 121168, 122366}, {7974059777, 442669, 443867}, {0, 459677, 460875}},
+		stats: sim.Stats{Events: 1752942, Sends: 1752938, DRAMReads: 97531, DRAMWrites: 401380,
+			DRAMBytes: 10280464, BusyCycles: 12934893, FinalTime: 460876},
 	},
 }
 
@@ -301,5 +312,122 @@ func TestTooManySlots(t *testing.T) {
 	m, dg := pointqtest.Machine(t, testGraph, 2, 1)
 	if _, err := kernels[0].build(m, dg, m.Arch.TotalLanes()+1); !errors.Is(err, pointq.ErrTooManySlots) {
 		t.Fatalf("more slots than lanes: err = %v, want ErrTooManySlots", err)
+	}
+}
+
+// The worker hash (Lane) and the reduce binding place every event of a
+// slot inside its slice and, when the slice has more than one lane, off
+// its control lane, the first, where the driver, the master and the map
+// task run. The binding spreads one vertex's tuples by the lane that sent
+// them, and SplitKey ignores the spread bits over the whole key range.
+func TestSliceGeometry(t *testing.T) {
+	m, dg := pointqtest.Machine(t, testGraph, 2, 1)
+	const slots = 4
+	for _, size := range []int{1, 2, 16, 1024} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			b, err := bfs.NewPoint(m, dg, bfs.PointConfig{Lanes: kvmsr.LaneSet{Count: slots * size}, Slots: slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := b.Engine
+			for s := uint64(0); s < slots; s++ {
+				sl := e.Slice(int(s))
+				check := func(what string, v uint64, id updown.NetworkID) {
+					if !sl.Contains(id) || size > 1 && id == sl.First {
+						t.Fatalf("slot %d vertex %d: %s lane %d, slice %+v", s, v, what, id, sl)
+					}
+				}
+				for _, v := range []uint64{0, 1, 28, 255, 1<<32 - 1} {
+					check("Lane", v, e.Lane(s, v))
+					hit := map[updown.NetworkID]bool{}
+					for i := 0; i < size; i++ {
+						from := sl.First + updown.NetworkID(i)
+						key := e.Key(s, v, from)
+						if gs, gv := pointq.SplitKey(key); gs != s || gv != v {
+							t.Fatalf("SplitKey(Key(%d, %d, %d)) = (%d, %d)", s, v, from, gs, gv)
+						}
+						id := e.ReduceLane(key)
+						check("reduce", v, id)
+						if i < 16 {
+							hit[id] = true
+						}
+					}
+					if size >= 16 && len(hit) < 2 {
+						t.Errorf("slot %d vertex %d: tuples from 16 lanes all reduce on %v", s, v, hit)
+					}
+				}
+			}
+		})
+	}
+	for _, slot := range []uint64{slots - 1, 1<<(64-pointq.SlotShift) - 1} {
+		for _, v := range []uint64{0, 1<<32 - 1} {
+			for spread := uint64(0); spread < 1<<(pointq.SlotShift-pointq.SpreadShift); spread++ {
+				key := slot<<pointq.SlotShift | spread<<pointq.SpreadShift | v
+				if gs, gv := pointq.SplitKey(key); gs != slot || gv != v {
+					t.Fatalf("SplitKey(%#x) = (%d, %d), want (%d, %d)", key, gs, gv, slot, v)
+				}
+			}
+		}
+	}
+}
+
+// Reordered delivery moves no answer: with 30% of event messages held
+// back up to 2,000 cycles, so that messages overtake one another, every
+// BFS and PPR answer of the four queries still equals the host oracle and
+// every chain ends, with the classic and the coalescing shuffle, on the
+// serving geometry (4 accelerators x 16 lanes per node).
+func TestDelayedDelivery(t *testing.T) {
+	a := arch.DefaultMachine(2)
+	a.AccelsPerNode, a.LanesPerAccel = 4, 16
+	for _, coalesce := range []bool{false, true} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			for _, k := range kernels {
+				t.Run(fmt.Sprintf("%s/coalesce=%v/seed=%d", k.name, coalesce, seed), func(t *testing.T) {
+					cfg := updown.Config{Arch: &a, Shards: 1, MaxTime: 1 << 42, Fault: &fault.Plan{Seed: seed,
+						Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
+							SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
+					if coalesce {
+						cfg.Coalesce = &kvmsr.Coalesce{}
+					}
+					m, err := updown.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dg, err := graph.LoadToGAS(m.GAS, graph.Split(testGraph, 16), graph.DefaultPlacement(2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, err := k.build(m, dg, len(testQueries))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s, q := range testQueries {
+						e.Seed(s, q.src, q.tgt)
+					}
+					e.Post(1)
+					st, err := m.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Faults.Delayed == 0 {
+						t.Fatal("no message was delayed")
+					}
+					for s, q := range testQueries {
+						if _, ok := e.SlotDone(s); !ok {
+							t.Fatalf("slot %d: chain did not end", s)
+						}
+						var want uint64 // BFS: dist+1, 0 if unreached
+						if k.name == "ppr" {
+							want = pagerank.RefScores(testGraph, q.src, 0)[q.tgt]
+						} else if d := baseline.BFS(testGraph, q.src)[q.tgt]; d != baseline.Unreached {
+							want = uint64(d) + 1
+						}
+						if got := e.Result(s); got != want {
+							t.Errorf("query %d->%d: %#x, want %#x", q.src, q.tgt, got, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }

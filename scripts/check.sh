@@ -23,7 +23,7 @@ fi
 # Line budget: the repository's non-blank Go source lines (cmd/loccount's
 # total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
 # that adds code deletes as much elsewhere, or raises the budget on purpose.
-LOC_BUDGET=23187
+LOC_BUDGET=23226
 loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
 [ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
 
@@ -38,6 +38,9 @@ go test -race -run Telemetry ./internal/sched/ ./internal/serve/
 # several chunk reads per slot and the co-tenancy-aware slot pick run
 # under the race detector and must give one timeline.
 go test -race -run DeterministicAcrossShards ./internal/serve/
+# Point queries: batched answers equal solo ones, and reordered delivery
+# (a delay-only fault plan) moves no answer, under the race detector.
+go test -race -run 'BatchEqualsSolo|Delay' ./internal/apps/pointq/
 # On a one-CPU process every shard count runs the inline executor; pin
 # that here so multi-core runners exercise hostAuto's other branch too
 # (-count=1: the test cache does not key on GOMAXPROCS).
