@@ -28,7 +28,10 @@ import (
 // ending on the first round that visits nothing: one round fewer, and a
 // checksum that moved through its first word, the round count, alone. The
 // -profile case's scratchpad line grew then by the reduce-side sums
-// (ReduceDoneAdd) each lane's KVMSR state carries.
+// (ReduceDoneAdd) each lane's KVMSR state carries. The four pr cases moved
+// when PageRank's spread split began aligning each hub's member run inside
+// one block: the vertices' order changed, and with it the reduce order the
+// float sums, and so the checksums, follow.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -194,7 +194,9 @@ func TestOwnerBoundOracle(t *testing.T) {
 // rows by 8 cycles, once, from 23,299 and 23,316; the node-level drain and
 // the tree's roles leaving the accelerators' first lanes moved every row
 // once more, from 23,307, 23,324 and 6,346 (the one-node row until then
-// cycle for cycle what the commit before the owner binding measured).
+// cycle for cycle what the commit before the owner binding measured). The
+// block-aligned member runs of spread splits reorder the vertices, which
+// moved every row again, from 22,846, 22,709 and 6,200.
 func TestOwnerFallsBackToBlock(t *testing.T) {
 	g := graph.FromEdges(1024, graph.DefaultRMAT(10, 42), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -208,12 +210,12 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 		lanes  kvmsr.LaneSet
 		cycles updown.Cycles
 	}{
-		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 22846},
-		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 22709},
-		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 6200},
+		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 22827},
+		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 22692},
+		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 6433},
 		{name: "3-node partition of 4, data on its first 2", nodes: 4,
 			pl:    graph.Placement{FirstNode: 1, NRNodes: 2, BlockBytes: 32 << 10},
-			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 22846},
+			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 22827},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			m, dg := loadPlaced(t, updown.Config{Nodes: row.nodes, Shards: 1}, split, row.pl)
@@ -235,56 +237,69 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 	}
 }
 
-// TestHubAcrossBlockBoundary: a hub whose base member is vertex 509 of a
-// 512-record block and whose 70 sub-vertices spill into the next block —
-// on another node — still aggregates every member's accumulator. (It is the
-// one remote tail left in the apply phase: the base's task runs on the node
-// homing record 509 and reads the other members' sums across the network.)
+// TestHubAcrossBlockBoundary: with in-edge spreading a hub's member run
+// lies in one aligned window of IDs, so a 71-member hub that identity order
+// would start at record 509 of a 512-record block, its sub-vertices
+// spilling into the next block on another node, starts at 512 instead and
+// lies on one node. A 600-member hub is longer than a block and cannot: its
+// base's apply task reads the other members' sums across the network, and
+// still aggregates every member's accumulator.
 func TestHubAcrossBlockBoundary(t *testing.T) {
-	const n, hub, maxDeg = 800, 509, 4
-	var edges []graph.Edge
-	for v := uint32(0); v < n; v++ {
-		if v == hub {
-			continue
+	const n, hub, maxDeg = 1600, 509, 2
+	for _, c := range []struct {
+		members uint32
+		base    uint32
+		oneNode bool
+	}{
+		{71, 512, true},
+		{600, 1024, false},
+	} {
+		var edges []graph.Edge
+		for v := uint32(0); v < n; v++ {
+			if v != hub {
+				edges = append(edges, graph.Edge{Src: v, Dst: hub}, graph.Edge{Src: v, Dst: (v + 1) % n})
+			}
 		}
-		edges = append(edges, graph.Edge{Src: v, Dst: hub}, graph.Edge{Src: v, Dst: (v + 1) % n})
-	}
-	for i := uint32(0); i < 71*maxDeg; i++ { // 71 members
-		edges = append(edges, graph.Edge{Src: hub, Dst: (hub + 1 + i) % n})
-	}
-	g := graph.FromEdges(n, edges, graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	// Seed 0: identity order, so the hub's base member keeps ID 509.
-	split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: maxDeg, SpreadInEdges: true})
-	if err := split.ValidateSplit(g); err != nil {
-		t.Fatal(err)
-	}
-	if split.NewID[hub] != hub || split.SubCount[hub] != 70 {
-		t.Fatalf("hub base %d with %d subs, want base %d with 70", split.NewID[hub], split.SubCount[hub], hub)
-	}
-	want := baseline.PageRank(g, 2)
-	for _, rep := range []int{1, 2} {
-		m, err := updown.New(updown.Config{Nodes: 2, Shards: 1, MaxTime: 1 << 40, Replication: rep})
-		if err != nil {
+		for i := uint32(0); i < c.members*maxDeg; i++ {
+			edges = append(edges, graph.Edge{Src: hub, Dst: (hub + 1 + i) % n})
+		}
+		g := graph.FromEdges(n, edges, graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+		// Seed 0: identity order but for the singletons pulled forward
+		// to align the hub's run.
+		split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: maxDeg, SpreadInEdges: true})
+		if err := split.ValidateSplit(g); err != nil {
 			t.Fatal(err)
 		}
-		dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(2))
-		if err != nil {
-			t.Fatal(err)
+		base := split.NewID[hub]
+		if base != c.base || split.SubCount[base] != c.members-1 {
+			t.Fatalf("hub base %d with %d subs, want base %d with %d", base, split.SubCount[base], c.base, c.members-1)
 		}
-		if a, b := m.GAS.NodeOf(dg.RecordVA(hub)), m.GAS.NodeOf(dg.RecordVA(hub+70)); a == b {
-			t.Fatalf("hub members all on node %d", a)
+		want := baseline.PageRank(g, 2)
+		for _, rep := range []int{1, 2} {
+			m, err := updown.New(updown.Config{Nodes: 2, Shards: 1, MaxTime: 1 << 40, Replication: rep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, last := m.GAS.NodeOf(dg.RecordVA(base)), m.GAS.NodeOf(dg.RecordVA(base+c.members-1))
+			if (first == last) != c.oneNode {
+				t.Fatalf("%d-member hub on nodes %d..%d, want one node: %v", c.members, first, last, c.oneNode)
+			}
+			app, err := pagerank.New(m, dg, pagerank.Config{Iterations: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ownerBound(app) {
+				t.Fatal("bindings are not Owner")
+			}
+			app.InitValues()
+			if _, err := app.Run(); err != nil {
+				t.Fatal(err)
+			}
+			comparePR(t, app.Values(), want)
 		}
-		app, err := pagerank.New(m, dg, pagerank.Config{Iterations: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ownerBound(app) {
-			t.Fatal("bindings are not Owner")
-		}
-		app.InitValues()
-		if _, err := app.Run(); err != nil {
-			t.Fatal(err)
-		}
-		comparePR(t, app.Values(), want)
 	}
 }

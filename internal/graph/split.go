@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"updown/internal/prng"
@@ -46,7 +47,8 @@ type SplitGraph struct {
 type SplitOptions struct {
 	// MaxDeg caps member out-degree (<= 0: no cap).
 	MaxDeg int
-	// Seed drives the shuffle; 0 disables it (identity order).
+	// Seed drives the shuffle; 0 disables it (identity order, except
+	// that SpreadInEdges pulls singletons forward to align member runs).
 	Seed uint64
 	// SpreadInEdges relabels each neighbor-list entry to a
 	// pseudo-random MEMBER of the destination instead of its base, so
@@ -54,6 +56,9 @@ type SplitOptions struct {
 	// members' reduce lanes instead of serializing on one. PageRank uses
 	// this (the member accumulators are re-aggregated in its apply
 	// phase); BFS must not (its discovery dedup is per base member).
+	// It makes an original's k members one unit of state, so it also
+	// aligns them (alignRuns): a power-of-two striping block of at least
+	// nextpow2(k) records then homes the whole run on one node.
 	SpreadInEdges bool
 }
 
@@ -93,6 +98,9 @@ func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 	n2 := 0
 	for v := 0; v < g.N; v++ {
 		n2 += members(g.Degree(uint32(v)))
+	}
+	if opt.SpreadInEdges {
+		order = alignRuns(order, func(v uint32) int { return members(g.Degree(v)) })
 	}
 	s := &SplitGraph{
 		Graph:    &Graph{N: n2, Offsets: make([]uint64, n2+1)},
@@ -154,6 +162,37 @@ func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 		slices.Sort(neigh[s.Offsets[v]:s.Offsets[v+1]])
 	}
 	return s
+}
+
+// alignRuns reorders originals so that each one's k members fall inside
+// one aligned window of nextpow2(k) IDs: where a run would cross its
+// window, the next unused singletons (1-member originals) are pulled
+// forward into the gap in front of it. Once they run out, runs stay put.
+func alignRuns(order []uint32, members func(uint32) int) []uint32 {
+	out := make([]uint32, 0, len(order))
+	pulled := make([]bool, len(order))
+	next, single := 0, 0 // next ID; next position to search for a singleton
+	for i, orig := range order {
+		if pulled[i] {
+			continue
+		}
+		k := members(orig)
+		w := 1 << bits.Len(uint(k-1))
+		for single = max(single, i+1); next/w != (next+k-1)/w; single++ {
+			for single < len(order) && members(order[single]) != 1 {
+				single++
+			}
+			if single == len(order) {
+				break
+			}
+			pulled[single] = true
+			out = append(out, order[single])
+			next++
+		}
+		out = append(out, orig)
+		next += k
+	}
+	return out
 }
 
 // Members returns the split-vertex IDs representing original input vertex

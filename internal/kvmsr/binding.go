@@ -326,25 +326,6 @@ func (Hash) Lane(key uint64, ls LaneSet) arch.NetworkID {
 	return ls.First + arch.NetworkID(prng.Mix64(key)%uint64(ls.Count))
 }
 
-// BlockReduce routes contiguous key ranges to contiguous lanes; KeySpace is
-// the size of the emitted key domain. BFS uses a variant of this to keep
-// next-frontier writes accelerator-local.
-type BlockReduce struct {
-	KeySpace uint64
-}
-
-// Lane implements ReduceBinding.
-func (b BlockReduce) Lane(key uint64, ls LaneSet) arch.NetworkID {
-	if b.KeySpace == 0 {
-		return ls.First
-	}
-	i := key * uint64(ls.Count) / b.KeySpace
-	if i >= uint64(ls.Count) {
-		i = uint64(ls.Count) - 1
-	}
-	return ls.First + arch.NetworkID(i)
-}
-
 // ReduceFunc adapts a function to ReduceBinding, for application-defined
 // bindings (e.g. triangle counting hashes a combination of vertex names).
 type ReduceFunc func(key uint64, ls LaneSet) arch.NetworkID

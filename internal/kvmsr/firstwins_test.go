@@ -49,13 +49,25 @@ var fwKeys = func() []uint64 {
 	return keys
 }()
 
+// fwRival shares fwHub's FirstWins table slot and its owner lane (so
+// coalesced tuples of both reach the same distributors): a lane handing
+// both over remembers only the last, so it hands the other over again.
+var fwRival = func() uint64 {
+	h, ls := kvmsr.Hash{}, kvmsr.LaneSet{Count: 4 * 2 * 8} // fwJob's lanes
+	k := uint64(fwHub + 1)
+	for kvmsr.HandOffSlotForTest(k) != kvmsr.HandOffSlotForTest(fwHub) || h.Lane(k, ls) != h.Lane(fwHub, ls) {
+		k++
+	}
+	return k
+}()
+
 // fwJob runs three launches of one invocation on a 4-node machine of 2 x 8
-// lanes per node: map task k emits the hub key, fwKeys[1+k%13] and
+// lanes per node: map task k emits the hot keys, fwKeys[1+k%13] and
 // fwKeys[14+k%5], each with value 3·key+1. The reducer is first-wins — the
 // first tuple of a key records its value through a DRAM round trip, later
 // ones only ReduceDone — which is what Spec.FirstWins declares when
 // firstWins is set.
-func fwJob(t *testing.T, mode termMode, firstWins bool, shards int) fwResult {
+func fwJob(t *testing.T, mode termMode, hot []uint64, firstWins bool, shards int) fwResult {
 	t.Helper()
 	ar := arch.DefaultMachine(4)
 	ar.AccelsPerNode, ar.LanesPerAccel = 2, 8
@@ -80,7 +92,7 @@ func fwJob(t *testing.T, mode termMode, firstWins bool, shards int) fwResult {
 	mapEv := m.Prog.Define("fw_map", func(c *updown.Ctx) {
 		k := c.Op(0)
 		c.Cycles(int(k%11) + 4)
-		for _, key := range []uint64{fwHub, fwKeys[1+k%13], fwKeys[14+k%5]} {
+		for _, key := range append(hot[:len(hot):len(hot)], fwKeys[1+k%13], fwKeys[14+k%5]) {
 			inv.Emit(c, key, 3*key+1)
 		}
 		inv.Return(c, c.Cont())
@@ -154,38 +166,65 @@ func fwJob(t *testing.T, mode termMode, firstWins bool, shards int) fwResult {
 	return res
 }
 
-// Under Spec.FirstWins, in every shuffle mode and at every shard count: the
-// owner lane runs at most one kv_reduce per (hand-off lane, key) — without
-// it the hub's owner runs several; the termination sums balance with the
-// retired tuples counted as reduced (E = kv_reduce tasks run + retired);
-// and every owner ends with the state it has without FirstWins.
+// fwModes are the shuffle modes every FirstWins test runs in.
+var fwModes = []termMode{
+	{name: "classic"},
+	{name: "coalesced", coalesce: true},
+	{name: "coalesced+resilient", coalesce: true, resilient: true},
+}
+
+// fwCheck runs fwJob over hot with and without FirstWins at every shard
+// count and requires what FirstWins must keep whatever the keys: every
+// owner ends with the state it has without FirstWins, and the termination
+// sums balance with the retired tuples counted as reduced (E = kv_reduce
+// tasks run + retired), some retired. It returns whether any hand-off lane
+// handed some key over twice under FirstWins.
+func fwCheck(t *testing.T, mode termMode, hot []uint64) (repeat bool) {
+	plain := fwJob(t, mode, hot, false, 1)
+	if !plain.repeat || plain.totals.Retired != 0 {
+		t.Fatalf("without FirstWins: repeats %v, %d retired; the test is vacuous", plain.repeat, plain.totals.Retired)
+	}
+	acrossShards(t, func(t *testing.T, shards int) string {
+		r := fwJob(t, mode, hot, true, shards)
+		repeat = r.repeat
+		if r.state != plain.state {
+			t.Errorf("owner state differs from the run without FirstWins:\n got %s\nwant %s", r.state, plain.state)
+		}
+		e := r.term.E
+		want := kvmsr.TerminationState{Reduced: e, Reported: e, R: e, E: e, Retired: e - uint64(r.runs)}
+		if r.term != want || e != plain.term.E || r.totals.Retired != want.Retired || want.Retired == 0 {
+			t.Errorf("termination state %+v (retired total %d), want %+v with the %d emits of the run without FirstWins and some retired",
+				r.term, r.totals.Retired, want, plain.term.E)
+		}
+		return fmt.Sprintf("%v %v %+v %+v %+v", r.repeat, r.done, r.term, r.totals, r.stats)
+	})
+	return repeat
+}
+
+// Under Spec.FirstWins, in every shuffle mode and at every shard count, with
+// no two keys in one table slot: the owner lane runs at most one kv_reduce
+// per (hand-off lane, key) — without it the hub's owner runs several — and
+// fwCheck's invariants hold.
 func TestFirstWinsRetiresRepeatsAtHandOff(t *testing.T) {
-	for _, mode := range []termMode{
-		{name: "classic"},
-		{name: "coalesced", coalesce: true},
-		{name: "coalesced+resilient", coalesce: true, resilient: true},
-	} {
+	for _, mode := range fwModes {
 		t.Run(mode.name, func(t *testing.T) {
-			plain := fwJob(t, mode, false, 1)
-			if !plain.repeat || plain.totals.Retired != 0 {
-				t.Fatalf("without FirstWins: repeats %v, %d retired; the test is vacuous", plain.repeat, plain.totals.Retired)
+			if fwCheck(t, mode, []uint64{fwHub}) {
+				t.Error("an owner ran two reduces of one key handed over by one lane")
 			}
-			acrossShards(t, func(t *testing.T, shards int) string {
-				r := fwJob(t, mode, true, shards)
-				if r.repeat {
-					t.Error("an owner ran two reduces of one key handed over by one lane")
-				}
-				if r.state != plain.state {
-					t.Errorf("owner state differs from the run without FirstWins:\n got %s\nwant %s", r.state, plain.state)
-				}
-				e := r.term.E
-				want := kvmsr.TerminationState{Reduced: e, Reported: e, R: e, E: e, Retired: e - uint64(r.runs)}
-				if r.term != want || e != plain.term.E || r.totals.Retired != want.Retired || want.Retired == 0 {
-					t.Errorf("termination state %+v (retired total %d), want %+v with the %d emits of the run without FirstWins and some retired",
-						r.term, r.totals.Retired, want, plain.term.E)
-				}
-				return fmt.Sprintf("%v %+v %+v %+v", r.done, r.term, r.totals, r.stats)
-			})
+		})
+	}
+}
+
+// Two hot keys in one table slot thrash it: a lane handing both over
+// forgets each in turn and hands it over again, so an owner runs repeat
+// reduces FirstWins would have retired. That costs hand-offs, not
+// correctness: fwCheck's invariants hold in every mode at every shard count.
+func TestFirstWinsCollidingKeys(t *testing.T) {
+	for _, mode := range fwModes {
+		t.Run(mode.name, func(t *testing.T) {
+			if !fwCheck(t, mode, []uint64{fwHub, fwRival}) {
+				t.Error("no lane handed a key over twice: the colliding keys did not thrash the table")
+			}
 		})
 	}
 }

@@ -247,22 +247,6 @@ func TestHashBindingBalance(t *testing.T) {
 	}
 }
 
-func TestBlockReduceBindingMonotone(t *testing.T) {
-	ls := kvmsr.LaneSet{First: 10, Count: 8}
-	b := kvmsr.BlockReduce{KeySpace: 800}
-	prev := ls.First
-	for k := uint64(0); k < 800; k++ {
-		lane := b.Lane(k, ls)
-		if lane < prev || !ls.Contains(lane) {
-			t.Fatalf("key %d on lane %d (prev %d)", k, lane, prev)
-		}
-		prev = lane
-	}
-	if b.Lane(0, ls) != 10 || b.Lane(799, ls) != 17 {
-		t.Fatal("BlockReduce endpoints wrong")
-	}
-}
-
 // PBMW must complete all keys despite heavy skew, and beat Block on a
 // workload whose expensive keys cluster in one lane's block.
 func TestPBMWSkewToleranceAndCoverage(t *testing.T) {

@@ -23,7 +23,7 @@ fi
 # Line budget: the repository's non-blank Go source lines (cmd/loccount's
 # total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
 # that adds code deletes as much elsewhere, or raises the budget on purpose.
-LOC_BUDGET=23226
+LOC_BUDGET=23247
 loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
 [ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
 
@@ -100,8 +100,10 @@ coal=$(term_smoke -coalesce)
 
 # Placement smoke: with the graph on the lanes' own four nodes a vertex
 # block's records and neighbor lists share a node and the apps bind to it:
-# PageRank runs every vertex task there (under 5% of DRAM reads may cross
-# nodes; 75% did under Block/Hash, 23% with lists laid out by edge offset),
+# PageRank runs every vertex task there, and a hub's member run shares its
+# base's block, so no DRAM read or write crosses nodes (75% of reads did
+# under Block/Hash, 23% with lists laid out by edge offset, 1 read and 1
+# write while member runs could straddle a block),
 # BFS its kv_reduce, so a frontier vertex is appended to and expanded from a
 # segment on the node homing its record and list: under 1% of reads and no
 # write cross nodes (13.3% and 37.6% while the frontier sat on node 0) —
@@ -113,11 +115,16 @@ coal=$(term_smoke -coalesce)
 cross_below() { # cross_below <limit%> <label>: the profile's dram-read row on stdin
     awk -v lim="$1" -v what="$2" '/^dram-read / { share = $5; gsub(/[(%)]/, "", share); if (share+0 >= lim) { print "placement smoke: " what ": " share "% of dram-read cross-node, want < " lim; exit 1 } found=1 } END { exit !found }'
 }
+cross_none() { # cross_none <kind> <label>: the profile's <kind> row on stdin
+    awk -v kind="$1" -v what="$2" '$1 == kind { found=1; if ($4 != 0) { print "placement smoke: " what ": " $4 " " kind "s cross nodes, want 0"; bad=1 } } END { exit bad || !found }'
+}
 checksum() { awk '/^result-checksum:/{print $2}'; }
-./updown-sim -app pr -nodes 4 -scale 12 -profile | cross_below 5 pr
+pr4=$(./updown-sim -app pr -nodes 4 -scale 12 -profile)
+printf '%s\n' "$pr4" | cross_none dram-read pr
+printf '%s\n' "$pr4" | cross_none dram-write pr
 bfs4=$(./updown-sim -app bfs -nodes 4 -scale 12 -profile -checksum)
 printf '%s\n' "$bfs4" | cross_below 1 bfs
-printf '%s\n' "$bfs4" | awk '$1 == "dram-write" { found=1; if ($4 != 0) { print "placement smoke: bfs: " $4 " dram-writes cross nodes, want 0"; exit 1 } } END { exit !found }'
+printf '%s\n' "$bfs4" | cross_none dram-write bfs
 bfs1=$(./updown-sim -app bfs -nodes 1 -scale 12 -checksum | checksum)
 bfs3=$(./updown-sim -app bfs -nodes 3 -scale 12 -checksum | checksum)
 bfs4=$(printf '%s\n' "$bfs4" | checksum)
