@@ -11,7 +11,8 @@ import (
 
 // TestGoldenOutput runs every case of testdata/golden.txt in process and
 // compares stdout byte for byte: pr, bfs and tc classic, coalesced with
-// combiners and resilient, ingest and match, and pr under -profile. The
+// combiners and resilient, bfs resilient and coalesced at once, ingest and
+// match, and pr under -profile. The
 // file was captured before the graph applications moved onto the
 // harness's application table. Lines changed since on purpose: the last
 // case's shuffle line printed "(+Inf tup/msg)" for a run whose every tuple
@@ -31,7 +32,9 @@ import (
 // (ReduceDoneAdd) each lane's KVMSR state carries. The four pr cases moved
 // when PageRank's spread split began aligning each hub's member run inside
 // one block: the vertices' order changed, and with it the reduce order the
-// float sums, and so the checksums, follow.
+// float sums, and so the checksums, follow. The resilient coalesced bfs
+// case was added when every shuffle tuple began travelling as a pack, with
+// the other bfs cases' checksum.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -4,9 +4,10 @@
 // that fill the 8-operand payload. An optional associative Spec.Combiner
 // pre-reduces same-key tuples inside the pack buffer before they ever
 // reach the network. Tuples whose reducer lives on the sender's own node
-// ride the classic direct path untouched: they never cross the inter-node
-// network, so there is nothing to save — and deferring them would only
-// cost latency. On a one-node machine coalescing is therefore a no-op.
+// go out at once, exactly as without Coalesce: they never cross the
+// inter-node network, so there is nothing to save — and deferring them
+// would only cost latency. On a one-node machine coalescing is therefore a
+// no-op, in every mode.
 //
 // The granularity matters. A per-destination-LANE buffer has expected
 // density tuples/lanes^2 per source lane — far below one tuple per buffer
@@ -21,11 +22,10 @@
 // for cross-node messages, and those are exactly the messages packing
 // eliminates.
 //
-// Packing format: operand 0 is a header word, count | width<<8, where
-// width = 1 + len(vals) is the uniform per-tuple operand footprint; the
-// payload is count back-to-back [key, vals...] tuples. Non-resilient
-// messages budget sim.MaxOperands-1 payload words (7); resilient ones one
-// fewer (6), since the trailing operand carries the emit ID.
+// A buffer flushes as one pack of the shuffle's single wire format (see
+// "the shuffle wire format" in kvmsr.go): its tuples, then the header,
+// then under Resilience the emit ID, so it holds payloadWords words of
+// tuples (7, or 6 resilient). A tuple sent alone is a pack of one.
 //
 // Flush triggers, in order of precedence:
 //   - buffer-full: the next tuple would not fit (or has a different width);
@@ -38,22 +38,26 @@
 //     immediately, and flush just before reporting their count);
 //   - max-linger: a lazily started guard thread (udweave.ArmTimeout, the
 //     resilience-guard pattern) flushes everything buffered at least every
-//     MaxLinger cycles, so a tuple buffered outside the lane's own map
-//     phase and never flushed explicitly still reaches its reducer.
-//     Termination detection does not wait for the linger on a timer of
-//     its own: the tuple's emit is already counted in E, so the launch
-//     stays open until the reduce it becomes is pushed to the master.
+//     lingerHops cross-node latencies, so a tuple buffered outside the
+//     lane's own map phase and never flushed explicitly still reaches its
+//     reducer. Termination detection does not wait for the linger on a
+//     timer of its own: the tuple's emit is already counted in E, so the
+//     launch stays open until the reduce it becomes is pushed to the
+//     master.
 //
-// A packed message targets a distributor lane on the destination node —
+// A flushed pack targets a distributor lane on the destination node —
 // nodeBase + srcLane%lanesPerNode, so concurrent senders spread across
-// all of the node's lanes instead of hot-spotting one. The distributor
-// unpacks and forwards each tuple to its owner lane (recomputed from the
-// reduce binding; reducers keep lane-local state, so a tuple that changes
-// state must land on its owner) over the cheap intra-node interconnect,
-// or runs it directly through udweave.InvokeLocal when it owns the tuple
-// itself. Under Spec.FirstWins the distributor first retires every tuple
-// whose key it has already handed over (see handOff): that one never
-// reaches its owner.
+// all of the node's lanes instead of hot-spotting one — without the
+// header's owner bit. The distributor unpacks it (Invocation.deliver) and
+// hands each tuple to its owner lane (recomputed from the reduce binding;
+// reducers keep lane-local state, so a tuple that changes state must land
+// on its owner) as an owner-addressed pack of one, over the cheap
+// intra-node interconnect, or runs it directly through
+// udweave.InvokeLocal when it owns the tuple itself. The distributor is
+// the lane that addresses those tuples to their owners, so under
+// Spec.FirstWins it is the one that retires every tuple whose key it has
+// already handed over (see handOff); the emitter checks only the tuples it
+// sends to their owners itself.
 // Invocations whose reducer tolerates any lane declare Spec.ReduceAnyLane
 // and skip the forward hop entirely: the distributor runs every tuple in
 // place, so a packed message costs one event dispatch for several tuples
@@ -64,12 +68,10 @@
 // application in this repo reads Src in kv_reduce, and new ones must not
 // when they opt into coalescing.
 //
-// Under Resilience the emit ID and the ack retire the *packed message*
-// (the distributor acks and dedups per message; admission forwards each
+// Under Resilience the emit ID and the ack retire the whole pack (the
+// distributor acks and dedups per message; admission forwards each
 // contained tuple exactly once on the reliable class, so per-tuple
-// exactly-once delivery follows). So that the reducer-side shim can
-// parse every resilient delivery uniformly, same-node tuples under
-// coalescing+resilience are wrapped as 1-tuple packed messages.
+// exactly-once delivery follows).
 //
 // Stats accounting: Stats.ShuffleTuples counts logical emits in every
 // mode; Stats.ShuffleMsgs counts shuffle messages that enter the
@@ -80,29 +82,18 @@
 package kvmsr
 
 import (
-	"fmt"
-
 	"updown/internal/arch"
 	"updown/internal/sim"
 	"updown/internal/udweave"
 )
 
-// Coalesce configures the coalescing shuffle. The zero value of each field
-// selects a default at registration time.
-type Coalesce struct {
-	// MaxLinger is the longest a buffered tuple may wait before the guard
-	// thread force-flushes the lane's buffers. Zero selects 2 x the
-	// machine's cross-node latency.
-	MaxLinger arch.Cycles
-}
+// Coalesce opts an invocation into the coalescing shuffle (Spec.Coalesce
+// non-nil). Its timing derives from the machine: lingerHops.
+type Coalesce struct{}
 
-// withDefaults resolves zero fields against machine m.
-func (o Coalesce) withDefaults(m arch.Machine) Coalesce {
-	if o.MaxLinger <= 0 {
-		o.MaxLinger = 2 * m.LatCrossNode
-	}
-	return o
-}
+// lingerHops is the longest a buffered tuple waits for the flush guard, in
+// cross-node latencies.
+const lingerHops = 2
 
 // Combiner pre-reduces two same-key value lists inside a pack buffer. It
 // must be associative and commutative up to the application's tolerance
@@ -113,8 +104,8 @@ func (o Coalesce) withDefaults(m arch.Machine) Coalesce {
 type Combiner func(key uint64, a, b []uint64) []uint64
 
 // packBuf is one destination node's pack buffer: count tuples of uniform
-// width packed back-to-back in ops (payload only; the header word is
-// prepended at flush time, and the resilient path appends the emit ID).
+// width packed back-to-back in ops, with room for the header the flush
+// appends.
 type packBuf struct {
 	node  int
 	width int
@@ -141,29 +132,6 @@ func (v *Invocation) cst(c *udweave.Ctx) *coalState {
 		cs.bufs = make(map[int]*packBuf)
 	}
 	return cs
-}
-
-// payloadWords is the per-message packing budget: one operand goes to the
-// header, and a resilient message reserves one more for the emit ID.
-func (v *Invocation) payloadWords() int {
-	if v.res != nil {
-		return sim.MaxOperands - 2
-	}
-	return sim.MaxOperands - 1
-}
-
-// packHeader encodes the tuple count and uniform tuple width.
-func packHeader(count, width int) uint64 { return uint64(count) | uint64(width)<<8 }
-
-func checkCoalescedVals(v *Invocation, vals []uint64) {
-	if 1+len(vals) > v.payloadWords() {
-		suffix := ""
-		if v.res != nil {
-			suffix = " and one for the emit ID"
-		}
-		panic(fmt.Sprintf("kvmsr: %s: coalesced Emit with %d values (max %d: one operand is reserved for the pack header%s)",
-			v.s.Name, len(vals), v.payloadWords()-1, suffix))
-	}
 }
 
 // bufferTuple adds [key, vals...] to the destination node's pack buffer,
@@ -221,33 +189,23 @@ func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []ui
 	return 1
 }
 
-// flushBuf sends one node's buffered tuples as a single packed message to
-// a distributor lane on that node and empties the buffer. The distributor
+// flushBuf sends one node's buffered tuples as a single pack to a
+// distributor lane on that node and empties the buffer. The distributor
 // is picked by the sender's intra-node lane index, spreading concurrent
 // senders across the destination node.
 func (v *Invocation) flushBuf(c *udweave.Ctx, cs *coalState, pb *packBuf) {
 	if pb.count == 0 {
 		return
 	}
-	st := v.st(c)
 	n := pb.count * pb.width
-	st.sendBuf[0] = packHeader(pb.count, pb.width)
-	copy(st.sendBuf[1:1+n], pb.ops[:n])
+	pb.ops[n] = packHeader(pb.count, pb.width)
 	cs.buffered -= pb.count
 	pb.count = 0
-	dist := v.distributor(c.NetworkID(), pb.node)
 	c.Cycles(2)
 	if c.Tracing() {
 		c.Mark(v.nameFlush)
 	}
-	if v.res != nil {
-		// sendResilient counts the network message (cross-node by
-		// construction here).
-		v.sendResilient(c, dist, st.sendBuf[:1+n])
-		return
-	}
-	c.CountShuffle(1, 0)
-	c.SendEvent(udweave.EvwNew(dist, v.lPackDeliver), udweave.IGNRCONT, st.sendBuf[:1+n]...)
+	v.send(c, v.distributor(c.NetworkID(), pb.node), pb.ops[:n+1])
 }
 
 // distributor picks the lane on the destination node that receives a
@@ -276,8 +234,9 @@ func (v *Invocation) flushAll(c *udweave.Ctx) {
 }
 
 // flushGuard is the lane's max-linger watchdog thread: it wakes every
-// MaxLinger cycles, flushes whatever is buffered, and terminates once the
-// lane's buffers are empty (it is restarted by the next buffered tuple).
+// lingerHops cross-node latencies, flushes whatever is buffered, and
+// terminates once the lane's buffers are empty (it is restarted by the next
+// buffered tuple).
 func (v *Invocation) flushGuard(c *udweave.Ctx) {
 	cs := v.cst(c)
 	if cs.buffered == 0 {
@@ -288,46 +247,5 @@ func (v *Invocation) flushGuard(c *udweave.Ctx) {
 	}
 	c.Cycles(2)
 	v.flushAll(c)
-	c.ArmTimeout(v.coal.MaxLinger, v.lFlushGuard)
-}
-
-// packDeliver is the distributor-side shim of the non-resilient coalesced
-// shuffle: unpack the message and hand each tuple to its owner lane.
-func (v *Invocation) packDeliver(c *udweave.Ctx) {
-	v.unpackDispatch(c, c.Src(), c.Ops())
-	c.YieldTerminate()
-}
-
-// unpackDispatch routes every [key, vals...] tuple of a packed payload
-// (header included at ops[0]) to its owner lane's kv_reduce: a local
-// forward on the intra-node interconnect, or udweave.InvokeLocal (fresh
-// thread, src preserved) when the distributor itself owns the tuple.
-func (v *Invocation) unpackDispatch(c *udweave.Ctx, src arch.NetworkID, ops []uint64) {
-	hdr := ops[0]
-	count := int(hdr & 0xff)
-	width := int(hdr >> 8 & 0xff)
-	if count <= 0 || width <= 0 || 1+count*width > len(ops) {
-		panic(fmt.Sprintf("kvmsr: %s: malformed packed shuffle message (header %#x, %d operands)", v.s.Name, hdr, len(ops)))
-	}
-	c.Cycles(2)
-	self := c.NetworkID()
-	var st *laneState // the FirstWins table's lane, fetched once per message
-	if v.s.FirstWins {
-		st = v.st(c)
-	}
-	for i := 0; i < count; i++ {
-		base := 1 + i*width
-		if !v.s.ReduceAnyLane {
-			if st != nil && !v.handOff(c, st, ops[base]) {
-				continue
-			}
-			owner := v.s.ReduceBinding.Lane(ops[base], v.s.Lanes)
-			if owner != self {
-				c.Cycles(1)
-				c.SendEvent(udweave.EvwNew(owner, v.lReduce), udweave.IGNRCONT, ops[base:base+width]...)
-				continue
-			}
-		}
-		c.InvokeLocal(src, v.lReduce, ops[base:base+width]...)
-	}
+	c.ArmTimeout(lingerHops*v.p.M.LatCrossNode, v.lFlushGuard)
 }

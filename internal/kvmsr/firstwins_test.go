@@ -61,15 +61,20 @@ var fwRival = func() uint64 {
 	return k
 }()
 
-// fwJob runs three launches of one invocation on a 4-node machine of 2 x 8
-// lanes per node: map task k emits the hot keys, fwKeys[1+k%13] and
-// fwKeys[14+k%5], each with value 3·key+1. The reducer is first-wins — the
-// first tuple of a key records its value through a DRAM round trip, later
-// ones only ReduceDone — which is what Spec.FirstWins declares when
-// firstWins is set.
+// fwJob runs three launches of one invocation on a machine of mode.nodes
+// nodes (4 if unset) of 2 x 8 lanes each: map task k emits the hot keys,
+// fwKeys[1+k%13] and fwKeys[14+k%5], each with value 3·key+1. The reducer
+// is first-wins — the first tuple of a key records its value through a
+// DRAM round trip, later ones only ReduceDone — which is what
+// Spec.FirstWins declares when firstWins is set. It fails unless every
+// kv_reduce sees exactly its tuple [key, 3·key+1].
 func fwJob(t *testing.T, mode termMode, hot []uint64, firstWins bool, shards int) fwResult {
 	t.Helper()
-	ar := arch.DefaultMachine(4)
+	nodes := mode.nodes
+	if nodes == 0 {
+		nodes = 4
+	}
+	ar := arch.DefaultMachine(nodes)
 	ar.AccelsPerNode, ar.LanesPerAccel = 2, 8
 	cfg := updown.Config{Arch: &ar, Shards: shards, MaxTime: 1 << 36}
 	if mode.coalesce {
@@ -106,6 +111,9 @@ func fwJob(t *testing.T, mode termMode, hot []uint64, firstWins bool, shards int
 			st.first, st.runs = map[uint64]uint64{}, map[[2]uint64]int{}
 		}
 		key := c.Op(0)
+		if c.NOps() != 2 || c.Op(1) != 3*key+1 {
+			t.Errorf("kv_reduce saw operands %v, want [key, 3·key+1]", c.Ops())
+		}
 		st.runs[[2]uint64{uint64(c.Src()), key}]++
 		c.Cycles(6)
 		if _, seen := st.first[key]; seen {
@@ -170,6 +178,7 @@ func fwJob(t *testing.T, mode termMode, hot []uint64, firstWins bool, shards int
 var fwModes = []termMode{
 	{name: "classic"},
 	{name: "coalesced", coalesce: true},
+	{name: "resilient", resilient: true},
 	{name: "coalesced+resilient", coalesce: true, resilient: true},
 }
 
@@ -226,6 +235,29 @@ func TestFirstWinsCollidingKeys(t *testing.T) {
 				t.Error("no lane handed a key over twice: the colliding keys did not thrash the table")
 			}
 		})
+	}
+}
+
+// On one node no tuple is bound for another node, so Coalesce buffers
+// nothing and must change nothing: with and without FirstWins, a plain and
+// a resilient run each give the same completions, statistics, termination
+// totals and owner state as the same run under Coalesce.
+func TestCoalesceNoOpOnOneNode(t *testing.T) {
+	for _, resilient := range []bool{false, true} {
+		for _, firstWins := range []bool{false, true} {
+			t.Run(fmt.Sprintf("resilient=%v/firstwins=%v", resilient, firstWins), func(t *testing.T) {
+				run := func(coalesce bool) string {
+					r := fwJob(t, termMode{nodes: 1, resilient: resilient, coalesce: coalesce}, []uint64{fwHub}, firstWins, 1)
+					if firstWins && r.totals.Retired == 0 {
+						t.Fatalf("nothing retired at hand-off: the FirstWins leg is vacuous")
+					}
+					return fmt.Sprintf("done=%v stats=%+v totals=%+v term=%+v runs=%d\n%s", r.done, r.stats, r.totals, r.term, r.runs, r.state)
+				}
+				if got, want := run(true), run(false); got != want {
+					t.Errorf("Coalesce changed a one-node run:\n got %s\nwant %s", got, want)
+				}
+			})
+		}
 	}
 }
 

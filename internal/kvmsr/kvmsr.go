@@ -99,11 +99,12 @@ type Spec struct {
 	// map-only invocations (ReduceEvent zero), whose shuffle carries no
 	// tuples.
 	Resilience *Resilience
-	// Coalesce, when non-nil, routes emitted tuples through the
-	// coalescing shuffle (per-destination pack buffers, multi-tuple
-	// messages, max-linger flush guard — see coalesce.go). Composes with
-	// Resilience: packed messages are acked and retransmitted as units.
-	// Ignored for map-only invocations, whose shuffle carries no tuples.
+	// Coalesce, when non-nil, packs tuples bound for another node into
+	// per-destination buffers that flush as multi-tuple messages (see
+	// coalesce.go); without it every tuple travels as a pack of one.
+	// Composes with Resilience: a pack is acked and retransmitted as a
+	// unit. Ignored for map-only invocations, whose shuffle carries no
+	// tuples.
 	Coalesce *Coalesce
 	// Combiner, when non-nil, pre-reduces same-key tuples inside the
 	// pack buffers (see the Combiner type's associativity contract).
@@ -124,9 +125,9 @@ type Spec struct {
 	// first tuple of that key to reach the key's owner lane, over the
 	// invocation's whole life; every later tuple only calls ReduceDone
 	// (BFS's visited check). The shuffle then retires a tuple on the lane
-	// that would hand it to its owner — the emitter of a direct send, the
-	// coalescing distributor of a forwarded one — when that lane has
-	// already handed the owner a tuple of the same key (see handOff). Which
+	// that addresses it to its owner — the emitter of a direct send, the
+	// coalescing distributor of a packed one — when that lane has already
+	// handed the owner a tuple of the same key (see handOff). Which
 	// of several same-key tuples wins may change; that any but the first
 	// changes nothing may not. Incompatible with ReduceAnyLane, whose
 	// reduce has no owner lane.
@@ -254,14 +255,13 @@ type Invocation struct {
 	lProbe     udweave.Label
 	lMoreWork  udweave.Label
 	lGrant     udweave.Label
-	// lReduce is the reduce entry point every shuffle path delivers to:
-	// it counts the task as started and runs Spec.ReduceEvent in place.
+	// lReduce receives every reliable shuffle message (see deliver).
 	lReduce udweave.Label
 	lPush   udweave.Label
 	lDelta  udweave.Label
 
-	// Resilient-shuffle registration (nil res means the classic reliable
-	// shuffle; see resilience.go).
+	// Resilient-shuffle registration (nil res means the reliable shuffle;
+	// see resilience.go). lRedDeliver receives every resilient message.
 	res         *Resilience
 	rslot       udweave.Slot[resilState]
 	lRedDeliver udweave.Label
@@ -269,12 +269,11 @@ type Invocation struct {
 	lGuard      udweave.Label
 	lRekick     udweave.Label
 
-	// Coalescing-shuffle registration (nil coal means one message per
-	// tuple; see coalesce.go).
-	coal         *Coalesce
-	cslot        udweave.Slot[coalState]
-	lPackDeliver udweave.Label
-	lFlushGuard  udweave.Label
+	// Coalescing-shuffle registration (nil coal means no pack buffers:
+	// every tuple travels alone; see coalesce.go).
+	coal        *Coalesce
+	cslot       udweave.Slot[coalState]
+	lFlushGuard udweave.Label
 	// lpn caches the machine's lanes-per-node: node-of-lane arithmetic on
 	// the emit fast path (coalescing granularity, network-message
 	// accounting).
@@ -353,7 +352,7 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 		// The wrapper keeps the user's event name, so traces and
 		// diagnostics still show kv_reduce executions under the name the
 		// application registered.
-		v.lReduce = p.Define(p.Name(s.ReduceEvent), v.reduce)
+		v.lReduce = p.Define(p.Name(s.ReduceEvent), v.deliver)
 	}
 	v.nameEmit = n + ".emit"
 	v.nameMapWin = n + ".map_window"
@@ -370,15 +369,9 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 		v.lRekick = p.Define(n+".rekick", v.rekick)
 	}
 	if s.Coalesce != nil && s.ReduceEvent != 0 {
-		co := s.Coalesce.withDefaults(p.M)
-		v.coal = &co
+		v.coal = s.Coalesce
 		v.cslot = udweave.NewSlot[coalState](p)
 		v.lFlushGuard = p.Define(n+".flush_guard", v.flushGuard)
-		if v.res == nil {
-			// Under resilience the packed message arrives through
-			// redDeliver (ack + dedup) instead.
-			v.lPackDeliver = p.Define(n+".pack_deliver", v.packDeliver)
-		}
 		v.nameFlush = n + ".flush"
 	}
 	return v, nil
@@ -398,9 +391,6 @@ func (s Spec) Labels() int {
 	}
 	if s.Coalesce != nil {
 		n++ // flush_guard
-		if s.Resilience == nil {
-			n++ // pack_deliver
-		}
 	}
 	return n
 }
@@ -451,7 +441,8 @@ func (v *Invocation) st(c *udweave.Ctx) *laneState { return v.slot.Get(c) }
 // buffered for packing instead of sent immediately (and a Spec.Combiner
 // may absorb it into a buffered same-key tuple, in which case it never
 // reaches a reducer and is not counted toward termination); same-node
-// tuples always go out directly.
+// tuples always go out directly. A tuple carries at most 6 values (5 under
+// Resilience): its message also holds the key and the pack header.
 func (v *Invocation) Emit(c *udweave.Ctx, key uint64, vals ...uint64) {
 	if v.s.ReduceEvent == 0 {
 		panic(fmt.Sprintf("kvmsr: %s: Emit without a ReduceEvent", v.s.Name))
@@ -466,6 +457,31 @@ func (v *Invocation) Emit(c *udweave.Ctx, key uint64, vals ...uint64) {
 // nodeOf returns the node hosting a lane.
 func (v *Invocation) nodeOf(id arch.NetworkID) int { return int(id) / v.lpn }
 
+// ---- the shuffle wire format ------------------------------------------
+//
+// Every shuffle message is a pack: count tuples [key, vals...] of one
+// width, back to back, then a header word, count | width<<8, then under
+// Resilience the emit ID. The header is a trailer so that TruncateOps
+// strips it: an owner-addressed pack (ownerBit set; its one tuple is
+// addressed to the lane the reduce binding picked) runs kv_reduce in place
+// and kv_reduce sees exactly [key, vals...]. A pack without the bit went to
+// a coalescing distributor, which unpacks it (see coalesce.go).
+
+// ownerBit marks an owner-addressed pack in its header.
+const ownerBit = 1 << 16
+
+// packHeader encodes a pack's header word.
+func packHeader(count, width int) uint64 { return uint64(count) | uint64(width)<<8 }
+
+// payloadWords is the tuple budget of one message: every operand but the
+// header and, under Resilience, the emit ID.
+func (v *Invocation) payloadWords() int {
+	if v.res != nil {
+		return sim.MaxOperands - 2
+	}
+	return sim.MaxOperands - 1
+}
+
 // countMsg counts one shuffle message toward Stats.ShuffleMsgs when it
 // enters the inter-node network. Same-node messages ride the intra-node
 // interconnect — they never touch the injection port coalescing exists to
@@ -477,50 +493,45 @@ func (v *Invocation) countMsg(c *udweave.Ctx, target arch.NetworkID) {
 	}
 }
 
+// send puts one pack on the wire to target: reliably to lReduce or, under
+// Resilience, through the acked protocol to lRedDeliver.
+func (v *Invocation) send(c *udweave.Ctx, target arch.NetworkID, ops []uint64) {
+	v.countMsg(c, target)
+	if v.res != nil {
+		v.sendResilient(c, target, ops)
+		return
+	}
+	c.SendEvent(udweave.EvwNew(target, v.lReduce), udweave.IGNRCONT, ops...)
+}
+
 // routeTuple delivers one [key, vals...] tuple through the shuffle —
 // buffered per destination node under Coalesce when the owner is remote,
-// directly otherwise (unless FirstWins retires it here) — and returns the
-// termination credit: 1, or 0 when a coalescing Combiner absorbed the tuple
-// into a buffered same-key entry.
+// otherwise sent to the owner as a pack of one (unless FirstWins retires it
+// here) — and returns the termination credit: 1, or 0 when a coalescing
+// Combiner absorbed the tuple into a buffered same-key entry.
 func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint64 {
+	width := 1 + len(vals)
+	if width > v.payloadWords() {
+		panic(fmt.Sprintf("kvmsr: %s: Emit with %d values (max %d: a message also carries the key, the pack header and, under Resilience, the emit ID)",
+			v.s.Name, len(vals), v.payloadWords()-1))
+	}
 	c.Cycles(v.emitCycles)
 	c.Mark(v.nameEmit)
 	c.CountShuffle(0, 1)
 	target := v.s.ReduceBinding.Lane(key, v.s.Lanes)
 	if v.coal != nil {
-		checkCoalescedVals(v, vals)
 		if node := v.nodeOf(target); node != v.nodeOf(c.NetworkID()) {
 			return v.bufferTuple(c, node, key, vals)
 		}
 	}
 	st := v.st(c)
-	if v.res != nil {
-		checkResilientVals(v.s.Name, vals)
-	}
-	// Under coalescing+resilience a same-node tuple travels as a 1-tuple
-	// packed message, so that redDeliver parses one format; its target
-	// unpacks it through the FirstWins filter, so a tuple this lane wraps
-	// for itself is not filtered here as well.
-	wrap := v.res != nil && v.coal != nil
-	if v.s.FirstWins && (!wrap || target != c.NetworkID()) && !v.handOff(c, st, key) {
+	if v.s.FirstWins && !v.handOff(c, st, key) {
 		return 1
 	}
-	buf := &st.sendBuf
-	if wrap {
-		buf[0] = packHeader(1, 1+len(vals))
-		buf[1] = key
-		n := copy(buf[2:], vals)
-		v.sendResilient(c, target, buf[:2+n])
-		return 1
-	}
-	buf[0] = key
-	n := copy(buf[1:], vals)
-	if v.res != nil {
-		v.sendResilient(c, target, buf[:1+n])
-		return 1
-	}
-	v.countMsg(c, target)
-	c.SendEvent(udweave.EvwNew(target, v.lReduce), udweave.IGNRCONT, buf[:1+n]...)
+	st.sendBuf[0] = key
+	copy(st.sendBuf[1:], vals)
+	st.sendBuf[width] = packHeader(1, width) | ownerBit
+	v.send(c, target, st.sendBuf[:width+1])
 	return 1
 }
 
@@ -582,13 +593,48 @@ func (v *Invocation) reduceDone(c *udweave.Ctx, st *laneState, n uint64) {
 	}
 }
 
-// reduce is the reduce entry point: the classic send, the coalescing
-// distributor and the resilient delivery shim all deliver tuples here. It
-// counts the task as started and runs the user's kv_reduce in place — same
-// thread, same message, no cycles of its own.
-func (v *Invocation) reduce(c *udweave.Ctx) {
-	v.st(c).started++
-	c.Invoke(v.s.ReduceEvent)
+// deliver receives every shuffle message, under Resilience after
+// redDeliver's ack and dedup. An owner-addressed pack runs its tuple's
+// kv_reduce in place — same thread, same message, no cycles of its own —
+// and counts the task as started. A distributor's pack is unpacked: each
+// tuple passes the FirstWins filter and goes to its owner lane as a pack of
+// one, forwarded on the intra-node interconnect or, when the distributor
+// owns it (or under ReduceAnyLane), run through udweave.InvokeLocal (fresh
+// thread, src preserved).
+func (v *Invocation) deliver(c *udweave.Ctx) {
+	ops := c.Ops()
+	hdr := ops[len(ops)-1]
+	count, width, owned := int(hdr&0xff), int(hdr>>8&0xff), hdr&ownerBit != 0
+	if count == 0 || width == 0 || count*width != len(ops)-1 || owned && count != 1 {
+		panic(fmt.Sprintf("kvmsr: %s: malformed shuffle message (header %#x, %d operands)", v.s.Name, hdr, len(ops)))
+	}
+	st := v.st(c)
+	if owned {
+		c.TruncateOps(width)
+		st.started++
+		c.Invoke(v.s.ReduceEvent)
+		return
+	}
+	c.Cycles(2)
+	self, src := c.NetworkID(), c.Src()
+	for i := 0; i < count; i++ {
+		tuple := ops[i*width : (i+1)*width]
+		owner := self
+		if !v.s.ReduceAnyLane {
+			if v.s.FirstWins && !v.handOff(c, st, tuple[0]) {
+				continue
+			}
+			owner = v.s.ReduceBinding.Lane(tuple[0], v.s.Lanes)
+		}
+		pack := append(append(st.sendBuf[:0], tuple...), packHeader(1, width)|ownerBit)
+		if owner == self {
+			c.InvokeLocal(src, v.lReduce, pack...)
+			continue
+		}
+		c.Cycles(1)
+		c.SendEvent(udweave.EvwNew(owner, v.lReduce), udweave.IGNRCONT, pack...)
+	}
+	c.YieldTerminate()
 }
 
 // handOff is the Spec.FirstWins filter, run by the lane about to hand a

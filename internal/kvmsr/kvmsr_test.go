@@ -448,9 +448,8 @@ func TestSpecValidation(t *testing.T) {
 // Spec.Labels must equal what New takes from the label table in every
 // shuffle mode: callers size many-invocation programs with it. It must also
 // stay within the budget pointq's slot ceiling was computed from — 17
-// labels, 19 coalescing, 4 more resilient (where the distributor's
-// pack_deliver is not needed) — whatever handlers termination detection
-// gains.
+// labels, 19 coalescing, 4 more resilient — whatever handlers termination
+// detection gains.
 func TestSpecLabelsMatchesNew(t *testing.T) {
 	m, _ := updown.New(updown.Config{Nodes: 1, Shards: 1})
 	ev := m.Prog.Define("e", func(c *updown.Ctx) {})

@@ -1,13 +1,16 @@
-// Resilient shuffle for KVMSR: when Spec.Resilience is set, every emitted
-// tuple travels on the unreliable message class (arch.KindEventU) wrapped
-// in an at-least-once delivery protocol — per-lane sequence-numbered
-// emits, explicit acks, a guard thread that retransmits overdue emits
-// with capped exponential backoff, and idempotent apply at the reducer
-// via a per-sender sliding dedup window. The invocation master doubles as
-// a straggler detector: only under this shuffle does it keep a clock while
-// the launch drains (a tick every stragglerTick cycles), and when R stops
-// moving between ticks it re-kicks every lane down the tree, forcing an
-// immediate retransmission of all outstanding shuffle work.
+// Resilient shuffle for KVMSR: when Spec.Resilience is set, every shuffle
+// message — a pack of the one wire format (see "the shuffle wire format"
+// in kvmsr.go), one tuple or a coalesced buffer's worth — travels on the
+// unreliable message class (arch.KindEventU) wrapped in an at-least-once
+// delivery protocol: the pack carries a per-lane sequence-numbered emit ID
+// as its last operand, the receiver acks it, a guard thread retransmits
+// overdue packs with capped exponential backoff, and the receiver applies
+// each pack once through a per-sender sliding dedup window before the
+// shuffle's one unpack (Invocation.deliver) takes it. The invocation master
+// doubles as a straggler detector: only under this shuffle does it keep a
+// clock while the launch drains (a tick every stragglerTick cycles), and
+// when R stops moving between ticks it re-kicks every lane down the tree,
+// forcing an immediate retransmission of all outstanding shuffle work.
 //
 // The net contract: under any fault plan that eventually delivers some
 // retransmission (message drop/dup/delay at any rate below 1), a
@@ -16,7 +19,6 @@
 package kvmsr
 
 import (
-	"fmt"
 	"sort"
 
 	"updown/internal/arch"
@@ -43,11 +45,11 @@ const (
 // ResilienceTotals aggregates the protocol's counters across a lane set
 // (see Invocation.ResilienceTotals).
 type ResilienceTotals struct {
-	// Emits counts logical resilient emits (first transmissions).
+	// Emits counts packs sent (first transmissions).
 	Emits int64
 	// Retries counts retransmissions (guard timeouts plus re-kicks).
 	Retries int64
-	// DupDrops counts tuples discarded by the reducer's dedup window.
+	// DupDrops counts packs discarded by the receiver's dedup window.
 	DupDrops int64
 	// Acks counts acks that retired a pending emit.
 	Acks int64
@@ -64,7 +66,7 @@ func (t *ResilienceTotals) Add(o ResilienceTotals) {
 	t.Rekicks += o.Rekicks
 }
 
-// pendingEmit is one unacked tuple held by the sending lane, stored
+// pendingEmit is one unacked pack held by the sending lane, stored
 // resend-ready (ops already carry the trailing emit ID).
 type pendingEmit struct {
 	target   arch.NetworkID
@@ -130,9 +132,9 @@ func (rs *resilState) admit(src arch.NetworkID, id uint64) bool {
 	return true
 }
 
-// sendResilient transmits one tuple on the unreliable class, registers it
-// as pending, and ensures the guard thread is running. buf carries
-// [key, vals...]; the emit ID is appended as the trailing operand.
+// sendResilient transmits one pack on the unreliable class, registers it
+// as pending, and ensures the guard thread is running. The emit ID is
+// appended to buf as the trailing operand.
 func (v *Invocation) sendResilient(c *udweave.Ctx, target arch.NetworkID, buf []uint64) {
 	rs := v.rst(c)
 	rs.nextID++
@@ -143,7 +145,6 @@ func (v *Invocation) sendResilient(c *udweave.Ctx, target arch.NetworkID, buf []
 	rs.out[id] = pe
 	rs.totals.Emits++
 	c.ScratchAccess(2)
-	v.countMsg(c, target)
 	c.SendEventU(udweave.EvwNew(target, v.lRedDeliver), udweave.IGNRCONT, pe.ops[:pe.nops]...)
 	if !rs.guardOn {
 		rs.guardOn = true
@@ -228,15 +229,12 @@ func (v *Invocation) ack(c *udweave.Ctx) {
 	c.YieldTerminate()
 }
 
-// redDeliver is the reducer-side delivery shim: ack the sender (every
-// time — the retransmission may mean the previous ack was lost), dedup
-// by (sender, emit ID), and hand first deliveries to the user's
-// kv_reduce handler with the protocol metadata stripped. Under the
-// coalescing shuffle the unit of ack and dedup is the packed message
-// (every resilient delivery is packed then, including 1-tuple same-node
-// wraps); admission routes each contained tuple to its owner lane exactly
-// once on the reliable class, so per-tuple exactly-once delivery follows
-// from per-message exactly-once admission.
+// redDeliver is the receiving side of the protocol: ack the sender (every
+// time — the retransmission may mean the previous ack was lost), dedup by
+// (sender, emit ID), and hand first deliveries, emit ID stripped, to
+// deliver. The unit of ack and dedup is the pack; deliver runs or forwards
+// each of its tuples exactly once on the reliable class, so per-tuple
+// exactly-once delivery follows from per-pack exactly-once admission.
 func (v *Invocation) redDeliver(c *udweave.Ctx) {
 	rs := v.rst(c)
 	n := c.NOps()
@@ -252,13 +250,8 @@ func (v *Invocation) redDeliver(c *udweave.Ctx) {
 		c.YieldTerminate()
 		return
 	}
-	if v.coal != nil {
-		v.unpackDispatch(c, src, c.Ops()[:n-1])
-		c.YieldTerminate()
-		return
-	}
 	c.TruncateOps(n - 1)
-	v.reduce(c)
+	v.deliver(c)
 }
 
 // ResilienceTotals sums the protocol counters over the invocation's lane
@@ -283,15 +276,4 @@ func (v *Invocation) Outstanding(peek func(arch.NetworkID) any) int {
 		eachLane(v, peek, v.rslot, func(_ arch.NetworkID, rs *resilState) { n += len(rs.out) })
 	}
 	return n
-}
-
-// maxResilientVals is the value budget of a resilient emit: one operand
-// goes to the key and one to the trailing emit ID.
-const maxResilientVals = sim.MaxOperands - 2
-
-func checkResilientVals(name string, vals []uint64) {
-	if len(vals) > maxResilientVals {
-		panic(fmt.Sprintf("kvmsr: %s: resilient Emit with %d values (max %d: one operand is reserved for the emit ID)",
-			name, len(vals), maxResilientVals))
-	}
 }

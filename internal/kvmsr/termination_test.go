@@ -39,6 +39,7 @@ type termMode struct {
 	coalesce        bool
 	combine         bool
 	resilient       bool
+	anyLane         bool // Spec.ReduceAnyLane
 	nodes           int
 	first, laneSpan int // lane set; laneSpan 0 = the whole machine
 	// delaySeed, when nonzero, seeds a delay-only fault plan over both
@@ -80,12 +81,17 @@ func (r termResult) summary() string {
 
 const termCounters = 64
 
+// termKeyStep spreads termJob's keys: each is a multiple of it, and no
+// value, pack header or emit ID of the job is.
+const termKeyStep = 2654435761
+
 // termJob chains rounds through one invocation: map task k emits
 // (hash-spread key, k+1) tuples, reduces fetch-add the value into one of
 // termCounters words and, in the second event of the task, ReduceDoneAdd
 // it; the completion relaunches the next round from the same thread. It
-// fails unless the protocol's counters are conserved once the machine has
-// quiesced.
+// fails unless every kv_reduce sees exactly its tuple, key first (no pack
+// header or emit ID left on it), and the protocol's counters are conserved
+// once the machine has quiesced.
 func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termResult {
 	t.Helper()
 	cfg := updown.Config{Nodes: mode.nodes, Shards: shards, MaxTime: 1 << 36}
@@ -118,7 +124,7 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		k, r := c.Op(0), rounds[c.Op(1)]
 		c.Cycles(int(k%37) + 5)
 		for i := uint64(0); i < r.emits; i++ {
-			inv.Emit(c, (k*r.emits+i)*2654435761, k+1)
+			inv.Emit(c, (k*r.emits+i)*termKeyStep, k+1)
 		}
 		if r.hold > 0 {
 			c.SetState(&mapState{cont: c.Cont()})
@@ -134,6 +140,9 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 	})
 	var ack udweave.Label
 	reduceEv := m.Prog.Define("term_reduce", func(c *updown.Ctx) {
+		if c.NOps() != 2 || c.Op(0)%termKeyStep != 0 {
+			t.Errorf("kv_reduce saw operands %v, want [key, value] with the key a multiple of %d", c.Ops(), termKeyStep)
+		}
 		c.Cycles(8)
 		c.SetState(c.Op(1))
 		c.DRAMFetchAdd(counters+(c.Op(0)%termCounters)*8, c.Op(1), c.ContinueTo(ack))
@@ -155,7 +164,7 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		c.YieldTerminate()
 	})
 	spec := kvmsr.Spec{Name: "term", MapEvent: mapEv, ReduceEvent: reduceEv, Lanes: lanes,
-		Resilience: m.Resilience, Coalesce: m.Coalesce}
+		Resilience: m.Resilience, Coalesce: m.Coalesce, ReduceAnyLane: mode.anyLane}
 	if mode.combine {
 		spec.Combiner = func(_ uint64, a, b []uint64) []uint64 {
 			a[0] += b[0]
@@ -239,9 +248,9 @@ func checkTermJob(t *testing.T, mode termMode, rounds []termRound, r termResult)
 var termRounds = []termRound{{keys: 600, emits: 3}, {keys: 150, emits: 3}, {keys: 900, emits: 2}}
 
 // At quiescence, in every shuffle mode and lane-set shape and after three
-// relaunches: sum over lanes of reduced = of reported = the master's R =
-// E, with nothing armed or parked; the master never probes, and each node
-// drains its lanes once per launch.
+// relaunches, with and without ReduceAnyLane: sum over lanes of reduced =
+// of reported = the master's R = E, with nothing armed or parked; the
+// master never probes, and each node drains its lanes once per launch.
 func TestTerminationConservation(t *testing.T) {
 	shapes := []termMode{{nodes: 1}, {nodes: 2}, {nodes: 4}, {nodes: 1, first: 80, laneSpan: 16}}
 	for _, mode := range []termMode{
@@ -249,6 +258,11 @@ func TestTerminationConservation(t *testing.T) {
 		{name: "coalesced", coalesce: true},
 		{name: "combined", coalesce: true, combine: true},
 		{name: "resilient", resilient: true},
+		{name: "coalesced+resilient", coalesce: true, resilient: true},
+		{name: "classic/anylane", anyLane: true},
+		{name: "coalesced/anylane", coalesce: true, anyLane: true},
+		{name: "resilient/anylane", resilient: true, anyLane: true},
+		{name: "coalesced+resilient/anylane", coalesce: true, resilient: true, anyLane: true},
 	} {
 		for _, shape := range shapes {
 			mode.nodes, mode.first, mode.laneSpan = shape.nodes, shape.first, shape.laneSpan
@@ -569,7 +583,7 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 	const tasks = 64
 	acrossShards(t, func(t *testing.T, shards int) string {
 		m, err := updown.New(updown.Config{Nodes: 2, Shards: shards, MaxTime: 1 << 36,
-			Coalesce: &kvmsr.Coalesce{MaxLinger: 6000}})
+			Coalesce: &kvmsr.Coalesce{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -580,8 +594,8 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 		var helper, helper2, back udweave.Label
 		// Task k runs on lane 2k and has lane 2k+1 send its two tuples. The
 		// first starts the helper's flush guard, which sends it at once;
-		// the second is buffered behind the guard's next wake-up, MaxLinger
-		// cycles away — long after map-done and the probe.
+		// the second is buffered behind the guard's next wake-up, two
+		// cross-node latencies away — long after map-done and the probe.
 		mapEv := m.Prog.Define("late_map", func(c *updown.Ctx) {
 			c.SetState(&mapState{cont: c.Cont()})
 			c.SendEvent(updown.EvwNew(c.NetworkID()+1, helper), c.ContinueTo(back), c.Op(0))
