@@ -34,7 +34,14 @@ import (
 // one block: the vertices' order changed, and with it the reduce order the
 // float sums, and so the checksums, follow. The resilient coalesced bfs
 // case was added when every shuffle tuple began travelling as a pack, with
-// the other bfs cases' checksum.
+// the other bfs cases' checksum. The four pr cases moved again when
+// PageRank's apply began taking each member's sum from its reduce lane's
+// combining cache instead of a flush launch writing them back first (one
+// launch and its DRAM round trips fewer; the -profile case's phases line
+// lost its flush column, and the combined case's checksum moved with the
+// order of the float sums), and the coalesced tc case when a ReduceAnyLane
+// pack began going to a distributor picked by its first key's hash instead
+// of by the sender's lane, with the same checksum.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -196,7 +196,9 @@ func TestOwnerBoundOracle(t *testing.T) {
 // once more, from 23,307, 23,324 and 6,346 (the one-node row until then
 // cycle for cycle what the commit before the owner binding measured). The
 // block-aligned member runs of spread splits reorder the vertices, which
-// moved every row again, from 22,846, 22,709 and 6,200.
+// moved every row again, from 22,846, 22,709 and 6,200. Apply taking each
+// member's sum from its reduce lane's combining cache, with no flush launch
+// before it, moved every row once more, from 22,827, 22,692 and 6,433.
 func TestOwnerFallsBackToBlock(t *testing.T) {
 	g := graph.FromEdges(1024, graph.DefaultRMAT(10, 42), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -210,12 +212,12 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 		lanes  kvmsr.LaneSet
 		cycles updown.Cycles
 	}{
-		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 22827},
-		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 22692},
-		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 6433},
+		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 17358},
+		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 17193},
+		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 4832},
 		{name: "3-node partition of 4, data on its first 2", nodes: 4,
 			pl:    graph.Placement{FirstNode: 1, NRNodes: 2, BlockBytes: 32 << 10},
-			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 22827},
+			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 17358},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			m, dg := loadPlaced(t, updown.Config{Nodes: row.nodes, Shards: 1}, split, row.pl)
@@ -237,6 +239,23 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 	}
 }
 
+// hubGraph is a ring of hubN vertices, every one of which also points at
+// vertex hubV, whose own list splits into a run of members at cap hubMaxDeg.
+const hubN, hubV, hubMaxDeg = 1600, 509, 2
+
+func hubGraph(members uint32) *graph.Graph {
+	var edges []graph.Edge
+	for v := uint32(0); v < hubN; v++ {
+		if v != hubV {
+			edges = append(edges, graph.Edge{Src: v, Dst: hubV}, graph.Edge{Src: v, Dst: (v + 1) % hubN})
+		}
+	}
+	for i := uint32(0); i < members*hubMaxDeg; i++ {
+		edges = append(edges, graph.Edge{Src: hubV, Dst: (hubV + 1 + i) % hubN})
+	}
+	return graph.FromEdges(hubN, edges, graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+}
+
 // TestHubAcrossBlockBoundary: with in-edge spreading a hub's member run
 // lies in one aligned window of IDs, so a 71-member hub that identity order
 // would start at record 509 of a 512-record block, its sub-vertices
@@ -245,7 +264,6 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 // base's apply task reads the other members' sums across the network, and
 // still aggregates every member's accumulator.
 func TestHubAcrossBlockBoundary(t *testing.T) {
-	const n, hub, maxDeg = 1600, 509, 2
 	for _, c := range []struct {
 		members uint32
 		base    uint32
@@ -254,23 +272,14 @@ func TestHubAcrossBlockBoundary(t *testing.T) {
 		{71, 512, true},
 		{600, 1024, false},
 	} {
-		var edges []graph.Edge
-		for v := uint32(0); v < n; v++ {
-			if v != hub {
-				edges = append(edges, graph.Edge{Src: v, Dst: hub}, graph.Edge{Src: v, Dst: (v + 1) % n})
-			}
-		}
-		for i := uint32(0); i < c.members*maxDeg; i++ {
-			edges = append(edges, graph.Edge{Src: hub, Dst: (hub + 1 + i) % n})
-		}
-		g := graph.FromEdges(n, edges, graph.BuildOptions{Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+		g := hubGraph(c.members)
 		// Seed 0: identity order but for the singletons pulled forward
 		// to align the hub's run.
-		split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: maxDeg, SpreadInEdges: true})
+		split := graph.SplitWith(g, graph.SplitOptions{MaxDeg: hubMaxDeg, SpreadInEdges: true})
 		if err := split.ValidateSplit(g); err != nil {
 			t.Fatal(err)
 		}
-		base := split.NewID[hub]
+		base := split.NewID[hubV]
 		if base != c.base || split.SubCount[base] != c.members-1 {
 			t.Fatalf("hub base %d with %d subs, want base %d with %d", base, split.SubCount[base], c.base, c.members-1)
 		}
@@ -300,6 +309,65 @@ func TestHubAcrossBlockBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			comparePR(t, app.Values(), want)
+		}
+	}
+}
+
+// TestCachesEmptyAfterRun: apply takes every sum the reduces combined, so
+// after Run no lane's combining cache holds an entry, under the Owner and
+// the fallback bindings, every shuffle mode, any shard count and several
+// iterations; the values matching the host baseline then say every Add was
+// taken exactly once. The hub's 600-member run is longer than gatherRun,
+// so its sums come back through gather threads.
+func TestCachesEmptyAfterRun(t *testing.T) {
+	rmat := graph.FromEdges(1<<10, graph.DefaultRMAT(10, 5), graph.BuildOptions{
+		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
+	hub := hubGraph(600)
+	inputs := []struct {
+		name  string
+		g     *graph.Graph
+		split *graph.SplitGraph
+	}{
+		{"rmat", rmat, graph.SplitWith(rmat, graph.SplitOptions{MaxDeg: 16, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})},
+		{"hub", hub, graph.SplitWith(hub, graph.SplitOptions{MaxDeg: hubMaxDeg, SpreadInEdges: true})},
+	}
+	modes := []struct {
+		name    string
+		cfg     updown.Config
+		combine bool
+	}{
+		{"classic", updown.Config{}, false},
+		{"coalesce+combine", updown.Config{Coalesce: &kvmsr.Coalesce{}}, true},
+		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}, false},
+	}
+	run := 0
+	for _, in := range inputs {
+		for _, iters := range []int{1, 3} {
+			want := baseline.PageRank(in.g, iters)
+			for _, mode := range modes {
+				for _, nodes := range []int{2, 3} {
+					cfg := mode.cfg
+					cfg.Nodes, cfg.Shards = nodes, []int{1, 2, 7}[run%3]
+					run++
+					name := fmt.Sprintf("%s/iters=%d/%s/nodes=%d/shards=%d", in.name, iters, mode.name, nodes, cfg.Shards)
+					m, dg := loadPlaced(t, cfg, in.split, graph.DefaultPlacement(nodes))
+					app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, Combine: mode.combine})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ownerBound(app) != (nodes == 2) {
+						t.Fatalf("%s: Owner bindings taken: %v", name, nodes != 2)
+					}
+					app.InitValues()
+					if _, err := app.Run(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					comparePR(t, app.Values(), want)
+					if n := app.CachedForTest(); n != 0 {
+						t.Errorf("%s: %d combining-cache entries left after the run", name, n)
+					}
+				}
+			}
 		}
 	}
 }

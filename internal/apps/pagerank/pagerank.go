@@ -3,8 +3,9 @@
 // over all (split) vertices, each kv_map task streaming its neighbor list
 // from DRAM in chunks of eight and emitting a <targetVertex, increment>
 // tuple per edge; kv_reduce tasks accumulate the contributions with the
-// software fetch-and-add combining cache; a doAll flush and a doAll apply
-// phase complete each iteration.
+// software fetch-and-add combining cache; a doAll apply phase, which takes
+// each vertex's sum straight from the cache of the lane that reduced it,
+// completes each iteration: two launches.
 //
 // Parallelism is expressed per vertex (kv_map) and per edge (kv_reduce);
 // data placement is the DRAMmalloc striping chosen when loading the graph;
@@ -50,17 +51,16 @@ type Config struct {
 }
 
 // App is a PageRank program instance bound to one machine and graph. Its
-// Driver's shuffle is the main scatter invocation: flush and apply are
-// map-only.
+// Driver's shuffle is the main scatter invocation; apply is map-only.
 type App struct {
 	updown.Driver
 	dg  *graph.DeviceGraph
 	cfg Config
 
-	// auxVA is a contiguous per-split-vertex accumulator array: keeping
-	// the accumulators dense (rather than strided inside the vertex
-	// records) lets the apply phase stream a hub's member sums eight
-	// words per DRAM read. auxBlock is its distribution block in words.
+	// auxVA is a contiguous per-split-vertex array: the combining cache's
+	// keys and, under UseMemFetchAdd, the accumulators, kept dense so that
+	// apply streams a hub's member sums eight words per DRAM read.
+	// auxBlock is its distribution block in words.
 	auxVA    gasmem.VA
 	auxBlock uint32
 
@@ -72,12 +72,13 @@ type App struct {
 	lNeighRead udweave.Label
 	lReduceAck udweave.Label
 	lApplyRead udweave.Label
-	lAuxRead   udweave.Label
+	lSum       udweave.Label
+	lGather    udweave.Label
 	lApplyAck  udweave.Label
 
 	iterLeft int
 	// PhaseMarks records the completion cycle of every phase
-	// (map/reduce, flush, apply per iteration) for bottleneck analysis.
+	// (map+reduce, apply per iteration) for bottleneck analysis.
 	PhaseMarks []updown.Cycles
 }
 
@@ -93,21 +94,27 @@ type workerState struct {
 	contribBits     uint64
 }
 
-// applyState is the apply-phase thread state. With in-edge spreading, a
-// base member aggregates its sub-vertices' accumulators before computing
-// the next value.
+// applyState is an apply task's: it sums base v's members [v, v+total) —
+// its sub-vertices too if in-edges are spread — for the next value; or a
+// gather thread's, summing a chunk of them for the apply task at cont.
 type applyState struct {
-	mapCont  uint64
-	v        uint32
-	subCount uint32
-	sum      float64
-	nextSub  uint32
-	reads    int
-	writes   int
+	cont   uint64 // the map continuation, or a gather's reply
+	gather bool
+	v      uint32
+	total  uint32
+	next   uint32
+	sum    float64
+	reads  int
+	writes int
 }
 
-// applyWindow bounds in-flight member-accumulator reads per apply task.
+// applyWindow bounds in-flight member-sum requests per apply task.
 const applyWindow = 64
+
+// gatherRun is the longest member run an apply task takes sum by sum; a
+// longer one goes in chunks to gather threads on the reduce lanes of their
+// first members, so the base's lane gets one reply per chunk, not member.
+const gatherRun = 32
 
 // New builds the program against an already-loaded device graph.
 func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
@@ -152,7 +159,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lReduceAck = p.Define("pr.reduce_ack", a.reduceAck)
 	applyBody := p.Define("pr.apply", a.applyBody)
 	a.lApplyRead = p.Define("pr.apply_read", a.applyRead)
-	a.lAuxRead = p.Define("pr.aux_read", a.auxRead)
+	a.lSum = p.Define("pr.sum", a.addSum)
+	a.lGather = p.Define("pr.gather", a.gather)
 	a.lApplyAck = p.Define("pr.apply_ack", a.applyAck)
 	a.Label = p.Define("pr.driver", a.driver)
 
@@ -205,23 +213,14 @@ func (a *App) InitValues() {
 	}
 }
 
-// PhaseDurations splits Elapsed into each completed iteration's map+reduce,
-// flush and apply cycles (read from PhaseMarks; flush is zero under
-// UseMemFetchAdd, which has none).
-func (a *App) PhaseDurations() [][3]updown.Cycles {
-	phases := []int{0, 1, 2}
-	if a.cfg.UseMemFetchAdd {
-		phases = []int{0, 2}
-	}
-	var out [][3]updown.Cycles
+// PhaseDurations splits Elapsed into each completed iteration's
+// map+reduce and apply cycles (read from PhaseMarks).
+func (a *App) PhaseDurations() [][2]updown.Cycles {
+	var out [][2]updown.Cycles
 	prev := a.Start
-	for i := 0; i+len(phases) <= len(a.PhaseMarks); i += len(phases) {
-		var d [3]updown.Cycles
-		for j, phase := range phases {
-			d[phase] = a.PhaseMarks[i+j] - prev
-			prev = a.PhaseMarks[i+j]
-		}
-		out = append(out, d)
+	for i := 0; i+1 < len(a.PhaseMarks); i += 2 {
+		out = append(out, [2]updown.Cycles{a.PhaseMarks[i] - prev, a.PhaseMarks[i+1] - a.PhaseMarks[i]})
+		prev = a.PhaseMarks[i+1]
 	}
 	return out
 }
@@ -237,36 +236,22 @@ func (a *App) Values() []float64 {
 	return out
 }
 
-// driver chains the phases of each iteration: map/reduce, flush, apply.
+// driver chains the phases of each iteration: map+reduce, then apply.
 func (a *App) driver(c *updown.Ctx) {
 	if c.State() == nil {
 		a.Start = c.Now()
 		a.iterLeft = a.cfg.Iterations
-		c.SetState("map")
-		a.phase(c, "map")
-		a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
+		a.launch(c, "map", a.Shuffle)
 		return
 	}
 	a.PhaseMarks = append(a.PhaseMarks, c.Now())
 	switch c.State().(string) {
 	case "map":
-		if a.cfg.UseMemFetchAdd {
-			// Accumulation already landed in memory; skip flush.
-			c.SetState("flush")
-			a.flushed2apply(c)
-			return
-		}
-		c.SetState("flush")
-		a.phase(c, "flush")
-		a.cc.FlushAll(c, c.ContinueTo(a.Label))
-	case "flush":
-		a.flushed2apply(c)
+		a.launch(c, "apply", a.applyInv)
 	case "apply":
 		a.iterLeft--
 		if a.iterLeft > 0 {
-			c.SetState("map")
-			a.phase(c, "map")
-			a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
+			a.launch(c, "map", a.Shuffle)
 			return
 		}
 		a.Done = c.Now()
@@ -275,18 +260,15 @@ func (a *App) driver(c *updown.Ctx) {
 	}
 }
 
-// phase annotates the program-phase trace track with the current iteration
+// launch starts phase name, the invocation inv over every split vertex,
+// annotating the program-phase trace track with the current iteration
 // (tracing only; the name is built only when spans are recorded).
-func (a *App) phase(c *updown.Ctx, name string) {
+func (a *App) launch(c *updown.Ctx, name string, inv *kvmsr.Invocation) {
+	c.SetState(name)
 	if c.Tracing() {
 		c.Phase(fmt.Sprintf("pr iter %d %s", a.cfg.Iterations-a.iterLeft+1, name))
 	}
-}
-
-func (a *App) flushed2apply(c *updown.Ctx) {
-	c.SetState("apply")
-	a.phase(c, "apply")
-	a.applyInv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
+	inv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 }
 
 // kvMap: load this split vertex's record, then stream its neighbors.
@@ -369,13 +351,13 @@ func (a *App) reduceAck(c *updown.Ctx) {
 	c.YieldTerminate()
 }
 
-// applyBody is the doAll body computing one base member's next value:
-// next = (1-d)/N + d * sum, then resetting the accumulator. It maps over
-// all split vertices (base members are scattered by the shuffle) and
-// skips sub-vertices after inspecting the record.
+// applyBody is the doAll body computing one base member's next value,
+// next = (1-d)/N + d * sum, from its members' sums. It maps over all split
+// vertices (base members are scattered by the shuffle) and skips
+// sub-vertices after inspecting the record.
 func (a *App) applyBody(c *updown.Ctx) {
 	v := uint32(c.Op(0))
-	c.SetState(&applyState{mapCont: c.Cont(), v: v})
+	c.SetState(&applyState{cont: c.Cont(), v: v})
 	c.Cycles(4)
 	c.DRAMRead(a.dg.RecordVA(v), 8, c.ContinueTo(a.lApplyRead))
 }
@@ -384,37 +366,56 @@ func (a *App) applyRead(c *updown.Ctx) {
 	st := c.State().(*applyState)
 	if uint32(c.Op(graph.VParent)) != st.v {
 		// Sub-vertex: state lives in the base member's record.
-		a.applyInv.Return(c, st.mapCont)
+		a.applyInv.Return(c, st.cont)
 		c.YieldTerminate()
 		return
 	}
-	st.subCount = uint32(c.Op(graph.VSubCount))
+	// Without in-edge spreading every contribution names the base.
+	st.total = 1
+	if a.dg.G.Spread() {
+		st.total += uint32(c.Op(graph.VSubCount))
+	}
 	c.Cycles(6)
-	// Stream the member accumulators (contiguous, 8 words per read).
 	a.applyPump(c, st)
 }
 
-// applyPump keeps member-accumulator chunk reads in flight.
+// applyPump keeps member-sum requests in flight: under UseMemFetchAdd a
+// DRAM read of up to eight contiguous accumulators, otherwise a Take of one
+// member's cached sum or, for a run longer than gatherRun, a gather of a
+// chunk of them. Every reply lands in addSum.
 func (a *App) applyPump(c *updown.Ctx, st *applyState) {
-	total := 1 + st.subCount // base + members
-	for st.reads < applyWindow && st.nextSub < total {
-		n := total - st.nextSub
-		if n > 8 {
-			n = 8
+	for st.reads < applyWindow && st.next < st.total {
+		v, cont := st.v+st.next, c.ContinueTo(a.lSum)
+		switch {
+		case a.cfg.UseMemFetchAdd:
+			n := min(st.total-st.next, 8)
+			st.next += n
+			c.Cycles(2)
+			c.DRAMRead(a.auxVA+uint64(v)*gasmem.WordBytes, int(n), cont)
+		case st.total <= gatherRun:
+			st.next++
+			a.cc.Take(c, a.Shuffle.ReduceLane(uint64(v)), a.auxVA+uint64(v)*gasmem.WordBytes, cont)
+		default:
+			n := min(st.total-st.next, gatherRun)
+			st.next += n
+			c.Cycles(2)
+			c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(v)), a.lGather), cont, uint64(v), uint64(n))
 		}
-		va := a.auxVA + uint64(st.v+st.nextSub)*gasmem.WordBytes
-		st.nextSub += n
 		st.reads++
-		c.Cycles(2)
-		c.DRAMRead(va, int(n), c.ContinueTo(a.lAuxRead))
 	}
-	if st.reads == 0 && st.nextSub >= total {
+	switch {
+	case st.reads > 0 || st.next < st.total: // replies outstanding
+	case st.gather:
+		c.Reply(st.cont, udweave.FloatBits(st.sum))
+		c.YieldTerminate()
+	default:
 		a.applyFinish(c, st)
 	}
 }
 
-// auxRead accumulates one chunk of member contribution sums.
-func (a *App) auxRead(c *updown.Ctx) {
+// addSum accumulates one reply: a chunk of accumulators, a taken sum or a
+// gathered partial sum.
+func (a *App) addSum(c *updown.Ctx) {
 	st := c.State().(*applyState)
 	n := c.NOps()
 	for i := 0; i < n; i++ {
@@ -425,8 +426,18 @@ func (a *App) auxRead(c *updown.Ctx) {
 	a.applyPump(c, st)
 }
 
-// applyFinish writes the next value and clears every member's accumulator
-// for the next iteration, then returns the map task.
+// gather runs on the reduce lane of a chunk's first member: it takes the
+// sums of the chunk's members (first, count) and replies with their total.
+func (a *App) gather(c *updown.Ctx) {
+	st := &applyState{cont: c.Cont(), gather: true, v: uint32(c.Op(0)), total: uint32(c.Op(1))}
+	c.SetState(st)
+	c.Cycles(4)
+	a.applyPump(c, st)
+}
+
+// applyFinish writes the next value, under UseMemFetchAdd clears the
+// members' accumulators for the next iteration (Take already removed the
+// cached ones), then returns the map task.
 func (a *App) applyFinish(c *updown.Ctx, st *applyState) {
 	next := (1-Damping)/float64(a.dg.G.OrigN) + Damping*st.sum
 	if math.IsNaN(next) {
@@ -436,13 +447,15 @@ func (a *App) applyFinish(c *updown.Ctx, st *applyState) {
 	ack := c.ContinueTo(a.lApplyAck)
 	st.writes = 1
 	c.DRAMWrite(a.dg.FieldVA(st.v, graph.VValue), ack, udweave.FloatBits(next))
-	total := 1 + st.subCount
+	if !a.cfg.UseMemFetchAdd {
+		return
+	}
 	var zeros [7]uint64
-	for off, n := uint32(0), uint32(0); off < total; off += n {
+	for off, n := uint32(0), uint32(0); off < st.total; off += n {
 		// A write stops at the end of its distribution block: the words
 		// past it live on another node (and a replicated write must land
 		// on one stripe).
-		n = min(total-off, 7, a.auxBlock-(st.v+off)%a.auxBlock)
+		n = min(st.total-off, 7, a.auxBlock-(st.v+off)%a.auxBlock)
 		st.writes++
 		c.DRAMWrite(a.auxVA+uint64(st.v+off)*gasmem.WordBytes, ack, zeros[:n]...)
 	}
@@ -453,7 +466,7 @@ func (a *App) applyAck(c *updown.Ctx) {
 	st.writes--
 	c.Cycles(1)
 	if st.writes == 0 {
-		a.applyInv.Return(c, st.mapCont)
+		a.applyInv.Return(c, st.cont)
 		c.YieldTerminate()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 
+	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/kvmsr"
 	"updown/internal/udweave"
@@ -16,14 +17,16 @@ import (
 
 // CombiningCache implements the paper's software fetch-and-add (footnote 1
 // in Section 4.1): updates to global-memory accumulators are combined in
-// the owning lane's scratchpad and written back to DRAM in a flush phase.
+// the owning lane's scratchpad, then either written back to DRAM in a flush
+// phase or taken one address at a time by whoever consumes the total.
 //
 // Correctness requires exclusive ownership: all updates to a given address
-// must be performed on one lane, which the KVMSR Hash reduce binding
-// guarantees (a key always reduces on the same lane). Under that
-// discipline, Add is a purely local scratchpad operation and the flush is
-// a race-free read-modify-write. The cache owns its drain: FlushAll runs
-// Flush on every lane of its lane set as one doAll.
+// must be performed on one lane, which the KVMSR reduce bindings guarantee
+// (a key always reduces on the same lane). Under that discipline, Add is a
+// purely local scratchpad operation, the flush is a race-free
+// read-modify-write, and Take asks the one lane that can hold an address.
+// The cache owns its drain: FlushAll runs Flush on every lane of its lane
+// set as one doAll.
 //
 // The combining operation can be any associative, commutative function
 // over the 64-bit word (integer add, float add on the bit pattern, max).
@@ -40,6 +43,7 @@ type CombiningCache struct {
 	lFlushWrite udweave.Label
 	lFlushDone  udweave.Label
 	lFlushed    udweave.Label
+	lTake       udweave.Label
 }
 
 // maxFlushWindow bounds in-flight flush write-backs per lane.
@@ -74,6 +78,7 @@ func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) u
 	cc.lFlushDone = p.Define(name+".flush_done", cc.flushDone)
 	body := p.Define(name+".flush", cc.flushBody)
 	cc.lFlushed = p.Define(name+".flushed", cc.flushed)
+	cc.lTake = p.Define(name+".take", cc.take)
 	var err error
 	// Key i of the drain is lane i: Block, whatever the caller's bindings.
 	cc.drain, err = kvmsr.New(p, kvmsr.Spec{Name: name + ".flushall", NumKeys: uint64(lanes.Count), MapEvent: body, Lanes: lanes})
@@ -117,8 +122,34 @@ func (cc *CombiningCache) Add(c *udweave.Ctx, va gasmem.VA, v uint64) {
 	}
 }
 
-// Pending returns the number of cached accumulators on this lane.
-func (cc *CombiningCache) Pending(c *udweave.Ctx) int { return len(cc.st(c).acc) }
+// Take sends one message to owner, the lane that combines va's updates,
+// whose handler removes va's accumulator and replies to cont with its
+// value, or 0 when it holds none.
+func (cc *CombiningCache) Take(c *udweave.Ctx, owner arch.NetworkID, va gasmem.VA, cont uint64) {
+	c.Cycles(2)
+	c.SendEvent(udweave.EvwNew(owner, cc.lTake), cont, va)
+}
+
+// take is Take's handler on the owning lane.
+func (cc *CombiningCache) take(c *udweave.Ctx) {
+	st := cc.st(c)
+	va := c.Op(0)
+	v := st.acc[va]
+	delete(st.acc, va)
+	c.ScratchAccess(2)
+	c.Cycles(3)
+	c.Reply(c.Cont(), v)
+	c.YieldTerminate()
+}
+
+// Pending returns the number of accumulators cached on a lane, given its
+// actor, read host-side at a quiesced point.
+func (cc *CombiningCache) Pending(lane any) int {
+	if st := cc.slot.Peek(lane); st != nil {
+		return len(st.acc)
+	}
+	return 0
+}
 
 // FlushAll drains every lane's cache (a doAll of Flush over the lane set)
 // and then replies to cont.

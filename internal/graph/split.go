@@ -28,6 +28,10 @@ type SplitGraph struct {
 	OrigN int
 	// MaxDeg is the configured cap.
 	MaxDeg int
+	// baseOnly marks a split without SpreadInEdges. Unexported, it stays
+	// out of gob (warm-start checkpoints), whose decoded zero value is
+	// Spread's always-correct answer.
+	baseOnly bool
 	// Parent maps every split vertex to its base member (identity for
 	// base members).
 	Parent []uint32
@@ -42,6 +46,10 @@ type SplitGraph struct {
 	// OrigID maps any split vertex back to its original input ID.
 	OrigID []uint32
 }
+
+// Spread reports whether a sub-vertex may take in-edges: true unless the
+// graph was split without SplitOptions.SpreadInEdges.
+func (s *SplitGraph) Spread() bool { return !s.baseOnly }
 
 // SplitOptions configures the preprocessing.
 type SplitOptions struct {
@@ -106,6 +114,7 @@ func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 		Graph:    &Graph{N: n2, Offsets: make([]uint64, n2+1)},
 		OrigN:    g.N,
 		MaxDeg:   maxDeg,
+		baseOnly: !opt.SpreadInEdges,
 		Parent:   make([]uint32, n2),
 		SubCount: make([]uint32, n2),
 		TotalDeg: make([]uint32, n2),

@@ -47,8 +47,9 @@
 //
 // A flushed pack targets a distributor lane on the destination node —
 // nodeBase + srcLane%lanesPerNode, so concurrent senders spread across
-// all of the node's lanes instead of hot-spotting one — without the
-// header's owner bit. The distributor unpacks it (Invocation.deliver) and
+// all of the node's lanes instead of hot-spotting one, or under
+// ReduceAnyLane a hash of the pack's first key — without the header's
+// owner bit. The distributor unpacks it (Invocation.deliver) and
 // hands each tuple to its owner lane (recomputed from the reduce binding;
 // reducers keep lane-local state, so a tuple that changes state must land
 // on its owner) as an owner-addressed pack of one, over the cheap
@@ -83,6 +84,7 @@ package kvmsr
 
 import (
 	"updown/internal/arch"
+	"updown/internal/prng"
 	"updown/internal/sim"
 	"updown/internal/udweave"
 )
@@ -190,9 +192,7 @@ func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []ui
 }
 
 // flushBuf sends one node's buffered tuples as a single pack to a
-// distributor lane on that node and empties the buffer. The distributor
-// is picked by the sender's intra-node lane index, spreading concurrent
-// senders across the destination node.
+// distributor lane on that node and empties the buffer.
 func (v *Invocation) flushBuf(c *udweave.Ctx, cs *coalState, pb *packBuf) {
 	if pb.count == 0 {
 		return
@@ -205,16 +205,19 @@ func (v *Invocation) flushBuf(c *udweave.Ctx, cs *coalState, pb *packBuf) {
 	if c.Tracing() {
 		c.Mark(v.nameFlush)
 	}
-	v.send(c, v.distributor(c.NetworkID(), pb.node), pb.ops[:n+1])
+	v.send(c, v.distributor(c.NetworkID(), pb.node, pb.ops[0]), pb.ops[:n+1])
 }
 
-// distributor picks the lane on the destination node that receives a
-// packed message from src: the sender's intra-node index, folded into the
-// slice of the node that belongs to the invocation's lane set (reduce
-// targets always derive from in-set lanes, so that slice is never empty),
-// spreading concurrent senders instead of hot-spotting one lane.
-func (v *Invocation) distributor(src arch.NetworkID, node int) arch.NetworkID {
+// distributor picks the lane of node's slice of the lane set (never empty:
+// reduce targets derive from in-set lanes) that receives a pack from src
+// whose first key is key: by the sender's intra-node index, spreading
+// concurrent senders, or under ReduceAnyLane, where it runs the whole pack,
+// by the key's hash, so a hub map task's packs spread like its keys.
+func (v *Invocation) distributor(src arch.NetworkID, node int, key uint64) arch.NetworkID {
 	lo, hi := v.s.Lanes.clip(node*v.lpn, v.lpn)
+	if v.s.ReduceAnyLane {
+		return lo + arch.NetworkID(prng.Mix64(key)%uint64(hi-lo))
+	}
 	return lo + arch.NetworkID(int(src)%int(hi-lo))
 }
 

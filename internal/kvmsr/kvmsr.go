@@ -112,9 +112,10 @@ type Spec struct {
 	Combiner Combiner
 	// ReduceAnyLane declares that kv_reduce keeps no lane-keyed state —
 	// it may correctly run on any lane of the set, not just the one the
-	// reduce binding picked (PageRank accumulates through per-lane
-	// combining caches that a flush-all later drains on every lane;
-	// triangle counting indexes its totals array by the executing lane).
+	// reduce binding picked (triangle counting indexes its totals array by
+	// the executing lane; PageRank must not declare it, since its apply
+	// takes each vertex's sum from the combining cache of the vertex's
+	// reduce lane).
 	// Under Coalesce this lets the distributor on the destination node
 	// run unpacked tuples in place instead of forwarding each to its
 	// owner lane, saving one intra-node message and one event dispatch
@@ -407,6 +408,11 @@ func MustNew(p *udweave.Program, s Spec) *Invocation {
 // Spec returns the (defaulted) specification.
 func (v *Invocation) Spec() Spec { return v.s }
 
+// ReduceLane returns the lane the reduce binding runs key's kv_reduce on.
+func (v *Invocation) ReduceLane(key uint64) arch.NetworkID {
+	return v.s.ReduceBinding.Lane(key, v.s.Lanes)
+}
+
 // LaunchEvw returns the event word that starts the invocation: send it
 // numKeys as operand 0 (or no operands for Spec.NumKeys) with the
 // completion continuation. The completion event receives
@@ -518,7 +524,7 @@ func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint6
 	c.Cycles(v.emitCycles)
 	c.Mark(v.nameEmit)
 	c.CountShuffle(0, 1)
-	target := v.s.ReduceBinding.Lane(key, v.s.Lanes)
+	target := v.ReduceLane(key)
 	if v.coal != nil {
 		if node := v.nodeOf(target); node != v.nodeOf(c.NetworkID()) {
 			return v.bufferTuple(c, node, key, vals)
@@ -624,7 +630,7 @@ func (v *Invocation) deliver(c *udweave.Ctx) {
 			if v.s.FirstWins && !v.handOff(c, st, tuple[0]) {
 				continue
 			}
-			owner = v.s.ReduceBinding.Lane(tuple[0], v.s.Lanes)
+			owner = v.ReduceLane(tuple[0])
 		}
 		pack := append(append(st.sendBuf[:0], tuple...), packHeader(1, width)|ownerBit)
 		if owner == self {

@@ -534,3 +534,44 @@ func TestSmallLaneSets(t *testing.T) {
 		}
 	}
 }
+
+// TestAnyLanePacksSpreadByKey: under Coalesce a ReduceAnyLane distributor
+// runs every tuple of a pack in place, so a pack goes to the distributor
+// its first key hashes to. One map task emitting many keys to another node
+// then has its reduces run on many of that node's lanes; picked by the
+// sender's lane, every pack of the task landed on one.
+func TestAnyLanePacksSpreadByKey(t *testing.T) {
+	m, err := updown.New(updown.Config{Nodes: 2, Shards: 1, MaxTime: 1 << 34, Coalesce: &kvmsr.Coalesce{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const emits = 600
+	var inv *kvmsr.Invocation
+	mapEv := m.Prog.Define("kv_map", func(c *updown.Ctx) {
+		for k := uint64(0); k < emits; k++ {
+			inv.Emit(c, k, k)
+		}
+		inv.Return(c, c.Cont())
+		c.YieldTerminate()
+	})
+	remote := map[updown.NetworkID]bool{}
+	reduceEv := m.Prog.Define("kv_reduce", func(c *updown.Ctx) {
+		if m.Arch.NodeOf(c.NetworkID()) == 1 {
+			remote[c.NetworkID()] = true
+		}
+		inv.ReduceDone(c)
+		c.YieldTerminate()
+	})
+	done := m.Prog.Define("done", func(c *updown.Ctx) { c.YieldTerminate() })
+	inv = kvmsr.MustNew(m.Prog, kvmsr.Spec{
+		Name: "anylane", MapEvent: mapEv, ReduceEvent: reduceEv, ReduceAnyLane: true,
+		Lanes: kvmsr.AllLanes(m.Arch), Coalesce: m.Coalesce,
+	})
+	m.StartWithCont(inv.LaunchEvw(), updown.EvwNew(m.Arch.LaneID(0, 0, 0), done), 1)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(remote) < 32 {
+		t.Fatalf("the map task's remote reduces ran on %d lanes of node 1, want at least 32", len(remote))
+	}
+}

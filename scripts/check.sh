@@ -23,7 +23,7 @@ fi
 # Line budget: the repository's non-blank Go source lines (cmd/loccount's
 # total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
 # that adds code deletes as much elsewhere, or raises the budget on purpose.
-LOC_BUDGET=23196
+LOC_BUDGET=23253
 loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
 [ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
 
@@ -122,6 +122,15 @@ checksum() { awk '/^result-checksum:/{print $2}'; }
 pr4=$(./updown-sim -app pr -nodes 4 -scale 12 -profile)
 printf '%s\n' "$pr4" | cross_none dram-read pr
 printf '%s\n' "$pr4" | cross_none dram-write pr
+# PageRank's apply takes each member's sum from its reduce lane's combining
+# cache, so an iteration is two launches: the phases line has no flush.
+printf '%s\n' "$pr4" | awk '/^phases: / { found=1; if (/flush/) { print "placement smoke: pr: " $0; bad=1 } } END { exit bad || !found }'
+# TC reduces on any lane: a coalesced pack goes to the distributor its first
+# key hashes to, so a hub's intersections spread over the node instead of
+# one lane per node running them all (97.9% of the makespan when the
+# distributor was picked by the sender's lane).
+./updown-sim -app tc -nodes 4 -scale 12 -coalesce -profile \
+    | awk '/^busiest lane:/ { found=1; share = $(NF-2); gsub(/%/, "", share); if (share+0 >= 90) { print "tc smoke: " $0 ", want < 90%"; bad=1 } } END { exit bad || !found }'
 bfs4=$(./updown-sim -app bfs -nodes 4 -scale 12 -profile -checksum)
 printf '%s\n' "$bfs4" | cross_below 1 bfs
 printf '%s\n' "$bfs4" | cross_none dram-write bfs
