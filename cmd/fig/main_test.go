@@ -192,7 +192,9 @@ func TestUnknownFigure(t *testing.T) {
 // `fig serve` payloads at their default flags and requires them byte for
 // byte. Every number in them is simulated time, so a difference is a
 // changed timeline, never host noise. An intended change is re-pinned by
-// the command in the failure message.
+// the command in the failure message. sched.json last moved when PageRank
+// jobs began finishing each vertex in its reduce and dropped their apply
+// launch: every PR job is one launch per iteration and shorter.
 func TestGoldenPayloads(t *testing.T) {
 	for _, args := range [][]string{{"sched", "-verify"}, {"serve"}} {
 		t.Run(args[0], func(t *testing.T) {

@@ -41,7 +41,11 @@ import (
 // lost its flush column, and the combined case's checksum moved with the
 // order of the float sums), and the coalesced tc case when a ReduceAnyLane
 // pack began going to a distributor picked by its first key's hash instead
-// of by the sender's lane, with the same checksum.
+// of by the sender's lane, with the same checksum. The four pr cases moved
+// again when PageRank began finishing each vertex in the reduce that brings
+// its last expected contribution and dropped its apply launch: one launch
+// per iteration, the -profile case's phases line down to its map+reduce
+// column, and checksums that moved with the order of the float sums.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -51,12 +51,11 @@ func runPROn(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, lanes kvmsr
 }
 
 func ownerBound(a *pagerank.App) bool {
-	main, apply := a.MapBindingForTest()
+	main := a.MapBindingForTest()
 	_, m := main.(kvmsr.Owner)
-	_, ap := apply.(kvmsr.Owner)
 	_, r := a.ReduceBindingForTest().(kvmsr.Owner)
-	if m != ap || m != r {
-		panic(fmt.Sprintf("bindings disagree: map %T apply %T reduce %T", main, apply, a.ReduceBindingForTest()))
+	if m != r {
+		panic(fmt.Sprintf("bindings disagree: map %T reduce %T", main, a.ReduceBindingForTest()))
 	}
 	return m
 }
@@ -199,6 +198,9 @@ func TestOwnerBoundOracle(t *testing.T) {
 // moved every row again, from 22,846, 22,709 and 6,200. Apply taking each
 // member's sum from its reduce lane's combining cache, with no flush launch
 // before it, moved every row once more, from 22,827, 22,692 and 6,433.
+// Finishing each vertex in the reduce that brings its last expected
+// contribution, with no apply launch at all, moved every row again, from
+// 17,358, 17,193 and 4,832 (the sums are added in a new order, too).
 func TestOwnerFallsBackToBlock(t *testing.T) {
 	g := graph.FromEdges(1024, graph.DefaultRMAT(10, 42), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -212,12 +214,12 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 		lanes  kvmsr.LaneSet
 		cycles updown.Cycles
 	}{
-		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 17358},
-		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 17193},
-		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 4832},
+		{name: "3-node machine, data on 2", nodes: 3, pl: graph.DefaultPlacement(3), cycles: 14261},
+		{name: "mem 2, compute 4", nodes: 4, pl: graph.Placement{NRNodes: 2, BlockBytes: 32 << 10}, cycles: 14331},
+		{name: "one node", nodes: 1, pl: graph.DefaultPlacement(1), cycles: 3514},
 		{name: "3-node partition of 4, data on its first 2", nodes: 4,
 			pl:    graph.Placement{FirstNode: 1, NRNodes: 2, BlockBytes: 32 << 10},
-			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 17358},
+			lanes: kvmsr.LaneSet{First: updown.NetworkID(lpn), Count: 3 * lpn}, cycles: 14261},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			m, dg := loadPlaced(t, updown.Config{Nodes: row.nodes, Shards: 1}, split, row.pl)
@@ -225,7 +227,7 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 			if ownerBound(r.app) {
 				t.Fatal("Owner bindings chosen")
 			}
-			if main, _ := r.app.MapBindingForTest(); main != (kvmsr.Block{}) {
+			if main := r.app.MapBindingForTest(); main != (kvmsr.Block{}) {
 				t.Fatalf("map binding %T, want Block", main)
 			}
 			if _, ok := r.app.ReduceBindingForTest().(kvmsr.Hash); !ok {
@@ -261,8 +263,8 @@ func hubGraph(members uint32) *graph.Graph {
 // would start at record 509 of a 512-record block, its sub-vertices
 // spilling into the next block on another node, starts at 512 instead and
 // lies on one node. A 600-member hub is longer than a block and cannot: its
-// base's apply task reads the other members' sums across the network, and
-// still aggregates every member's accumulator.
+// sub-vertices' reports to the base cross the network, and the base still
+// sums every member's contributions.
 func TestHubAcrossBlockBoundary(t *testing.T) {
 	for _, c := range []struct {
 		members uint32
@@ -313,24 +315,14 @@ func TestHubAcrossBlockBoundary(t *testing.T) {
 	}
 }
 
-// TestCachesEmptyAfterRun: apply takes every sum the reduces combined, so
-// after Run no lane's combining cache holds an entry, under the Owner and
-// the fallback bindings, every shuffle mode, any shard count and several
-// iterations; the values matching the host baseline then say every Add was
-// taken exactly once. The hub's 600-member run is longer than gatherRun,
-// so its sums come back through gather threads.
+// TestCachesEmptyAfterRun: the reduce that completes a vertex's count
+// deletes its entry, so after Run no lane's combining cache holds one —
+// and finishCheck's other checks hold — for every protocol graph under the
+// Owner (2 nodes) and the fallback (3 nodes) bindings, classic, coalesced
+// and combined, and resilient, each at one, two and three iterations (both
+// value-buffer parities). Every such cell runs shards 1, 2 and 7, one per
+// iteration count, rotated from cell to cell.
 func TestCachesEmptyAfterRun(t *testing.T) {
-	rmat := graph.FromEdges(1<<10, graph.DefaultRMAT(10, 5), graph.BuildOptions{
-		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	hub := hubGraph(600)
-	inputs := []struct {
-		name  string
-		g     *graph.Graph
-		split *graph.SplitGraph
-	}{
-		{"rmat", rmat, graph.SplitWith(rmat, graph.SplitOptions{MaxDeg: 16, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})},
-		{"hub", hub, graph.SplitWith(hub, graph.SplitOptions{MaxDeg: hubMaxDeg, SpreadInEdges: true})},
-	}
 	modes := []struct {
 		name    string
 		cfg     updown.Config
@@ -340,33 +332,20 @@ func TestCachesEmptyAfterRun(t *testing.T) {
 		{"coalesce+combine", updown.Config{Coalesce: &kvmsr.Coalesce{}}, true},
 		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}, false},
 	}
-	run := 0
-	for _, in := range inputs {
-		for _, iters := range []int{1, 3} {
-			want := baseline.PageRank(in.g, iters)
-			for _, mode := range modes {
-				for _, nodes := range []int{2, 3} {
+	cell := 0
+	for _, in := range protocolGraphs() {
+		if err := in.split.ValidateSplit(in.g); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range modes {
+			for _, nodes := range []int{2, 3} {
+				for iters := 1; iters <= 3; iters++ {
 					cfg := mode.cfg
-					cfg.Nodes, cfg.Shards = nodes, []int{1, 2, 7}[run%3]
-					run++
-					name := fmt.Sprintf("%s/iters=%d/%s/nodes=%d/shards=%d", in.name, iters, mode.name, nodes, cfg.Shards)
-					m, dg := loadPlaced(t, cfg, in.split, graph.DefaultPlacement(nodes))
-					app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, Combine: mode.combine})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ownerBound(app) != (nodes == 2) {
-						t.Fatalf("%s: Owner bindings taken: %v", name, nodes != 2)
-					}
-					app.InitValues()
-					if _, err := app.Run(); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					comparePR(t, app.Values(), want)
-					if n := app.CachedForTest(); n != 0 {
-						t.Errorf("%s: %d combining-cache entries left after the run", name, n)
-					}
+					cfg.Nodes, cfg.Shards = nodes, []int{1, 2, 7}[(cell+iters)%3]
+					name := fmt.Sprintf("%s/%s/nodes=%d/shards=%d/iters=%d", in.name, mode.name, nodes, cfg.Shards, iters)
+					finishCheck(t, name, cfg, in.g, in.split, iters, mode.combine, false)
 				}
+				cell++
 			}
 		}
 	}

@@ -1,19 +1,20 @@
 // Package pagerank implements the paper's push-based PageRank (Section
-// 4.1, Listing 3) on the simulated UpDown machine: a KVMSR invocation maps
-// over all (split) vertices, each kv_map task streaming its neighbor list
-// from DRAM in chunks of eight and emitting a <targetVertex, increment>
-// tuple per edge; kv_reduce tasks accumulate the contributions with the
-// software fetch-and-add combining cache; a doAll apply phase, which takes
-// each vertex's sum straight from the cache of the lane that reduced it,
-// completes each iteration: two launches.
+// 4.1, Listing 3) on the simulated UpDown machine: one KVMSR invocation per
+// iteration maps over all (split) vertices, each kv_map task streaming its
+// neighbor list from DRAM in chunks of eight and emitting a <targetVertex,
+// increment> tuple per edge; kv_reduce tasks accumulate the contributions
+// with the software fetch-and-add combining cache, and the reduce that
+// brings a vertex its last expected contribution finishes it — a
+// sub-vertex reports its sum to its base, a base writes its next value —
+// so the launch's completion is the iteration's.
 //
 // Parallelism is expressed per vertex (kv_map) and per edge (kv_reduce);
 // data placement is the DRAMmalloc striping chosen when loading the graph;
 // computation binding follows the placement when it can — kvmsr.Owner runs
-// the kv_map, kv_reduce and apply task of vertex v on the node homing
-// record v whenever the vertex array's nodes are the lane set's — and is
-// otherwise the default Block for maps and Hash for reduces. The three are
-// the orthogonal dimensions of the paper's Figure 1.
+// the kv_map and kv_reduce tasks of vertex v on the node homing record v
+// whenever the vertex array's nodes are the lane set's — and is otherwise
+// the default Block for maps and Hash for reduces. The three are the
+// orthogonal dimensions of the paper's Figure 1.
 package pagerank
 
 import (
@@ -51,70 +52,49 @@ type Config struct {
 }
 
 // App is a PageRank program instance bound to one machine and graph. Its
-// Driver's shuffle is the main scatter invocation; apply is map-only.
+// Driver's shuffle is the one invocation every iteration launches.
 type App struct {
 	updown.Driver
 	dg  *graph.DeviceGraph
 	cfg Config
 
-	// auxVA is a contiguous per-split-vertex array: the combining cache's
-	// keys and, under UseMemFetchAdd, the accumulators, kept dense so that
-	// apply streams a hub's member sums eight words per DRAM read.
-	// auxBlock is its distribution block in words.
-	auxVA    gasmem.VA
-	auxBlock uint32
+	// auxVA is the second value buffer (valueVA), one word per split
+	// vertex striped so that aux[v] lives with record v; accVA holds the
+	// UseMemFetchAdd accumulators, laid out the same way.
+	auxVA, accVA gasmem.VA
 
-	cc       *collections.CombiningCache
-	applyInv *kvmsr.Invocation
+	cc *collections.CombiningCache
 
-	lRecord    udweave.Label
-	lParentVal udweave.Label
-	lNeighRead udweave.Label
-	lReduceAck udweave.Label
-	lApplyRead udweave.Label
-	lSum       udweave.Label
-	lGather    udweave.Label
-	lApplyAck  udweave.Label
+	lRecord, lParentVal, lNeighRead, lMapAck udweave.Label
+	lExpect, lReport, lAdded, lAccRead, lAck udweave.Label
 
-	iterLeft int
-	// PhaseMarks records the completion cycle of every phase
-	// (map+reduce, apply per iteration) for bottleneck analysis.
+	// PhaseMarks records each iteration's completion cycle.
 	PhaseMarks []updown.Cycles
 }
 
 // workerState is the kv_map thread state (Listing 3's thread variables:
 // degree, prUpdate, loadedNeighbors, plus the saved map continuation).
+// waits counts what the task returns after: its stream and any reply.
 type workerState struct {
-	mapCont         uint64
-	v               uint32
+	mapCont, iter   uint64
+	v, parent       uint32
 	degree          uint64
 	loadedNeighbors uint64
 	neighVA         gasmem.VA
 	totalDeg        uint64
 	contribBits     uint64
+	waits           int
 }
 
-// applyState is an apply task's: it sums base v's members [v, v+total) —
-// its sub-vertices too if in-edges are spread — for the next value; or a
-// gather thread's, summing a chunk of them for the apply task at cont.
-type applyState struct {
-	cont   uint64 // the map continuation, or a gather's reply
-	gather bool
-	v      uint32
-	total  uint32
-	next   uint32
-	sum    float64
-	reads  int
-	writes int
+// reduceState is that of a thread that finishes vertex v in iteration
+// iter: a kv_reduce task (cont 0), which ends with ReduceDone, or a report
+// or expect message, which replies to cont, once every reply it waits for
+// (pending) is in.
+type reduceState struct {
+	v, base       uint32
+	n, cont, iter uint64
+	pending       int
 }
-
-// applyWindow bounds in-flight member-sum requests per apply task.
-const applyWindow = 64
-
-// gatherRun is the longest member run an apply task takes sum by sum; a
-// longer one goes in chunks to gather threads on the reduce lanes of their
-// first members, so the base's lane gets one reply per chunk, not member.
-const gatherRun = 32
 
 // New builds the program against an already-loaded device graph.
 func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
@@ -126,14 +106,12 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	}
 	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
-	var err error
-	if a.cc, err = collections.NewCombiningCache(p, "pr.fna", collections.AddF64, cfg.Lanes); err != nil {
-		return nil, err
-	}
+	a.cc = collections.NewCombiningCache(p, "pr.fna", collections.AddF64)
 	// Where the vertex array's nodes are the lane set's, every per-vertex
-	// task is bound to the node homing its record, and the accumulator
-	// array is striped in blocks of as many vertices as the vertex array's
-	// so that aux[v] lives with record v.
+	// task is bound to the node homing its record, and the per-vertex
+	// arrays are striped in blocks of as many vertices as the vertex
+	// array's; they live on the lane set's own nodes, so a job confined to
+	// a lane partition touches no other partition's memory.
 	var mapBinding kvmsr.MapBinding
 	var reduceBinding kvmsr.ReduceBinding
 	auxBS := uint64(32 << 10)
@@ -141,27 +119,30 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		mapBinding, reduceBinding = own, own
 		auxBS = m.GAS.RegionOf(dg.VertexVA).BS / graph.VertexStride
 	}
-	// The accumulator array lives on the lane set's own nodes, so a job
-	// confined to a lane partition touches no other partition's memory.
-	auxFirst := m.Arch.NodeOf(cfg.Lanes.First)
-	auxNodes := gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch))
-	a.auxVA, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, auxFirst, auxNodes, auxBS)
+	alloc := func(va *gasmem.VA) (err error) {
+		*va, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, m.Arch.NodeOf(cfg.Lanes.First),
+			gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch)), auxBS)
+		return err
+	}
+	err := alloc(&a.auxVA)
+	if err == nil && cfg.UseMemFetchAdd {
+		err = alloc(&a.accVA)
+	}
 	if err != nil {
 		return nil, err
 	}
-	a.auxBlock = uint32(auxBS / gasmem.WordBytes)
 
 	kvMap := p.Define("pr.kv_map", a.kvMap)
 	a.lRecord = p.Define("pr.record", a.record)
 	a.lParentVal = p.Define("pr.parent_val", a.parentVal)
 	a.lNeighRead = p.Define("pr.return_read", a.returnRead)
+	a.lMapAck = p.Define("pr.map_ack", a.mapAck)
 	kvReduce := p.Define("pr.kv_reduce", a.kvReduce)
-	a.lReduceAck = p.Define("pr.reduce_ack", a.reduceAck)
-	applyBody := p.Define("pr.apply", a.applyBody)
-	a.lApplyRead = p.Define("pr.apply_read", a.applyRead)
-	a.lSum = p.Define("pr.sum", a.addSum)
-	a.lGather = p.Define("pr.gather", a.gather)
-	a.lApplyAck = p.Define("pr.apply_ack", a.applyAck)
+	a.lExpect = p.Define("pr.expect", a.expect)
+	a.lReport = p.Define("pr.report", a.report)
+	a.lAdded = p.Define("pr.added", a.added)
+	a.lAccRead = p.Define("pr.acc_read", a.accRead)
+	a.lAck = p.Define("pr.ack", a.ack)
 	a.Label = p.Define("pr.driver", a.driver)
 
 	var combiner kvmsr.Combiner
@@ -175,19 +156,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		Lanes:      cfg.Lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
 		// NOT ReduceAnyLane: the reduce binding concentrates each vertex on
-		// one lane, which is what makes the per-lane combining cache hit.
-		// Letting distributors reduce in place spreads a vertex's
-		// contributions over many lanes' caches and the eviction
-		// writebacks explode (measured: 5x the DRAM writes, 2x the
-		// cycles at scale 18 x 4 nodes).
-	})
-	if err != nil {
-		return nil, err
-	}
-	a.applyInv, err = kvmsr.New(p, kvmsr.Spec{
-		Name: "pr.applyall", NumKeys: uint64(dg.G.N),
-		MapEvent: applyBody, MapBinding: mapBinding,
-		Lanes: cfg.Lanes,
+		// one lane, whose combining cache sums and counts its arrivals.
 	})
 	if err != nil {
 		return nil, err
@@ -196,31 +165,57 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 }
 
 // addCombiner merges two buffered PageRank contributions for the same
-// destination vertex into one float sum (Config.Combine).
+// destination vertex into one float sum of both edge counts (Combine).
 func addCombiner(_ uint64, a, b []uint64) []uint64 {
 	a[0] = udweave.FloatBits(udweave.BitsFloat(a[0]) + udweave.BitsFloat(b[0]))
+	a[1] += b[1]
 	return a
 }
 
-// InitValues writes the uniform starting vector (host-side setup).
+// InitValues writes the uniform starting vector and every split vertex's
+// expected arrival count E into its record's VAux (host-side setup): the
+// contributions its reduce lane counts before its sum is final — its
+// in-edges plus, for a base, one report from each of its sub-vertices that
+// has arrivals of its own.
 func (a *App) InitValues() {
-	init := udweave.FloatBits(1.0 / float64(a.dg.G.OrigN))
-	for v := uint32(0); int(v) < a.dg.G.N; v++ {
-		if a.dg.G.IsBase(v) {
+	g := a.dg.G
+	e := make([]uint64, g.N)
+	for _, u := range g.Neigh {
+		e[u]++
+	}
+	for v, p := range g.Parent {
+		if p != uint32(v) && e[v] > 0 {
+			e[p]++
+		}
+	}
+	init := udweave.FloatBits(1.0 / float64(g.OrigN))
+	for v := uint32(0); int(v) < g.N; v++ {
+		if g.IsBase(v) {
 			a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), init)
 		}
-		a.M.GAS.WriteU64(a.auxVA+uint64(v)*gasmem.WordBytes, 0)
+		a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VAux), e[v])
+		if a.cfg.UseMemFetchAdd {
+			a.M.GAS.WriteU64(a.accVA+uint64(v)*gasmem.WordBytes, 0)
+		}
 	}
 }
 
-// PhaseDurations splits Elapsed into each completed iteration's
-// map+reduce and apply cycles (read from PhaseMarks).
-func (a *App) PhaseDurations() [][2]updown.Cycles {
-	var out [][2]updown.Cycles
-	prev := a.Start
-	for i := 0; i+1 < len(a.PhaseMarks); i += 2 {
-		out = append(out, [2]updown.Cycles{a.PhaseMarks[i] - prev, a.PhaseMarks[i+1] - a.PhaseMarks[i]})
-		prev = a.PhaseMarks[i+1]
+// valueVA is where vertex v's value lives at the start of iteration iter
+// (from 1): VValue when iter is odd, aux[v] when even. A base may finish
+// before its members' map tasks have read it, so values ping-pong.
+func (a *App) valueVA(v uint32, iter uint64) gasmem.VA {
+	if iter%2 == 1 {
+		return a.dg.FieldVA(v, graph.VValue)
+	}
+	return a.auxVA + uint64(v)*gasmem.WordBytes
+}
+
+// PhaseDurations splits Elapsed into each completed iteration's cycles
+// (read from PhaseMarks).
+func (a *App) PhaseDurations() []updown.Cycles {
+	out, prev := make([]updown.Cycles, len(a.PhaseMarks)), a.Start
+	for i, mark := range a.PhaseMarks {
+		out[i], prev = mark-prev, mark
 	}
 	return out
 }
@@ -230,84 +225,80 @@ func (a *App) PhaseDurations() [][2]updown.Cycles {
 func (a *App) Values() []float64 {
 	out := make([]float64, a.dg.G.OrigN)
 	for v := range out {
-		base := a.dg.G.NewID[v]
-		out[v] = udweave.BitsFloat(a.M.GAS.ReadU64(a.dg.FieldVA(base, graph.VValue)))
+		out[v] = udweave.BitsFloat(a.M.GAS.ReadU64(a.valueVA(a.dg.G.NewID[v], uint64(a.cfg.Iterations)+1)))
 	}
 	return out
 }
 
-// driver chains the phases of each iteration: map+reduce, then apply.
+// driver launches the iterations one after another, each with its number
+// as the launch argument; the thread's state is the running iteration.
 func (a *App) driver(c *updown.Ctx) {
-	if c.State() == nil {
+	iter, _ := c.State().(uint64)
+	if iter == 0 {
 		a.Start = c.Now()
-		a.iterLeft = a.cfg.Iterations
-		a.launch(c, "map", a.Shuffle)
-		return
+	} else {
+		a.PhaseMarks = append(a.PhaseMarks, c.Now())
 	}
-	a.PhaseMarks = append(a.PhaseMarks, c.Now())
-	switch c.State().(string) {
-	case "map":
-		a.launch(c, "apply", a.applyInv)
-	case "apply":
-		a.iterLeft--
-		if a.iterLeft > 0 {
-			a.launch(c, "map", a.Shuffle)
-			return
-		}
+	if iter == uint64(a.cfg.Iterations) {
 		a.Done = c.Now()
 		c.PhaseEnd()
 		c.YieldTerminate()
+		return
 	}
-}
-
-// launch starts phase name, the invocation inv over every split vertex,
-// annotating the program-phase trace track with the current iteration
-// (tracing only; the name is built only when spans are recorded).
-func (a *App) launch(c *updown.Ctx, name string, inv *kvmsr.Invocation) {
-	c.SetState(name)
+	iter++
+	c.SetState(iter)
 	if c.Tracing() {
-		c.Phase(fmt.Sprintf("pr iter %d %s", a.cfg.Iterations-a.iterLeft+1, name))
+		c.Phase(fmt.Sprintf("pr iter %d", iter))
 	}
-	inv.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
+	a.Shuffle.LaunchWithArg(c, uint64(a.dg.G.N), iter, c.ContinueTo(a.Label))
 }
 
 // kvMap: load this split vertex's record, then stream its neighbors.
 func (a *App) kvMap(c *updown.Ctx) {
 	v := uint32(c.Op(0))
-	c.SetState(&workerState{mapCont: c.Cont(), v: v})
+	c.SetState(&workerState{mapCont: c.Cont(), v: v, iter: c.Op(1)})
 	c.Cycles(6)
 	c.DRAMRead(a.dg.RecordVA(v), 8, c.ContinueTo(a.lRecord))
 }
 
-// record receives the vertex record. Originals carry their own value;
-// sub-vertices fetch the parent's current value with one more read.
+// record receives the vertex record. A vertex that expects arrivals sends
+// E, with its base and the iteration, to its reduce lane; a base that
+// expects none writes its next value. The task returns once that is
+// acknowledged too.
 func (a *App) record(c *updown.Ctx) {
 	st := c.State().(*workerState)
 	st.degree = c.Op(graph.VDegree)
 	st.neighVA = c.Op(graph.VNeighVA)
 	st.totalDeg = c.Op(graph.VTotalDeg)
-	parent := uint32(c.Op(graph.VParent))
+	st.parent = uint32(c.Op(graph.VParent))
+	st.waits = 1
 	c.Cycles(6)
-	if parent != st.v {
-		c.DRAMRead(a.dg.FieldVA(parent, graph.VValue), 1, c.ContinueTo(a.lParentVal))
-		return
+	switch want := c.Op(graph.VAux); {
+	case want != 0:
+		st.waits++
+		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(st.v)), a.lExpect), c.ContinueTo(a.lMapAck),
+			uint64(st.v), want, uint64(st.parent)|st.iter<<32)
+	case st.parent == st.v:
+		st.waits++
+		c.DRAMWrite(a.valueVA(st.v, st.iter+1), c.ContinueTo(a.lMapAck), udweave.FloatBits(a.finalValue(0)))
 	}
-	a.beginStream(c, st, c.Op(graph.VValue))
+	switch {
+	case st.degree == 0:
+		a.mapAck(c)
+	case st.parent == st.v && st.iter%2 == 1:
+		a.beginStream(c, st, c.Op(graph.VValue))
+	default:
+		c.DRAMRead(a.valueVA(st.parent, st.iter), 1, c.ContinueTo(a.lParentVal))
+	}
 }
 
-// parentVal receives a sub-vertex's parent value.
-func (a *App) parentVal(c *updown.Ctx) {
-	a.beginStream(c, c.State().(*workerState), c.Op(0))
-}
+// parentVal receives the value record read.
+func (a *App) parentVal(c *updown.Ctx) { a.beginStream(c, c.State().(*workerState), c.Op(0)) }
 
 // beginStream computes the per-edge contribution and issues all neighbor
-// reads in chunks of eight (Listing 3's kv_map loop).
+// reads in chunks of eight (Listing 3's kv_map loop). A tuple is [target,
+// contribution] and, under Combine, the count of edges it stands for.
 func (a *App) beginStream(c *updown.Ctx, st *workerState, valueBits uint64) {
-	if st.degree == 0 {
-		a.Shuffle.Return(c, st.mapCont)
-		c.YieldTerminate()
-		return
-	}
 	st.contribBits = udweave.FloatBits(udweave.BitsFloat(valueBits) / float64(st.totalDeg))
 	c.Cycles(8)
 	graph.ReadAdj(c, st.neighVA, st.degree, c.ContinueTo(a.lNeighRead))
@@ -319,154 +310,129 @@ func (a *App) returnRead(c *updown.Ctx) {
 	st := c.State().(*workerState)
 	n := c.NOps()
 	for i := 0; i < n; i++ {
-		a.Shuffle.Emit(c, c.Op(i), st.contribBits)
+		if a.cfg.Combine {
+			a.Shuffle.Emit(c, c.Op(i), st.contribBits, 1)
+		} else {
+			a.Shuffle.Emit(c, c.Op(i), st.contribBits)
+		}
 	}
 	st.loadedNeighbors += uint64(n)
 	if st.loadedNeighbors == st.degree {
+		a.mapAck(c)
+	}
+}
+
+// mapAck retires one of the map task's waits, returning it after the last.
+func (a *App) mapAck(c *updown.Ctx) {
+	st := c.State().(*workerState)
+	if st.waits--; st.waits == 0 {
 		a.Shuffle.Return(c, st.mapCont)
 		c.YieldTerminate()
 	}
 }
 
-// kvReduce accumulates one contribution into the target vertex's
-// accumulator — through the scratchpad combining cache (default) or a
-// memory-side float fetch-add (ablation).
+// kvReduce counts one tuple's contribution toward its target vertex.
 func (a *App) kvReduce(c *updown.Ctx) {
-	target := uint32(c.Op(0))
-	va := a.auxVA + uint64(target)*gasmem.WordBytes
+	r := reduceState{v: uint32(c.Op(0)), n: 1}
+	if a.cfg.Combine {
+		r.n = c.Op(2)
+	}
+	c.Cycles(4)
+	a.contribute(c, r, c.Op(1))
+}
+
+// report is a finished sub-vertex's sum arriving at its base's reduce
+// lane: one arrival.
+func (a *App) report(c *updown.Ctx) {
+	c.Cycles(2)
+	a.contribute(c, reduceState{v: uint32(c.Op(0)), n: 1, cont: c.Cont()}, c.Op(1))
+}
+
+// contribute adds r.n arrivals of value bits val at r.v: into the
+// combining cache or, under UseMemFetchAdd, with a memory-side float
+// fetch-add whose acknowledgment counts them.
+func (a *App) contribute(c *updown.Ctx, r reduceState, val uint64) {
 	if a.cfg.UseMemFetchAdd {
-		c.Cycles(4)
-		c.DRAMFetchAddF(va, udweave.BitsFloat(c.Op(1)), c.ContinueTo(a.lReduceAck))
+		st := r
+		c.SetState(&st)
+		c.DRAMFetchAddF(a.accVA+uint64(r.v)*gasmem.WordBytes, udweave.BitsFloat(val), c.ContinueTo(a.lAdded))
 		return
 	}
-	c.Cycles(4)
-	a.cc.Add(c, va, c.Op(1))
-	a.Shuffle.ReduceDone(c)
-	c.YieldTerminate()
+	a.count(c, r, val, 0, 0)
 }
 
-// reduceAck completes a memory-side-atomic reduce.
-func (a *App) reduceAck(c *updown.Ctx) {
-	a.Shuffle.ReduceDone(c)
-	c.YieldTerminate()
+func (a *App) added(c *updown.Ctx) { a.count(c, *c.State().(*reduceState), 0, 0, 0) }
+
+// expect is a map task's E arriving on its vertex's reduce lane; the cache
+// keeps the tag, base | iteration<<32, with the count.
+func (a *App) expect(c *updown.Ctx) {
+	a.count(c, reduceState{v: uint32(c.Op(0)), cont: c.Cont()}, 0, c.Op(1), c.Op(2))
 }
 
-// applyBody is the doAll body computing one base member's next value,
-// next = (1-d)/N + d * sum, from its members' sums. It maps over all split
-// vertices (base members are scattered by the shuffle) and skips
-// sub-vertices after inspecting the record.
-func (a *App) applyBody(c *updown.Ctx) {
-	v := uint32(c.Op(0))
-	c.SetState(&applyState{cont: c.Cont(), v: v})
-	c.Cycles(4)
-	c.DRAMRead(a.dg.RecordVA(v), 8, c.ContinueTo(a.lApplyRead))
-}
-
-func (a *App) applyRead(c *updown.Ctx) {
-	st := c.State().(*applyState)
-	if uint32(c.Op(graph.VParent)) != st.v {
-		// Sub-vertex: state lives in the base member's record.
-		a.applyInv.Return(c, st.cont)
-		c.YieldTerminate()
+// count counts r.n arrivals of val, or the expected count and its tag, at
+// r.v on its reduce lane. What completes the count finishes the vertex
+// with its sum, from the cache entry or, under UseMemFetchAdd, from memory
+// (zeroing the accumulator behind it); anything else is done at once.
+func (a *App) count(c *updown.Ctx, r reduceState, val, want, tag uint64) {
+	sum, tag, done := a.cc.Count(c, a.dg.FieldVA(r.v, graph.VAux), val, r.n, want, tag)
+	if !done {
+		a.release(c, r.cont)
 		return
 	}
-	// Without in-edge spreading every contribution names the base.
-	st.total = 1
-	if a.dg.G.Spread() {
-		st.total += uint32(c.Op(graph.VSubCount))
+	st := r
+	st.base, st.iter = uint32(tag), tag>>32
+	c.SetState(&st)
+	if a.cfg.UseMemFetchAdd {
+		c.DRAMRead(a.accVA+uint64(st.v)*gasmem.WordBytes, 1, c.ContinueTo(a.lAccRead))
+		return
 	}
-	c.Cycles(6)
-	a.applyPump(c, st)
+	a.settle(c, &st, sum)
 }
 
-// applyPump keeps member-sum requests in flight: under UseMemFetchAdd a
-// DRAM read of up to eight contiguous accumulators, otherwise a Take of one
-// member's cached sum or, for a run longer than gatherRun, a gather of a
-// chunk of them. Every reply lands in addSum.
-func (a *App) applyPump(c *updown.Ctx, st *applyState) {
-	for st.reads < applyWindow && st.next < st.total {
-		v, cont := st.v+st.next, c.ContinueTo(a.lSum)
-		switch {
-		case a.cfg.UseMemFetchAdd:
-			n := min(st.total-st.next, 8)
-			st.next += n
-			c.Cycles(2)
-			c.DRAMRead(a.auxVA+uint64(v)*gasmem.WordBytes, int(n), cont)
-		case st.total <= gatherRun:
-			st.next++
-			a.cc.Take(c, a.Shuffle.ReduceLane(uint64(v)), a.auxVA+uint64(v)*gasmem.WordBytes, cont)
-		default:
-			n := min(st.total-st.next, gatherRun)
-			st.next += n
-			c.Cycles(2)
-			c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(v)), a.lGather), cont, uint64(v), uint64(n))
-		}
-		st.reads++
-	}
-	switch {
-	case st.reads > 0 || st.next < st.total: // replies outstanding
-	case st.gather:
-		c.Reply(st.cont, udweave.FloatBits(st.sum))
-		c.YieldTerminate()
-	default:
-		a.applyFinish(c, st)
-	}
+func (a *App) accRead(c *updown.Ctx) {
+	st := c.State().(*reduceState)
+	st.pending++
+	c.DRAMWrite(a.accVA+uint64(st.v)*gasmem.WordBytes, c.ContinueTo(a.lAck), 0)
+	a.settle(c, st, c.Op(0))
 }
 
-// addSum accumulates one reply: a chunk of accumulators, a taken sum or a
-// gathered partial sum.
-func (a *App) addSum(c *updown.Ctx) {
-	st := c.State().(*applyState)
-	n := c.NOps()
-	for i := 0; i < n; i++ {
-		st.sum += udweave.BitsFloat(c.Op(i))
+// settle passes a final sum on, and the thread completes once that is
+// acknowledged: a sub-vertex reports it to its base, a base writes its
+// next value.
+func (a *App) settle(c *updown.Ctx, st *reduceState, sum uint64) {
+	st.pending++
+	if st.base != st.v {
+		c.Cycles(2)
+		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(st.base)), a.lReport), c.ContinueTo(a.lAck), uint64(st.base), sum)
+		return
 	}
-	st.reads--
-	c.Cycles(2 * n)
-	a.applyPump(c, st)
+	c.Cycles(8)
+	c.DRAMWrite(a.valueVA(st.v, st.iter+1), c.ContinueTo(a.lAck), udweave.FloatBits(a.finalValue(udweave.BitsFloat(sum))))
 }
 
-// gather runs on the reduce lane of a chunk's first member: it takes the
-// sums of the chunk's members (first, count) and replies with their total.
-func (a *App) gather(c *updown.Ctx) {
-	st := &applyState{cont: c.Cont(), gather: true, v: uint32(c.Op(0)), total: uint32(c.Op(1))}
-	c.SetState(st)
-	c.Cycles(4)
-	a.applyPump(c, st)
-}
-
-// applyFinish writes the next value, under UseMemFetchAdd clears the
-// members' accumulators for the next iteration (Take already removed the
-// cached ones), then returns the map task.
-func (a *App) applyFinish(c *updown.Ctx, st *applyState) {
-	next := (1-Damping)/float64(a.dg.G.OrigN) + Damping*st.sum
+// finalValue is (1-d)/N + d*sum.
+func (a *App) finalValue(sum float64) float64 {
+	next := (1-Damping)/float64(a.dg.G.OrigN) + Damping*sum
 	if math.IsNaN(next) {
 		panic("pagerank: NaN value")
 	}
-	c.Cycles(8)
-	ack := c.ContinueTo(a.lApplyAck)
-	st.writes = 1
-	c.DRAMWrite(a.dg.FieldVA(st.v, graph.VValue), ack, udweave.FloatBits(next))
-	if !a.cfg.UseMemFetchAdd {
-		return
-	}
-	var zeros [7]uint64
-	for off, n := uint32(0), uint32(0); off < st.total; off += n {
-		// A write stops at the end of its distribution block: the words
-		// past it live on another node (and a replicated write must land
-		// on one stripe).
-		n = min(st.total-off, 7, a.auxBlock-(st.v+off)%a.auxBlock)
-		st.writes++
-		c.DRAMWrite(a.auxVA+uint64(st.v+off)*gasmem.WordBytes, ack, zeros[:n]...)
+	return next
+}
+
+func (a *App) ack(c *updown.Ctx) {
+	st := c.State().(*reduceState)
+	c.Cycles(1)
+	if st.pending--; st.pending == 0 {
+		a.release(c, st.cont)
 	}
 }
 
-func (a *App) applyAck(c *updown.Ctx) {
-	st := c.State().(*applyState)
-	st.writes--
-	c.Cycles(1)
-	if st.writes == 0 {
-		a.applyInv.Return(c, st.cont)
-		c.YieldTerminate()
+// release completes the thread: a kv_reduce task's ReduceDone, or a reply.
+func (a *App) release(c *updown.Ctx, cont uint64) {
+	if cont != 0 {
+		c.Reply(cont)
+	} else {
+		a.Shuffle.ReduceDone(c)
 	}
+	c.YieldTerminate()
 }

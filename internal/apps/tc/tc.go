@@ -96,7 +96,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
 	p := m.Prog
 	var err error
-	if a.cc, err = collections.NewCombiningCache(p, "tc.count", collections.AddU64, cfg.Lanes); err != nil {
+	if a.cc, err = collections.NewFlushingCache(p, "tc.count", collections.AddU64, cfg.Lanes); err != nil {
 		return nil, err
 	}
 

@@ -36,7 +36,7 @@ func TestCombiningCacheFetchAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	lanes := kvmsr.LaneSet{First: 0, Count: slots}
-	cc, err := collections.NewCombiningCache(m.Prog, "fna", collections.AddU64, lanes)
+	cc, err := collections.NewFlushingCache(m.Prog, "fna", collections.AddU64, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 	m := newMachine(t, 1)
 	va, _ := m.GAS.DRAMmalloc(4096, 0, 1, 4096)
 	m.GAS.WriteU64(va, updown.FloatBits(1.5))
-	cc, err := collections.NewCombiningCache(m.Prog, "fadd", collections.AddF64, kvmsr.LaneSet{Count: 1})
+	cc, err := collections.NewFlushingCache(m.Prog, "fadd", collections.AddF64, kvmsr.LaneSet{Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,53 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 	}
 }
 
+// Count finishes a key on the update that brings its count to the
+// expected total, whether the total arrives first, last or in between,
+// and returns the combined value with the tag; nothing stays cached.
+func TestCombiningCacheCount(t *testing.T) {
+	m := newMachine(t, 1)
+	cc := collections.NewCombiningCache(m.Prog, "cnt", collections.AddU64)
+	type call struct{ v, n, want, tag uint64 }
+	orders := [][]call{
+		{{0, 0, 4, 7}, {1, 1, 0, 0}, {2, 2, 0, 0}, {4, 1, 0, 0}},
+		{{1, 1, 0, 0}, {2, 2, 0, 0}, {4, 1, 0, 0}, {0, 0, 4, 7}},
+		{{1, 1, 0, 0}, {0, 0, 4, 7}, {2, 2, 0, 0}, {4, 1, 0, 0}},
+	}
+	var got [][3]uint64
+	start := m.Prog.Define("start", func(c *updown.Ctx) {
+		for k, order := range orders {
+			for i, x := range order {
+				sum, tag, done := cc.Count(c, gasmem.VA(8*k), x.v, x.n, x.want, x.tag)
+				if done != (i == len(order)-1) {
+					t.Errorf("order %d: call %d done %v", k, i, done)
+				}
+				if done {
+					got = append(got, [3]uint64{uint64(k), sum, tag})
+				}
+			}
+		}
+		c.YieldTerminate()
+	})
+	m.Start(updown.EvwNew(0, start))
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(orders) {
+		t.Fatalf("%d keys finished, want %d", len(got), len(orders))
+	}
+	for _, g := range got {
+		if g[1] != 7 || g[2] != 7 {
+			t.Errorf("order %d: sum %d tag %d, want 7 and 7", g[0], g[1], g[2])
+		}
+	}
+	if n := cc.Pending(m.Engine.PeekActor(0)); n != 0 {
+		t.Fatalf("%d entries cached after every key finished", n)
+	}
+}
+
 func TestCombiningCacheEmptyFlush(t *testing.T) {
 	m := newMachine(t, 1)
-	cc, err := collections.NewCombiningCache(m.Prog, "empty", collections.AddU64, kvmsr.LaneSet{Count: 1})
+	cc, err := collections.NewFlushingCache(m.Prog, "empty", collections.AddU64, kvmsr.LaneSet{Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

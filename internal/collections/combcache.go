@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"slices"
 
-	"updown/internal/arch"
 	"updown/internal/gasmem"
 	"updown/internal/kvmsr"
 	"updown/internal/udweave"
@@ -18,32 +17,28 @@ import (
 // CombiningCache implements the paper's software fetch-and-add (footnote 1
 // in Section 4.1): updates to global-memory accumulators are combined in
 // the owning lane's scratchpad, then either written back to DRAM in a flush
-// phase or taken one address at a time by whoever consumes the total.
+// phase or, for a counted key, handed to the caller the moment its last
+// expected update arrives.
 //
 // Correctness requires exclusive ownership: all updates to a given address
 // must be performed on one lane, which the KVMSR reduce bindings guarantee
-// (a key always reduces on the same lane). Under that discipline, Add is a
-// purely local scratchpad operation, the flush is a race-free
-// read-modify-write, and Take asks the one lane that can hold an address.
-// The cache owns its drain: FlushAll runs Flush on every lane of its lane
-// set as one doAll.
+// (a key always reduces on the same lane). Under that discipline, Add and
+// Count are purely local scratchpad operations and the flush is a
+// race-free read-modify-write. A cache made by NewFlushingCache owns its
+// drain: FlushAll runs Flush on every lane of its lane set as one doAll.
 //
 // The combining operation can be any associative, commutative function
 // over the 64-bit word (integer add, float add on the bit pattern, max).
 type CombiningCache struct {
-	p    *udweave.Program
 	name string
 	slot udweave.Slot[ccLaneState]
 	op   func(acc, v uint64) uint64
 
-	// drain is the doAll whose key i flushes lane i of the set.
+	// drain is the doAll whose key i flushes lane i of the set; nil
+	// unless NewFlushingCache made the cache.
 	drain *kvmsr.Invocation
 
-	lFlushRead  udweave.Label
-	lFlushWrite udweave.Label
-	lFlushDone  udweave.Label
-	lFlushed    udweave.Label
-	lTake       udweave.Label
+	lFlushRead, lFlushWrite, lFlushDone, lFlushed udweave.Label
 }
 
 // maxFlushWindow bounds in-flight flush write-backs per lane.
@@ -51,7 +46,7 @@ const maxFlushWindow = 64
 
 // ccLaneState is the per-lane cache.
 type ccLaneState struct {
-	acc map[gasmem.VA]uint64
+	acc map[gasmem.VA]counted
 
 	// flush machinery
 	pendingVAs  []gasmem.VA
@@ -60,25 +55,34 @@ type ccLaneState struct {
 	flushCont   uint64
 }
 
+// counted is one cached accumulator: the combined value and, for a
+// counted key (Count), the updates in, those expected (0: unknown) and a
+// tag.
+type counted struct{ acc, n, want, tag uint64 }
+
 // flushEntry is the thread state of one in-flight write-back.
 type flushEntry struct {
 	va    gasmem.VA
 	delta uint64
 }
 
-// NewCombiningCache registers a cache with the program, and the doAll
-// that drains it over lanes. op combines the accumulated delta with the
-// value in memory during flush (and deltas with each other locally), e.g.
-// AddU64 or AddF64.
-func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) uint64,
+// NewCombiningCache registers a cache with the program; op combines
+// updates, e.g. AddU64 or AddF64. It defines no event.
+func NewCombiningCache(p *udweave.Program, name string, op func(acc, v uint64) uint64) *CombiningCache {
+	return &CombiningCache{name: name, slot: udweave.NewSlot[ccLaneState](p), op: op}
+}
+
+// NewFlushingCache is NewCombiningCache plus the write-back to memory (op
+// also combines a delta with the value there) and the doAll that drains
+// the cache over lanes.
+func NewFlushingCache(p *udweave.Program, name string, op func(acc, v uint64) uint64,
 	lanes kvmsr.LaneSet) (*CombiningCache, error) {
-	cc := &CombiningCache{p: p, name: name, slot: udweave.NewSlot[ccLaneState](p), op: op}
+	cc := NewCombiningCache(p, name, op)
 	cc.lFlushRead = p.Define(name+".flush_read", cc.flushRead)
 	cc.lFlushWrite = p.Define(name+".flush_write", cc.flushWrite)
 	cc.lFlushDone = p.Define(name+".flush_done", cc.flushDone)
 	body := p.Define(name+".flush", cc.flushBody)
 	cc.lFlushed = p.Define(name+".flushed", cc.flushed)
-	cc.lTake = p.Define(name+".take", cc.take)
 	var err error
 	// Key i of the drain is lane i: Block, whatever the caller's bindings.
 	cc.drain, err = kvmsr.New(p, kvmsr.Spec{Name: name + ".flushall", NumKeys: uint64(lanes.Count), MapEvent: body, Lanes: lanes})
@@ -104,42 +108,45 @@ func MaxU64(acc, v uint64) uint64 {
 func (cc *CombiningCache) st(c *udweave.Ctx) *ccLaneState {
 	st := cc.slot.Get(c)
 	if st.acc == nil {
-		st.acc = make(map[gasmem.VA]uint64)
+		st.acc = make(map[gasmem.VA]counted)
 	}
 	return st
 }
 
 // Add combines v into the lane-local accumulator for va. It costs a few
 // scratchpad accesses and sends no messages.
-func (cc *CombiningCache) Add(c *udweave.Ctx, va gasmem.VA, v uint64) {
+func (cc *CombiningCache) Add(c *udweave.Ctx, va gasmem.VA, v uint64) { cc.Count(c, va, v, 1, 0, 0) }
+
+// Count combines v into va's accumulator as n of the updates va expects;
+// want > 0 sets how many that is, and a tag word returned with the value,
+// before or after they arrive. Once they have all arrived, done reports it:
+// the entry is gone, and sum and tagged are its value and tag. Like Add,
+// it costs a few scratchpad accesses and sends no messages.
+func (cc *CombiningCache) Count(c *udweave.Ctx, va gasmem.VA, v, n, want, tag uint64) (sum, tagged uint64, done bool) {
 	st := cc.st(c)
 	c.ScratchAccess(2)
 	c.Cycles(4)
-	if acc, ok := st.acc[va]; ok {
-		st.acc[va] = cc.op(acc, v)
-	} else {
-		st.acc[va] = v
+	p, ok := st.acc[va]
+	if n > 0 {
+		if p.n > 0 {
+			v = cc.op(p.acc, v)
+		}
+		p.acc, p.n = v, p.n+n
 	}
-}
-
-// Take sends one message to owner, the lane that combines va's updates,
-// whose handler removes va's accumulator and replies to cont with its
-// value, or 0 when it holds none.
-func (cc *CombiningCache) Take(c *udweave.Ctx, owner arch.NetworkID, va gasmem.VA, cont uint64) {
-	c.Cycles(2)
-	c.SendEvent(udweave.EvwNew(owner, cc.lTake), cont, va)
-}
-
-// take is Take's handler on the owning lane.
-func (cc *CombiningCache) take(c *udweave.Ctx) {
-	st := cc.st(c)
-	va := c.Op(0)
-	v := st.acc[va]
-	delete(st.acc, va)
-	c.ScratchAccess(2)
-	c.Cycles(3)
-	c.Reply(c.Cont(), v)
-	c.YieldTerminate()
+	if want > 0 {
+		p.want, p.tag = want, tag
+	}
+	if p.want == 0 || p.n < p.want {
+		st.acc[va] = p
+		return 0, 0, false
+	}
+	if p.n > p.want {
+		panic(fmt.Sprintf("collections: %s: %d updates for %#x, which expects %d", cc.name, p.n, va, p.want))
+	}
+	if ok {
+		delete(st.acc, va)
+	}
+	return p.acc, p.tag, true
 }
 
 // Pending returns the number of accumulators cached on a lane, given its
@@ -152,7 +159,7 @@ func (cc *CombiningCache) Pending(lane any) int {
 }
 
 // FlushAll drains every lane's cache (a doAll of Flush over the lane set)
-// and then replies to cont.
+// and then replies to cont. The cache must come from NewFlushingCache.
 func (cc *CombiningCache) FlushAll(c *udweave.Ctx, cont uint64) {
 	cc.drain.Launch(c, cc.drain.Spec().NumKeys, cont)
 }
@@ -172,6 +179,9 @@ func (cc *CombiningCache) flushed(c *udweave.Ctx) {
 // (read-modify-write per entry, windowed), then replies to doneCont.
 // FlushAll runs one per lane. Flushing an empty cache replies immediately.
 func (cc *CombiningCache) Flush(c *udweave.Ctx, doneCont uint64) {
+	if cc.drain == nil {
+		panic(fmt.Sprintf("collections: %s: Flush on a cache made without NewFlushingCache", cc.name))
+	}
 	st := cc.st(c)
 	if st.flushCont != 0 {
 		panic(fmt.Sprintf("collections: %s: concurrent Flush on lane %d", cc.name, c.NetworkID()))
@@ -199,12 +209,12 @@ func (cc *CombiningCache) pump(c *udweave.Ctx, st *ccLaneState) {
 		st.outstanding++
 		c.Cycles(3)
 		// One thread per entry: read the memory value, combine, write.
-		c.SendEvent(udweave.EvwNew(self, cc.lFlushRead), udweave.IGNRCONT, va, st.acc[va])
+		c.SendEvent(udweave.EvwNew(self, cc.lFlushRead), udweave.IGNRCONT, va, st.acc[va].acc)
 	}
 	if st.outstanding == 0 && st.nextFlush >= len(st.pendingVAs) {
 		cont := st.flushCont
 		st.flushCont = 0
-		st.acc = make(map[gasmem.VA]uint64)
+		st.acc = make(map[gasmem.VA]counted)
 		st.pendingVAs = st.pendingVAs[:0]
 		c.Cycles(4)
 		c.Reply(cont)
@@ -221,9 +231,8 @@ func (cc *CombiningCache) flushRead(c *udweave.Ctx) {
 // that the flush-done signal cannot race ahead of in-flight writes.
 func (cc *CombiningCache) flushWrite(c *udweave.Ctx) {
 	e := c.State().(*flushEntry)
-	combined := cc.op(c.Op(0), e.delta)
 	c.Cycles(4)
-	c.DRAMWrite(e.va, c.ContinueTo(cc.lFlushDone), combined)
+	c.DRAMWrite(e.va, c.ContinueTo(cc.lFlushDone), cc.op(c.Op(0), e.delta))
 }
 
 // flushDone retires one write-back and refills the window.

@@ -29,8 +29,8 @@ const (
 	// VValue is the primary per-vertex value (PageRank value bits, BFS
 	// distance).
 	VValue
-	// VAux is the secondary value (next PageRank accumulator, BFS
-	// parent).
+	// VAux is the secondary value (PageRank's expected arrival count,
+	// BFS parent).
 	VAux
 	// VSubStart / VSubCount give the original's extra sub-vertices.
 	VSubStart

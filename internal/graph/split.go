@@ -28,10 +28,6 @@ type SplitGraph struct {
 	OrigN int
 	// MaxDeg is the configured cap.
 	MaxDeg int
-	// baseOnly marks a split without SpreadInEdges. Unexported, it stays
-	// out of gob (warm-start checkpoints), whose decoded zero value is
-	// Spread's always-correct answer.
-	baseOnly bool
 	// Parent maps every split vertex to its base member (identity for
 	// base members).
 	Parent []uint32
@@ -47,10 +43,6 @@ type SplitGraph struct {
 	OrigID []uint32
 }
 
-// Spread reports whether a sub-vertex may take in-edges: true unless the
-// graph was split without SplitOptions.SpreadInEdges.
-func (s *SplitGraph) Spread() bool { return !s.baseOnly }
-
 // SplitOptions configures the preprocessing.
 type SplitOptions struct {
 	// MaxDeg caps member out-degree (<= 0: no cap).
@@ -62,8 +54,8 @@ type SplitOptions struct {
 	// pseudo-random MEMBER of the destination instead of its base, so
 	// pushed per-edge updates to a high-in-degree vertex spread over its
 	// members' reduce lanes instead of serializing on one. PageRank uses
-	// this (the member accumulators are re-aggregated in its apply
-	// phase); BFS must not (its discovery dedup is per base member).
+	// this (a sub-vertex's sum is reported to its base); BFS must
+	// not (its discovery dedup is per base member).
 	// It makes an original's k members one unit of state, so it also
 	// aligns them (alignRuns): a power-of-two striping block of at least
 	// nextpow2(k) records then homes the whole run on one node.
@@ -114,7 +106,6 @@ func SplitWith(g *Graph, opt SplitOptions) *SplitGraph {
 		Graph:    &Graph{N: n2, Offsets: make([]uint64, n2+1)},
 		OrigN:    g.N,
 		MaxDeg:   maxDeg,
-		baseOnly: !opt.SpreadInEdges,
 		Parent:   make([]uint32, n2),
 		SubCount: make([]uint32, n2),
 		TotalDeg: make([]uint32, n2),

@@ -128,7 +128,7 @@ var prApp = &GraphApp{
 		return &GraphJob{Driver: &a.Driver,
 			Profile: func() (lines []string) {
 				for i, d := range a.PhaseDurations() {
-					lines = append(lines, fmt.Sprintf("phases: iter %d map+reduce=%d apply=%d cycles", i+1, d[0], d[1]))
+					lines = append(lines, fmt.Sprintf("phases: iter %d map+reduce=%d cycles", i+1, d))
 				}
 				return lines
 			},
