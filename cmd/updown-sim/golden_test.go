@@ -45,7 +45,12 @@ import (
 // again when PageRank began finishing each vertex in the reduce that brings
 // its last expected contribution and dropped its apply launch: one launch
 // per iteration, the -profile case's phases line down to its map+reduce
-// column, and checksums that moved with the order of the float sums.
+// column, and checksums that moved with the order of the float sums. The
+// three tc cases moved when TC's total began riding its launch's completion
+// sum instead of a flush launch writing per-lane totals to DRAM: fewer
+// cycles and events, no DRAM writes, the same total and checksum; the
+// -profile case's scratchpad line shrank with the combining cache's lane
+// state, which lost its flush fields.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

@@ -15,7 +15,6 @@ package tc
 
 import (
 	"updown"
-	"updown/internal/collections"
 	"updown/internal/gasmem"
 	"updown/internal/graph"
 	"updown/internal/kvmsr"
@@ -40,14 +39,11 @@ type Config struct {
 // invocation.
 type App struct {
 	updown.Driver
-	dg  *graph.DeviceGraph
-	cfg Config
+	dg *graph.DeviceGraph
 
-	cc *collections.CombiningCache
-
-	// totalsVA is a per-lane partial-total array (exclusive combining
-	// cache targets; the host sums it after the run).
-	totalsVA gasmem.VA
+	// total is the launch's ReduceDoneAdd sum, which its completion
+	// carries: every pair's intersection count, summed up the KVMSR tree.
+	total uint64
 
 	lURecord udweave.Label
 	lUChunk  udweave.Label
@@ -93,13 +89,8 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Lanes.Count == 0 {
 		cfg.Lanes = kvmsr.AllLanes(m.Arch)
 	}
-	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg, cfg: cfg}
+	a := &App{Driver: updown.Driver{M: m, Lane: cfg.Lanes.First}, dg: dg}
 	p := m.Prog
-	var err error
-	if a.cc, err = collections.NewFlushingCache(p, "tc.count", collections.AddU64, cfg.Lanes); err != nil {
-		return nil, err
-	}
-
 	kvMap := p.Define("tc.kv_map", a.kvMap)
 	a.lURecord = p.Define("tc.u_record", a.uRecord)
 	a.lUChunk = p.Define("tc.u_chunk", a.uChunk)
@@ -119,43 +110,32 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	if cfg.Combine {
 		combiner = keepFirst
 	}
+	var err error
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "tc.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce, MapBinding: mb,
 		Lanes:      cfg.Lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
-		// The reducer intersects two DRAM adjacency lists and adds into
-		// the totals slot of whichever lane it runs on, so any lane may
-		// run it.
+		// The reducer intersects two DRAM adjacency lists and hands its
+		// count to the completion sum, keeping nothing on its lane, so
+		// any lane may run it.
 		ReduceAnyLane: true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	// The totals array lives on the lane set's first node, so a job
-	// confined to a lane partition touches no other partition's memory
-	// (whole-machine runs keep the historical node-0 placement).
-	a.totalsVA, err = m.GAS.DRAMmalloc(uint64(cfg.Lanes.Count)*gasmem.WordBytes,
-		m.Arch.NodeOf(cfg.Lanes.First), 1, 4096)
 	if err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// Total reads back the per-edge intersection total (3x the triangle
-// count); host side, post-run.
-func (a *App) Total() uint64 {
-	var sum uint64
-	for i := 0; i < a.cfg.Lanes.Count; i++ {
-		sum += a.M.GAS.ReadU64(a.totalsVA + uint64(i)*gasmem.WordBytes)
-	}
-	return sum
-}
+// Total returns the per-edge intersection total (3x the triangle count);
+// host side, post-run.
+func (a *App) Total() uint64 { return a.total }
 
 // Triangles returns the triangle count.
 func (a *App) Triangles() uint64 { return a.Total() / 3 }
 
+// driver launches the pair invocation and, on its completion, takes the
+// total from the completion's third operand.
 func (a *App) driver(c *updown.Ctx) {
 	if c.State() == nil {
 		a.Start = c.Now()
@@ -164,16 +144,10 @@ func (a *App) driver(c *updown.Ctx) {
 		a.Shuffle.Launch(c, uint64(a.dg.G.N), c.ContinueTo(a.Label))
 		return
 	}
-	switch c.State().(string) {
-	case "main":
-		c.Phase("tc flush")
-		c.SetState("flush")
-		a.cc.FlushAll(c, c.ContinueTo(a.Label))
-	case "flush":
-		a.Done = c.Now()
-		c.PhaseEnd()
-		c.YieldTerminate()
-	}
+	a.total = c.Op(2)
+	a.Done = c.Now()
+	c.PhaseEnd()
+	c.YieldTerminate()
 }
 
 // kvMap: read u's record, then stream its list, emitting each pair u > v.
@@ -279,10 +253,6 @@ func (a *App) bChunk(c *updown.Ctx) {
 }
 
 func (a *App) finishReduce(c *updown.Ctx, st *reduceState) {
-	if st.count > 0 {
-		laneIdx := a.cfg.Lanes.Index(c.NetworkID())
-		a.cc.Add(c, a.totalsVA+uint64(laneIdx)*gasmem.WordBytes, st.count)
-	}
-	a.Shuffle.ReduceDone(c)
+	a.Shuffle.ReduceDoneAdd(c, st.count)
 	c.YieldTerminate()
 }

@@ -23,81 +23,70 @@ func newMachine(t *testing.T, nodes int) *updown.Machine {
 }
 
 // The combining cache must produce the same totals as direct accumulation:
-// updates combined in scratchpads, then flushed to DRAM by a doAll.
+// every lane of a two-node set counts its updates into its own key, which
+// finishes with their sum on the last one.
 func TestCombiningCacheFetchAdd(t *testing.T) {
 	m := newMachine(t, 2)
-	// Exclusive ownership discipline (the combining-cache contract):
-	// slot s is updated only by lane s, so the flush read-modify-writes
-	// never race.
+	// Exclusive ownership discipline (the combining-cache contract): key s
+	// is updated only by lane s.
 	const slots = 256
 	const updatesPerLane = 50
-	va, err := m.GAS.DRAMmalloc(slots*8, 0, 2, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lanes := kvmsr.LaneSet{First: 0, Count: slots}
-	cc, err := collections.NewFlushingCache(m.Prog, "fna", collections.AddU64, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := collections.NewCombiningCache(m.Prog, "fna", addU64)
+	sums := make([]uint64, slots)
 	var updInv *kvmsr.Invocation
 	upd := m.Prog.Define("upd", func(c *updown.Ctx) {
-		lane := uint64(c.NetworkID())
-		slot := lane % slots
+		slot := lanes.Index(c.NetworkID())
 		for i := 0; i < updatesPerLane; i++ {
-			cc.Add(c, va+slot*8, 1)
+			if sum, _, done := cc.Count(c, gasmem.VA(slot*8), 1, 1, updatesPerLane, 0); done {
+				sums[slot] = sum
+			}
 		}
 		updInv.Return(c, c.Cont())
 		c.YieldTerminate()
 	})
 	updInv = kvmsr.MustNew(m.Prog, kvmsr.Spec{
 		Name: "updphase", MapEvent: upd, Lanes: lanes})
-
-	// Drive the two phases from a driver thread that stays alive.
-	var phase atomic.Int32
 	var driver udweave.Label
 	driver = m.Prog.Define("driver", func(c *updown.Ctx) {
-		switch phase.Add(1) {
-		case 1:
+		if c.State() == nil {
+			c.SetState(true)
 			updInv.Launch(c, uint64(lanes.Count), c.ContinueTo(driver))
-		case 2:
-			cc.FlushAll(c, c.ContinueTo(driver))
-		default:
-			c.YieldTerminate()
+			return
 		}
+		c.YieldTerminate()
 	})
 	m.Start(updown.EvwNew(0, driver))
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Each lane did 50 adds to its own slot.
-	for s := uint64(0); s < slots; s++ {
-		if got := m.GAS.ReadU64(va + s*8); got != updatesPerLane {
+	for s, got := range sums {
+		if got != updatesPerLane {
 			t.Fatalf("slot %d = %d, want %d", s, got, updatesPerLane)
+		}
+		if n := cc.Pending(m.Engine.PeekActor(lanes.First + updown.NetworkID(s))); n != 0 {
+			t.Fatalf("lane %d keeps %d entries after its key finished", s, n)
 		}
 	}
 }
 
 func TestCombiningCacheFloatCombine(t *testing.T) {
 	m := newMachine(t, 1)
-	va, _ := m.GAS.DRAMmalloc(4096, 0, 1, 4096)
-	m.GAS.WriteU64(va, updown.FloatBits(1.5))
-	cc, err := collections.NewFlushingCache(m.Prog, "fadd", collections.AddF64, kvmsr.LaneSet{Count: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fin udweave.Label
+	cc := collections.NewCombiningCache(m.Prog, "fadd", collections.AddF64)
+	var got float64
 	start := m.Prog.Define("start", func(c *updown.Ctx) {
-		cc.Add(c, va, updown.FloatBits(0.25))
-		cc.Add(c, va, updown.FloatBits(0.25))
-		cc.Flush(c, c.ContinueTo(fin))
+		for _, v := range []float64{1.5, 0.25, 0.25} {
+			if sum, _, done := cc.Count(c, 0, updown.FloatBits(v), 1, 3, 0); done {
+				got = updown.BitsFloat(sum)
+			}
+		}
+		c.YieldTerminate()
 	})
-	fin = m.Prog.Define("fin", func(c *updown.Ctx) { c.YieldTerminate() })
 	m.Start(updown.EvwNew(0, start))
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := updown.BitsFloat(m.GAS.ReadU64(va)); got != 2.0 {
+	if got != 2.0 {
 		t.Fatalf("float accumulator = %v, want 2.0", got)
 	}
 }
@@ -107,7 +96,7 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 // and returns the combined value with the tag; nothing stays cached.
 func TestCombiningCacheCount(t *testing.T) {
 	m := newMachine(t, 1)
-	cc := collections.NewCombiningCache(m.Prog, "cnt", collections.AddU64)
+	cc := collections.NewCombiningCache(m.Prog, "cnt", addU64)
 	type call struct{ v, n, want, tag uint64 }
 	orders := [][]call{
 		{{0, 0, 4, 7}, {1, 1, 0, 0}, {2, 2, 0, 0}, {4, 1, 0, 0}},
@@ -146,35 +135,7 @@ func TestCombiningCacheCount(t *testing.T) {
 	}
 }
 
-func TestCombiningCacheEmptyFlush(t *testing.T) {
-	m := newMachine(t, 1)
-	cc, err := collections.NewFlushingCache(m.Prog, "empty", collections.AddU64, kvmsr.LaneSet{Count: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	var fin udweave.Label
-	start := m.Prog.Define("start", func(c *updown.Ctx) {
-		cc.Flush(c, c.ContinueTo(fin))
-	})
-	fin = m.Prog.Define("fin", func(c *updown.Ctx) {
-		fired = true
-		c.YieldTerminate()
-	})
-	m.Start(updown.EvwNew(0, start))
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("empty flush never completed")
-	}
-}
-
-func TestMaxU64Combiner(t *testing.T) {
-	if collections.MaxU64(3, 5) != 5 || collections.MaxU64(5, 3) != 5 {
-		t.Fatal("MaxU64 broken")
-	}
-}
+func addU64(acc, v uint64) uint64 { return acc + v }
 
 // shtRig assembles a machine with one SHT and a driver that runs a list of
 // scripted operations sequentially, recording replies.
@@ -540,6 +501,7 @@ func TestShmemPutGetBarrierAllReduce(t *testing.T) {
 		Name: "sh.fillall", NumKeys: uint64(lanes.Count),
 		MapEvent: fillBody, Lanes: lanes})
 	var phase atomic.Int32
+	var got uint64
 	var driver udweave.Label
 	driver = m.Prog.Define("sh.driver", func(c *updown.Ctx) {
 		switch phase.Add(1) {
@@ -550,6 +512,7 @@ func TestShmemPutGetBarrierAllReduce(t *testing.T) {
 		case 3:
 			sh.AllReduceSum(c, 0, c.ContinueTo(driver))
 		default:
+			got = c.Op(2)
 			c.YieldTerminate()
 		}
 	})
@@ -558,7 +521,7 @@ func TestShmemPutGetBarrierAllReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := uint64(512 * 513 / 2)
-	if got := sh.Result(m.GAS); got != want {
+	if got != want {
 		t.Fatalf("all-reduce = %d, want %d", got, want)
 	}
 	// Spot-check the symmetric layout: lane 5's word 0 was written by
@@ -578,12 +541,19 @@ func TestShmemBackToBackCollectives(t *testing.T) {
 	if err := sh.Alloc(m.GAS); err != nil {
 		t.Fatal(err)
 	}
-	// All words start zero; two consecutive all-reduces must both be 0
-	// (the second must not inherit the first round's accumulator).
-	var rounds atomic.Int32
+	// Lane i's word is i+1; two consecutive all-reduces must both read
+	// the sum (the second must not inherit the first's total).
+	for i := 0; i < lanes.Count; i++ {
+		m.GAS.WriteU64(sh.AddrForTest(lanes.First+updown.NetworkID(i), 0), uint64(i)+1)
+	}
+	var totals []uint64
 	var driver udweave.Label
 	driver = m.Prog.Define("sh2.driver", func(c *updown.Ctx) {
-		if rounds.Add(1) <= 2 {
+		if c.State() != nil {
+			totals = append(totals, c.Op(2))
+		}
+		if len(totals) < 2 {
+			c.SetState(true)
 			sh.AllReduceSum(c, 0, c.ContinueTo(driver))
 			return
 		}
@@ -593,8 +563,9 @@ func TestShmemBackToBackCollectives(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.Result(m.GAS); got != 0 {
-		t.Fatalf("second all-reduce = %d, want 0", got)
+	want := uint64(64 * 65 / 2)
+	if len(totals) != 2 || totals[0] != want || totals[1] != want {
+		t.Fatalf("all-reduces = %v, want two of %d", totals, want)
 	}
 }
 

@@ -30,17 +30,6 @@ type Shmem struct {
 	lReduceBody  udweave.Label
 	lReduceRead  udweave.Label
 	lSum         udweave.Label
-	lSumWritten  udweave.Label
-	sumSlot      udweave.Slot[shmemSumState]
-
-	// resultVA holds the all-reduce result.
-	resultVA gasmem.VA
-}
-
-// shmemSumState accumulates one all-reduce round at the root lane.
-type shmemSumState struct {
-	sum uint64
-	n   int
 }
 
 // NewShmem registers the library for a lane set with a symmetric block of
@@ -52,12 +41,11 @@ func NewShmem(p *udweave.Program, lanes kvmsr.LaneSet, words int) (*Shmem, error
 	if words <= 0 {
 		return nil, fmt.Errorf("collections: shmem block must be positive, got %d", words)
 	}
-	s := &Shmem{p: p, lanes: lanes, words: words, sumSlot: udweave.NewSlot[shmemSumState](p)}
+	s := &Shmem{p: p, lanes: lanes, words: words}
 	s.lBarrierBody = p.Define("shmem.barrier_body", s.barrierBody)
 	s.lReduceBody = p.Define("shmem.reduce_body", s.reduceBody)
 	s.lReduceRead = p.Define("shmem.reduce_read", s.reduceRead)
 	s.lSum = p.Define("shmem.sum", s.sum)
-	s.lSumWritten = p.Define("shmem.sum_written", s.sumWritten)
 	var err error
 	s.barrierInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "shmem.barrier", NumKeys: uint64(lanes.Count),
@@ -66,11 +54,13 @@ func NewShmem(p *udweave.Program, lanes kvmsr.LaneSet, words int) (*Shmem, error
 	if err != nil {
 		return nil, err
 	}
+	// Each lane's word reduces on its own lane (key = lane index), and the
+	// sum climbs the termination tree with the completion.
 	s.reduceInv, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "shmem.allreduce", NumKeys: uint64(lanes.Count),
 		MapEvent: s.lReduceBody, ReduceEvent: s.lSum,
-		ReduceBinding: kvmsr.ReduceFunc(func(uint64, kvmsr.LaneSet) arch.NetworkID {
-			return lanes.First
+		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, ls kvmsr.LaneSet) arch.NetworkID {
+			return ls.First + arch.NetworkID(key)
 		}),
 		Lanes: lanes,
 	})
@@ -80,7 +70,7 @@ func NewShmem(p *udweave.Program, lanes kvmsr.LaneSet, words int) (*Shmem, error
 	return s, nil
 }
 
-// Alloc reserves the symmetric region (plus one result word).
+// Alloc reserves the symmetric region.
 func (s *Shmem) Alloc(gas *gasmem.GAS) error {
 	m := s.p.M
 	size := uint64(s.lanes.Count*s.words) * gasmem.WordBytes
@@ -100,10 +90,6 @@ func (s *Shmem) Alloc(gas *gasmem.GAS) error {
 	} else {
 		s.base, err = gas.DRAMmalloc(size, m.NodeOf(s.lanes.First), 1, 4096)
 	}
-	if err != nil {
-		return err
-	}
-	s.resultVA, err = gas.DRAMmalloc(gasmem.WordBytes, m.NodeOf(s.lanes.First), 1, 4096)
 	return err
 }
 
@@ -143,16 +129,13 @@ func (s *Shmem) barrierBody(c *udweave.Ctx) {
 }
 
 // AllReduceSum sums the symmetric word at the given offset across all
-// lanes; cont fires once the total is in ResultVA (read it with
-// Shmem.Result after the run, or DRAMRead it in-simulation).
+// lanes; cont receives the total as operand 2, like every KVMSR
+// completion.
 func (s *Shmem) AllReduceSum(c *udweave.Ctx, word int, cont uint64) {
 	// The word offset rides the KVMSR broadcast argument, so every
 	// lane's body sees it without any shared host state.
 	s.reduceInv.LaunchWithArg(c, uint64(s.lanes.Count), uint64(word), cont)
 }
-
-// Result reads the last all-reduce total (host side, post-run).
-func (s *Shmem) Result(gas *gasmem.GAS) uint64 { return gas.ReadU64(s.resultVA) }
 
 // reduceBody: each lane contributes its own symmetric word (the word
 // offset arrives as the broadcast argument, operand 1).
@@ -163,33 +146,13 @@ func (s *Shmem) reduceBody(c *udweave.Ctx) {
 }
 
 func (s *Shmem) reduceRead(c *udweave.Ctx) {
-	s.reduceInv.Emit(c, 0, c.Op(0))
+	s.reduceInv.Emit(c, uint64(s.lanes.Index(c.NetworkID())), c.Op(0))
 	s.reduceInv.Return(c, c.State().(uint64))
 	c.YieldTerminate()
 }
 
-// sum accumulates contributions at the root lane. The total is written
-// back (and the round state reset) on the final contribution, before its
-// ReduceDone — so the collective's completion implies the result is
-// durable, and back-to-back collectives cannot interleave.
+// sum adds one lane's word to the launch's completion sum.
 func (s *Shmem) sum(c *udweave.Ctx) {
-	st := s.sumSlot.Get(c)
-	st.sum += c.Op(1)
-	st.n++
-	c.ScratchAccess(1)
-	c.Cycles(3)
-	if st.n < s.lanes.Count {
-		s.reduceInv.ReduceDone(c)
-		c.YieldTerminate()
-		return
-	}
-	total := st.sum
-	st.sum = 0
-	st.n = 0
-	c.DRAMWrite(s.resultVA, c.ContinueTo(s.lSumWritten), total)
-}
-
-func (s *Shmem) sumWritten(c *udweave.Ctx) {
-	s.reduceInv.ReduceDone(c)
+	s.reduceInv.ReduceDoneAdd(c, c.Op(1))
 	c.YieldTerminate()
 }

@@ -112,10 +112,9 @@ type Spec struct {
 	Combiner Combiner
 	// ReduceAnyLane declares that kv_reduce keeps no lane-keyed state —
 	// it may correctly run on any lane of the set, not just the one the
-	// reduce binding picked (triangle counting indexes its totals array by
-	// the executing lane; PageRank must not declare it, since its apply
-	// takes each vertex's sum from the combining cache of the vertex's
-	// reduce lane).
+	// reduce binding picked (triangle counting hands each pair's count to
+	// the completion sum; PageRank must not declare it, since a vertex's
+	// reduce lane counts its arrivals in that lane's combining cache).
 	// Under Coalesce this lets the distributor on the destination node
 	// run unpacked tuples in place instead of forwarding each to its
 	// owner lane, saving one intra-node message and one event dispatch
