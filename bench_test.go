@@ -180,7 +180,7 @@ func BenchmarkAblationCombiningCache(b *testing.B) {
 }
 
 // BenchmarkKVMSRShuffle compares the classic one-message-per-tuple shuffle
-// against the coalescing+combining shuffle on PageRank over two nodes, and
+// against the coalescing shuffle on PageRank over two nodes, and
 // asserts the coalesced run puts strictly fewer shuffle messages on the
 // inter-node network — the CI bench-smoke gate for the aggregation layer.
 func BenchmarkKVMSRShuffle(b *testing.B) {
@@ -200,7 +200,7 @@ func BenchmarkKVMSRShuffle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		app, err := pagerank.New(m, dg, pagerank.Config{Combine: coalesce})
+		app, err := pagerank.New(m, dg, pagerank.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,11 +39,11 @@ type figure struct {
 
 var figures = []figure{
 	{"9pr", "Figure 9 (left) / Table 8: PageRank strong scaling",
-		fig9(harness.Fig9PageRank, 16, "rmat,erdos-renyi,forest-fire,twitter", true, true, hostPR)},
+		fig9(harness.Fig9PageRank, 16, "rmat,erdos-renyi,forest-fire,twitter", true, hostPR)},
 	{"9bfs", "Figure 9 (center) / Table 9: BFS strong scaling",
-		fig9(harness.Fig9BFS, 16, "rmat,com-orkut,soc-livej", false, false, hostBFS)},
+		fig9(harness.Fig9BFS, 16, "rmat,com-orkut,soc-livej", false, hostBFS)},
 	{"9tc", "Figure 9 (right) / Table 10: triangle-counting strong scaling",
-		fig9(harness.Fig9TC, 11, "friendster,com-orkut,soc-livej,rmat", false, true, nil)},
+		fig9(harness.Fig9TC, 11, "friendster,com-orkut,soc-livej,rmat", false, nil)},
 	{"10", "Figure 10 / Table 11: ingestion (TFORM parse + graph insert) throughput scaling", fig10},
 	{"11", "Figure 11 / Table 12: partial-match streaming-query latency vs compute", fig11},
 	{"12", "Figure 12: DRAMmalloc NRnodes placement sweep, compute held fixed", fig12},
@@ -211,7 +211,7 @@ func nodeList(name, s string) ([]int, error) { // sorted, deduplicated, positive
 }
 
 func fig9(sweep func(harness.Fig9Options) ([]*harness.Table, error), scale int, graphs string,
-	iters, combine bool, host func(g *graph.Graph, iters int)) func(*flag.FlagSet, *common) func() error {
+	iters bool, host func(g *graph.Graph, iters int)) func(*flag.FlagSet, *common) func() error {
 	return func(fs *flag.FlagSet, c *common) func() error {
 		var o harness.Fig9Options
 		var abs bool
@@ -222,17 +222,11 @@ func fig9(sweep func(harness.Fig9Options) ([]*harness.Table, error), scale int, 
 		if iters {
 			fs.IntVar(&o.Iterations, "iters", 1, "PageRank iterations")
 		}
-		if combine {
-			fs.BoolVar(&o.Combine, "combine", false, "with -coalesce: install the app's combiner in the pack buffers (PageRank: float add; TC: keep-first)")
-		}
 		if host != nil {
 			fs.BoolVar(&abs, "abs", false, "also measure the host multicore baseline wall-clock")
 		}
 		c.register(fs, 42, "markdown", "critpath", "coalesce", "progress")
 		return func() (err error) {
-			if o.Combine && !c.coalesce {
-				return badFlag("-combine pre-reduces pack buffers: add -coalesce")
-			}
 			if o.Nodes, err = nodeList("nodes", *nodes); err != nil {
 				return err
 			}
@@ -275,7 +269,7 @@ func fig10(fs *flag.FlagSet, c *common) func() error {
 	mults := fs.String("mults", "0.1,1,2", "dataset multipliers (the paper's data <m>)")
 	nodes := fs.String("nodes", "1,2,4,8", "comma-separated node counts")
 	fs.IntVar(&o.BlockBytes, "block", 512, "parallel-file block bytes")
-	c.register(fs, 7, "markdown", "critpath", "coalesce", "progress")
+	c.register(fs, 7, "markdown", "critpath", "progress")
 	return func() (err error) {
 		if o.Nodes, err = nodeList("nodes", *nodes); err != nil {
 			return err
@@ -283,7 +277,7 @@ func fig10(fs *flag.FlagSet, c *common) func() error {
 		if o.Multipliers, err = parseList("mults", *mults, parseFloat); err != nil {
 			return err
 		}
-		o.Seed, o.Shards, o.CritPath, o.Coalesce, o.Progress = c.seed, c.shards, c.critpath, c.coalesce, c.progressDest()
+		o.Seed, o.Shards, o.CritPath, o.Progress = c.seed, c.shards, c.critpath, c.progressDest()
 		tables, err := harness.Fig10Ingestion(o)
 		return emit(c, "\n", err, tables...)
 	}

@@ -12,13 +12,14 @@ import (
 
 // parentFlags is every flag name and default of the nine per-figure
 // binaries this command replaced (cmd/fig9pr ... cmd/figserve at commit
-// 4a025c9), read from their -h output. Documented commands map one-to-one:
-// `figX -flag v` is `fig X -flag v`.
+// 4a025c9), read from their -h output, less three deleted since: 9pr's and
+// 9tc's -combine went with the pack-buffer combiner, and 10's -coalesce,
+// which changed nothing because ingestion is map-only. Documented commands
+// map one-to-one: `figX -flag v` is `fig X -flag v`.
 var parentFlags = map[string]map[string]string{
 	"9pr": { // cmd/fig9pr
 		"abs":      "false",
 		"coalesce": "false",
-		"combine":  "false",
 		"critpath": "false",
 		"graphs":   "rmat,erdos-renyi,forest-fire,twitter",
 		"iters":    "1",
@@ -45,7 +46,6 @@ var parentFlags = map[string]map[string]string{
 	},
 	"9tc": { // cmd/fig9tc
 		"coalesce": "false",
-		"combine":  "false",
 		"critpath": "false",
 		"graphs":   "friendster,com-orkut,soc-livej,rmat",
 		"markdown": "false",
@@ -58,7 +58,6 @@ var parentFlags = map[string]map[string]string{
 	},
 	"10": { // cmd/fig10
 		"block":    "512",
-		"coalesce": "false",
 		"critpath": "false",
 		"markdown": "false",
 		"mults":    "0.1,1,2",
@@ -244,7 +243,6 @@ func TestBadFlagExits2(t *testing.T) {
 		{"sched -loads 3000x", "-loads"},
 		{"10 -mults 1,zero", "-mults"},
 		{"chaos -drops 1.5", "-drops"},
-		{"9tc -combine", "-coalesce"},
 		{"11 -lanes 0", "-lanes"},
 		{"9bfs -scale 8 -nodes 3000000", "NetworkID"},
 		{"sched -nodes 40000000", "NetworkID"},

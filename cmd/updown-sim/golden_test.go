@@ -10,11 +10,10 @@ import (
 )
 
 // TestGoldenOutput runs every case of testdata/golden.txt in process and
-// compares stdout byte for byte: pr, bfs and tc classic, coalesced with
-// combiners and resilient, bfs resilient and coalesced at once, ingest and
-// match, and pr under -profile. The
-// file was captured before the graph applications moved onto the
-// harness's application table. Lines changed since on purpose: the last
+// compares stdout byte for byte: pr, bfs and tc classic, coalesced and
+// resilient, bfs resilient and coalesced at once, ingest and match, and pr
+// under -profile. The file was captured before the graph applications
+// moved onto the harness's application table. Lines changed since on purpose: the last
 // case's shuffle line printed "(+Inf tup/msg)" for a run whose every tuple
 // stayed node-local, and now prints no ratio; the bfs cases' timing lines
 // (and the resilient case's timer-driven event count) moved when the
@@ -50,7 +49,11 @@ import (
 // sum instead of a flush launch writing per-lane totals to DRAM: fewer
 // cycles and events, no DRAM writes, the same total and checksum; the
 // -profile case's scratchpad line shrank with the combining cache's lane
-// state, which lost its flush fields.
+// state, which lost its flush fields. The three coalesced cases ran with
+// -combine until the pack-buffer combiner was deleted; they now run plain
+// -coalesce and print exactly what -coalesce printed before: pr and tc
+// sent fewer messages and read other cycle counts, bfs (which never had a
+// combiner) did not move.
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {
@@ -71,7 +74,8 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 // TestFlagsUnchanged: the flag set, defaults and help text are those of
-// testdata/flags.txt, the -h output captured with the golden file.
+// testdata/flags.txt, the -h output captured with the golden file. Its
+// -combine entry went with the pack-buffer combiner.
 func TestFlagsUnchanged(t *testing.T) {
 	want, err := os.ReadFile("testdata/flags.txt")
 	if err != nil {

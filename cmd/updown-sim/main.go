@@ -17,8 +17,8 @@
 // per-kind breakdown (with each kind's cross-node share) after the run, for
 // the graph apps one "termination:" line with the KVMSR termination
 // protocol's counters (launches, master probes, node drains, pushed
-// deltas), for pr one "phases:" line per iteration (map+reduce, flush,
-// apply cycles), for bfs one "rounds:" line (each round's cycles from
+// deltas), for pr one "phases:" line per iteration (its map+reduce
+// cycles), for bfs one "rounds:" line (each round's cycles from
 // launch to completion, its tuples and its newly visited vertices), and
 // one "scratchpad:" line naming the lane whose slots hold the most bytes;
 // -trace out.json exports a Chrome trace_event file loadable in Perfetto
@@ -128,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for fault-injection verdicts (same seed+spec = bit-identical run)")
 	resilient := fs.Bool("resilient", false, "use the resilient KVMSR shuffle (acked emits, retransmission, dedup)")
 	coalesce := fs.Bool("coalesce", false, "use the coalescing KVMSR shuffle (multi-tuple packed messages)")
-	combine := fs.Bool("combine", false, "with -coalesce: pre-reduce same-key tuples in the pack buffers (pr: float add, tc: keep-first)")
 	spare := fs.Bool("spare", false, "add one machine node beyond -nodes that carries no lanes' work and no data: a safe fail-stop target")
 	rep := fs.Int("rep", 0, "k-way replicated global-memory placement (0/1 = single copy): writes fan out to k nodes, reads fall over past fail-stops")
 	victimAt := fs.Int64("victim", 0, "fail-stop the last data node at this cycle (0 = never); requires -rep >= 2 and -spare, and keeps lanes off the victim")
@@ -147,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	sf := simFlags{
 		App: *app, Scale: *scale, Nodes: *nodes, Accels: *accels, Iters: *iters, Records: *records,
-		Rep: *rep, Spare: *spare, Coalesce: *coalesce, Combine: *combine,
+		Rep: *rep, Spare: *spare,
 		CkptPath: *ckptPath, RestorePath: *restorePath, VictimAt: *victimAt,
 	}
 	fl := obsFlags{
@@ -278,7 +277,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptPath)
 			}
 		}
-		j, err := a.Start(m, dg, harness.AppConfig{Lanes: appLanes, Root: uint32(*root), Iters: *iters, Combine: *combine})
+		j, err := a.Start(m, dg, harness.AppConfig{Lanes: appLanes, Root: uint32(*root), Iters: *iters})
 		must(err)
 		stats, err := j.Run()
 		code = runPartial(stderr, err)
@@ -463,7 +462,6 @@ type simFlags struct {
 	Iters, Records        int
 	Rep                   int
 	Spare                 bool
-	Coalesce, Combine     bool
 	CkptPath, RestorePath string
 	// VictimAt is the -victim fail-stop cycle (0 = off).
 	VictimAt int64
@@ -491,9 +489,6 @@ func (f simFlags) validate() error {
 	}
 	if (f.CkptPath != "" || f.RestorePath != "") && !graphApp {
 		return fmt.Errorf("-checkpoint/-restore target the graph applications (pr|bfs|tc), not %q", f.App)
-	}
-	if f.Combine && !f.Coalesce {
-		return fmt.Errorf("-combine pre-reduces pack buffers: add -coalesce")
 	}
 	if f.Rep < 0 || f.Rep > gasmem.MaxRep {
 		return fmt.Errorf("-rep %d out of range [0,%d]", f.Rep, gasmem.MaxRep)

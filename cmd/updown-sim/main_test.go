@@ -69,8 +69,6 @@ func TestSimFlagsValidate(t *testing.T) {
 		{"checkpoint and restore", func(f *simFlags) { f.CkptPath = "a"; f.RestorePath = "b" }, "mutually exclusive"},
 		{"checkpoint for match", func(f *simFlags) { f.App = "match"; f.CkptPath = "a" }, "pr|bfs|tc"},
 		{"restore for ingest", func(f *simFlags) { f.App = "ingest"; f.RestorePath = "a" }, "pr|bfs|tc"},
-		{"combine without coalesce", func(f *simFlags) { f.Combine = true }, "-coalesce"},
-		{"combine with coalesce", func(f *simFlags) { f.Combine = true; f.Coalesce = true }, ""},
 		{"negative rep", func(f *simFlags) { f.Rep = -1 }, "-rep"},
 		{"rep beyond fan-out", func(f *simFlags) { f.Rep = 99 }, "-rep"},
 		{"rep beyond nodes", func(f *simFlags) { f.Rep = 8 }, "not enough distinct nodes"},

@@ -153,10 +153,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		ReduceBinding: reduce,
 		Lanes:         cfg.Lanes,
 		Resilience:    m.Resilience,
-		// Coalescing only, no combiner: Traversed counts every emitted
-		// (neighbor, dist, parent) tuple and the first arrival picks the
-		// BFS-tree parent. The visited check makes every later tuple of a
-		// vertex a drop, so the shuffle retires repeats at hand-off.
+		// Traversed counts every emitted (neighbor, dist, parent) tuple
+		// and the first arrival picks the BFS-tree parent. The visited
+		// check makes every later tuple of a vertex a drop, so the shuffle
+		// retires repeats at hand-off.
 		Coalesce:  m.Coalesce,
 		FirstWins: true,
 	})
@@ -371,11 +371,9 @@ func (a *App) vertDone(c *updown.Ctx) {
 
 // emit pushes one neighbor of a streamed frontier vertex into the shuffle
 // as (neighbor, distance, parent). Sends are unaccounted SendReduce calls
-// whose credits flow back to the map task for EmitFrom crediting (under a
-// combining shuffle a merged tuple returns credit 0, so the sum stays
-// balanced against the reducers' ReduceDone count).
-func (a *App) emit(c *updown.Ctx, _, nb, dist, parent uint64) uint64 {
-	return a.Shuffle.SendReduce(c, nb, dist, parent)
+// whose count flows back to the map task for EmitFrom crediting.
+func (a *App) emit(c *updown.Ctx, _, nb, dist, parent uint64) {
+	a.Shuffle.SendReduce(c, nb, dist, parent)
 }
 
 // kvReduce marks one discovered vertex: the reduce binding makes this lane

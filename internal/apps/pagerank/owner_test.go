@@ -36,9 +36,9 @@ func loadPlaced(t *testing.T, cfg updown.Config, split *graph.SplitGraph, pl gra
 }
 
 // runPROn runs one PageRank iteration over lanes (zero = the whole machine).
-func runPROn(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, lanes kvmsr.LaneSet, combine bool) prRun {
+func runPROn(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, lanes kvmsr.LaneSet) prRun {
 	t.Helper()
-	app, err := pagerank.New(m, dg, pagerank.Config{Lanes: lanes, Combine: combine})
+	app, err := pagerank.New(m, dg, pagerank.Config{Lanes: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +88,19 @@ func TestOwnerBoundOracle(t *testing.T) {
 		retired uint64
 	}
 	apps := []struct {
-		name     string
-		split    *graph.SplitGraph
-		combiner bool
-		run      func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, owner bool) result
+		name  string
+		split *graph.SplitGraph
+		run   func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, owner bool) result
 	}{
-		{"pr", prSplit, true, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, owner bool) result {
-			r := runPROn(t, m, dg, kvmsr.LaneSet{}, combine)
+		{"pr", prSplit, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, owner bool) result {
+			r := runPROn(t, m, dg, kvmsr.LaneSet{})
 			if ownerBound(r.app) != owner {
 				t.Fatalf("Owner bindings taken: %v, want %v", !owner, owner)
 			}
 			comparePR(t, r.app.Values(), wantPR)
 			return result{r.app.Elapsed(), r.stats, r.app.TerminationTotals().Retired}
 		}},
-		{"bfs", bfsSplit, false, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, _, _ bool) result {
+		{"bfs", bfsSplit, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, _ bool) result {
 			app, err := bfs.New(m, dg, bfs.Config{Root: root})
 			if err != nil {
 				t.Fatal(err)
@@ -124,8 +123,8 @@ func TestOwnerBoundOracle(t *testing.T) {
 			}
 			return result{app.Elapsed(), stats, app.TerminationTotals().Retired}
 		}},
-		{"tc", graph.Split(small, 0), true, func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, combine, _ bool) result {
-			app, err := tc.New(m, dg, tc.Config{Combine: combine})
+		{"tc", graph.Split(small, 0), func(t *testing.T, m *updown.Machine, dg *graph.DeviceGraph, _ bool) result {
+			app, err := tc.New(m, dg, tc.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,21 +139,16 @@ func TestOwnerBoundOracle(t *testing.T) {
 		}},
 	}
 	for _, mode := range []struct {
-		name    string
-		cfg     updown.Config
-		combine bool
+		name string
+		cfg  updown.Config
 	}{
-		{"classic", updown.Config{}, false},
-		{"coalesce", updown.Config{Coalesce: &kvmsr.Coalesce{}}, false},
-		{"coalesce+combine", updown.Config{Coalesce: &kvmsr.Coalesce{}}, true},
-		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}, false},
-		{"replication k=2", updown.Config{Replication: 2}, false},
+		{"classic", updown.Config{}},
+		{"coalesce", updown.Config{Coalesce: &kvmsr.Coalesce{}}},
+		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}},
+		{"replication k=2", updown.Config{Replication: 2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, app := range apps {
-				if mode.combine && !app.combiner {
-					continue
-				}
 				for _, nodes := range []int{4, 3} {
 					var first result
 					for _, shards := range []int{1, 2, 3, 7} {
@@ -169,7 +163,7 @@ func TestOwnerBoundOracle(t *testing.T) {
 						if owner != (nodes == 4) {
 							t.Fatalf("%s, %d nodes: Owner applies: %v", app.name, nodes, owner)
 						}
-						r := app.run(t, m, dg, mode.combine, owner)
+						r := app.run(t, m, dg, owner)
 						if (r.retired > 0) != (app.name == "bfs") {
 							t.Errorf("%s, %d nodes: %d tuples retired at hand-off", app.name, nodes, r.retired)
 						}
@@ -223,7 +217,7 @@ func TestOwnerFallsBackToBlock(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			m, dg := loadPlaced(t, updown.Config{Nodes: row.nodes, Shards: 1}, split, row.pl)
-			r := runPROn(t, m, dg, row.lanes, false)
+			r := runPROn(t, m, dg, row.lanes)
 			if ownerBound(r.app) {
 				t.Fatal("Owner bindings chosen")
 			}
@@ -319,18 +313,17 @@ func TestHubAcrossBlockBoundary(t *testing.T) {
 // deletes its entry, so after Run no lane's combining cache holds one —
 // and finishCheck's other checks hold — for every protocol graph under the
 // Owner (2 nodes) and the fallback (3 nodes) bindings, classic, coalesced
-// and combined, and resilient, each at one, two and three iterations (both
+// and resilient, each at one, two and three iterations (both
 // value-buffer parities). Every such cell runs shards 1, 2 and 7, one per
 // iteration count, rotated from cell to cell.
 func TestCachesEmptyAfterRun(t *testing.T) {
 	modes := []struct {
-		name    string
-		cfg     updown.Config
-		combine bool
+		name string
+		cfg  updown.Config
 	}{
-		{"classic", updown.Config{}, false},
-		{"coalesce+combine", updown.Config{Coalesce: &kvmsr.Coalesce{}}, true},
-		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}, false},
+		{"classic", updown.Config{}},
+		{"coalesce", updown.Config{Coalesce: &kvmsr.Coalesce{}}},
+		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}},
 	}
 	cell := 0
 	for _, in := range protocolGraphs() {
@@ -343,7 +336,7 @@ func TestCachesEmptyAfterRun(t *testing.T) {
 					cfg := mode.cfg
 					cfg.Nodes, cfg.Shards = nodes, []int{1, 2, 7}[(cell+iters)%3]
 					name := fmt.Sprintf("%s/%s/nodes=%d/shards=%d/iters=%d", in.name, mode.name, nodes, cfg.Shards, iters)
-					finishCheck(t, name, cfg, in.g, in.split, iters, mode.combine, false)
+					finishCheck(t, name, cfg, in.g, in.split, iters, false)
 				}
 				cell++
 			}

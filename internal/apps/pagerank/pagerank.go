@@ -43,12 +43,6 @@ type Config struct {
 	// combining cache to a memory-side atomic (ablation of the paper's
 	// footnote 1).
 	UseMemFetchAdd bool
-	// Combine installs a float-add combiner on the coalescing shuffle:
-	// same-destination-key contributions buffered on the same lane merge
-	// into one tuple before they reach the network. Requires
-	// Machine.Coalesce; the reassociated float summation makes results
-	// epsilon-equal (not bit-equal) to the uncombined run.
-	Combine bool
 }
 
 // App is a PageRank program instance bound to one machine and graph. Its
@@ -145,16 +139,12 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.lAck = p.Define("pr.ack", a.ack)
 	a.Label = p.Define("pr.driver", a.driver)
 
-	var combiner kvmsr.Combiner
-	if cfg.Combine {
-		combiner = addCombiner
-	}
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "pr.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce,
 		MapBinding: mapBinding, ReduceBinding: reduceBinding,
 		Lanes:      cfg.Lanes,
-		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
+		Resilience: m.Resilience, Coalesce: m.Coalesce,
 		// NOT ReduceAnyLane: the reduce binding concentrates each vertex on
 		// one lane, whose combining cache sums and counts its arrivals.
 	})
@@ -162,14 +152,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// addCombiner merges two buffered PageRank contributions for the same
-// destination vertex into one float sum of both edge counts (Combine).
-func addCombiner(_ uint64, a, b []uint64) []uint64 {
-	a[0] = udweave.FloatBits(udweave.BitsFloat(a[0]) + udweave.BitsFloat(b[0]))
-	a[1] += b[1]
-	return a
 }
 
 // InitValues writes the uniform starting vector and every split vertex's
@@ -297,7 +279,7 @@ func (a *App) parentVal(c *updown.Ctx) { a.beginStream(c, c.State().(*workerStat
 
 // beginStream computes the per-edge contribution and issues all neighbor
 // reads in chunks of eight (Listing 3's kv_map loop). A tuple is [target,
-// contribution] and, under Combine, the count of edges it stands for.
+// contribution].
 func (a *App) beginStream(c *updown.Ctx, st *workerState, valueBits uint64) {
 	st.contribBits = udweave.FloatBits(udweave.BitsFloat(valueBits) / float64(st.totalDeg))
 	c.Cycles(8)
@@ -310,11 +292,7 @@ func (a *App) returnRead(c *updown.Ctx) {
 	st := c.State().(*workerState)
 	n := c.NOps()
 	for i := 0; i < n; i++ {
-		if a.cfg.Combine {
-			a.Shuffle.Emit(c, c.Op(i), st.contribBits, 1)
-		} else {
-			a.Shuffle.Emit(c, c.Op(i), st.contribBits)
-		}
+		a.Shuffle.Emit(c, c.Op(i), st.contribBits)
 	}
 	st.loadedNeighbors += uint64(n)
 	if st.loadedNeighbors == st.degree {
@@ -333,12 +311,8 @@ func (a *App) mapAck(c *updown.Ctx) {
 
 // kvReduce counts one tuple's contribution toward its target vertex.
 func (a *App) kvReduce(c *updown.Ctx) {
-	r := reduceState{v: uint32(c.Op(0)), n: 1}
-	if a.cfg.Combine {
-		r.n = c.Op(2)
-	}
 	c.Cycles(4)
-	a.contribute(c, r, c.Op(1))
+	a.contribute(c, reduceState{v: uint32(c.Op(0)), n: 1}, c.Op(1))
 }
 
 // report is a finished sub-vertex's sum arriving at its base's reduce

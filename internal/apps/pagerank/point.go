@@ -12,7 +12,7 @@
 // every frontier vertex v settles part of its residual into p[v] and
 // pushes share = trunc(trunc(r·d) / totalDeg) to each out-neighbor; the
 // truncation residue settles too, so mass is conserved exactly. Residuals
-// below Eps settle entirely, which bounds the push depth.
+// below DefaultEps settle entirely, which bounds the push depth.
 package pagerank
 
 import (
@@ -32,8 +32,8 @@ const FixOne uint64 = 1 << 40
 // dampFix is Damping in 16-bit fixed point: trunc(0.85 · 2^16).
 const dampFix uint64 = 55705
 
-// DefaultEps is the default residual floor: masses below it settle in
-// place instead of pushing on.
+// DefaultEps is the residual floor of the device engine and RefScores'
+// default: masses below it settle in place instead of pushing on.
 const DefaultEps = FixOne >> 13
 
 // pushSplit is the single definition of one vertex's push step, shared by
@@ -90,8 +90,6 @@ type PointConfig struct {
 	// Slots is the number of concurrent queries (default: one per
 	// accelerator; see pointq.Config).
 	Slots int
-	// Eps is the fixed-point residual floor (default DefaultEps).
-	Eps uint64
 }
 
 // Per-slot state planes. Frontiers hold base members only (the engine
@@ -111,7 +109,6 @@ type PointPPR struct {
 	*pointq.Engine
 	gas *gasmem.GAS
 	dg  *graph.DeviceGraph
-	eps uint64
 
 	lPRead, lVert, lRRead, lVRec, lVChunk, lVAck, lSDone udweave.Label
 	lRAcc, lFIdx, lTMark, lTIdx, lAck                    udweave.Label
@@ -119,10 +116,7 @@ type PointPPR struct {
 
 // NewPoint builds a resident point-PPR engine over a loaded graph.
 func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*PointPPR, error) {
-	if cfg.Eps == 0 {
-		cfg.Eps = DefaultEps
-	}
-	e := &PointPPR{gas: m.GAS, dg: dg, eps: cfg.Eps}
+	e := &PointPPR{gas: m.GAS, dg: dg}
 	var err error
 	e.Engine, err = pointq.New(m, dg, pointq.Config{Lanes: cfg.Lanes, Slots: cfg.Slots}, pointq.Kernel{
 		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4, Private: 12,
@@ -219,7 +213,7 @@ func (e *PointPPR) push(c *udweave.Ctx, st *ppVertState) {
 		return
 	}
 	var settle uint64
-	settle, st.share = pushSplit(st.r, st.totalDeg, e.eps)
+	settle, st.share = pushSplit(st.r, st.totalDeg, DefaultEps)
 	c.Cycles(8)
 	st.acks++
 	c.DRAMFetchAdd(e.PlaneVA(st.slot, plP, st.v), settle, c.ContinueTo(e.lVAck))

@@ -24,11 +24,11 @@ import (
 // the reports the members sent, no lane's combining cache holds an entry
 // and the launch counts and the kvmsr counters balance. Owner binds the
 // tasks on 2 nodes, where the graph is on the lanes' nodes, not on 3.
-func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, split *graph.SplitGraph, iters int, combine, memFA bool) updown.Stats {
+func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, split *graph.SplitGraph, iters int, memFA bool) updown.Stats {
 	t.Helper()
 	cfg.MaxTime = 1 << 42
 	m, dg := loadPlaced(t, cfg, split, graph.DefaultPlacement(cfg.Nodes))
-	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, Combine: combine, UseMemFetchAdd: memFA})
+	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, UseMemFetchAdd: memFA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFinishUnderReordering(t *testing.T) {
 					Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
 						SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
 				name := fmt.Sprintf("%s/memFA=%v/seed=%d", in.name, memFA, seed)
-				if finishCheck(t, name, cfg, in.g, in.split, 1+int(seed)%2, false, memFA).Faults.Delayed == 0 {
+				if finishCheck(t, name, cfg, in.g, in.split, 1+int(seed)%2, memFA).Faults.Delayed == 0 {
 					t.Fatalf("%s: no message was delayed", name)
 				}
 			}
@@ -136,18 +136,18 @@ func TestFinishUnderReordering(t *testing.T) {
 // its accumulator; every protocol graph finishes with the baseline's
 // values at two and three iterations (both value-buffer parities), under
 // the Owner (2 nodes) and the fallback (3 nodes) bindings, classic and
-// coalesced with combining (a combined tuple's fetch-add counts its edges).
+// coalesced.
 func TestMemFetchAddFinish(t *testing.T) {
 	for _, in := range protocolGraphs() {
-		for _, combine := range []bool{false, true} {
+		for _, coalesce := range []bool{false, true} {
 			for _, nodes := range []int{2, 3} {
 				for iters := 2; iters <= 3; iters++ {
 					cfg := updown.Config{Nodes: nodes, Shards: 1}
-					if combine {
+					if coalesce {
 						cfg.Coalesce = &kvmsr.Coalesce{}
 					}
-					name := fmt.Sprintf("%s/combine=%v/nodes=%d/iters=%d", in.name, combine, nodes, iters)
-					finishCheck(t, name, cfg, in.g, in.split, iters, combine, true)
+					name := fmt.Sprintf("%s/coalesce=%v/nodes=%d/iters=%d", in.name, coalesce, nodes, iters)
+					finishCheck(t, name, cfg, in.g, in.split, iters, true)
 				}
 			}
 		}

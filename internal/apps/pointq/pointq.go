@@ -103,8 +103,8 @@ type Kernel struct {
 	// ran dry; it must end in Engine.Retire.
 	Resolve func(c *udweave.Ctx, t *Task)
 	// Visit starts the task of frontier vertex v (normally on
-	// Engine.Lane(t.Slot, v)); the task replies the credits of the reduces
-	// it sent to cont.
+	// Engine.Lane(t.Slot, v)); the task replies the number of reduces it
+	// sent to cont.
 	Visit func(c *udweave.Ctx, t *Task, v, cont uint64)
 	// Reduce is the kv_reduce event: operands are the Key and the two
 	// value words; every path must end in Engine.ReduceDone.
@@ -489,19 +489,19 @@ func (e *Engine) vDone(c *udweave.Ctx) {
 
 // Stream starts a streamer for split vertex v on its slice lane: every
 // out-neighbor nb becomes a reduce tuple (nb's key, a, b), and cont
-// receives the credits sent.
+// receives the number sent.
 func (e *Engine) Stream(c *udweave.Ctx, cont, slot, v, a, b uint64) {
 	e.stream.Start(c, e.Lane(slot, v), cont, slot, v, a, b)
 }
 
 // EmitChunk sends one reduce tuple (nb's key, a, b) per neighbor in the
-// current event's operands and returns the credits to report upstream.
+// current event's operands and returns the number it sent.
 func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) uint64 {
 	return e.stream.EmitChunk(c, slot, a, b)
 }
 
-func (e *Engine) emit(c *udweave.Ctx, slot, nb, a, b uint64) uint64 {
-	return e.inv[slot].SendReduce(c, e.key(slot, nb, c.NetworkID()), a, b)
+func (e *Engine) emit(c *udweave.Ctx, slot, nb, a, b uint64) {
+	e.inv[slot].SendReduce(c, e.key(slot, nb, c.NetworkID()), a, b)
 }
 
 // key is vertex v's reduce key in slot for a tuple sent from lane from.

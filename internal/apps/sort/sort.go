@@ -133,9 +133,7 @@ func New(m *updown.Machine, input []uint64, cfg Config) (*App, error) {
 		ReduceBinding: kvmsr.ReduceFunc(a.bucketOwner),
 		Lanes:         cfg.Lanes,
 		Resilience:    m.Resilience,
-		// Coalescing only, no combiner: every scattered element is a
-		// distinct tuple that must land in its bucket exactly once.
-		Coalesce: m.Coalesce,
+		Coalesce:      m.Coalesce,
 	})
 	if err != nil {
 		return nil, err

@@ -28,11 +28,6 @@ type Config struct {
 	// UsePBMW selects the partial-block master-worker map binding
 	// instead of Block.
 	UsePBMW bool
-	// Combine installs a keep-first combiner on the coalescing shuffle.
-	// Pair keys are globally unique (each <u,v> pair is enumerated once),
-	// so the combiner never actually merges — it exercises the combining
-	// path with a bit-identical result, which the equivalence tests check.
-	Combine bool
 }
 
 // App is a TC program instance; its Driver's shuffle is the main pair
@@ -78,11 +73,6 @@ type reduceState struct {
 
 func pairKey(u, v uint64) uint64 { return u<<32 | v }
 
-// keepFirst is TC's Config.Combine combiner: pair keys are unique, so two
-// same-key tuples can only be duplicates of one another and either's
-// values (u's list descriptor) stand for both.
-func keepFirst(_ uint64, a, _ []uint64) []uint64 { return a }
-
 // New builds the program against a loaded device graph (which must be
 // undirected with sorted neighbor lists).
 func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
@@ -106,16 +96,12 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	} else if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
 		mb = own
 	}
-	var combiner kvmsr.Combiner
-	if cfg.Combine {
-		combiner = keepFirst
-	}
 	var err error
 	a.Shuffle, err = kvmsr.New(p, kvmsr.Spec{
 		Name: "tc.main", NumKeys: uint64(dg.G.N),
 		MapEvent: kvMap, ReduceEvent: kvReduce, MapBinding: mb,
 		Lanes:      cfg.Lanes,
-		Resilience: m.Resilience, Coalesce: m.Coalesce, Combiner: combiner,
+		Resilience: m.Resilience, Coalesce: m.Coalesce,
 		// The reducer intersects two DRAM adjacency lists and hands its
 		// count to the completion sum, keeping nothing on its lane, so
 		// any lane may run it.

@@ -17,7 +17,7 @@ import (
 // completion sum: it equals the host baseline, nothing writes DRAM, and the
 // termination counters balance with it (R == E, and the lanes' summed
 // ReduceDoneAdd values equal the master's sum and Total()).
-func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pbmw, combine bool) updown.Stats {
+func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pbmw bool) updown.Stats {
 	t.Helper()
 	cfg.MaxTime = 1 << 42
 	m, err := updown.New(cfg)
@@ -28,7 +28,7 @@ func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pb
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw, Combine: combine})
+	app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +54,12 @@ func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pb
 func TestTotalIsCompletionSum(t *testing.T) {
 	g := buildTCGraph(8, 77)
 	modes := []struct {
-		name    string
-		cfg     updown.Config
-		combine bool
+		name string
+		cfg  updown.Config
 	}{
-		{"classic", updown.Config{}, false},
-		{"coalesce+combine", updown.Config{Coalesce: &kvmsr.Coalesce{}}, true},
-		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}, false},
+		{"classic", updown.Config{}},
+		{"coalesce", updown.Config{Coalesce: &kvmsr.Coalesce{}}},
+		{"resilient", updown.Config{Resilience: &kvmsr.Resilience{}}},
 	}
 	bindings := []struct {
 		name  string
@@ -72,7 +71,7 @@ func TestTotalIsCompletionSum(t *testing.T) {
 			for _, shards := range []int{1, 2, 7} {
 				cfg := mode.cfg
 				cfg.Nodes, cfg.Shards = b.nodes, shards
-				totalCheck(t, fmt.Sprintf("%s/%s/shards=%d", mode.name, b.name, shards), cfg, g, b.pbmw, mode.combine)
+				totalCheck(t, fmt.Sprintf("%s/%s/shards=%d", mode.name, b.name, shards), cfg, g, b.pbmw)
 			}
 		}
 	}
@@ -88,7 +87,7 @@ func TestTotalUnderReordering(t *testing.T) {
 			Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
 				SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
 		name := fmt.Sprintf("seed=%d", seed)
-		if totalCheck(t, name, cfg, g, false, false).Faults.Delayed == 0 {
+		if totalCheck(t, name, cfg, g, false).Faults.Delayed == 0 {
 			t.Fatalf("%s: no message was delayed", name)
 		}
 	}

@@ -17,13 +17,12 @@ func ReadAdj(c *udweave.Ctx, neighVA gasmem.VA, degree, ret uint64) {
 }
 
 // Emit sends the tuple for out-neighbor nb of a streamed vertex — slot, a
-// and b are the operands the stream was started with — and returns the
-// credits to report upstream.
-type Emit func(c *udweave.Ctx, slot, nb, a, b uint64) uint64
+// and b are the operands the stream was started with.
+type Emit func(c *udweave.Ctx, slot, nb, a, b uint64)
 
 // Streamer is a vertex task over the device graph: it reads one split
 // vertex's degree and list address, streams the list through ReadAdj,
-// emits one tuple per neighbor and replies with the summed credits.
+// emits one tuple per neighbor and replies with the number it sent.
 type Streamer struct {
 	dg                   *DeviceGraph
 	emit                 Emit
@@ -46,7 +45,7 @@ func NewStreamer(p *udweave.Program, dg *DeviceGraph, names [3]string, emit Emit
 }
 
 // Start runs the stream of split vertex v on lane; its emits get slot, a
-// and b, and cont receives their credits.
+// and b, and cont receives their number.
 func (s *Streamer) Start(c *udweave.Ctx, lane arch.NetworkID, cont, slot, v, a, b uint64) {
 	c.SendEvent(udweave.EvwNew(lane, s.lStart), cont, v, a, b, slot)
 }
@@ -78,10 +77,11 @@ func (s *Streamer) chunk(c *udweave.Ctx) {
 }
 
 // EmitChunk emits one tuple per neighbor in the current event's operands
-// and returns their summed credits.
-func (s *Streamer) EmitChunk(c *udweave.Ctx, slot, a, b uint64) (sent uint64) {
-	for _, nb := range c.Ops() {
-		sent += s.emit(c, slot, nb, a, b)
+// and returns the number of tuples it sent.
+func (s *Streamer) EmitChunk(c *udweave.Ctx, slot, a, b uint64) uint64 {
+	ops := c.Ops()
+	for _, nb := range ops {
+		s.emit(c, slot, nb, a, b)
 	}
-	return sent
+	return uint64(len(ops))
 }

@@ -16,10 +16,9 @@ import (
 
 // AppConfig is the per-run application knobs the drivers vary.
 type AppConfig struct {
-	Lanes   kvmsr.LaneSet // zero = the whole machine
-	Root    uint32        // bfs
-	Iters   int           // pr
-	Combine bool          // pr, tc: install the app's combiner (needs Coalesce)
+	Lanes kvmsr.LaneSet // zero = the whole machine
+	Root  uint32        // bfs
+	Iters int           // pr
 }
 
 // appOutput is a graph application's result in the form its host oracle
@@ -56,8 +55,8 @@ func (o appOutput) words() []uint64 {
 type GraphJob struct {
 	*updown.Driver
 	// Summary is updown-sim's result line; Profile, when set, the lines
-	// its -profile adds: PageRank's split of each iteration into
-	// map+reduce, flush and apply, and BFS's rounds.
+	// its -profile adds: PageRank's map+reduce cycles per iteration, and
+	// BFS's rounds.
 	Summary func() string
 	Profile func() []string
 	output  func() appOutput
@@ -118,7 +117,7 @@ var prApp = &GraphApp{
 		return graph.SplitWith(g, graph.SplitOptions{MaxDeg: maxDeg, Seed: graph.DefaultShuffleSeed, SpreadInEdges: true})
 	},
 	Start: func(m *updown.Machine, dg *graph.DeviceGraph, c AppConfig) (*GraphJob, error) {
-		a, err := pagerank.New(m, dg, pagerank.Config{Lanes: c.Lanes, Iterations: c.Iters, Combine: c.Combine})
+		a, err := pagerank.New(m, dg, pagerank.Config{Lanes: c.Lanes, Iterations: c.Iters})
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +191,7 @@ var tcApp = &GraphApp{
 	name: "tc", long: "TC", metric: "Mops/s", unit: 1e6, symmetrize: true,
 	Split: func(g *graph.Graph, _ int) *graph.SplitGraph { return graph.Split(g, 0) },
 	Start: func(m *updown.Machine, dg *graph.DeviceGraph, c AppConfig) (*GraphJob, error) {
-		a, err := tc.New(m, dg, tc.Config{Lanes: c.Lanes, Combine: c.Combine})
+		a, err := tc.New(m, dg, tc.Config{Lanes: c.Lanes})
 		if err != nil {
 			return nil, err
 		}

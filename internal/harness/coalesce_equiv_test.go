@@ -1,8 +1,8 @@
 package harness
 
-// Equivalence tests for the coalescing shuffle: with Spec.Coalesce (and a
-// Combiner where the app has one) the packed shuffle must produce exactly
-// the results of the classic one-message-per-tuple shuffle — bit-identical
+// Equivalence tests for the coalescing shuffle: with Spec.Coalesce the
+// packed shuffle must produce exactly the results of the classic
+// one-message-per-tuple shuffle — bit-identical
 // for the integer applications (BFS, TC, ingestion), epsilon-equal for
 // PageRank, whose float contributions arrive (and therefore sum) in a
 // different order. Coalesced runs must also be deterministic: byte-equal
@@ -133,7 +133,7 @@ func TestCoalescedResilientBFSUnderFaults(t *testing.T) {
 	}
 }
 
-func runEquivPR(t *testing.T, shards int, coalesce, combine bool) ([]float64, updown.Stats) {
+func runEquivPR(t *testing.T, shards int, coalesce bool) ([]float64, updown.Stats) {
 	t.Helper()
 	g := graph.FromEdges(1<<10, graph.DefaultRMAT(10, 42), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -144,7 +144,7 @@ func runEquivPR(t *testing.T, shards int, coalesce, combine bool) ([]float64, up
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: 1, Combine: combine})
+	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +156,16 @@ func runEquivPR(t *testing.T, shards int, coalesce, combine bool) ([]float64, up
 	return app.Values(), stats
 }
 
-// TestCoalescedPageRankEpsilon: coalesced+combined PageRank is
-// epsilon-equal to the classic run — float summation order changes when
-// tuples pack and combine, so ranks reassociate; they may differ only in
+// TestCoalescedPageRankEpsilon: coalesced PageRank is epsilon-equal to the
+// classic run — float summation order changes when tuples pack, so ranks
+// reassociate; they may differ only in
 // the last bits. Coalesced results must still be byte-identical across
 // host shard counts.
 func TestCoalescedPageRankEpsilon(t *testing.T) {
-	golden, gstats := runEquivPR(t, 1, false, false)
+	golden, gstats := runEquivPR(t, 1, false)
 	var first []float64
 	for _, shards := range equivShards() {
-		got, stats := runEquivPR(t, shards, true, true)
+		got, stats := runEquivPR(t, shards, true)
 		if len(got) != len(golden) {
 			t.Fatalf("shards=%d: %d ranks, want %d", shards, len(got), len(golden))
 		}
@@ -192,7 +192,7 @@ func TestCoalescedPageRankEpsilon(t *testing.T) {
 	}
 }
 
-func runEquivTC(t *testing.T, shards int, coalesce, combine bool, res *kvmsr.Resilience, plan *fault.Plan) (uint64, updown.Stats) {
+func runEquivTC(t *testing.T, shards int, coalesce bool, res *kvmsr.Resilience, plan *fault.Plan) (uint64, updown.Stats) {
 	t.Helper()
 	g := graph.FromEdges(1<<8, graph.DefaultRMAT(8, 77), graph.BuildOptions{
 		Undirected: true, Dedup: true, DropSelfLoops: true, SortNeighbors: true})
@@ -201,7 +201,7 @@ func runEquivTC(t *testing.T, shards int, coalesce, combine bool, res *kvmsr.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := tc.New(m, dg, tc.Config{Combine: combine})
+	app, err := tc.New(m, dg, tc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +212,17 @@ func runEquivTC(t *testing.T, shards int, coalesce, combine bool, res *kvmsr.Res
 	return app.Total(), stats
 }
 
-// TestCoalescedTCEquivalence: coalesced+combined triangle counting is
-// bit-identical to the classic shuffle (integer totals are
-// order-insensitive; the keep-first combiner never fires because pair
-// keys are unique), with strictly fewer network messages — and stays
+// TestCoalescedTCEquivalence: coalesced triangle counting is bit-identical
+// to the classic shuffle (integer totals are order-insensitive), with
+// strictly fewer network messages — and stays
 // bit-identical under faults with the resilient shuffle.
 func TestCoalescedTCEquivalence(t *testing.T) {
-	golden, gstats := runEquivTC(t, 1, false, false, nil, nil)
+	golden, gstats := runEquivTC(t, 1, false, nil, nil)
 	if golden == 0 {
 		t.Fatal("workload has no triangles; test is vacuous")
 	}
 	for _, shards := range equivShards() {
-		got, stats := runEquivTC(t, shards, true, true, nil, nil)
+		got, stats := runEquivTC(t, shards, true, nil, nil)
 		if got != golden {
 			t.Fatalf("shards=%d: coalesced total %d, classic %d", shards, got, golden)
 		}
@@ -232,7 +231,7 @@ func TestCoalescedTCEquivalence(t *testing.T) {
 				shards, stats.ShuffleMsgs, gstats.ShuffleMsgs)
 		}
 	}
-	faulted, fstats := runEquivTC(t, 2, true, true, &kvmsr.Resilience{}, faultPlan())
+	faulted, fstats := runEquivTC(t, 2, true, &kvmsr.Resilience{}, faultPlan())
 	if faulted != golden {
 		t.Fatalf("coalesced+resilient+faults total %d, classic %d", faulted, golden)
 	}

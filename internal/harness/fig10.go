@@ -25,14 +25,13 @@ type Fig10Options struct {
 	BlockBytes int
 	// Seed drives the CSV generator.
 	Seed uint64
-	// Shards, Profile, CritPath, Coalesce, MaxTime and Progress are the
-	// shared sweep options (see sweep). Both ingestion phases are
-	// map-only, so Coalesce is a pass-through that leaves the run
-	// unchanged; it exists so a fig10 sweep can assert exactly that.
-	Shards                      int
-	Profile, CritPath, Coalesce bool
-	MaxTime                     arch.Cycles
-	Progress                    io.Writer
+	// Shards, Profile, CritPath, MaxTime and Progress are the shared
+	// sweep options (see sweep). Both ingestion phases are map-only, so
+	// there is no shuffle to coalesce.
+	Shards            int
+	Profile, CritPath bool
+	MaxTime           arch.Cycles
+	Progress          io.Writer
 }
 
 // Fig10Ingestion regenerates Figure 10 / Table 11: TFORM+KVMSR ingestion
@@ -48,8 +47,8 @@ func Fig10Ingestion(opt Fig10Options) ([]*Table, error) {
 		Positive("nodes", opt.Nodes...), Positive("block", opt.BlockBytes), Addressable(arch.DefaultMachine(0), opt.Nodes...)); err != nil {
 		return nil, err
 	}
-	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath, Coalesce: opt.Coalesce,
-		MaxTime: opt.MaxTime, Progress: opt.Progress, shuffle: true}
+	s := sweep{Shards: opt.Shards, Profile: opt.Profile, CritPath: opt.CritPath,
+		MaxTime: opt.MaxTime, Progress: opt.Progress}
 	var tables []*Table
 	for _, mult := range opt.Multipliers {
 		n := max(int(float64(opt.BaseRecords)*mult), 1)

@@ -25,9 +25,6 @@ type Fig9Options struct {
 	Iterations int
 	// Validate cross-checks every run against the host baseline.
 	Validate bool
-	// Combine additionally installs the application's combiner (PageRank:
-	// float add; TC: keep-first). Requires Coalesce; BFS ignores it.
-	Combine bool
 	// Shards, Profile, CritPath, Coalesce, MaxTime and Progress are the
 	// shared sweep options (see sweep); Coalesce also shows in the msgs
 	// and tup/msg columns.
@@ -64,7 +61,7 @@ func fig9(opt Fig9Options, a *GraphApp, figure string, scale int, presets []stri
 	orDefault(&opt.Seed, 42)
 	orDefault(&opt.Iterations, 1)
 	cfg := func(preset string) AppConfig {
-		c := AppConfig{Iters: opt.Iterations, Combine: opt.Combine}
+		c := AppConfig{Iters: opt.Iterations}
 		if a == bfsApp && preset != "erdos-renyi" { // the paper roots ER graphs at 0
 			c.Root = paperRoot
 		}

@@ -110,8 +110,7 @@ type sweep struct {
 	// configuration run, so long sweeps are observable before their
 	// tables print.
 	Progress io.Writer
-	// shuffle reports the msgs and tup/msg columns; set by the figures
-	// that have a Coalesce option.
+	// shuffle reports the msgs and tup/msg columns; set by Figure 9.
 	shuffle bool
 }
 

@@ -1,13 +1,11 @@
 // Coalescing shuffle for KVMSR: when Spec.Coalesce is set, tuples emitted
 // to reducers on *other nodes* are not sent one message each but packed
 // into per-destination-node buffers and flushed as multi-tuple messages
-// that fill the 8-operand payload. An optional associative Spec.Combiner
-// pre-reduces same-key tuples inside the pack buffer before they ever
-// reach the network. Tuples whose reducer lives on the sender's own node
-// go out at once, exactly as without Coalesce: they never cross the
-// inter-node network, so there is nothing to save — and deferring them
-// would only cost latency. On a one-node machine coalescing is therefore a
-// no-op, in every mode.
+// that fill the 8-operand payload. Tuples whose reducer lives on the
+// sender's own node go out at once, exactly as without Coalesce: they
+// never cross the inter-node network, so there is nothing to save — and
+// deferring them would only cost latency. On a one-node machine
+// coalescing is therefore a no-op, in every mode.
 //
 // The granularity matters. A per-destination-LANE buffer has expected
 // density tuples/lanes^2 per source lane — far below one tuple per buffer
@@ -97,14 +95,6 @@ type Coalesce struct{}
 // cross-node latencies.
 const lingerHops = 2
 
-// Combiner pre-reduces two same-key value lists inside a pack buffer. It
-// must be associative and commutative up to the application's tolerance
-// (integer merges are exact; float summation reassociates, which is why
-// PageRank results under combining are epsilon-equal, not bit-equal, to
-// the uncombined run). The returned slice must have the same length as a
-// and may reuse a's storage; it becomes the buffered entry's values.
-type Combiner func(key uint64, a, b []uint64) []uint64
-
 // packBuf is one destination node's pack buffer: count tuples of uniform
 // width packed back-to-back in ops, with room for the header the flush
 // appends.
@@ -137,11 +127,8 @@ func (v *Invocation) cst(c *udweave.Ctx) *coalState {
 }
 
 // bufferTuple adds [key, vals...] to the destination node's pack buffer,
-// flushing first if the tuple would not fit, and returns the termination
-// credit: 1 when the tuple became a new buffered entry (it will reach a
-// reducer and be ReduceDone'd once), 0 when the combiner absorbed it into
-// an existing same-key entry.
-func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []uint64) uint64 {
+// flushing first if the tuple would not fit.
+func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []uint64) {
 	cs := v.cst(c)
 	width := 1 + len(vals)
 	pb := cs.bufs[node]
@@ -149,27 +136,6 @@ func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []ui
 		pb = &packBuf{node: node}
 		cs.bufs[node] = pb
 		cs.order = append(cs.order, node)
-	}
-	if v.s.Combiner != nil && pb.count > 0 && pb.width == width {
-		// Linear scan over at most a handful of buffered entries.
-		c.Cycles(1)
-		for i := 0; i < pb.count; i++ {
-			base := i * width
-			if pb.ops[base] == key {
-				c.Cycles(2)
-				// Stage vals through the lane's pooled buffer before
-				// handing it to the user combiner: escape analysis
-				// can't see through the function value, and passing
-				// the caller's slice directly would force every
-				// Emit/SendReduce call site to heap-allocate its
-				// variadic arguments.
-				stage := v.st(c).sendBuf[:width-1]
-				copy(stage, vals)
-				merged := v.s.Combiner(key, pb.ops[base+1:base+width], stage)
-				copy(pb.ops[base+1:base+width], merged)
-				return 0
-			}
-		}
 	}
 	if pb.count > 0 && (pb.width != width || (pb.count+1)*pb.width > v.payloadWords()) {
 		v.flushBuf(c, cs, pb)
@@ -188,7 +154,6 @@ func (v *Invocation) bufferTuple(c *udweave.Ctx, node int, key uint64, vals []ui
 		c.Cycles(2)
 		c.SendEvent(udweave.EvwNew(c.NetworkID(), v.lFlushGuard), udweave.IGNRCONT)
 	}
-	return 1
 }
 
 // flushBuf sends one node's buffered tuples as a single pack to a

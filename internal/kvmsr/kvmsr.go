@@ -106,10 +106,6 @@ type Spec struct {
 	// unit. Ignored for map-only invocations, whose shuffle carries no
 	// tuples.
 	Coalesce *Coalesce
-	// Combiner, when non-nil, pre-reduces same-key tuples inside the
-	// pack buffers (see the Combiner type's associativity contract).
-	// Requires Coalesce.
-	Combiner Combiner
 	// ReduceAnyLane declares that kv_reduce keeps no lane-keyed state —
 	// it may correctly run on any lane of the set, not just the one the
 	// reduce binding picked (triangle counting hands each pair's count to
@@ -190,7 +186,7 @@ type laneState struct {
 	// report.
 	mapActive bool
 	// sendBuf is the lane's reusable shuffle staging buffer: Emit,
-	// SendReduce and the coalescing flush assemble outgoing operand
+	// SendReduce and the distributor's forwards assemble outgoing operand
 	// lists here instead of allocating per call (the engine copies
 	// operands into its message arena, so reuse is safe).
 	sendBuf [sim.MaxOperands]uint64
@@ -311,9 +307,6 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	}
 	if s.ReduceBinding == nil {
 		s.ReduceBinding = Hash{}
-	}
-	if s.Combiner != nil && s.Coalesce == nil {
-		return nil, fmt.Errorf("kvmsr: %s: Combiner requires Coalesce", s.Name)
 	}
 	if s.FirstWins && s.ReduceAnyLane {
 		return nil, fmt.Errorf("kvmsr: %s: FirstWins needs an owner lane per key, ReduceAnyLane has none", s.Name)
@@ -443,10 +436,8 @@ func (v *Invocation) st(c *udweave.Ctx) *laneState { return v.slot.Get(c) }
 // kv_reduce task for key on the lane chosen by the reduce binding. The
 // send is asynchronous with no response, so each emit generates additional
 // parallelism. Under Spec.Coalesce a tuple bound for another node is
-// buffered for packing instead of sent immediately (and a Spec.Combiner
-// may absorb it into a buffered same-key tuple, in which case it never
-// reaches a reducer and is not counted toward termination); same-node
-// tuples always go out directly. A tuple carries at most 6 values (5 under
+// buffered for packing instead of sent immediately; same-node tuples
+// always go out directly. A tuple carries at most 6 values (5 under
 // Resilience): its message also holds the key and the pack header.
 func (v *Invocation) Emit(c *udweave.Ctx, key uint64, vals ...uint64) {
 	if v.s.ReduceEvent == 0 {
@@ -456,7 +447,8 @@ func (v *Invocation) Emit(c *udweave.Ctx, key uint64, vals ...uint64) {
 	if st.doneSent {
 		panic(fmt.Sprintf("kvmsr: %s: Emit on lane %d after its map phase completed (emits from kv_reduce are not supported)", v.s.Name, c.NetworkID()))
 	}
-	st.emitted += v.routeTuple(c, key, vals)
+	v.routeTuple(c, key, vals)
+	st.emitted++
 }
 
 // nodeOf returns the node hosting a lane.
@@ -509,12 +501,11 @@ func (v *Invocation) send(c *udweave.Ctx, target arch.NetworkID, ops []uint64) {
 	c.SendEvent(udweave.EvwNew(target, v.lReduce), udweave.IGNRCONT, ops...)
 }
 
-// routeTuple delivers one [key, vals...] tuple through the shuffle —
+// routeTuple delivers one [key, vals...] tuple through the shuffle:
 // buffered per destination node under Coalesce when the owner is remote,
 // otherwise sent to the owner as a pack of one (unless FirstWins retires it
-// here) — and returns the termination credit: 1, or 0 when a coalescing
-// Combiner absorbed the tuple into a buffered same-key entry.
-func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint64 {
+// here). Either way it schedules exactly one reduce.
+func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) {
 	width := 1 + len(vals)
 	if width > v.payloadWords() {
 		panic(fmt.Sprintf("kvmsr: %s: Emit with %d values (max %d: a message also carries the key, the pack header and, under Resilience, the emit ID)",
@@ -526,34 +517,33 @@ func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) uint6
 	target := v.ReduceLane(key)
 	if v.coal != nil {
 		if node := v.nodeOf(target); node != v.nodeOf(c.NetworkID()) {
-			return v.bufferTuple(c, node, key, vals)
+			v.bufferTuple(c, node, key, vals)
+			return
 		}
 	}
 	st := v.st(c)
 	if v.s.FirstWins && !v.handOff(c, st, key) {
-		return 1
+		return
 	}
 	st.sendBuf[0] = key
 	copy(st.sendBuf[1:], vals)
 	st.sendBuf[width] = packHeader(1, width) | ownerBit
 	v.send(c, target, st.sendBuf[:width+1])
-	return 1
 }
 
 // SendReduce schedules a kv_reduce task for key WITHOUT crediting the emit
 // to this lane. It exists for map tasks that organize their own local
 // workers (the BFS accelerator master-worker scheme): sub-workers send
 // reduces with SendReduce and report their counts to the map task, which
-// credits them with EmitFrom before calling Return. The returned credit is
-// the number of reduce tasks the call actually scheduled — 1, or 0 when a
-// coalescing Combiner absorbed the tuple into a buffered same-key entry —
-// and is what the map task must pass to EmitFrom. Using SendReduce without
-// a matching EmitFrom breaks termination detection.
-func (v *Invocation) SendReduce(c *udweave.Ctx, key uint64, vals ...uint64) uint64 {
+// credits them with EmitFrom before calling Return. Every call schedules
+// exactly one reduce task, so the map task passes EmitFrom the number of
+// calls. Using SendReduce without a matching EmitFrom breaks termination
+// detection.
+func (v *Invocation) SendReduce(c *udweave.Ctx, key uint64, vals ...uint64) {
 	if v.s.ReduceEvent == 0 {
 		panic(fmt.Sprintf("kvmsr: %s: SendReduce without a ReduceEvent", v.s.Name))
 	}
-	return v.routeTuple(c, key, vals)
+	v.routeTuple(c, key, vals)
 }
 
 // EmitFrom credits count reduce sends (performed via SendReduce by local

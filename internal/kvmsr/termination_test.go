@@ -37,7 +37,6 @@ func acrossShards(t *testing.T, scenario func(t *testing.T, shards int) string) 
 type termMode struct {
 	name            string
 	coalesce        bool
-	combine         bool
 	resilient       bool
 	anyLane         bool // Spec.ReduceAnyLane
 	nodes           int
@@ -165,12 +164,6 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 	})
 	spec := kvmsr.Spec{Name: "term", MapEvent: mapEv, ReduceEvent: reduceEv, Lanes: lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, ReduceAnyLane: mode.anyLane}
-	if mode.combine {
-		spec.Combiner = func(_ uint64, a, b []uint64) []uint64 {
-			a[0] += b[0]
-			return a
-		}
-	}
 	inv = kvmsr.MustNew(m.Prog, spec)
 	m.StartWithCont(inv.LaunchEvw(), updown.EvwNew(lanes.First, done), rounds[0].keys, 0)
 	if res.stats, err = m.Run(); err != nil {
@@ -190,8 +183,8 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 	return res
 }
 
-// roundSum is the reduce-side total of one round (a combiner merges tuples
-// but conserves their values); wantSum is the rounds' total.
+// roundSum is the reduce-side total of one round; wantSum is the rounds'
+// total.
 func roundSum(r termRound) uint64 { return r.emits * r.keys * (r.keys + 1) / 2 }
 
 func wantSum(rounds []termRound) uint64 {
@@ -256,7 +249,6 @@ func TestTerminationConservation(t *testing.T) {
 	for _, mode := range []termMode{
 		{name: "classic"},
 		{name: "coalesced", coalesce: true},
-		{name: "combined", coalesce: true, combine: true},
 		{name: "resilient", resilient: true},
 		{name: "coalesced+resilient", coalesce: true, resilient: true},
 		{name: "classic/anylane", anyLane: true},
@@ -287,7 +279,6 @@ func TestTerminationConservation(t *testing.T) {
 	for _, mode := range []termMode{
 		{name: "classic"},
 		{name: "coalesced", coalesce: true},
-		{name: "combined", coalesce: true, combine: true},
 	} {
 		for _, nodes := range []int{2, 4} {
 			for _, seed := range []uint64{1, 2, 3} {
@@ -601,11 +592,12 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 			c.SendEvent(updown.EvwNew(c.NetworkID()+1, helper), c.ContinueTo(back), c.Op(0))
 		})
 		helper = m.Prog.Define("late_helper", func(c *updown.Ctx) {
-			credit := inv.SendReduce(c, c.Op(0), 1)
-			c.SendEvent(c.ContinueTo(helper2), c.Cont(), c.Op(0), credit)
+			inv.SendReduce(c, c.Op(0), 1)
+			c.SendEvent(c.ContinueTo(helper2), c.Cont(), c.Op(0))
 		})
 		helper2 = m.Prog.Define("late_helper2", func(c *updown.Ctx) {
-			c.Reply(c.Cont(), c.Op(1)+inv.SendReduce(c, c.Op(0)+tasks, 1))
+			inv.SendReduce(c, c.Op(0)+tasks, 1)
+			c.Reply(c.Cont(), 2) // the helpers' two sends
 			c.YieldTerminate()
 		})
 		back = m.Prog.Define("late_map_back", func(c *updown.Ctx) {

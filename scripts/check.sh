@@ -23,7 +23,7 @@ fi
 # Line budget: the repository's non-blank Go source lines (cmd/loccount's
 # total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
 # that adds code deletes as much elsewhere, or raises the budget on purpose.
-LOC_BUDGET=23030
+LOC_BUDGET=22920
 loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
 [ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
 
@@ -59,7 +59,7 @@ go test -run '^$' -fuzz '^FuzzParseList$' -fuzztime 5s -parallel 2 ./cmd/fig/
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 5s -parallel 2 .
 
 # Bench smoke: the shuffle-aggregation benchmark asserts (via b.Fatalf)
-# that coalesced+combined PageRank pushes strictly fewer messages into
+# that coalesced PageRank pushes strictly fewer messages into
 # the inter-node network than the classic shuffle while emitting the
 # same number of logical tuples.
 go test -run XX -bench BenchmarkKVMSRShuffle -benchtime=5x .

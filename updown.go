@@ -103,9 +103,8 @@ type Config struct {
 	// Coalesce, when non-nil, is handed to applications (via
 	// Machine.Coalesce) so they opt their KVMSR invocations into the
 	// coalescing shuffle: per-destination pack buffers that turn several
-	// emitted tuples into one multi-tuple network message, with
-	// application-chosen combiners pre-reducing same-key tuples before
-	// they reach the network. Nil keeps one message per tuple.
+	// emitted tuples into one multi-tuple network message. Nil keeps one
+	// message per tuple.
 	Coalesce *kvmsr.Coalesce
 	// Replication, when > 1, is the default k-way replicated placement
 	// factor for every DRAMmalloc on this machine (clamped per
