@@ -18,7 +18,6 @@ import (
 
 	"updown"
 	"updown/internal/apps/pagerank"
-	"updown/internal/apps/tc"
 	"updown/internal/baseline"
 	"updown/internal/graph"
 	"updown/internal/harness"
@@ -145,40 +144,6 @@ func BenchmarkTable2LaneOps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCombiningCache compares the paper's software
-// fetch-and-add (scratchpad combining cache, footnote 1) against a
-// memory-side atomic for PageRank's reduction.
-func BenchmarkAblationCombiningCache(b *testing.B) {
-	g := benchGraph(12, false)
-	split := graph.Split(g, 512)
-	run := func(memFA bool) updown.Cycles {
-		m, err := updown.New(updown.Config{Nodes: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, err := pagerank.New(m, dg, pagerank.Config{UseMemFetchAdd: memFA})
-		if err != nil {
-			b.Fatal(err)
-		}
-		app.InitValues()
-		if _, err := app.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return app.Elapsed()
-	}
-	for i := 0; i < b.N; i++ {
-		cc := run(false)
-		mem := run(true)
-		b.ReportMetric(float64(cc), "combcache-cycles")
-		b.ReportMetric(float64(mem), "mematomic-cycles")
-		b.ReportMetric(float64(mem)/float64(cc), "mematomic/combcache")
-	}
-}
-
 // BenchmarkKVMSRShuffle compares the classic one-message-per-tuple shuffle
 // against the coalescing shuffle on PageRank over two nodes, and
 // asserts the coalesced run puts strictly fewer shuffle messages on the
@@ -227,37 +192,6 @@ func BenchmarkKVMSRShuffle(b *testing.B) {
 		b.ReportMetric(float64(packed.ShuffleTuples)/float64(packed.ShuffleMsgs), "tup/msg")
 		b.ReportMetric(float64(classicCycles), "classic-cycles")
 		b.ReportMetric(float64(packedCycles), "coalesced-cycles")
-	}
-}
-
-// BenchmarkAblationTCBinding compares triangle counting under Block vs
-// PBMW map bindings (the paper's two TC variants, Section 4.3.3).
-func BenchmarkAblationTCBinding(b *testing.B) {
-	g := benchGraph(10, true)
-	split := graph.Split(g, 0)
-	run := func(pbmw bool) updown.Cycles {
-		m, err := updown.New(updown.Config{Nodes: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dg, err := graph.LoadToGAS(m.GAS, split, graph.DefaultPlacement(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := app.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return app.Elapsed()
-	}
-	for i := 0; i < b.N; i++ {
-		block := run(false)
-		pbmw := run(true)
-		b.ReportMetric(float64(block), "block-cycles")
-		b.ReportMetric(float64(pbmw), "pbmw-cycles")
 	}
 }
 

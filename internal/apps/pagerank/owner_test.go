@@ -336,7 +336,7 @@ func TestCachesEmptyAfterRun(t *testing.T) {
 					cfg := mode.cfg
 					cfg.Nodes, cfg.Shards = nodes, []int{1, 2, 7}[(cell+iters)%3]
 					name := fmt.Sprintf("%s/%s/nodes=%d/shards=%d/iters=%d", in.name, mode.name, nodes, cfg.Shards, iters)
-					finishCheck(t, name, cfg, in.g, in.split, iters, false)
+					finishCheck(t, name, cfg, in.g, in.split, iters)
 				}
 				cell++
 			}

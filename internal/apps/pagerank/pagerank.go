@@ -39,10 +39,6 @@ type Config struct {
 	// Iterations of power iteration (default 1, the unit the paper's
 	// strong-scaling measurements time).
 	Iterations int
-	// UseMemFetchAdd switches the reduce accumulation from the software
-	// combining cache to a memory-side atomic (ablation of the paper's
-	// footnote 1).
-	UseMemFetchAdd bool
 }
 
 // App is a PageRank program instance bound to one machine and graph. Its
@@ -53,14 +49,13 @@ type App struct {
 	cfg Config
 
 	// auxVA is the second value buffer (valueVA), one word per split
-	// vertex striped so that aux[v] lives with record v; accVA holds the
-	// UseMemFetchAdd accumulators, laid out the same way.
-	auxVA, accVA gasmem.VA
+	// vertex striped so that aux[v] lives with record v.
+	auxVA gasmem.VA
 
 	cc *collections.CombiningCache
 
 	lRecord, lParentVal, lNeighRead, lMapAck udweave.Label
-	lExpect, lReport, lAdded, lAccRead, lAck udweave.Label
+	lExpect, lReport, lAck                   udweave.Label
 
 	// PhaseMarks records each iteration's completion cycle.
 	PhaseMarks []updown.Cycles
@@ -85,9 +80,9 @@ type workerState struct {
 // or expect message, which replies to cont, once every reply it waits for
 // (pending) is in.
 type reduceState struct {
-	v, base       uint32
-	n, cont, iter uint64
-	pending       int
+	v, base    uint32
+	cont, iter uint64
+	pending    int
 }
 
 // New builds the program against an already-loaded device graph.
@@ -113,15 +108,9 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 		mapBinding, reduceBinding = own, own
 		auxBS = m.GAS.RegionOf(dg.VertexVA).BS / graph.VertexStride
 	}
-	alloc := func(va *gasmem.VA) (err error) {
-		*va, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, m.Arch.NodeOf(cfg.Lanes.First),
-			gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch)), auxBS)
-		return err
-	}
-	err := alloc(&a.auxVA)
-	if err == nil && cfg.UseMemFetchAdd {
-		err = alloc(&a.accVA)
-	}
+	var err error
+	a.auxVA, err = m.GAS.DRAMmalloc(uint64(dg.G.N)*gasmem.WordBytes, m.Arch.NodeOf(cfg.Lanes.First),
+		gasmem.FloorPow2(cfg.Lanes.NumNodes(m.Arch)), auxBS)
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +123,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	kvReduce := p.Define("pr.kv_reduce", a.kvReduce)
 	a.lExpect = p.Define("pr.expect", a.expect)
 	a.lReport = p.Define("pr.report", a.report)
-	a.lAdded = p.Define("pr.added", a.added)
-	a.lAccRead = p.Define("pr.acc_read", a.accRead)
 	a.lAck = p.Define("pr.ack", a.ack)
 	a.Label = p.Define("pr.driver", a.driver)
 
@@ -176,9 +163,6 @@ func (a *App) InitValues() {
 			a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VValue), init)
 		}
 		a.M.GAS.WriteU64(a.dg.FieldVA(v, graph.VAux), e[v])
-		if a.cfg.UseMemFetchAdd {
-			a.M.GAS.WriteU64(a.accVA+uint64(v)*gasmem.WordBytes, 0)
-		}
 	}
 }
 
@@ -312,30 +296,15 @@ func (a *App) mapAck(c *updown.Ctx) {
 // kvReduce counts one tuple's contribution toward its target vertex.
 func (a *App) kvReduce(c *updown.Ctx) {
 	c.Cycles(4)
-	a.contribute(c, reduceState{v: uint32(c.Op(0)), n: 1}, c.Op(1))
+	a.count(c, reduceState{v: uint32(c.Op(0))}, c.Op(1), 0, 0)
 }
 
 // report is a finished sub-vertex's sum arriving at its base's reduce
 // lane: one arrival.
 func (a *App) report(c *updown.Ctx) {
 	c.Cycles(2)
-	a.contribute(c, reduceState{v: uint32(c.Op(0)), n: 1, cont: c.Cont()}, c.Op(1))
+	a.count(c, reduceState{v: uint32(c.Op(0)), cont: c.Cont()}, c.Op(1), 0, 0)
 }
-
-// contribute adds r.n arrivals of value bits val at r.v: into the
-// combining cache or, under UseMemFetchAdd, with a memory-side float
-// fetch-add whose acknowledgment counts them.
-func (a *App) contribute(c *updown.Ctx, r reduceState, val uint64) {
-	if a.cfg.UseMemFetchAdd {
-		st := r
-		c.SetState(&st)
-		c.DRAMFetchAddF(a.accVA+uint64(r.v)*gasmem.WordBytes, udweave.BitsFloat(val), c.ContinueTo(a.lAdded))
-		return
-	}
-	a.count(c, r, val, 0, 0)
-}
-
-func (a *App) added(c *updown.Ctx) { a.count(c, *c.State().(*reduceState), 0, 0, 0) }
 
 // expect is a map task's E arriving on its vertex's reduce lane; the cache
 // keeps the tag, base | iteration<<32, with the count.
@@ -343,12 +312,11 @@ func (a *App) expect(c *updown.Ctx) {
 	a.count(c, reduceState{v: uint32(c.Op(0)), cont: c.Cont()}, 0, c.Op(1), c.Op(2))
 }
 
-// count counts r.n arrivals of val, or the expected count and its tag, at
-// r.v on its reduce lane. What completes the count finishes the vertex
-// with its sum, from the cache entry or, under UseMemFetchAdd, from memory
-// (zeroing the accumulator behind it); anything else is done at once.
+// count counts one arrival of val (want 0), or the expected count and its
+// tag, at r.v on its reduce lane. What completes the count finishes the
+// vertex with the cache entry's sum; anything else is done at once.
 func (a *App) count(c *updown.Ctx, r reduceState, val, want, tag uint64) {
-	sum, tag, done := a.cc.Count(c, a.dg.FieldVA(r.v, graph.VAux), val, r.n, want, tag)
+	sum, tag, done := a.cc.Count(c, a.dg.FieldVA(r.v, graph.VAux), val, want, tag)
 	if !done {
 		a.release(c, r.cont)
 		return
@@ -356,18 +324,7 @@ func (a *App) count(c *updown.Ctx, r reduceState, val, want, tag uint64) {
 	st := r
 	st.base, st.iter = uint32(tag), tag>>32
 	c.SetState(&st)
-	if a.cfg.UseMemFetchAdd {
-		c.DRAMRead(a.accVA+uint64(st.v)*gasmem.WordBytes, 1, c.ContinueTo(a.lAccRead))
-		return
-	}
 	a.settle(c, &st, sum)
-}
-
-func (a *App) accRead(c *updown.Ctx) {
-	st := c.State().(*reduceState)
-	st.pending++
-	c.DRAMWrite(a.accVA+uint64(st.v)*gasmem.WordBytes, c.ContinueTo(a.lAck), 0)
-	a.settle(c, st, c.Op(0))
 }
 
 // settle passes a final sum on, and the thread completes once that is

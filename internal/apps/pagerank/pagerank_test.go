@@ -12,7 +12,7 @@ import (
 )
 
 // runPR simulates PageRank on the machine and returns the value vector.
-func runPR(t *testing.T, g *graph.Graph, maxDeg, nodes, iters int, memFA bool) []float64 {
+func runPR(t *testing.T, g *graph.Graph, maxDeg, nodes, iters int) []float64 {
 	t.Helper()
 	m, err := updown.New(updown.Config{Nodes: nodes, Shards: 1, MaxTime: 1 << 40})
 	if err != nil {
@@ -26,7 +26,7 @@ func runPR(t *testing.T, g *graph.Graph, maxDeg, nodes, iters int, memFA bool) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, UseMemFetchAdd: memFA})
+	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPageRankMatchesBaseline(t *testing.T) {
 	g := graph.FromEdges(256, graph.DefaultRMAT(8, 21), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 	want := baseline.PageRank(g, 2)
-	got := runPR(t, g, 16, 2, 2, false)
+	got := runPR(t, g, 16, 2, 2)
 	comparePR(t, got, want)
 }
 
@@ -67,20 +67,10 @@ func TestPageRankNoSplitMatchesSplit(t *testing.T) {
 	g := graph.FromEdges(128, graph.DefaultRMAT(7, 4), graph.BuildOptions{
 		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
 	want := baseline.PageRank(g, 1)
-	nosplit := runPR(t, g, 0, 1, 1, false)
-	split := runPR(t, g, 8, 1, 1, false)
+	nosplit := runPR(t, g, 0, 1, 1)
+	split := runPR(t, g, 8, 1, 1)
 	comparePR(t, nosplit, want)
 	comparePR(t, split, want)
-}
-
-// The memory-side fetch-add ablation must compute the same result as the
-// software combining cache.
-func TestPageRankMemFetchAddAblation(t *testing.T) {
-	g := graph.FromEdges(128, graph.DefaultRMAT(7, 9), graph.BuildOptions{
-		Dedup: true, DropSelfLoops: true, SortNeighbors: true})
-	want := baseline.PageRank(g, 2)
-	got := runPR(t, g, 16, 1, 2, true)
-	comparePR(t, got, want)
 }
 
 // With work fixed and the lane set grown (same node, so coordination

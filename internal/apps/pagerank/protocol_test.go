@@ -10,25 +10,23 @@ import (
 	"updown/internal/baseline"
 	"updown/internal/fault"
 	"updown/internal/graph"
-	"updown/internal/kvmsr"
 )
 
 // finishCheck runs one PageRank job and checks the finish protocol: a
 // vertex's reduce lane counts its expected arrivals (in-edges plus, at a
 // base, its sub-vertices' reports) and finishes it on the last one, with no
 // launch but the iteration's. After the run the values match the host
-// baseline, every base's value was written exactly once per iteration (a
-// DRAM write is one base's value and, under memFA, one fetch-add per
-// arrival and one accumulator reset per vertex that has arrivals; nothing
-// else writes), the expected arrivals add up to the tuples emitted plus
+// baseline, every base's value was written exactly once per iteration
+// (nothing else writes DRAM), the expected arrivals add up to the tuples
+// emitted plus
 // the reports the members sent, no lane's combining cache holds an entry
 // and the launch counts and the kvmsr counters balance. Owner binds the
 // tasks on 2 nodes, where the graph is on the lanes' nodes, not on 3.
-func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, split *graph.SplitGraph, iters int, memFA bool) updown.Stats {
+func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, split *graph.SplitGraph, iters int) updown.Stats {
 	t.Helper()
 	cfg.MaxTime = 1 << 42
 	m, dg := loadPlaced(t, cfg, split, graph.DefaultPlacement(cfg.Nodes))
-	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters, UseMemFetchAdd: memFA})
+	app, err := pagerank.New(m, dg, pagerank.Config{Iterations: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +34,12 @@ func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, s
 		t.Fatalf("%s: Owner bindings taken: %v", name, cfg.Nodes != 2)
 	}
 	app.InitValues()
-	var expected, reports, finishing uint64
+	var expected, reports uint64
 	for v := uint32(0); int(v) < split.N; v++ {
 		e := m.GAS.ReadU64(dg.FieldVA(v, graph.VAux))
 		expected += e
-		if e > 0 {
-			finishing++
-			if !split.IsBase(v) {
-				reports++
-			}
+		if e > 0 && !split.IsBase(v) {
+			reports++
 		}
 	}
 	if expected != split.NumEdges()+reports {
@@ -55,12 +50,8 @@ func finishCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, s
 		t.Fatalf("%s: %v", name, err)
 	}
 	comparePR(t, app.Values(), baseline.PageRank(g, iters))
-	perIter := uint64(split.OrigN)
-	if memFA {
-		perIter += expected + finishing
-	}
-	if want := int64(perIter) * int64(iters); stats.DRAMWrites != want {
-		t.Errorf("%s: %d DRAM writes, want %d per iteration: %d", name, stats.DRAMWrites, perIter, want)
+	if want := int64(split.OrigN) * int64(iters); stats.DRAMWrites != want {
+		t.Errorf("%s: %d DRAM writes, want %d per iteration: %d", name, stats.DRAMWrites, split.OrigN, want)
 	}
 	if stats.ShuffleTuples != int64(split.NumEdges())*int64(iters) {
 		t.Errorf("%s: %d tuples emitted, want %d", name, stats.ShuffleTuples, split.NumEdges()*uint64(iters))
@@ -111,44 +102,17 @@ func protocolGraphs() []struct {
 }
 
 // TestFinishUnderReordering delays 30% of messages by up to 2,000 cycles
-// (a delay-only fault plan: nothing is lost), so expect words, tuples,
-// reports and, under UseMemFetchAdd, fetch-add acknowledgments reach a
-// lane in any order; every vertex must still finish once.
+// (a delay-only fault plan: nothing is lost), so expect words, tuples and
+// reports reach a lane in any order; every vertex must still finish once.
 func TestFinishUnderReordering(t *testing.T) {
 	for _, in := range protocolGraphs() {
-		for _, memFA := range []bool{false, true} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				cfg := updown.Config{Nodes: 2, Shards: 1, Fault: &fault.Plan{Seed: seed,
-					Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
-						SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
-				name := fmt.Sprintf("%s/memFA=%v/seed=%d", in.name, memFA, seed)
-				if finishCheck(t, name, cfg, in.g, in.split, 1+int(seed)%2, memFA).Faults.Delayed == 0 {
-					t.Fatalf("%s: no message was delayed", name)
-				}
-			}
-		}
-	}
-}
-
-// TestMemFetchAddFinish: under UseMemFetchAdd (the footnote-1 ablation)
-// each contribution and report is a memory-side fetch-add whose
-// acknowledgment counts it, and the vertex that completes reads and resets
-// its accumulator; every protocol graph finishes with the baseline's
-// values at two and three iterations (both value-buffer parities), under
-// the Owner (2 nodes) and the fallback (3 nodes) bindings, classic and
-// coalesced.
-func TestMemFetchAddFinish(t *testing.T) {
-	for _, in := range protocolGraphs() {
-		for _, coalesce := range []bool{false, true} {
-			for _, nodes := range []int{2, 3} {
-				for iters := 2; iters <= 3; iters++ {
-					cfg := updown.Config{Nodes: nodes, Shards: 1}
-					if coalesce {
-						cfg.Coalesce = &kvmsr.Coalesce{}
-					}
-					name := fmt.Sprintf("%s/coalesce=%v/nodes=%d/iters=%d", in.name, coalesce, nodes, iters)
-					finishCheck(t, name, cfg, in.g, in.split, iters, true)
-				}
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := updown.Config{Nodes: 2, Shards: 1, Fault: &fault.Plan{Seed: seed,
+				Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
+					SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
+			name := fmt.Sprintf("%s/seed=%d", in.name, seed)
+			if finishCheck(t, name, cfg, in.g, in.split, 1+int(seed)%2).Faults.Delayed == 0 {
+				t.Fatalf("%s: no message was delayed", name)
 			}
 		}
 	}
@@ -157,7 +121,8 @@ func TestMemFetchAddFinish(t *testing.T) {
 // TestProgramLabels pins the event labels a PageRank program defines: the
 // main invocation's and PageRank's own. Its combining cache defines none
 // (no flush launch, no take), and there is no apply launch: 64 labels
-// while apply took the sums, 28 since a vertex finishes in its reduce.
+// while apply took the sums, 28 once a vertex finished in its reduce, 26
+// since the memory-side fetch-add path (pr.added, pr.acc_read) went.
 func TestProgramLabels(t *testing.T) {
 	m, err := updown.New(updown.Config{Nodes: 2, Shards: 1})
 	if err != nil {
@@ -172,7 +137,7 @@ func TestProgramLabels(t *testing.T) {
 	if _, err := pagerank.New(m, dg, pagerank.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Prog.NumHandlers() - before; n != 28 {
-		t.Fatalf("a PageRank program defines %d labels, want 28", n)
+	if n := m.Prog.NumHandlers() - before; n != 26 {
+		t.Fatalf("a PageRank program defines %d labels, want 26", n)
 	}
 }

@@ -7,10 +7,11 @@
 // degree). Pair keys combine both vertex names, so the default Hash
 // reduce binding spreads the skewed intersection work evenly.
 //
-// The map binding is configurable between Block and PBMW — the paper's
-// two TC variants (Section 4.3.3) — which the benchmark harness ablates.
-// Where the graph's nodes are the lane set's, Block gives way to
-// kvmsr.Owner: kv_map for u runs on the node homing u's record and list.
+// The map binding is kvmsr.Owner where the graph's nodes are the lane
+// set's — kv_map for u runs on the node homing u's record and list — and
+// Block otherwise. The paper's PBMW variant is not offered: its secondary
+// balancing "was not required" (Section 4.3.3), and it ran longer at every
+// point measured (EXPERIMENTS.md, "One reduce design per app").
 package tc
 
 import (
@@ -25,9 +26,6 @@ import (
 type Config struct {
 	// Lanes is the KVMSR lane set (default: whole machine).
 	Lanes kvmsr.LaneSet
-	// UsePBMW selects the partial-block master-worker map binding
-	// instead of Block.
-	UsePBMW bool
 }
 
 // App is a TC program instance; its Driver's shuffle is the main pair
@@ -91,9 +89,7 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config) (*App, error) {
 	a.Label = p.Define("tc.driver", a.driver)
 
 	var mb kvmsr.MapBinding = kvmsr.Block{}
-	if cfg.UsePBMW {
-		mb = kvmsr.PBMW{}
-	} else if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
+	if own, ok := dg.Owner(m.Arch, m.GAS, cfg.Lanes); ok {
 		mb = own
 	}
 	var err error

@@ -16,9 +16,9 @@ func buildTCGraph(scale int, seed uint64) *graph.Graph {
 }
 
 // runTC counts g's triangles on a nodes-node machine. The map binding is
-// PBMW when asked for, else Owner where the graph's nodes are the lanes'
-// (any multi-node machine here), else Block.
-func runTC(t *testing.T, g *graph.Graph, nodes int, pbmw bool) (uint64, updown.Cycles) {
+// Owner where the graph's nodes are the lanes' (any multi-node machine
+// here), else Block.
+func runTC(t *testing.T, g *graph.Graph, nodes int) (uint64, updown.Cycles) {
 	t.Helper()
 	m, err := updown.New(updown.Config{Nodes: nodes, Shards: 1, MaxTime: 1 << 42})
 	if err != nil {
@@ -29,15 +29,14 @@ func runTC(t *testing.T, g *graph.Graph, nodes int, pbmw bool) (uint64, updown.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw})
+	app, err := tc.New(m, dg, tc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := app.MapBindingForTest()
 	_, owner := got.(kvmsr.Owner)
-	switch {
-	case pbmw && got != (kvmsr.PBMW{}), !pbmw && owner != (nodes > 1), !pbmw && !owner && got != (kvmsr.Block{}):
-		t.Fatalf("%d nodes, pbmw %v: map binding %T", nodes, pbmw, got)
+	if owner != (nodes > 1) || !owner && got != (kvmsr.Block{}) {
+		t.Fatalf("%d nodes: map binding %T", nodes, got)
 	}
 	if _, err := app.Run(); err != nil {
 		t.Fatal(err)
@@ -48,7 +47,7 @@ func runTC(t *testing.T, g *graph.Graph, nodes int, pbmw bool) (uint64, updown.C
 func TestTriangleCountMatchesBaseline(t *testing.T) {
 	g := buildTCGraph(8, 77)
 	want := baseline.TriangleCount(g)
-	got, elapsed := runTC(t, g, 2, false)
+	got, elapsed := runTC(t, g, 2)
 	if got != want {
 		t.Fatalf("simulated total %d, baseline %d", got, want)
 	}
@@ -69,20 +68,9 @@ func TestTriangleCountKnownTiny(t *testing.T) {
 		}
 	}
 	g := graph.FromEdges(4, e, graph.BuildOptions{Undirected: true, Dedup: true, SortNeighbors: true})
-	got, _ := runTC(t, g, 1, false)
+	got, _ := runTC(t, g, 1)
 	if got != 12 {
 		t.Fatalf("K4 total = %d, want 12", got)
-	}
-}
-
-func TestTriangleCountPBMWVariant(t *testing.T) {
-	g := buildTCGraph(7, 5)
-	want := baseline.TriangleCount(g)
-	block, _ := runTC(t, g, 1, false)
-	pbmw, _ := runTC(t, g, 1, true)
-	pbmw2, _ := runTC(t, g, 2, true) // asked for, PBMW is kept where Owner would apply
-	if block != want || pbmw != want || pbmw2 != want {
-		t.Fatalf("block=%d pbmw=%d pbmw on 2 nodes=%d baseline=%d", block, pbmw, pbmw2, want)
 	}
 }
 

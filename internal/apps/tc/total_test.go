@@ -17,7 +17,7 @@ import (
 // completion sum: it equals the host baseline, nothing writes DRAM, and the
 // termination counters balance with it (R == E, and the lanes' summed
 // ReduceDoneAdd values equal the master's sum and Total()).
-func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pbmw bool) updown.Stats {
+func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph) updown.Stats {
 	t.Helper()
 	cfg.MaxTime = 1 << 42
 	m, err := updown.New(cfg)
@@ -28,7 +28,7 @@ func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pb
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := tc.New(m, dg, tc.Config{UsePBMW: pbmw})
+	app, err := tc.New(m, dg, tc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,9 @@ func totalCheck(t *testing.T, name string, cfg updown.Config, g *graph.Graph, pb
 }
 
 // TestTotalIsCompletionSum runs every shuffle mode under the Block (3
-// nodes: the graph sits on 2, so Owner does not apply), Owner (2 nodes)
-// and PBMW bindings, each cell at shards 1, 2 and 7.
+// nodes: the graph sits on 2, so Owner does not apply) and Owner (2 nodes)
+// bindings, each cell at shards 1, 2 and 7. kvmsr's termination tests run
+// the completion sum under PBMW's grants.
 func TestTotalIsCompletionSum(t *testing.T) {
 	g := buildTCGraph(8, 77)
 	modes := []struct {
@@ -64,14 +65,13 @@ func TestTotalIsCompletionSum(t *testing.T) {
 	bindings := []struct {
 		name  string
 		nodes int
-		pbmw  bool
-	}{{"block", 3, false}, {"owner", 2, false}, {"pbmw", 2, true}}
+	}{{"block", 3}, {"owner", 2}}
 	for _, mode := range modes {
 		for _, b := range bindings {
 			for _, shards := range []int{1, 2, 7} {
 				cfg := mode.cfg
 				cfg.Nodes, cfg.Shards = b.nodes, shards
-				totalCheck(t, fmt.Sprintf("%s/%s/shards=%d", mode.name, b.name, shards), cfg, g, b.pbmw)
+				totalCheck(t, fmt.Sprintf("%s/%s/shards=%d", mode.name, b.name, shards), cfg, g)
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func TestTotalUnderReordering(t *testing.T) {
 			Rules: []fault.MsgRule{{Kinds: 1<<arch.KindEvent | 1<<arch.KindEventU,
 				SrcNode: fault.AnyNode, DstNode: fault.AnyNode, DelayProb: 0.3, DelayCycles: 2000}}}}
 		name := fmt.Sprintf("seed=%d", seed)
-		if totalCheck(t, name, cfg, g, false).Faults.Delayed == 0 {
+		if totalCheck(t, name, cfg, g).Faults.Delayed == 0 {
 			t.Fatalf("%s: no message was delayed", name)
 		}
 	}

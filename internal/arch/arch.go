@@ -41,12 +41,10 @@ const (
 	// message has a continuation, an acknowledgment event is sent.
 	KindDRAMWrite
 	// KindDRAMFetchAdd atomically adds Ops[1] to the 64-bit word at
-	// Ops[0] and returns the prior value to the continuation. The paper
-	// implements fetch-and-add in software (a combining cache); the
-	// memory-side primitive is provided for ablation studies.
+	// Ops[0] and returns the prior value to the continuation. Point
+	// queries and match count and claim words with it; PageRank sums in
+	// the paper's software fetch-and-add (a combining cache) instead.
 	KindDRAMFetchAdd
-	// KindDRAMFetchAddF is KindDRAMFetchAdd over float64 bit patterns.
-	KindDRAMFetchAddF
 	// KindControl messages drive auxiliary actors (stream sources).
 	KindControl
 	// KindEventU is an UDWeave event on the unreliable message class:
@@ -63,8 +61,8 @@ const (
 	KindDRAMWriteHint
 	// KindDRAMFetchAddHint is the hinted form of KindDRAMFetchAdd.
 	KindDRAMFetchAddHint
-	// KindDRAMFetchAddFHint is the hinted form of KindDRAMFetchAddF.
-	KindDRAMFetchAddFHint
+	// NumKinds is one past the last message kind.
+	NumKinds
 )
 
 // Machine holds every architectural parameter of a simulated UpDown system.

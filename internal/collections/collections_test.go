@@ -24,7 +24,9 @@ func newMachine(t *testing.T, nodes int) *updown.Machine {
 
 // The combining cache must produce the same totals as direct accumulation:
 // every lane of a two-node set counts its updates into its own key, which
-// finishes with their sum on the last one.
+// finishes with their sum on the last one. Lane s sets the expected count
+// before its update s mod 51, so across lanes it arrives first, last and
+// at every point in between.
 func TestCombiningCacheFetchAdd(t *testing.T) {
 	m := newMachine(t, 2)
 	// Exclusive ownership discipline (the combining-cache contract): key s
@@ -37,8 +39,12 @@ func TestCombiningCacheFetchAdd(t *testing.T) {
 	var updInv *kvmsr.Invocation
 	upd := m.Prog.Define("upd", func(c *updown.Ctx) {
 		slot := lanes.Index(c.NetworkID())
-		for i := 0; i < updatesPerLane; i++ {
-			if sum, _, done := cc.Count(c, gasmem.VA(slot*8), 1, 1, updatesPerLane, 0); done {
+		for i := 0; i <= updatesPerLane; i++ {
+			v, want := uint64(1), uint64(0)
+			if i == slot%(updatesPerLane+1) {
+				v, want = 0, updatesPerLane
+			}
+			if sum, _, done := cc.Count(c, gasmem.VA(slot*8), v, want, 0); done {
 				sums[slot] = sum
 			}
 		}
@@ -75,8 +81,9 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 	cc := collections.NewCombiningCache(m.Prog, "fadd", collections.AddF64)
 	var got float64
 	start := m.Prog.Define("start", func(c *updown.Ctx) {
+		cc.Count(c, 0, 0, 3, 0)
 		for _, v := range []float64{1.5, 0.25, 0.25} {
-			if sum, _, done := cc.Count(c, 0, updown.FloatBits(v), 1, 3, 0); done {
+			if sum, _, done := cc.Count(c, 0, updown.FloatBits(v), 0, 0); done {
 				got = updown.BitsFloat(sum)
 			}
 		}
@@ -97,17 +104,17 @@ func TestCombiningCacheFloatCombine(t *testing.T) {
 func TestCombiningCacheCount(t *testing.T) {
 	m := newMachine(t, 1)
 	cc := collections.NewCombiningCache(m.Prog, "cnt", addU64)
-	type call struct{ v, n, want, tag uint64 }
+	type call struct{ v, want, tag uint64 }
 	orders := [][]call{
-		{{0, 0, 4, 7}, {1, 1, 0, 0}, {2, 2, 0, 0}, {4, 1, 0, 0}},
-		{{1, 1, 0, 0}, {2, 2, 0, 0}, {4, 1, 0, 0}, {0, 0, 4, 7}},
-		{{1, 1, 0, 0}, {0, 0, 4, 7}, {2, 2, 0, 0}, {4, 1, 0, 0}},
+		{{0, 4, 7}, {1, 0, 0}, {1, 0, 0}, {1, 0, 0}, {4, 0, 0}},
+		{{1, 0, 0}, {1, 0, 0}, {1, 0, 0}, {4, 0, 0}, {0, 4, 7}},
+		{{1, 0, 0}, {0, 4, 7}, {1, 0, 0}, {1, 0, 0}, {4, 0, 0}},
 	}
 	var got [][3]uint64
 	start := m.Prog.Define("start", func(c *updown.Ctx) {
 		for k, order := range orders {
 			for i, x := range order {
-				sum, tag, done := cc.Count(c, gasmem.VA(8*k), x.v, x.n, x.want, x.tag)
+				sum, tag, done := cc.Count(c, gasmem.VA(8*k), x.v, x.want, x.tag)
 				if done != (i == len(order)-1) {
 					t.Errorf("order %d: call %d done %v", k, i, done)
 				}

@@ -59,24 +59,25 @@ func (cc *CombiningCache) st(c *udweave.Ctx) *ccLaneState {
 	return st
 }
 
-// Count combines v into va's accumulator as n of the updates va expects;
-// want > 0 sets how many that is, and a tag word returned with the value,
-// before or after they arrive. Once they have all arrived, done reports it:
-// the entry is gone, and sum and tagged are its value and tag. It costs a
-// few scratchpad accesses and sends no messages.
-func (cc *CombiningCache) Count(c *udweave.Ctx, va gasmem.VA, v, n, want, tag uint64) (sum, tagged uint64, done bool) {
+// Count takes one call for the counted key at va. With want == 0 it
+// combines v into va's accumulator as one of the updates va expects; with
+// want > 0 it sets how many that is, and a tag word returned with the
+// value, before or after they arrive (v is then ignored). Once they have
+// all arrived, done reports it: the entry is gone, and sum and tagged are
+// its value and tag. It costs a few scratchpad accesses and sends no
+// messages.
+func (cc *CombiningCache) Count(c *udweave.Ctx, va gasmem.VA, v, want, tag uint64) (sum, tagged uint64, done bool) {
 	st := cc.st(c)
 	c.ScratchAccess(2)
 	c.Cycles(4)
 	p, ok := st.acc[va]
-	if n > 0 {
+	if want > 0 {
+		p.want, p.tag = want, tag
+	} else {
 		if p.n > 0 {
 			v = cc.op(p.acc, v)
 		}
-		p.acc, p.n = v, p.n+n
-	}
-	if want > 0 {
-		p.want, p.tag = want, tag
+		p.acc, p.n = v, p.n+1
 	}
 	if p.want == 0 || p.n < p.want {
 		st.acc[va] = p

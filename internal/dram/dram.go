@@ -134,15 +134,7 @@ func (c *Controller) OnMessage(env *sim.Env, m *sim.Message) {
 		if m.Cont != udweave.IGNRCONT {
 			c.respond(env, delay, m.Cont, []uint64{old})
 		}
-	case arch.KindDRAMFetchAddF:
-		old := c.gas.CtrlReadU64(c.node, m.Ops[0])
-		sum := udweave.FloatBits(udweave.BitsFloat(old) + udweave.BitsFloat(m.Ops[1]))
-		c.gas.CtrlWriteU64(c.node, m.Ops[0], sum)
-		delay := c.service(env, 2*gasmem.WordBytes)
-		if m.Cont != udweave.IGNRCONT {
-			c.respond(env, delay, m.Cont, []uint64{old})
-		}
-	case arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint, arch.KindDRAMFetchAddFHint:
+	case arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint:
 		// A write leg whose replica node fail-stopped: queue it for
 		// backfill instead of applying. The record still serializes
 		// through this controller's bandwidth (the bytes really arrive

@@ -109,7 +109,7 @@ func TestWriteThenReadOrdering(t *testing.T) {
 	}
 }
 
-// TestFetchAddInteger and float variants return the prior value and apply
+// TestFetchAddVariants: fetch-adds return the prior value and apply
 // atomically in arrival order.
 func TestFetchAddVariants(t *testing.T) {
 	r := newRig(t, 1, 0)
@@ -128,22 +128,6 @@ func TestFetchAddVariants(t *testing.T) {
 	}
 	if got := r.gas.ReadU64(va); got != 12 {
 		t.Fatalf("final %d", got)
-	}
-
-	fva := va + 8
-	r2 := newRig(t, 1, 0)
-	fva2, _ := r2.gas.DRAMmalloc(4096, 0, 1, 4096)
-	_ = fva
-	rec2 := &recorder{}
-	r2.eng.SetActor(r2.m.LaneID(0, 0, 0), rec2)
-	c2 := udweave.EvwExisting(r2.m.LaneID(0, 0, 0), 0, 1)
-	r2.eng.Post(0, r2.m.MemCtrlID(0), arch.KindDRAMFetchAddF, 0, c2, fva2, udweave.FloatBits(1.5))
-	r2.eng.Post(1, r2.m.MemCtrlID(0), arch.KindDRAMFetchAddF, 0, c2, fva2, udweave.FloatBits(2.25))
-	if _, err := r2.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := udweave.BitsFloat(r2.gas.ReadU64(fva2)); got != 3.75 {
-		t.Fatalf("float accumulator %v", got)
 	}
 }
 
@@ -166,10 +150,8 @@ func TestIgnoredContinuationSendsNothing(t *testing.T) {
 }
 
 // TestStatsAccountingMixedKinds pins the engine's DRAM accounting under a
-// mix of request kinds: exact DRAMReads/DRAMWrites/DRAMBytes. It is the
-// regression test for the missing KindDRAMFetchAddF case in the stats
-// switch — float fetch-adds (PageRank's hot path) are read-modify-writes
-// and must be counted as writes, like KindDRAMFetchAdd.
+// mix of request kinds: exact DRAMReads/DRAMWrites/DRAMBytes. Fetch-adds
+// are read-modify-writes and must be counted as writes.
 func TestStatsAccountingMixedKinds(t *testing.T) {
 	r := newRig(t, 1, 0)
 	va, _ := r.gas.DRAMmalloc(4096, 0, 1, 4096)
@@ -177,8 +159,7 @@ func TestStatsAccountingMixedKinds(t *testing.T) {
 	r.eng.SetActor(lane, &recorder{})
 	cont := udweave.EvwExisting(lane, 0, 1)
 
-	// 3 reads of 2 words, 2 writes of 3 data words, 1 integer fetch-add,
-	// 2 float fetch-adds.
+	// 3 reads of 2 words, 2 writes of 3 data words, 3 fetch-adds.
 	for i := 0; i < 3; i++ {
 		r.eng.Post(arch.Cycles(i), r.m.MemCtrlID(0), arch.KindDRAMRead, 0, cont, va, 2)
 	}
@@ -187,8 +168,8 @@ func TestStatsAccountingMixedKinds(t *testing.T) {
 			va+64*uint64(i), 1, 2, 3)
 	}
 	r.eng.Post(20, r.m.MemCtrlID(0), arch.KindDRAMFetchAdd, 0, cont, va, 5)
-	r.eng.Post(21, r.m.MemCtrlID(0), arch.KindDRAMFetchAddF, 0, cont, va+8, udweave.FloatBits(1.5))
-	r.eng.Post(22, r.m.MemCtrlID(0), arch.KindDRAMFetchAddF, 0, cont, va+8, udweave.FloatBits(2.5))
+	r.eng.Post(21, r.m.MemCtrlID(0), arch.KindDRAMFetchAdd, 0, cont, va+8, 1)
+	r.eng.Post(22, r.m.MemCtrlID(0), arch.KindDRAMFetchAdd, 0, cont, va+8, 2)
 
 	stats, err := r.eng.Run()
 	if err != nil {
@@ -197,9 +178,9 @@ func TestStatsAccountingMixedKinds(t *testing.T) {
 	if stats.DRAMReads != 3 {
 		t.Errorf("DRAMReads = %d, want 3", stats.DRAMReads)
 	}
-	// 2 writes + 1 fetch-add + 2 float fetch-adds, all read-modify-writes.
+	// 2 writes + 3 fetch-adds (read-modify-writes).
 	if stats.DRAMWrites != 5 {
-		t.Errorf("DRAMWrites = %d, want 5 (float fetch-adds must count)", stats.DRAMWrites)
+		t.Errorf("DRAMWrites = %d, want 5 (fetch-adds must count)", stats.DRAMWrites)
 	}
 	// reads 3x2x8 + writes 2x3x8 + fetch-adds 3x16 (read-modify-write).
 	want := int64(3*2*8 + 2*3*8 + 3*16)

@@ -172,8 +172,7 @@ func TestParseSpec(t *testing.T) {
 		}},
 		{"drop=0.1,kinds=eventu+dram,src=1,dst=2,from=10,until=20", "", func(p *Plan) bool {
 			r := p.Rules[0]
-			return r.Kinds == (1<<arch.KindEventU|1<<arch.KindDRAMRead|1<<arch.KindDRAMWrite|
-				1<<arch.KindDRAMFetchAdd|1<<arch.KindDRAMFetchAddF) &&
+			return r.Kinds == (1<<arch.KindEventU|1<<arch.KindDRAMRead|1<<arch.KindDRAMWrite|1<<arch.KindDRAMFetchAdd) &&
 				r.SrcNode == 1 && r.DstNode == 2 && r.From == 10 && r.Until == 20
 		}},
 		{"failstop=3@20000", "", func(p *Plan) bool {

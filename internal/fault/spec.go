@@ -4,8 +4,8 @@
 //	drop=P           drop probability (one shared message rule)
 //	dup=P            duplication probability
 //	delay=P[:C]      delay probability, optional max extra cycles C
-//	kinds=K[+K...]   eligible kinds: eventu (default), event, dram,
-//	                 control, all
+//	kinds=K[+K...]   eligible kinds: eventu (default), event, dram
+//	                 (reads, writes, fetch-adds), control, all
 //	src=N dst=N      restrict the rule to one source/destination node
 //	from=T until=T   restrict the rule to send times [T, U)
 //	failstop=N@T     fail-stop node N at cycle T
@@ -196,8 +196,7 @@ func parseKinds(s string) (uint16, error) {
 		case "event":
 			mask |= 1 << arch.KindEvent
 		case "dram":
-			mask |= 1<<arch.KindDRAMRead | 1<<arch.KindDRAMWrite |
-				1<<arch.KindDRAMFetchAdd | 1<<arch.KindDRAMFetchAddF
+			mask |= 1<<arch.KindDRAMRead | 1<<arch.KindDRAMWrite | 1<<arch.KindDRAMFetchAdd
 		case "control":
 			mask |= 1 << arch.KindControl
 		case "all":

@@ -39,6 +39,7 @@ type termMode struct {
 	coalesce        bool
 	resilient       bool
 	anyLane         bool // Spec.ReduceAnyLane
+	pbmw            bool // termPBMW as the map binding, else Block
 	nodes           int
 	first, laneSpan int // lane set; laneSpan 0 = the whole machine
 	// delaySeed, when nonzero, seeds a delay-only fault plan over both
@@ -79,6 +80,10 @@ func (r termResult) summary() string {
 }
 
 const termCounters = 64
+
+// termPBMW is the dynamic map binding the PBMW legs run: half of each
+// lane's share up front, the rest granted eight keys at a time.
+var termPBMW = kvmsr.PBMW{ChunkSize: 8}
 
 // termKeyStep spreads termJob's keys: each is a multiple of it, and no
 // value, pack header or emit ID of the job is.
@@ -164,6 +169,9 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 	})
 	spec := kvmsr.Spec{Name: "term", MapEvent: mapEv, ReduceEvent: reduceEv, Lanes: lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, ReduceAnyLane: mode.anyLane}
+	if mode.pbmw {
+		spec.MapBinding = termPBMW
+	}
 	inv = kvmsr.MustNew(m.Prog, spec)
 	m.StartWithCont(inv.LaunchEvw(), updown.EvwNew(lanes.First, done), rounds[0].keys, 0)
 	if res.stats, err = m.Run(); err != nil {
@@ -263,6 +271,36 @@ func TestTerminationConservation(t *testing.T) {
 				acrossShards(t, func(t *testing.T, shards int) string {
 					r := termJob(t, mode, shards, termRounds)
 					checkTermJob(t, mode, termRounds, r)
+					return r.summary()
+				})
+			})
+		}
+	}
+	// PBMW: keys past the static shares reach lanes in grants, each sent
+	// once a lane has drained its work, so map tasks, their tuples and the
+	// ReduceDoneAdd sums interleave with the master's grant traffic. The
+	// first two rounds pool two thirds of their keys; the second holds
+	// every map task, so lanes keep reducing while others wait for grants;
+	// the third pools none, and every lane's request comes back empty.
+	for _, mode := range []termMode{
+		{name: "pbmw/classic", pbmw: true},
+		{name: "pbmw/coalesced", pbmw: true, coalesce: true},
+		{name: "pbmw/resilient", pbmw: true, resilient: true},
+	} {
+		for _, nodes := range []int{1, 2} {
+			mode.nodes = nodes
+			mode := mode
+			lanes := nodes * 2048
+			rounds := []termRound{{keys: uint64(3 * lanes), emits: 2}, {keys: uint64(3 * lanes), emits: 1, hold: 3000}, termRounds[1]}
+			t.Run(fmt.Sprintf("%s/nodes=%d", mode.name, nodes), func(t *testing.T) {
+				for _, r := range rounds[:2] {
+					if kvmsr.PoolStartForTest(termPBMW, lanes, r.keys) >= r.keys {
+						t.Fatalf("a %d-key round pools no keys over %d lanes: the leg is vacuous", r.keys, lanes)
+					}
+				}
+				acrossShards(t, func(t *testing.T, shards int) string {
+					r := termJob(t, mode, shards, rounds)
+					checkTermJob(t, mode, rounds, r)
 					return r.summary()
 				})
 			})

@@ -39,7 +39,7 @@ const DefaultInterval arch.Cycles = 8192
 
 // nKinds is the size of the per-message-kind tables: the arch.Kind*
 // constants plus one overflow bucket for unknown kinds from custom actors.
-const nKinds = 11
+const nKinds = int(arch.NumKinds) + 1
 
 // kindOther is the overflow bucket index.
 const kindOther = nKinds - 1
@@ -393,7 +393,7 @@ type Profile struct {
 	// Nodes holds one series per node, indexed by node.
 	Nodes []NodeSeries
 	// Kinds is the per-message-kind breakdown, indexed by the arch.Kind*
-	// constants; index 10 collects unknown kinds.
+	// constants; the last index collects unknown kinds.
 	Kinds [nKinds]KindStat
 	// Repl is the replication-layer counter set (all-zero when the
 	// machine used unreplicated placement).
@@ -450,14 +450,10 @@ func KindName(k int) string {
 		return "dram-write"
 	case arch.KindDRAMFetchAdd:
 		return "dram-fadd"
-	case arch.KindDRAMFetchAddF:
-		return "dram-faddf"
 	case arch.KindDRAMWriteHint:
 		return "dram-write-hint"
 	case arch.KindDRAMFetchAddHint:
 		return "dram-fadd-hint"
-	case arch.KindDRAMFetchAddFHint:
-		return "dram-faddf-hint"
 	case arch.KindControl:
 		return "control"
 	case arch.KindEventU:

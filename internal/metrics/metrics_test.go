@@ -135,15 +135,13 @@ func (a *obsActor) OnMessage(env *sim.Env, msg *sim.Message) {
 	addr := a.va + (h%a.n)*8
 	ctrl := a.m.MemCtrlID(a.gas.NodeOf(addr))
 	cont := udweave.EvwExisting(env.Self(), 0, 1)
-	switch h % 4 {
+	switch h % 3 {
 	case 0:
 		env.Send(ctrl, arch.KindDRAMRead, 0, cont, addr, 1+h%4)
 	case 1:
 		env.Send(ctrl, arch.KindDRAMWrite, 0, udweave.IGNRCONT, addr, h, h>>7)
-	case 2:
-		env.Send(ctrl, arch.KindDRAMFetchAdd, 0, cont, addr, 3)
 	default:
-		env.Send(ctrl, arch.KindDRAMFetchAddF, 0, cont, addr, udweave.FloatBits(0.5))
+		env.Send(ctrl, arch.KindDRAMFetchAdd, 0, cont, addr, 3)
 	}
 }
 
@@ -195,8 +193,8 @@ func obsRun(t *testing.T, shards int) (string, []byte) {
 // lowest ID.
 func TestRecorderDeterminism(t *testing.T) {
 	refText, refTrace := obsRun(t, 1)
-	if !strings.Contains(refText, "dram-faddf") || !strings.Contains(refText, "busiest lane: ") {
-		t.Fatalf("workload did not exercise float fetch-adds or report a busiest lane:\n%s", refText)
+	if !strings.Contains(refText, "dram-fadd") || !strings.Contains(refText, "busiest lane: ") {
+		t.Fatalf("workload did not exercise fetch-adds or report a busiest lane:\n%s", refText)
 	}
 	for _, shards := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
 		text, trace := obsRun(t, shards)
@@ -323,6 +321,19 @@ func TestKindTableSplitsLocalFromCrossNode(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "dram-read               6              0            3 (50.0%)") {
 		t.Errorf("report lacks the cross-node column:\n%s", p.String())
+	}
+}
+
+// TestKindNames: every message kind below arch.NumKinds has a row name of
+// its own, not the overflow row's kind-N.
+func TestKindNames(t *testing.T) {
+	seen := map[string]bool{}
+	for k := 0; k < int(arch.NumKinds); k++ {
+		name := metrics.KindName(k)
+		if strings.HasPrefix(name, "kind-") || seen[name] {
+			t.Errorf("kind %d is named %q", k, name)
+		}
+		seen[name] = true
 	}
 }
 

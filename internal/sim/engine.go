@@ -645,15 +645,13 @@ func (s *shard) processWindow(horizon arch.Cycles) {
 			switch m.Kind {
 			case arch.KindDRAMRead:
 				s.stats.DRAMReads++
-			case arch.KindDRAMWrite, arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddF,
-				arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint, arch.KindDRAMFetchAddFHint:
-				// Fetch-adds (both integer and float) are read-modify-writes;
-				// they count as writes, so PageRank's float accumulation path
-				// is visible in Stats.DRAMWrites. Each executed message is one
-				// physical access: a k-way replicated write appears as k
-				// messages, one per replica's controller, so per-node DRAM
-				// accounting counts each physical copy exactly once. Hinted
-				// legs (queued at the handoff controller) count the same way.
+			case arch.KindDRAMWrite, arch.KindDRAMFetchAdd, arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint:
+				// Fetch-adds are read-modify-writes; they count as writes.
+				// Each executed message is one physical access: a k-way
+				// replicated write appears as k messages, one per replica's
+				// controller, so per-node DRAM accounting counts each
+				// physical copy exactly once. Hinted legs (queued at the
+				// handoff controller) count the same way.
 				s.stats.DRAMWrites++
 			}
 			if s.rec != nil {
@@ -912,8 +910,7 @@ func (v *Env) sendAt(t, extra arch.Cycles, dst arch.NetworkID, kind uint8, event
 // eligible for replica failover at a fail-stopped destination.
 func dramKind(k uint8) bool {
 	switch k {
-	case arch.KindDRAMRead, arch.KindDRAMWrite, arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddF,
-		arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint, arch.KindDRAMFetchAddFHint:
+	case arch.KindDRAMRead, arch.KindDRAMWrite, arch.KindDRAMFetchAdd, arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint:
 		return true
 	}
 	return false

@@ -591,30 +591,19 @@ func (c *Ctx) DRAMWrite(va gasmem.VA, ackEvw uint64, vals ...uint64) {
 }
 
 // DRAMFetchAdd atomically adds delta to the word at va; retEvw receives the
-// prior value. This models a memory-side atomic and exists for ablation —
-// the paper implements fetch-and-add in software (see
-// collections.CombiningCache). Replicated regions apply the add on every
-// copy; the coordinator's prior value answers retEvw.
+// prior value. This models a memory-side atomic, which point queries and
+// match count and claim words with; PageRank sums in the paper's software
+// fetch-and-add (collections.CombiningCache) instead. Replicated regions
+// apply the add on every copy; the coordinator's prior value answers
+// retEvw.
 func (c *Ctx) DRAMFetchAdd(va gasmem.VA, delta uint64, retEvw uint64) {
-	c.fetchAdd(arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddHint, va, delta, retEvw)
-}
-
-// DRAMFetchAddF is DRAMFetchAdd over float64 bit patterns (ablation
-// against the software combining cache).
-func (c *Ctx) DRAMFetchAddF(va gasmem.VA, delta float64, retEvw uint64) {
-	c.fetchAdd(arch.KindDRAMFetchAddF, arch.KindDRAMFetchAddFHint, va, FloatBits(delta), retEvw)
-}
-
-// fetchAdd sends a fetch-and-add of message kind (hintKind for a leg to a
-// fail-stopped replica).
-func (c *Ctx) fetchAdd(kind, hintKind uint8, va gasmem.VA, delta uint64, retEvw uint64) {
 	g := c.lane.p.GAS
 	if g.Replicated() {
-		c.dramFanout(va, kind, hintKind, retEvw, delta)
+		c.dramFanout(va, arch.KindDRAMFetchAdd, arch.KindDRAMFetchAddHint, retEvw, delta)
 		return
 	}
 	c.env.Charge(c.lane.p.M.CostSendDRAM)
-	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), kind, 0, retEvw, va, delta)
+	c.env.Send(c.lane.p.memCtrl(g.NodeOf(va)), arch.KindDRAMFetchAdd, 0, retEvw, va, delta)
 }
 
 // ---- tracing ----------------------------------------------------------

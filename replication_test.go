@@ -22,17 +22,16 @@ import (
 // TestDRAMAccountingReplicated pins down the byte-accounting contract
 // under k-way replication: every physical replica write is counted
 // exactly once, at the controller that served it — not k times on the
-// primary's row. One lane issues a fixed mix of writes, integer and
-// float fetch-adds, and reads against a single block, so the expected
-// per-node service bytes are exact.
+// primary's row. One lane issues a fixed mix of writes, fetch-adds and
+// reads against a single block, so the expected per-node service bytes
+// are exact.
 func TestDRAMAccountingReplicated(t *testing.T) {
 	const (
 		writes = 4 // one word each: 8 bytes served per copy
 		fadds  = 3 // read-modify-write: 16 bytes served per copy
-		faddfs = 1 // same accounting as integer fetch-add
 		reads  = 2 // one word each, served by the primary only
 	)
-	perCopyBytes := int64(writes*8 + (fadds+faddfs)*16)
+	perCopyBytes := int64(writes*8 + fadds*16)
 	wantValue := uint64(7 + fadds*5) // last write's value plus the adds
 
 	for _, k := range []int{1, 2, 3} {
@@ -60,7 +59,6 @@ func TestDRAMAccountingReplicated(t *testing.T) {
 				for i := 0; i < fadds; i++ {
 					c.DRAMFetchAdd(target, 5, ret)
 				}
-				c.DRAMFetchAddF(target+8, 1.5, ret)
 				for i := 0; i < reads; i++ {
 					c.DRAMRead(target, 1, ret)
 				}
@@ -71,9 +69,9 @@ func TestDRAMAccountingReplicated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := int64((writes + fadds + faddfs) * k); stats.DRAMWrites != want {
+			if want := int64((writes + fadds) * k); stats.DRAMWrites != want {
 				t.Errorf("Stats.DRAMWrites = %d, want %d (%d ops x %d copies)",
-					stats.DRAMWrites, want, writes+fadds+faddfs, k)
+					stats.DRAMWrites, want, writes+fadds, k)
 			}
 			if stats.DRAMReads != reads {
 				t.Errorf("Stats.DRAMReads = %d, want %d (quorum-of-one, never fanned out)", stats.DRAMReads, reads)

@@ -23,7 +23,7 @@ fi
 # Line budget: the repository's non-blank Go source lines (cmd/loccount's
 # total, the paper's Table 5 metric) may not grow past LOC_BUDGET. A change
 # that adds code deletes as much elsewhere, or raises the budget on purpose.
-LOC_BUDGET=22920
+LOC_BUDGET=22841
 loc=$(go run ./cmd/loccount | awk '$1 == "total" { print $2 }')
 [ -n "$loc" ] && [ "$loc" -le "$LOC_BUDGET" ] || { echo "line budget: '$loc' source lines, budget $LOC_BUDGET" >&2; exit 1; }
 

@@ -197,11 +197,7 @@ func New(cfg Config) (*Machine, error) {
 					if n, h, ok := gas.HandoffTarget(op0, deadNode); ok {
 						return arch.KindDRAMFetchAddHint, h, n, true
 					}
-				case arch.KindDRAMFetchAddF:
-					if n, h, ok := gas.HandoffTarget(op0, deadNode); ok {
-						return arch.KindDRAMFetchAddFHint, h, n, true
-					}
-				case arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint, arch.KindDRAMFetchAddFHint:
+				case arch.KindDRAMWriteHint, arch.KindDRAMFetchAddHint:
 					// A hint whose handoff holder also died: re-handoff,
 					// keeping the originally intended node in the header.
 					va, intended := gasmem.SplitHintOp(op0)
@@ -408,11 +404,6 @@ func (m *Machine) Backfill(dead, spare int) (BackfillStats, error) {
 			case arch.KindDRAMFetchAddHint:
 				old := m.GAS.NodeReadU64(target, h.VA)
 				m.GAS.NodeWriteU64(target, h.VA, old+h.Ops[0])
-				st.HintWords++
-			case arch.KindDRAMFetchAddFHint:
-				old := m.GAS.NodeReadU64(target, h.VA)
-				sum := udweave.FloatBits(udweave.BitsFloat(old) + udweave.BitsFloat(h.Ops[0]))
-				m.GAS.NodeWriteU64(target, h.VA, sum)
 				st.HintWords++
 			}
 		})
