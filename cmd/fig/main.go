@@ -404,7 +404,7 @@ func figServe(fs *flag.FlagSet, c *common) func() error {
 	gaps := fs.String("gaps", "32000,16000,8000,4000,2000", "comma-separated mean interarrival gaps in cycles")
 	quantum := fs.Int64("quantum", 4096, "serving reconcile quantum in cycles")
 	fuse := fs.Int64("fuse", 2048, "launch hold-off (fuse window) in cycles")
-	fs.IntVar(&o.Slots, "slots", 0, "concurrent queries per engine (0 = default; at most 126 here)")
+	fs.IntVar(&o.Slots, "slots", 0, "concurrent queries per engine (0 = default; at most one per lane)")
 	c.what = "Interactive query serving: queries/sec and tail latency vs arrival rate"
 	c.register(fs, 42, "json", "progress")
 	return func() (err error) {

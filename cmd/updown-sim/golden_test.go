@@ -53,7 +53,10 @@ import (
 // -combine until the pack-buffer combiner was deleted; they now run plain
 // -coalesce and print exactly what -coalesce printed before: pr and tc
 // sent fewer messages and read other cycle counts, bfs (which never had a
-// combiner) did not move.
+// combiner) did not move. The -profile case's termination line lost its
+// master-probes field when the counter behind it, which nothing ever
+// incremented, was deleted, and its scratchpad line shrank by that
+// counter's 8 bytes of KVMSR lane state (568 -> 560).
 func TestGoldenOutput(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

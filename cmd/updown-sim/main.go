@@ -328,8 +328,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			resTotals.Emits, resTotals.Retries, resTotals.DupDrops, resTotals.Acks, resTotals.Rekicks)
 	}
 	if *profile && termTotals.Launches > 0 {
-		fmt.Fprintf(stdout, "termination: launches=%d master-probes=%d node-drains=%d at-map-done=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
-			termTotals.Launches, termTotals.Probes, termTotals.NodeDrains, termTotals.AtMapDone,
+		fmt.Fprintf(stdout, "termination: launches=%d node-drains=%d at-map-done=%d delta-msgs=%d delta-reduces=%d lane-pushes=%d\n",
+			termTotals.Launches, termTotals.NodeDrains, termTotals.AtMapDone,
 			termTotals.DeltaMsgs, termTotals.DeltaReduces, termTotals.Pushes)
 	}
 	if sum != nil {

@@ -35,7 +35,7 @@ func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*Point
 	e := &PointBFS{dg: dg}
 	var err error
 	e.Engine, err = pointq.New(m, dg, cfg, pointq.Kernel{
-		Name: "pbfs", Stream: [3]string{"vert", "v_rec", "v_chunk"}, Planes: 1, Private: 6,
+		Name: "pbfs", Stream: [3]string{"vert", "v_rec", "v_chunk"}, Planes: 1,
 		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
 	})
 	if err != nil {

@@ -242,7 +242,7 @@ func (a *App) record(c *updown.Ctx) {
 	switch want := c.Op(graph.VAux); {
 	case want != 0:
 		st.waits++
-		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(st.v)), a.lExpect), c.ContinueTo(a.lMapAck),
+		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(c, uint64(st.v)), a.lExpect), c.ContinueTo(a.lMapAck),
 			uint64(st.v), want, uint64(st.parent)|st.iter<<32)
 	case st.parent == st.v:
 		st.waits++
@@ -334,7 +334,7 @@ func (a *App) settle(c *updown.Ctx, st *reduceState, sum uint64) {
 	st.pending++
 	if st.base != st.v {
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(uint64(st.base)), a.lReport), c.ContinueTo(a.lAck), uint64(st.base), sum)
+		c.SendEvent(udweave.EvwNew(a.Shuffle.ReduceLane(c, uint64(st.base)), a.lReport), c.ContinueTo(a.lAck), uint64(st.base), sum)
 		return
 	}
 	c.Cycles(8)

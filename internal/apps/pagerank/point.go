@@ -119,7 +119,7 @@ func NewPoint(m *updown.Machine, dg *graph.DeviceGraph, cfg PointConfig) (*Point
 	e := &PointPPR{gas: m.GAS, dg: dg}
 	var err error
 	e.Engine, err = pointq.New(m, dg, pointq.Config{Lanes: cfg.Lanes, Slots: cfg.Slots}, pointq.Kernel{
-		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4, Private: 12,
+		Name: "pppr", Stream: [3]string{"stream", "s_rec", "s_chunk"}, Planes: 4,
 		Seed: e.seed, Resolve: e.resolve, Visit: e.visit, Reduce: e.kvReduce,
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ func (e *Engine) Key(slot, v uint64, from updown.NetworkID) uint64 { return e.ke
 
 // ReduceLane is the lane slot's reduce binding sends key to.
 func (e *Engine) ReduceLane(key uint64) updown.NetworkID {
-	slot, _ := SplitKey(key)
-	s := e.inv[slot].Spec()
+	s := e.inv.Spec()
 	return s.ReduceBinding.Lane(key, s.Lanes)
 }

@@ -8,9 +8,12 @@
 // destination node's distributor lane without a forward hop.
 //
 // A slot is the unit of execution. It owns a contiguous lane slice
-// (Lanes.Count/Slots lanes) and a KVMSR invocation over exactly that
-// slice, so its launch broadcast, its map master, its per-vertex tasks,
-// its reduces and its termination traffic all stay there. A seeded slot
+// (Lanes.Count/Slots lanes). The engine registers one KVMSR invocation
+// over slot 0's slice and each slot launches it on its own slice, a
+// translate of slot 0's (kvmsr.Invocation.LaunchAt), so its launch
+// broadcast, its map master, its per-vertex tasks, its reduces and its
+// termination traffic all stay there, and the engine's event labels do
+// not grow with its slots. A seeded slot
 // is driven by its own thread on the slice's first lane, its control
 // lane, which chains the query's rounds — round k of a query is fully
 // reduced before its round k+1 expands — and records the cycle the chain
@@ -53,17 +56,13 @@ type Config struct {
 	// Lanes is the engine's lane set (default: whole machine).
 	Lanes kvmsr.LaneSet
 	// Slots is the number of concurrent queries (default: one per
-	// accelerator, floor one). Each slot registers its own KVMSR
-	// invocation — 16 event labels, 18 under the coalescing shuffle, 4
-	// more under the resilient one — so the 12-bit label space caps it: a
-	// BFS and a PPR engine on one machine fit 126 slots each (112
-	// coalescing). Past that, or with fewer lanes than slots, New returns
-	// ErrTooManySlots.
+	// accelerator, floor one). Each slot needs a lane slice of its own: with
+	// more slots than lanes New returns ErrTooManySlots.
 	Slots int
 }
 
 // ErrTooManySlots is returned (wrapped, with the counts) by New when
-// Config.Slots exceeds the lanes or the free event labels.
+// Config.Slots exceeds the lanes.
 var ErrTooManySlots = errors.New("pointq: too many slots")
 
 // Per-slot arena, in words from the slot's base (N split vertices, P
@@ -90,9 +89,6 @@ type Kernel struct {
 	// adjacency streamer's three events under it.
 	Name   string
 	Stream [3]string
-	// Private is the number of events the kernel defines for itself after
-	// New returns; New's label-headroom check reserves them.
-	Private int
 	// Planes is the number of N-word state planes per slot (≥ 1).
 	Planes int
 	// Seed (host-side) installs the kernel's own seed words for a query
@@ -121,8 +117,9 @@ type Engine struct {
 	sliceSize int
 	n, fcap   uint64
 	slotVA    []gasmem.VA
-	// inv[s] is slot s's round invocation, over the slot's lane slice.
-	inv []*kvmsr.Invocation
+	// inv is the round invocation, over slot 0's slice; slot s launches
+	// it on its own.
+	inv *kvmsr.Invocation
 
 	lDriver, lHdr, lIdleAck, lClrAck, lChunk, lVDone udweave.Label
 	stream                                           *graph.Streamer
@@ -137,10 +134,6 @@ type Engine struct {
 	// seeded lists the slots Seed has filled since the last Post.
 	seeded []int
 }
-
-// frameLabels is the number of events New defines besides the per-slot
-// invocations' own.
-const frameLabels = 11
 
 // New builds a resident engine over a loaded graph. Build it before
 // checkpointing the warm machine: the slot arenas are part of the
@@ -161,15 +154,6 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 		seeded: make([]int, 0, cfg.Slots)}
 	e.fcap = e.n + fSlack
 
-	// Label headroom first, so a refusal leaves nothing allocated or
-	// defined. An invocation's label count depends only on its shuffle
-	// mode and on having a reduce phase (any nonzero ReduceEvent).
-	labels := kvmsr.Spec{ReduceEvent: 1, Resilience: m.Resilience, Coalesce: m.Coalesce}.Labels()
-	if need, free := frameLabels+k.Private+cfg.Slots*labels, m.Prog.FreeLabels(); need > free {
-		return nil, fmt.Errorf("%w: %s: %d slots need %d event labels (%d per slot), %d free",
-			ErrTooManySlots, k.Name, cfg.Slots, need, labels, free)
-	}
-
 	// One region per slot, resident on the slot's home node, so a query's
 	// marks, frontier and result words are all local to its lane slice.
 	perSlot := (hdrWords + (1+uint64(k.Planes))*e.n + 2*e.fcap) * gasmem.WordBytes
@@ -183,9 +167,10 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	}
 
 	def := func(name string, h udweave.Handler) udweave.Label { return m.Prog.Define(k.Name+"."+name, h) }
-	// Every slot's invocation has this shape; only Name and Lanes differ.
 	spec := kvmsr.Spec{
+		Name:        k.Name + ".round",
 		NumKeys:     1, // the slot's one map task, on the slice's first lane
+		Lanes:       e.Slice(0),
 		MapEvent:    def("kv_map", e.kvMap),
 		ReduceEvent: def("kv_reduce", k.Reduce),
 		ReduceBinding: kvmsr.ReduceFunc(func(key uint64, _ kvmsr.LaneSet) updown.NetworkID {
@@ -210,15 +195,9 @@ func New(m *updown.Machine, dg *graph.DeviceGraph, cfg Config, k Kernel) (*Engin
 	}
 	e.stream = graph.NewStreamer(m.Prog, dg, names, e.emit)
 	e.lVDone = def("v_done", e.vDone)
-
-	e.inv = make([]*kvmsr.Invocation, cfg.Slots)
-	for s := range e.inv {
-		spec.Name = fmt.Sprintf("%s.round%d", k.Name, s)
-		spec.Lanes = e.Slice(s)
-		var err error
-		if e.inv[s], err = kvmsr.New(m.Prog, spec); err != nil {
-			return nil, err
-		}
+	var err error
+	if e.inv, err = kvmsr.New(m.Prog, spec); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -380,7 +359,7 @@ func (e *Engine) driver(c *udweave.Ctx) {
 	default:
 		st.round++
 	}
-	e.inv[st.slot].LaunchWithArg(c, 1, st.round, c.ContinueTo(e.lDriver))
+	e.inv.LaunchAt(c, e.slotLane(st.slot), 1, st.round, c.ContinueTo(e.lDriver))
 }
 
 // Task is one slot's map task for one round: read the slot header, then
@@ -436,7 +415,7 @@ func (e *Engine) Retire(c *udweave.Ctx, t *Task, w uint64, words ...uint64) {
 
 func (e *Engine) idleAck(c *udweave.Ctx) {
 	t := c.State().(*Task)
-	e.inv[t.Slot].Return(c, t.mapCont)
+	e.inv.Return(c, t.mapCont)
 	c.YieldTerminate()
 }
 
@@ -459,7 +438,7 @@ func (e *Engine) pump(c *udweave.Ctx, t *Task) {
 		t.next += n
 	}
 	if t.outstanding == 0 && t.chunks == 0 && t.clears == 0 && t.next >= t.hi {
-		e.inv[t.Slot].EmitFrom(c, t.emits)
+		e.inv.EmitFrom(c, t.emits)
 		e.idleAck(c)
 	}
 }
@@ -501,7 +480,7 @@ func (e *Engine) EmitChunk(c *udweave.Ctx, slot, a, b uint64) uint64 {
 }
 
 func (e *Engine) emit(c *udweave.Ctx, slot, nb, a, b uint64) {
-	e.inv[slot].SendReduce(c, e.key(slot, nb, c.NetworkID()), a, b)
+	e.inv.SendReduce(c, e.key(slot, nb, c.NetworkID()), a, b)
 }
 
 // key is vertex v's reduce key in slot for a tuple sent from lane from.
@@ -536,6 +515,6 @@ func (e *Engine) WriteFront(c *udweave.Ctx, slot, parity, idx, v, subStart, subC
 // ReduceDone ends a kv_reduce task of slot, adding found to the round's
 // sum: the chain ends with a round whose sum is nonzero.
 func (e *Engine) ReduceDone(c *udweave.Ctx, slot, found uint64) {
-	e.inv[slot].ReduceDoneAdd(c, found)
+	e.inv.ReduceDoneAdd(c, found)
 	c.YieldTerminate()
 }

@@ -252,66 +252,63 @@ func TestNoHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-// Every slot registers its own KVMSR invocation, so a large Slots count
-// runs out of the 12-bit event-label space. New must refuse it with
-// ErrTooManySlots before defining or allocating anything — and accept
-// every count below the ceiling without reaching udweave's panic.
+// Every slot launches the engine's one KVMSR invocation on its own slice,
+// so the labels an engine defines do not depend on its slot count, and the
+// lanes are the only limit: an engine with one slot per lane answers in
+// its first and last slot, and one more slot is refused with
+// ErrTooManySlots before anything is defined or allocated.
 func TestTooManySlots(t *testing.T) {
+	a := arch.DefaultMachine(2)
+	a.AccelsPerNode, a.LanesPerAccel = 4, 16
+	machine := func(t *testing.T) (*updown.Machine, *graph.DeviceGraph) {
+		m, err := updown.New(updown.Config{Arch: &a, Shards: 1, MaxTime: 1 << 42, Coalesce: &kvmsr.Coalesce{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := graph.LoadToGAS(m.GAS, graph.Split(testGraph, 16), graph.DefaultPlacement(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, dg
+	}
+	lanes := a.TotalLanes()
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
-			m, dg := pointqtest.Machine(t, testGraph, 2, 1)
-			free := m.Prog.FreeLabels()
-			// Two builds give the fixed and the per-slot label cost.
-			if _, err := k.build(m, dg, 1); err != nil {
-				t.Fatal(err)
+			m, dg := machine(t)
+			var defined [2]int
+			for i, slots := range []int{1, 64} {
+				free := m.Prog.FreeLabels()
+				if _, err := k.build(m, dg, slots); err != nil {
+					t.Fatal(err)
+				}
+				defined[i] = free - m.Prog.FreeLabels()
 			}
-			one := free - m.Prog.FreeLabels()
-			if _, err := k.build(m, dg, 2); err != nil {
-				t.Fatal(err)
-			}
-			perSlot := free - one - m.Prog.FreeLabels() - one
-			fixed := one - perSlot
-			if perSlot <= 0 || fixed <= 0 {
-				t.Fatalf("label costs: fixed %d, per slot %d", fixed, perSlot)
+			if defined[0] != defined[1] {
+				t.Fatalf("labels defined: %d at 1 slot, %d at 64", defined[0], defined[1])
 			}
 
-			m, dg = pointqtest.Machine(t, testGraph, 2, 1)
-			ceiling := (m.Prog.FreeLabels() - fixed) / perSlot
+			m, dg = machine(t)
 			labels, mem := m.Prog.FreeLabels(), m.GAS.UsedBytes(0)+m.GAS.UsedBytes(1)
-			_, err := k.build(m, dg, ceiling+1)
-			if !errors.Is(err, pointq.ErrTooManySlots) {
-				t.Fatalf("%d slots: err = %v, want ErrTooManySlots", ceiling+1, err)
+			if _, err := k.build(m, dg, lanes+1); !errors.Is(err, pointq.ErrTooManySlots) {
+				t.Fatalf("%d slots over %d lanes: err = %v, want ErrTooManySlots", lanes+1, lanes, err)
 			}
 			if now := m.GAS.UsedBytes(0) + m.GAS.UsedBytes(1); m.Prog.FreeLabels() != labels || now != mem {
 				t.Fatalf("refused build left labels %d -> %d, DRAM bytes %d -> %d", labels, m.Prog.FreeLabels(), mem, now)
 			}
-			e, err := k.build(m, dg, ceiling)
+			e, err := k.build(m, dg, lanes)
 			if err != nil {
-				t.Fatalf("%d slots (the ceiling): %v", ceiling, err)
+				t.Fatalf("%d slots (one per lane): %v", lanes, err)
 			}
-			if left := m.Prog.FreeLabels(); left < 0 || left >= perSlot {
-				t.Fatalf("%d labels left at the ceiling, want 0..%d", left, perSlot-1)
-			}
-			// The engine at the ceiling works: first and last slot.
 			e.Seed(0, testQueries[0].src, testQueries[0].tgt)
-			e.Seed(ceiling-1, testQueries[1].src, testQueries[1].tgt)
+			e.Seed(lanes-1, testQueries[1].src, testQueries[1].tgt)
 			e.Post(1)
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if a, b := e.Result(0), e.Result(ceiling-1); a != k.slots[0].result || b != k.slots[1].result {
-				t.Errorf("answers %#x, %#x at the ceiling, want %#x, %#x", a, b, k.slots[0].result, k.slots[1].result)
+			if a, b := e.Result(0), e.Result(lanes-1); a != k.slots[0].result || b != k.slots[1].result {
+				t.Errorf("answers %#x, %#x with one slot per lane, want %#x, %#x", a, b, k.slots[0].result, k.slots[1].result)
 			}
-			// The serving machine's lane state, fullest at the ceiling
-			// (a lane past its scratchpad would have panicked).
-			lane, held := m.Prog.FullestLane()
-			t.Logf("%d slots: scratchpad: fullest lane %d (node %d) holds %d of %d bytes",
-				ceiling, lane, m.Arch.NodeOf(lane), held, m.Arch.ScratchBytesPerLane)
 		})
-	}
-	m, dg := pointqtest.Machine(t, testGraph, 2, 1)
-	if _, err := kernels[0].build(m, dg, m.Arch.TotalLanes()+1); !errors.Is(err, pointq.ErrTooManySlots) {
-		t.Fatalf("more slots than lanes: err = %v, want ErrTooManySlots", err)
 	}
 }
 

@@ -203,11 +203,6 @@ func (m Machine) IsLane(id NetworkID) bool {
 	return id >= 0 && int(id) < m.TotalLanes()
 }
 
-// IsMemCtrl reports whether id names a memory controller.
-func (m Machine) IsMemCtrl(id NetworkID) bool {
-	return int(id) >= m.TotalLanes() && int(id) < m.TotalActors()
-}
-
 // NodeOf returns the node that hosts an actor. Auxiliary actors (IDs at or
 // beyond TotalActors) are placed on node 0, where the host interface sits.
 func (m Machine) NodeOf(id NetworkID) int {

@@ -98,7 +98,7 @@ func TestMemCtrlIDs(t *testing.T) {
 		if m.IsLane(id) {
 			t.Errorf("MemCtrlID(%d)=%d classified as lane", n, id)
 		}
-		if !m.IsMemCtrl(id) {
+		if int(id) < m.TotalLanes() || int(id) >= m.TotalActors() {
 			t.Errorf("MemCtrlID(%d)=%d not classified as controller", n, id)
 		}
 		if m.NodeOf(id) != n {

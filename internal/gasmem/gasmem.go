@@ -551,37 +551,12 @@ func (g *GAS) WriteU64(va VA, v uint64) {
 	}
 }
 
-// AddU64 adds delta to the word at va and returns the previous value.
-// Replicated regions apply the add to every replica stripe; the previous
-// value is read from the stripe ReadU64 would serve.
-func (g *GAS) AddU64(va VA, delta uint64) uint64 {
-	g.checkAligned(va)
-	r := g.regionOrFault(va)
-	rd := g.readStripe(r, va)
-	var old uint64
-	for j := 0; j < r.Rep; j++ {
-		node, phys := r.TranslateReplica(va, j)
-		if j == rd {
-			old = g.store[node][phys/WordBytes]
-		}
-		g.store[node][phys/WordBytes] += delta
-	}
-	return old
-}
-
 func (g *GAS) regionOrFault(va VA) *Region {
 	r := g.RegionOf(va)
 	if r == nil {
 		panic(fmt.Sprintf("gasmem: translation fault at VA 0x%x", va))
 	}
 	return r
-}
-
-// ReadWords bulk-loads n consecutive words starting at va into dst.
-func (g *GAS) ReadWords(va VA, dst []uint64) {
-	for i := range dst {
-		dst[i] = g.ReadU64(va + uint64(i)*WordBytes)
-	}
 }
 
 // WriteWords bulk-stores src at va, as one WriteU64 per word would: a

@@ -189,18 +189,6 @@ func TestUnalignedAccessPanics(t *testing.T) {
 	g.ReadU64(va + 3)
 }
 
-func TestAddU64(t *testing.T) {
-	g := New(2, 1<<20)
-	va, _ := g.DRAMmalloc(4096, 0, 1, 4096)
-	g.WriteU64(va, 7)
-	if old := g.AddU64(va, 5); old != 7 {
-		t.Fatalf("AddU64 old = %d, want 7", old)
-	}
-	if got := g.ReadU64(va); got != 12 {
-		t.Fatalf("after AddU64 = %d, want 12", got)
-	}
-}
-
 // TestReadWriteWords: a bulk store is one WriteU64 per word — across block
 // boundaries (here a run over three blocks on three nodes) and onto every
 // replica stripe.
@@ -217,12 +205,10 @@ func TestReadWriteWords(t *testing.T) {
 		}
 		at := va + 512 - 16
 		g.WriteWords(at, src)
-		dst := make([]uint64, len(src))
-		g.ReadWords(at, dst)
 		r := g.RegionOf(va)
 		for i := range src {
-			if dst[i] != src[i] {
-				t.Fatalf("rep %d word %d: got %d want %d", rep, i, dst[i], src[i])
+			if got := g.ReadU64(at + uint64(i)*WordBytes); got != src[i] {
+				t.Fatalf("rep %d word %d: got %d want %d", rep, i, got, src[i])
 			}
 			for j := 0; j < rep; j++ {
 				node, phys := r.TranslateReplica(at+uint64(i)*WordBytes, j)

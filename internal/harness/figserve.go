@@ -42,9 +42,8 @@ type FigServeOptions struct {
 	// FuseWindow is the launch hold-off (default 2048 cycles).
 	FuseWindow updown.Cycles
 	// Slots is each point engine's concurrent-query capacity (0 = engine
-	// default: one slot per accelerator's worth of lanes). More than the
-	// lanes or the event-label space allow (pointq.Config.Slots: 126 on
-	// the default machine) is ErrBadOption.
+	// default: one slot per accelerator's worth of lanes). More slots than
+	// lanes (128 on the default machine) is ErrBadOption.
 	Slots int
 	// QueueCap bounds each kind's waiting room (default 64).
 	QueueCap int

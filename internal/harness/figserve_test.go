@@ -60,3 +60,21 @@ func TestFigServeFusionWins(t *testing.T) {
 		t.Fatalf("unfused baseline fused %.2f queries/batch, want exactly 1", u.FusedPerBatch)
 	}
 }
+
+// A machine of the paper's node shape (32 accelerators x 64 lanes) serves
+// with the engines' default slots, one per accelerator: 128 slots per
+// engine on 4 nodes, every query resolved.
+func TestFigServePaperNodes(t *testing.T) {
+	res, err := FigServe(FigServeOptions{Nodes: 4, AccelsPerNode: 32, LanesPerAccel: 64, Scale: 6, Queries: 4, Gaps: []int64{32000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Slots != 128 {
+		t.Fatalf("%d slots, want one per accelerator (128)", res.Slots)
+	}
+	for _, r := range []ServeRow{res.Fused.Rows[0], res.Unfused.Rows[0]} {
+		if r.Served != r.Queries {
+			t.Fatalf("%d of %d queries resolved", r.Served, r.Queries)
+		}
+	}
+}

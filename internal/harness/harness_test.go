@@ -164,7 +164,6 @@ func TestBadOptions(t *testing.T) {
 		"figserve queries":  func() error { _, err := FigServe(FigServeOptions{Queries: -1}); return err }(),
 		"figserve gap 0":    func() error { _, err := FigServe(FigServeOptions{Gaps: []int64{4000, 0}}); return err }(),
 		"figserve gap -5":   func() error { _, err := FigServe(FigServeOptions{Gaps: []int64{-5}}); return err }(),
-		"figserve slots":    func() error { _, err := FigServe(FigServeOptions{Slots: 127}); return err }(),
 		"figserve slots>ln": func() error { _, err := FigServe(FigServeOptions{Slots: 129}); return err }(),
 		"figsched jobs -2":  func() error { _, err := FigSched(FigSchedOptions{Jobs: -2}); return err }(),
 		"figsched load 0":   func() error { _, err := FigSched(FigSchedOptions{Loads: []int64{0}}); return err }(),

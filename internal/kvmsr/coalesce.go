@@ -173,13 +173,14 @@ func (v *Invocation) flushBuf(c *udweave.Ctx, cs *coalState, pb *packBuf) {
 	v.send(c, v.distributor(c.NetworkID(), pb.node, pb.ops[0]), pb.ops[:n+1])
 }
 
-// distributor picks the lane of node's slice of the lane set (never empty:
-// reduce targets derive from in-set lanes) that receives a pack from src
-// whose first key is key: by the sender's intra-node index, spreading
-// concurrent senders, or under ReduceAnyLane, where it runs the whole pack,
-// by the key's hash, so a hub map task's packs spread like its keys.
+// distributor picks the lane of node's slice of src's translate of the
+// lane set (never empty: reduce targets derive from in-set lanes) that
+// receives a pack from src whose first key is key: by the sender's
+// intra-node index, spreading concurrent senders, or under ReduceAnyLane,
+// where it runs the whole pack, by the key's hash, so a hub map task's
+// packs spread like its keys.
 func (v *Invocation) distributor(src arch.NetworkID, node int, key uint64) arch.NetworkID {
-	lo, hi := v.s.Lanes.clip(node*v.lpn, v.lpn)
+	lo, hi := v.lanes(src).clip(node*v.lpn, v.lpn)
 	if v.s.ReduceAnyLane {
 		return lo + arch.NetworkID(prng.Mix64(key)%uint64(hi-lo))
 	}

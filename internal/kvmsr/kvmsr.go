@@ -90,7 +90,9 @@ type Spec struct {
 	MapBinding MapBinding
 	// ReduceBinding maps emitted keys to lanes (nil = Hash).
 	ReduceBinding ReduceBinding
-	// Lanes is the target lane set.
+	// Lanes is the target lane set. LaunchAt may also run the invocation
+	// on a translate of it: the same set shifted up by a whole multiple of
+	// Lanes.Count (see Invocation.lanes).
 	Lanes LaneSet
 	// Resilience, when non-nil, routes emitted tuples through the
 	// resilient shuffle (acks, retransmission with backoff, idempotent
@@ -296,9 +298,6 @@ type Invocation struct {
 // New validates the spec and registers the invocation's internal events
 // with the program. Call during program construction (single-threaded).
 func New(p *udweave.Program, s Spec) (*Invocation, error) {
-	if err := s.Lanes.Validate(p.M); err != nil {
-		return nil, err
-	}
 	if s.MapEvent == 0 {
 		return nil, fmt.Errorf("kvmsr: %s: MapEvent is required", s.Name)
 	}
@@ -311,11 +310,8 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	if s.FirstWins && s.ReduceAnyLane {
 		return nil, fmt.Errorf("kvmsr: %s: FirstWins needs an owner lane per key, ReduceAnyLane has none", s.Name)
 	}
-	for _, b := range []any{s.MapBinding, s.ReduceBinding} {
-		if o, ok := b.(Owner); ok && !o.fits(p.M, s.Lanes) {
-			return nil, fmt.Errorf("kvmsr: %s: Owner binding built for another lane set (data on nodes [%d,%d), lanes on [%d,%d])",
-				s.Name, o.home.FirstNode, o.home.FirstNode+o.home.NRNodes, s.Lanes.firstNode(p.M), s.Lanes.lastNode(p.M)+1)
-		}
+	if err := s.runsOn(p.M, s.Lanes); err != nil {
+		return nil, err
 	}
 	v := &Invocation{p: p, s: s, slot: udweave.NewSlot[laneState](p), lpn: p.M.LanesPerNode(), emitCycles: 4,
 		pushLinger: p.M.LatCrossNode / 4}
@@ -370,22 +366,19 @@ func New(p *udweave.Program, s Spec) (*Invocation, error) {
 	return v, nil
 }
 
-// Labels returns how many event labels New registers for this spec — what
-// a caller building many invocations checks against Program.FreeLabels
-// before defining any of them.
-func (s Spec) Labels() int {
-	n := 15
-	if s.ReduceEvent == 0 {
-		return n
+// runsOn checks that the invocation can run on lane set ls: ls lies in the
+// machine and an Owner binding's data lives on exactly ls's nodes.
+func (s Spec) runsOn(m arch.Machine, ls LaneSet) error {
+	if err := ls.Validate(m); err != nil {
+		return err
 	}
-	n++ // the reduce wrapper
-	if s.Resilience != nil {
-		n += 4
+	for _, b := range []any{s.MapBinding, s.ReduceBinding} {
+		if o, ok := b.(Owner); ok && !o.fits(m, ls) {
+			return fmt.Errorf("kvmsr: %s: Owner binding built for another lane set (data on nodes [%d,%d), lanes on [%d,%d])",
+				s.Name, o.home.FirstNode, o.home.FirstNode+o.home.NRNodes, ls.firstNode(m), ls.lastNode(m)+1)
+		}
 	}
-	if s.Coalesce != nil {
-		n++ // flush_guard
-	}
-	return n
+	return nil
 }
 
 // MustNew is New, panicking on error (program construction helper).
@@ -400,9 +393,24 @@ func MustNew(p *udweave.Program, s Spec) *Invocation {
 // Spec returns the (defaulted) specification.
 func (v *Invocation) Spec() Spec { return v.s }
 
-// ReduceLane returns the lane the reduce binding runs key's kv_reduce on.
-func (v *Invocation) ReduceLane(key uint64) arch.NetworkID {
-	return v.s.ReduceBinding.Lane(key, v.s.Lanes)
+// ReduceLane returns the lane the reduce binding runs key's kv_reduce on,
+// in the translate of the lane set the executing lane runs in.
+func (v *Invocation) ReduceLane(c *udweave.Ctx, key uint64) arch.NetworkID {
+	return v.s.ReduceBinding.Lane(key, v.lanes(c.NetworkID()))
+}
+
+// lanes returns the translate of Spec.Lanes that lane id runs in: the set
+// shifted up by the whole multiple of its Count that covers id, or the set
+// itself for a lane below its end. Every role derives its own translate
+// this way, so a launch on a translate sends no more operands than one on
+// Spec.Lanes, and a lane of one translate never serves another.
+func (v *Invocation) lanes(id arch.NetworkID) LaneSet {
+	ls := v.s.Lanes
+	if id >= ls.End() {
+		n := arch.NetworkID(ls.Count)
+		ls.First += (id - ls.First) / n * n
+	}
+	return ls
 }
 
 // LaunchEvw returns the event word that starts the invocation: send it
@@ -425,6 +433,20 @@ func (v *Invocation) Launch(c *udweave.Ctx, numKeys uint64, cont uint64) {
 // each lane).
 func (v *Invocation) LaunchWithArg(c *udweave.Ctx, numKeys, arg uint64, cont uint64) {
 	c.SendEvent(v.LaunchEvw(), cont, numKeys, arg)
+}
+
+// LaunchAt is LaunchWithArg on the translate of Spec.Lanes whose first
+// lane is first (Spec.Lanes.First + k*Spec.Lanes.Count for some k >= 0).
+// Launches on distinct translates run concurrently and independently, each
+// with its own master, tree and completion; a launch on a translate may
+// overlap only an earlier one on the same translate that has completed.
+// An Owner binding runs only on the translate whose nodes hold its data.
+func (v *Invocation) LaunchAt(c *udweave.Ctx, first arch.NetworkID, numKeys, arg uint64, cont uint64) {
+	if err := v.s.runsOn(v.p.M, LaneSet{first, v.s.Lanes.Count}); err != nil || v.lanes(first).First != first {
+		panic(fmt.Sprintf("kvmsr: %s: LaunchAt lane %d: no translate of [%d,%d) the invocation runs on (%v)",
+			v.s.Name, first, v.s.Lanes.First, v.s.Lanes.End(), err))
+	}
+	c.SendEvent(udweave.EvwNew(first, v.lStart[levelMaster]), cont, numKeys, arg)
 }
 
 // st returns the lane state for this invocation.
@@ -514,7 +536,7 @@ func (v *Invocation) routeTuple(c *udweave.Ctx, key uint64, vals []uint64) {
 	c.Cycles(v.emitCycles)
 	c.Mark(v.nameEmit)
 	c.CountShuffle(0, 1)
-	target := v.ReduceLane(key)
+	target := v.ReduceLane(c, key)
 	if v.coal != nil {
 		if node := v.nodeOf(target); node != v.nodeOf(c.NetworkID()) {
 			v.bufferTuple(c, node, key, vals)
@@ -619,7 +641,7 @@ func (v *Invocation) deliver(c *udweave.Ctx) {
 			if v.s.FirstWins && !v.handOff(c, st, tuple[0]) {
 				continue
 			}
-			owner = v.ReduceLane(tuple[0])
+			owner = v.ReduceLane(c, tuple[0])
 		}
 		pack := append(append(st.sendBuf[:0], tuple...), packHeader(1, width)|ownerBit)
 		if owner == self {
@@ -680,13 +702,13 @@ func (v *Invocation) Flush(c *udweave.Ctx) {
 // their number. It charges base cycles and 2 per child. Every broadcast
 // uses it: the start, a node's drain probe and the straggler re-kick.
 func (v *Invocation) fanOut(c *udweave.Ctx, level uint64, base int, label udweave.Label, ops ...uint64) int {
-	m, n := v.p.M, 0
-	lo, hi := v.s.Lanes.unit(m, level, c.NetworkID())
+	m, n, ls := v.p.M, 0, v.lanes(c.NetworkID())
+	lo, hi := ls.unit(m, level, c.NetworkID())
 	c.Cycles(base)
 	for child := lo; child < hi; n++ {
-		clo, chi := v.s.Lanes.unit(m, level-1, child)
+		clo, chi := ls.unit(m, level-1, child)
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.holder(m, level-1, clo, chi), label), udweave.IGNRCONT, ops...)
+		c.SendEvent(udweave.EvwNew(ls.holder(m, level-1, clo, chi), label), udweave.IGNRCONT, ops...)
 		child = chi
 	}
 	return n
@@ -695,8 +717,9 @@ func (v *Invocation) fanOut(c *udweave.Ctx, level uint64, base int, label udweav
 // parent returns the lane holding the role one level up from the role at
 // level that self holds.
 func (v *Invocation) parent(level uint64, self arch.NetworkID) arch.NetworkID {
-	lo, hi := v.s.Lanes.unit(v.p.M, level+1, self)
-	return v.s.Lanes.holder(v.p.M, level+1, lo, hi)
+	ls := v.lanes(self)
+	lo, hi := ls.unit(v.p.M, level+1, self)
+	return ls.holder(v.p.M, level+1, lo, hi)
 }
 
 func (v *Invocation) masterStart(c *udweave.Ctx) {
@@ -716,7 +739,7 @@ func (v *Invocation) masterStart(c *udweave.Ctx) {
 	st.poolNext = v.s.MapBinding.poolStart(v.s.Lanes.Count, numKeys)
 	st.poolEnd = numKeys
 	st.term.Launches++
-	c.TaskBegin(v.namePhaseMap, st.term.Launches)
+	c.TaskBegin(v.namePhaseMap, v.phase(c, st))
 	r.expect = v.fanOut(c, levelMaster, 10, v.lStart[levelNode], numKeys, arg)
 	c.YieldTerminate()
 }
@@ -736,7 +759,7 @@ func (v *Invocation) laneStart(c *udweave.Ctx) {
 	numKeys := c.Op(0)
 	st.numKeys = numKeys
 	st.arg = c.Op(1)
-	st.keys = v.s.MapBinding.initialKeys(v.p.M, v.s.Lanes, c.NetworkID(), numKeys)
+	st.keys = v.s.MapBinding.initialKeys(v.p.M, v.lanes(c.NetworkID()), c.NetworkID(), numKeys)
 	st.outstanding = 0
 	st.awaiting = false
 	st.exhausted = !v.s.MapBinding.dynamic()
@@ -771,7 +794,7 @@ func (v *Invocation) pump(c *udweave.Ctx, st *laneState) {
 	if st.keys.empty() && !st.exhausted && !st.awaiting && st.outstanding == 0 {
 		st.awaiting = true
 		c.Cycles(2)
-		c.SendEvent(udweave.EvwNew(v.s.Lanes.First, v.lMoreWork),
+		c.SendEvent(udweave.EvwNew(v.lanes(self).First, v.lMoreWork),
 			udweave.EvwNew(self, v.lGrant))
 	}
 	if st.outstanding == 0 && st.keys.empty() && st.exhausted && !st.doneSent {
@@ -884,10 +907,10 @@ func (v *Invocation) report(c *udweave.Ctx, level uint64, r *role) {
 // phase, or when the counts that rode up already match E, the launch is
 // complete; otherwise the push that makes R == E completes it.
 func (v *Invocation) mapDone(c *udweave.Ctx, st *laneState) {
-	c.TaskEnd(v.namePhaseMap, st.term.Launches)
+	c.TaskEnd(v.namePhaseMap, v.phase(c, st))
 	if v.s.ReduceEvent != 0 {
 		st.draining = true
-		c.TaskBegin(v.namePhaseDrain, st.term.Launches)
+		c.TaskBegin(v.namePhaseDrain, v.phase(c, st))
 	}
 	switch {
 	case v.drained(st):
@@ -899,9 +922,16 @@ func (v *Invocation) mapDone(c *udweave.Ctx, st *laneState) {
 	}
 }
 
+// phase is the master's span ID for its current launch: the launch number
+// above the master's offset from Spec.Lanes.First, so the phases of
+// concurrent translates stay apart.
+func (v *Invocation) phase(c *udweave.Ctx, st *laneState) uint64 {
+	return uint64(c.NetworkID()-v.s.Lanes.First)<<32 | st.term.Launches
+}
+
 func (v *Invocation) complete(c *udweave.Ctx, st *laneState) {
 	if st.draining {
-		c.TaskEnd(v.namePhaseDrain, st.term.Launches)
+		c.TaskEnd(v.namePhaseDrain, v.phase(c, st))
 	}
 	r := &st.roles[levelMaster]
 	delta, sum := r.emit-st.prevEmit, r.sum-st.prevSum
@@ -1022,10 +1052,10 @@ func (v *Invocation) reply(level uint64) udweave.Handler {
 	}
 }
 
-// armTick queues the straggler clock's next tick at the master, tagged
-// with the launch it belongs to.
+// armTick queues the straggler clock's next tick at the master (the
+// executing lane), tagged with the launch it belongs to.
 func (v *Invocation) armTick(c *udweave.Ctx, st *laneState) {
-	c.SendEventAfter(stragglerTick, udweave.EvwNew(v.s.Lanes.First, v.lProbe), udweave.IGNRCONT, levelMaster, st.term.Launches)
+	c.SendEventAfter(stragglerTick, udweave.EvwNew(c.NetworkID(), v.lProbe), udweave.IGNRCONT, levelMaster, st.term.Launches)
 }
 
 // tick is the straggler detector (Resilience only, where a tuple can be
@@ -1117,15 +1147,14 @@ func (v *Invocation) delta(c *udweave.Ctx) {
 }
 
 // TerminationTotals counts the termination protocol's work over an
-// invocation's lifetime (see Invocation.TerminationTotals).
+// invocation's lifetime, on every translate it ran on (see
+// Invocation.TerminationTotals).
 type TerminationTotals struct {
 	// Launches counts launches started.
 	Launches uint64
-	// Probes counts drain probes the invocation master broadcast, and
-	// NodeDrains the ones node roles sent over their own lanes. Drains run
-	// at the nodes, so Probes stays 0 and NodeDrains is one per node and
-	// launch with a reduce phase.
-	Probes     uint64
+	// NodeDrains counts the drain probes node roles sent over their own
+	// lanes: one per node and launch with a reduce phase (the master never
+	// probes).
 	NodeDrains uint64
 	// AtMapDone counts launches that completed on their last node_done,
 	// the reduce counts riding the completion tree already matching the
@@ -1143,16 +1172,16 @@ type TerminationTotals struct {
 }
 
 // TerminationState is a host-side reading of the protocol's conservation
-// law (see Invocation.TerminationState): at quiescence Reduced == Reported
-// == R == E, Added == S, Retired <= Reduced, and nothing is Armed or
-// Pending.
+// law (see Invocation.TerminationState), summed over every translate the
+// invocation ran on: at quiescence Reduced == Reported == R == E, Added ==
+// S, Retired <= Reduced, and nothing is Armed or Pending.
 type TerminationState struct {
 	// Reduced and Reported sum the lanes' finished and reported reduces;
 	// Retired the part of Reduced that FirstWins retired at hand-off
 	// instead of running kv_reduce; Added their ReduceDoneAdd values.
 	Reduced, Reported, Retired, Added uint64
-	// R and E are the master's delta sum and cumulative emit count, S the
-	// sum that rode with R.
+	// R and E are the masters' delta sums and cumulative emit counts, S
+	// the sums that rode with R.
 	R, E, S uint64
 	// Armed counts queued push events; Pending sums deltas, and their
 	// sums, parked at tree masters.
@@ -1160,12 +1189,12 @@ type TerminationState struct {
 	Pending uint64
 }
 
-// eachLane calls f with the *T that every lane of the invocation's set
-// keeps in slot (lanes the program never touched keep none). peek
-// resolves a lane to its actor: pass updown.Machine's lane peek or
-// sim.Engine.PeekActor, after a run or at a quiesced point.
+// eachLane calls f with the *T that every lane of the invocation's set and
+// of its translates keeps in slot (lanes the program never touched keep
+// none). peek resolves a lane to its actor: pass updown.Machine's lane
+// peek or sim.Engine.PeekActor, after a run or at a quiesced point.
 func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot udweave.Slot[T], f func(lane arch.NetworkID, st *T)) {
-	for lane := v.s.Lanes.First; lane < v.s.Lanes.End(); lane++ {
+	for lane := v.s.Lanes.First; int(lane) < v.p.M.TotalLanes(); lane++ {
 		if st := slot.Peek(peek(lane)); st != nil {
 			f(lane, st)
 		}
@@ -1173,12 +1202,13 @@ func eachLane[T any](v *Invocation, peek func(arch.NetworkID) any, slot udweave.
 }
 
 // TerminationTotals reads the termination counters after a run: each lane
-// counts what its roles did, so the invocation's totals are their sums.
+// counts what its roles did, so the invocation's totals are their sums
+// over every translate.
 func (v *Invocation) TerminationTotals(peek func(arch.NetworkID) any) TerminationTotals {
 	var t TerminationTotals
 	eachLane(v, peek, v.slot, func(_ arch.NetworkID, st *laneState) {
 		l := st.term
-		t = TerminationTotals{t.Launches + l.Launches, t.Probes + l.Probes, t.NodeDrains + l.NodeDrains,
+		t = TerminationTotals{t.Launches + l.Launches, t.NodeDrains + l.NodeDrains,
 			t.AtMapDone + l.AtMapDone, t.DeltaMsgs + l.DeltaMsgs, t.DeltaReduces + l.DeltaReduces,
 			t.Pushes + l.Pushes, t.Retired + l.Retired}
 	})
@@ -1194,9 +1224,9 @@ func (v *Invocation) TerminationState(peek func(arch.NetworkID) any) Termination
 		s.Reported += st.reported
 		s.Retired += st.term.Retired
 		s.Added += st.added
-		if lane == v.s.Lanes.First {
+		if v.lanes(lane).First == lane {
 			r := st.roles[levelMaster]
-			s.R, s.E, s.S = r.red, r.emit, r.sum
+			s.R, s.E, s.S = s.R+r.red, s.E+r.emit, s.S+r.sum
 		}
 		for level := range st.armed {
 			if st.armed[level] {

@@ -445,38 +445,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// Spec.Labels must equal what New takes from the label table in every
-// shuffle mode: callers size many-invocation programs with it. It must also
-// stay within the budget pointq's slot ceiling was computed from — 17
-// labels, 19 coalescing, 4 more resilient — whatever handlers termination
-// detection gains.
-func TestSpecLabelsMatchesNew(t *testing.T) {
-	m, _ := updown.New(updown.Config{Nodes: 1, Shards: 1})
-	ev := m.Prog.Define("e", func(c *updown.Ctx) {})
-	for _, tc := range []struct {
-		budget int
-		s      kvmsr.Spec
-	}{
-		{17, kvmsr.Spec{Name: "doall"}},
-		{17, kvmsr.Spec{Name: "doall-ignores-shuffle", Resilience: &kvmsr.Resilience{}, Coalesce: &kvmsr.Coalesce{}}},
-		{17, kvmsr.Spec{Name: "classic", ReduceEvent: ev}},
-		{21, kvmsr.Spec{Name: "resilient", ReduceEvent: ev, Resilience: &kvmsr.Resilience{}}},
-		{19, kvmsr.Spec{Name: "coalesced", ReduceEvent: ev, Coalesce: &kvmsr.Coalesce{}}},
-		{22, kvmsr.Spec{Name: "both", ReduceEvent: ev, Resilience: &kvmsr.Resilience{}, Coalesce: &kvmsr.Coalesce{}}},
-	} {
-		s := tc.s
-		s.MapEvent, s.Lanes = ev, kvmsr.AllLanes(m.Arch)
-		before := m.Prog.FreeLabels()
-		kvmsr.MustNew(m.Prog, s)
-		if got := before - m.Prog.FreeLabels(); got != s.Labels() {
-			t.Errorf("%s: New defined %d labels, Labels() = %d", s.Name, got, s.Labels())
-		}
-		if s.Labels() > tc.budget {
-			t.Errorf("%s: %d labels, over the budget of %d", s.Name, s.Labels(), tc.budget)
-		}
-	}
-}
-
 // Invocations of different programs may be built concurrently (parallel
 // sweep points, t.Parallel tests): New touches only its own program. Run
 // under -race; a package-level launch counter used to make this a race.

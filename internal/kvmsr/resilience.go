@@ -255,7 +255,7 @@ func (v *Invocation) redDeliver(c *udweave.Ctx) {
 }
 
 // ResilienceTotals sums the protocol counters over the invocation's lane
-// set after a run. peek resolves a lane to its actor (pass
+// set and its translates after a run. peek resolves a lane to its actor (pass
 // updown.Machine's lane peek or sim.Engine.PeekActor); lanes the program
 // never touched contribute nothing. Returns the zero value for
 // non-resilient invocations.
@@ -268,7 +268,7 @@ func (v *Invocation) ResilienceTotals(peek func(arch.NetworkID) any) ResilienceT
 }
 
 // Outstanding reports the number of unacked emits still pending on the
-// invocation's lanes (testing and leak detection: a drained invocation
+// invocation's lanes and their translates (testing and leak detection: a drained invocation
 // leaves zero).
 func (v *Invocation) Outstanding(peek func(arch.NetworkID) any) int {
 	n := 0

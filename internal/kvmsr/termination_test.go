@@ -42,6 +42,9 @@ type termMode struct {
 	pbmw            bool // termPBMW as the map binding, else Block
 	nodes           int
 	first, laneSpan int // lane set; laneSpan 0 = the whole machine
+	// translates, when nonzero, runs that many chains of rounds at once,
+	// chain k on the lane set shifted up by k*laneSpan (LaunchAt).
+	translates int
 	// delaySeed, when nonzero, seeds a delay-only fault plan over both
 	// event classes: no message is lost, but any two may arrive out of
 	// order.
@@ -65,18 +68,24 @@ type termRound struct {
 	hold  updown.Cycles
 }
 
-type termResult struct {
+// termChain is what one chain of launches, on one translate of the lane
+// set, saw complete.
+type termChain struct {
 	done   []updown.Cycles // completion cycle of each launch
 	deltas []uint64        // per-launch emit counts the completions reported
 	adds   []uint64        // per-launch ReduceDoneAdd sums the completions reported
 	cum    uint64          // last cumulative emit count reported
-	sum    uint64          // reduce-side sum of every value
+}
+
+type termResult struct {
+	chains []termChain // one per translate run, the lane set's own first
+	sum    uint64      // reduce-side sum of every value
 	stats  updown.Stats
 	totals kvmsr.TerminationTotals
 }
 
 func (r termResult) summary() string {
-	return fmt.Sprintf("done=%v deltas=%v adds=%v cum=%d stats=%+v totals=%+v", r.done, r.deltas, r.adds, r.cum, r.stats, r.totals)
+	return fmt.Sprintf("chains=%+v stats=%+v totals=%+v", r.chains, r.stats, r.totals)
 }
 
 const termCounters = 64
@@ -121,7 +130,7 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		lanes = kvmsr.LaneSet{First: updown.NetworkID(mode.first), Count: mode.laneSpan}
 	}
 	var inv *kvmsr.Invocation
-	var res termResult
+	res := termResult{chains: make([]termChain, max(1, mode.translates))}
 	type mapState struct{ cont uint64 }
 	var held udweave.Label
 	mapEv := m.Prog.Define("term_map", func(c *updown.Ctx) {
@@ -156,16 +165,21 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		c.YieldTerminate()
 	})
 	var done udweave.Label
+	// A chain's completions reach its translate's first lane, its master.
 	done = m.Prog.Define("term_done", func(c *updown.Ctx) {
-		res.done = append(res.done, c.Now())
-		res.deltas = append(res.deltas, c.Op(0))
-		res.adds = append(res.adds, c.Op(2))
-		res.cum = c.Op(1)
-		if n := len(res.done); n < len(rounds) {
-			inv.LaunchWithArg(c, rounds[n].keys, uint64(n), c.ContinueTo(done))
+		ch := &res.chains[lanes.Index(c.NetworkID())/lanes.Count]
+		ch.done = append(ch.done, c.Now())
+		ch.deltas = append(ch.deltas, c.Op(0))
+		ch.adds = append(ch.adds, c.Op(2))
+		ch.cum = c.Op(1)
+		if n := len(ch.done); n < len(rounds) {
+			inv.LaunchAt(c, c.NetworkID(), rounds[n].keys, uint64(n), c.ContinueTo(done))
 			return
 		}
 		c.YieldTerminate()
+	})
+	kick := m.Prog.Define("term_kick", func(c *updown.Ctx) {
+		inv.LaunchAt(c, c.NetworkID(), rounds[0].keys, 0, c.ContinueTo(done))
 	})
 	spec := kvmsr.Spec{Name: "term", MapEvent: mapEv, ReduceEvent: reduceEv, Lanes: lanes,
 		Resilience: m.Resilience, Coalesce: m.Coalesce, ReduceAnyLane: mode.anyLane}
@@ -173,18 +187,27 @@ func termJob(t *testing.T, mode termMode, shards int, rounds []termRound) termRe
 		spec.MapBinding = termPBMW
 	}
 	inv = kvmsr.MustNew(m.Prog, spec)
-	m.StartWithCont(inv.LaunchEvw(), updown.EvwNew(lanes.First, done), rounds[0].keys, 0)
+	if mode.translates == 0 {
+		m.StartWithCont(inv.LaunchEvw(), updown.EvwNew(lanes.First, done), rounds[0].keys, 0)
+	}
+	for k := 0; k < mode.translates; k++ {
+		m.Start(updown.EvwNew(lanes.First+updown.NetworkID(k*lanes.Count), kick))
+	}
 	if res.stats, err = m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.done) != len(rounds) {
-		t.Fatalf("%d of %d launches completed", len(res.done), len(rounds))
+	var emits uint64
+	for k, ch := range res.chains {
+		if len(ch.done) != len(rounds) {
+			t.Fatalf("translate %d: %d of %d launches completed", k, len(ch.done), len(rounds))
+		}
+		emits += ch.cum
 	}
 	for i := uint64(0); i < termCounters; i++ {
 		res.sum += m.GAS.ReadU64(counters + i*8)
 	}
 	res.totals = inv.TerminationTotals(m.LanePeek())
-	checkConserved(t, inv, m, res.cum, res.sum)
+	checkConserved(t, inv, m, emits, res.sum)
 	if out := inv.Outstanding(m.LanePeek()); out != 0 {
 		t.Fatalf("%d emits still unacked after quiescence", out)
 	}
@@ -204,8 +227,8 @@ func wantSum(rounds []termRound) uint64 {
 }
 
 // checkConserved asserts the protocol's conservation law at quiescence:
-// every lane's reduces finished and reported, the master's R and E both
-// equal to the emits the completions reported, its S to the lanes'
+// every lane's reduces finished and reported, the masters' R and E both
+// summing to the emits the completions reported, their S to the lanes'
 // ReduceDoneAdd total added, nothing armed or parked.
 func checkConserved(t *testing.T, inv *kvmsr.Invocation, m *updown.Machine, emits, added uint64) {
 	t.Helper()
@@ -217,32 +240,34 @@ func checkConserved(t *testing.T, inv *kvmsr.Invocation, m *updown.Machine, emit
 
 // checkTermJob asserts what every run of the generic job must show: the
 // reduce-side sum, in memory and in each completion's ReduceDoneAdd sum,
-// one completion per launch in launch order, no probe from the master and
-// one drain per node of the set and launch.
+// one completion per launch in launch order on every translate, and one
+// drain per node of the set and launch.
 func checkTermJob(t *testing.T, mode termMode, rounds []termRound, r termResult) {
 	t.Helper()
-	if r.sum != wantSum(rounds) {
-		t.Fatalf("reduce sum %d, want %d", r.sum, wantSum(rounds))
+	if want := wantSum(rounds) * uint64(len(r.chains)); r.sum != want {
+		t.Fatalf("reduce sum %d, want %d", r.sum, want)
 	}
-	for i, round := range rounds {
-		if r.adds[i] != roundSum(round) {
-			t.Fatalf("launch %d completed with sum %d, its reduces added %d: %v", i, r.adds[i], roundSum(round), r.adds)
+	for k, ch := range r.chains {
+		for i, round := range rounds {
+			if ch.adds[i] != roundSum(round) {
+				t.Fatalf("translate %d: launch %d completed with sum %d, its reduces added %d: %v", k, i, ch.adds[i], roundSum(round), ch.adds)
+			}
+		}
+		for i := 1; i < len(ch.done); i++ {
+			if ch.done[i] <= ch.done[i-1] {
+				t.Fatalf("translate %d: completions out of order: %v", k, ch.done)
+			}
 		}
 	}
-	if r.totals.Launches != uint64(len(rounds)) {
+	if r.totals.Launches != uint64(len(rounds)*len(r.chains)) {
 		t.Fatalf("launches = %d", r.totals.Launches)
 	}
 	nodes := uint64(mode.nodes)
 	if mode.laneSpan > 0 {
-		nodes = 1
+		nodes = uint64(max(1, mode.laneSpan/2048))
 	}
-	if r.totals.Probes != 0 || r.totals.NodeDrains != nodes*r.totals.Launches {
-		t.Fatalf("want no master probe and one drain per node and launch over %d nodes: %+v", nodes, r.totals)
-	}
-	for i := 1; i < len(r.done); i++ {
-		if r.done[i] <= r.done[i-1] {
-			t.Fatalf("completions out of order: %v", r.done)
-		}
+	if r.totals.NodeDrains != nodes*r.totals.Launches {
+		t.Fatalf("want one drain per node and launch over %d nodes: %+v", nodes, r.totals)
 	}
 }
 
@@ -250,8 +275,8 @@ var termRounds = []termRound{{keys: 600, emits: 3}, {keys: 150, emits: 3}, {keys
 
 // At quiescence, in every shuffle mode and lane-set shape and after three
 // relaunches, with and without ReduceAnyLane: sum over lanes of reduced =
-// of reported = the master's R = E, with nothing armed or parked; the
-// master never probes, and each node drains its lanes once per launch.
+// of reported = the master's R = E, with nothing armed or parked, and each
+// node drains its lanes once per launch.
 func TestTerminationConservation(t *testing.T) {
 	shapes := []termMode{{nodes: 1}, {nodes: 2}, {nodes: 4}, {nodes: 1, first: 80, laneSpan: 16}}
 	for _, mode := range []termMode{
@@ -268,6 +293,29 @@ func TestTerminationConservation(t *testing.T) {
 			mode.nodes, mode.first, mode.laneSpan = shape.nodes, shape.first, shape.laneSpan
 			mode := mode
 			t.Run(fmt.Sprintf("%s/nodes=%d/lanes=%d", mode.name, mode.nodes, mode.laneSpan), func(t *testing.T) {
+				acrossShards(t, func(t *testing.T, shards int) string {
+					r := termJob(t, mode, shards, termRounds)
+					checkTermJob(t, mode, termRounds, r)
+					return r.summary()
+				})
+			})
+		}
+	}
+	// Translates: several chains of launches of one invocation in flight at
+	// once, each on its own shift of the lane set (what a point-query
+	// engine's slots do), with its own master, tree and completions: a
+	// slice of one node run three times side by side, and a two-node set
+	// run twice, so coalesced packs cross nodes inside each translate.
+	for _, mode := range []termMode{
+		{name: "classic"},
+		{name: "coalesced", coalesce: true},
+		{name: "resilient", resilient: true},
+		{name: "coalesced+resilient", coalesce: true, resilient: true},
+	} {
+		for _, shape := range []termMode{{nodes: 1, first: 80, laneSpan: 16, translates: 3}, {nodes: 4, laneSpan: 4096, translates: 2}} {
+			mode.nodes, mode.first, mode.laneSpan, mode.translates = shape.nodes, shape.first, shape.laneSpan, shape.translates
+			mode := mode
+			t.Run(fmt.Sprintf("translates/%s/nodes=%d/lanes=%dx%d", mode.name, mode.nodes, mode.laneSpan, mode.translates), func(t *testing.T) {
 				acrossShards(t, func(t *testing.T, shards int) string {
 					r := termJob(t, mode, shards, termRounds)
 					checkTermJob(t, mode, termRounds, r)
@@ -367,7 +415,7 @@ func TestNoProbeWhenDrained(t *testing.T) {
 					t.Fatalf("reduce sum %d, want %d", res.sum, wantSum(rounds))
 				}
 				nodes := uint64(tc.mode.nodes)
-				if res.totals.Probes != 0 || res.totals.AtMapDone != 2 || res.totals.NodeDrains != 2*nodes {
+				if res.totals.AtMapDone != 2 || res.totals.NodeDrains != 2*nodes {
 					t.Fatalf("drained launches did not complete at map-done after one drain per node: %+v", res.totals)
 				}
 				if res.totals.DeltaMsgs != 0 || res.totals.Pushes != 0 {
@@ -402,8 +450,8 @@ func TestAtMostOneProbe(t *testing.T) {
 			return m, dg
 		}
 		check := func(t *testing.T, tt kvmsr.TerminationTotals) {
-			if tt.Launches == 0 || tt.Probes != 0 || tt.NodeDrains != 2*tt.Launches {
-				t.Fatalf("want no master probe and one drain per node and launch: %+v", tt)
+			if tt.Launches == 0 || tt.NodeDrains != 2*tt.Launches {
+				t.Fatalf("want one drain per node and launch: %+v", tt)
 			}
 		}
 		t.Run(fmt.Sprintf("bfs/coalesce=%v", coalesce), func(t *testing.T) {
@@ -582,7 +630,7 @@ func TestHotReducerCompletesOnLastReduce(t *testing.T) {
 			t.Fatalf("reduced %d tuples, want %d", got, tuples)
 		}
 		tt := inv.TerminationTotals(m.LanePeek())
-		if tt.Probes != 0 || tt.NodeDrains != 2 {
+		if tt.NodeDrains != 2 {
 			t.Fatalf("want no master probe and one drain per node, got %+v", tt)
 		}
 		a := m.Arch
@@ -675,7 +723,7 @@ func TestLateTuplesCompleteByPush(t *testing.T) {
 			t.Fatal(err)
 		}
 		tt := inv.TerminationTotals(m.LanePeek())
-		if tt.Probes != 0 || tt.NodeDrains != 2 || tt.DeltaReduces != tasks {
+		if tt.NodeDrains != 2 || tt.DeltaReduces != tasks {
 			t.Fatalf("want one drain per node and the %d lingering tuples' reduces pushed, got %+v", tasks, tt)
 		}
 		if tt.DeltaMsgs == 0 || tt.DeltaMsgs > tt.Pushes || tt.Pushes > tasks {

@@ -84,23 +84,3 @@ func (a *nodeAlloc) release(first, n int) {
 		a.free = append(a.free[:i], a.free[i+1:]...)
 	}
 }
-
-// freeNodes returns the total free node count.
-func (a *nodeAlloc) freeNodes() int {
-	n := 0
-	for _, r := range a.free {
-		n += r.n
-	}
-	return n
-}
-
-// largestRun returns the biggest contiguous free run.
-func (a *nodeAlloc) largestRun() int {
-	best := 0
-	for _, r := range a.free {
-		if r.n > best {
-			best = r.n
-		}
-	}
-	return best
-}
